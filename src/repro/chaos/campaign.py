@@ -280,9 +280,7 @@ class ChaosCampaign:
             fail_closed_agents=sum(
                 1 for agent in agents if agent.safety.fail_closed
             ),
-            stale_agents=sum(
-                1 for agent in agents if agent.pinglist_stale
-            ),
+            stale_agents=system.stale_agents,
             terminated_agents=sum(
                 1 for agent in agents if agent.terminated_reason is not None
             ),

@@ -378,6 +378,18 @@ class InvariantChecker:
                     f"({failures} failures, last transition {reason!r})",
                 )
 
+    def _check_stale_gauge(self, now: float) -> None:
+        """The pushed stale-agent gauge must equal a recount of the agents."""
+        system = self.system
+        recount = sum(agent.pinglist_stale for agent in system.agents.values())
+        if system.stale_agents != recount:
+            self._violate(
+                now,
+                "staleness-state-machine",
+                f"stale-agent gauge reads {system.stale_agents} but "
+                f"{recount} agent(s) are STALE",
+            )
+
     # -- phase (full-catalogue) checks -------------------------------------
 
     def check_phase(self) -> list[Violation]:
@@ -388,6 +400,7 @@ class InvariantChecker:
         self.after_step()
         for agent in self.system.agents.values():
             self._check_agent(agent, now)
+        self._check_stale_gauge(now)
         self._check_watchdog_latency(now)
         self._check_repair_ground_truth(now)
         self._check_sla_ground_truth(now)

@@ -40,6 +40,7 @@ from repro.core.dsa.records import (
     make_record,
     make_records,
 )
+from repro.netsim.devices import StateVersion
 from repro.netsim.fabric import Fabric
 from repro.resilience import PinglistState, RetryPolicy, derive_seed
 
@@ -111,8 +112,12 @@ class PingmeshAgent(SharedService):
         config: AgentConfig | None = None,
         vip_resolver: Callable[[str], str | None] | None = None,
         stream_aggregator=None,
+        roster_version: StateVersion | None = None,
     ) -> None:
         self.config = config or AgentConfig()
+        # Bumped by every write to ``running`` / ``pinglist``; shared across
+        # a fleet so its driver can memoize who probes what.
+        self.roster_version = roster_version or StateVersion()
         super().__init__(
             name="pingmesh-agent",
             server_id=server_id,
@@ -215,9 +220,43 @@ class PingmeshAgent(SharedService):
         """Remove all ping peers; keep running (and keep answering pings)."""
         self.pinglist = None
 
+    # Class-level defaults: the setters compare against them on the first
+    # assignment (``SharedService.__init__`` writes ``running``).
+    _running = False
+    _pinglist: Pinglist | None = None
+
+    @property
+    def running(self) -> bool:
+        return self._running
+
+    @running.setter
+    def running(self, value: bool) -> None:
+        if value != self._running:
+            self._running = value
+            self.roster_version.bump()
+
+    @property
+    def pinglist(self) -> Pinglist | None:
+        return self._pinglist
+
+    @pinglist.setter
+    def pinglist(self, value: Pinglist | None) -> None:
+        if value is not self._pinglist:
+            self._pinglist = value
+            self.roster_version.bump()
+
     @property
     def probing(self) -> bool:
         return self.running and self.pinglist is not None and len(self.pinglist) > 0
+
+    @property
+    def holds_results(self) -> bool:
+        """Are records buffered or spooled, i.e. can :meth:`maybe_upload`
+        act before the upload timer fires?"""
+        return any(
+            uploader is not None and (uploader.buffered_records or uploader.spool)
+            for uploader in (self.uploader, self.class_uploader)
+        )
 
     @property
     def pinglist_state(self) -> PinglistState:

@@ -143,6 +143,8 @@ class FleetShard:
             else None
         )
         self._record_server_cache: dict = {}
+        self.active: list[PingmeshAgent] = []  # probing agents on live hosts
+        self._versions: tuple | None = None  # fleet version at last filter
         self._plan_key: tuple | None = None
         self._plan: ClassRoundPlan | None = None
         self._passthrough: list = []  # (agent, entries, tags) with entries left
@@ -153,28 +155,36 @@ class FleetShard:
 
     # -- plan compilation --------------------------------------------------
 
-    def _active_agents(self) -> list[PingmeshAgent]:
-        topology = self.fleet.system.topology
-        return [
-            agent
-            for agent in self.agents
-            if agent.probing and topology.server(agent.server_id).is_up
-        ]
+    def _compiled(self):
+        """The shard's merged class plan + degraded work, memoized twice: a
+        healthy round is one version compare; when the fleet version moved
+        the roster is re-filtered, but the plan is rebuilt only if *this*
+        shard's pinglist snapshots changed (the version is fleet-wide)."""
+        system = self.fleet.system
+        versions = system.fleet_version
+        if versions != self._versions:
+            topology = system.topology
+            self.active = [
+                agent
+                for agent in self.agents
+                if agent.probing and topology.server(agent.server_id).is_up
+            ]
+            key = (
+                system.fabric.state_version,
+                tuple(id(agent.pinglist) for agent in self.active),
+            )
+            if key != self._plan_key:
+                self._compile()
+                self._plan_key = key
+            self._versions = versions
+        return self._plan, self._passthrough, self._vip_agents
 
-    def _compiled(self, active: list[PingmeshAgent]):
-        """The shard's merged class plan + degraded work, memoized on the
-        fabric generation and every agent's pinglist snapshot."""
+    def _compile(self) -> None:
         fabric = self.fleet.system.fabric
-        key = (
-            fabric.state_version,
-            tuple(id(agent.pinglist) for agent in active),
-        )
-        if key == self._plan_key:
-            return self._plan, self._passthrough, self._vip_agents
         passthrough: list = []
         vip_agents: list = []
         plans: list[ClassRoundPlan] = []
-        for agent in active:
+        for agent in self.active:
             vip_entries, probe_entries, tags = agent._round_entries()
             if vip_entries:
                 vip_agents.append((agent, vip_entries))
@@ -190,12 +200,9 @@ class FleetShard:
                         [tags[i] for i in plan.passthrough],
                     )
                 )
-        merged = merge_class_plans(plans)
-        self._plan_key = key
-        self._plan = merged
+        self._plan = merge_class_plans(plans)
         self._passthrough = passthrough
         self._vip_agents = vip_agents
-        return merged, passthrough, vip_agents
 
     # -- execution ---------------------------------------------------------
 
@@ -209,8 +216,7 @@ class FleetShard:
         candidates), while the healthy closed-form bulk stays
         class-granular in :meth:`fold_outcomes`.
         """
-        active = self._active_agents()
-        _plan, passthrough, vip_agents = self._compiled(active)
+        _plan, passthrough, vip_agents = self._compiled()
         fabric = self.fleet.system.fabric
         launched = 0
         for agent, vip_entries in vip_agents:
@@ -329,6 +335,10 @@ class ShardedFleet:
         self._pool: Executor | None = None
         self.shards: dict[tuple[int, int], FleetShard] = {}
         self._agent_count = -1
+        self._agent_index: dict[str, int] = {}  # server id -> fleet position
+        self._watched: dict[int, PingmeshAgent] = {}  # fed / holding records
+        self._oldest_upload_t = float("inf")
+        self._upload_versions: tuple | None = None
         self._scheduled = False
         self.probes_sent = 0
         self.rounds_run = 0
@@ -363,8 +373,9 @@ class ShardedFleet:
                 self.shards[key] = FleetShard(self, key[0], key[1], agents)
             else:
                 shard.agents = agents
-                shard._plan_key = None  # membership changed: recompile
+                shard._versions = shard._plan_key = None  # membership changed
         self._agent_count = len(self.system.agents)
+        self._agent_index = {sid: i for i, sid in enumerate(self.system.agents)}
 
     # -- the round ---------------------------------------------------------
 
@@ -411,8 +422,7 @@ class ShardedFleet:
             shard.probes_sent += n_serial + n_class
             shard.rounds_run += 1
             shard.maybe_upload(t)
-        for agent in self.system.agents.values():
-            agent.maybe_upload(t)
+        self._upload_agents(t, ordered)
         self.probes_sent += launched
         self.rounds_run += 1
         broker = self.system.broker
@@ -422,6 +432,44 @@ class ShardedFleet:
             # nothing, so baseline streams are bit-identical either way.
             self.broker_probes_sent += broker.on_fleet_round(self, t)
         return launched
+
+    def _upload_agents(self, t: float, ordered: list[FleetShard]) -> None:
+        """The agents' upload discipline without a per-agent sweep.
+
+        ``maybe_upload`` only acts on a timer, a full buffer or a due
+        replay, so it is called on everyone just in the round the oldest
+        upload timer of a running agent on a live host fires, and otherwise
+        on the agents this round's VIP probes fed or that still hold
+        records — in fleet order, so store appends land as a sweep's would.
+        """
+        system = self.system
+        if system.fleet_version != self._upload_versions:
+            self._rescan_uploads()
+            self._upload_versions = system.fleet_version
+        if (t - self._oldest_upload_t) >= system.config.agent.upload_period_s:
+            for agent in system.agents.values():
+                agent.maybe_upload(t)
+            self._rescan_uploads()
+            return
+        for shard in ordered:
+            for agent, _vip_entries in shard._vip_agents:
+                self._watched[self._agent_index[agent.server_id]] = agent
+        for index in sorted(self._watched):
+            agent = self._watched[index]
+            agent.maybe_upload(t)
+            if not agent.holds_results:
+                del self._watched[index]
+
+    def _rescan_uploads(self) -> None:
+        """Re-derive the oldest live upload timer and who holds records."""
+        topology = self.system.topology
+        self._oldest_upload_t = float("inf")
+        self._watched = {}
+        for index, agent in enumerate(self.system.agents.values()):
+            if agent.running and topology.server(agent.server_id).is_up:
+                self._oldest_upload_t = min(self._oldest_upload_t, agent.last_upload_t)
+            if agent.holds_results:
+                self._watched[index] = agent
 
     def _run_class_parts_process(self, ordered: list[FleetShard], t: float) -> list:
         """Fan the shards' class draws out to worker processes.

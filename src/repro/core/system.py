@@ -32,8 +32,10 @@ from repro.core.dsa.records import LATENCY_STREAM
 from repro.core.dsa.sla import ServiceDefinition, SlaTracker
 from repro.cosmos.jobs import JobManager
 from repro.cosmos.store import CosmosStore
+from repro.netsim.devices import StateVersion
 from repro.netsim.fabric import Fabric
 from repro.netsim.topology import MultiDCTopology, TopologySpec
+from repro.resilience import PinglistState
 from repro.stream.plane import StreamConfig, StreamPlane
 
 __all__ = ["PingmeshSystemConfig", "PingmeshSystem"]
@@ -117,6 +119,11 @@ class PingmeshSystem:
             config=self.config.dsa,
         )
         self.agents: dict[str, PingmeshAgent] = {}
+        # Fleet bookkeeping is pushed, not polled: agents bump the shared
+        # roster version when their running flag or pinglist is written, and
+        # staleness transitions adjust the stale-agent gauge.
+        self.roster_version = StateVersion()
+        self.stale_agents = 0
         # On-demand measurement broker (repro.broker); attaches itself.
         self.broker = None
         self._started = False
@@ -180,9 +187,25 @@ class PingmeshSystem:
                     if self.stream is not None
                     else None
                 ),
+                roster_version=self.roster_version,
             )
 
         return factory
+
+    @property
+    def fleet_version(self) -> tuple[int, int]:
+        """Moves whenever who probes what (or uploads) may have changed:
+        device/fault state, or an agent's ``running`` / ``pinglist``."""
+        return self.fabric.state_version, self.roster_version.value
+
+    def _adopt(self, agent: PingmeshAgent) -> None:
+        """Enter a deployed agent into the fleet's books."""
+        self.agents[agent.server_id] = agent
+        self.stale_agents += agent.pinglist_stale
+        agent.safety.staleness.on_transition = self._staleness_moved
+
+    def _staleness_moved(self, old: PinglistState, new: PinglistState) -> None:
+        self.stale_agents += (new is PinglistState.STALE) - (old is PinglistState.STALE)
 
     def start(self, schedule_probe_rounds: bool = True) -> None:
         """Deploy agents fleet-wide, start DSA jobs, PA and watchdogs.
@@ -199,7 +222,7 @@ class PingmeshSystem:
         self._schedule_probe_rounds = schedule_probe_rounds
 
         for agent in self.env.deploy_shared_service(self._agent_factory()):
-            self.agents[agent.server_id] = agent
+            self._adopt(agent)
 
         # The Service Manager supervises the fleet: a memory-cap kill is
         # fail-closed, the restart (within budget) is what makes Pingmesh
@@ -290,11 +313,8 @@ class PingmeshSystem:
     def _stream_tick(self) -> None:
         """One streaming-plane cycle: flush deltas, ingest, detect."""
         if self.agents:
-            n_stale = sum(
-                1 for agent in self.agents.values() if agent.pinglist_stale
-            )
             self.stream.observe_staleness(
-                self.clock.now, n_stale, len(self.agents)
+                self.clock.now, self.stale_agents, len(self.agents)
             )
         self.stream.observe_downloads(
             self.clock.now, self.controller.download_stats()
@@ -407,7 +427,7 @@ class PingmeshSystem:
         self.service_manager.supervise_all(agents)
         interval = self._round_interval()
         for index, agent in enumerate(agents):
-            self.agents[agent.server_id] = agent
+            self._adopt(agent)
             agent.refresh_pinglist(self.clock.now)
             if self._schedule_probe_rounds:
                 offset = (index / max(1, len(agents))) * interval

@@ -29,6 +29,7 @@ Legal transitions::
 from __future__ import annotations
 
 import enum
+from typing import Callable
 
 
 class PinglistState(enum.Enum):
@@ -51,11 +52,17 @@ class IllegalTransitionError(RuntimeError):
 
 
 class StalenessTracker:
-    """Validated FRESH/STALE/FAIL_CLOSED tracker with a transition log."""
+    """Validated FRESH/STALE/FAIL_CLOSED tracker with a transition log.
+
+    ``on_transition(old, new)``, when set by an owner, is called after every
+    recorded transition — :meth:`_move` is the only place state changes, so
+    a fleet-level gauge fed from it never needs a recount.
+    """
 
     def __init__(self) -> None:
         self.state = PinglistState.FRESH
         self.transitions: list[tuple[float, PinglistState, PinglistState, str]] = []
+        self.on_transition: Callable[[PinglistState, PinglistState], None] | None = None
 
     def _move(self, t: float, target: PinglistState, reason: str) -> None:
         if target is self.state:
@@ -66,7 +73,9 @@ class StalenessTracker:
                 f" ({reason})"
             )
         self.transitions.append((t, self.state, target, reason))
-        self.state = target
+        previous, self.state = self.state, target
+        if self.on_transition is not None:
+            self.on_transition(previous, target)
 
     def refresh_succeeded(self, t: float) -> None:
         self._move(t, PinglistState.FRESH, "refresh-success")

@@ -1,5 +1,9 @@
 """Tests for the Perfcounter Aggregator."""
 
+import gc
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.autopilot.perfcounter import PerfcounterAggregator
@@ -140,3 +144,127 @@ class TestCollectionErrorAccounting:
         queue.run_for(300.0)
         assert pa.collection_errors == 0
         assert pa.last_collection_error is None
+
+
+class TestPackedRingParity:
+    """The packed, bounded store answers every query as a dict-of-lists
+    oracle over the retained sweeps does."""
+
+    RETENTION = 3
+
+    def _run_script(self, queue):
+        """Seven sweeps over four producers that do everything awkward:
+        change layout between sweeps, raise, and get unregistered."""
+        pa = PerfcounterAggregator(
+            queue, collection_period_s=100.0, retention_sweeps=self.RETENTION
+        )
+        reported: list[tuple[float, str, dict]] = []  # what producers returned
+
+        def producer(server_id, index):
+            def produce(t):
+                sweep = int(t // 100)
+                if server_id == "flaky" and sweep % 3 == 0:
+                    raise RuntimeError("counter source unavailable")
+                counters = {"probes": float(sweep * 10 + index), "drop_rate": index / 8}
+                if (sweep + index) % 2:  # empty window: no latency percentiles
+                    counters["p99_us"] = 100.0 * sweep + index
+                reported.append((t, server_id, counters))
+                return counters
+
+            return produce
+
+        servers = ["srv0", "flaky", "srv2", "leaver"]
+        for index, server_id in enumerate(servers):
+            pa.register_producer(server_id, producer(server_id, index))
+        pa.start()
+        queue.run_for(500.0)
+        pa.unregister_producer("leaver")
+        queue.run_for(200.0)
+        assert pa.collections_run == 7
+        return pa, servers, reported
+
+    def _oracle(self, reported):
+        kept = sorted({t for t, _sid, _counters in reported})[-self.RETENTION:]
+        series: dict[tuple[str, str], list[tuple[float, float]]] = {}
+        for t, server_id, counters in reported:
+            if t in kept:
+                for counter, value in counters.items():
+                    series.setdefault((server_id, counter), []).append((t, value))
+        return series
+
+    def test_series_latest_and_counters_of_match_oracle(self, queue):
+        pa, servers, reported = self._run_script(queue)
+        oracle = self._oracle(reported)
+        for server_id in servers + ["never-registered"]:
+            names = sorted(c for sid, c in oracle if sid == server_id)
+            assert pa.counters_of(server_id) == names
+            for counter in ("probes", "drop_rate", "p99_us", "missing"):
+                expected = oracle.get((server_id, counter), [])
+                got = pa.series(server_id, counter)
+                assert [(s.t, s.value) for s in got] == expected
+                assert all(
+                    (s.server_id, s.counter) == (server_id, counter) for s in got
+                )
+                latest = pa.latest(server_id, counter)
+                assert (latest and (latest.t, latest.value)) == (
+                    expected[-1] if expected else None
+                )
+
+    def test_aggregate_latest_matches_oracle_over_live_producers(self, queue):
+        pa, servers, reported = self._run_script(queue)
+        oracle = self._oracle(reported)
+        live = [sid for sid in servers if sid != "leaver"]
+        for counter in ("probes", "drop_rate", "p99_us"):
+            values = [
+                oracle[sid, counter][-1][1] for sid in live if (sid, counter) in oracle
+            ]
+            assert pa.aggregate_latest(counter, "mean") == float(np.mean(values))
+            assert pa.aggregate_latest(counter, "max") == max(values)
+            assert pa.aggregate_latest(counter, "percentile", q=50) == float(
+                np.percentile(values, 50)
+            )
+        # The unregistered server's retained history stays readable, but its
+        # last value (the fleet's lowest) no longer leaks into aggregates.
+        leaver = pa.latest("leaver", "probes")
+        assert leaver is not None
+        assert leaver.value < pa.aggregate_latest("probes", "min")
+
+    def test_ring_evicts_oldest_sweep(self, queue):
+        pa, _servers, _reported = self._run_script(queue)
+        assert [s.t for s in pa.series("srv0", "probes")] == [500.0, 600.0, 700.0]
+
+    def test_errors_are_accounted_per_failed_producer_call(self, queue):
+        pa, _servers, _reported = self._run_script(queue)
+        assert pa.collection_errors == 2  # sweeps 3 and 6
+        assert "flaky" in pa.last_collection_error
+
+    def test_invalid_retention_rejected(self, queue):
+        with pytest.raises(ValueError):
+            PerfcounterAggregator(queue, retention_sweeps=0)
+
+
+def test_history_memory_is_flat_once_the_ring_is_full(queue):
+    """50 sweeps x 512 producers x 25 counters: after the default ring of
+    12 sweeps fills, further sweeps must not grow the heap (the unbounded
+    per-sample lists this replaces grew ~1.3 MB per sweep here)."""
+    pa = PerfcounterAggregator(queue, collection_period_s=100.0)
+    names = [f"counter_{k}" for k in range(25)]
+    for i in range(512):
+        pa.register_producer(
+            f"srv{i}", lambda t, i=i: {name: t + i + k for k, name in enumerate(names)}
+        )
+    pa.start()
+    tracemalloc.start()
+    try:
+        queue.run_for(100.0 * 20)
+        gc.collect()
+        filled = tracemalloc.get_traced_memory()[0]
+        queue.run_for(100.0 * 30)
+        gc.collect()
+        later = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pa.collections_run == 50
+    assert len(pa.series("srv7", names[3])) == 12
+    one_sweep = 512 * 25 * 8
+    assert later - filled < one_sweep // 4
