@@ -74,6 +74,34 @@ def bench_router_path_cached(benchmark, fabric, cross_pair):
     assert router.cache_hits > hits
 
 
+def bench_router_path_sweep(benchmark, fabric, cross_pair):
+    """The access pattern of a degraded round: a source-port sweep inside
+    one generation.  Neither cold (the pod pair's route record is built
+    once, not per call) nor cached (consecutive ports hash into different
+    ECMP buckets, so hits and hop-assembling misses mix).  One round is
+    512 paths over one cross-podset pair in a fresh generation; the bump
+    sits outside the timed region.  ``extra_info['ns_per_path']`` puts it
+    beside the cold and cached per-path times."""
+    from repro.netsim.addressing import EPHEMERAL_PORT_MIN, FiveTuple
+
+    a, b = cross_pair
+    flows = [FiveTuple(a.ip, EPHEMERAL_PORT_MIN + i, b.ip, 81) for i in range(512)]
+    router = fabric.router
+    version = fabric.topology.state_version
+
+    def new_generation():
+        version.bump()
+
+    def sweep():
+        for flow in flows:
+            path = router.path(a, b, flow)
+        return path
+
+    path = benchmark.pedantic(sweep, setup=new_generation, rounds=100, iterations=1)
+    assert path.n_hops == 5
+    benchmark.extra_info["ns_per_path"] = benchmark.stats.stats.mean / len(flows) * 1e9
+
+
 def bench_batch_vs_scalar_speedup(benchmark, fabric, cross_pair):
     """The batch path must stay orders of magnitude faster per probe."""
     import time

@@ -20,9 +20,11 @@ and the fault injector.  It offers two probe paths:
   their envelope, a payload echo, a down endpoint) run the scalar engine —
   correctness never depends on which partition a pair landed in.
 
-The same models and the same seed discipline back all three paths.  Pair
-routing info is cached against the topology's ``state_version`` and
-invalidated wholesale on any device transition, fault change, or growth.
+The same models and the same seed discipline back all three paths.  What
+routing knows about a pod pair comes from the router's route table
+(:class:`~repro.netsim.routing.PodRoute`); the verdicts and pair info built
+on it are cached against the topology's ``state_version`` and invalidated
+wholesale on any device transition, fault change, or growth.
 """
 
 from __future__ import annotations
@@ -41,15 +43,15 @@ from repro.netsim.addressing import (
 from repro.netsim import drops
 from repro.netsim.devices import Server, Switch
 from repro.netsim.drops import DropModel
-from repro.netsim.faults import FaultInjector, wan_link_id
+from repro.netsim.faults import FaultInjector
 from repro.netsim.latency import LatencyModel
 from repro.netsim.routing import (
     SCOPE_HOP_KINDS,
     NoRouteError,
     Path,
     PathScope,
+    PodRoute,
     Router,
-    classify_scope,
 )
 from repro.netsim.topology import MultiDCTopology, TopologySpec
 from repro.netsim.workload import PROFILES, WorkloadProfile, profile_for
@@ -69,10 +71,6 @@ __all__ = [
 ]
 
 DEFAULT_PROBE_PORT = 81  # the agent's well-known probe listening port
-
-# Cache-miss sentinel: the pair cache stores None for unroutable pairs, so
-# membership cannot be inferred from a None-defaulted .get().
-_MISSING = object()
 
 
 @dataclass
@@ -130,29 +128,25 @@ ProbeEntry = tuple[str, int, int]
 
 @dataclass(frozen=True)
 class _ClassFacts:
-    """Path-free routing facts shared by every pair in one pod-pair class.
+    """What the drop model and the fault registry add to a pod pair's route.
 
     Per-tier drop budgets and scope-determined hop counts mean the whole
     analytic model of a pair — attempt-drop probability, hop count, WAN
     RTT, ECMP envelope — is a function of the endpoints' topological
-    coordinates alone.  Memoized per (src pod, dst pod) so class grouping
-    costs one dict lookup per pair, not one traversal.
+    coordinates alone.  Memoized per (src pod, dst pod) and generation, so
+    the scalar-vs-analytic verdict costs one dict lookup per pair.
     """
 
-    scope: PathScope
-    n_hops: int
-    # Directional one-way WAN propagation: forward (src DC -> dst DC) and
-    # reverse.  Both 0.0 within one DC; ``wan_rtt`` is their sum — the WAN
-    # contribution to a probe's RTT.  Kept split so class grouping can key
-    # on direction: (dc0 -> dc1) and (dc1 -> dc0) pairs with asymmetric
-    # latency must never share a group.
-    wan_fwd: float
-    wan_rev: float
-    wan_rtt: float
+    route: PodRoute
     p_attempt: float
-    envelope: frozenset[str]
-    src_tor: Switch
-    dst_tor: Switch
+    # Full fidelity needed: no live route, or a fault anywhere on the
+    # envelope (it may sit on a path a representative flow does not take).
+    scalar: bool
+    # What class grouping keys on besides (purpose, qos).  The WAN term
+    # splits on *direction* (wan_fwd vs wan_rev, plus the destination DC):
+    # with asymmetric long-haul latency, dc0->dc1 and dc0->dc2 classes — or
+    # a skewed dc0->dc1 vs its mirror — must never share a multinomial draw.
+    class_key: tuple
 
 
 @dataclass
@@ -160,24 +154,17 @@ class _PairFastInfo:
     """Cached per-(src, dst, dst_port) routing facts for the fast path.
 
     Built from a representative flow (fixed source port, like
-    ``batch_probe``); valid for one state generation.  ``envelope`` is the
-    id set of *every* switch any ECMP path between the pair can traverse,
-    in either direction — the fault check must be conservative because a
-    fault may sit on a path the representative flow does not take.
-    ``facts`` is the pod-pair class entry the envelope is shared with.
+    ``batch_probe``) for pairs the partition sends to the fast path, and
+    only those; valid for one state generation.
     """
 
     dst: Server
-    forward: Path
-    reverse: Path
     p_attempt: float
     n_hops: int
     wan_rtt: float
     scope: PathScope
     forward_hop_ids: tuple[str, ...]
     forward_counters: tuple  # the forward hops' SnmpCounters, pre-resolved
-    envelope: frozenset[str]
-    facts: _ClassFacts | None = None
 
 
 @dataclass
@@ -451,14 +438,14 @@ class Fabric:
         # dst_port) for every probe on the scalar path AND the probe_many
         # fast path — the chaos invariant checker hooks in here.
         self.probe_observers: list[Callable[[str, str, float, int, int], None]] = []
-        self._pair_cache: dict[tuple[str, str, int], _PairFastInfo | None] = {}
-        self._pair_cache_version = -1
-        self._server_cache: dict[str, Server] = {}
-        # Pod-pair class facts, stamped like the pair cache.  Far coarser
-        # key (pods, not servers): 16k servers with a 64-peer cap touch a
-        # few thousand pod pairs, so a post-invalidation rebuild is cheap.
+        # Fast-path pair info and pod-pair class facts, both valid for one
+        # state generation (see _check_generation).  The facts' key is far
+        # coarser (pods, not servers): 16k servers with a 64-peer cap touch
+        # a few thousand pod pairs, so a post-invalidation rebuild is cheap.
+        self._pair_cache: dict[tuple[str, str, int], _PairFastInfo] = {}
         self._class_facts_cache: dict[tuple, _ClassFacts] = {}
-        self._class_facts_version = -1
+        self._cache_version = -1
+        self._server_cache: dict[str, Server] = {}
 
     @classmethod
     def single_dc(cls, spec: TopologySpec | None = None, seed: int = 0) -> "Fabric":
@@ -518,17 +505,20 @@ class Fabric:
         if self.rng.random() < drop_model.budget.host_side:
             return False, 0.0
         extra_latency = 0.0
+        faulted = self.faults.faulted_switch_ids()
         for hop in path.hops:
             hop.counters.packets_forwarded += 1
             if self.rng.random() < drop_model.hop_drop_prob(hop.kind):
                 hop.counters.input_discards += 1
                 return False, extra_latency
-            verdict = self.faults.evaluate_hop(
-                hop, flow, packet_bytes, self.rng.random()
-            )
-            if verdict.dropped:
-                return False, extra_latency
-            extra_latency += verdict.extra_latency_s
+            # The fault uniform is drawn per hop whether or not a fault is
+            # registered there, so injecting one never shifts the stream.
+            uniform = self.rng.random()
+            if hop.device_id in faulted:
+                verdict = self.faults.evaluate_hop(hop, flow, packet_bytes, uniform)
+                if verdict.dropped:
+                    return False, extra_latency
+                extra_latency += verdict.extra_latency_s
         if path.scope is PathScope.INTER_DC:
             # Baseline WAN crossing loss: the same module-level constant the
             # analytic engines read (drops.direction_drop_prob*), late-bound
@@ -545,10 +535,11 @@ class Fabric:
                 extra_latency += verdict.extra_latency_s
         return True, extra_latency
 
-    def _paths(self, src: Server, dst: Server, flow: FiveTuple) -> tuple[Path, Path]:
-        forward = self.router.path(src, dst, flow)
-        reverse = self.router.path(dst, src, flow.reversed())
-        return forward, reverse
+    def _paths(
+        self, src: Server, dst: Server, flow: FiveTuple, reply: FiveTuple
+    ) -> tuple[Path, Path]:
+        """Forward path of ``flow`` and reverse path of its ``reply`` flow."""
+        return self.router.path(src, dst, flow), self.router.path(dst, src, reply)
 
     # -- scalar probe ---------------------------------------------------------
 
@@ -596,8 +587,9 @@ class Fabric:
             dst_port=dst_port,
             protocol=PROTO_TCP,
         )
+        reply = flow.reversed()
         try:
-            forward, reverse = self._paths(src_server, dst_server, flow)
+            forward, reverse = self._paths(src_server, dst_server, flow, reply)
         except NoRouteError:
             return ProbeResult(
                 src=src_server.device_id,
@@ -613,7 +605,7 @@ class Fabric:
             delivered, extra_fwd = self._traverse(forward, flow, 40)
             if not delivered or not dst_server.is_up:
                 return False, 0.0
-            delivered_back, extra_rev = self._traverse(reverse, flow.reversed(), 40)
+            delivered_back, extra_rev = self._traverse(reverse, reply, 40)
             return delivered_back, extra_fwd + extra_rev
 
         outcome = tcp.run_syn_handshake(syn_attempt)
@@ -643,7 +635,7 @@ class Fabric:
         payload_rtt: float | None = None
         if payload_bytes > 0:
             payload_rtt = self._payload_exchange(
-                forward, reverse, flow, payload_bytes, latency_model, t
+                forward, reverse, flow, reply, payload_bytes, latency_model, t
             )
 
         return ProbeResult(
@@ -664,6 +656,7 @@ class Fabric:
         forward: Path,
         reverse: Path,
         flow: FiveTuple,
+        reply: FiveTuple,
         payload_bytes: int,
         latency_model: LatencyModel,
         t: float,
@@ -674,9 +667,7 @@ class Fabric:
             delivered, extra_fwd = self._traverse(forward, flow, payload_bytes)
             if not delivered:
                 return False, 0.0
-            delivered_back, extra_rev = self._traverse(
-                reverse, flow.reversed(), payload_bytes
-            )
+            delivered_back, extra_rev = self._traverse(reverse, reply, payload_bytes)
             return delivered_back, extra_fwd + extra_rev
 
         outcome = tcp.run_data_exchange(data_attempt)
@@ -705,7 +696,7 @@ class Fabric:
         src_server = self._resolve(src)
         dst_server = self._resolve(dst)
         flow = FiveTuple(src_server.ip, 49_152, dst_server.ip, dst_port)
-        forward, reverse = self._paths(src_server, dst_server, flow)
+        forward, reverse = self._paths(src_server, dst_server, flow, flow.reversed())
         return self._dropmodel[src_server.dc_index].attempt_drop_prob(
             forward, reverse
         )
@@ -742,7 +733,9 @@ class Fabric:
         dst_server = self._resolve(dst)
         flow = FiveTuple(src_server.ip, 49_152, dst_server.ip, dst_port)
         try:
-            forward, reverse = self._paths(src_server, dst_server, flow)
+            forward, reverse = self._paths(
+                src_server, dst_server, flow, flow.reversed()
+            )
         except NoRouteError:
             forward = None  # type: ignore[assignment]
         degraded = (
@@ -840,68 +833,20 @@ class Fabric:
 
     # -- fleet fast path --------------------------------------------------------
 
-    def _pair_envelope(self, src: Server, dst: Server, scope: PathScope) -> frozenset[str]:
-        """Every switch id any ECMP path between the pair can traverse.
-
-        Conservative by design: the fast/scalar partition must send a pair
-        to the scalar engine if a fault sits on *any* path its source-port
-        sweep could take, not just the representative one.
-        """
-        if scope == PathScope.SAME_HOST:
-            return frozenset()
-        src_dc = self.topology.dc(src.dc_index)
-        dst_dc = self.topology.dc(dst.dc_index)
-        devices = {src_dc.tor_of(src).device_id, dst_dc.tor_of(dst).device_id}
-        if scope == PathScope.INTRA_POD:
-            return frozenset(devices)
-        devices.update(s.device_id for s in src_dc.leaves_of(src.podset_index))
-        devices.update(s.device_id for s in dst_dc.leaves_of(dst.podset_index))
-        if scope == PathScope.INTRA_PODSET:
-            return frozenset(devices)
-        devices.update(s.device_id for s in src_dc.spines)
-        if scope == PathScope.INTER_DC:
-            devices.update(s.device_id for s in dst_dc.spines)
-            devices.update(s.device_id for s in src_dc.borders)
-            devices.update(s.device_id for s in dst_dc.borders)
-            # Both WAN direction keys: a fault on either leg of the round
-            # trip forces the pair down to the scalar engine, same as a
-            # fault on any switch in the envelope.
-            devices.add(wan_link_id(src.dc_index, dst.dc_index))
-            devices.add(wan_link_id(dst.dc_index, src.dc_index))
-        return frozenset(devices)
-
-    def _pair_info(
-        self, src: Server, dst: Server, dst_port: int
-    ) -> _PairFastInfo | None:
-        """Cached routing facts for one (src, dst, dst_port); None = no route.
-
-        Stamped against ``state_version``; the whole cache drops the moment
-        any device flips, any fault changes, or the topology grows.
-        """
+    def _check_generation(self) -> None:
+        """Drop the pair info and class facts of a past state generation."""
         version = self.topology.state_version.value
-        if version != self._pair_cache_version:
+        if version != self._cache_version:
             self._pair_cache.clear()
-            self._pair_cache_version = version
-        key = (src.device_id, dst.device_id, dst_port)
-        if key in self._pair_cache:
-            return self._pair_cache[key]
+            self._class_facts_cache.clear()
+            self._cache_version = version
+
+    def _pair_info(self, src: Server, dst: Server, dst_port: int) -> _PairFastInfo:
+        """Build and cache the fast-path facts of one routable pair."""
         flow = FiveTuple(src.ip, 49_152, dst.ip, dst_port)
-        try:
-            forward, reverse = self._paths(src, dst, flow)
-        except NoRouteError:
-            self._pair_cache[key] = None
-            return None
-        # The envelope is a pure function of the pod pair: share the class
-        # facts' frozenset instead of rebuilding it per server pair.
-        facts = (
-            self._class_facts(src, dst)
-            if forward.scope is not PathScope.SAME_HOST
-            else None
-        )
+        forward, reverse = self._paths(src, dst, flow, flow.reversed())
         info = _PairFastInfo(
             dst=dst,
-            forward=forward,
-            reverse=reverse,
             p_attempt=self._dropmodel[src.dc_index].attempt_drop_prob(
                 forward, reverse
             ),
@@ -910,14 +855,8 @@ class Fabric:
             scope=forward.scope,
             forward_hop_ids=tuple(forward.hop_ids()),
             forward_counters=tuple(hop.counters for hop in forward.hops),
-            envelope=(
-                facts.envelope
-                if facts is not None
-                else self._pair_envelope(src, dst, forward.scope)
-            ),
-            facts=facts,
         )
-        self._pair_cache[key] = info
+        self._pair_cache[(src.device_id, dst.device_id, dst_port)] = info
         return info
 
     def probe_many(
@@ -931,7 +870,9 @@ class Fabric:
 
         * **scalar** (full-fidelity engine, per-hop decisions): any entry
           with a payload echo, a down destination, no route, or a live
-          fault anywhere in the pair's ECMP envelope;
+          fault anywhere in the pair's ECMP envelope — decided from the
+          pod pair's class facts before anything is routed, so a degraded
+          probe routes only its own flow, forward and reverse;
         * **fast** (analytic, array-at-a-time): everything else — outcome
           and RTT sampled exactly as :meth:`batch_probe` samples them, from
           the same models and the same generator.
@@ -962,42 +903,40 @@ class Fabric:
                 )
             return results
 
-        faulted = (
-            self.faults.faulted_switch_ids() if self.faults.has_faults() else None
-        )
-        # Hot loop: one dict hit per entry against the pair cache (already
-        # generation-checked here, once, instead of per entry).
-        version = self.topology.state_version.value
-        if version != self._pair_cache_version:
-            self._pair_cache.clear()
-            self._pair_cache_version = version
+        # Hot loop: one dict hit per entry against the pair cache.  Only
+        # fast pairs are ever cached, and liveness and fault placement are
+        # frozen within a generation — so a hit is a fast pair.
+        self._check_generation()
         pair_cache = self._pair_cache
         src_id = src_server.device_id
         results: list[ProbeResult | None] = [None] * len(entries)
         fast_indices: list[int] = []
         fast_infos: list[_PairFastInfo] = []
         for index, (dst_id, dst_port, payload_bytes) in enumerate(entries):
-            key = (src_id, dst_id, dst_port)
-            info = pair_cache.get(key, _MISSING)
-            if info is _MISSING:
-                info = self._pair_info(src_server, self._resolve(dst_id), dst_port)
-            needs_scalar = (
-                payload_bytes > 0
-                or info is None
-                or not info.dst.is_up
-                or (faulted is not None and not faulted.isdisjoint(info.envelope))
-            )
-            if needs_scalar:
-                results[index] = self.probe(
-                    src_server,
-                    info.dst if info is not None else dst_id,
-                    t=t,
-                    payload_bytes=payload_bytes,
-                    dst_port=dst_port,
-                )
-            else:
-                fast_indices.append(index)
-                fast_infos.append(info)
+            info = None
+            if payload_bytes == 0:
+                info = pair_cache.get((src_id, dst_id, dst_port))
+            if info is None:
+                dst_server = self._resolve(dst_id)
+                if (
+                    payload_bytes > 0
+                    or not dst_server.is_up
+                    or (
+                        dst_id != src_id
+                        and self._class_facts(src_server, dst_server).scalar
+                    )
+                ):
+                    results[index] = self.probe(
+                        src_server,
+                        dst_server,
+                        t=t,
+                        payload_bytes=payload_bytes,
+                        dst_port=dst_port,
+                    )
+                    continue
+                info = self._pair_info(src_server, dst_server, dst_port)
+            fast_indices.append(index)
+            fast_infos.append(info)
 
         if fast_indices:
             self._probe_fast(
@@ -1087,100 +1026,29 @@ class Fabric:
     def _class_facts(self, src: Server, dst: Server) -> _ClassFacts:
         """The pod-pair class facts for two *distinct* servers, memoized.
 
-        Stamped against ``state_version`` like the pair cache.  The facts
-        are exact, not approximate: per-tier drop budgets make
-        ``p_attempt`` independent of the ECMP choice, hop counts are
-        scope-determined, and the envelope construction is the same pure
-        topology sweep ``_pair_envelope`` does.
+        The facts are exact, not approximate: per-tier drop budgets make
+        ``p_attempt`` independent of the ECMP choice, and hop counts, live
+        tiers and the envelope are the route table's.
         """
-        version = self.topology.state_version.value
-        if version != self._class_facts_version:
-            self._class_facts_cache.clear()
-            self._class_facts_version = version
-        key = (
-            src.dc_index, src.podset_index, src.pod_index,
-            dst.dc_index, dst.podset_index, dst.pod_index,
-        )
+        self._check_generation()
+        key = (src.dc_index, src.pod_index, dst.dc_index, dst.pod_index)
         facts = self._class_facts_cache.get(key)
         if facts is None:
-            scope = classify_scope(self.topology, src, dst)
-            kinds = SCOPE_HOP_KINDS[scope]
-            inter_dc = scope is PathScope.INTER_DC
-            wan_fwd = (
-                self.topology.wan_rtt[(src.dc_index, dst.dc_index)]
-                if inter_dc
-                else 0.0
+            route = self.router.pod_route(src, dst)
+            p_attempt = self._dropmodel[src.dc_index].attempt_drop_prob_kinds(
+                SCOPE_HOP_KINDS[route.scope], wan=route.scope is PathScope.INTER_DC
             )
-            wan_rev = (
-                self.topology.wan_rtt[(dst.dc_index, src.dc_index)]
-                if inter_dc
-                else 0.0
-            )
-            facts = _ClassFacts(
-                scope=scope,
-                n_hops=len(kinds),
-                wan_fwd=wan_fwd,
-                wan_rev=wan_rev,
-                wan_rtt=wan_fwd + wan_rev,
-                p_attempt=self._dropmodel[src.dc_index].attempt_drop_prob_kinds(
-                    kinds, wan=inter_dc
+            facts = self._class_facts_cache[key] = _ClassFacts(
+                route=route,
+                p_attempt=p_attempt,
+                scalar=not route.routable
+                or not self.faults.faulted_switch_ids().isdisjoint(route.envelope),
+                class_key=(
+                    src.dc_index, dst.dc_index, route.scope, route.n_hops,
+                    route.wan_fwd, route.wan_rev, p_attempt,
                 ),
-                envelope=self._pair_envelope(src, dst, scope),
-                src_tor=self.topology.dc(src.dc_index).tor_of(src),
-                dst_tor=self.topology.dc(dst.dc_index).tor_of(dst),
             )
-            self._class_facts_cache[key] = facts
         return facts
-
-    def _live_tier(self, memo: dict, key: tuple, candidates) -> list:
-        """Live members of an ECMP candidate tier, memoized per plan build."""
-        live = memo.get(key)
-        if live is None:
-            live = memo[key] = [switch for switch in candidates if switch.is_up]
-        return live
-
-    def _class_route_tiers(
-        self, memo: dict, src: Server, dst: Server, scope: PathScope
-    ) -> list[list] | None:
-        """The live ECMP candidate lists a class pair's representative
-        forward path would pick from, outermost-in; ``None`` when a tier
-        has no live member (the per-pair engine would raise NoRouteError,
-        so the pair must keep per-pair fidelity)."""
-        if scope is PathScope.INTRA_POD:
-            return []
-        src_dc = self.topology.dc(src.dc_index)
-        dst_dc = self.topology.dc(dst.dc_index)
-        tiers = [
-            self._live_tier(
-                memo,
-                ("leaf", src.dc_index, src.podset_index),
-                src_dc.leaves_of(src.podset_index),
-            )
-        ]
-        if scope is not PathScope.INTRA_PODSET:
-            tiers.append(
-                self._live_tier(memo, ("spine", src.dc_index), src_dc.spines)
-            )
-            if scope is PathScope.INTER_DC:
-                tiers.append(
-                    self._live_tier(memo, ("border", src.dc_index), src_dc.borders)
-                )
-                tiers.append(
-                    self._live_tier(memo, ("border", dst.dc_index), dst_dc.borders)
-                )
-                tiers.append(
-                    self._live_tier(memo, ("spine", dst.dc_index), dst_dc.spines)
-                )
-            tiers.append(
-                self._live_tier(
-                    memo,
-                    ("leaf", dst.dc_index, dst.podset_index),
-                    dst_dc.leaves_of(dst.podset_index),
-                )
-            )
-        if any(not tier for tier in tiers):
-            return None
-        return tiers
 
     def build_class_plan(
         self,
@@ -1192,23 +1060,19 @@ class Fabric:
 
         ``tags`` pairs each entry with its (purpose, qos); grouping keys on
         the tag plus the pod-pair class facts, so plan construction is one
-        memoized dict lookup per entry.  Entries that need per-pair
-        fidelity land in ``passthrough`` (by index) — exactly the pairs
-        :meth:`probe_many`'s partition rule would refuse to fast-path,
-        plus any pair whose representative route would not resolve.
+        memoized dict lookup per entry plus the group/SNMP accounting.
+        Entries that need per-pair fidelity land in ``passthrough`` (by
+        index) — exactly the pairs :meth:`probe_many`'s partition rule
+        would refuse to fast-path, plus same-host entries.
         """
         src_server = self._resolve(src)
         version = self.topology.state_version.value
-        faulted = (
-            self.faults.faulted_switch_ids() if self.faults.has_faults() else None
-        )
         if tags is None:
             tags = [("tor-level", "high")] * len(entries)
         src_id = src_server.device_id
         groups: dict[tuple, ClassGroup] = {}
         passthrough: list[int] = []
         counter_acc: dict[int, list] = {}
-        tier_memo: dict = {}
         for index, (dst_id, dst_port, payload_bytes) in enumerate(entries):
             if payload_bytes > 0 or dst_id == src_id:
                 passthrough.append(index)
@@ -1218,29 +1082,12 @@ class Fabric:
                 passthrough.append(index)
                 continue
             facts = self._class_facts(src_server, dst_server)
-            if (
-                (faulted is not None and not faulted.isdisjoint(facts.envelope))
-                or not facts.src_tor.is_up
-                or not facts.dst_tor.is_up
-            ):
+            if facts.scalar:
                 passthrough.append(index)
                 continue
-            tiers = self._class_route_tiers(
-                tier_memo, src_server, dst_server, facts.scope
-            )
-            if tiers is None:
-                passthrough.append(index)
-                continue
+            route = facts.route
             purpose, qos = tags[index]
-            # The WAN term splits on *direction* (wan_fwd vs wan_rev, plus
-            # the destination DC): with asymmetric long-haul latency,
-            # dc0->dc1 and dc0->dc2 classes — or a skewed dc0->dc1 vs its
-            # mirror — must never share a multinomial draw.
-            key = (
-                purpose, qos, src_server.dc_index, dst_server.dc_index,
-                facts.scope, facts.n_hops, facts.wan_fwd, facts.wan_rev,
-                facts.p_attempt,
-            )
+            key = (purpose, qos, facts.class_key)
             group = groups.get(key)
             if group is None:
                 group = groups[key] = ClassGroup(
@@ -1248,11 +1095,11 @@ class Fabric:
                     qos=qos,
                     dc_index=src_server.dc_index,
                     dst_dc=dst_server.dc_index,
-                    scope=facts.scope,
-                    n_hops=facts.n_hops,
-                    wan_fwd=facts.wan_fwd,
-                    wan_rev=facts.wan_rev,
-                    wan_rtt=facts.wan_rtt,
+                    scope=route.scope,
+                    n_hops=route.n_hops,
+                    wan_fwd=route.wan_fwd,
+                    wan_rev=route.wan_rev,
+                    wan_rtt=route.wan_fwd + route.wan_rev,
                     p_attempt=facts.p_attempt,
                     members=[],
                 )
@@ -1260,11 +1107,11 @@ class Fabric:
             group.members.append((src_id, dst_id, dst_port))
             # Representative forward path for SNMP accounting: ToRs are
             # fixed, ECMP tiers spread by member ordinal.
-            hops = [facts.src_tor]
-            for tier in tiers:
-                hops.append(tier[ordinal % len(tier)])
-            if facts.scope is not PathScope.INTRA_POD:
-                hops.append(facts.dst_tor)
+            hops = [route.src_tor]
+            for live, _salt in route.tiers:
+                hops.append(live[ordinal % len(live)])
+            if route.scope is not PathScope.INTRA_POD:
+                hops.append(route.dst_tor)
             for hop in hops:
                 counters = hop.counters
                 entry = counter_acc.get(id(counters))

@@ -368,9 +368,14 @@ class FaultInjector:
         self._by_switch: dict[str, list[Fault]] = {}
         self._by_id: dict[int, Fault] = {}
         self._next_id = itertools.count(1)
+        self._faulted: frozenset[str] = frozenset()
         self.state_version = state_version
 
     def _bump(self) -> None:
+        """Every registry mutation ends here: one faulted-id set per generation."""
+        self._faulted = frozenset(
+            key for key, faults in self._by_switch.items() if faults
+        )
         if self.state_version is not None:
             self.state_version.bump()
 
@@ -409,10 +414,11 @@ class FaultInjector:
         self._bump()
 
     def clear_all(self) -> None:
-        if self._by_id:
-            self._bump()
+        had_faults = bool(self._by_id)
         self._by_switch.clear()
         self._by_id.clear()
+        if had_faults:
+            self._bump()
 
     def faults_on(self, switch_id: str) -> list[Fault]:
         return list(self._by_switch.get(switch_id, []))
@@ -421,13 +427,9 @@ class FaultInjector:
         """Active faults on the WAN direction ``src_dc`` → ``dst_dc``."""
         return list(self._by_switch.get(wan_link_id(src_dc, dst_dc), []))
 
-    def faulted_switch_ids(self) -> set[str]:
-        """Ids of every switch currently carrying at least one fault."""
-        return {
-            switch_id
-            for switch_id, faults in self._by_switch.items()
-            if faults
-        }
+    def faulted_switch_ids(self) -> frozenset[str]:
+        """Ids of every switch (or WAN direction) carrying at least one fault."""
+        return self._faulted
 
     def active_faults(self) -> list[Fault]:
         return list(self._by_id.values())

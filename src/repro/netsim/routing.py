@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 
 from repro.netsim.addressing import FiveTuple
 from repro.netsim.devices import DeviceKind, Server, Switch
+from repro.netsim.faults import wan_link_id
 from repro.netsim.topology import ClosTopology, MultiDCTopology
 
 __all__ = [
     "PathScope",
     "Path",
+    "PodRoute",
     "Router",
     "NoRouteError",
     "SCOPE_HOP_KINDS",
@@ -135,17 +137,48 @@ def _pick(candidates: list[Switch], flow: FiveTuple, salt: int) -> Switch:
     return live[flow.ecmp_hash(salt) % len(live)]
 
 
+@dataclass(frozen=True, eq=False)
+class PodRoute:
+    """Everything about routing (src pod -> dst pod) that no flow changes.
+
+    One record per ordered pod pair per state generation, shared by every
+    server pair and every probe between the two pods: :meth:`Router.path`
+    hashes a flow against ``tiers``, the fabric's scalar/fast partition and
+    class plans read ``routable`` and ``envelope``.  ``tiers`` are the
+    ordered ECMP decision points as ``(live switches, salt)``; the live
+    tuples are shared between records.  ``envelope`` holds the id of every
+    device *any* ECMP choice can cross in either direction — candidates
+    that are down included, and both WAN direction keys — because a fault
+    check must be conservative.  For two distinct servers; a same-host
+    pair has no route to look up.
+    """
+
+    scope: PathScope
+    n_hops: int
+    src_tor: Switch
+    dst_tor: Switch
+    tiers: tuple[tuple[tuple[Switch, ...], int], ...]
+    wan_fwd: float  # one-way WAN propagation src DC -> dst DC (0 intra-DC)
+    wan_rev: float
+    envelope: frozenset[str]
+    routable: bool  # both ToRs up and no tier empty
+
+
 class Router:
     """Computes forward paths over a :class:`MultiDCTopology`.
 
-    Paths are memoized per ``(src, dst, ecmp_bucket)``, where the bucket is
-    the tuple of per-tier ECMP hash decisions the flow implies — so the
-    agents' source-port sweep still lands on (and caches) every distinct
-    path, it just never recomputes one.  The cache is stamped with the
-    topology's :class:`~repro.netsim.devices.StateVersion` and invalidated
-    wholesale the moment any device changes state, any fault is injected or
-    cleared, or the topology grows: liveness is frozen within a generation,
-    which is what makes a cached path provably identical to a fresh
+    Flow-independent facts live in a pod-pair route table
+    (:class:`PodRoute`, filled lazily); a path is then one table lookup,
+    one ECMP hash per tier, and — for a bucket not seen this generation —
+    direct hop assembly.  Paths are memoized per ``(src, dst,
+    ecmp_bucket)``, where the bucket is the tuple of per-tier ECMP hash
+    decisions the flow implies — so the agents' source-port sweep still
+    lands on (and caches) every distinct path, it just never recomputes
+    one.  Table and cache are stamped with the topology's
+    :class:`~repro.netsim.devices.StateVersion` and invalidated wholesale
+    the moment any device changes state, any fault is injected or cleared,
+    or the topology grows: liveness is frozen within a generation, which is
+    what makes a cached path provably identical to a fresh
     :meth:`uncached_path` computation.
     """
 
@@ -154,7 +187,8 @@ class Router:
         self._state_version = topology.state_version
         self._cache_version = -1
         self._path_cache: dict[tuple[str, str, tuple[int, ...]], Path] = {}
-        self._live_cache: dict[int, list[Switch]] = {}
+        self._routes: dict[tuple[int, int, int, int], PodRoute] = {}
+        self._live_cache: dict[int, tuple[Switch, ...]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -163,13 +197,13 @@ class Router:
     def _check_generation(self) -> None:
         version = self._state_version.value
         if version != self._cache_version:
-            self._path_cache.clear()
-            self._live_cache.clear()
+            self.invalidate()
             self._cache_version = version
 
     def invalidate(self) -> None:
         """Drop every cached path (normally automatic via the version)."""
         self._path_cache.clear()
+        self._routes.clear()
         self._live_cache.clear()
         self._cache_version = -1
 
@@ -177,7 +211,7 @@ class Router:
     def cached_paths(self) -> int:
         return len(self._path_cache)
 
-    def _live(self, candidates: list[Switch]) -> list[Switch]:
+    def _live(self, candidates: list[Switch]) -> tuple[Switch, ...]:
         """Live members of a stable candidate list, memoized per generation.
 
         Keyed by list identity: the candidate lists (``dc.spines``,
@@ -187,30 +221,57 @@ class Router:
         key = id(candidates)
         live = self._live_cache.get(key)
         if live is None:
-            live = [switch for switch in candidates if switch.is_up]
+            live = tuple(switch for switch in candidates if switch.is_up)
             self._live_cache[key] = live
         return live
 
-    def _decision_points(
-        self, scope: PathScope, src: Server, dst: Server
-    ) -> list[tuple[list[Switch], int]]:
-        """The ordered ECMP decision points a (src, dst) pair traverses."""
-        if scope in (PathScope.SAME_HOST, PathScope.INTRA_POD):
-            return []
+    def pod_route(self, src: Server, dst: Server) -> PodRoute:
+        """The route-table record of two *distinct* servers' pod pair."""
+        self._check_generation()
+        key = (src.dc_index, src.pod_index, dst.dc_index, dst.pod_index)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._build_route(src, dst)
+        return route
+
+    def _build_route(self, src: Server, dst: Server) -> PodRoute:
+        scope = classify_scope(self.topology, src, dst)
         src_dc = self.topology.dc(src.dc_index)
         dst_dc = self.topology.dc(dst.dc_index)
-        if scope == PathScope.INTRA_PODSET:
-            return [(src_dc.leaves_of(src.podset_index), _SALT_UP_LEAF)]
-        points = [
-            (src_dc.leaves_of(src.podset_index), _SALT_UP_LEAF),
-            (src_dc.spines, _SALT_UP_SPINE),
-        ]
-        if scope == PathScope.INTER_DC:
-            points.append((src_dc.borders, _SALT_BORDER_SRC))
-            points.append((dst_dc.borders, _SALT_BORDER_DST))
-            points.append((dst_dc.spines, _SALT_SPINE_DST))
-        points.append((dst_dc.leaves_of(dst.podset_index), _SALT_DOWN_LEAF))
-        return points
+        src_tor, dst_tor = src_dc.tor_of(src), dst_dc.tor_of(dst)
+        # The ordered ECMP decision points, exactly as uncached_path picks.
+        points: list[tuple[list[Switch], int]] = []
+        if scope is not PathScope.INTRA_POD:
+            points.append((src_dc.leaves_of(src.podset_index), _SALT_UP_LEAF))
+        if scope in (PathScope.INTRA_DC, PathScope.INTER_DC):
+            points.append((src_dc.spines, _SALT_UP_SPINE))
+            if scope is PathScope.INTER_DC:
+                points.append((src_dc.borders, _SALT_BORDER_SRC))
+                points.append((dst_dc.borders, _SALT_BORDER_DST))
+                points.append((dst_dc.spines, _SALT_SPINE_DST))
+            points.append((dst_dc.leaves_of(dst.podset_index), _SALT_DOWN_LEAF))
+        envelope = {src_tor.device_id, dst_tor.device_id}
+        for candidates, _salt in points:
+            envelope.update(switch.device_id for switch in candidates)
+        wan_fwd = wan_rev = 0.0
+        if scope is PathScope.INTER_DC:
+            there, back = (src.dc_index, dst.dc_index), (dst.dc_index, src.dc_index)
+            wan_fwd, wan_rev = self.topology.wan_rtt[there], self.topology.wan_rtt[back]
+            envelope.update((wan_link_id(*there), wan_link_id(*back)))
+        tiers = tuple((self._live(candidates), salt) for candidates, salt in points)
+        return PodRoute(
+            scope=scope,
+            n_hops=len(SCOPE_HOP_KINDS[scope]),
+            src_tor=src_tor,
+            dst_tor=dst_tor,
+            tiers=tiers,
+            wan_fwd=wan_fwd,
+            wan_rev=wan_rev,
+            envelope=frozenset(envelope),
+            routable=src_tor.is_up
+            and dst_tor.is_up
+            and all(live for live, _salt in tiers),
+        )
 
     def ecmp_bucket(
         self, src: Server, dst: Server, flow: FiveTuple
@@ -220,25 +281,22 @@ class Router:
         Two flows with the same bucket take the same path within one state
         generation.  The bucket is finite because the ephemeral port range
         is: a full source-port sweep revisits the same bucket set.  Raises
-        :class:`NoRouteError` when a decision point has no live candidate.
+        :class:`NoRouteError` when routing has no live path.
         """
-        self._check_generation()
-        scope = classify_scope(self.topology, src, dst)
-        return self._bucket_for(scope, src, dst, flow)
+        if src.device_id == dst.device_id:
+            return ()
+        return self._bucket_for(self.pod_route(src, dst), flow)
 
-    def _bucket_for(
-        self, scope: PathScope, src: Server, dst: Server, flow: FiveTuple
-    ) -> tuple[int, ...]:
-        bucket: list[int] = []
-        for candidates, salt in self._decision_points(scope, src, dst):
-            live = self._live(candidates)
-            if not live:
-                raise NoRouteError("all candidate next-hops are down")
-            if len(live) == 1:
-                bucket.append(0)
-            else:
-                bucket.append(flow.ecmp_hash(salt) % len(live))
-        return tuple(bucket)
+    @staticmethod
+    def _bucket_for(route: PodRoute, flow: FiveTuple) -> tuple[int, ...]:
+        if not route.routable:
+            raise NoRouteError("a ToR or a whole ECMP tier on the route is down")
+        return tuple(
+            [
+                flow.ecmp_hash(salt) % len(live) if len(live) > 1 else 0
+                for live, salt in route.tiers
+            ]
+        )
 
     # -- path computation ---------------------------------------------------
 
@@ -251,17 +309,22 @@ class Router:
         whole Leaf tier of a podset is down).  A *faulty* switch that is
         still up is part of the path — faults are applied downstream.
         """
-        self._check_generation()
-        scope = classify_scope(self.topology, src, dst)
-        bucket = self._bucket_for(scope, src, dst, flow)
+        if src.device_id == dst.device_id:
+            return Path(src, dst, PathScope.SAME_HOST)
+        route = self.pod_route(src, dst)
+        bucket = self._bucket_for(route, flow)
         key = (src.device_id, dst.device_id, bucket)
         cached = self._path_cache.get(key)
         if cached is not None:
             self.cache_hits += 1
             return cached
-        path = self.uncached_path(src, dst, flow)
         self.cache_misses += 1
-        self._path_cache[key] = path
+        hops = [route.src_tor]
+        for (live, _salt), choice in zip(route.tiers, bucket):
+            hops.append(live[choice])
+        if route.scope is not PathScope.INTRA_POD:
+            hops.append(route.dst_tor)
+        path = self._path_cache[key] = Path(src, dst, route.scope, hops, route.wan_fwd)
         return path
 
     def uncached_path(self, src: Server, dst: Server, flow: FiveTuple) -> Path:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.netsim.addressing import FiveTuple
 from repro.netsim.fabric import (
     ClassLedger,
     Fabric,
@@ -70,8 +71,8 @@ class TestClassFacts:
         for scope, dst in peers.items():
             assert classify_scope(fabric.topology, src, dst) is scope
             facts = fabric._class_facts(src, dst)
-            assert facts.scope is scope
-            assert facts.n_hops == len(SCOPE_HOP_KINDS[scope])
+            assert facts.route.scope is scope
+            assert facts.route.n_hops == len(SCOPE_HOP_KINDS[scope])
             assert facts.p_attempt == fabric.expected_attempt_drop(src, dst)
 
     def test_wan_rtt_only_inter_dc(self):
@@ -79,32 +80,44 @@ class TestClassFacts:
         src = fabric.topology.dc(0).servers_in_podset(0)[0]
         local = fabric.topology.dc(0).servers_in_podset(1)[0]
         remote = fabric.topology.dc(1).servers_in_podset(0)[0]
-        assert fabric._class_facts(src, local).wan_rtt == 0.0
-        facts = fabric._class_facts(src, remote)
-        # A probe pays both WAN directions; the facts keep each leg too.
-        assert facts.wan_rtt == fabric.topology.wan_pair_rtt(0, 1)
-        assert facts.wan_fwd == fabric.topology.wan_rtt[(0, 1)]
-        assert facts.wan_rev == fabric.topology.wan_rtt[(1, 0)]
+        local_route = fabric._class_facts(src, local).route
+        assert (local_route.wan_fwd, local_route.wan_rev) == (0.0, 0.0)
+        route = fabric._class_facts(src, remote).route
+        # A probe pays both WAN directions; the route keeps each leg.
+        assert route.wan_fwd + route.wan_rev == fabric.topology.wan_pair_rtt(0, 1)
+        assert route.wan_fwd == fabric.topology.wan_rtt[(0, 1)]
+        assert route.wan_rev == fabric.topology.wan_rtt[(1, 0)]
 
-    def test_envelope_matches_pair_envelope(self):
+    def test_envelope_covers_every_path_of_the_sweep(self):
+        """The route table's envelope is conservative: every hop of every
+        source port's forward and reverse path, plus both ToRs."""
         fabric = _fabric()
         dc = fabric.topology.dc(0)
         src = dc.servers_in_podset(0)[0]
         dst = dc.servers_in_podset(1)[0]
-        facts = fabric._class_facts(src, dst)
-        scope = classify_scope(fabric.topology, src, dst)
-        assert facts.envelope == fabric._pair_envelope(src, dst, scope)
+        envelope = fabric._class_facts(src, dst).route.envelope
+        assert envelope == fabric._class_facts(dst, src).route.envelope
+        crossed = set()
+        for port in range(49_152, 49_152 + 256):
+            flow = FiveTuple(src.ip, port, dst.ip, 81)
+            crossed.update(fabric.router.path(src, dst, flow).hop_ids())
+            crossed.update(fabric.router.path(dst, src, flow.reversed()).hop_ids())
+        assert crossed <= envelope
+        # 256 ports reach every leaf and spine of this small fabric.
+        assert crossed == envelope
 
     def test_cache_invalidates_on_state_version_bump(self):
         fabric = _fabric()
         dc = fabric.topology.dc(0)
         src = dc.servers_in_podset(0)[0]
         dst = dc.servers_in_podset(1)[0]
-        fabric._class_facts(src, dst)
-        assert fabric._class_facts_cache
+        stale = fabric._class_facts(src, dst)
+        assert fabric._class_facts(src, dst) is stale
         dc.spines[0].bring_down()
-        fabric._class_facts(src, dst)  # repopulates under the new version
-        assert fabric._class_facts_version == fabric.state_version
+        fresh = fabric._class_facts(src, dst)  # repopulates under the new version
+        assert fresh is not stale
+        assert dc.spines[0] not in fresh.route.tiers[1][0]
+        assert fabric._cache_version == fabric.state_version
 
 
 class TestPlanPartition:

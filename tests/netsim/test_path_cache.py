@@ -13,6 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.agent.agent import AgentConfig
+from repro.core.sharded import ShardedFleet
+from repro.core.system import PingmeshSystem, PingmeshSystemConfig
+from repro.netsim import fabric as fabric_module
 from repro.netsim.addressing import (
     EPHEMERAL_PORT_MAX,
     EPHEMERAL_PORT_MIN,
@@ -20,8 +24,15 @@ from repro.netsim.addressing import (
     FiveTuple,
 )
 from repro.netsim.fabric import Fabric
-from repro.netsim.faults import FaultInjector, SilentRandomDrop
+from repro.netsim.faults import (
+    FaultInjector,
+    SilentRandomDrop,
+    WanFiberCut,
+    podset_down,
+    podset_up,
+)
 from repro.netsim.routing import NoRouteError, Router
+from repro.netsim.scenarios import apply_scenario
 from repro.netsim.topology import MultiDCTopology, TopologySpec
 
 
@@ -228,7 +239,24 @@ class TestFastPathInvalidation:
 # Operations the property test interleaves with path queries.  Each op
 # bumps (or should bump) the state version; correctness means cached and
 # fresh computation agree after every single one.
-_OPS = ("down", "up", "flap", "fault", "clear", "grow", "reload", "noop")
+_OPS = (
+    "down", "up", "flap", "fault", "wan-fault", "clear", "podset-down",
+    "podset-up", "grow", "reload", "retime", "server-down", "noop",
+)
+
+
+def _two_dc_fabric():
+    return Fabric(
+        MultiDCTopology(
+            [
+                TopologySpec(name="dc-w", region="us-west", n_podsets=2,
+                             pods_per_podset=2, servers_per_pod=2, n_spines=3),
+                TopologySpec(name="dc-e", region="us-east", n_podsets=1,
+                             pods_per_podset=2, servers_per_pod=2, n_spines=2),
+            ]
+        ),
+        seed=3,
+    )
 
 
 class TestCachedEqualsFreshProperty:
@@ -249,26 +277,22 @@ class TestCachedEqualsFreshProperty:
         ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_cached_path_equals_fresh_path(self, ops, probes):
-        """Across random fault/flap/growth sequences, path == uncached_path."""
-        topo = MultiDCTopology.single(
-            TopologySpec(
-                n_podsets=2, pods_per_podset=2, servers_per_pod=2, n_spines=3
-            )
-        )
-        router = Router(topo)
-        injector = FaultInjector(state_version=topo.state_version)
+    def test_the_table_is_the_router(self, ops, probes):
+        """Across random fault/flap/outage/growth/retime sequences, the
+        route table answers exactly as the from-scratch reference does:
+        ``path`` == ``uncached_path`` hop object for hop object, and the
+        class plan's passthrough set is the set ``probe_many`` hands to the
+        scalar engine."""
+        fabric = _two_dc_fabric()
+        topo, router = fabric.topology, fabric.router
         active_faults: list = []
         dc = topo.dc(0)
 
         def switch_pool():
-            pool = list(dc.tors) + list(dc.spines)
-            for podset in range(dc.spec.n_podsets):
-                pool.extend(dc.leaves_of(podset))
-            return pool
+            return [switch for each in topo.dcs for switch in each.all_switches()]
 
-        def check_probes():
-            servers = dc.servers
+        def check_paths():
+            servers = topo.all_servers()
             for i, j, port in probes:
                 src = servers[i % len(servers)]
                 dst = servers[j % len(servers)]
@@ -279,9 +303,44 @@ class TestCachedEqualsFreshProperty:
                     with pytest.raises(NoRouteError):
                         router.uncached_path(src, dst, flow)
                     continue
-                assert _same_path(cached, router.uncached_path(src, dst, flow))
+                fresh = router.uncached_path(src, dst, flow)
+                assert cached.scope is fresh.scope
+                assert cached.wan_rtt == fresh.wan_rtt
+                assert len(cached.hops) == len(fresh.hops)
+                assert all(a is b for a, b in zip(cached.hops, fresh.hops))
 
-        check_probes()
+        def check_partition():
+            servers = topo.all_servers()
+            src = servers[probes[0][0] % len(servers)]
+            if not src.is_up:
+                return  # a dead host's round is refused whole, not partitioned
+            entries = [(server.device_id, 81, 0) for server in servers]
+            entries.append((servers[-1].device_id, 82, 64))  # a payload echo
+            plan = fabric.build_class_plan(src, entries)
+            scalar_bound = []
+            scalar_engine = fabric.probe
+            fabric.probe = lambda s, d, **kw: (
+                scalar_bound.append((getattr(d, "device_id", d), kw["dst_port"]))
+                or scalar_engine(s, d, **kw)
+            )
+            try:
+                fabric.probe_many(src, entries)
+            finally:
+                del fabric.probe
+            passed = [
+                entries[index][:2]
+                for index in plan.passthrough
+                # A payload-free same-host entry is the one kind the plan
+                # passes through and probe_many still fast-paths.
+                if entries[index][0] != src.device_id or entries[index][2] > 0
+            ]
+            assert passed == scalar_bound
+
+        def check():
+            check_paths()
+            check_partition()
+
+        check()
         for op, pick in ops:
             pool = switch_pool()
             switch = pool[pick % len(pool)]
@@ -294,12 +353,79 @@ class TestCachedEqualsFreshProperty:
                 switch.bring_up()
             elif op == "fault":
                 active_faults.append(
-                    injector.inject(SilentRandomDrop(switch_id=switch.device_id))
+                    fabric.faults.inject(SilentRandomDrop(switch_id=switch.device_id))
+                )
+            elif op == "wan-fault":
+                active_faults.append(
+                    fabric.faults.inject(WanFiberCut(src_dc=pick % 2, dst_dc=1 - pick % 2))
                 )
             elif op == "clear" and active_faults:
-                injector.clear(active_faults.pop(pick % len(active_faults)))
+                fabric.faults.clear(active_faults.pop(pick % len(active_faults)))
+            elif op == "podset-down":
+                podset_down(topo, 0, pick % dc.spec.n_podsets)
+            elif op == "podset-up":
+                podset_up(topo, 0, pick % dc.spec.n_podsets)
             elif op == "grow" and dc.spec.n_podsets < 4:
                 dc.add_podset()
             elif op == "reload":
-                switch.reload()
-            check_probes()
+                fabric.reload_switch(switch)
+            elif op == "retime":
+                topo.set_wan_latency(pick % 2, 1 - pick % 2, 0.01 + pick * 1e-6)
+            elif op == "server-down":
+                servers = topo.all_servers()
+                servers[pick % len(servers)].bring_down()
+            check()
+
+
+class TestDegradedRoundCallCounts:
+    """Wall-clock-free guard on the degraded path: what a silent-spine
+    round *calls*, counted by wrapping — so the cost model (route once per
+    direction per probe, judge once per pod pair) cannot silently regress."""
+
+    def test_silent_spine_round_routes_twice_per_probe(self, monkeypatch):
+        system = PingmeshSystem(
+            PingmeshSystemConfig(
+                specs=(
+                    TopologySpec(
+                        n_podsets=4, pods_per_podset=4, servers_per_pod=16, n_spines=8
+                    ),
+                ),
+                seed=2,
+                agent=AgentConfig(round_mode="class"),
+            )
+        )
+        fabric = system.fabric
+        calls = {"path": 0, "uncached_path": 0, "_pair_info": 0, "probe": 0, "facts": 0}
+
+        def counted(owner, name, key=None):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key or name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        with ShardedFleet(system) as fleet:
+            fleet.run_for(600.0)  # pinglists fetched, plans compiled
+            apply_scenario("silent-spine", fabric)
+            counted(fabric.router, "path")
+            counted(fabric.router, "uncached_path")
+            counted(fabric, "_pair_info")
+            counted(fabric, "probe")
+            counted(fabric_module, "_ClassFacts", "facts")
+            sent = fleet.probes_sent
+            fleet.run_for(60.0)  # one recompile, one degraded round
+            pod = lambda server: (server.dc_index, server.pod_index)
+            pod_pairs = {
+                (pod(system.topology.server(agent.server_id)),
+                 pod(system.topology.server(entry.peer_id)))
+                for agent in system.agents.values()
+                for entry in agent.pinglist.entries
+            }
+            assert calls["probe"] > 1000  # every cross-podset pair degraded
+            assert calls["probe"] < fleet.probes_sent - sent  # intra-podset stayed classed
+            assert calls["path"] == 2 * calls["probe"]
+            assert calls["uncached_path"] == 0
+            assert calls["_pair_info"] == 0
+            assert 0 < calls["facts"] <= len(pod_pairs)
