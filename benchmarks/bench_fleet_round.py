@@ -30,13 +30,13 @@ SPEC = TopologySpec(n_podsets=4, pods_per_podset=4, servers_per_pod=16, n_spines
 SPEEDUP_FLOOR = 3.5
 
 
-def _fleet(use_fast_path: bool) -> PingmeshSystem:
+def _fleet(round_mode: str) -> PingmeshSystem:
     system = PingmeshSystem(
         PingmeshSystemConfig(
             specs=(SPEC,),
             seed=1,
             dsa=DsaConfig(ingestion_delay_s=0.0, near_real_time_period_s=300.0),
-            agent=AgentConfig(upload_period_s=300.0, use_fast_path=use_fast_path),
+            agent=AgentConfig(upload_period_s=300.0, round_mode=round_mode),
         )
     )
     system.start()
@@ -49,12 +49,12 @@ def _fleet_round(system: PingmeshSystem, t: float) -> int:
 
 @pytest.fixture(scope="module")
 def fast_fleet():
-    return _fleet(use_fast_path=True)
+    return _fleet("fast")
 
 
 @pytest.fixture(scope="module")
 def scalar_fleet():
-    return _fleet(use_fast_path=False)
+    return _fleet("scalar")
 
 
 def bench_fleet_round_fast(benchmark, fast_fleet):
@@ -99,8 +99,8 @@ def bench_fleet_round_speedup(benchmark):
     from matched iteration counts — an asymmetric 5-vs-3 split is what
     let the recorded ratio drift 6.8x → 5.2x with no code change.
     """
-    fast = _fleet(use_fast_path=True)
-    scalar = _fleet(use_fast_path=False)
+    fast = _fleet("fast")
+    scalar = _fleet("scalar")
 
     def measure():
         # Warm both: pair/path caches on the fast side, route caches and

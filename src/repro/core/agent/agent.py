@@ -57,12 +57,11 @@ class AgentConfig:
 
     pinglist_refresh_s: float = 1800.0  # periodic pull from the controller
     upload_period_s: float = 600.0  # the upload timer
-    use_fast_path: bool = True  # route rounds through Fabric.probe_many
     # "scalar" | "fast" | "class": rung of the fidelity ladder for non-VIP
-    # probe rounds.  "class" compiles the pinglist into closed-form class
-    # rounds (Fabric.build_class_plan), degrading per pair to the fast path
-    # whenever fidelity cannot be traded.  Ignored when use_fast_path is
-    # False (scalar wins).
+    # probe rounds.  "scalar" is the reference (one Fabric.probe per peer),
+    # "fast" routes the round through Fabric.probe_many, "class" compiles
+    # the pinglist into closed-form class rounds (Fabric.build_class_plan),
+    # degrading per pair to the fast path whenever fidelity cannot be traded.
     round_mode: str = "fast"
     upload_threshold_records: int = 2000  # ... or the size threshold
     # Degraded-mode resilience: jittered refresh scheduling + backoff on
@@ -76,14 +75,12 @@ class AgentConfig:
     upload_retry_base_s: float = 60.0
     upload_retry_cap_s: float = 600.0
     upload_spool_cap_records: int = 20_000
-    reservoir_size: int = 4096
     memory_cap_mb: float = 80.0
     cpu_cap_fraction: float = 0.05
     cpu_per_probe_s: float = 10e-6  # CPU charged per probe
     base_memory_mb: float = 24.0  # code + runtime footprint
     memory_per_record_kb: float = 0.25  # buffered upload record
-    memory_per_sample_bytes: float = 16.0  # reservoir sample
-    memory_per_sketch_bucket_bytes: float = 16.0  # streaming sketch bucket
+    memory_per_sketch_bucket_bytes: float = 16.0  # counters / stream sketch bucket
 
     def __post_init__(self) -> None:
         if self.pinglist_refresh_s <= 0:
@@ -132,18 +129,14 @@ class PingmeshAgent(SharedService):
         # every probe outcome alongside counters/uploader.
         self.stream_aggregator = stream_aggregator
         self.safety = SafetyGuard()
-        # Seed per server so fleets are reproducible but not identical.
-        seed = sum(server_id.encode()) % 100_000
-        self.counters = LatencyCounters(
-            reservoir_size=self.config.reservoir_size, seed=seed
-        )
+        self.counters = LatencyCounters()
         self.pinglist: Pinglist | None = None
         self._record_server_cache: dict = {}
         self._round_plan: tuple | None = None  # keyed on the pinglist object
         # Class-round state: summary rows ship on their own stream so the
         # per-probe scanners never see a wrong-schema record.
         self.class_uploader: ResultUploader | None = None
-        if self.config.round_mode == "class" and self.config.use_fast_path:
+        if self.config.round_mode == "class":
             self.class_uploader = ResultUploader(
                 uploader.store,
                 server_id,
@@ -295,11 +288,12 @@ class PingmeshAgent(SharedService):
 
         The system schedules rounds at :attr:`probe_interval_s`, so each
         source-destination pair is probed at most once per interval —
-        honouring the hard 10 s floor.  With ``config.use_fast_path`` the
-        round goes through :meth:`~repro.netsim.fabric.Fabric.probe_many`
-        (one call for the whole pinglist, counters and uploader fed in
-        bulk); VIP probes always take the scalar engine because resolution
-        and the dark-VIP record are per-probe decisions.
+        honouring the hard 10 s floor.  Unless ``config.round_mode`` is
+        ``"scalar"`` the round goes through
+        :meth:`~repro.netsim.fabric.Fabric.probe_many` (one call for the
+        whole pinglist, counters and uploader fed in bulk); VIP probes
+        always take the scalar engine because resolution and the dark-VIP
+        record are per-probe decisions.
         """
         if not self.probing:
             return 0
@@ -307,7 +301,7 @@ class PingmeshAgent(SharedService):
             # The host lost power (podset down): no process, no probes, no
             # data — which is exactly what paints Figure 8(b)'s white cross.
             return 0
-        if not self.config.use_fast_path:
+        if self.config.round_mode == "scalar":
             launched = self._run_probe_round_scalar(t)
         elif self.config.round_mode == "class":
             launched = self._run_probe_round_class(t)
@@ -351,32 +345,55 @@ class PingmeshAgent(SharedService):
         return 1
 
     def _run_probe_round_scalar(self, t: float) -> int:
-        """Reference round: one :meth:`Fabric.probe` call per peer."""
+        """Reference round: one :meth:`Fabric.probe` call per peer, in
+        pinglist order; results are recorded a run at a time, each run
+        before the next VIP probe so rows keep that order too."""
         launched = 0
+        results: list = []
+        tags: list[tuple[str, str]] = []
         for entry in self.pinglist.entries:
             if entry.purpose == "vip":
+                launched += self._record_results(results, tags, t)
+                results, tags = [], []
                 launched += self._probe_vip(entry, t)
                 continue
             payload = self.safety.clamp_payload(entry.payload_bytes)
             dst_port = self.pinglist.parameters.port_for(entry.qos, entry.purpose)
-            result = self.fabric.probe(
-                self.server_id, entry.peer_id, t=t,
-                payload_bytes=payload, dst_port=dst_port,
-            )
-            self.counters.add(result.success, result.rtt_s)
-            self.uploader.add(
-                self._tag_stale(
-                    make_record(
-                        self.fabric.topology, result, purpose=entry.purpose, qos=entry.qos
-                    )
+            results.append(
+                self.fabric.probe(
+                    self.server_id, entry.peer_id, t=t,
+                    payload_bytes=payload, dst_port=dst_port,
                 )
             )
-            if self.stream_aggregator is not None:
-                self.stream_aggregator.observe(
-                    t, entry.purpose, result.success, result.rtt_s * 1e6
+            tags.append((entry.purpose, entry.qos))
+        return launched + self._record_results(results, tags, t)
+
+    def _record_results(self, results, tags, t: float) -> int:
+        """Feed one engine call's per-pair results, tagged ``(purpose,
+        qos)``, to the three sinks — counters, stream aggregator, uploader,
+        in that order.  Returns the number of probes recorded."""
+        self.counters.add_many((r.success, r.rtt_s) for r in results)
+        if self.stream_aggregator is not None:
+            self.stream_aggregator.observe_round(
+                t,
+                (
+                    (purpose, result.success, result.rtt_s * 1e6)
+                    for result, (purpose, _qos) in zip(results, tags)
+                ),
+            )
+        self.uploader.add_many(
+            self._tag_stale_many(
+                make_records(
+                    self.fabric.topology,
+                    [
+                        (result, purpose, qos)
+                        for result, (purpose, qos) in zip(results, tags)
+                    ],
+                    server_cache=self._record_server_cache,
                 )
-            launched += 1
-        return launched
+            )
+        )
+        return len(results)
 
     def _round_entries(self) -> tuple[list, list[tuple[str, int, int]], list[tuple[str, str]]]:
         """The round's (vip entries, probe_many entries, tags), memoized.
@@ -414,29 +431,9 @@ class PingmeshAgent(SharedService):
         for entry in vip_entries:
             launched += self._probe_vip(entry, t)
         if probe_entries:
-            results = self.fabric.probe_many(self.server_id, probe_entries, t=t)
-            self.counters.add_many((r.success, r.rtt_s) for r in results)
-            if self.stream_aggregator is not None:
-                self.stream_aggregator.observe_round(
-                    t,
-                    (
-                        (purpose, result.success, result.rtt_s * 1e6)
-                        for result, (purpose, _qos) in zip(results, tags)
-                    ),
-                )
-            self.uploader.add_many(
-                self._tag_stale_many(
-                    make_records(
-                        self.fabric.topology,
-                        [
-                            (result, purpose, qos)
-                            for result, (purpose, qos) in zip(results, tags)
-                        ],
-                        server_cache=self._record_server_cache,
-                    )
-                )
+            launched += self._record_results(
+                self.fabric.probe_many(self.server_id, probe_entries, t=t), tags, t
             )
-            launched += len(results)
         return launched
 
     def _current_class_plan(self):
@@ -469,29 +466,11 @@ class PingmeshAgent(SharedService):
         if plan.passthrough:
             pass_entries = [probe_entries[i] for i in plan.passthrough]
             pass_tags = [tags[i] for i in plan.passthrough]
-            results = self.fabric.probe_many(self.server_id, pass_entries, t=t)
-            self.counters.add_many((r.success, r.rtt_s) for r in results)
-            if self.stream_aggregator is not None:
-                self.stream_aggregator.observe_round(
-                    t,
-                    (
-                        (purpose, result.success, result.rtt_s * 1e6)
-                        for result, (purpose, _qos) in zip(results, pass_tags)
-                    ),
-                )
-            self.uploader.add_many(
-                self._tag_stale_many(
-                    make_records(
-                        self.fabric.topology,
-                        [
-                            (result, purpose, qos)
-                            for result, (purpose, qos) in zip(results, pass_tags)
-                        ],
-                        server_cache=self._record_server_cache,
-                    )
-                )
+            launched += self._record_results(
+                self.fabric.probe_many(self.server_id, pass_entries, t=t),
+                pass_tags,
+                t,
             )
-            launched += len(results)
         if plan.groups:
             me = self.fabric.topology.server(self.server_id)
             for outcome in self.fabric.run_class_plan(plan, t=t):
@@ -548,7 +527,9 @@ class PingmeshAgent(SharedService):
         memory_mb = (
             config.base_memory_mb
             + self.uploader.buffered_records * config.memory_per_record_kb / 1024.0
-            + self.counters.memory_samples * config.memory_per_sample_bytes / 1e6
+            + self.counters.sketch.memory_buckets
+            * config.memory_per_sketch_bucket_bytes
+            / 1e6
             + self.uploader.local_log_bytes / 1e6
         )
         if self.class_uploader is not None:

@@ -1,14 +1,15 @@
-"""Streaming latency counters with bounded memory (§3.5).
+"""The agent's PA latency counters (§3.5).
 
 "the Pingmesh Agent performs local calculation on the latency data and
 produces a set of performance counters including the packet drop rate, the
 network latency at 50th the 99th percentile, etc."
 
-Percentiles come from a fixed-size reservoir sample over the current
-reporting window — constant memory regardless of probe volume, which is the
-shared-service discipline.  Drop rate is the §4.2 heuristic:
-
-    (probes with ~3 s RTT + probes with ~9 s RTT) / successful probes
+The window accumulator is the stream plane's
+:class:`~repro.stream.sketch.ClassStats` — success / failed / 3 s / 9 s
+counts, the failure-aware drop rate and a constant-memory, exactly
+mergeable quantile sketch, which is the shared-service discipline.  This
+module is only its PA-facing face: probe RTTs come in as seconds, counters
+go out as microseconds under the PA counter names.
 """
 
 from __future__ import annotations
@@ -17,169 +18,57 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.netsim import tcp
+from repro.stream.sketch import ClassStats
 
 __all__ = ["LatencyCounters"]
 
-# Classification windows around the retransmission signatures.  A 3 s-drop
-# probe's RTT is 3 s + a normal network RTT, so the window extends well past
-# the signature but below the next one.
-_ONE_DROP_LOW = tcp.syn_rtt_signature(1)
-_ONE_DROP_HIGH = tcp.syn_rtt_signature(2)
-_TWO_DROP_LOW = tcp.syn_rtt_signature(2)
-_TWO_DROP_HIGH = tcp.syn_rtt_signature(3)
 
-
-class LatencyCounters:
+class LatencyCounters(ClassStats):
     """Per-window probe statistics for one agent."""
 
-    def __init__(self, reservoir_size: int = 4096, seed: int = 0) -> None:
-        if reservoir_size < 1:
-            raise ValueError(f"reservoir_size must be >= 1: {reservoir_size}")
-        self.reservoir_size = reservoir_size
-        self._rng = np.random.default_rng(seed)
-        self.reset_window()
+    __slots__ = ()
 
     def reset_window(self) -> None:
         """Start a new reporting window."""
-        self._reservoir: list[float] = []
-        self._seen = 0
-        self.probes_total = 0
-        self.probes_success = 0
-        self.probes_failed = 0
-        self.probes_one_drop = 0
-        self.probes_two_drops = 0
+        ClassStats.__init__(
+            self, self.sketch.relative_accuracy, self.sketch.max_buckets
+        )
 
     # -- ingestion --------------------------------------------------------
 
     def add(self, success: bool, rtt_s: float) -> None:
         """Record one probe outcome."""
-        self.probes_total += 1
-        if not success:
-            self.probes_failed += 1
-            return
-        self.probes_success += 1
-        if _ONE_DROP_LOW <= rtt_s < _ONE_DROP_HIGH:
-            self.probes_one_drop += 1
-        elif _TWO_DROP_LOW <= rtt_s < _TWO_DROP_HIGH:
-            self.probes_two_drops += 1
-        self._sample(rtt_s)
+        self.observe(success, rtt_s * 1e6)
 
     def add_many(self, outcomes: Iterable[tuple[bool, float]]) -> None:
         """Record a batch of ``(success, rtt_s)`` outcomes.
 
-        Semantically a loop over :meth:`add` — reservoir admission draws
-        stay per-sample so the equal-probability guarantee (and the RNG
-        stream for a given ingestion order) is unchanged.
+        A plain loop: a pinglist round is tens of outcomes per agent, where
+        one dict update each beats the vectorized fold's fixed cost.
         """
         for success, rtt_s in outcomes:
-            self.add(success, rtt_s)
+            self.observe(success, rtt_s * 1e6)
 
     def add_class_round(self, n_failed: int, rtts_s: np.ndarray) -> None:
         """Fold one class-round outcome in: ``n_failed`` connect failures
-        plus a vector of successful RTTs.
-
-        Classification is vectorized but equivalent to :meth:`add` per
-        element; reservoir admission is an order-preserving batch form of
-        the same algorithm R (each element is offered slot
-        ``U_i * (seen_at_i)``), so every successful RTT keeps the equal
-        inclusion probability — only the RNG draw layout differs from the
-        scalar loop.
-        """
-        self.probes_total += n_failed
-        self.probes_failed += n_failed
-        n_ok = len(rtts_s)
-        if n_ok == 0:
-            return
-        self.probes_total += n_ok
-        self.probes_success += n_ok
-        self.probes_one_drop += int(
-            ((rtts_s >= _ONE_DROP_LOW) & (rtts_s < _ONE_DROP_HIGH)).sum()
-        )
-        self.probes_two_drops += int(
-            ((rtts_s >= _TWO_DROP_LOW) & (rtts_s < _TWO_DROP_HIGH)).sum()
-        )
-        cap = self.reservoir_size
-        fill = min(max(cap - len(self._reservoir), 0), n_ok)
-        if fill:
-            self._reservoir.extend(float(r) for r in rtts_s[:fill])
-            self._seen += fill
-        rest = rtts_s[fill:]
-        m = len(rest)
-        if m:
-            seen_at = self._seen + 1 + np.arange(m)
-            slots = (self._rng.random(m) * seen_at).astype(np.int64)
-            self._seen += m
-            admitted = slots < cap
-            for slot, rtt in zip(slots[admitted], rest[admitted]):
-                self._reservoir[slot] = float(rtt)
-
-    def merge(self, other: "LatencyCounters") -> None:
-        """Fold another window's counters in (shard → fleet roll-up).
-
-        Counts add exactly.  The merged reservoir subsamples the two pools
-        weighted by each side's inclusion probability (seen/len), which is
-        equal-probability when both sides are undersampled or comparably
-        sampled — adequate for fleet-level percentile roll-ups.
-        """
-        self.probes_total += other.probes_total
-        self.probes_success += other.probes_success
-        self.probes_failed += other.probes_failed
-        self.probes_one_drop += other.probes_one_drop
-        self.probes_two_drops += other.probes_two_drops
-        pool = self._reservoir + other._reservoir
-        seen = self._seen + other._seen
-        if len(pool) <= self.reservoir_size:
-            self._reservoir = pool
-        else:
-            weights = np.concatenate(
-                [
-                    np.full(len(self._reservoir), self._seen / max(len(self._reservoir), 1)),
-                    np.full(len(other._reservoir), other._seen / max(len(other._reservoir), 1)),
-                ]
-            )
-            weights /= weights.sum()
-            picks = self._rng.choice(
-                len(pool), size=self.reservoir_size, replace=False, p=weights
-            )
-            self._reservoir = [pool[i] for i in picks]
-        self._seen = seen
-
-    def _sample(self, rtt_s: float) -> None:
-        """Reservoir sampling: every successful RTT has equal probability."""
-        self._seen += 1
-        if len(self._reservoir) < self.reservoir_size:
-            self._reservoir.append(rtt_s)
-            return
-        slot = int(self._rng.integers(0, self._seen))
-        if slot < self.reservoir_size:
-            self._reservoir[slot] = rtt_s
+        plus a vector of successful RTTs."""
+        self.observe_aggregate(n_failed, rtts_s * 1e6)
 
     # -- reporting ----------------------------------------------------------
 
-    def drop_rate(self) -> float:
-        """The §4.2 heuristic.  One drop counted per 9 s probe, not two —
-        "successive packet drops within a connection are not independent".
+    @property
+    def probes_total(self) -> int:
+        return self.probes
 
-        Connect failures (all SYN retransmissions lost) count as one dropped
-        connection each: a fully black-holed server must report a drop rate
-        of 1.0, not a perfect 0.0 (the denominator used to be successful
-        probes only, so a window with zero successes divided away into a
-        clean bill of health).
-        """
-        attempts = self.probes_success + self.probes_failed
-        if attempts == 0:
-            return 0.0
-        dropped = self.probes_one_drop + self.probes_two_drops + self.probes_failed
-        return dropped / attempts
+    @property
+    def probes_failed(self) -> int:
+        return self.failed
 
     def percentile_us(self, q: float) -> float | None:
-        """Latency percentile over the window, in microseconds."""
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile out of range: {q}")
-        if not self._reservoir:
-            return None
-        return float(np.percentile(self._reservoir, q)) * 1e6
+        """Latency percentile over the window, in microseconds, within the
+        sketch's relative accuracy of the exact one; ``None`` without a
+        successful probe."""
+        return self.quantile_us(q)
 
     def snapshot(self) -> dict[str, float]:
         """The PA counter set (§6.2: "The Pingmesh Agent exposes two PA
@@ -193,17 +82,11 @@ class LatencyCounters:
         the counter that sweep.
         """
         snapshot = {
-            "probes_total": float(self.probes_total),
-            "probes_failed": float(self.probes_failed),
+            "probes_total": float(self.probes),
+            "probes_failed": float(self.failed),
             "packet_drop_rate": self.drop_rate(),
         }
-        p50 = self.percentile_us(50)
-        if p50 is not None:
-            snapshot["latency_p50_us"] = p50
-            snapshot["latency_p99_us"] = self.percentile_us(99)
+        if self.success:
+            snapshot["latency_p50_us"] = self.quantile_us(50)
+            snapshot["latency_p99_us"] = self.quantile_us(99)
         return snapshot
-
-    @property
-    def memory_samples(self) -> int:
-        """Current reservoir occupancy (for the agent's memory model)."""
-        return len(self._reservoir)

@@ -22,7 +22,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.netsim import tcp
+from repro.netsim.tcp import FAILED_RTT_S, ONE_DROP_RTT_S, TWO_DROPS_RTT_S
 
 __all__ = [
     "classify_probe",
@@ -30,11 +30,6 @@ __all__ = [
     "estimate_drop_rate_from_arrays",
     "DropRateEstimate",
 ]
-
-# RTT windows around the retransmission signatures (seconds).
-_ONE_DROP_LOW = tcp.syn_rtt_signature(1)  # 3 s
-_TWO_DROP_LOW = tcp.syn_rtt_signature(2)  # 9 s
-_TWO_DROP_HIGH = tcp.syn_rtt_signature(3)  # 21 s (failed-probe wait)
 
 
 def classify_probe(success: bool, rtt_s: float) -> int | None:
@@ -45,9 +40,9 @@ def classify_probe(success: bool, rtt_s: float) -> int | None:
     """
     if not success:
         return None
-    if rtt_s < _ONE_DROP_LOW:
+    if rtt_s < ONE_DROP_RTT_S:
         return 0
-    if rtt_s < _TWO_DROP_LOW:
+    if rtt_s < TWO_DROPS_RTT_S:
         return 1
     return 2
 
@@ -98,6 +93,6 @@ def estimate_drop_rate_from_arrays(
         )
     ok = success.astype(bool)
     ok_rtts = rtt_s[ok]
-    one = int(((ok_rtts >= _ONE_DROP_LOW) & (ok_rtts < _TWO_DROP_LOW)).sum())
-    two = int(((ok_rtts >= _TWO_DROP_LOW) & (ok_rtts < _TWO_DROP_HIGH)).sum())
+    one = int(((ok_rtts >= ONE_DROP_RTT_S) & (ok_rtts < TWO_DROPS_RTT_S)).sum())
+    two = int(((ok_rtts >= TWO_DROPS_RTT_S) & (ok_rtts < FAILED_RTT_S)).sum())
     return DropRateEstimate(int(ok.sum()), one, two)

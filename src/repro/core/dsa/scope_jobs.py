@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.core.dsa.records import LATENCY_STREAM
 from repro.cosmos.scope import Aggregator, RowSet, agg, col, extract, lit
-from repro.netsim import tcp
+from repro.netsim.tcp import ONE_DROP_RTT_US
 
 __all__ = [
     "window_rows",
@@ -32,16 +32,12 @@ __all__ = [
 
 Row = dict[str, Any]
 
-# One SYN retransmission signature (~3 s), in microseconds: the §4.2 drop
-# heuristic's numerator counts every successful probe at or above it once.
-_DROP_SIGNATURE_US = tcp.syn_rtt_signature(1) * 1e6
-
-
 def _drop_rate_aggregate() -> Aggregator:
-    """The §4.2 heuristic as an aggregate; numerically identical to
-    :func:`repro.core.dsa.drop_inference.estimate_drop_rate`."""
+    """The §4.2 heuristic as an aggregate — every successful probe at or
+    above the one-retransmission signature counts once; numerically
+    identical to :func:`repro.core.dsa.drop_inference.estimate_drop_rate`."""
     return agg.ratio(
-        numerator=col("success") & (col("rtt_us") >= _DROP_SIGNATURE_US),
+        numerator=col("success") & (col("rtt_us") >= ONE_DROP_RTT_US),
         denominator=col("success"),
     )
 
@@ -96,10 +92,7 @@ def job_podpair_latency(
             success_count=agg.count_if(col("success")),
             p50_us=agg.percentile("rtt_us", 50),
             p99_us=agg.percentile("rtt_us", 99),
-            drop_rate=agg.ratio(
-                numerator=col("success") & (col("rtt_us") >= 2.5e6),
-                denominator=col("success"),
-            ),
+            drop_rate=_drop_rate_aggregate(),
         )
         .select(
             "src_dc",
@@ -140,10 +133,7 @@ def job_interdc_latency(
             success_count=agg.count_if(col("success")),
             p50_us=agg.percentile("rtt_us", 50),
             p99_us=agg.percentile("rtt_us", 99),
-            drop_rate=agg.ratio(
-                numerator=col("success") & (col("rtt_us") >= 2.5e6),
-                denominator=col("success"),
-            ),
+            drop_rate=_drop_rate_aggregate(),
         )
         .select(
             "src_dc",

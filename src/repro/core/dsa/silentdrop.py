@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.dsa.drop_inference import estimate_drop_rate
+from repro.netsim.tcp import ONE_DROP_RTT_US
 from repro.netsim.traceroute import localize_drop, tcp_traceroute
 
 __all__ = ["SilentDropIncident", "SilentDropDetector"]
@@ -139,7 +140,7 @@ class SilentDropDetector:
             weight = 0
             if not row["success"]:
                 weight = 1
-            elif row["syn_drops"] > 0 or row["rtt_us"] >= 2.5e6:
+            elif row["syn_drops"] > 0 or row["rtt_us"] >= ONE_DROP_RTT_US:
                 weight = 2  # a measured retransmit signature is strong signal
             pair = (row["src"], row["dst"])
             score, bad, probes = evidence.get(pair, (0, 0, 0))

@@ -16,9 +16,10 @@ driver that runs probe rounds a *shard* at a time:
 * pairs the class engine cannot serve (faulted envelopes, payload probes,
   down endpoints) degrade to the per-pair fast path with full per-probe
   records, and VIP probes keep the scalar state machine, per agent;
-* results feed shard-level :class:`~repro.core.agent.counters.LatencyCounters`,
-  shard uploaders (per-probe rows on ``pingmesh/latency``, class summaries
-  on ``pingmesh/latency-class``) and the stream plane's shard aggregator —
+* results feed shard uploaders (per-probe rows on ``pingmesh/latency``,
+  class summaries on ``pingmesh/latency-class``) and the stream plane's
+  shard aggregator — the one window accumulator
+  (:class:`~repro.stream.sketch.ClassStats`) the shard's numbers leave in,
   everything mergeable, one merge at window close.
 
 Optionally a worker pool executes the per-shard class draws concurrently —
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.agent.agent import PingmeshAgent
-from repro.core.agent.counters import LatencyCounters
 from repro.core.agent.uploader import ResultUploader
 from repro.core.dsa.records import (
     CLASS_STREAM,
@@ -115,10 +115,6 @@ class FleetShard:
         self.agents = agents
         self.shard_id = f"shard:dc{dc}/podset{podset}"
         config = system.config.agent
-        self.counters = LatencyCounters(
-            reservoir_size=config.reservoir_size,
-            seed=(system.config.seed * 1_000_003 + dc * 4093 + podset) % 2**31,
-        )
         self.rng = np.random.default_rng([system.config.seed, dc, podset])
         self.probe_uploader = ResultUploader(
             system.store,
@@ -224,7 +220,6 @@ class FleetShard:
                 launched += agent._probe_vip(entry, t)
         for agent, entries, tags in passthrough:
             results = fabric.probe_many(agent.server_id, entries, t=t)
-            self.counters.add_many((r.success, r.rtt_s) for r in results)
             if agent.stream_aggregator is not None:
                 agent.stream_aggregator.observe_round(
                     t,
@@ -262,7 +257,6 @@ class FleetShard:
         """Fold class outcomes into the shard's planes (main thread)."""
         launched = 0
         for outcome in outcomes:
-            self.counters.add_class_round(outcome.failed, outcome.rtt_s)
             if self.aggregator is not None:
                 self.aggregator.observe_class_round(
                     t, outcome.purpose, outcome.failed, outcome.rtt_s * 1e6
@@ -288,7 +282,6 @@ class FleetShard:
         self.probe_uploader.flush(t)
         self.class_uploader.flush(t)
         self.last_upload_t = t
-        self.counters.reset_window()
 
 
 class ShardedFleet:
@@ -573,18 +566,3 @@ class ShardedFleet:
         """Schedule (if needed) and advance the deployment."""
         self.schedule()
         return self.system.run_for(duration_s, max_events=max_events)
-
-    # -- roll-ups ----------------------------------------------------------
-
-    def fleet_counters(self) -> LatencyCounters:
-        """All shards' (and VIP agents') window counters, merged."""
-        config = self.system.config.agent
-        merged = LatencyCounters(
-            reservoir_size=config.reservoir_size, seed=self.system.config.seed
-        )
-        for key in sorted(self.shards):
-            merged.merge(self.shards[key].counters)
-        for agent in self.system.agents.values():
-            if agent.counters.probes_total:
-                merged.merge(agent.counters)
-        return merged

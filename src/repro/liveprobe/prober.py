@@ -44,14 +44,13 @@ class LiveProber:
         peers: list[PeerSpec],
         timeout_s: float = 9.0,
         max_concurrency: int = 64,
-        reservoir_size: int = 4096,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError(f"concurrency must be >= 1: {max_concurrency}")
         self.peers = list(peers)
         self.timeout_s = timeout_s
         self.max_concurrency = max_concurrency
-        self.counters = LatencyCounters(reservoir_size=reservoir_size)
+        self.counters = LatencyCounters()
         self.results: list[LivePingResult] = []
 
     async def run_round(self) -> list[LivePingResult]:

@@ -344,9 +344,7 @@ def execute_class_groups(groups, latency_models, t, draw) -> list[ClassOutcome]:
     Shared-state side effects (conservation ledger, SNMP counters, probe
     observers) are the caller's job; this function touches only ``draw``.
     """
-    sig1 = tcp.syn_rtt_signature(1)
-    sig2 = tcp.syn_rtt_signature(2)
-    sig3 = tcp.syn_rtt_signature(3)
+    sig1, sig2, sig3 = tcp.ONE_DROP_RTT_S, tcp.TWO_DROPS_RTT_S, tcp.FAILED_RTT_S
     outcomes: list[ClassOutcome] = []
     for group in groups:
         m = group.n

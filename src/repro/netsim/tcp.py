@@ -27,6 +27,12 @@ __all__ = [
     "run_syn_handshake",
     "run_data_exchange",
     "syn_rtt_signature",
+    "ONE_DROP_RTT_S",
+    "TWO_DROPS_RTT_S",
+    "FAILED_RTT_S",
+    "ONE_DROP_RTT_US",
+    "TWO_DROPS_RTT_US",
+    "FAILED_RTT_US",
 ]
 
 SYN_TIMEOUT_S = 3.0  # initial SYN retransmission timeout
@@ -117,3 +123,16 @@ def syn_rtt_signature(drops: int) -> float:
         waited += timeout
         timeout *= 2.0
     return waited
+
+
+# The §4.2 classification windows, the one definition every classifier
+# imports: a successful probe whose RTT lies in [ONE_DROP, TWO_DROPS) lost
+# one SYN, in [TWO_DROPS, FAILED) two.  A dropped probe's RTT is the
+# signature plus a normal network RTT, so each window runs from its
+# signature up to the next one.
+ONE_DROP_RTT_S = syn_rtt_signature(1)  # 3 s
+TWO_DROPS_RTT_S = syn_rtt_signature(2)  # 9 s
+FAILED_RTT_S = syn_rtt_signature(3)  # 21 s: every SYN lost, the connect failed
+ONE_DROP_RTT_US = ONE_DROP_RTT_S * 1e6
+TWO_DROPS_RTT_US = TWO_DROPS_RTT_S * 1e6
+FAILED_RTT_US = FAILED_RTT_S * 1e6

@@ -35,15 +35,9 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.netsim import tcp
+from repro.netsim.tcp import FAILED_RTT_US, ONE_DROP_RTT_US, TWO_DROPS_RTT_US
 
 __all__ = ["LatencySketch", "ClassStats"]
-
-# Drop-signature classification windows (microseconds), identical to
-# LatencyCounters' (§4.2): one retransmission ~3 s, two ~9 s.
-_ONE_DROP_LOW_US = tcp.syn_rtt_signature(1) * 1e6
-_ONE_DROP_HIGH_US = tcp.syn_rtt_signature(2) * 1e6
-_TWO_DROP_HIGH_US = tcp.syn_rtt_signature(3) * 1e6
 
 
 class LatencySketch:
@@ -227,12 +221,14 @@ class LatencySketch:
 
 
 class ClassStats:
-    """One peer class' window state: quantile sketch + drop accumulator.
+    """One window's probe statistics: quantile sketch + drop accumulator.
 
-    The drop accumulator mirrors :class:`LatencyCounters` (§4.2): failed
-    probes and retransmission signatures each count one dropped connection,
-    over all attempts — a fully black-holed class reports 1.0, never a
-    division-by-zero clean bill.  Everything is mergeable.
+    The stream plane keeps one per peer class; the agent's PA counters
+    (:class:`~repro.core.agent.counters.LatencyCounters`) are the same
+    accumulator over a whole reporting window.  Failed probes and §4.2
+    retransmission signatures each count one dropped connection, over all
+    attempts — a fully black-holed class reports 1.0, never a
+    division-by-zero clean bill.  Everything is mergeable, exactly.
     """
 
     __slots__ = ("sketch", "success", "failed", "one_drop", "two_drops")
@@ -256,9 +252,9 @@ class ClassStats:
             self.failed += 1
             return
         self.success += 1
-        if _ONE_DROP_LOW_US <= rtt_us < _ONE_DROP_HIGH_US:
+        if ONE_DROP_RTT_US <= rtt_us < TWO_DROPS_RTT_US:
             self.one_drop += 1
-        elif _ONE_DROP_HIGH_US <= rtt_us < _TWO_DROP_HIGH_US:
+        elif TWO_DROPS_RTT_US <= rtt_us < FAILED_RTT_US:
             self.two_drops += 1
         self.sketch.add(rtt_us)
 
@@ -266,19 +262,7 @@ class ClassStats:
         """Vectorized fold of a whole outcome batch."""
         ok = np.asarray(successes, dtype=bool)
         rtts = np.asarray(rtts_us, dtype=np.float64)
-        n_ok = int(ok.sum())
-        self.failed += int(ok.size) - n_ok
-        if n_ok == 0:
-            return
-        self.success += n_ok
-        ok_rtts = rtts[ok]
-        self.one_drop += int(
-            ((ok_rtts >= _ONE_DROP_LOW_US) & (ok_rtts < _ONE_DROP_HIGH_US)).sum()
-        )
-        self.two_drops += int(
-            ((ok_rtts >= _ONE_DROP_HIGH_US) & (ok_rtts < _TWO_DROP_HIGH_US)).sum()
-        )
-        self.sketch.add_many(ok_rtts)
+        self.observe_aggregate(int(ok.size) - int(ok.sum()), rtts[ok])
 
     def observe_aggregate(self, n_failed: int, rtts_us) -> None:
         """Fold a class-round outcome: a failure *count* plus the successful
@@ -291,10 +275,10 @@ class ClassStats:
             return
         self.success += n_ok
         self.one_drop += int(
-            ((rtts >= _ONE_DROP_LOW_US) & (rtts < _ONE_DROP_HIGH_US)).sum()
+            ((rtts >= ONE_DROP_RTT_US) & (rtts < TWO_DROPS_RTT_US)).sum()
         )
         self.two_drops += int(
-            ((rtts >= _ONE_DROP_HIGH_US) & (rtts < _TWO_DROP_HIGH_US)).sum()
+            ((rtts >= TWO_DROPS_RTT_US) & (rtts < FAILED_RTT_US)).sum()
         )
         self.sketch.add_many(rtts)
 
@@ -305,9 +289,12 @@ class ClassStats:
         return self.success + self.failed
 
     def drop_rate(self) -> float:
-        """Failure-aware drop rate, as :class:`LatencyCounters` reports it:
-        every failed probe and every retransmission signature counts, over
-        all attempts — a fully black-holed class reports 1.0."""
+        """Failure-aware drop rate (the ``packet_drop_rate`` PA counter):
+        every failed probe and every retransmission signature counts one
+        dropped connection — one per 9 s probe, not two, "successive packet
+        drops within a connection are not independent" — over all attempts.
+        With successes alone as the denominator an all-failed window divides
+        away into a clean bill of health; it must report 1.0."""
         attempts = self.success + self.failed
         if attempts == 0:
             return 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.chaos import InvariantChecker
+from repro.core.agent.counters import LatencyCounters
 from repro.core.agent.safety import MAX_PAYLOAD_BYTES, MIN_PROBE_INTERVAL_S
 
 from tests.chaos.conftest import make_system
@@ -115,8 +116,14 @@ class TestAgentChecks:
         agent = next(iter(system.agents.values()))
         # Re-create the old bug: failures counted but a 0.0 drop rate
         # reported (the pre-fix drop_rate divided by successes only).
-        agent.counters.probes_failed = 4
-        agent.counters.drop_rate = lambda: 0.0
+
+        class SuccessOnlyCounters(LatencyCounters):
+            def drop_rate(self):
+                return 0.0
+
+        agent.counters = SuccessOnlyCounters()
+        for _ in range(4):
+            agent.counters.add(False, 0.0)
         checker._check_agent(agent, now=10.0)
         assert "drop-rate-honest" in _names(checker)
 

@@ -1,11 +1,16 @@
-"""Tests for the agent's streaming latency counters."""
+"""Tests for the agent's PA latency counters: the seconds-in, microseconds-out
+face of the stream plane's ``ClassStats`` window accumulator."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.agent.counters import LatencyCounters
+
+
+def _counts(counters):
+    return (counters.success, counters.failed, counters.one_drop, counters.two_drops)
 
 
 class TestIngestion:
@@ -15,7 +20,7 @@ class TestIngestion:
         counters.add(True, 300e-6)
         counters.add(False, 21.0)
         assert counters.probes_total == 3
-        assert counters.probes_success == 2
+        assert counters.success == 2
         assert counters.probes_failed == 1
 
     def test_drop_signatures_classified(self):
@@ -23,8 +28,8 @@ class TestIngestion:
         counters.add(True, 250e-6)  # clean
         counters.add(True, 3.0003)  # one drop
         counters.add(True, 9.0004)  # two drops
-        assert counters.probes_one_drop == 1
-        assert counters.probes_two_drops == 1
+        assert counters.one_drop == 1
+        assert counters.two_drops == 1
 
     def test_drop_rate_heuristic(self):
         counters = LatencyCounters()
@@ -62,9 +67,48 @@ class TestIngestion:
         counters.add(True, 200e-6)
         assert counters.drop_rate() == pytest.approx(1 / 2)
 
+    # One window's worth of outcomes: clean RTTs over three decades, both
+    # retransmission signatures, connect failures.
+    OUTCOMES = (
+        [(True, 40e-6 * 1.07**i) for i in range(120)]
+        + [(True, 3.0 + 250e-6 * i) for i in range(1, 6)]
+        + [(True, 9.0 + 300e-6 * i) for i in range(1, 4)]
+        + [(False, 21.0)] * 7
+    )
+
+    @given(
+        order=st.permutations(OUTCOMES),
+        cuts=st.tuples(
+            st.integers(0, len(OUTCOMES)), st.integers(0, len(OUTCOMES))
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_every_ingestion_path_builds_the_same_window(self, order, cuts):
+        """One multiset of outcomes, in any order and split any way across
+        ``add`` / ``add_many`` / ``add_class_round``, is one window: equal
+        counts and an equal bucket map."""
+        reference = LatencyCounters()
+        for success, rtt_s in self.OUTCOMES:
+            reference.add(success, rtt_s)
+
+        low, high = sorted(cuts)
+        counters = LatencyCounters()
+        for success, rtt_s in order[:low]:
+            counters.add(success, rtt_s)
+        counters.add_many(iter(order[low:high]))
+        rest = order[high:]
+        counters.add_class_round(
+            sum(1 for success, _rtt in rest if not success),
+            np.array([rtt_s for success, rtt_s in rest if success]),
+        )
+
+        assert _counts(counters) == _counts(reference)
+        assert counters.sketch.buckets == reference.sketch.buckets
+        assert counters.probes_total == len(self.OUTCOMES)
+
 
 class TestPercentiles:
-    def test_percentiles_from_reservoir(self):
+    def test_percentiles_in_microseconds(self):
         counters = LatencyCounters()
         for rtt_us in range(100, 200):
             counters.add(True, rtt_us * 1e-6)
@@ -78,24 +122,51 @@ class TestPercentiles:
         with pytest.raises(ValueError):
             LatencyCounters().percentile_us(101)
 
-    def test_reservoir_is_bounded(self):
-        counters = LatencyCounters(reservoir_size=100, seed=1)
-        for _ in range(10_000):
-            counters.add(True, 250e-6)
-        assert counters.memory_samples == 100
-
-    def test_reservoir_approximates_full_distribution(self):
+    def test_percentiles_within_sketch_envelope(self):
+        """The PA percentiles sit inside the sketch's documented envelope
+        of the exact nearest-rank window percentiles."""
         rng = np.random.default_rng(7)
-        samples = rng.lognormal(np.log(250e-6), 0.5, 50_000)
-        counters = LatencyCounters(reservoir_size=4096, seed=2)
-        for rtt in samples:
-            counters.add(True, float(rtt))
-        true_p50 = float(np.percentile(samples, 50)) * 1e6
-        assert counters.percentile_us(50) == pytest.approx(true_p50, rel=0.05)
+        rtts_s = rng.lognormal(np.log(250e-6), 0.5, 50_000)
+        signature = rng.random(rtts_s.size)
+        rtts_s[signature < 0.01] += 3.0
+        rtts_s[signature < 0.003] += 6.0  # 9 s in all
+        counters = LatencyCounters()
+        counters.add_many((True, float(rtt)) for rtt in rtts_s[:5_000])
+        counters.add_class_round(0, rtts_s[5_000:])
+        a = counters.sketch.relative_accuracy
+        for q in (50, 99, 99.9):
+            lower = float(np.percentile(rtts_s, q, method="lower")) * 1e6
+            upper = float(np.percentile(rtts_s, q, method="higher")) * 1e6
+            assert lower * (1 - a) <= counters.percentile_us(q) <= upper * (1 + a)
 
-    def test_invalid_reservoir_size(self):
-        with pytest.raises(ValueError):
-            LatencyCounters(reservoir_size=0)
+    @pytest.mark.parametrize("max_buckets", [2048, 64])
+    def test_memory_is_bounded(self, max_buckets):
+        """10^6 probes spread over 1 µs .. 20 s never hold more than
+        ``max_buckets`` sketch buckets, whatever the cap."""
+        rng = np.random.default_rng(1)
+        counters = LatencyCounters(max_buckets=max_buckets)
+        for _ in range(100):
+            counters.add_class_round(3, 10 ** rng.uniform(-6, 1.3, 10_000))
+            assert counters.sketch.memory_buckets <= max_buckets
+        assert counters.probes_total == 100 * 10_003
+
+    def test_merging_two_windows_is_exact(self):
+        """Two windows merged are the one window fed both — counts, every
+        bucket, and so every percentile."""
+        rng = np.random.default_rng(3)
+        first = rng.lognormal(np.log(250e-6), 0.5, 6_000)
+        second = np.concatenate(
+            [rng.lognormal(np.log(2e-3), 1.0, 9_000), 3.0 + first[:40], 9.0 + first[:9]]
+        )
+        a, b, both = LatencyCounters(), LatencyCounters(), LatencyCounters()
+        a.add_class_round(5, first)
+        b.add_class_round(11, second)
+        both.add_class_round(5, first)
+        both.add_class_round(11, second)
+        a.merge(b)
+        assert _counts(a) == _counts(both)
+        assert a.sketch.buckets == both.sketch.buckets
+        assert a.snapshot() == both.snapshot()
 
 
 class TestWindows:
@@ -105,6 +176,8 @@ class TestWindows:
         counters.add(False, 21.0)
         counters.reset_window()
         assert counters.probes_total == 0
+        assert _counts(counters) == (0, 0, 0, 0)
+        assert counters.sketch.memory_buckets == 0
         assert counters.drop_rate() == 0.0
         assert counters.percentile_us(50) is None
 
@@ -142,7 +215,7 @@ class TestWindows:
     def test_drop_rate_bounded(self, rtts):
         """Property: the heuristic never exceeds 1 for sub-3s RTTs mixed
         with signature RTTs."""
-        counters = LatencyCounters(reservoir_size=64)
+        counters = LatencyCounters()
         for rtt in rtts:
             counters.add(True, rtt)
         assert 0.0 <= counters.drop_rate() <= 1.0

@@ -157,7 +157,7 @@ class TestDistributionParity:
         """A fast agent and a scalar agent over identical worlds produce
         the same record count, schema, and matching counter stats."""
         outputs = {}
-        for use_fast in (True, False):
+        for round_mode in ("fast", "scalar"):
             fabric = _fabric(seed=9)
             controller = PingmeshControllerService(fabric.topology, n_replicas=2)
             controller.regenerate()
@@ -166,17 +166,17 @@ class TestDistributionParity:
             uploader = ResultUploader(store, server_id)
             agent = PingmeshAgent(
                 server_id, fabric, controller, uploader,
-                config=AgentConfig(use_fast_path=use_fast),
+                config=AgentConfig(round_mode=round_mode),
             )
             agent.start(now=0.0)
             agent.refresh_pinglist(t=0.0)
             launched = sum(
                 agent.run_probe_round(t=30.0 * (r + 1)) for r in range(5)
             )
-            outputs[use_fast] = (launched, agent.uploader.buffered_records,
+            outputs[round_mode] = (launched, agent.uploader.buffered_records,
                                  agent.counters.probes_total)
 
-        assert outputs[True] == outputs[False]
+        assert outputs["fast"] == outputs["scalar"]
 
     def test_record_schema_identical_across_engines(self):
         from repro.core.dsa.records import make_record, make_records

@@ -9,7 +9,10 @@ from repro.core.dsa.scope_jobs import (
     job_scope_drop_rates,
     window_rows,
 )
+from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.cosmos.store import CosmosStore
+from repro.netsim.scenarios import apply_scenario
+from repro.netsim.topology import TopologySpec
 
 
 def _record(t, src_pod, dst_pod, rtt_us=250.0, success=True, dc=0):
@@ -102,3 +105,44 @@ class TestDropRateJobs:
         rows = job_dc_drop_table(store, 0.0, 600.0, ["only-one"])
         names = {row["dc_name"] for row in rows}
         assert "dc3" in names
+
+
+class TestOneDropCutoff:
+    """§4.2 has one cut-off — a successful probe counts as a drop from the
+    3 s SYN signature (``netsim.tcp``) — where the pod-pair and inter-DC
+    jobs used to start counting at 2.5 s."""
+
+    def test_slow_probe_below_the_signature_is_not_a_drop(self, store):
+        store.append(LATENCY_STREAM, [_record(40.0, 0, 1, rtt_us=2.7e6)], t=600.0)
+        rows = job_podpair_latency(store, 0.0, 600.0)
+        row = next(r for r in rows if r["src_pod"] == 0 and r["dst_pod"] == 1)
+        assert row["drop_rate"] == pytest.approx(1 / 12)
+        # ... which is what the scope job reads from the same rows.
+        scope_row = job_scope_drop_rates(store, 0.0, 600.0)[0]
+        assert scope_row["inter_pod_drop_rate"] == pytest.approx(1 / 122)
+
+    def test_no_simulated_rtt_lies_between_the_two_cutoffs(self):
+        """256 servers, one silent spine, one round: retransmissions show
+        up at 3 s and beyond, nothing successful lands in [2.5 s, 3 s) —
+        so moving the jobs to the one cut-off moved no job output."""
+        system = PingmeshSystem(
+            PingmeshSystemConfig(
+                specs=(
+                    TopologySpec(
+                        n_podsets=4, pods_per_podset=4, servers_per_pod=16, n_spines=4
+                    ),
+                ),
+                seed=5,
+            )
+        )
+        system.start()
+        apply_scenario("silent-spine", system.fabric)
+        for agent in system.agents.values():
+            agent.run_probe_round(10.0)
+            agent.uploader.flush(10.0)
+        ok_rtts = [
+            row["rtt_us"] for row in system.store.read(LATENCY_STREAM) if row["success"]
+        ]
+        assert len(ok_rtts) > 5000
+        assert any(rtt >= 3e6 for rtt in ok_rtts)
+        assert not [rtt for rtt in ok_rtts if 2.5e6 <= rtt < 3e6]

@@ -127,14 +127,6 @@ class TestShardedParity:
         assert all(r["src"].startswith("shard:") for r in records)
         assert all(r["src_pod"] == -1 for r in records)
 
-    def test_fleet_counters_roll_up(self):
-        system = _system()
-        fleet = ShardedFleet(system)
-        launched = fleet.run_round(0.0)
-        merged = fleet.fleet_counters()
-        assert merged.probes_total == launched
-        assert merged.percentile_us(50) is not None
-
 
 class TestShardedGrowth:
     def test_growth_adds_shards_and_probes(self):
