@@ -18,12 +18,14 @@ property tests and the fast/scalar parity tests), then
 correctness tier (sketch/aggregator/ingest/detector property tests and the
 batch-parity integration gate), then ``bench_stream`` (ingest throughput,
 the ≥50× detection-latency gate, constant sketch memory), and writes
-``BENCH_stream.json``.  The ``scale`` suite first runs the class-round and
-sharded-fleet correctness tier, then ``bench_scale`` (a simulated
-10-minute window inside a wall-clock budget at 1k/4k/16k/64k servers, the
-≥3x class-rounds-over-fast-path gate at 4k, plus the process-vs-thread
-executor ratio at 16k — gated ≥2x on ≥4-CPU machines), and writes
-``BENCH_scale.json``.  The ``wan`` suite first runs the inter-DC
+``BENCH_stream.json``.  The ``scale`` suite first runs the class-round,
+sharded-fleet and cold-start lock-step correctness tier, then
+``bench_scale`` (a cold start — construct, fleet start, first round —
+inside a wall-clock budget at 4k/16k servers with peak RSS recorded, a
+simulated 10-minute window inside a wall-clock budget at 1k/4k/16k/64k
+servers, the ≥3x class-rounds-over-fast-path gate at 4k, plus the
+process-vs-thread executor ratio at 16k — gated ≥2x on ≥4-CPU machines),
+and writes ``BENCH_scale.json``.  The ``wan`` suite first runs the inter-DC
 correctness tier (``tests/netsim/test_wan_tier.py`` — directional WAN
 latency, WAN fault kinds, three-rung parity, cache invalidation), then
 ``bench_wan`` (the 4-DC latency/drop envelopes, class-group drop parity,
@@ -108,13 +110,15 @@ STREAM_CORRECTNESS_TIER = [
 ]
 # The scale suite's budgets mean nothing unless class rounds match the
 # per-pair engines, sharded execution conserves probes exactly, every
-# executor is bit-identical, and the lazy controller serves eager bytes.
+# executor is bit-identical, the lazy controller serves eager bytes, and
+# per-pod pinglists and class plans equal the per-server enumeration.
 SCALE_CORRECTNESS_TIER = [
     "tests/netsim/test_class_rounds.py",
     "tests/core/test_fast_path_parity.py",
     "tests/core/test_sharded_fleet.py",
     "tests/core/test_executor_property.py",
     "tests/core/test_lazy_generation.py",
+    "tests/core/test_cold_start_lockstep.py",
 ]
 # The WAN envelopes mean nothing unless directional latency, WAN faults
 # and the three probing rungs agree on the inter-DC tier.

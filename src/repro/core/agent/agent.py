@@ -400,7 +400,9 @@ class PingmeshAgent(SharedService):
 
         A pinglist is an immutable snapshot from the controller, so the
         partition into VIP work and fast-path entries is computed once per
-        pinglist object instead of once per round.
+        pinglist object instead of once per round.  The triples and tags
+        themselves belong to the (interned) entries: agents probing the
+        same peer hold the same two tuples, not a pair each.
         """
         plan = self._round_plan
         if plan is not None and plan[0] is self.pinglist:
@@ -408,19 +410,19 @@ class PingmeshAgent(SharedService):
         vip_entries: list = []
         probe_entries: list[tuple[str, int, int]] = []
         tags: list[tuple[str, str]] = []
-        parameters = self.pinglist.parameters
+        port_for = self.pinglist.parameters.port_for
+        clamp_payload = self.safety.clamp_payload
         for entry in self.pinglist.entries:
             if entry.purpose == "vip":
                 vip_entries.append(entry)
                 continue
             probe_entries.append(
-                (
-                    entry.peer_id,
-                    parameters.port_for(entry.qos, entry.purpose),
-                    self.safety.clamp_payload(entry.payload_bytes),
+                entry.probe_entry(
+                    port_for(entry.qos, entry.purpose),
+                    clamp_payload(entry.payload_bytes),
                 )
             )
-            tags.append((entry.purpose, entry.qos))
+            tags.append(entry.tag)
         self._round_plan = (self.pinglist, vip_entries, probe_entries, tags)
         return vip_entries, probe_entries, tags
 

@@ -21,6 +21,15 @@ it with an 800–1200 B echo, and VIPs can be added as extra targets.
 probes of a server" — ``max_peers_per_server`` trims lowest-priority entries
 first.  Even when two servers appear in each other's pinglists, each
 measures independently (both directions are generated).
+
+The graphs are complete graphs over *pods*, and so is the computation:
+every server of a pod shares its pod-mates and, up to its host index, its
+peer pods — before and after the threshold, whose verdict depends only on
+how many entries each level contributes.  :class:`_PodSlots` is that
+shared structure, worked out once per pod; a server's pinglist is read off
+it by host index, from interned entries.  Enumerating the same graph per
+server (647,168 candidate entries to keep 262,144 at 4,096 servers, 8.9 M
+for 1.05 M at 16k) was most of a fleet's cold start.
 """
 
 from __future__ import annotations
@@ -65,16 +74,66 @@ class GeneratorConfig:
             )
 
 
+@dataclass(frozen=True)
+class _PodSlots:
+    """One pod's pinglist after the threshold, up to the host index."""
+
+    intra: tuple[PinglistEntry, ...]  # the pod's own column
+    # Kept positions among a server's pod-mates (the column minus itself).
+    intra_kept: tuple[int, ...]
+    # Then, in order: a column to index by host, or an entry all share.
+    rest: tuple
+
+    def entries_for(self, host: int) -> tuple[PinglistEntry, ...]:
+        intra = self.intra
+        entries = [intra[p + (p >= host)] for p in self.intra_kept]
+        entries.extend(
+            slot if isinstance(slot, PinglistEntry) else slot[host]
+            for slot in self.rest
+        )
+        return tuple(entries)
+
+
+class _DcMemo:
+    """What one DC's pinglists are built from; dropped whole when it changes."""
+
+    __slots__ = ("columns", "slots", "servers", "inter_dc")
+
+    def __init__(self) -> None:
+        # (pod, purpose, qos, payload) -> the pod's servers as entries, by
+        # host index: every distinct entry of the DC, one object each.
+        self.columns: dict[tuple, tuple[PinglistEntry, ...]] = {}
+        # (pod, probes across DCs?) -> the pod's kept slots
+        self.slots: dict[tuple[int, bool], _PodSlots] = {}
+        # server_id -> post-threshold entries (what ``entries_computed`` counts)
+        self.servers: dict[str, tuple[PinglistEntry, ...]] = {}
+        # (ids of this DC's inter-DC probers, the entries each of them adds)
+        self.inter_dc: tuple[frozenset, tuple[PinglistEntry, ...]] | None = None
+
+    def drop_inter_dc(self, server_ids) -> None:
+        """Forget everything built from a selection that has since moved."""
+        self.inter_dc = None
+        for key in [key for key in self.slots if key[1]]:
+            del self.slots[key]
+        for server_id in server_ids:
+            self.servers.pop(server_id, None)
+
+
 class PingmeshGenerator:
     """Computes every server's pinglist from the topology.
 
-    Entry lists are memoized per server across generations: a generation
-    bump alone (kill-switch lift, config-free regenerate) re-stamps cached
-    entries into fresh XML without recomputing the graph, and a topology
-    delta invalidates only the servers it actually dirties (the changed
-    DCs, plus inter-DC participants when the frozen selection moves).
-    ``entries_computed`` counts real graph computations — the controller's
-    O(changed) refresh claim is asserted against it.
+    The graph is computed per *pod*, not per server: a :class:`_PodSlots`
+    holds what the three levels plus the §6.2 extras leave after the
+    threshold, and a server's list is instantiated from it by host index
+    out of interned :class:`PinglistEntry` objects (one per distinct peer,
+    purpose, QoS class and payload).  Slots, entry columns and the
+    per-server tuples live in one memo per DC: a generation bump alone
+    (kill-switch lift, config-free regenerate) re-stamps memoized entries
+    into fresh XML without recomputing anything, and a topology delta
+    drops only the DCs it dirties (plus, when the frozen inter-DC
+    selection moves, what was built from the old one).
+    ``entries_computed`` counts the server lists actually instantiated —
+    the controller's O(changed) refresh claim is asserted against it.
     """
 
     def __init__(
@@ -83,27 +142,32 @@ class PingmeshGenerator:
         self.topology = topology
         self.config = config or GeneratorConfig()
         self.entries_computed = 0
-        # dc_index -> server_id -> post-threshold entry list
-        self._entry_cache: dict[int, dict[str, list[PinglistEntry]]] = {}
-        self._cached_config: GeneratorConfig | None = self.config
+        self._memo: dict[int, _DcMemo] = {}  # by dc_index
+        self._cached_config: GeneratorConfig | None = None
         # dc_index -> ((device_id, ip), ...): the inter-DC selection frozen
         # at regeneration time, so a GET-time (lazy) computation cannot see
         # a different liveness view than an eager regenerate would have.
         self._inter_dc_frozen: dict[int, tuple] | None = None
+        self._adopt_config()
 
     # -- cache maintenance ------------------------------------------------------
 
+    def _adopt_config(self) -> None:
+        """A swapped config invalidates everything derived from the old one
+        (and brings its one, shared :class:`PingParameters`)."""
+        if self.config is not self._cached_config:
+            self._cached_config = self.config
+            self._parameters = PingParameters(
+                probe_interval_s=self.config.probe_interval_s
+            )
+            self.invalidate_all()
+
     def invalidate_all(self) -> None:
-        self._entry_cache.clear()
+        self._memo.clear()
 
     def invalidate_dcs(self, dc_indices) -> None:
         for index in dc_indices:
-            self._entry_cache.pop(index, None)
-
-    def invalidate_servers(self, server_ids) -> None:
-        for dc_cache in self._entry_cache.values():
-            for server_id in server_ids:
-                dc_cache.pop(server_id, None)
+            self._memo.pop(index, None)
 
     def _inter_dc_live(self) -> dict[int, tuple]:
         return {
@@ -142,19 +206,17 @@ class PingmeshGenerator:
         ``changed_dcs=None`` means "unknown delta" and clears everything
         (safe default); an explicit iterable — possibly empty, e.g. a pure
         generation bump when the kill switch lifts — clears only those
-        DCs' servers plus any inter-DC participants the refreshed
-        selection snapshot moved.
+        DCs' memos plus what the refreshed selection snapshot moved.
         """
-        if self.config is not self._cached_config:
-            self._cached_config = self.config
-            self.invalidate_all()
+        self._adopt_config()
         if changed_dcs is None:
             self.invalidate_all()
         else:
             self.invalidate_dcs(changed_dcs)
         moved = self.refresh_inter_dc_snapshot()
         if moved:
-            self.invalidate_servers(moved)
+            for memo in self._memo.values():
+                memo.drop_inter_dc(moved)
 
     # -- selection helpers ------------------------------------------------------
 
@@ -182,156 +244,142 @@ class PingmeshGenerator:
     ) -> Pinglist:
         """Generate the pinglist of one server (memoized entry graph)."""
         server = self.topology.server(server_id)
-        if self.config is not self._cached_config:
-            self._cached_config = self.config
-            self.invalidate_all()
-        dc_cache = self._entry_cache.setdefault(server.dc_index, {})
-        entries = dc_cache.get(server.device_id)
+        self._adopt_config()
+        memo = self._memo.get(server.dc_index)
+        if memo is None:
+            memo = self._memo[server.dc_index] = _DcMemo()
+        entries = memo.servers.get(server.device_id)
         if entries is None:
-            entries = self._compute_entries(server)
-            dc_cache[server.device_id] = entries
+            entries = memo.servers[server.device_id] = self._pod_slots(
+                memo, server
+            ).entries_for(server.host_index)
             self.entries_computed += 1
         return Pinglist(
             server_id=server.device_id,
             generation=generation,
             generated_at=t,
-            parameters=PingParameters(probe_interval_s=self.config.probe_interval_s),
+            parameters=self._parameters,
             entries=entries,
         )
 
-    def _compute_entries(self, server) -> list[PinglistEntry]:
-        """The three-level graph for one server, post-threshold."""
-        dc = self.topology.dc(server.dc_index)
+    def _column(
+        self,
+        memo: _DcMemo,
+        dc: ClosTopology,
+        pod: int,
+        purpose: str,
+        qos: str = "high",
+        payload_bytes: int = 0,
+    ) -> tuple[PinglistEntry, ...]:
+        """One pod's servers as entries of one kind, by host index."""
+        key = (pod, purpose, qos, payload_bytes)
+        column = memo.columns.get(key)
+        if column is None:
+            column = memo.columns[key] = tuple(
+                PinglistEntry.interned(
+                    peer.device_id, str(peer.ip), purpose, qos, payload_bytes
+                )
+                for peer in dc.servers_in_pod(pod)
+            )
+        return column
+
+    def _inter_dc(
+        self, memo: _DcMemo, dc_index: int
+    ) -> tuple[frozenset, tuple[PinglistEntry, ...]]:
+        """Level 3: who in this DC probes across DCs, and whom.
+
+        The frozen regeneration-time snapshot wins over a live
+        computation: liveness may have drifted between regenerate and this
+        (lazy) GET, and eager/lazy byte parity requires one consistent view.
+        """
+        if memo.inter_dc is None:
+            selection = self._inter_dc_frozen or self._inter_dc_live()
+            memo.inter_dc = (
+                frozenset(sid for sid, _ip in selection.get(dc_index, ())),
+                tuple(
+                    PinglistEntry.interned(peer_id, peer_ip, "inter-dc")
+                    for other in self.topology.dcs
+                    if other.dc_index != dc_index
+                    for peer_id, peer_ip in selection.get(other.dc_index, ())
+                ),
+            )
+        return memo.inter_dc
+
+    def _pod_slots(self, memo: _DcMemo, server) -> _PodSlots:
+        """The three-level graph for the server's pod, post-threshold.
+
+        Pods of one DC are all ``servers_per_pod`` wide (built and grown
+        from one spec), so "server i in ToRx pings server i in ToRy" finds
+        a peer in every other pod and the level sizes the threshold sees
+        are the pod's, not the server's.
+        """
         config = self.config
-        entries: list[PinglistEntry] = []
+        inter_dc: tuple[PinglistEntry, ...] = ()
+        if len(self.topology.dcs) > 1:
+            selected, targets = self._inter_dc(memo, server.dc_index)
+            if server.device_id in selected:
+                inter_dc = targets
+        key = (server.pod_index, bool(inter_dc))
+        slots = memo.slots.get(key)
+        if slots is not None:
+            return slots
 
-        # Level 1: intra-pod complete graph.
-        for peer in dc.servers_in_pod(server.pod_index):
-            if peer.device_id != server.device_id:
-                entries.append(
-                    PinglistEntry(
-                        peer_id=peer.device_id,
-                        peer_ip=str(peer.ip),
-                        purpose="intra-pod",
-                    )
-                )
-
-        # Level 2: ToR-level complete graph — "server i in ToRx pings
-        # server i in ToRy".
-        tor_level: list[PinglistEntry] = []
-        for pod in range(dc.spec.n_pods):
-            if pod == server.pod_index:
-                continue
-            peers = dc.servers_in_pod(pod)
-            if server.host_index < len(peers):
-                peer = peers[server.host_index]
-                tor_level.append(
-                    PinglistEntry(
-                        peer_id=peer.device_id,
-                        peer_ip=str(peer.ip),
-                        purpose="tor-level",
-                    )
-                )
-        entries.extend(tor_level)
-
+        dc = self.topology.dc(server.dc_index)
+        pod = server.pod_index
+        others = [other for other in range(dc.spec.n_pods) if other != pod]
+        # (priority, slot), in pinglist order.  Level 1: the intra-pod
+        # complete graph, as positions among the server's pod-mates.
+        leveled: list[tuple[int, object]] = [
+            (0, position) for position in range(dc.spec.servers_per_pod - 1)
+        ]
+        # Level 2: the ToR-level complete graph, one column per peer pod.
+        leveled += [(1, self._column(memo, dc, other, "tor-level")) for other in others]
         # §6.2 QoS extension: the ToR-level graph again, low priority class.
         if config.enable_qos_low:
-            entries.extend(
-                PinglistEntry(
-                    peer_id=entry.peer_id,
-                    peer_ip=entry.peer_ip,
-                    purpose=entry.purpose,
-                    qos="low",
-                )
-                for entry in tor_level
-            )
-
+            leveled += [
+                (4, self._column(memo, dc, other, "tor-level", "low"))
+                for other in others
+            ]
         # §4.1 payload pings: every Nth ToR-level peer also gets a payload
         # probe, to catch length-dependent drops (FCS/SerDes errors).
         if config.payload_every_nth_peer > 0:
-            entries.extend(
-                PinglistEntry(
-                    peer_id=entry.peer_id,
-                    peer_ip=entry.peer_ip,
-                    purpose=entry.purpose,
-                    qos=entry.qos,
-                    payload_bytes=config.payload_bytes,
-                )
-                for entry in tor_level[:: config.payload_every_nth_peer]
-            )
-
-        # Level 3: inter-DC complete graph over selected servers.  The
-        # frozen regeneration-time snapshot wins over a live computation:
-        # liveness may have drifted between regenerate and this (lazy) GET,
-        # and eager/lazy byte parity requires one consistent view.
-        if len(self.topology.dcs) > 1:
-            frozen = self._inter_dc_frozen
-            if frozen:
-                my_selection = {
-                    sid for sid, _ip in frozen.get(server.dc_index, ())
-                }
-                if server.device_id in my_selection:
-                    for other_dc in self.topology.dcs:
-                        if other_dc.dc_index == server.dc_index:
-                            continue
-                        for peer_id, peer_ip in frozen.get(
-                            other_dc.dc_index, ()
-                        ):
-                            entries.append(
-                                PinglistEntry(
-                                    peer_id=peer_id,
-                                    peer_ip=peer_ip,
-                                    purpose="inter-dc",
-                                )
-                            )
-            else:
-                my_selection = {s.device_id for s in self.inter_dc_selection(dc)}
-                if server.device_id in my_selection:
-                    for other_dc in self.topology.dcs:
-                        if other_dc.dc_index == server.dc_index:
-                            continue
-                        for peer in self.inter_dc_selection(other_dc):
-                            entries.append(
-                                PinglistEntry(
-                                    peer_id=peer.device_id,
-                                    peer_ip=str(peer.ip),
-                                    purpose="inter-dc",
-                                )
-                            )
-
+            payload = config.payload_bytes
+            leveled += [
+                (4, self._column(memo, dc, other, "tor-level", "high", payload))
+                for other in others[:: config.payload_every_nth_peer]
+            ]
+        # Level 3: the inter-DC complete graph over selected servers.
+        leveled += [(2, entry) for entry in inter_dc]
         # §6.2 VIP monitoring: extra logical targets.
-        entries.extend(
-            PinglistEntry(peer_id=vip, peer_ip=vip, purpose="vip")
-            for vip in config.vip_targets
+        leveled += [
+            (3, PinglistEntry.interned(vip, vip, "vip")) for vip in config.vip_targets
+        ]
+
+        kept = self._apply_threshold(leveled)
+        slots = memo.slots[key] = _PodSlots(
+            intra=self._column(memo, dc, pod, "intra-pod"),
+            intra_kept=tuple(slot for priority, slot in kept if priority == 0),
+            rest=tuple(slot for priority, slot in kept if priority != 0),
         )
+        return slots
 
-        return self._apply_threshold(entries)
-
-    def _apply_threshold(self, entries: list[PinglistEntry]) -> list[PinglistEntry]:
+    def _apply_threshold(
+        self, leveled: list[tuple[int, object]]
+    ) -> list[tuple[int, object]]:
         """Trim to ``max_peers_per_server``, dropping lowest priority first.
 
-        Priority: intra-pod > tor-level (high qos) > inter-dc > vip >
-        low-qos / payload duplicates.  Within a class, a deterministic
-        stride-sample keeps coverage spread rather than truncating a prefix.
+        Priority: intra-pod (0) > tor-level at high qos (1) > inter-dc (2)
+        > vip (3) > low-qos / payload duplicates (4).  Within a level, a
+        deterministic stride-sample keeps coverage spread rather than
+        truncating a prefix.
         """
         limit = self.config.max_peers_per_server
-        if len(entries) <= limit:
-            return entries
-
-        def priority(entry: PinglistEntry) -> int:
-            if entry.qos == "low" or entry.payload_bytes > 0:
-                return 4
-            return {
-                "intra-pod": 0,
-                "tor-level": 1,
-                "inter-dc": 2,
-                "vip": 3,
-            }[entry.purpose]
-
-        buckets: dict[int, list[PinglistEntry]] = {}
-        for entry in entries:
-            buckets.setdefault(priority(entry), []).append(entry)
-        kept: list[PinglistEntry] = []
+        if len(leveled) <= limit:
+            return leveled
+        buckets: dict[int, list[tuple[int, object]]] = {}
+        for pair in leveled:
+            buckets.setdefault(pair[0], []).append(pair)
+        kept: list[tuple[int, object]] = []
         for level in sorted(buckets):
             room = limit - len(kept)
             if room <= 0:

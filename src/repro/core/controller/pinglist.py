@@ -10,12 +10,27 @@ A pinglist carries the peers one server must probe, each tagged with the
 level of the complete-graph design it came from (intra-pod, ToR-level,
 inter-DC, or VIP monitoring) and a QoS class, plus the ping parameters
 (probe interval, payload size, destination ports per class).
+
+The XML stays the only contract in-process too, and it is kept cheap by
+structure rather than bypassed.  §3.3.1's graphs repeat one peer in many
+pinglists (4,096 servers with 64 peers each name 8,192 distinct entries),
+so entries are immutable and *interned*: :meth:`PinglistEntry.interned`
+hands out one object per distinct value for as long as any pinglist holds
+it, the generator and the parser both go through it, and an entry renders
+its ``<Peer/>`` element once (:attr:`PinglistEntry.xml`).  ``to_xml`` joins
+those fragments behind a per-:class:`PingParameters` head — byte for byte
+what ``xml.etree.ElementTree`` would write, which
+``tests/core/test_pinglist.py`` keeps as the reference renderer — and
+``from_xml`` still parses every byte and validates every entry it has not
+already validated under the same attribute values.
 """
 
 from __future__ import annotations
 
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = ["PingParameters", "PinglistEntry", "Pinglist", "PinglistParseError"]
 
@@ -23,6 +38,20 @@ __all__ = ["PingParameters", "PinglistEntry", "Pinglist", "PinglistParseError"]
 VALID_PURPOSES = ("intra-pod", "tor-level", "inter-dc", "vip")
 # QoS classes introduced for DSCP-differentiated probing (§6.2).
 VALID_QOS = ("high", "low")
+
+
+# ElementTree's attribute escaping, as one translation table.
+_ATTRIBUTE_ESCAPES = str.maketrans(
+    {
+        "&": "&amp;",
+        "<": "&lt;",
+        ">": "&gt;",
+        '"': "&quot;",
+        "\r": "&#13;",
+        "\n": "&#10;",
+        "\t": "&#09;",
+    }
+)
 
 
 class PinglistParseError(Exception):
@@ -64,10 +93,29 @@ class PingParameters:
             return self.tcp_port_low
         raise ValueError(f"unknown qos class: {qos!r}")
 
+    @cached_property
+    def xml(self) -> str:
+        """The ``<Parameters>`` element, rendered once per object."""
+        return (
+            "<Parameters>"
+            f"<ProbeIntervalSeconds>{self.probe_interval_s!r}</ProbeIntervalSeconds>"
+            f"<PayloadBytes>{self.payload_bytes}</PayloadBytes>"
+            f"<TimeoutSeconds>{self.timeout_s!r}</TimeoutSeconds>"
+            f"<TcpPortHigh>{self.tcp_port_high}</TcpPortHigh>"
+            f"<TcpPortLow>{self.tcp_port_low}</TcpPortLow>"
+            f"<VipServicePort>{self.vip_service_port}</VipServicePort>"
+            "</Parameters>"
+        )
+
 
 @dataclass(frozen=True)
 class PinglistEntry:
-    """One peer to probe."""
+    """One peer to probe.
+
+    Immutable, so one object can stand in every pinglist that names the
+    peer: what is derived from the fields alone (:attr:`xml`, :attr:`tag`)
+    is computed once per object and shared with it.
+    """
 
     peer_id: str
     peer_ip: str
@@ -83,16 +131,78 @@ class PinglistEntry:
         if self.payload_bytes < 0:
             raise ValueError(f"payload must be >= 0: {self.payload_bytes}")
 
+    @classmethod
+    def interned(
+        cls,
+        peer_id: str,
+        peer_ip: str,
+        purpose: str = "tor-level",
+        qos: str = "high",
+        payload_bytes: int = 0,
+    ) -> "PinglistEntry":
+        """The one shared entry with these values, validated when created.
+
+        A hit returns an object that passed ``__post_init__`` under equal
+        values, so interning never admits what construction would reject.
+        """
+        key = (peer_id, peer_ip, purpose, qos, payload_bytes)
+        entry = _INTERNED.get(key)
+        if entry is None:
+            entry = _INTERNED[key] = cls(*key)
+        return entry
+
+    @cached_property
+    def xml(self) -> str:
+        """The ``<Peer/>`` element, rendered once per object."""
+        escapes = _ATTRIBUTE_ESCAPES
+        return (
+            f'<Peer id="{self.peer_id.translate(escapes)}"'
+            f' ip="{self.peer_ip.translate(escapes)}"'
+            f' purpose="{self.purpose}" qos="{self.qos}"'
+            f' payloadBytes="{self.payload_bytes}" />'
+        )
+
+    @cached_property
+    def tag(self) -> tuple[str, str]:
+        """``(purpose, qos)``, as probe rounds label their results."""
+        return (self.purpose, self.qos)
+
+    def probe_entry(self, port: int, payload_bytes: int) -> tuple[str, int, int]:
+        """``(peer_id, port, payload_bytes)``, as the probe engines take it.
+
+        The last triple built is kept, so every agent probing this entry
+        under one configuration holds the same tuple.
+        """
+        kept = self.__dict__.get("_probe_entry")
+        if kept is None or kept[1] != port or kept[2] != payload_bytes:
+            kept = self.__dict__["_probe_entry"] = (self.peer_id, port, payload_bytes)
+        return kept
+
+
+# Weak-valued: an entry lives exactly as long as a pinglist (or a generator
+# memo) holds it, so the table cannot grow across systems or generations.
+_INTERNED: "weakref.WeakValueDictionary[tuple, PinglistEntry]" = (
+    weakref.WeakValueDictionary()
+)
+
 
 @dataclass
 class Pinglist:
-    """A full pinglist for one server."""
+    """A full pinglist for one server.
+
+    ``entries`` is a tuple: the generator's memo, every replica's rendering
+    and every agent's parse of a generation share entry objects (and the
+    memo shares the tuple itself), so nothing a holder does may alter it.
+    """
 
     server_id: str
     generation: int
     generated_at: float
     parameters: PingParameters = field(default_factory=PingParameters)
-    entries: list[PinglistEntry] = field(default_factory=list)
+    entries: tuple[PinglistEntry, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.entries = tuple(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -105,39 +215,17 @@ class Pinglist:
     # -- XML serialization ---------------------------------------------------
 
     def to_xml(self) -> str:
-        root = ET.Element(
-            "Pinglist",
-            {
-                "server": self.server_id,
-                "generation": str(self.generation),
-                "generatedAt": repr(self.generated_at),
-            },
+        escapes = _ATTRIBUTE_ESCAPES
+        head = (
+            f'<Pinglist server="{self.server_id.translate(escapes)}"'
+            f' generation="{str(self.generation).translate(escapes)}"'
+            f' generatedAt="{repr(self.generated_at).translate(escapes)}">'
+            f"{self.parameters.xml}"
         )
-        params = ET.SubElement(root, "Parameters")
-        ET.SubElement(params, "ProbeIntervalSeconds").text = repr(
-            self.parameters.probe_interval_s
-        )
-        ET.SubElement(params, "PayloadBytes").text = str(self.parameters.payload_bytes)
-        ET.SubElement(params, "TimeoutSeconds").text = repr(self.parameters.timeout_s)
-        ET.SubElement(params, "TcpPortHigh").text = str(self.parameters.tcp_port_high)
-        ET.SubElement(params, "TcpPortLow").text = str(self.parameters.tcp_port_low)
-        ET.SubElement(params, "VipServicePort").text = str(
-            self.parameters.vip_service_port
-        )
-        peers = ET.SubElement(root, "Peers")
-        for entry in self.entries:
-            ET.SubElement(
-                peers,
-                "Peer",
-                {
-                    "id": entry.peer_id,
-                    "ip": entry.peer_ip,
-                    "purpose": entry.purpose,
-                    "qos": entry.qos,
-                    "payloadBytes": str(entry.payload_bytes),
-                },
-            )
-        return ET.tostring(root, encoding="unicode")
+        if not self.entries:
+            return head + "<Peers /></Pinglist>"
+        peers = "".join([entry.xml for entry in self.entries])
+        return f"{head}<Peers>{peers}</Peers></Pinglist>"
 
     @classmethod
     def from_xml(cls, text: str) -> "Pinglist":
@@ -160,16 +248,18 @@ class Pinglist:
                 # Absent in pinglists from older controllers: keep the default.
                 vip_service_port=int(params_el.findtext("VipServicePort") or 80),
             )
-            entries = [
-                PinglistEntry(
-                    peer_id=peer.attrib["id"],
-                    peer_ip=peer.attrib["ip"],
-                    purpose=peer.attrib["purpose"],
-                    qos=peer.attrib["qos"],
-                    payload_bytes=int(peer.attrib.get("payloadBytes", "0")),
+            peers = root.find("Peers")
+            interned = PinglistEntry.interned
+            entries = tuple(
+                interned(
+                    peer.attrib["id"],
+                    peer.attrib["ip"],
+                    peer.attrib["purpose"],
+                    peer.attrib["qos"],
+                    int(peer.attrib.get("payloadBytes", "0")),
                 )
-                for peer in root.find("Peers") or []
-            ]
+                for peer in (peers if peers is not None else ())
+            )
             return cls(
                 server_id=root.attrib["server"],
                 generation=int(root.attrib["generation"]),

@@ -41,6 +41,11 @@ __all__ = [
     "PingmeshControllerService",
 ]
 
+# How much per-second request history the service keeps: the trailing hour,
+# which covers every recovery wave (refresh periods and backoff caps are
+# minutes) while a deployment that runs for months holds 3,600 counters.
+REQUEST_HISTORY_S = 3600
+
 
 class ControllerUnavailableError(Exception):
     """The controller VIP did not answer (connect failure)."""
@@ -150,8 +155,9 @@ class PingmeshControllerService:
         self.request_timeout_s = request_timeout_s
         self.generation = 0
         self.last_generated_t = 0.0
-        # Herd telemetry: requests per whole sim-second, used by the
-        # recovery-stampede invariant/bench to measure peak QPS.
+        # Herd telemetry: requests per whole sim-second over the trailing
+        # REQUEST_HISTORY_S, used by the recovery-stampede invariant/bench
+        # to measure peak QPS.
         self.requests_by_second: dict[int, int] = {}
 
     # -- generation ------------------------------------------------------------
@@ -245,8 +251,7 @@ class PingmeshControllerService:
         on a 404 — the two failures the agent's fail-closed logic
         distinguishes (§3.4.2).
         """
-        second = int(t)
-        self.requests_by_second[second] = self.requests_by_second.get(second, 0) + 1
+        self._count_request(int(t))
         self.slb.run_health_checks(t)
         tried: set[str] = set()
         last_exc: ControllerUnavailableError | None = None
@@ -293,6 +298,18 @@ class PingmeshControllerService:
         raise ControllerUnavailableError(
             f"no healthy backend behind {self.slb.vip}"
         )
+
+    def _count_request(self, second: int) -> None:
+        counts = self.requests_by_second
+        if second in counts:
+            counts[second] += 1
+            return
+        counts[second] = 1
+        # A new second opened: expire from the old end (insertion order is
+        # time order, the sim clock does not run backwards).
+        horizon = second - REQUEST_HISTORY_S
+        while (oldest := next(iter(counts))) < horizon:
+            del counts[oldest]
 
     # -- failure injection for tests/benches ------------------------------------------
 

@@ -9,10 +9,16 @@ driver that runs probe rounds a *shard* at a time:
 
 * a shard is one (dc, podset) — the unit the pinglist generator, the
   heatmap, and the stream plane's roll-ups already think in;
-* each shard's agents compile their pinglists into closed-form class plans
-  (:meth:`~repro.netsim.fabric.Fabric.build_class_plan`), merged into one
-  plan per shard — multinomial additivity makes the merge exact, so a
-  16k-server round is a few numpy draws per shard, not 16k array calls;
+* each shard compiles its agents' pinglists into one closed-form class
+  plan — multinomial additivity makes the merge exact, so a 16k-server
+  round is a few numpy draws per shard, not 16k array calls.  The compile
+  itself (:meth:`~repro.netsim.fabric.Fabric.build_class_plan`) runs once
+  per *pod*, not per agent: §3.3.1's pinglists give a pod's servers
+  rounds of one shape (the same destination pods, ports, payloads and
+  tags, position by position), every verdict of a compile is a function
+  of that shape and of which destinations are up, and so one agent's plan
+  serves as the template for its pod-mates — only who the members are is
+  re-read per agent (:func:`~repro.netsim.fabric.merge_class_plans`);
 * pairs the class engine cannot serve (faulted envelopes, payload probes,
   down endpoints) degrade to the per-pair fast path with full per-probe
   records, and VIP probes keep the scalar state machine, per agent;
@@ -141,7 +147,15 @@ class FleetShard:
         self._record_server_cache: dict = {}
         self.active: list[PingmeshAgent] = []  # probing agents on live hosts
         self._versions: tuple | None = None  # fleet version at last filter
-        self._plan_key: tuple | None = None
+        # What the plan was compiled from: the fabric generation and, per
+        # active agent, ``(pinglist, shape number, destinations)`` — the
+        # pinglist *object* is held, so ``is`` cannot be fooled by a
+        # recycled address, and what was derived from it is kept with it.
+        self._plan_version = -1
+        self._compiled_for: dict[str, tuple] = {}  # by server_id
+        # One number per distinct round shape seen (pods x pinglist
+        # variants), so a compile keys its templates on an int.
+        self._shape_numbers: dict[tuple, int] = {}
         self._plan: ClassRoundPlan | None = None
         self._passthrough: list = []  # (agent, entries, tags) with entries left
         self._vip_agents: list = []  # (agent, vip_entries)
@@ -165,29 +179,63 @@ class FleetShard:
                 for agent in self.agents
                 if agent.probing and topology.server(agent.server_id).is_up
             ]
-            key = (
-                system.fabric.state_version,
-                tuple(id(agent.pinglist) for agent in self.active),
-            )
-            if key != self._plan_key:
+            if not self._plan_current():
                 self._compile()
-                self._plan_key = key
             self._versions = versions
         return self._plan, self._passthrough, self._vip_agents
 
+    def _plan_current(self) -> bool:
+        """Was the plan compiled at this fabric generation, from exactly the
+        active agents' present pinglist objects?"""
+        held = self._compiled_for
+        if (
+            self._plan_version != self.fleet.system.fabric.state_version
+            or len(held) != len(self.active)
+        ):
+            return False
+        for agent in self.active:
+            kept = held.get(agent.server_id)
+            if kept is None or kept[0] is not agent.pinglist:
+                return False
+        return True
+
     def _compile(self) -> None:
+        """One ``build_class_plan`` per distinct (round shape, destination
+        liveness) among the active agents — on a healthy fleet, per pod —
+        and that plan as the template for every agent that shares it."""
         fabric = self.fleet.system.fabric
         passthrough: list = []
         vip_agents: list = []
+        templates: dict[tuple, ClassRoundPlan] = {}
         plans: list[ClassRoundPlan] = []
+        sources: list[tuple] = []
+        held = self._compiled_for
+        compiled_for: dict[str, tuple] = {}
+        shape_numbers = self._shape_numbers
         for agent in self.active:
             vip_entries, probe_entries, tags = agent._round_entries()
             if vip_entries:
                 vip_agents.append((agent, vip_entries))
+            kept = held.get(agent.server_id)
+            if kept is None or kept[0] is not agent.pinglist:
+                # Once per pinglist object, not per fabric generation.
+                shape, destinations = fabric.class_plan_shape(
+                    agent.server_id, probe_entries, tags
+                )
+                number = shape_numbers.setdefault(shape, len(shape_numbers))
+                kept = (agent.pinglist, number, destinations)
+            compiled_for[agent.server_id] = kept
             if not probe_entries:
                 continue
-            plan = fabric.build_class_plan(agent.server_id, probe_entries, tags)
+            _pinglist, number, destinations = kept
+            key = (number, tuple([server.is_up for server in destinations]))
+            plan = templates.get(key)
+            if plan is None:
+                plan = templates[key] = fabric.build_class_plan(
+                    agent.server_id, probe_entries, tags
+                )
             plans.append(plan)
+            sources.append((agent.server_id, probe_entries))
             if plan.passthrough:
                 passthrough.append(
                     (
@@ -196,7 +244,9 @@ class FleetShard:
                         [tags[i] for i in plan.passthrough],
                     )
                 )
-        self._plan = merge_class_plans(plans)
+        self._plan = merge_class_plans(plans, sources)
+        self._plan_version = fabric.state_version
+        self._compiled_for = compiled_for
         self._passthrough = passthrough
         self._vip_agents = vip_agents
 
@@ -366,7 +416,7 @@ class ShardedFleet:
                 self.shards[key] = FleetShard(self, key[0], key[1], agents)
             else:
                 shard.agents = agents
-                shard._versions = shard._plan_key = None  # membership changed
+                shard._versions = None  # membership changed
         self._agent_count = len(self.system.agents)
         self._agent_index = {sid: i for i, sid in enumerate(self.system.agents)}
 

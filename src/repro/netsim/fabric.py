@@ -215,6 +215,9 @@ class ClassRoundPlan:
     # ECMP candidates by member ordinal (mirroring the per-pair fast path's
     # per-probe increments at aggregate granularity).
     counter_increments: list[tuple]  # (SnmpCounters, packets per round)
+    # Parallel to ``groups``: the entry indices behind each group's members
+    # (with ``passthrough``, a partition of the round's entries).
+    member_indices: list[list[int]] = field(default_factory=list)
 
 
 @dataclass
@@ -266,14 +269,26 @@ class ClassLedger:
                 entry[1] += packets
 
 
-def merge_class_plans(plans: Sequence[ClassRoundPlan]) -> ClassRoundPlan:
-    """Merge per-agent class plans into one (e.g. per podset shard).
+def merge_class_plans(
+    plans: Sequence[ClassRoundPlan],
+    sources: Sequence[tuple[str, Sequence[ProbeEntry]]] | None = None,
+) -> ClassRoundPlan:
+    """Merge per-source class plans into one (e.g. per podset shard).
 
     Groups with identical (purpose, qos, class) keys concatenate their
     members — a sum of multinomials with the same parameters is the
     multinomial of the sum, so executing the merged plan is distributed
-    identically to executing the parts.  ``passthrough`` indices are
-    per-agent and do not survive the merge; callers keep those alongside.
+    identically to executing the parts.  ``passthrough`` and
+    ``member_indices`` are per-source and do not survive the merge; callers
+    keep those alongside.
+
+    ``sources``, when given, names the ``(src_id, entries)`` each plan
+    stands for, and makes the plan a *template*: compiled for another
+    source whose round has the same :meth:`Fabric.class_plan_shape` and
+    destination liveness, it equals this source's own plan except for who
+    the members are — which is read back from ``entries`` through
+    ``member_indices``.  One template may stand for many sources; its SNMP
+    increments then count once per source, folded in one pass.
     """
     if not plans:
         return ClassRoundPlan(
@@ -282,13 +297,18 @@ def merge_class_plans(plans: Sequence[ClassRoundPlan]) -> ClassRoundPlan:
         )
     version = plans[0].version
     groups: dict[tuple, ClassGroup] = {}
-    acc: dict[int, list] = {}
-    for plan in plans:
+    uses: dict[int, list] = {}  # id(plan) -> [plan, times listed]
+    for position, plan in enumerate(plans):
         if plan.version != version:
             raise ValueError(
                 f"cannot merge plans across generations: {plan.version} != {version}"
             )
-        for group in plan.groups:
+        use = uses.get(id(plan))
+        if use is None:
+            uses[id(plan)] = [plan, 1]
+        else:
+            use[1] += 1
+        for ordinal, group in enumerate(plan.groups):
             key = (
                 group.purpose, group.qos, group.dc_index, group.dst_dc,
                 group.scope, group.n_hops, group.wan_fwd, group.wan_rev,
@@ -296,7 +316,7 @@ def merge_class_plans(plans: Sequence[ClassRoundPlan]) -> ClassRoundPlan:
             )
             merged = groups.get(key)
             if merged is None:
-                groups[key] = ClassGroup(
+                merged = groups[key] = ClassGroup(
                     purpose=group.purpose,
                     qos=group.qos,
                     dc_index=group.dc_index,
@@ -307,17 +327,27 @@ def merge_class_plans(plans: Sequence[ClassRoundPlan]) -> ClassRoundPlan:
                     wan_rev=group.wan_rev,
                     wan_rtt=group.wan_rtt,
                     p_attempt=group.p_attempt,
-                    members=list(group.members),
+                    members=[],
                 )
-            else:
+            if sources is None:
                 merged.members.extend(group.members)
+            else:
+                src_id, entries = sources[position]
+                merged.members.extend(
+                    [
+                        (src_id, entries[index][0], entries[index][1])
+                        for index in plan.member_indices[ordinal]
+                    ]
+                )
+    acc: dict[int, list] = {}
+    for plan, times in uses.values():
         for counters, packets in plan.counter_increments:
             key = id(counters)
             entry = acc.get(key)
             if entry is None:
-                acc[key] = [counters, packets]
+                acc[key] = [counters, packets * times]
             else:
-                entry[1] += packets
+                entry[1] += packets * times
     merged_groups = list(groups.values())
     return ClassRoundPlan(
         version=version,
@@ -1068,7 +1098,7 @@ class Fabric:
         if tags is None:
             tags = [("tor-level", "high")] * len(entries)
         src_id = src_server.device_id
-        groups: dict[tuple, ClassGroup] = {}
+        groups: dict[tuple, tuple[ClassGroup, list[int]]] = {}  # + entry indices
         passthrough: list[int] = []
         counter_acc: dict[int, list] = {}
         for index, (dst_id, dst_port, payload_bytes) in enumerate(entries):
@@ -1086,23 +1116,28 @@ class Fabric:
             route = facts.route
             purpose, qos = tags[index]
             key = (purpose, qos, facts.class_key)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = ClassGroup(
-                    purpose=purpose,
-                    qos=qos,
-                    dc_index=src_server.dc_index,
-                    dst_dc=dst_server.dc_index,
-                    scope=route.scope,
-                    n_hops=route.n_hops,
-                    wan_fwd=route.wan_fwd,
-                    wan_rev=route.wan_rev,
-                    wan_rtt=route.wan_fwd + route.wan_rev,
-                    p_attempt=facts.p_attempt,
-                    members=[],
+            slot = groups.get(key)
+            if slot is None:
+                slot = groups[key] = (
+                    ClassGroup(
+                        purpose=purpose,
+                        qos=qos,
+                        dc_index=src_server.dc_index,
+                        dst_dc=dst_server.dc_index,
+                        scope=route.scope,
+                        n_hops=route.n_hops,
+                        wan_fwd=route.wan_fwd,
+                        wan_rev=route.wan_rev,
+                        wan_rtt=route.wan_fwd + route.wan_rev,
+                        p_attempt=facts.p_attempt,
+                        members=[],
+                    ),
+                    [],
                 )
-            ordinal = len(group.members)
+            group, indices = slot
+            ordinal = len(indices)
             group.members.append((src_id, dst_id, dst_port))
+            indices.append(index)
             # Representative forward path for SNMP accounting: ToRs are
             # fixed, ECMP tiers spread by member ordinal.
             hops = [route.src_tor]
@@ -1117,14 +1152,51 @@ class Fabric:
                     counter_acc[id(counters)] = [counters, 1]
                 else:
                     entry[1] += 1
-        merged_groups = list(groups.values())
+        merged_groups = [group for group, _indices in groups.values()]
         return ClassRoundPlan(
             version=version,
             groups=merged_groups,
             passthrough=passthrough,
             n_class_probes=sum(group.n for group in merged_groups),
             counter_increments=[(c, k) for c, k in counter_acc.values()],
+            member_indices=[indices for _group, indices in groups.values()],
         )
+
+    def class_plan_shape(
+        self,
+        src: Server | str,
+        entries: Sequence[ProbeEntry],
+        tags: Sequence[tuple[str, str]],
+    ) -> tuple[tuple, tuple[Server, ...]]:
+        """What :meth:`build_class_plan` reads of a round, minus liveness.
+
+        Returns ``(shape, destinations)``.  The shape is the source's pod
+        followed, position by position, by each entry's ``(dst dc, dst pod,
+        port, payload, tag)`` (pod -1 for a same-host entry); it holds for
+        as long as the entries do, across state generations.  Every verdict
+        of a compile — passthrough or class, group key, member ordinal and
+        with it the SNMP path — is a function of the shape plus which of
+        ``destinations`` are up, so two rounds that agree on both compile
+        to plans differing only in who the members are, and one plan can
+        serve as the other's template (:func:`merge_class_plans`).
+        """
+        src_server = self._resolve(src)
+        src_id = src_server.device_id
+        shape: list = [src_server.dc_index, src_server.pod_index]
+        destinations = []
+        for (dst_id, dst_port, payload_bytes), tag in zip(entries, tags):
+            dst_server = self._resolve(dst_id)
+            destinations.append(dst_server)
+            shape.append(
+                (
+                    dst_server.dc_index,
+                    -1 if dst_id == src_id else dst_server.pod_index,
+                    dst_port,
+                    payload_bytes,
+                    tag,
+                )
+            )
+        return tuple(shape), tuple(destinations)
 
     def run_class_plan(
         self,

@@ -5,6 +5,7 @@ import pytest
 from repro.core.controller.generator import GeneratorConfig
 from repro.core.controller.pinglist import Pinglist
 from repro.core.controller.service import (
+    REQUEST_HISTORY_S,
     ControllerUnavailableError,
     PinglistNotFoundError,
     PingmeshControllerService,
@@ -319,3 +320,16 @@ class TestDownloadTelemetry:
         assert stats["responses_200"] == sum(
             r["responses_200"] for r in stats["per_replica"].values()
         )
+
+    def test_request_history_is_a_trailing_hour(self, service):
+        """``requests_by_second`` is herd telemetry, not an archive: it used
+        to gain a key per simulated second for the life of the service."""
+        step = 30
+        for second in range(0, 3 * REQUEST_HISTORY_S, step):
+            service.get_pinglist("dc0/ps0/pod0/srv0", t=second + 0.5)
+            service.get_pinglist("dc0/ps0/pod0/srv1", t=second + 0.9)
+        last = 3 * REQUEST_HISTORY_S - step
+        history = service.requests_by_second
+        assert list(history) == list(range(last - REQUEST_HISTORY_S, last + 1, step))
+        assert set(history.values()) == {2}
+

@@ -173,6 +173,30 @@ class TestExtensions:
         assert {e.peer_id for e in vips} == {"search.vip", "storage.vip"}
 
 
+class TestSharedStateIsFrozen:
+    def test_a_pinglist_cannot_alter_the_memo_it_came_from(self, single_dc):
+        """Regression: ``generate_for`` used to hand out the memo's own
+        ``list``, so one caller's ``entries.clear()`` emptied that server's
+        pinglist in every later generation."""
+        generator = PingmeshGenerator(single_dc)
+        server_id = single_dc.dc(0).servers[0].device_id
+        first = generator.generate_for(server_id, generation=1)
+        assert isinstance(first.entries, tuple)
+        first.entries = first.entries[:1]  # a holder trimming its own copy
+        again = generator.generate_for(server_id, generation=2)
+        assert len(again) == len(generator.generate_all()[server_id]) > 1
+        assert generator.entries_computed == single_dc.n_servers
+
+    def test_one_parameters_object_per_config(self, single_dc):
+        generator = PingmeshGenerator(single_dc)
+        a, b = (s.device_id for s in single_dc.dc(0).servers[:2])
+        parameters = generator.generate_for(a).parameters
+        assert generator.generate_for(b, generation=2).parameters is parameters
+        generator.config = GeneratorConfig(probe_interval_s=30.0)
+        swapped = generator.generate_for(a).parameters
+        assert swapped is not parameters and swapped.probe_interval_s == 30.0
+
+
 class TestThreshold:
     def test_peers_capped(self, single_dc):
         generator = PingmeshGenerator(

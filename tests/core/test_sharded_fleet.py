@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from repro.chaos.invariants import InvariantChecker
+from repro.core import sharded
 from repro.core.agent.agent import AgentConfig
 from repro.core.controller.generator import GeneratorConfig
+from repro.core.controller.pinglist import Pinglist
 from repro.core.dsa.pipeline import DsaConfig
 from repro.core.dsa.records import CLASS_STREAM
 from repro.core.sharded import ShardedFleet
@@ -98,6 +100,32 @@ class TestShardedConservation:
             ledger["probes_emitted"] + ledger["probes_pending"]
         )
         assert ledger["probes_folded"] > 0
+
+
+class TestPlanStaleness:
+    def test_new_pinglist_at_a_recycled_address_recompiles(self, monkeypatch):
+        """Regression: the plan key was ``id(agent.pinglist)`` of objects
+        the shard did not hold, so a fail-closed agent's freed pinglist
+        could lend its address — and with it the old key — to the pinglist
+        a recovery fetched, skipping the recompile.  Every address collides
+        here; the shard must tell pinglists apart regardless."""
+        monkeypatch.setattr(sharded, "id", lambda _object: 0, raising=False)
+        system = _system()
+        fleet = ShardedFleet(system)
+        total = sum(len(agent.pinglist) for agent in system.agents.values())
+        assert fleet.run_round(0.0) == total
+        agent = next(iter(system.agents.values()))
+        current = agent.pinglist
+        agent.pinglist = Pinglist(
+            server_id=current.server_id,
+            generation=current.generation + 1,
+            generated_at=60.0,
+            parameters=current.parameters,
+            entries=current.entries[:2],
+        )
+        assert fleet.run_round(60.0) == total - len(current) + 2
+        agent.pinglist = current
+        assert fleet.run_round(120.0) == total
 
 
 class TestShardedParity:
