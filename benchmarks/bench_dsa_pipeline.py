@@ -10,15 +10,27 @@ Measured here on the event queue: timestamp a marked record at generation,
 observe when (a) the 10-min SCOPE job first consumes it into the results
 database and (b) the PA pipeline first collects the agent counter carrying
 it.
+
+Also here, because it is the same pipeline seen from the other end: the
+*record path* (``bench_record_path``) — what one probe record costs from the
+round that makes it to the jobs that read it, in bytes held and in time,
+with the bytes gated.
 """
+
+import resource
+import time
+import tracemalloc
 
 import pytest
 
 from _helpers import banner, print_rows
 from repro.autopilot.perfcounter import PerfcounterAggregator
+from repro.core.agent.agent import AgentConfig
+from repro.core.agent.uploader import ResultUploader
 from repro.core.dsa.database import ResultsDatabase
 from repro.core.dsa.pipeline import DsaConfig, DsaPipeline
-from repro.core.dsa.records import LATENCY_STREAM
+from repro.core.dsa.records import LATENCY_STREAM, make_records
+from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.cosmos.jobs import JobManager
 from repro.cosmos.store import CosmosStore
 from repro.netsim.simclock import EventQueue, SimClock
@@ -26,6 +38,16 @@ from repro.netsim.topology import MultiDCTopology, TopologySpec
 
 PAPER_SCOPE_PATH_S = 20 * 60.0
 PAPER_PA_PATH_S = 5 * 60.0
+
+# What one per-probe record may keep alive once its window is uploaded and
+# read: its entries in the extent's block (~300 B), in the pipeline's cached
+# window (~100 B), and what the uploaders' local logs still pin (their byte
+# cap's worth of recent rounds, as column lists).  It was 1,550 B when a
+# record was held as a dict, a JSON line, a dict copy and a block at once.
+RECORD_BYTES_PER_PROBE_BUDGET = 700
+RECORD_PATH_SPEC = TopologySpec(
+    n_podsets=4, pods_per_podset=4, servers_per_pod=16, n_spines=8
+)
 
 
 def _record(t):
@@ -145,3 +167,75 @@ def bench_ten_minute_job_runtime(benchmark):
         config=DsaConfig(ingestion_delay_s=0.0),
     )
     benchmark(lambda: pipeline.run_10min_job(600.0))
+
+
+def bench_record_path(benchmark):
+    """256 servers, every probe a record: one 600 s window, then the hourly
+    and the daily job over it.  Gated: bytes held per probe."""
+    system = PingmeshSystem(
+        PingmeshSystemConfig(
+            specs=(RECORD_PATH_SPEC,),
+            seed=1,
+            agent=AgentConfig(round_mode="fast"),
+            dsa=DsaConfig(ingestion_delay_s=0.0),
+        )
+    )
+    system.start()
+    system.run_for(60.0)  # one round: route, pair and port caches are the engine's
+    warm_probes = system.total_probes_sent()
+
+    tracemalloc.start()
+    held_before, _peak = tracemalloc.get_traced_memory()
+    system.run_for(600.0)
+    now = system.clock.now
+    for agent in system.agents.values():
+        agent.uploader.flush(now, force=True)
+    held_after, _peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    probes = system.total_probes_sent() - warm_probes
+    assert system.store.stream(LATENCY_STREAM).record_count - warm_probes == probes
+    assert probes > 50_000
+    bytes_per_probe = (held_after - held_before) / probes
+
+    # Round -> extent, engine excluded: a record's birth, its stay in the
+    # uploader (log included) and its flush into the store, on real rounds.
+    fabric = system.fabric
+    rounds = []
+    for agent in list(system.agents.values())[:64]:
+        _vips, entries, tags = agent._round_entries()
+        rounds.append((fabric.probe_many(agent.server_id, entries, t=now), tags))
+    records = 0
+    servers: dict = {}
+    started = time.perf_counter()
+    for _repeat in range(5):
+        for index, (results, tags) in enumerate(rounds):
+            uploader = ResultUploader(system.store, f"bench-{index}", stream="bench/latency")
+            for _round in range(11):  # an upload period's worth of rounds
+                uploader.add_many(make_records(fabric.topology, results, tags, servers))
+            uploader.flush(now)
+            records += uploader.stats.records_uploaded
+    us_per_record = (time.perf_counter() - started) / records * 1e6
+
+    def jobs():
+        started = time.perf_counter()
+        slas = system.dsa.run_hourly_job(now)
+        hourly_s = time.perf_counter() - started
+        drops = system.dsa.run_daily_job(now)
+        return hourly_s, slas, drops
+
+    hourly_s, slas, drops = benchmark.pedantic(jobs, rounds=1, iterations=1)
+    assert slas and drops
+
+    benchmark.extra_info["probes"] = probes
+    benchmark.extra_info["bytes_per_probe"] = round(bytes_per_probe)
+    benchmark.extra_info["budget_bytes_per_probe"] = RECORD_BYTES_PER_PROBE_BUDGET
+    benchmark.extra_info["us_per_record"] = round(us_per_record, 2)
+    benchmark.extra_info["hourly_job_s"] = round(hourly_s, 3)
+    # The process's high-water mark so far, not this bench's alone.
+    benchmark.extra_info["ru_maxrss_mb"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    )
+    assert bytes_per_probe <= RECORD_BYTES_PER_PROBE_BUDGET, (
+        f"a probe record holds {bytes_per_probe:.0f} B "
+        f"(budget {RECORD_BYTES_PER_PROBE_BUDGET} B)"
+    )

@@ -5,9 +5,13 @@ Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/check_regressions.py [--suite dsa|chaos|all]
 
-The ``dsa`` suite (the default) runs ``bench_engine_throughput``,
-``bench_dsa_pipeline`` and ``bench_scope_columnar`` and writes
-``BENCH_dsa.json``.  The ``chaos`` suite first runs the chaos drill tier
+The ``dsa`` suite (the default) first runs the record-path correctness
+tier (``tests/core/test_record_path_lockstep.py`` — column batches, the
+sized-not-rendered local log and adopted extents against the
+dict-per-record pipeline they replaced), then ``bench_engine_throughput``,
+``bench_dsa_pipeline`` (with ``bench_record_path``: bytes held per probe,
+gated) and ``bench_scope_columnar``, and writes ``BENCH_dsa.json``.  The
+``chaos`` suite first runs the chaos drill tier
 (``tests/integration/test_chaos_drills.py`` — every canned fault campaign
 must finish with zero invariant violations), then ``bench_chaos_overhead``
 (the <10% checker-overhead gate), and writes ``BENCH_chaos.json``.  The
@@ -95,6 +99,9 @@ RESILIENCE_BENCHES = [
 BROKER_BENCHES = [
     "bench_broker.py",
 ]
+# The bytes-per-probe gate means nothing unless the columnar record path
+# logs, ledgers and stores exactly what the dict-per-record one did.
+DSA_CORRECTNESS_TIER = ["tests/core/test_record_path_lockstep.py"]
 CHAOS_DRILL_TIER = ["tests/integration/test_chaos_drills.py"]
 # Correctness before speed: the fleet suite's bench numbers mean nothing
 # unless cached paths equal fresh paths and fast rounds match scalar rounds.
@@ -234,6 +241,7 @@ def run_suite(suite: str, output: Path | None, profile: bool = False) -> int:
         print(f"cannot write {destination}: {err}", file=sys.stderr)
         return 2
     gate_tiers = {
+        "dsa": DSA_CORRECTNESS_TIER,
         "chaos": CHAOS_DRILL_TIER,
         "fleet": FLEET_CORRECTNESS_TIER,
         "stream": STREAM_CORRECTNESS_TIER,

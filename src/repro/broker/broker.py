@@ -44,8 +44,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.broker.admission import AdmissionConfig
 from repro.broker.quota import TenantAccount, TenantQuota
 from repro.broker.requests import (
@@ -55,6 +53,7 @@ from repro.broker.requests import (
 )
 from repro.core.agent.safety import SafetyGuard
 from repro.core.dsa.records import LATENCY_STREAM
+from repro.cosmos.scope import agg, col, extract
 from repro.netsim.fabric import merge_class_plans
 from repro.resilience import CircuitBreaker, RetryPolicy, derive_seed
 
@@ -362,29 +361,40 @@ class MeasurementBroker:
         store = self.system.store
         if not store.has_stream(LATENCY_STREAM):
             return []
-        by_dc: dict[int, list] = {}
-        for record in store.read_where(
-            LATENCY_STREAM, lambda r: r["t"] >= since, copy=False
-        ):
-            by_dc.setdefault(record["src_dc"], []).append(record)
-        rows = []
-        for dc in sorted(by_dc):
-            records = by_dc[dc]
-            successes = [r["rtt_us"] for r in records if r["success"]]
-            rows.append(
-                {
-                    "dc": dc,
-                    "probes": len(records),
-                    "drop_rate": 1.0 - len(successes) / len(records),
-                    "p50_us": (
-                        float(np.percentile(successes, 50)) if successes else None
-                    ),
-                    "p99_us": (
-                        float(np.percentile(successes, 99)) if successes else None
-                    ),
-                }
+        # One scan, and only of extents appended since the window opened: a
+        # record made at t is uploaded at or after t.
+        window = extract(
+            store, LATENCY_STREAM, col("t") >= since, appended_since=since
+        )
+        if not window:
+            return []
+        totals = (
+            window.group_by("src_dc")
+            .aggregate(probes=agg.count(), answered=agg.count_if(col("success")))
+            .order_by("src_dc")
+            .output()
+        )
+        latency = {
+            row["src_dc"]: row
+            for row in window.where(col("success"))
+            .group_by("src_dc")
+            .aggregate(
+                p50_us=agg.percentile("rtt_us", 50),
+                p99_us=agg.percentile("rtt_us", 99),
             )
-        return rows
+            .output()
+        }
+        none_answered = {"p50_us": None, "p99_us": None}
+        return [
+            {
+                "dc": total["src_dc"],
+                "probes": total["probes"],
+                "drop_rate": 1.0 - total["answered"] / total["probes"],
+                "p50_us": latency.get(total["src_dc"], none_answered)["p50_us"],
+                "p99_us": latency.get(total["src_dc"], none_answered)["p99_us"],
+            }
+            for total in totals
+        ]
 
     def _stream_rows(self, params: dict) -> list[dict]:
         """Per-DC quantiles from the streaming merge tree's recent windows."""

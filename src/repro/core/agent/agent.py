@@ -36,6 +36,7 @@ from repro.core.controller.service import (
 )
 from repro.core.dsa.records import (
     CLASS_STREAM,
+    RecordBatch,
     make_class_record,
     make_record,
     make_records,
@@ -267,11 +268,10 @@ class PingmeshAgent(SharedService):
             record["pinglist_stale"] = True
         return record
 
-    def _tag_stale_many(self, records: list[dict]) -> list[dict]:
+    def _tag_stale_many(self, batch: RecordBatch) -> RecordBatch:
         if self.pinglist_stale:
-            for record in records:
-                record["pinglist_stale"] = True
-        return records
+            batch.columns["pinglist_stale"] = [True] * batch.n
+        return batch
 
     @property
     def probe_interval_s(self) -> float:
@@ -371,29 +371,20 @@ class PingmeshAgent(SharedService):
     def _record_results(self, results, tags, t: float) -> int:
         """Feed one engine call's per-pair results, tagged ``(purpose,
         qos)``, to the three sinks — counters, stream aggregator, uploader,
-        in that order.  Returns the number of probes recorded."""
-        self.counters.add_many((r.success, r.rtt_s) for r in results)
+        in that order — as columns of the one record batch they become.
+        Returns the number of probes recorded."""
+        batch = make_records(
+            self.fabric.topology, results, tags, self._record_server_cache
+        )
+        columns = batch.columns
+        success = columns["success"]
+        self.counters.add_many(zip(success, [r.rtt_s for r in results]))
         if self.stream_aggregator is not None:
             self.stream_aggregator.observe_round(
-                t,
-                (
-                    (purpose, result.success, result.rtt_s * 1e6)
-                    for result, (purpose, _qos) in zip(results, tags)
-                ),
+                t, zip(columns["purpose"], success, columns["rtt_us"])
             )
-        self.uploader.add_many(
-            self._tag_stale_many(
-                make_records(
-                    self.fabric.topology,
-                    [
-                        (result, purpose, qos)
-                        for result, (purpose, qos) in zip(results, tags)
-                    ],
-                    server_cache=self._record_server_cache,
-                )
-            )
-        )
-        return len(results)
+        self.uploader.add_many(self._tag_stale_many(batch))
+        return batch.n
 
     def _round_entries(self) -> tuple[list, list[tuple[str, int, int]], list[tuple[str, str]]]:
         """The round's (vip entries, probe_many entries, tags), memoized.

@@ -15,25 +15,110 @@ the next attempt gated by a seeded backoff
 :class:`~repro.resilience.RetryPolicy`.  A batch is only discarded once it
 has failed ``max_retries`` spaced attempts; when Cosmos heals, the spool
 replays oldest-first with no duplicates.
+
+What is held, and as what.  A probe round arrives as one column-major
+:class:`~repro.core.dsa.records.RecordBatch` (:meth:`ResultUploader.add_many`),
+a single record — a VIP probe, a class summary — as a dict
+(:meth:`ResultUploader.add`).  The buffer keeps them as handed over and
+counts *rows*: the backstop drops the oldest rows, whole batches first.  A
+flush packs a buffer of same-schema batches into one typed
+:class:`~repro.cosmos.columnar.ColumnBlock` — the form the store adopts as
+an extent, and the form a failed batch waits in the spool — and hands
+anything else (dicts, or batches whose schemas disagree) to the store as
+row dicts.  The local log keeps references, not text: every line's size
+is worked out when it is logged, which is all the byte cap and its
+oldest-first rotation need, and lines are rendered only for a reader
+(:meth:`ResultUploader.local_log_lines`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
+from array import array
+from math import isfinite
+from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from repro.core.agent.safety import MAX_UPLOAD_RETRIES
-from repro.core.dsa.records import LATENCY_STREAM
+from repro.core.dsa.records import LATENCY_STREAM, RECORD_DTYPES, RecordBatch
+from repro.cosmos.columnar import ColumnBlock
 from repro.resilience import RetryPolicy, SpooledBatch, UploadSpool, derive_seed
 
 __all__ = ["ResultUploader", "UploadStats"]
 
 Record = dict[str, Any]
+# What a flush ships, spools and replays.
+Payload = ColumnBlock | list[Record]
 
 # One shared encoder: json.dumps() with non-default options builds a fresh
-# JSONEncoder per call, which dominates the cost of logging a whole probe
-# round.  Output is byte-identical to the previous per-call dumps.
+# JSONEncoder per call.  The log's line format, and the reference every size
+# below is exact against.
 _encode = json.JSONEncoder(separators=(",", ":"), default=str).encode
+
+
+class _JsonLen(dict):
+    """``len(json(value))`` of strings, ints and ``None``, encoded once per
+    distinct value.  (Never floats or bools: ``1``, ``1.0`` and ``True`` are
+    one dict key and three JSON texts.)"""
+
+    def __missing__(self, value: Any) -> int:
+        size = self[value] = len(_encode(value))
+        return size
+
+
+# Shared by every uploader: the vocabulary is server ids, column names,
+# purposes, error names and small coordinates — bounded by the fleet.
+_TEXT_LEN = _JsonLen()
+_MEMOIZED_DTYPES = (np.str_, np.int64)
+
+
+def _record_line_bytes(record: Record) -> int:
+    """``len(_encode(record)) + 1`` without rendering the record."""
+    total = 2 + max(len(record), 1)  # braces, commas between members, newline
+    for key, value in record.items():
+        if type(key) is not str:  # json coerces other keys: render to know
+            return len(_encode(record)) + 1
+        kind = type(value)
+        if kind is str or value is None:
+            size = _TEXT_LEN[value]
+        elif kind is int or kind is bool or (kind is float and isfinite(value)):
+            size = len(repr(value))  # json writes these as repr does
+        else:
+            size = len(_encode(value))
+        total += _TEXT_LEN[key] + 1 + size
+    return total
+
+
+def _batch_line_bytes(batch: RecordBatch) -> array:
+    """The same size for every row of a batch, a column at a time.  (What
+    is not text here is an int, a bool, ``None`` or a finite float — the
+    engine's times and RTTs — whose ``repr`` has its JSON text's length.)"""
+    fixed = 2 + len(batch.columns)
+    lens = []
+    text_len = _TEXT_LEN.__getitem__
+    for name, values in batch.columns.items():
+        fixed += _TEXT_LEN[name] + 1
+        if RECORD_DTYPES[name] in _MEMOIZED_DTYPES:
+            lens.append(map(text_len, values))
+        else:
+            lens.append(map(len, map(repr, values)))
+    return array("I", map(fixed.__add__, map(sum, zip(*lens))))
+
+
+def _rows_of(item: RecordBatch | Record) -> list[Record]:
+    return item.rows() if isinstance(item, RecordBatch) else [item]
+
+
+class _LogSegment:
+    """One ``add`` / ``add_many`` worth of log lines, oldest rows first."""
+
+    __slots__ = ("item", "sizes", "start")
+
+    def __init__(self, item: RecordBatch | Record, sizes: Sequence[int]) -> None:
+        self.item = item
+        self.sizes = sizes  # bytes per line, newline included
+        self.start = 0  # rows before this one have rotated out
 
 
 class UploadStats:
@@ -63,7 +148,9 @@ class ResultUploader:
     """Buffers records and ships them to Cosmos, with hard memory bounds.
 
     ``upload_fn(records, t)`` defaults to appending to the given store; it
-    is injectable so tests and failure drills can make uploads fail.
+    is injectable so tests and failure drills can make uploads fail.  What
+    it receives has a ``len`` and is accepted by ``CosmosStore.append``: a
+    :class:`~repro.cosmos.columnar.ColumnBlock` or a list of row dicts.
     """
 
     def __init__(
@@ -75,7 +162,7 @@ class ResultUploader:
         max_buffer_records: int = 10_000,
         max_retries: int = MAX_UPLOAD_RETRIES,
         log_cap_bytes: int = 256 * 1024,
-        upload_fn: Callable[[list[Record], float], None] | None = None,
+        upload_fn: Callable[[Payload, float], None] | None = None,
         retry_base_s: float = 60.0,
         retry_cap_s: float = 600.0,
         spool_cap_records: int = 20_000,
@@ -96,8 +183,9 @@ class ResultUploader:
         self.max_retries = max_retries
         self.log_cap_bytes = log_cap_bytes
         self._upload_fn = upload_fn or self._default_upload
-        self._buffer: list[Record] = []
-        self._log: list[str] = []
+        self._buffer: list[RecordBatch | Record] = []  # oldest first
+        self._buffered = 0  # rows in the buffer
+        self._log: list[_LogSegment] = []  # oldest first
         self._log_bytes = 0
         self.stats = UploadStats()
         self.spool = UploadSpool(cap_records=spool_cap_records)
@@ -108,11 +196,11 @@ class ResultUploader:
         )
         self._next_attempt_t = 0.0
 
-    def _default_upload(self, records: list[Record], t: float) -> None:
+    def _default_upload(self, records: Payload, t: float) -> None:
         self.store.append(self.stream, records, t=t)
 
     def set_upload_fn(
-        self, upload_fn: Callable[[list[Record], float], None] | None
+        self, upload_fn: Callable[[Payload, float], None] | None
     ) -> None:
         """Swap the upload transport (``None`` restores the default store
         append).  Failure drills use this to black out Cosmos mid-run."""
@@ -121,46 +209,74 @@ class ResultUploader:
     # -- buffering --------------------------------------------------------
 
     def add(self, record: Record) -> None:
-        """Buffer one record (and append it to the size-capped local log)."""
-        self.stats.records_added += 1
-        self._buffer.append(record)
-        self._append_log(record)
-        if len(self._buffer) > self.max_buffer_records:
-            # Absolute backstop: drop oldest rather than grow unbounded.
-            overflow = len(self._buffer) - self.max_buffer_records
-            del self._buffer[:overflow]
-            self.stats.records_discarded += overflow
+        """Buffer one record (and append it to the size-capped local log).
 
-    def add_many(self, records: list[Record]) -> None:
+        The record is kept by reference until it is uploaded and its log
+        line has rotated out: it must not be changed after this call."""
+        self._hold(record, 1, (_record_line_bytes(record),))
+
+    def add_many(self, batch: RecordBatch) -> None:
         """Buffer a whole round of records in one call.
 
-        Equivalent to :meth:`add` per record (same log lines, same stats,
-        same oldest-first overflow policy) with a single buffer trim at the
-        end — the interim buffer never exceeds the cap by more than the
-        batch length, and the surviving suffix is identical.
+        Equivalent to :meth:`add` per row (same log lines, same stats, same
+        oldest-first overflow policy): the log rotates and the buffer is
+        trimmed once, at the end, to the suffixes row-by-row adds leave.
         """
-        if not records:
-            return
-        self.stats.records_added += len(records)
-        self._buffer.extend(records)
-        for record in records:
-            self._append_log(record)
-        if len(self._buffer) > self.max_buffer_records:
-            overflow = len(self._buffer) - self.max_buffer_records
-            del self._buffer[:overflow]
+        if batch.n:
+            self._hold(batch, batch.n, _batch_line_bytes(batch))
+
+    def _hold(
+        self, item: RecordBatch | Record, rows: int, line_bytes: Sequence[int]
+    ) -> None:
+        self.stats.records_added += rows
+        self._buffer.append(item)
+        self._buffered += rows
+        self._log.append(_LogSegment(item, line_bytes))
+        self._log_bytes += sum(line_bytes)
+        if self._log_bytes > self.log_cap_bytes:
+            self._rotate_log()
+        overflow = self._buffered - self.max_buffer_records
+        if overflow > 0:
+            # Absolute backstop: drop oldest rather than grow unbounded.
+            self._drop_oldest(overflow)
             self.stats.records_discarded += overflow
 
-    def _append_log(self, record: Record) -> None:
-        line = _encode(record)
-        self._log.append(line)
-        self._log_bytes += len(line) + 1
-        while self._log_bytes > self.log_cap_bytes and self._log:
-            dropped = self._log.pop(0)
-            self._log_bytes -= len(dropped) + 1
+    def _drop_oldest(self, rows: int) -> None:
+        """Take ``rows`` rows off the front of the buffer: whole items
+        while they fit, then the head of the batch the cut falls in."""
+        self._buffered -= rows
+        buffer = self._buffer
+        whole = 0
+        while rows:
+            head = buffer[whole]
+            held = head.n if isinstance(head, RecordBatch) else 1
+            if held > rows:
+                buffer[whole] = head[rows:]
+                break
+            rows -= held
+            whole += 1
+        del buffer[:whole]
+
+    def _rotate_log(self) -> None:
+        """Drop oldest lines until the log is back under its byte cap."""
+        excess = self._log_bytes - self.log_cap_bytes
+        emptied = 0
+        for segment in self._log:
+            sizes = segment.sizes
+            row = segment.start
+            while excess > 0 and row < len(sizes):
+                excess -= sizes[row]
+                row += 1
+            if row < len(sizes):
+                segment.start = row
+                break
+            emptied += 1
+        del self._log[:emptied]
+        self._log_bytes = self.log_cap_bytes + excess
 
     @property
     def buffered_records(self) -> int:
-        return len(self._buffer)
+        return self._buffered
 
     @property
     def spooled_records(self) -> int:
@@ -169,7 +285,7 @@ class ResultUploader:
 
     @property
     def should_flush(self) -> bool:
-        return len(self._buffer) >= self.flush_threshold_records
+        return self._buffered >= self.flush_threshold_records
 
     def replay_due(self, t: float) -> bool:
         """Is there spooled backlog whose backoff window has elapsed?"""
@@ -177,16 +293,27 @@ class ResultUploader:
 
     # -- upload -------------------------------------------------------------
 
+    def _take_buffer(self) -> Payload:
+        """Empty the buffer into the form it ships in: one typed block when
+        it holds nothing but batches of one schema, row dicts otherwise."""
+        items, self._buffer = self._buffer, []
+        self._buffered = 0
+        if all(isinstance(item, RecordBatch) for item in items):
+            block = RecordBatch.pack(items)
+            if block is not None:
+                return block
+        return [row for item in items for row in _rows_of(item)]
+
     def _stage_buffer(self, t: float) -> None:
         """Park the in-memory buffer in the spool (bounded, oldest evicted)."""
         if not self._buffer:
             return
-        batch, self._buffer = self._buffer, []
+        batch = self._take_buffer()
         self.stats.records_spooled += len(batch)
         evicted = self.spool.push(SpooledBatch(records=batch, spooled_t=t))
         self.stats.records_discarded += len(evicted)
 
-    def _attempt(self, records: list[Record], t: float) -> bool:
+    def _attempt(self, records: Payload, t: float) -> bool:
         """One transport attempt; True on success."""
         self.stats.upload_attempts += 1
         try:
@@ -234,7 +361,7 @@ class ResultUploader:
                 self._next_attempt_t = t + self.retry.next_delay()
                 self._stage_buffer(t)
                 return False
-            records, self._buffer = self._buffer, []
+            records = self._take_buffer()
             if self._attempt(records, t):
                 self.stats.records_uploaded += len(records)
                 continue
@@ -256,7 +383,11 @@ class ResultUploader:
     # -- local log ------------------------------------------------------------
 
     def local_log_lines(self) -> list[str]:
-        return list(self._log)
+        """The log's lines, oldest first — rendered here, for the reader."""
+        lines: list[str] = []
+        for segment in self._log:
+            lines.extend(map(_encode, _rows_of(segment.item)[segment.start :]))
+        return lines
 
     @property
     def local_log_bytes(self) -> int:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.cosmos.scope import RowSet, agg, col
+
 __all__ = ["BlackholeCandidate", "BlackholeReport", "BlackholeDetector"]
 
 Row = dict[str, Any]
@@ -74,8 +76,36 @@ class BlackholeDetector:
 
     # -- symptom extraction ------------------------------------------------------
 
+    def _pair_rows(self, rows: RowSet | list[Row]) -> list[Row]:
+        """One row per probed ``(src, dst)`` pair, in first-probe order:
+        both endpoints' coordinates, probes made and probes answered.  The
+        only pass over the window — a column-backed one is reduced in
+        place, and what comes out is pairs, not probes."""
+        window = RowSet.of(rows)
+        if not window:
+            return []
+        return (
+            window.select(
+                "src",
+                "dst",
+                "src_dc",
+                "src_podset",
+                "src_pod",
+                "success",
+                # Rows without destination coordinates (older fixtures,
+                # dark-VIP probes): same DC, no pod.
+                dst_dc=col("dst_dc", default=col("src_dc")),
+                dst_pod=col("dst_pod", default=-1),
+            )
+            .group_by(
+                "src", "dst", "src_dc", "src_podset", "src_pod", "dst_dc", "dst_pod"
+            )
+            .aggregate(probes=agg.count(), answered=agg.count_if(col("success")))
+            .output()
+        )
+
     def _server_symptoms(
-        self, rows: list[Row]
+        self, pairs: list[Row]
     ) -> tuple[dict[str, tuple[bool, Row]], set[tuple[int, int]]]:
         """Symptom per source server, and the set of implicated pods.
 
@@ -95,34 +125,27 @@ class BlackholeDetector:
         concentration measure, greedy cover localizes *multiple*
         simultaneous black-holes (the Figure 6 regime).
         """
-        pair_stats: dict[tuple[str, str], list[bool]] = {}
-        pair_row: dict[tuple[str, str], Row] = {}
         row_of_server: dict[str, Row] = {}
-        for row in rows:
-            pair = (row["src"], row["dst"])
-            pair_stats.setdefault(pair, []).append(bool(row["success"]))
-            pair_row.setdefault(pair, row)
-            row_of_server.setdefault(row["src"], row)
-
         dead_by_server: dict[str, int] = {}
         live_by_server: dict[str, int] = {}
         pod_pairs: dict[tuple[int, int], set[tuple[str, str]]] = {}
         dead_pairs: set[tuple[str, str]] = set()
-        for pair, outcomes in pair_stats.items():
-            if len(outcomes) < self.min_pair_probes:
+        for row in pairs:
+            src = row["src"]
+            row_of_server.setdefault(src, row)
+            if row["probes"] < self.min_pair_probes:
                 continue
-            src, _dst = pair
-            row = pair_row[pair]
+            pair = (src, row["dst"])
             endpoints = {
                 (row["src_dc"], row["src_pod"]),
-                (row.get("dst_dc", row["src_dc"]), row.get("dst_pod", -1)),
+                (row["dst_dc"], row["dst_pod"]),
             }
             for endpoint in endpoints:
                 pod_pairs.setdefault(endpoint, set()).add(pair)
-            if not any(outcomes):
+            if row["answered"] == 0:
                 dead_by_server[src] = dead_by_server.get(src, 0) + 1
                 dead_pairs.add(pair)
-            elif all(outcomes):
+            elif row["answered"] == row["probes"]:
                 live_by_server[src] = live_by_server.get(src, 0) + 1
 
         symptoms = {
@@ -160,10 +183,10 @@ class BlackholeDetector:
 
     # -- the algorithm --------------------------------------------------------------
 
-    def detect(self, rows: list[Row], t: float = 0.0) -> BlackholeReport:
+    def detect(self, rows: RowSet | list[Row], t: float = 0.0) -> BlackholeReport:
         """Score every ToR; split candidates into reloads vs escalations."""
         report = BlackholeReport(t=t)
-        symptoms, implicated = self._server_symptoms(rows)
+        symptoms, implicated = self._server_symptoms(self._pair_rows(rows))
         if not symptoms:
             return report
 

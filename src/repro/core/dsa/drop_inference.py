@@ -22,12 +22,14 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from repro.cosmos.scope import Aggregator, agg, col
 from repro.netsim.tcp import FAILED_RTT_S, ONE_DROP_RTT_S, TWO_DROPS_RTT_S
 
 __all__ = [
     "classify_probe",
     "estimate_drop_rate",
     "estimate_drop_rate_from_arrays",
+    "drop_rate_aggregate",
     "DropRateEstimate",
 ]
 
@@ -81,6 +83,17 @@ def estimate_drop_rate(rows: Iterable[dict[str, Any]]) -> DropRateEstimate:
         elif drops == 2:
             two += 1
     return DropRateEstimate(successful, one, two)
+
+
+def drop_rate_aggregate() -> Aggregator:
+    """The heuristic as a SCOPE aggregate over ``success`` / ``rtt_us`` —
+    every successful probe at or above the one-retransmission signature
+    counts once, in :func:`classify_probe`'s own arithmetic, so a group's
+    value equals ``estimate_drop_rate(group).rate`` to the bit."""
+    return agg.ratio(
+        numerator=col("success") & (col("rtt_us") / 1e6 >= ONE_DROP_RTT_S),
+        denominator=col("success"),
+    )
 
 
 def estimate_drop_rate_from_arrays(

@@ -17,7 +17,11 @@ applies the two-month retention policy.
 Each job tick EXTRACTs its time window from the store exactly once: a small
 window cache (keyed on window bounds and the store's data version) shares
 the rowset between the SCOPE jobs, the SLA tracker, the detectors and the
-heatmaps of a tick, and across coinciding ticks of different cadences.
+heatmaps of a tick, and across coinciding ticks of different cadences.  The
+window is column-backed and the hourly and daily jobs read it in place —
+what they turn into Python objects is their results.  Only the 10-minute
+job materializes its (much shorter) window as rows, for the heatmap and the
+silent-drop watch, and it keeps none of them.
 """
 
 from __future__ import annotations
@@ -172,7 +176,7 @@ class DsaPipeline:
         self.database.insert("patterns_10min", pattern_rows)
 
         # DC-scope SLA check for fast alerting.
-        slas = self.sla_tracker.track_scope(rows, SlaScope.DATACENTER, start, end)
+        slas = self.sla_tracker.track_scope(window, SlaScope.DATACENTER, start, end)
         self.alert_engine.evaluate(slas)
 
         self._silent_drop_watch(rows, end)
@@ -208,8 +212,7 @@ class DsaPipeline:
         start, end = self._window(t, self.config.hourly_period_s)
         if end <= start:
             return []
-        rows = self._window_rowset(start, end).output()
-        slas = self.sla_tracker.track_all(rows, start, end)
+        slas = self.sla_tracker.track_all(self._window_rowset(start, end), start, end)
         sla_rows = [sla.as_row() for sla in slas]
         self.database.insert("sla_hourly", sla_rows)
         # Alert on macro scopes only: single-server P99 windows are too
@@ -238,8 +241,7 @@ class DsaPipeline:
         drop_rows = job_scope_drop_rates(self.store, start, end, rows=window)
         self.database.insert("drop_daily", drop_rows)
 
-        rows = window.output()
-        report = self.blackhole_detector.detect(rows, t=end)
+        report = self.blackhole_detector.detect(window, t=end)
         self.blackhole_reports.append(report)
         self.database.insert(
             "blackhole_daily",

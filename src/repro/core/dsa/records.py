@@ -6,14 +6,25 @@ of both endpoints so the DSA jobs can aggregate at server, pod, podset, DC
 and service scopes (§4.2: "we can calculate and track network SLAs at
 server, pod, podset, and data center levels") without re-joining against a
 topology snapshot.
+
+A probe round's records are *born columnar*: :func:`make_records` turns one
+engine call's results into one :class:`RecordBatch` — a list per column,
+in :data:`RECORD_COLUMNS` order — and the record stays a column entry from
+there to the jobs (uploader buffer, extent, window).  The producer knows
+every column's type (:data:`RECORD_DTYPES`), so :meth:`RecordBatch.pack`
+builds the arrays without looking at a value to find out.  Row dicts are
+made on demand (:meth:`RecordBatch.rows`), and by :func:`make_record` for
+the one probe at a time of the VIP path.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import chain
+from typing import Any, Sequence
 
 import numpy as np
 
+from repro.cosmos.columnar import ColumnBlock
 from repro.netsim.fabric import ClassOutcome, ProbeResult
 from repro.netsim.topology import MultiDCTopology
 
@@ -21,7 +32,9 @@ __all__ = [
     "LATENCY_STREAM",
     "CLASS_STREAM",
     "RECORD_COLUMNS",
+    "RECORD_DTYPES",
     "CLASS_RECORD_COLUMNS",
+    "RecordBatch",
     "make_record",
     "make_records",
     "make_class_record",
@@ -53,24 +66,83 @@ CLASS_RECORD_COLUMNS = (
     "p99_us",
 )
 
-RECORD_COLUMNS = (
-    "t",
-    "src",
-    "dst",
-    "src_dc",
-    "dst_dc",
-    "src_podset",
-    "dst_podset",
-    "src_pod",
-    "dst_pod",
-    "purpose",
-    "qos",
-    "success",
-    "rtt_us",
-    "syn_drops",
-    "payload_rtt_us",
-    "error",
-)
+# Every column of a per-probe record, in order, with what its producer
+# declares about it: the array type it packs to.  ``pinglist_stale`` is the
+# one optional column (present on every row of a round probed from an
+# unconfirmed pinglist, absent otherwise).
+RECORD_DTYPES: dict[str, type] = {
+    "t": np.float64,
+    "src": np.str_,
+    "dst": np.str_,
+    "src_dc": np.int64,
+    "dst_dc": np.int64,
+    "src_podset": np.int64,
+    "dst_podset": np.int64,
+    "src_pod": np.int64,
+    "dst_pod": np.int64,
+    "purpose": np.str_,
+    "qos": np.str_,
+    "success": np.bool_,
+    "rtt_us": np.float64,
+    "syn_drops": np.int64,
+    "payload_rtt_us": np.float64,
+    "error": np.str_,
+    "pinglist_stale": np.bool_,
+}
+RECORD_COLUMNS = tuple(RECORD_DTYPES)[:-1]
+# Columns in which ``None`` is a value (no payload echo; no error).  One
+# ``None`` makes the packed column an object array, as the store's own
+# packing of row dicts does.
+NULLABLE_COLUMNS = frozenset(("payload_rtt_us", "error"))
+
+
+class RecordBatch:
+    """One engine call's probe records, column-major: ``{column -> list}``.
+
+    Columns are in :data:`RECORD_COLUMNS` order (then ``pinglist_stale``)
+    and equally long; the lists are shared, never written after birth.
+    """
+
+    __slots__ = ("columns", "n")
+
+    def __init__(self, columns: dict[str, list], n: int) -> None:
+        self.columns = columns
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> "RecordBatch":
+        """A row range of the batch (fresh lists)."""
+        return RecordBatch(
+            {name: values[rows] for name, values in self.columns.items()},
+            len(range(*rows.indices(self.n))),
+        )
+
+    def rows(self) -> list[dict[str, Any]]:
+        """The batch as fresh row dicts, keys in column order."""
+        names = list(self.columns)
+        return [dict(zip(names, values)) for values in zip(*self.columns.values())]
+
+    @staticmethod
+    def pack(batches: Sequence["RecordBatch"]) -> ColumnBlock | None:
+        """Batches sharing one schema as one typed block, rows in order;
+        ``None`` when their column names disagree (stale-tagged rounds
+        beside fresh ones) — the rule the store applies to row dicts."""
+        names = list(batches[0].columns)
+        for batch in batches:
+            if list(batch.columns) != names:
+                return None
+        columns: dict[str, np.ndarray] = {}
+        for name in names:
+            values = list(chain.from_iterable(batch.columns[name] for batch in batches))
+            if name in NULLABLE_COLUMNS and None in values:
+                column = np.empty(len(values), dtype=object)
+                column[:] = values
+            else:
+                column = np.array(values, dtype=RECORD_DTYPES[name])
+            columns[name] = column
+        return ColumnBlock(columns=columns, n=sum(batch.n for batch in batches))
 
 
 def make_record(
@@ -79,33 +151,13 @@ def make_record(
     purpose: str = "tor-level",
     qos: str = "high",
 ) -> dict[str, Any]:
-    """Build one upload row from a probe result.
+    """Build one upload row from a probe result (the VIP path's one probe
+    at a time; rounds go through :func:`make_records`).
 
     RTTs are stored in microseconds (floats); a failed probe keeps its
     cumulative wait in ``rtt_us`` but analysis must key on ``success``.
     """
-    src = topology.server(result.src)
-    dst = topology.server(result.dst)
-    return {
-        "t": result.t,
-        "src": result.src,
-        "dst": result.dst,
-        "src_dc": src.dc_index,
-        "dst_dc": dst.dc_index,
-        "src_podset": src.podset_index,
-        "dst_podset": dst.podset_index,
-        "src_pod": src.pod_index,
-        "dst_pod": dst.pod_index,
-        "purpose": purpose,
-        "qos": qos,
-        "success": result.success,
-        "rtt_us": result.rtt_s * 1e6,
-        "syn_drops": result.syn_drops,
-        "payload_rtt_us": (
-            result.payload_rtt_s * 1e6 if result.payload_rtt_s is not None else None
-        ),
-        "error": result.error,
-    }
+    return make_records(topology, [result], [(purpose, qos)]).rows()[0]
 
 
 def make_class_record(
@@ -152,47 +204,46 @@ def make_class_record(
 
 def make_records(
     topology: MultiDCTopology,
-    tagged_results: list[tuple[ProbeResult, str, str]],
+    results: Sequence[ProbeResult],
+    tags: Sequence[tuple[str, str]],
     server_cache: dict[str, Any] | None = None,
-) -> list[dict[str, Any]]:
-    """Build upload rows for a whole probe round at once.
+) -> RecordBatch:
+    """Build the upload records of one engine call, as one batch.
 
-    ``tagged_results`` pairs each result with its ``(purpose, qos)``.  Each
-    row is identical to what :func:`make_record` would produce.  Endpoint
-    lookups are memoized; pass a ``server_cache`` dict to keep that memo
-    across calls (safe: servers are append-only and identity-stable).
+    ``tags`` holds each result's ``(purpose, qos)``; every result is read
+    once.  Endpoint lookups are memoized; pass a ``server_cache`` dict to
+    keep that memo across calls (safe: servers are append-only and
+    identity-stable).
     """
     servers: dict[str, Any] = {} if server_cache is None else server_cache
     rows = []
-    for result, purpose, qos in tagged_results:
+    for result, (purpose, qos) in zip(results, tags):
         src = servers.get(result.src)
         if src is None:
             src = servers[result.src] = topology.server(result.src)
         dst = servers.get(result.dst)
         if dst is None:
             dst = servers[result.dst] = topology.server(result.dst)
+        payload = result.payload_rtt_s
         rows.append(
-            {
-                "t": result.t,
-                "src": result.src,
-                "dst": result.dst,
-                "src_dc": src.dc_index,
-                "dst_dc": dst.dc_index,
-                "src_podset": src.podset_index,
-                "dst_podset": dst.podset_index,
-                "src_pod": src.pod_index,
-                "dst_pod": dst.pod_index,
-                "purpose": purpose,
-                "qos": qos,
-                "success": result.success,
-                "rtt_us": result.rtt_s * 1e6,
-                "syn_drops": result.syn_drops,
-                "payload_rtt_us": (
-                    result.payload_rtt_s * 1e6
-                    if result.payload_rtt_s is not None
-                    else None
-                ),
-                "error": result.error,
-            }
+            (  # in RECORD_COLUMNS order
+                result.t,
+                result.src,
+                result.dst,
+                src.dc_index,
+                dst.dc_index,
+                src.podset_index,
+                dst.podset_index,
+                src.pod_index,
+                dst.pod_index,
+                purpose,
+                qos,
+                result.success,
+                result.rtt_s * 1e6,
+                result.syn_drops,
+                payload * 1e6 if payload is not None else None,
+                result.error,
+            )
         )
-    return rows
+    columns = zip(*rows) if rows else [()] * len(RECORD_COLUMNS)
+    return RecordBatch(dict(zip(RECORD_COLUMNS, map(list, columns))), len(rows))

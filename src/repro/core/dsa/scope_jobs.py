@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.dsa.drop_inference import drop_rate_aggregate
 from repro.core.dsa.records import LATENCY_STREAM
-from repro.cosmos.scope import Aggregator, RowSet, agg, col, extract, lit
-from repro.netsim.tcp import ONE_DROP_RTT_US
+from repro.cosmos.scope import RowSet, agg, col, extract, lit
 
 __all__ = [
     "window_rows",
@@ -31,15 +31,6 @@ __all__ = [
 ]
 
 Row = dict[str, Any]
-
-def _drop_rate_aggregate() -> Aggregator:
-    """The §4.2 heuristic as an aggregate — every successful probe at or
-    above the one-retransmission signature counts once; numerically
-    identical to :func:`repro.core.dsa.drop_inference.estimate_drop_rate`."""
-    return agg.ratio(
-        numerator=col("success") & (col("rtt_us") >= ONE_DROP_RTT_US),
-        denominator=col("success"),
-    )
 
 
 def window_rows(store, window_start: float, window_end: float) -> RowSet:
@@ -92,7 +83,7 @@ def job_podpair_latency(
             success_count=agg.count_if(col("success")),
             p50_us=agg.percentile("rtt_us", 50),
             p99_us=agg.percentile("rtt_us", 99),
-            drop_rate=_drop_rate_aggregate(),
+            drop_rate=drop_rate_aggregate(),
         )
         .select(
             "src_dc",
@@ -133,7 +124,7 @@ def job_interdc_latency(
             success_count=agg.count_if(col("success")),
             p50_us=agg.percentile("rtt_us", 50),
             p99_us=agg.percentile("rtt_us", 99),
-            drop_rate=_drop_rate_aggregate(),
+            drop_rate=drop_rate_aggregate(),
         )
         .select(
             "src_dc",
@@ -172,7 +163,7 @@ def job_scope_drop_rates(
             return {}
         grouped = (
             subset.group_by("src_dc")
-            .aggregate(rate=_drop_rate_aggregate(), probes=agg.count())
+            .aggregate(rate=drop_rate_aggregate(), probes=agg.count())
             .output()
         )
         return {row["src_dc"]: row for row in grouped}

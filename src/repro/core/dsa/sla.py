@@ -9,17 +9,23 @@ An SLA is computed from a window of latency records.  Services are mapped to
 the servers they run on (§1: "The network SLAs for all the services and
 applications are calculated by mapping the services and applications to the
 servers they use").
+
+Every scope is a ``where / group_by / aggregate`` over the window's
+:class:`~repro.cosmos.scope.RowSet`, so a column-backed window (what the
+pipeline extracts) is reduced in place — masks, one sort per scope,
+segmented reductions — and only the SLAs themselves ever become Python
+objects.  A plain ``list[dict]`` is wrapped in a ``RowSet`` and takes the
+engine's row path; the numbers are the same either way.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
-import numpy as np
-
-from repro.core.dsa.drop_inference import estimate_drop_rate
+from repro.core.dsa.drop_inference import drop_rate_aggregate
+from repro.cosmos.scope import RowSet, agg, col, lit
 
 __all__ = ["SlaScope", "NetworkSla", "ServiceDefinition", "SlaTracker"]
 
@@ -78,48 +84,92 @@ class ServiceDefinition:
         return cls(name=name, server_ids=frozenset(server_ids))
 
 
-def _scope_key(row: Row, scope: SlaScope) -> str:
-    """The aggregation key of a record at a scope (source-side attribution:
-    each server measures its own view of the network, §3.3.1)."""
-    if scope == SlaScope.SERVER:
-        return row["src"]
-    if scope == SlaScope.POD:
-        return f"dc{row['src_dc']}/pod{row['src_pod']}"
-    if scope == SlaScope.PODSET:
-        return f"dc{row['src_dc']}/ps{row['src_podset']}"
-    if scope == SlaScope.DATACENTER:
-        return f"dc{row['src_dc']}"
-    if scope == SlaScope.DC_PAIR:
-        return f"dc{row['src_dc']}->dc{row['dst_dc']}"
-    raise ValueError(f"scope {scope} needs explicit service mapping")
+# The aggregation key of a record at each scope (source-side attribution:
+# each server measures its own view of the network, §3.3.1): the columns
+# that make it, and how their values spell the SLA's key.
+_SCOPE_KEYS: dict[SlaScope, tuple[tuple[str, ...], Callable[..., str]]] = {
+    SlaScope.SERVER: (("src",), lambda src: src),
+    SlaScope.POD: (("src_dc", "src_pod"), lambda dc, pod: f"dc{dc}/pod{pod}"),
+    SlaScope.PODSET: (("src_dc", "src_podset"), lambda dc, ps: f"dc{dc}/ps{ps}"),
+    SlaScope.DATACENTER: (("src_dc",), lambda dc: f"dc{dc}"),
+    SlaScope.DC_PAIR: (("src_dc", "dst_dc"), lambda src, dst: f"dc{src}->dc{dst}"),
+}
+
+# True for inter-DC records.  Rows without a ``dst_dc`` column (older
+# fixtures, synthetic rows) are treated as intra-DC.
+_CROSSES_DC = col("dst_dc", default=col("src_dc")) != col("src_dc")
 
 
-def _crosses_dc(row: Row) -> bool:
-    """True for inter-DC records.  Rows without a ``dst_dc`` column (older
-    fixtures, synthetic rows) are treated as intra-DC."""
-    return row.get("dst_dc", row["src_dc"]) != row["src_dc"]
+def _group_slas(
+    rows: RowSet,
+    keys: tuple[str, ...],
+    spell: Callable[..., str],
+    scope: SlaScope,
+    window_start: float,
+    window_end: float,
+) -> list[NetworkSla]:
+    """One SLA per distinct value of ``keys``, sorted by spelled key.
+
+    Counts and the §4.2 drop rate are over all of a group's probes,
+    latency percentiles over its successful ones — ``None`` for a group
+    without any.
+    """
+    if not rows:
+        return []
+    totals = (
+        rows.group_by(*keys)
+        .aggregate(probe_count=agg.count(), drop_rate=drop_rate_aggregate())
+        .output()
+    )
+    successful = (
+        rows.where(col("success"))
+        .group_by(*keys)
+        .aggregate(
+            p50_us=agg.percentile("rtt_us", 50), p99_us=agg.percentile("rtt_us", 99)
+        )
+        .output()
+    )
+    latency = {tuple(row[key] for key in keys): row for row in successful}
+    no_success = {"p50_us": None, "p99_us": None}
+    slas = []
+    for row in totals:
+        group = tuple(row[key] for key in keys)
+        percentiles = latency.get(group, no_success)
+        slas.append(
+            NetworkSla(
+                scope=scope,
+                key=spell(*group),
+                window_start=window_start,
+                window_end=window_end,
+                probe_count=row["probe_count"],
+                drop_rate=row["drop_rate"],
+                p50_us=percentiles["p50_us"],
+                p99_us=percentiles["p99_us"],
+            )
+        )
+    slas.sort(key=lambda sla: sla.key)
+    return slas
 
 
 def compute_sla(
-    rows: list[Row],
+    rows: RowSet | Iterable[Row],
     scope: SlaScope,
     key: str,
     window_start: float,
     window_end: float,
 ) -> NetworkSla:
     """Aggregate one group of records into an SLA."""
-    estimate = estimate_drop_rate(rows)
-    ok_rtts = [row["rtt_us"] for row in rows if row["success"]]
-    return NetworkSla(
-        scope=scope,
-        key=key,
-        window_start=window_start,
-        window_end=window_end,
-        probe_count=len(rows),
-        drop_rate=estimate.rate,
-        p50_us=float(np.percentile(ok_rtts, 50)) if ok_rtts else None,
-        p99_us=float(np.percentile(ok_rtts, 99)) if ok_rtts else None,
+    slas = _group_slas(
+        RowSet.of(rows).select("success", "rtt_us", key=lit(key)),
+        ("key",),
+        str,
+        scope,
+        window_start,
+        window_end,
     )
+    if slas:
+        return slas[0]
+    return NetworkSla(scope, key, window_start, window_end, 0, 0.0, None, None)
 
 
 class SlaTracker:
@@ -142,7 +192,7 @@ class SlaTracker:
 
     def track_scope(
         self,
-        rows: list[Row],
+        rows: RowSet | list[Row],
         scope: SlaScope,
         window_start: float,
         window_end: float,
@@ -156,32 +206,30 @@ class SlaTracker:
         """
         if scope == SlaScope.SERVICE:
             return self.track_services(rows, window_start, window_end)
-        if scope == SlaScope.DC_PAIR:
-            rows = [row for row in rows if _crosses_dc(row)]
-        else:
-            rows = [row for row in rows if not _crosses_dc(row)]
-        groups: dict[str, list[Row]] = {}
-        for row in rows:
-            groups.setdefault(_scope_key(row, scope), []).append(row)
-        return [
-            compute_sla(group, scope, key, window_start, window_end)
-            for key, group in sorted(groups.items())
-        ]
+        keys, spell = _SCOPE_KEYS[scope]
+        in_scope = _CROSSES_DC if scope == SlaScope.DC_PAIR else ~_CROSSES_DC
+        return _group_slas(
+            RowSet.of(rows).where(in_scope),
+            keys,
+            spell,
+            scope,
+            window_start,
+            window_end,
+        )
 
     def track_services(
-        self, rows: list[Row], window_start: float, window_end: float
+        self, rows: RowSet | list[Row], window_start: float, window_end: float
     ) -> list[NetworkSla]:
         """Per-service SLAs: a record belongs to a service when its *source*
         server runs that service.  Inter-DC rows are excluded — the service
         threshold is the intra-DC one, and a service whose pivot servers
         probe across DCs would otherwise read as breached while healthy."""
+        if not self._services:
+            return []
+        intra = RowSet.of(rows).where(~_CROSSES_DC)
         slas = []
         for name, service in sorted(self._services.items()):
-            service_rows = [
-                row
-                for row in rows
-                if row["src"] in service.server_ids and not _crosses_dc(row)
-            ]
+            service_rows = intra.where(col("src").isin(service.server_ids))
             if service_rows:
                 slas.append(
                     compute_sla(
@@ -195,9 +243,10 @@ class SlaTracker:
         return slas
 
     def track_all(
-        self, rows: list[Row], window_start: float, window_end: float
+        self, rows: RowSet | list[Row], window_start: float, window_end: float
     ) -> list[NetworkSla]:
         """Every scope, one pass — the macro and micro levels of §1."""
+        rows = RowSet.of(rows)
         slas: list[NetworkSla] = []
         for scope in (
             SlaScope.DATACENTER,

@@ -269,26 +269,19 @@ class FleetShard:
             for entry in vip_entries:
                 launched += agent._probe_vip(entry, t)
         for agent, entries, tags in passthrough:
-            results = fabric.probe_many(agent.server_id, entries, t=t)
-            if agent.stream_aggregator is not None:
-                agent.stream_aggregator.observe_round(
-                    t,
-                    (
-                        (purpose, result.success, result.rtt_s * 1e6)
-                        for result, (purpose, _qos) in zip(results, tags)
-                    ),
-                )
-            self.probe_uploader.add_many(
-                make_records(
-                    fabric.topology,
-                    [
-                        (result, purpose, qos)
-                        for result, (purpose, qos) in zip(results, tags)
-                    ],
-                    server_cache=self._record_server_cache,
-                )
+            batch = make_records(
+                fabric.topology,
+                fabric.probe_many(agent.server_id, entries, t=t),
+                tags,
+                self._record_server_cache,
             )
-            launched += len(results)
+            if agent.stream_aggregator is not None:
+                columns = batch.columns
+                agent.stream_aggregator.observe_round(
+                    t, zip(columns["purpose"], columns["success"], columns["rtt_us"])
+                )
+            self.probe_uploader.add_many(batch)
+            launched += batch.n
         return launched
 
     def run_class_part(

@@ -86,10 +86,28 @@ class ColumnBlock:
 
     Immutable by convention (arrays are shared, never written); the store
     and the SCOPE engine both treat blocks as read-only.
+
+    A block is also a read-only *lazy row view* of itself — ``len`` and
+    slicing never leave the arrays, iteration materializes fresh row dicts
+    that the block does not retain — which is what lets the store adopt an
+    uploader's block as an extent's ``records`` without a row twin.
     """
 
     columns: dict[str, np.ndarray]
     n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return iter(self.to_rows())
+
+    def __getitem__(self, rows: slice) -> "ColumnBlock":
+        """A row range of the block, as views of its arrays."""
+        return ColumnBlock(
+            columns={name: arr[rows] for name, arr in self.columns.items()},
+            n=len(range(*rows.indices(self.n))),
+        )
 
     @classmethod
     def from_records(cls, records: Sequence[Record]) -> "ColumnBlock | None":
@@ -298,12 +316,24 @@ def _as_expr(value: Any) -> Expr:
     return value if isinstance(value, Expr) else lit(value)
 
 
-def col(name: str) -> Expr:
-    """Reference a column: ``col("rtt_us") >= 2.5e6``."""
+def col(name: str, default: Any = None) -> Expr:
+    """Reference a column: ``col("rtt_us") >= 2.5e6``.
+
+    With ``default`` (a value or an :class:`Expr`) the column is optional:
+    a row — or a whole column set — without it reads the default instead,
+    ``col("dst_dc", default=col("src_dc"))``.
+    """
+    if default is None:
+        return Expr(
+            lambda row: row[name],
+            lambda cols: cols[name],
+            frozenset((name,)),
+        )
+    fallback = _as_expr(default)
     return Expr(
-        lambda row: row[name],
-        lambda cols: cols[name],
-        frozenset((name,)),
+        lambda row: row[name] if name in row else fallback(row),
+        lambda cols: cols[name] if name in cols else fallback.eval_columns(cols),
+        fallback.columns,
     )
 
 

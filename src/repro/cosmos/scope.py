@@ -347,12 +347,14 @@ class _SegmentedColumns:
         if self.n_groups == 0:
             return np.empty(0, dtype=np.float64)
         values = self._value_sorted(name)
-        fraction = q / 100.0
-        position = self.starts + fraction * (self.counts - 1)
-        low = np.floor(position).astype(np.intp)
-        high = np.ceil(position).astype(np.intp)
-        t = position - low
-        a, b = values[low], values[high]
+        # Floor, ceiling and fraction of the offset *within* the segment,
+        # as np.percentile takes them of the group alone: adding the
+        # segment start first would round it into the fraction.
+        offset = (q / 100.0) * (self.counts - 1)
+        low = np.floor(offset)
+        t = offset - low
+        a = values[self.starts + low.astype(np.intp)]
+        b = values[self.starts + np.ceil(offset).astype(np.intp)]
         span = b - a
         # numpy's _lerp: blend from whichever side is nearer, for symmetry.
         result = np.where(t >= 0.5, b - span * (1.0 - t), a + span * t)
@@ -379,11 +381,11 @@ class _SegmentedColumns:
         return groups
 
 
-def _rows_from_columns(columns: dict[str, np.ndarray]) -> tuple[Row, ...]:
-    """Materialize python-scalar row dicts from a column dict."""
+def _rows_from_columns(columns: dict[str, np.ndarray]) -> list[Row]:
+    """Materialize fresh python-scalar row dicts from a column dict."""
     names = list(columns)
     lists = [columns[name].tolist() for name in names]
-    return tuple(dict(zip(names, values)) for values in zip(*lists))
+    return [dict(zip(names, values)) for values in zip(*lists)]
 
 
 class RowSet:
@@ -404,6 +406,12 @@ class RowSet:
         self._rows: tuple[Row, ...] | None = tuple(rows)
         self._columns: dict[str, np.ndarray] | None = None
         self._n = len(self._rows)
+
+    @classmethod
+    def of(cls, rows: "RowSet | Iterable[Row]") -> "RowSet":
+        """``rows`` as a rowset: itself if it is one, else a row-backed set
+        over it — for consumers that accept either a window or plain dicts."""
+        return rows if isinstance(rows, RowSet) else cls(rows)
 
     @classmethod
     def from_columns(cls, columns: dict[str, np.ndarray]) -> "RowSet":
@@ -427,7 +435,7 @@ class RowSet:
     def _materialized(self) -> tuple[Row, ...]:
         if self._rows is None:
             assert self._columns is not None
-            self._rows = _rows_from_columns(self._columns)
+            self._rows = tuple(_rows_from_columns(self._columns))
         return self._rows
 
     def _columnar_ok(self, *needed: str) -> bool:
@@ -627,9 +635,13 @@ class RowSet:
     def output(self) -> list[Row]:
         """Materialize as plain dicts (SCOPE's OUTPUT statement).
 
-        Always fresh copies — the only rows a caller may mutate.
+        Always fresh copies — the only rows a caller may mutate.  A
+        column-backed set builds them straight from its columns, once, and
+        keeps none: a window shared through a cache pins arrays, not rows.
         """
-        return [dict(row) for row in self._materialized()]
+        if self._rows is None:
+            return _rows_from_columns(self._columns)
+        return [dict(row) for row in self._rows]
 
 
 class GroupedRowSet:

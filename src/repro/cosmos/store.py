@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.cosmos.columnar import ColumnBlock
 
@@ -30,7 +30,7 @@ class ExtentUnavailableError(Exception):
     """All replicas of an extent are on failed storage nodes."""
 
 
-def _chunk_size(chunk: tuple[Record, ...], block: ColumnBlock | None) -> int:
+def _chunk_size(chunk: Sequence[Record], block: ColumnBlock | None) -> int:
     """Approximate serialized size of an extent's records in bytes.
 
     Columnar chunks are sized with vectorized per-column arithmetic;
@@ -47,17 +47,27 @@ def _chunk_size(chunk: tuple[Record, ...], block: ColumnBlock | None) -> int:
 class Extent:
     """An immutable chunk of a stream, replicated across nodes.
 
-    ``columns`` is the column-major twin of ``records`` (packed at append
-    time when the chunk is schema-homogeneous, ``None`` otherwise); the
-    SCOPE engine reads it for vectorized execution.
+    Appended as row dicts, ``records`` is the tuple of (copied) rows and
+    ``columns`` their column-major twin, packed at append time when the
+    chunk is schema-homogeneous and ``None`` otherwise.  Appended as a
+    :class:`~repro.cosmos.columnar.ColumnBlock`, the extent *is* the block:
+    ``records`` and ``columns`` are the one adopted object, whose ``len``
+    costs nothing and whose rows exist only while someone iterates them.
+    The SCOPE engine reads ``columns`` for vectorized execution.
     """
 
     extent_id: int
-    records: tuple[Record, ...]
+    records: tuple[Record, ...] | ColumnBlock
     replicas: tuple[int, ...]
     size_bytes: int
     appended_at: float
     columns: ColumnBlock | None = None
+
+    @property
+    def adopted(self) -> bool:
+        """True when the extent is an adopted block: every iteration of
+        ``records`` then yields fresh dicts, so readers need no copies."""
+        return self.records is self.columns
 
 
 @dataclass
@@ -144,19 +154,30 @@ class CosmosStore:
 
     # -- append / read ---------------------------------------------------------
 
-    def append(self, name: str, records: list[Record], t: float = 0.0) -> int:
+    def append(
+        self, name: str, records: list[Record] | ColumnBlock, t: float = 0.0
+    ) -> int:
         """Append records to a stream (created on first use).
 
-        Returns the number of extents written.  Records are copied into
-        immutable extents; callers cannot mutate stored data afterwards.
+        Returns the number of extents written.  Row dicts are copied into
+        immutable extents and packed by looking at their values; callers
+        cannot mutate stored data afterwards.  A
+        :class:`~repro.cosmos.columnar.ColumnBlock` is *adopted*: its
+        producer already knew the schema, so the block becomes the extent
+        as it is — no row copy, no second packing — and must not be
+        written to again.
         """
         if not records:
             return 0
         stream = self._streams.get(name) or self.create_stream(name)
         extents_written = 0
         for start in range(0, len(records), self.extent_max_records):
-            chunk = tuple(dict(record) for record in records[start : start + self.extent_max_records])
-            block = ColumnBlock.from_records(chunk)
+            chunk = records[start : start + self.extent_max_records]
+            if isinstance(chunk, ColumnBlock):
+                block = chunk
+            else:
+                chunk = tuple(dict(record) for record in chunk)
+                block = ColumnBlock.from_records(chunk)
             size = _chunk_size(chunk, block)
             replicas = self._place_replicas()
             stream.extents.append(
@@ -198,7 +219,7 @@ class CosmosStore:
         """
         self.read_count += 1
         for extent in self._live_extents(name):
-            if copy:
+            if copy and not extent.adopted:
                 yield from (dict(record) for record in extent.records)
             else:
                 yield from extent.records
@@ -222,9 +243,10 @@ class CosmosStore:
         """
         self.read_count += 1
         for extent in self._live_extents(name, appended_since):
+            protect = copy and not extent.adopted
             for record in extent.records:
                 if predicate(record):
-                    yield dict(record) if copy else record
+                    yield dict(record) if protect else record
 
     def extents(
         self, name: str, appended_since: float | None = None

@@ -7,19 +7,25 @@ a local disk quota, the same spirit as the uploader's log cap): when a
 new batch would overflow it, the oldest spooled batches are evicted
 first, because newer data is worth more to the §4 analyses than stale
 data whose SLA windows have already closed.
+
+A batch's ``records`` is whatever the uploader ships — a list of row dicts
+or a column block — and the spool only ever counts it (``len``) and cuts
+it (a slice): rows come into being here only if they are evicted, for the
+caller to count.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Any
 
 
 @dataclass
 class SpooledBatch:
     """One failed upload batch awaiting replay."""
 
-    records: list[dict]
+    records: Any  # sized and sliceable by row: list[dict] | ColumnBlock
     spooled_t: float
     attempts: int = 0
 

@@ -1,5 +1,8 @@
 """Broker admission, scheduling, and lifecycle tests on a live system."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from repro.broker import (
@@ -11,6 +14,8 @@ from repro.broker import (
 )
 from repro.core.agent.agent import AgentConfig
 from repro.core.dsa.pipeline import DsaConfig
+from repro.core.dsa.records import LATENCY_STREAM
+from repro.cosmos.columnar import ColumnBlock
 from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.netsim.topology import TopologySpec
 
@@ -253,6 +258,55 @@ class TestReadQueries:
         row = channel.rows[0]
         assert row["probes"] > 0
         assert 0.0 <= row["drop_rate"] <= 1.0
+
+    def test_scope_query_prunes_history_and_keeps_its_answer(self, broker):
+        """The read costs what its window holds, not what the stream has
+        ever held: extents appended before ``since`` are neither scanned
+        nor turned into rows, and the summary is the per-record walk's."""
+        system = broker.system
+        system.run_for(1500.0)  # a dozen upload periods of history
+        store = system.store
+        now = system.clock.now
+        since = now - 300.0
+
+        expected = {}
+        for record in store.read(LATENCY_STREAM):
+            if record["t"] >= since:
+                expected.setdefault(record["src_dc"], []).append(record)
+        expected_rows = []
+        for dc in sorted(expected):
+            records = expected[dc]
+            successes = [r["rtt_us"] for r in records if r["success"]]
+            expected_rows.append(
+                {
+                    "dc": dc,
+                    "probes": len(records),
+                    "drop_rate": 1.0 - len(successes) / len(records),
+                    "p50_us": float(np.percentile(successes, 50)),
+                    "p99_us": float(np.percentile(successes, 99)),
+                }
+            )
+
+        everything = list(store.stream(LATENCY_STREAM).extents)
+        old = {e.extent_id for e in everything if e.appended_at < since}
+        assert len(everything) > len(old) > len(everything) / 2
+        scanned = []
+        real_extents = store.extents
+
+        def counting_extents(name, appended_since=None):
+            for extent in real_extents(name, appended_since):
+                scanned.append(extent.extent_id)
+                yield extent
+
+        reads_before = store.read_count
+        with mock.patch.object(store, "extents", counting_extents), mock.patch.object(
+            ColumnBlock, "to_rows", side_effect=AssertionError("rows materialized")
+        ):
+            channel = broker.submit("acme", kind="scope", params={"since_s": 300.0})
+        assert channel.state is RequestState.COMPLETED
+        assert channel.rows == expected_rows and expected_rows
+        assert store.read_count == reads_before + 1
+        assert scanned and old.isdisjoint(scanned)
 
     def test_stream_query_reads_recent_windows(self, broker):
         broker.system.run_for(300.0)

@@ -1,9 +1,13 @@
 """Tests for ToR black-hole detection (§5.1)."""
 
+import random
+
 import pytest
 
 from repro.autopilot.device_manager import DeviceManager
 from repro.core.dsa.blackhole import BlackholeDetector
+from repro.cosmos.columnar import ColumnBlock
+from repro.cosmos.scope import RowSet
 from repro.netsim.topology import MultiDCTopology, TopologySpec
 
 
@@ -172,3 +176,129 @@ class TestRepairFiling:
             BlackholeDetector(min_pair_probes=0)
         with pytest.raises(ValueError):
             BlackholeDetector(dead_share_floor=0)
+
+
+class _RowWalkDetector(BlackholeDetector):
+    """The detector as it was before the pair aggregate moved onto the
+    SCOPE engine: one Python walk over every probe row of the window."""
+
+    def _pair_rows(self, rows):
+        return rows
+
+    def _server_symptoms(self, rows):
+        pair_stats = {}
+        pair_row = {}
+        row_of_server = {}
+        for row in rows:
+            pair = (row["src"], row["dst"])
+            pair_stats.setdefault(pair, []).append(bool(row["success"]))
+            pair_row.setdefault(pair, row)
+            row_of_server.setdefault(row["src"], row)
+
+        dead_by_server = {}
+        live_by_server = {}
+        pod_pairs = {}
+        dead_pairs = set()
+        for pair, outcomes in pair_stats.items():
+            if len(outcomes) < self.min_pair_probes:
+                continue
+            src, _dst = pair
+            row = pair_row[pair]
+            endpoints = {
+                (row["src_dc"], row["src_pod"]),
+                (row.get("dst_dc", row["src_dc"]), row.get("dst_pod", -1)),
+            }
+            for endpoint in endpoints:
+                pod_pairs.setdefault(endpoint, set()).add(pair)
+            if not any(outcomes):
+                dead_by_server[src] = dead_by_server.get(src, 0) + 1
+                dead_pairs.add(pair)
+            elif all(outcomes):
+                live_by_server[src] = live_by_server.get(src, 0) + 1
+
+        symptoms = {
+            src: (
+                dead_by_server.get(src, 0) > 0 and live_by_server.get(src, 0) > 0,
+                row,
+            )
+            for src, row in row_of_server.items()
+        }
+        return symptoms, self._greedy_cover(pod_pairs, dead_pairs)
+
+
+def _columnar_window(rows):
+    block = ColumnBlock.from_records(rows)
+    window = RowSet.from_columns(block.columns)
+    assert window.is_columnar
+    return window
+
+
+def _without(rows, *columns):
+    return [{k: v for k, v in row.items() if k not in columns} for row in rows]
+
+
+_FIXTURES = {
+    "healthy": dict(),
+    "one-tor": dict(poisoned=[1]),
+    "fig6-two-podsets": dict(poisoned=[0, 4]),
+    "fig6-three-tors": dict(n_pods=9, poisoned=[1, 5, 6], servers_per_pod=6),
+    "light-pattern": dict(poisoned=[2], drop_every=4, servers_per_pod=8),
+    "whole-podset": dict(poisoned=[0, 1, 2]),
+    "partial-podset": dict(poisoned=[0, 1]),
+    "down-server": dict(down_servers=[(3, 0)]),
+    "down-next-to-blackhole": dict(poisoned=[1], down_servers=[(3, 0)]),
+    "single-probe-pairs": dict(poisoned=[1], repeats=1),
+}
+
+
+class TestRowSetEqualsRowWalk:
+    """Same candidates, scores and escalations from a column-backed window,
+    from a list of dicts and from the row walk kept above — on the Figure 6
+    fixtures, in the order they come and in shuffled orders."""
+
+    @staticmethod
+    def _assert_same(rows, **detector_kwargs):
+        expected = _RowWalkDetector(**detector_kwargs).detect(rows, t=7.0)
+        detector = BlackholeDetector(**detector_kwargs)
+        for window in (rows, RowSet(rows), _columnar_window(rows)):
+            report = detector.detect(window, t=7.0)
+            assert report.candidates == expected.candidates
+            assert report.tors_to_reload == expected.tors_to_reload
+            assert report.podsets_escalated == expected.podsets_escalated
+        return expected
+
+    @pytest.mark.parametrize("name", sorted(_FIXTURES))
+    def test_fixture_in_order(self, name):
+        self._assert_same(_mesh_rows(**_FIXTURES[name]))
+
+    @pytest.mark.parametrize("name", sorted(_FIXTURES))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fixture_shuffled(self, name, seed):
+        rows = _mesh_rows(**_FIXTURES[name])
+        random.Random(seed).shuffle(rows)
+        self._assert_same(rows)
+
+    def test_figure_6_regime_is_not_vacuous(self):
+        expected = self._assert_same(_mesh_rows(**_FIXTURES["fig6-three-tors"]))
+        assert sorted(c.pod for c in expected.tors_to_reload) == [1, 5, 6]
+        expected = self._assert_same(_mesh_rows(**_FIXTURES["whole-podset"]))
+        assert expected.podsets_escalated == [(0, 0)]
+
+    def test_flaky_pairs_and_thresholds(self):
+        rows = _mesh_rows(poisoned=[1], repeats=3)
+        for i, row in enumerate(row for row in rows if row["src_pod"] == 0):
+            row["success"] = i % 3 != 0
+        self._assert_same(rows, min_pair_probes=3, score_threshold=0.2)
+        self._assert_same(rows, min_reporting_servers=5)
+
+    def test_rows_without_destination_coordinates(self):
+        """Older fixtures carry no ``dst_dc`` / ``dst_pod``: same DC, no pod."""
+        rows = _mesh_rows(poisoned=[1])
+        self._assert_same(_without(rows, "dst_dc"))
+        self._assert_same(_without(rows, "dst_dc", "dst_pod", "dst_podset"))
+
+    def test_only_the_pairs_leave_the_engine(self):
+        rows = _mesh_rows(poisoned=[1], repeats=5)
+        pairs = BlackholeDetector()._pair_rows(_columnar_window(rows))
+        assert len(pairs) == len(rows) // 5
+        assert {(row["probes"], row["answered"]) for row in pairs} == {(5, 5), (5, 0)}

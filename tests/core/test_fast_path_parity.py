@@ -185,13 +185,14 @@ class TestDistributionParity:
         src, entries = _round_entries(fabric, n=6)
         results = fabric.probe_many(src, entries, t=40.0)
         bulk = make_records(
-            fabric.topology, [(r, "tor-level", "high") for r in results]
+            fabric.topology, results, [("tor-level", "high")] * len(results)
         )
         single = [
             make_record(fabric.topology, r, purpose="tor-level", qos="high")
             for r in results
         ]
-        assert bulk == single
+        assert bulk.rows() == single
+        assert [list(row) for row in bulk.rows()] == [list(row) for row in single]
 
 
 class TestClassRoundParity:

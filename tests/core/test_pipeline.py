@@ -1,7 +1,10 @@
 """Tests for the DSA pipeline cadences and wiring."""
 
+from unittest import mock
+
 import pytest
 
+import repro.cosmos.scope as scope_engine
 from repro.core.dsa.database import ResultsDatabase
 from repro.core.dsa.pipeline import DsaConfig, DsaPipeline
 from repro.core.dsa.records import LATENCY_STREAM
@@ -208,3 +211,69 @@ class TestConfigValidation:
             DsaConfig(ingestion_delay_s=-1.0)
         with pytest.raises(ValueError):
             DsaConfig(hourly_period_s=0)
+
+
+class TestJobsReadTheWindowInPlace:
+    """Work meter: what the hourly and daily jobs turn into row dicts is
+    their *results* — SLAs, DC drop rates, probed pairs — never the window.
+    (Both used to ``output()`` the whole window, two dicts per probe.)"""
+
+    SPEC = TopologySpec(n_podsets=4, pods_per_podset=4, servers_per_pod=16, n_spines=8)
+
+    def _tick(self, rounds: int) -> dict:
+        from repro.core.agent.agent import AgentConfig
+        from repro.core.system import PingmeshSystem, PingmeshSystemConfig
+
+        system = PingmeshSystem(
+            PingmeshSystemConfig(
+                specs=(self.SPEC,),
+                seed=3,
+                agent=AgentConfig(round_mode="fast"),
+                dsa=DsaConfig(ingestion_delay_s=0.0),
+            )
+        )
+        system.start()
+        system.run_for(rounds * 60.0 - 1.0)
+        now = system.clock.now
+        for agent in system.agents.values():
+            agent.uploader.flush(now, force=True)
+
+        materialized = []
+        real = scope_engine._rows_from_columns
+
+        def metered(columns):
+            rows = real(columns)
+            materialized.append(len(rows))
+            return rows
+
+        with mock.patch.object(scope_engine, "_rows_from_columns", metered):
+            sla_rows = system.dsa.run_hourly_job(now)
+            system.dsa.run_daily_job(now)
+        window = system.store.stream(LATENCY_STREAM)
+        pairs = {
+            (row["src"], row["dst"]) for row in system.store.read(LATENCY_STREAM)
+        }
+        return {
+            "materialized": sum(materialized),
+            "window_rows": window.record_count,
+            "pairs": len(pairs),
+            "sla_keys": len(sla_rows),
+            "adopted": all(extent.adopted for extent in window.extents),
+            "database": system.database,
+        }
+
+    def test_rows_materialized_are_the_aggregates_outputs(self):
+        short, long = self._tick(rounds=5), self._tick(rounds=20)
+        assert short["adopted"] and long["adopted"]
+        assert long["window_rows"] > 3.9 * short["window_rows"] > 100_000
+        # Four times the window, the same pairs and keys: the same rows made.
+        assert (long["pairs"], long["sla_keys"]) == (short["pairs"], short["sla_keys"])
+        assert long["materialized"] == short["materialized"]
+        # Per SLA key: one row of counts, one of percentiles; per DC: an
+        # intra-pod and an inter-pod drop rate; per probed pair: one row.
+        n_dcs = 1
+        assert long["materialized"] <= long["pairs"] + 2 * long["sla_keys"] + 2 * n_dcs
+        assert long["materialized"] < long["window_rows"] / 10
+        for tick in (short, long):
+            for table in ("sla_hourly", "drop_daily", "blackhole_daily"):
+                assert tick["database"].query(table), table

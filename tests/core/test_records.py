@@ -1,8 +1,16 @@
 """Tests for the latency record schema."""
 
+import numpy as np
 import pytest
 
-from repro.core.dsa.records import LATENCY_STREAM, RECORD_COLUMNS, make_record
+from repro.core.dsa.records import (
+    LATENCY_STREAM,
+    RECORD_COLUMNS,
+    RECORD_DTYPES,
+    RecordBatch,
+    make_record,
+    make_records,
+)
 from repro.netsim.fabric import Fabric
 from repro.netsim.topology import TopologySpec
 
@@ -64,3 +72,63 @@ class TestMakeRecord:
 
     def test_stream_name_constant(self):
         assert LATENCY_STREAM == "pingmesh/latency"
+
+
+class TestRecordBatch:
+    @pytest.fixture()
+    def round_(self, fabric):
+        dc = fabric.topology.dc(0)
+        src = dc.servers[0].device_id
+        victim = dc.servers[7]
+        victim.bring_down()
+        try:
+            results = fabric.probe_many(
+                src,
+                [(dc.servers[i].device_id, 80, 1000 if i == 3 else 0) for i in (1, 3, 7, 30)],
+                t=42.0,
+            )
+        finally:
+            victim.bring_up()
+        tags = [("intra-pod", "high"), ("intra-pod", "high"), ("intra-pod", "low"), ("tor-level", "high")]
+        return fabric.topology, results, tags
+
+    def test_batch_rows_are_make_record_rows(self, round_):
+        topology, results, tags = round_
+        batch = make_records(topology, results, tags)
+        assert len(batch) == batch.n == 4
+        assert tuple(batch.columns) == RECORD_COLUMNS
+        assert batch.rows() == [
+            make_record(topology, result, purpose=purpose, qos=qos)
+            for result, (purpose, qos) in zip(results, tags)
+        ]
+        assert {row["error"] for row in batch.rows()} == {None, "timeout"}
+        assert sum(row["payload_rtt_us"] is not None for row in batch.rows()) == 1
+
+    def test_pack_uses_the_declared_types(self, round_):
+        topology, results, tags = round_
+        batch = make_records(topology, results, tags)
+        block = RecordBatch.pack([batch, batch[1:3]])
+        assert block.n == 6 and tuple(block.columns) == RECORD_COLUMNS
+        assert block.to_rows() == batch.rows() + batch.rows()[1:3]
+        for name, column in block.columns.items():
+            nullable = name in ("payload_rtt_us", "error")  # both hold a None here
+            assert column.dtype == (object if nullable else np.dtype(RECORD_DTYPES[name])) or (
+                column.dtype.kind == "U" and RECORD_DTYPES[name] is np.str_
+            ), name
+        # Without a None in them, the nullable columns pack typed too.
+        assert RecordBatch.pack([batch[1:2]]).columns["payload_rtt_us"].dtype == np.float64
+        assert RecordBatch.pack([batch[2:3]]).columns["error"].dtype.kind == "U"
+
+    def test_pack_refuses_mixed_schemas(self, round_):
+        topology, results, tags = round_
+        fresh = make_records(topology, results, tags)
+        stale = make_records(topology, results, tags)
+        stale.columns["pinglist_stale"] = [True] * stale.n
+        assert RecordBatch.pack([fresh, stale]) is None
+        assert RecordBatch.pack([stale, stale]).columns["pinglist_stale"].dtype == np.bool_
+
+    def test_slices_are_batches(self, round_):
+        topology, results, tags = round_
+        batch = make_records(topology, results, tags)
+        assert batch[1:].rows() == batch.rows()[1:]
+        assert len(batch[4:]) == 0 and len(batch[:9]) == 4

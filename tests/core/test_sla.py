@@ -1,7 +1,11 @@
 """Tests for network SLA tracking at macro and micro scopes."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.dsa.drop_inference import estimate_drop_rate
 from repro.core.dsa.sla import (
     NetworkSla,
     ServiceDefinition,
@@ -9,6 +13,8 @@ from repro.core.dsa.sla import (
     SlaTracker,
     compute_sla,
 )
+from repro.cosmos.columnar import ColumnBlock
+from repro.cosmos.scope import RowSet
 
 
 def _row(
@@ -212,3 +218,158 @@ class TestDcPairScope:
         assert SlaTracker().track_scope([row], SlaScope.DC_PAIR, 0.0, 600.0) == []
         slas = SlaTracker().track_scope([row], SlaScope.DATACENTER, 0.0, 600.0)
         assert slas[0].probe_count == 1
+
+
+# -- the engine against the row loops it replaced -------------------------------
+
+def _oracle_crosses_dc(row):
+    return row.get("dst_dc", row["src_dc"]) != row["src_dc"]
+
+
+def _oracle_scope_key(row, scope):
+    if scope == SlaScope.SERVER:
+        return row["src"]
+    if scope == SlaScope.POD:
+        return f"dc{row['src_dc']}/pod{row['src_pod']}"
+    if scope == SlaScope.PODSET:
+        return f"dc{row['src_dc']}/ps{row['src_podset']}"
+    if scope == SlaScope.DATACENTER:
+        return f"dc{row['src_dc']}"
+    return f"dc{row['src_dc']}->dc{row['dst_dc']}"
+
+
+def _oracle_sla(rows, scope, key, start, end):
+    ok_rtts = [row["rtt_us"] for row in rows if row["success"]]
+    return NetworkSla(
+        scope=scope,
+        key=key,
+        window_start=start,
+        window_end=end,
+        probe_count=len(rows),
+        drop_rate=estimate_drop_rate(rows).rate,
+        p50_us=float(np.percentile(ok_rtts, 50)) if ok_rtts else None,
+        p99_us=float(np.percentile(ok_rtts, 99)) if ok_rtts else None,
+    )
+
+
+def _oracle_track_all(rows, services, start, end):
+    """``SlaTracker.track_all`` as hand-written loops: filter, group into
+    lists of dicts, reduce each list — scope by scope, in Python."""
+    slas = []
+    for scope in (
+        SlaScope.DATACENTER,
+        SlaScope.DC_PAIR,
+        SlaScope.PODSET,
+        SlaScope.POD,
+        SlaScope.SERVER,
+    ):
+        wanted = scope == SlaScope.DC_PAIR
+        groups = {}
+        for row in rows:
+            if _oracle_crosses_dc(row) == wanted:
+                groups.setdefault(_oracle_scope_key(row, scope), []).append(row)
+        slas.extend(
+            _oracle_sla(group, scope, key, start, end)
+            for key, group in sorted(groups.items())
+        )
+    for service in sorted(services, key=lambda s: s.name):
+        service_rows = [
+            row
+            for row in rows
+            if row["src"] in service.server_ids and not _oracle_crosses_dc(row)
+        ]
+        if service_rows:
+            slas.append(_oracle_sla(service_rows, SlaScope.SERVICE, service.name, start, end))
+    return slas
+
+
+_SERVICES = (
+    ServiceDefinition.of("search", ["dc0/s0-0", "dc0/s1-1", "dc1/s0-0"]),
+    ServiceDefinition.of("storage", ["dc0/s2-0"]),
+    ServiceDefinition.of("idle", ["dc9/nobody"]),
+)
+
+# RTTs around every threshold the drop heuristic has, and a plain range.
+_RTT_US = st.one_of(
+    st.floats(min_value=50.0, max_value=5_000.0, allow_nan=False),
+    st.sampled_from([2_999_999.9999999995, 3e6, 3.0002e6, 8_999_999.999999998, 9e6, 9.3e6]),
+)
+
+
+@st.composite
+def _sla_rows(draw, with_dst_dc=True):
+    rows = []
+    for _ in range(draw(st.integers(0, 60))):
+        dc = draw(st.integers(0, 1))
+        pod = draw(st.integers(0, 2))
+        host = draw(st.integers(0, 1))
+        row = _row(
+            src=f"dc{dc}/s{pod}-{host}",
+            dst=f"dc{dc}/s{(pod + 1) % 3}-{host}",
+            rtt_us=draw(_RTT_US),
+            # Pod 2 of dc1 never answers: all-failed groups at every scope
+            # below the data center.
+            success=draw(st.booleans()) and not (dc == 1 and pod == 2),
+            pod=pod,
+            podset=pod // 2,
+            dc=dc,
+            dst_dc=draw(st.sampled_from([dc, dc, dc, 1 - dc, 2])),
+        )
+        if not with_dst_dc:
+            del row["dst_dc"]
+        rows.append(row)
+    return rows
+
+
+def _columnar(rows):
+    block = ColumnBlock.from_records(rows)
+    window = RowSet.from_columns(block.columns) if block is not None else RowSet(rows)
+    assert window.is_columnar == bool(rows)
+    return window
+
+
+class TestEngineEqualsRowLoops:
+    @settings(max_examples=120, deadline=None)
+    @given(rows=_sla_rows())
+    def test_columnar_window(self, rows):
+        tracker = SlaTracker(_SERVICES)
+        expected = _oracle_track_all(rows, _SERVICES, 0.0, 600.0)
+        assert tracker.track_all(_columnar(rows), 0.0, 600.0) == expected
+        assert tracker.track_all(rows, 0.0, 600.0) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_sla_rows(with_dst_dc=False))
+    def test_window_without_dst_dc_column(self, rows):
+        tracker = SlaTracker(_SERVICES)
+        expected = _oracle_track_all(rows, _SERVICES, 0.0, 600.0)
+        assert not any(sla.scope == SlaScope.DC_PAIR for sla in expected)
+        assert tracker.track_all(_columnar(rows), 0.0, 600.0) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=_sla_rows(), drop=st.sets(st.integers(0, 59)))
+    def test_rows_that_only_sometimes_carry_dst_dc(self, rows, drop):
+        for index in drop:
+            if index < len(rows):
+                del rows[index]["dst_dc"]
+        tracker = SlaTracker(_SERVICES)
+        expected = _oracle_track_all(rows, _SERVICES, 0.0, 600.0)
+        assert tracker.track_all(rows, 0.0, 600.0) == expected
+
+    def test_empty_window(self):
+        tracker = SlaTracker(_SERVICES)
+        assert tracker.track_all(RowSet([]), 0.0, 600.0) == []
+        assert tracker.track_all([], 0.0, 600.0) == []
+
+    def test_each_scope_alone(self):
+        rows = [
+            _row(src=f"dc0/s{pod}-{i}", pod=pod, podset=pod // 2, rtt_us=200.0 + 7 * i,
+                 success=(pod, i) != (3, 4), dst_dc=1 if i == 9 else 0)
+            for pod in range(4)
+            for i in range(10)
+        ]
+        tracker = SlaTracker(_SERVICES)
+        expected = _oracle_track_all(rows, _SERVICES, 5.0, 65.0)
+        for scope in SlaScope:
+            assert tracker.track_scope(_columnar(rows), scope, 5.0, 65.0) == [
+                sla for sla in expected if sla.scope == scope
+            ], scope

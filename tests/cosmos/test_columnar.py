@@ -132,6 +132,72 @@ class TestStorePacksBlocks:
         assert rows[0] is store.stream("s").extents[0].records[0]
 
 
+class TestStoreAdoptsBlocks:
+    """A block handed to ``append`` becomes the extent: no row twin, no
+    second packing — and everything a reader could do before still works."""
+
+    def _adopted(self, n=10, extent_max_records=4):
+        store = CosmosStore(extent_max_records=extent_max_records)
+        block = ColumnBlock.from_records(_records(n))
+        assert store.append("s", block, t=5.0) == -(-n // extent_max_records)
+        return store, block
+
+    def test_extents_are_row_ranges_of_the_block(self):
+        store, block = self._adopted()
+        extents = store.stream("s").extents
+        assert [len(extent.records) for extent in extents] == [4, 4, 2]
+        assert all(extent.adopted and extent.records is extent.columns for extent in extents)
+        assert all(
+            np.shares_memory(extent.columns.columns["rtt_us"], block.columns["rtt_us"])
+            for extent in extents
+        )
+        assert store.stream("s").record_count == store.records_ingested == 10
+
+    def test_same_extents_as_the_rows_would_make(self):
+        store, _block = self._adopted()
+        by_rows = CosmosStore(extent_max_records=4)
+        by_rows.append("s", _records(10), t=5.0)
+        assert store.bytes_ingested == by_rows.bytes_ingested
+        for mine, theirs in zip(store.stream("s").extents, by_rows.stream("s").extents):
+            assert (mine.size_bytes, mine.appended_at, mine.replicas) == (
+                theirs.size_bytes, theirs.appended_at, theirs.replicas
+            )
+            assert mine.columns.to_rows() == theirs.columns.to_rows()
+        assert list(store.read("s")) == list(by_rows.read("s")) == _records(10)
+
+    def test_rows_are_fresh_on_every_read(self):
+        store, _block = self._adopted(n=3)
+        for copy in (True, False):
+            first, second = list(store.read("s", copy=copy)), list(store.read("s", copy=copy))
+            assert first == second == _records(3)
+            assert first[0] is not second[0]
+        hits = list(store.read_where("s", lambda r: r["i"] != 1))
+        assert [row["i"] for row in hits] == [0, 2]
+
+    def test_row_appends_are_not_adopted(self):
+        store = CosmosStore()
+        store.append("s", _records(2))
+        (extent,) = store.stream("s").extents
+        assert not extent.adopted and isinstance(extent.records, tuple)
+
+    def test_empty_block_is_a_noop(self):
+        store = CosmosStore()
+        block = ColumnBlock.from_records(_records(3))
+        assert store.append("s", block[:0]) == 0
+        assert not store.has_stream("s")
+
+
+class TestBlockAsRowView:
+    def test_len_slice_and_iteration(self):
+        block = ColumnBlock.from_records(_records(5))
+        assert len(block) == 5
+        tail = block[3:]
+        assert isinstance(tail, ColumnBlock) and len(tail) == tail.n == 2
+        assert list(tail) == _records(5)[3:]
+        assert len(block[:100]) == 5 and len(block[5:]) == 0
+        assert np.shares_memory(tail.columns["i"], block.columns["i"])
+
+
 class TestExpressions:
     ROWS = [
         {"a": 1, "b": 10.0, "ok": True, "name": "x"},
@@ -172,6 +238,23 @@ class TestExpressions:
             np.asarray(expr.eval_columns(columns), dtype=bool), (len(self.ROWS),)
         )
         assert per_row == vector.tolist()
+
+    def test_optional_column_reads_its_default(self, columns):
+        for name, default, expected in (
+            ("a", col("b"), [1, 2, 3]),  # present: the column
+            ("zz", col("b"), [10.0, 20.0, 5.0]),  # absent: another column
+            ("zz", -1, [-1, -1, -1]),  # absent: a constant
+        ):
+            expr = col(name, default=default)
+            assert [expr(row) for row in self.ROWS] == expected
+            vector = np.broadcast_to(np.asarray(expr.eval_columns(columns)), (3,))
+            assert vector.tolist() == expected
+        # Row by row, a row that has the column wins over the default.
+        expr = col("zz", default=col("a"))
+        assert [expr(row) for row in [{"a": 1}, {"a": 2, "zz": 9}]] == [1, 9]
+        # Only the default's columns are *required* of a column set.
+        assert col("zz", default=col("a")).columns == {"a"}
+        assert col("zz", default=0).columns == frozenset()
 
     def test_expr_tracks_referenced_columns(self):
         expr = col("ok") & (col("b") > 8.0)
