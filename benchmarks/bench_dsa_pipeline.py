@@ -42,9 +42,14 @@ PAPER_PA_PATH_S = 5 * 60.0
 # What one per-probe record may keep alive once its window is uploaded and
 # read: its entries in the extent's block (~300 B), in the pipeline's cached
 # window (~100 B), and what the uploaders' local logs still pin (their byte
-# cap's worth of recent rounds, as column lists).  It was 1,550 B when a
-# record was held as a dict, a JSON line, a dict copy and a block at once.
-RECORD_BYTES_PER_PROBE_BUDGET = 700
+# cap's worth of recent rounds: the columns a round drew, beside one shared
+# set of the ten its pinglist fixes).  It was 1,550 B when a record was held
+# as a dict, a JSON line, a dict copy and a block at once, and 580 B while
+# every batch carried its own sixteen lists.
+RECORD_BYTES_PER_PROBE_BUDGET = 520
+# Round -> extent, engine excluded (7.7 us when a round came apart into a
+# ProbeResult per probe and back into columns).
+RECORD_PATH_US_PER_RECORD_BUDGET = 6.0
 RECORD_PATH_SPEC = TopologySpec(
     n_podsets=4, pods_per_podset=4, servers_per_pod=16, n_spines=8
 )
@@ -171,7 +176,8 @@ def bench_ten_minute_job_runtime(benchmark):
 
 def bench_record_path(benchmark):
     """256 servers, every probe a record: one 600 s window, then the hourly
-    and the daily job over it.  Gated: bytes held per probe."""
+    and the daily job over it.  Gated: bytes held per probe, and the cost
+    of a record from round to extent."""
     system = PingmeshSystem(
         PingmeshSystemConfig(
             specs=(RECORD_PATH_SPEC,),
@@ -230,6 +236,7 @@ def bench_record_path(benchmark):
     benchmark.extra_info["bytes_per_probe"] = round(bytes_per_probe)
     benchmark.extra_info["budget_bytes_per_probe"] = RECORD_BYTES_PER_PROBE_BUDGET
     benchmark.extra_info["us_per_record"] = round(us_per_record, 2)
+    benchmark.extra_info["budget_us_per_record"] = RECORD_PATH_US_PER_RECORD_BUDGET
     benchmark.extra_info["hourly_job_s"] = round(hourly_s, 3)
     # The process's high-water mark so far, not this bench's alone.
     benchmark.extra_info["ru_maxrss_mb"] = round(
@@ -238,4 +245,8 @@ def bench_record_path(benchmark):
     assert bytes_per_probe <= RECORD_BYTES_PER_PROBE_BUDGET, (
         f"a probe record holds {bytes_per_probe:.0f} B "
         f"(budget {RECORD_BYTES_PER_PROBE_BUDGET} B)"
+    )
+    assert us_per_record <= RECORD_PATH_US_PER_RECORD_BUDGET, (
+        f"round -> extent costs {us_per_record:.2f} us per record "
+        f"(budget {RECORD_PATH_US_PER_RECORD_BUDGET} us)"
     )

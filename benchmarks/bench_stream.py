@@ -59,13 +59,7 @@ def _fleet_deltas(n_agents: int = 64, n_windows: int = 20) -> list:
             n = 40
             successes = rng.random(n) < 0.999
             rtts = rng.lognormal(mean=5.5, sigma=0.4, size=n)
-            aggregator.observe_round(
-                t,
-                (
-                    ("tor-level", bool(ok), float(rtt))
-                    for ok, rtt in zip(successes, rtts)
-                ),
-            )
+            aggregator.observe_round(t, {"tor-level": slice(None)}, successes, rtts)
         deltas.extend(aggregator.flush_all())
     return deltas
 

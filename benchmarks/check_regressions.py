@@ -9,14 +9,16 @@ The ``dsa`` suite (the default) first runs the record-path correctness
 tier (``tests/core/test_record_path_lockstep.py`` — column batches, the
 sized-not-rendered local log and adopted extents against the
 dict-per-record pipeline they replaced), then ``bench_engine_throughput``,
-``bench_dsa_pipeline`` (with ``bench_record_path``: bytes held per probe,
-gated) and ``bench_scope_columnar``, and writes ``BENCH_dsa.json``.  The
+``bench_dsa_pipeline`` (with ``bench_record_path``: bytes held per probe
+and round-to-extent cost per record, both gated) and
+``bench_scope_columnar``, and writes ``BENCH_dsa.json``.  The
 ``chaos`` suite first runs the chaos drill tier
 (``tests/integration/test_chaos_drills.py`` — every canned fault campaign
 must finish with zero invariant violations), then ``bench_chaos_overhead``
 (the <10% checker-overhead gate), and writes ``BENCH_chaos.json``.  The
-``fleet`` suite first runs the fast-path correctness tier (the path-cache
-property tests and the fast/scalar parity tests), then
+``fleet`` suite first runs the fast-path correctness tier (the recorded
+probe-round fingerprints, the path-cache property tests and the
+fast/scalar parity tests), then
 ``bench_fleet_round`` (the ≥5× fleet-round speedup gate), and writes
 ``BENCH_fleet.json``.  The ``stream`` suite first runs the streaming-plane
 correctness tier (sketch/aggregator/ingest/detector property tests and the
@@ -104,8 +106,11 @@ BROKER_BENCHES = [
 DSA_CORRECTNESS_TIER = ["tests/core/test_record_path_lockstep.py"]
 CHAOS_DRILL_TIER = ["tests/integration/test_chaos_drills.py"]
 # Correctness before speed: the fleet suite's bench numbers mean nothing
-# unless cached paths equal fresh paths and fast rounds match scalar rounds.
+# unless a compiled, columnar round is the recorded per-probe one (first:
+# it is the cheapest to fail), cached paths equal fresh paths and fast
+# rounds match scalar rounds.
 FLEET_CORRECTNESS_TIER = [
+    "tests/netsim/test_probe_round_fingerprint.py",
     "tests/netsim/test_path_cache.py",
     "tests/core/test_fast_path_parity.py",
 ]

@@ -42,7 +42,7 @@ from repro.core.dsa.records import (
     make_records,
 )
 from repro.netsim.devices import StateVersion
-from repro.netsim.fabric import Fabric
+from repro.netsim.fabric import Fabric, ProbeBatch
 from repro.resilience import PinglistState, RetryPolicy, derive_seed
 
 __all__ = ["AgentConfig", "PingmeshAgent"]
@@ -156,7 +156,7 @@ class PingmeshAgent(SharedService):
             self.config.refresh_retry_cap_s,
             seed=derive_seed(server_id, "pinglist-refresh"),
         )
-        self._class_plan: tuple | None = None  # (pinglist, version, plan)
+        self._class_plan: tuple | None = None  # (pinglist, version, compiled)
         self.last_upload_t = 0.0
         self.probes_sent = 0
         self.rounds_run = 0
@@ -270,7 +270,7 @@ class PingmeshAgent(SharedService):
 
     def _tag_stale_many(self, batch: RecordBatch) -> RecordBatch:
         if self.pinglist_stale:
-            batch.columns["pinglist_stale"] = [True] * batch.n
+            batch.stale = True
         return batch
 
     @property
@@ -353,7 +353,7 @@ class PingmeshAgent(SharedService):
         tags: list[tuple[str, str]] = []
         for entry in self.pinglist.entries:
             if entry.purpose == "vip":
-                launched += self._record_results(results, tags, t)
+                launched += self._record_scalar_run(results, tags, t)
                 results, tags = [], []
                 launched += self._probe_vip(entry, t)
                 continue
@@ -366,27 +366,33 @@ class PingmeshAgent(SharedService):
                 )
             )
             tags.append((entry.purpose, entry.qos))
-        return launched + self._record_results(results, tags, t)
+        return launched + self._record_scalar_run(results, tags, t)
 
-    def _record_results(self, results, tags, t: float) -> int:
-        """Feed one engine call's per-pair results, tagged ``(purpose,
-        qos)``, to the three sinks — counters, stream aggregator, uploader,
-        in that order — as columns of the one record batch they become.
-        Returns the number of probes recorded."""
+    def _record_scalar_run(self, results: list, tags: list, t: float) -> int:
+        """Record one run of scalar probes (none: a VIP entry came first)."""
+        if not results:
+            return 0
+        return self._record_results(ProbeBatch.from_results(results), tags, t)
+
+    def _record_results(self, probes: ProbeBatch, tags, t: float) -> int:
+        """Feed one engine call's probes, tagged ``(purpose, qos)``, to the
+        three sinks — counters, stream aggregator, uploader, in that order
+        — as columns of the one record batch they become.  Returns the
+        number of probes recorded."""
         batch = make_records(
-            self.fabric.topology, results, tags, self._record_server_cache
+            self.fabric.topology, probes, tags, self._record_server_cache
         )
-        columns = batch.columns
-        success = columns["success"]
-        self.counters.add_many(zip(success, [r.rtt_s for r in results]))
+        self.counters.add_many(zip(probes.success.tolist(), probes.rtt_s.tolist()))
         if self.stream_aggregator is not None:
             self.stream_aggregator.observe_round(
-                t, zip(columns["purpose"], success, columns["rtt_us"])
+                t, batch.static.classes, batch.success, batch.rtt_us
             )
         self.uploader.add_many(self._tag_stale_many(batch))
         return batch.n
 
-    def _round_entries(self) -> tuple[list, list[tuple[str, int, int]], list[tuple[str, str]]]:
+    def _round_entries(
+        self,
+    ) -> tuple[list, tuple[tuple[str, int, int], ...], tuple[tuple[str, str], ...]]:
         """The round's (vip entries, probe_many entries, tags), memoized.
 
         A pinglist is an immutable snapshot from the controller, so the
@@ -414,8 +420,11 @@ class PingmeshAgent(SharedService):
                 )
             )
             tags.append(entry.tag)
-        self._round_plan = (self.pinglist, vip_entries, probe_entries, tags)
-        return vip_entries, probe_entries, tags
+        # Tuples: what the engine and the record path key their per-pinglist
+        # work on (a round plan, its static columns) must not be writable.
+        plan = (self.pinglist, vip_entries, tuple(probe_entries), tuple(tags))
+        self._round_plan = plan
+        return plan[1:]
 
     def _run_probe_round_fast(self, t: float) -> int:
         """Fast round: the whole pinglist in one ``probe_many`` call."""
@@ -429,9 +438,11 @@ class PingmeshAgent(SharedService):
             )
         return launched
 
-    def _current_class_plan(self):
+    def _current_class_plan(self) -> tuple:
         """The compiled class plan for the current pinglist + fabric
-        generation, rebuilt only when either changes."""
+        generation with its degraded pairs' round — ``(plan, entries,
+        tags)``, the last two as tuples the engine keys its own per-round
+        plan on — rebuilt only when either changes."""
         version = self.fabric.topology.state_version.value
         cached = self._class_plan
         if (
@@ -442,23 +453,26 @@ class PingmeshAgent(SharedService):
             return cached[2]
         _vip_entries, probe_entries, tags = self._round_entries()
         plan = self.fabric.build_class_plan(self.server_id, probe_entries, tags)
-        self._class_plan = (self.pinglist, version, plan)
-        return plan
+        compiled = (
+            plan,
+            tuple([probe_entries[i] for i in plan.passthrough]),
+            tuple([tags[i] for i in plan.passthrough]),
+        )
+        self._class_plan = (self.pinglist, version, compiled)
+        return compiled
 
     def _run_probe_round_class(self, t: float) -> int:
         """Closed-form round: class groups in one draw each, degraded pairs
         through the per-pair fast path, VIPs scalar — the fidelity ladder
         top rung."""
         launched = 0
-        vip_entries, probe_entries, tags = self._round_entries()
+        vip_entries, probe_entries, _tags = self._round_entries()
         for entry in vip_entries:
             launched += self._probe_vip(entry, t)
         if not probe_entries:
             return launched
-        plan = self._current_class_plan()
-        if plan.passthrough:
-            pass_entries = [probe_entries[i] for i in plan.passthrough]
-            pass_tags = [tags[i] for i in plan.passthrough]
+        plan, pass_entries, pass_tags = self._current_class_plan()
+        if pass_entries:
             launched += self._record_results(
                 self.fabric.probe_many(self.server_id, pass_entries, t=t),
                 pass_tags,

@@ -26,7 +26,9 @@ flush packs a buffer of same-schema batches into one typed
 an extent, and the form a failed batch waits in the spool — and hands
 anything else (dicts, or batches whose schemas disagree) to the store as
 row dicts.  The local log keeps references, not text: every line's size
-is worked out when it is logged, which is all the byte cap and its
+is worked out when it is logged — what a batch's shared
+:class:`~repro.core.dsa.records.StaticColumns` add to each line once per
+pinglist, not once per round — which is all the byte cap and its
 oldest-first rotation need, and lines are rendered only for a reader
 (:meth:`ResultUploader.local_log_lines`).
 """
@@ -35,13 +37,20 @@ from __future__ import annotations
 
 import json
 from array import array
+from functools import partial, reduce
 from math import isfinite
+from operator import add
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.agent.safety import MAX_UPLOAD_RETRIES
-from repro.core.dsa.records import LATENCY_STREAM, RECORD_DTYPES, RecordBatch
+from repro.core.dsa.records import (
+    LATENCY_STREAM,
+    RECORD_COLUMNS,
+    RECORD_DTYPES,
+    RecordBatch,
+)
 from repro.cosmos.columnar import ColumnBlock
 from repro.resilience import RetryPolicy, SpooledBatch, UploadSpool, derive_seed
 
@@ -70,7 +79,6 @@ class _JsonLen(dict):
 # Shared by every uploader: the vocabulary is server ids, column names,
 # purposes, error names and small coordinates — bounded by the fleet.
 _TEXT_LEN = _JsonLen()
-_MEMOIZED_DTYPES = (np.str_, np.int64)
 
 
 def _record_line_bytes(record: Record) -> int:
@@ -93,17 +101,46 @@ def _record_line_bytes(record: Record) -> int:
 def _batch_line_bytes(batch: RecordBatch) -> array:
     """The same size for every row of a batch, a column at a time.  (What
     is not text here is an int, a bool, ``None`` or a finite float — the
-    engine's times and RTTs — whose ``repr`` has its JSON text's length.)"""
-    fixed = 2 + len(batch.columns)
-    lens = []
+    engine's times and RTTs — whose ``repr`` has its JSON text's length.)
+
+    Braces, commas, newline, every key and the static columns' values are
+    sized once per :class:`~repro.core.dsa.records.StaticColumns`; ``t``
+    once per batch; a column of one value (all ``true``, all ``0``, all
+    ``null`` — a healthy round's) once too, which leaves the RTTs.
+    """
+    static = batch.static
     text_len = _TEXT_LEN.__getitem__
-    for name, values in batch.columns.items():
-        fixed += _TEXT_LEN[name] + 1
-        if RECORD_DTYPES[name] in _MEMOIZED_DTYPES:
-            lens.append(map(text_len, values))
-        else:
-            lens.append(map(len, map(repr, values)))
-    return array("I", map(fixed.__add__, map(sum, zip(*lens))))
+    if static.line_bytes is None:
+        fixed = 2 + len(RECORD_COLUMNS)
+        fixed += sum(_TEXT_LEN[name] + 1 for name in RECORD_COLUMNS)
+        lens = [
+            map(text_len, values)
+            if RECORD_DTYPES[name] is np.str_
+            else map(len, map(repr, values))
+            for name, values in static.lists.items()
+        ]
+        static.line_bytes = list(map(fixed.__add__, map(sum, zip(*lens))))
+    shared = len(repr(batch.t))
+    if batch.stale:
+        shared += _TEXT_LEN["pinglist_stale"] + 6  # comma, colon, ``true``
+    lens = [static.line_bytes, map(len, map(repr, batch.rtt_us.tolist()))]
+    if np.count_nonzero(batch.success) == batch.n:
+        shared += 4  # ``true``
+    else:
+        lens.append((5 - batch.success).tolist())
+    if batch.syn_drops.any():
+        lens.append(map(len, map(repr, batch.syn_drops.tolist())))
+    else:
+        shared += 1
+    if batch.payload_rtt_us is None:
+        shared += 4  # ``null``
+    else:
+        lens.append(map(len, map(repr, batch.payload_rtt_us)))
+    if batch.error is None:
+        shared += 4
+    else:
+        lens.append(map(text_len, batch.error))
+    return array("I", map(shared.__add__, reduce(partial(map, add), lens)))
 
 
 def _rows_of(item: RecordBatch | Record) -> list[Record]:

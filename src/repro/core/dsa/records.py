@@ -8,24 +8,30 @@ server, pod, podset, and data center levels") without re-joining against a
 topology snapshot.
 
 A probe round's records are *born columnar*: :func:`make_records` turns one
-engine call's results into one :class:`RecordBatch` — a list per column,
-in :data:`RECORD_COLUMNS` order — and the record stays a column entry from
-there to the jobs (uploader buffer, extent, window).  The producer knows
-every column's type (:data:`RECORD_DTYPES`), so :meth:`RecordBatch.pack`
-builds the arrays without looking at a value to find out.  Row dicts are
-made on demand (:meth:`RecordBatch.rows`), and by :func:`make_record` for
-the one probe at a time of the VIP path.
+engine call's :class:`~repro.netsim.fabric.ProbeBatch` into one
+:class:`RecordBatch`, and the record stays a column entry from there to the
+jobs (uploader buffer, extent, window).  Ten of the sixteen columns — both
+endpoints, their six coordinates, ``purpose``, ``qos`` — are fixed by the
+pinglist, so they are built once per round plan and tags
+(:class:`StaticColumns`: the lists, their log-line sizes, each peer
+class's rows) and shared by every round of that pinglist; a batch owns only
+what a round draws.  The producer knows every column's type
+(:data:`RECORD_DTYPES`), so :meth:`RecordBatch.pack` builds the arrays
+without looking at a value to find out.  Row dicts are made on demand
+(:meth:`RecordBatch.rows`), and by :func:`make_record` for the one probe at
+a time of the VIP path.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.cosmos.columnar import ColumnBlock
-from repro.netsim.fabric import ClassOutcome, ProbeResult
+from repro.netsim.fabric import ClassOutcome, ProbeBatch, ProbeResult
 from repro.netsim.topology import MultiDCTopology
 
 __all__ = [
@@ -34,6 +40,7 @@ __all__ = [
     "RECORD_COLUMNS",
     "RECORD_DTYPES",
     "CLASS_RECORD_COLUMNS",
+    "StaticColumns",
     "RecordBatch",
     "make_record",
     "make_records",
@@ -93,56 +100,142 @@ RECORD_COLUMNS = tuple(RECORD_DTYPES)[:-1]
 # Columns in which ``None`` is a value (no payload echo; no error).  One
 # ``None`` makes the packed column an object array, as the store's own
 # packing of row dicts does.
-NULLABLE_COLUMNS = frozenset(("payload_rtt_us", "error"))
+NULLABLE_COLUMNS = ("payload_rtt_us", "error")
 
 
-class RecordBatch:
-    """One engine call's probe records, column-major: ``{column -> list}``.
+# The columns a pinglist fixes: the same every round of one round plan.
+STATIC_COLUMNS = RECORD_COLUMNS[1:11]
 
-    Columns are in :data:`RECORD_COLUMNS` order (then ``pinglist_stale``)
-    and equally long; the lists are shared, never written after birth.
+
+class StaticColumns:
+    """``src`` .. ``qos`` of one round plan's records, under one tags object.
+
+    Built once and shared by every batch of that plan: ``lists`` (rows, log
+    lines, and what :meth:`RecordBatch.pack` types once per flush however
+    many batches share them), ``line_bytes`` (what they add to each row's
+    log line — the uploader's, worked out on first use) and ``classes``,
+    each ``purpose`` with its row positions in order of first appearance,
+    for the stream plane.
     """
 
-    __slots__ = ("columns", "n")
+    __slots__ = ("lists", "classes", "line_bytes")
 
-    def __init__(self, columns: dict[str, list], n: int) -> None:
-        self.columns = columns
-        self.n = n
+    def __init__(self, lists: dict[str, list]) -> None:
+        self.lists = lists
+        places: dict[str, list[int]] = {}
+        for row, purpose in enumerate(lists["purpose"]):
+            places.setdefault(purpose, []).append(row)
+        self.classes = {
+            purpose: slice(None) if len(rows) == len(lists["purpose"])
+            else np.array(rows, dtype=np.intp)
+            for purpose, rows in places.items()
+        }
+        self.line_bytes: list[int] | None = None
+
+    def __getitem__(self, rows: slice) -> "StaticColumns":
+        return StaticColumns(
+            {name: values[rows] for name, values in self.lists.items()}
+        )
+
+
+@dataclass(slots=True, eq=False)
+class RecordBatch:
+    """One engine call's probe records, column-major.
+
+    ``static`` holds the ten shared columns; the batch owns ``t`` (one
+    instant), ``success`` / ``rtt_us`` / ``syn_drops`` (arrays), and
+    ``payload_rtt_us`` / ``error`` (lists, or ``None`` when no row has
+    one).  ``stale`` adds an all-true ``pinglist_stale`` column.  Nothing is
+    written after birth but ``stale``.
+    """
+
+    static: StaticColumns
+    t: float
+    success: np.ndarray
+    rtt_us: np.ndarray
+    syn_drops: np.ndarray
+    payload_rtt_us: list | None
+    error: list | None
+    stale: bool = False
 
     def __len__(self) -> int:
-        return self.n
+        return len(self.success)
+
+    n = property(__len__)
 
     def __getitem__(self, rows: slice) -> "RecordBatch":
-        """A row range of the batch (fresh lists)."""
+        """A row range of the batch."""
         return RecordBatch(
-            {name: values[rows] for name, values in self.columns.items()},
-            len(range(*rows.indices(self.n))),
+            self.static[rows], self.t, self.success[rows], self.rtt_us[rows],
+            self.syn_drops[rows],
+            self.payload_rtt_us and self.payload_rtt_us[rows],
+            self.error and self.error[rows],
+            self.stale,
         )
+
+    @property
+    def columns(self) -> dict[str, list]:
+        """Every column as a list, in :data:`RECORD_COLUMNS` order (then
+        ``pinglist_stale``) — a fresh dict; the static lists are shared."""
+        nones = [None] * self.n
+        columns = {
+            "t": [self.t] * self.n,
+            **self.static.lists,
+            "success": self.success.tolist(),
+            "rtt_us": self.rtt_us.tolist(),
+            "syn_drops": self.syn_drops.tolist(),
+            "payload_rtt_us": self.payload_rtt_us or nones,
+            "error": self.error or nones,
+        }
+        if self.stale:
+            columns["pinglist_stale"] = [True] * self.n
+        return columns
 
     def rows(self) -> list[dict[str, Any]]:
         """The batch as fresh row dicts, keys in column order."""
-        names = list(self.columns)
-        return [dict(zip(names, values)) for values in zip(*self.columns.values())]
+        columns = self.columns
+        return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
     @staticmethod
     def pack(batches: Sequence["RecordBatch"]) -> ColumnBlock | None:
         """Batches sharing one schema as one typed block, rows in order;
         ``None`` when their column names disagree (stale-tagged rounds
-        beside fresh ones) — the rule the store applies to row dicts."""
-        names = list(batches[0].columns)
+        beside fresh ones) — the rule the store applies to row dicts.  Static
+        columns are typed once per distinct object and concatenated."""
+        stale = batches[0].stale
+        if any(batch.stale != stale for batch in batches):
+            return None
+        sizes = [batch.n for batch in batches]
+        times = np.array([batch.t for batch in batches], dtype=np.float64)
+        columns = {"t": np.repeat(times, sizes)}
+        typed: dict[int, dict[str, np.ndarray]] = {}  # by static object
         for batch in batches:
-            if list(batch.columns) != names:
-                return None
-        columns: dict[str, np.ndarray] = {}
-        for name in names:
-            values = list(chain.from_iterable(batch.columns[name] for batch in batches))
-            if name in NULLABLE_COLUMNS and None in values:
+            if id(batch.static) not in typed:
+                typed[id(batch.static)] = {
+                    name: np.array(values, dtype=RECORD_DTYPES[name])
+                    for name, values in batch.static.lists.items()
+                }
+        for name in STATIC_COLUMNS:
+            columns[name] = np.concatenate(
+                [typed[id(batch.static)][name] for batch in batches]
+            )
+        for name in ("success", "rtt_us", "syn_drops"):
+            columns[name] = np.concatenate([getattr(batch, name) for batch in batches])
+        for name in NULLABLE_COLUMNS:
+            values = list(
+                chain.from_iterable(
+                    getattr(batch, name) or [None] * batch.n for batch in batches
+                )
+            )
+            if None in values:
                 column = np.empty(len(values), dtype=object)
                 column[:] = values
             else:
                 column = np.array(values, dtype=RECORD_DTYPES[name])
             columns[name] = column
-        return ColumnBlock(columns=columns, n=sum(batch.n for batch in batches))
+        if stale:
+            columns["pinglist_stale"] = np.ones(sum(sizes), dtype=np.bool_)
+        return ColumnBlock(columns=columns, n=sum(sizes))
 
 
 def make_record(
@@ -157,7 +250,9 @@ def make_record(
     RTTs are stored in microseconds (floats); a failed probe keeps its
     cumulative wait in ``rtt_us`` but analysis must key on ``success``.
     """
-    return make_records(topology, [result], [(purpose, qos)]).rows()[0]
+    return make_records(
+        topology, ProbeBatch.from_results([result]), [(purpose, qos)]
+    ).rows()[0]
 
 
 def make_class_record(
@@ -204,46 +299,57 @@ def make_class_record(
 
 def make_records(
     topology: MultiDCTopology,
-    results: Sequence[ProbeResult],
+    probes: ProbeBatch,
     tags: Sequence[tuple[str, str]],
     server_cache: dict[str, Any] | None = None,
 ) -> RecordBatch:
     """Build the upload records of one engine call, as one batch.
 
-    ``tags`` holds each result's ``(purpose, qos)``; every result is read
-    once.  Endpoint lookups are memoized; pass a ``server_cache`` dict to
-    keep that memo across calls (safe: servers are append-only and
-    identity-stable).
+    ``tags`` holds each probe's ``(purpose, qos)``.  The static columns are
+    built on the first round of a plan and found on it afterwards, for as
+    long as the caller hands over the very same ``tags`` tuple; the rest
+    is the probe batch's own columns, in microseconds.  Endpoint lookups
+    are memoized; pass a ``server_cache`` dict to keep that memo across
+    calls (safe: servers are append-only and identity-stable).
     """
-    servers: dict[str, Any] = {} if server_cache is None else server_cache
-    rows = []
-    for result, (purpose, qos) in zip(results, tags):
-        src = servers.get(result.src)
-        if src is None:
-            src = servers[result.src] = topology.server(result.src)
-        dst = servers.get(result.dst)
-        if dst is None:
-            dst = servers[result.dst] = topology.server(result.dst)
-        payload = result.payload_rtt_s
-        rows.append(
-            (  # in RECORD_COLUMNS order
-                result.t,
-                result.src,
-                result.dst,
-                src.dc_index,
-                dst.dc_index,
-                src.podset_index,
-                dst.podset_index,
-                src.pod_index,
-                dst.pod_index,
-                purpose,
-                qos,
-                result.success,
-                result.rtt_s * 1e6,
-                result.syn_drops,
-                payload * 1e6 if payload is not None else None,
-                result.error,
-            )
+    if len(tags) != len(probes):
+        raise ValueError(f"{len(tags)} tags for {len(probes)} probes")
+    plan = probes.plan
+    if plan.static is not None and plan.static[0] is tags:
+        static = plan.static[1]
+    else:
+        servers: dict[str, Any] = {} if server_cache is None else server_cache
+        endpoints = []
+        for server_id in (plan.src_id, *plan.dst_ids):
+            server = servers.get(server_id)
+            if server is None:
+                server = servers[server_id] = topology.server(server_id)
+            endpoints.append(server)
+        src, dsts = endpoints[0], endpoints[1:]
+        n = len(dsts)
+        static = StaticColumns(
+            {
+                "src": [plan.src_id] * n,
+                "dst": list(plan.dst_ids),
+                "src_dc": [src.dc_index] * n,
+                "dst_dc": [dst.dc_index for dst in dsts],
+                "src_podset": [src.podset_index] * n,
+                "dst_podset": [dst.podset_index for dst in dsts],
+                "src_pod": [src.pod_index] * n,
+                "dst_pod": [dst.pod_index for dst in dsts],
+                "purpose": [purpose for purpose, _qos in tags],
+                "qos": [qos for _purpose, qos in tags],
+            }
         )
-    columns = zip(*rows) if rows else [()] * len(RECORD_COLUMNS)
-    return RecordBatch(dict(zip(RECORD_COLUMNS, map(list, columns))), len(rows))
+        if type(tags) is tuple:
+            plan.static = (tags, static)
+    payload = probes.payload_rtt_s
+    return RecordBatch(
+        static,
+        probes.t,
+        probes.success,
+        probes.rtt_s * 1e6,
+        probes.syn_drops,
+        payload and [p * 1e6 if p is not None else None for p in payload],
+        probes.error,
+    )

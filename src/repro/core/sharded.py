@@ -237,11 +237,12 @@ class FleetShard:
             plans.append(plan)
             sources.append((agent.server_id, probe_entries))
             if plan.passthrough:
+                # Tuples: the engine keys its per-round plan on them.
                 passthrough.append(
                     (
                         agent,
-                        [probe_entries[i] for i in plan.passthrough],
-                        [tags[i] for i in plan.passthrough],
+                        tuple([probe_entries[i] for i in plan.passthrough]),
+                        tuple([tags[i] for i in plan.passthrough]),
                     )
                 )
         self._plan = merge_class_plans(plans, sources)
@@ -276,11 +277,10 @@ class FleetShard:
                 self._record_server_cache,
             )
             if agent.stream_aggregator is not None:
-                columns = batch.columns
                 agent.stream_aggregator.observe_round(
-                    t, zip(columns["purpose"], columns["success"], columns["rtt_us"])
+                    t, batch.static.classes, batch.success, batch.rtt_us
                 )
-            self.probe_uploader.add_many(batch)
+            self.probe_uploader.add_many(agent._tag_stale_many(batch))
             launched += batch.n
         return launched
 

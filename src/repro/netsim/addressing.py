@@ -10,6 +10,7 @@ five-tuple for next hop selection."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 __all__ = [
     "IPv4Address",
@@ -162,3 +163,14 @@ class EphemeralPortAllocator:
         if self._next > EPHEMERAL_PORT_MAX:
             self._next = EPHEMERAL_PORT_MIN
         return port
+
+    def allocate_many(self, k: int) -> Sequence[int]:
+        """The ports ``k`` calls of :meth:`allocate` would return, in order
+        (a ``range`` unless the block crosses the wrap)."""
+        start = self._next
+        span = EPHEMERAL_PORT_MAX - EPHEMERAL_PORT_MIN + 1
+        offset = start - EPHEMERAL_PORT_MIN
+        self._next = EPHEMERAL_PORT_MIN + (offset + k) % span
+        if offset + k <= span:
+            return range(start, start + k)
+        return [EPHEMERAL_PORT_MIN + (offset + i) % span for i in range(k)]

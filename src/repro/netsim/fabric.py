@@ -14,11 +14,14 @@ and the fault injector.  It offers two probe paths:
   back to the scalar path so correctness never depends on which API you
   called.
 * :meth:`Fabric.probe_many` — the fleet fast path: one agent's whole probe
-  round in a single call.  Pairs whose ECMP envelope is untouched by live
-  faults sample outcome + RTT array-at-a-time from the same analytic model
-  ``batch_probe`` uses; pairs that need full fidelity (a fault anywhere in
-  their envelope, a payload echo, a down endpoint) run the scalar engine —
-  correctness never depends on which partition a pair landed in.
+  round in a single call, returned as one columnar :class:`ProbeBatch`.
+  Pairs whose ECMP envelope is untouched by live faults sample outcome +
+  RTT array-at-a-time from the same analytic model ``batch_probe`` uses;
+  pairs that need full fidelity (a fault anywhere in their envelope, a
+  payload echo, a down endpoint) run the scalar engine — correctness never
+  depends on which partition a pair landed in.  Everything about a round
+  but its draws is compiled once per (source, entries object, generation)
+  into a :class:`_RoundPlan`.
 
 The same models and the same seed discipline back all three paths.  What
 routing knows about a pod pair comes from the router's route table
@@ -29,8 +32,9 @@ wholesale on any device transition, fault change, or growth.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,6 +63,7 @@ from repro.netsim.workload import PROFILES, WorkloadProfile, profile_for
 __all__ = [
     "Fabric",
     "ProbeResult",
+    "ProbeBatch",
     "BatchProbeResult",
     "ProbeEntry",
     "ClassGroup",
@@ -80,7 +85,8 @@ class ProbeResult:
     ``error`` is ``None`` on success, else one of ``"timeout"`` (all SYN
     attempts lost — dead peer and triple drop look identical, which is why
     §4.2's heuristic excludes failed probes), ``"no_route"``, or
-    ``"refused"``.  ``syn_drops`` and ``forward_hops`` are included for
+    ``"agent_down"`` (refused at the source: no process on a powered-off
+    host).  ``syn_drops`` and ``forward_hops`` are included for
     analysis convenience; the production agent records src/dst/ports/rtt.
     """
 
@@ -165,6 +171,148 @@ class _PairFastInfo:
     scope: PathScope
     forward_hop_ids: tuple[str, ...]
     forward_counters: tuple  # the forward hops' SnmpCounters, pre-resolved
+
+
+class _RoundPlan:
+    """What one (source, entries object, generation) fixes about a round.
+
+    The partition — ``scalar`` entry positions go to the full-fidelity
+    engine, ``fast`` ones to the analytic draw, both in entry order — and,
+    of the fast partition, everything but the draws: ``p_attempt`` and
+    ``wan`` (``None``: no WAN term) per fast probe, ``hop_classes`` as
+    ``(n_hops, places among the fast probes, how many)`` in order of first
+    appearance, ``counters`` as one ``(SnmpCounters, packets per round)``
+    per distinct forward hop, ``no_drops`` as the read-only ``(success,
+    syn_drops)`` columns every round without a lost SYN shares, ``infos``
+    (by entry position) for the row view.  ``static`` belongs to the record
+    layer: what it derived from this plan, kept with it.
+    """
+
+    __slots__ = (
+        "src_id", "src_ip", "entries", "dst_ids", "scalar", "fast", "fast_at",
+        "infos", "p_attempt", "wan", "hop_classes", "counters", "no_drops",
+        "static",
+    )
+
+    def __init__(self, src_id: str, dst_ids: tuple[str, ...]) -> None:
+        self.src_id = src_id
+        self.dst_ids = dst_ids
+        self.scalar: Sequence[int] = range(len(dst_ids))  # until compiled
+        self.fast: list[int] = []
+        self.static = None
+
+
+@dataclass(slots=True, eq=False)
+class ProbeBatch(Sequence):
+    """One :meth:`Fabric.probe_many` round, column-major, in entry order.
+
+    ``success`` (bool), ``rtt_s`` and ``syn_drops`` (int64) are arrays,
+    ``src_port`` a sequence of ints (0: refused at the source), ``error``
+    and ``payload_rtt_s`` lists — or ``None`` when no row has one.  ``src``,
+    ``t`` and what the round's plan fixes per position are shared by the
+    whole batch; nothing is written after birth (rounds without a lost SYN
+    share their plan's read-only ``success`` / ``syn_drops``).  It is also
+    the read-only sequence of :class:`ProbeResult` the round used to be: a
+    row is built when someone indexes or iterates, and only then — except
+    the scalar engine's rows, which are the objects :meth:`Fabric.probe`
+    returned.
+    """
+
+    plan: _RoundPlan
+    t: float
+    success: np.ndarray
+    rtt_s: np.ndarray
+    syn_drops: np.ndarray
+    error: list | None
+    payload_rtt_s: list | None
+    src_port: Sequence[int]
+    _kept: list | None = None  # the scalar engine's rows by position, if any
+
+    @classmethod
+    def assemble(cls, plan: _RoundPlan, t: float, rows, fast=None) -> "ProbeBatch":
+        """Columns read off the scalar engine's ``rows`` (the plan's
+        ``scalar`` positions), with the ``fast`` partition's ``(success,
+        rtt_s, syn_drops, error, src_port)`` scattered among them."""
+        n = len(plan.dst_ids)
+        kept: list = [None] * n
+        success = np.zeros(n, dtype=bool)
+        rtt_s = np.zeros(n)
+        syn_drops = np.zeros(n, dtype=np.int64)
+        error: list = [None] * n
+        payload_rtt_s: list = [None] * n
+        src_port = [0] * n
+        for index, row in zip(plan.scalar, rows):
+            kept[index] = row
+            success[index] = row.success
+            rtt_s[index] = row.rtt_s
+            syn_drops[index] = row.syn_drops
+            error[index] = row.error
+            payload_rtt_s[index] = row.payload_rtt_s
+            if row.flow is not None:
+                src_port[index] = row.flow.src_port
+        if fast is not None:
+            fast_success, fast_rtt_s, fast_syn_drops, fast_error, fast_ports = fast
+            success[plan.fast_at] = fast_success
+            rtt_s[plan.fast_at] = fast_rtt_s
+            syn_drops[plan.fast_at] = fast_syn_drops
+            for place, index in enumerate(plan.fast):
+                src_port[index] = fast_ports[place]
+                if fast_error is not None:
+                    error[index] = fast_error[place]
+        return cls(
+            plan, t, success, rtt_s, syn_drops, error, payload_rtt_s, src_port, kept
+        )
+
+    @classmethod
+    def from_results(cls, results: Sequence[ProbeResult]) -> "ProbeBatch":
+        """The batch of one source's scalar probes at one instant (a
+        ``Fabric.probe`` loop, a single VIP probe)."""
+        first = results[0]
+        if any(row.src != first.src or row.t != first.t for row in results):
+            raise ValueError("a batch shares one source and one instant")
+        plan = _RoundPlan(first.src, tuple([row.dst for row in results]))
+        return cls.assemble(plan, first.t, results)
+
+    @property
+    def src(self) -> str:
+        return self.plan.src_id
+
+    def __len__(self) -> int:
+        return len(self.plan.dst_ids)
+
+    def __getitem__(self, index):
+        at = range(len(self))[index]  # negatives, bounds and slices: range's
+        if isinstance(index, slice):
+            return [self._row(i) for i in at]
+        return self._row(at)
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def _row(self, index: int) -> ProbeResult:
+        row = self._kept[index] if self._kept is not None else None
+        if row is None:
+            plan = self.plan
+            info = plan.infos[index]
+            row = ProbeResult(
+                src=plan.src_id,
+                dst=plan.dst_ids[index],
+                t=self.t,
+                success=bool(self.success[index]),
+                rtt_s=float(self.rtt_s[index]),
+                error=self.error[index] if self.error is not None else None,
+                syn_drops=int(self.syn_drops[index]),
+                flow=FiveTuple(
+                    src_ip=plan.src_ip,
+                    src_port=self.src_port[index],
+                    dst_ip=info.dst.ip,
+                    dst_port=plan.entries[index][1],
+                    protocol=PROTO_TCP,
+                ),
+                scope=info.scope,
+                forward_hops=info.forward_hop_ids,
+            )
+        return row
 
 
 @dataclass
@@ -472,6 +620,7 @@ class Fabric:
         # a few thousand pod pairs, so a post-invalidation rebuild is cheap.
         self._pair_cache: dict[tuple[str, str, int], _PairFastInfo] = {}
         self._class_facts_cache: dict[tuple, _ClassFacts] = {}
+        self._round_plans: dict[str, _RoundPlan] = {}  # by source, its latest
         self._cache_version = -1
         self._server_cache: dict[str, Server] = {}
 
@@ -515,12 +664,11 @@ class Fabric:
             cached = self._server_cache[server] = self.topology.server(server)
         return cached
 
-    def _allocate_port(self, server: Server) -> int:
-        allocator = self._ports.get(server.device_id)
+    def _port_allocator(self, server_id: str) -> EphemeralPortAllocator:
+        allocator = self._ports.get(server_id)
         if allocator is None:
-            allocator = EphemeralPortAllocator()
-            self._ports[server.device_id] = allocator
-        return allocator.allocate()
+            allocator = self._ports[server_id] = EphemeralPortAllocator()
+        return allocator
 
     # -- per-packet mechanics ------------------------------------------------
 
@@ -607,7 +755,9 @@ class Fabric:
             )
         self.probes_carried += 1
 
-        port = src_port if src_port is not None else self._allocate_port(src_server)
+        port = src_port
+        if port is None:
+            port = self._port_allocator(src_server.device_id).allocate()
         flow = FiveTuple(
             src_ip=src_server.ip,
             src_port=port,
@@ -862,11 +1012,13 @@ class Fabric:
     # -- fleet fast path --------------------------------------------------------
 
     def _check_generation(self) -> None:
-        """Drop the pair info and class facts of a past state generation."""
+        """Drop the pair info, class facts and round plans of a past state
+        generation."""
         version = self.topology.state_version.value
         if version != self._cache_version:
             self._pair_cache.clear()
             self._class_facts_cache.clear()
+            self._round_plans.clear()
             self._cache_version = version
 
     def _pair_info(self, src: Server, dst: Server, dst_port: int) -> _PairFastInfo:
@@ -887,59 +1039,27 @@ class Fabric:
         self._pair_cache[(src.device_id, dst.device_id, dst_port)] = info
         return info
 
-    def probe_many(
-        self, src: Server | str, entries: Sequence[ProbeEntry], t: float = 0.0
-    ) -> list[ProbeResult]:
-        """One probe per entry from ``src``, vectorized where fidelity allows.
+    def _round_plan(
+        self, src_server: Server, entries: Sequence[ProbeEntry]
+    ) -> _RoundPlan:
+        """Compile a round (see :class:`_RoundPlan`), or hand back the one
+        compiled from the very same ``entries`` *tuple* this generation — a
+        list may have been written to since, so it always compiles afresh.
 
-        ``entries`` are ``(dst_id, dst_port, payload_bytes)`` triples (one
-        agent's probe round); results come back in entry order.  The round
-        is partitioned:
-
-        * **scalar** (full-fidelity engine, per-hop decisions): any entry
-          with a payload echo, a down destination, no route, or a live
-          fault anywhere in the pair's ECMP envelope — decided from the
-          pod pair's class facts before anything is routed, so a degraded
-          probe routes only its own flow, forward and reverse;
-        * **fast** (analytic, array-at-a-time): everything else — outcome
-          and RTT sampled exactly as :meth:`batch_probe` samples them, from
-          the same models and the same generator.
-
-        Every probe still draws a fresh ephemeral source port (the ECMP
-        sweep discipline), counts into the conservation ledger, and is
-        reported to the probe observers.
+        One dict hit per entry against the pair cache: only fast pairs are
+        ever cached, and liveness and fault placement are frozen within a
+        generation — so a hit is a fast pair.
         """
-        src_server = self._resolve(src)
-        if not src_server.is_up:
-            # No process on a powered-off host: the whole round is refused.
-            results = []
-            for dst_id, dst_port, payload_bytes in entries:
-                if self.probe_observers:
-                    self._notify_probe(
-                        src_server.device_id, dst_id, t, payload_bytes, dst_port
-                    )
-                self.probes_refused += 1
-                results.append(
-                    ProbeResult(
-                        src=src_server.device_id,
-                        dst=dst_id,
-                        t=t,
-                        success=False,
-                        rtt_s=0.0,
-                        error="agent_down",
-                    )
-                )
-            return results
-
-        # Hot loop: one dict hit per entry against the pair cache.  Only
-        # fast pairs are ever cached, and liveness and fault placement are
-        # frozen within a generation — so a hit is a fast pair.
-        self._check_generation()
-        pair_cache = self._pair_cache
         src_id = src_server.device_id
-        results: list[ProbeResult | None] = [None] * len(entries)
-        fast_indices: list[int] = []
-        fast_infos: list[_PairFastInfo] = []
+        plan = self._round_plans.get(src_id)
+        if plan is not None and plan.entries is entries:
+            return plan
+        plan = _RoundPlan(src_id, tuple([entry[0] for entry in entries]))
+        plan.src_ip = src_server.ip
+        plan.entries = entries
+        plan.scalar = []
+        plan.infos = [None] * len(entries)
+        pair_cache = self._pair_cache
         for index, (dst_id, dst_port, payload_bytes) in enumerate(entries):
             info = None
             if payload_bytes == 0:
@@ -954,100 +1074,122 @@ class Fabric:
                         and self._class_facts(src_server, dst_server).scalar
                     )
                 ):
-                    results[index] = self.probe(
-                        src_server,
-                        dst_server,
-                        t=t,
-                        payload_bytes=payload_bytes,
-                        dst_port=dst_port,
-                    )
+                    plan.scalar.append(index)
                     continue
                 info = self._pair_info(src_server, dst_server, dst_port)
-            fast_indices.append(index)
-            fast_infos.append(info)
-
-        if fast_indices:
-            self._probe_fast(
-                src_server, entries, fast_indices, fast_infos, t, results
-            )
-        return results  # type: ignore[return-value]
-
-    def _probe_fast(
-        self,
-        src_server: Server,
-        entries: Sequence[ProbeEntry],
-        indices: list[int],
-        infos: list[_PairFastInfo],
-        t: float,
-        results: list[ProbeResult | None],
-    ) -> None:
-        """Sample the healthy partition of a round array-at-a-time."""
-        k = len(indices)
-        p_attempt = np.array([info.p_attempt for info in infos])
-        drops1 = self.rng.random(k) < p_attempt
-        drops2 = self.rng.random(k) < p_attempt
-        drops3 = self.rng.random(k) < p_attempt
-        syn_drops = (
-            drops1.astype(np.int64)
-            + (drops1 & drops2).astype(np.int64)
-            + (drops1 & drops2 & drops3).astype(np.int64)
-        )
-        success = syn_drops < 3
-        waited = np.zeros(k)
-        waited[syn_drops == 1] = tcp.syn_rtt_signature(1)
-        waited[syn_drops == 2] = tcp.syn_rtt_signature(2)
-
-        latency_model = self._latency[src_server.dc_index]
-        base = np.empty(k)
+            plan.fast.append(index)
+            plan.infos[index] = info
+        fast_infos = [plan.infos[index] for index in plan.fast]
+        k = len(fast_infos)
+        plan.fast_at = np.array(plan.fast, dtype=np.intp)
+        plan.p_attempt = np.array([info.p_attempt for info in fast_infos])
+        wan = np.array([info.wan_rtt for info in fast_infos])
+        plan.wan = wan if wan.any() else None
         by_hops: dict[int, list[int]] = {}
-        for position, info in enumerate(infos):
-            by_hops.setdefault(info.n_hops, []).append(position)
-        for n_hops, positions in by_hops.items():
-            base[positions] = latency_model.sample(
-                self.rng, n_hops, t=t, n=len(positions)
-            )
-        wan = np.array([info.wan_rtt for info in infos])
-        rtt = np.where(success, waited + base + wan, tcp.syn_rtt_signature(3))
-
-        notify = bool(self.probe_observers)
-        src_id = src_server.device_id
-        src_ip = src_server.ip
-        allocator = self._ports.get(src_id)
-        if allocator is None:
-            allocator = self._ports[src_id] = EphemeralPortAllocator()
-        allocate = allocator.allocate
-        rtt_list = rtt.tolist()
-        success_list = success.tolist()
-        drops_list = syn_drops.tolist()
-        for position, index in enumerate(indices):
-            info = infos[position]
-            dst_server = info.dst
-            dst_id, dst_port, payload_bytes = entries[index]
-            flow = FiveTuple(
-                src_ip=src_ip,
-                src_port=allocate(),
-                dst_ip=dst_server.ip,
-                dst_port=dst_port,
-                protocol=PROTO_TCP,
-            )
-            if notify:
-                self._notify_probe(src_id, dst_server.device_id, t, payload_bytes, dst_port)
-            ok = success_list[position]
-            results[index] = ProbeResult(
-                src=src_id,
-                dst=dst_server.device_id,
-                t=t,
-                success=ok,
-                rtt_s=rtt_list[position],
-                error=None if ok else "timeout",
-                syn_drops=drops_list[position],
-                flow=flow,
-                scope=info.scope,
-                forward_hops=info.forward_hop_ids,
-            )
+        packets: dict[int, list] = {}
+        for place, info in enumerate(fast_infos):
+            by_hops.setdefault(info.n_hops, []).append(place)
             for counters in info.forward_counters:
-                counters.packets_forwarded += 1
+                packets.setdefault(id(counters), [counters, 0])[1] += 1
+        plan.hop_classes = [
+            (n_hops, np.array(places, dtype=np.intp), len(places))
+            for n_hops, places in by_hops.items()
+        ]
+        plan.counters = [tuple(entry) for entry in packets.values()]
+        plan.no_drops = (np.ones(k, dtype=bool), np.zeros(k, dtype=np.int64))
+        for column in plan.no_drops:
+            column.flags.writeable = False
+        if type(entries) is tuple:
+            self._round_plans[src_id] = plan
+        return plan
+
+    def probe_many(
+        self, src: Server | str, entries: Sequence[ProbeEntry], t: float = 0.0
+    ) -> ProbeBatch:
+        """One probe per entry from ``src``, vectorized where fidelity allows.
+
+        ``entries`` are ``(dst_id, dst_port, payload_bytes)`` triples (one
+        agent's probe round); the :class:`ProbeBatch` that comes back holds
+        the outcomes as columns in entry order, and reads as the sequence
+        of :class:`ProbeResult` they stand for.  The round is partitioned
+        (once per entries tuple and generation, :meth:`_round_plan`):
+
+        * **scalar** (full-fidelity engine, per-hop decisions): any entry
+          with a payload echo, a down destination, no route, or a live
+          fault anywhere in the pair's ECMP envelope — decided from the
+          pod pair's class facts before anything is routed, so a degraded
+          probe routes only its own flow, forward and reverse;
+        * **fast** (analytic, array-at-a-time): everything else — outcome
+          and RTT sampled exactly as :meth:`batch_probe` samples them, from
+          the same models and the same generator, after the scalar probes.
+
+        Every probe still draws a fresh ephemeral source port (the ECMP
+        sweep discipline), counts into the conservation ledger, and is
+        reported to the probe observers.
+        """
+        src_server = self._resolve(src)
+        src_id = src_server.device_id
+        if src_server.is_up:
+            self._check_generation()
+            plan = self._round_plan(src_server, entries)
+        else:
+            # No process on a powered-off host: every probe is refused, one
+            # by one, by the scalar engine.
+            plan = _RoundPlan(src_id, tuple([entry[0] for entry in entries]))
+        rows = []
+        for index in plan.scalar:
+            dst_id, dst_port, payload_bytes = entries[index]
+            rows.append(
+                self.probe(
+                    src_server, dst_id, t=t, payload_bytes=payload_bytes,
+                    dst_port=dst_port,
+                )
+            )
+        k = len(plan.fast)
+        if not k:
+            return ProbeBatch.assemble(plan, t, rows)
+
+        # The analytic partition: three attempts' uniforms in one draw (the
+        # stream three draws of k would read), then an RTT per hop class.
+        dropped = self.rng.random((3, k)) < plan.p_attempt
+        latency_model = self._latency[src_server.dc_index]
+        if len(plan.hop_classes) == 1:
+            rtt_s = latency_model.sample(self.rng, plan.hop_classes[0][0], t=t, n=k)
+        else:
+            rtt_s = np.empty(k)
+            for n_hops, places, count in plan.hop_classes:
+                rtt_s[places] = latency_model.sample(self.rng, n_hops, t=t, n=count)
+        error = None
+        if np.count_nonzero(dropped[0]):
+            twice = dropped[0] & dropped[1]
+            syn_drops = dropped[0].astype(np.int64) + twice + (twice & dropped[2])
+            success = syn_drops < 3
+            waited = np.zeros(k)
+            waited[syn_drops == 1] = tcp.syn_rtt_signature(1)
+            waited[syn_drops == 2] = tcp.syn_rtt_signature(2)
+            rtt_s += waited
+            if not success.all():
+                error = [None if ok else "timeout" for ok in success.tolist()]
+        else:
+            success, syn_drops = plan.no_drops  # shared, read-only
+        if plan.wan is not None:
+            rtt_s += plan.wan
+        if error is not None:
+            rtt_s = np.where(success, rtt_s, tcp.syn_rtt_signature(3))
+
+        ports = self._port_allocator(src_id).allocate_many(k)
+        if self.probe_observers:
+            for index in plan.fast:
+                dst_id, dst_port, payload_bytes = entries[index]
+                self._notify_probe(src_id, dst_id, t, payload_bytes, dst_port)
+        for counters, packets in plan.counters:
+            counters.packets_forwarded += packets
         self.probes_carried += k
+        if not rows:
+            return ProbeBatch(plan, t, success, rtt_s, syn_drops, error, None, ports)
+        return ProbeBatch.assemble(
+            plan, t, rows, (success, rtt_s, syn_drops, error, ports)
+        )
 
     # -- closed-form class rounds ----------------------------------------------
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.stream.sketch import ClassStats
+
 __all__ = ["StreamDelta", "StreamAggregator", "PEER_CLASSES"]
 
 # The peer classes the pinglist generator emits (§3.3.1 levels + §6.2 VIP).
@@ -89,8 +91,6 @@ class StreamAggregator:
             window = self._open[window_id] = {}
         stats = window.get(cls)
         if stats is None:
-            from repro.stream.sketch import ClassStats
-
             stats = window[cls] = ClassStats(
                 self.relative_accuracy, self.max_buckets
             )
@@ -101,24 +101,17 @@ class StreamAggregator:
         self._window_stats(t, cls).observe(success, rtt_us)
         self.probes_folded += 1
 
-    def observe_round(self, t: float, tagged_outcomes) -> None:
-        """Fold a whole round: iterable of ``(cls, success, rtt_us)``.
+    def observe_round(self, t: float, classes, success, rtt_us) -> None:
+        """Fold a whole round, as columns: ``classes`` maps each peer class
+        to its row positions (a pinglist fixes them:
+        :attr:`~repro.core.dsa.records.StaticColumns.classes`), ``success``
+        and ``rtt_us`` are the round's outcome arrays.
 
-        A round lands at one instant, so all outcomes share one window;
-        batching by class keeps the fast probe path array-at-a-time.
+        A round lands at one instant, so all outcomes share one window.
         """
-        by_class: dict[str, tuple[list, list]] = {}
-        n = 0
-        for cls, success, rtt_us in tagged_outcomes:
-            bucket = by_class.get(cls)
-            if bucket is None:
-                bucket = by_class[cls] = ([], [])
-            bucket[0].append(success)
-            bucket[1].append(rtt_us)
-            n += 1
-        for cls, (successes, rtts) in by_class.items():
-            self._window_stats(t, cls).observe_many(successes, rtts)
-        self.probes_folded += n
+        for cls, rows in classes.items():
+            self._window_stats(t, cls).observe_many(success[rows], rtt_us[rows])
+        self.probes_folded += len(success)
 
     def observe_class_round(self, t: float, cls: str, n_failed: int, rtts_us) -> None:
         """Fold one closed-form class-round outcome: a failure count plus

@@ -39,6 +39,9 @@ from repro.netsim.tcp import FAILED_RTT_US, ONE_DROP_RTT_US, TWO_DROPS_RTT_US
 
 __all__ = ["LatencySketch", "ClassStats"]
 
+# Up to this many values ``add_many`` counts buckets one value at a time.
+_SMALL_BATCH = 64
+
 
 class LatencySketch:
     """A mergeable log-bucketed quantile sketch with bounded memory."""
@@ -106,10 +109,16 @@ class LatencySketch:
             return
         clipped = np.maximum(array, self.min_value)
         indices = np.ceil(np.log(clipped) / self._log_gamma).astype(np.int64)
-        uniques, counts = np.unique(indices, return_counts=True)
         buckets = self.buckets
-        for index, count in zip(uniques.tolist(), counts.tolist()):
-            buckets[index] = buckets.get(index, 0) + count
+        if array.size <= _SMALL_BATCH:
+            # A pinglist round's worth: np.unique's sort costs more than
+            # one dict update per value.
+            for index in indices.tolist():
+                buckets[index] = buckets.get(index, 0) + 1
+        else:
+            uniques, counts = np.unique(indices, return_counts=True)
+            for index, count in zip(uniques.tolist(), counts.tolist()):
+                buckets[index] = buckets.get(index, 0) + count
         self.count += int(array.size)
         self.total += float(array.sum())
         self.min_seen = min(self.min_seen, float(array.min()))

@@ -297,7 +297,8 @@ def _assert_shards_match(fleet) -> int:
         want_plan, want_passthrough, want_vips = _oracle_compile(fleet, shard)
         assert _plan_view(fleet.system.fabric, plan) == want_plan, key
         assert [
-            (agent.server_id, entries, tags) for agent, entries, tags in passthrough
+            (agent.server_id, list(entries), list(tags))
+            for agent, entries, tags in passthrough
         ] == want_passthrough, key
         assert [
             (agent.server_id, list(entries)) for agent, entries in vip_agents

@@ -19,6 +19,17 @@ script and held to each other exactly:
 Scripts mix successes, ``timeout`` failures, payload probes (float and
 ``None`` ``payload_rtt_us``), ``agent_down`` rounds, VIP-down dicts through
 ``add``, stale-tagged rounds and a non-ASCII server id.
+
+Since ISSUE 22 a batch is born from the engine's columnar
+:class:`~repro.netsim.fabric.ProbeBatch` and shares the ten columns its
+pinglist fixes with every other round of that pinglist.  The same oracle
+runs against those: the scripted rounds reach ``make_records`` as probe
+batches in both forms the engine produces (assembled around scalar rows;
+bare columns with no ``error`` / ``payload_rtt_s`` list at all), and
+``TestEngineBornBatches`` drives a real fabric — all-fast rounds, mixed
+scalar/fast rounds, a fast-partition ``timeout``, a stale round beside
+fresh ones on one static object, the backstop cutting such a batch, spool
+and replay — reading the oracle's input back through the batch's row view.
 """
 
 from __future__ import annotations
@@ -36,7 +47,10 @@ from repro.core.agent.uploader import ResultUploader, UploadStats
 from repro.core.dsa.records import RECORD_COLUMNS, make_records
 from repro.cosmos.columnar import ColumnBlock
 from repro.cosmos.store import CosmosStore
-from repro.netsim.fabric import ProbeResult
+from repro.netsim.fabric import Fabric, ProbeBatch, ProbeResult, _RoundPlan
+from repro.netsim.scenarios import apply_scenario
+from repro.netsim.topology import MultiDCTopology, TopologySpec
+from repro.netsim.workload import PROFILES
 from repro.resilience import RetryPolicy, SpooledBatch, UploadSpool, derive_seed
 
 STREAM = "pingmesh/latency"
@@ -259,6 +273,28 @@ def _vip_down_record(t: float, stale: bool) -> dict:
     return record
 
 
+def _bare_columns(results) -> ProbeBatch:
+    """The form ``probe_many`` gives an all-analytic round: arrays, and no
+    ``error`` / ``payload_rtt_s`` list when no row has one."""
+    if any(r.payload_rtt_s is not None or r.error == "agent_down" for r in results):
+        return ProbeBatch.from_results(results)
+    errors = [r.error for r in results]
+    return ProbeBatch(
+        _RoundPlan(ME, tuple(r.dst for r in results)),
+        results[0].t,
+        np.array([r.success for r in results], dtype=bool),
+        np.array([r.rtt_s for r in results], dtype=np.float64),
+        np.array([r.syn_drops for r in results], dtype=np.int64),
+        errors if any(errors) else None,
+        None,
+        range(50_000, 50_000 + len(results)),
+    )
+
+
+def _records(results, tags):
+    return make_records(None, ProbeBatch.from_results(results), tags, SERVERS)
+
+
 class _Pair:
     """The new uploader + store beside the oracle's, fed the same things."""
 
@@ -268,9 +304,16 @@ class _Pair:
         self.new = ResultUploader(self.new_store, ME, **uploader_kwargs)
         self.old = _OracleUploader(self.old_store, ME, **uploader_kwargs)
 
-    def round(self, results, tags, stale=False) -> None:
-        batch = make_records(None, results, tags, SERVERS)
-        rows = _oracle_make_records(SERVERS, results, tags)
+    def round(self, results, tags, stale=False, bare=False) -> None:
+        self.probes(_bare_columns(results) if bare else ProbeBatch.from_results(results),
+                    tags, stale, rows=results)
+
+    def probes(self, probes, tags, stale=False, topology=None, servers=SERVERS, rows=None):
+        """One engine call's probe batch into the new path, the rows it
+        stands for (read back through its row view unless given) into the
+        oracle.  Returns the record batch."""
+        batch = make_records(topology, probes, tags, servers)
+        rows = _oracle_make_records(servers, list(probes) if rows is None else rows, tags)
         if stale:
             PingmeshAgent._tag_stale_many(_STALE_AGENT, batch)
             for row in rows:
@@ -278,6 +321,7 @@ class _Pair:
         self.new.add_many(batch)
         self.old.add_many(rows)
         self.check_held()
+        return batch
 
     def add(self, record: dict) -> None:
         self.new.add(dict(record))
@@ -361,7 +405,10 @@ _PROBE = st.tuples(
     _KINDS, st.sampled_from(PEERS), _RTT, st.sampled_from(TAGS)
 )
 _OPS = st.one_of(
-    st.tuples(st.just("round"), st.lists(_PROBE, min_size=1, max_size=12), st.booleans()),
+    st.tuples(
+        st.just("round"), st.lists(_PROBE, min_size=1, max_size=12), st.booleans(),
+        st.booleans(),
+    ),
     st.tuples(st.just("down-round"), st.integers(1, 6), st.booleans()),
     st.tuples(st.just("vip"), st.booleans()),
     st.tuples(st.just("flush"), st.booleans()),
@@ -374,9 +421,9 @@ def _run_script(pair: _Pair, script) -> None:
     for op in script:
         t += 30.0
         if op[0] == "round":
-            _name, probes, stale = op
+            _name, probes, stale, bare = op
             results = [_result(kind, dst, t, rtt) for kind, dst, rtt, _tag in probes]
-            pair.round(results, [tag for *_rest, tag in probes], stale)
+            pair.round(results, [tag for *_rest, tag in probes], stale, bare)
         elif op[0] == "down-round":
             _name, n, stale = op
             results = [_result("agent_down", PEERS[i % len(PEERS)], t, 0.0) for i in range(n)]
@@ -438,7 +485,7 @@ def test_backstop_overflow_keeps_the_same_suffix():
     reach the store."""
     pair = _Pair()
     for index in range(260):
-        pair.new.add_many(make_records(None, *_healthy_round(60.0, 40, index * 40), SERVERS))
+        pair.new.add_many(_records(*_healthy_round(60.0, 40, index * 40)))
         pair.old.add_many(_oracle_make_records(SERVERS, *_healthy_round(60.0, 40, index * 40)))
     pair.check_held()
     assert pair.new.stats.records_discarded == 400
@@ -515,8 +562,8 @@ def test_a_flush_of_batches_is_adopted_not_copied():
     uploader.set_upload_fn(
         lambda records, t: (seen.append(records), store.append(STREAM, records, t=t))
     )
-    uploader.add_many(make_records(None, *_healthy_round(1.0, 8), SERVERS))
-    uploader.add_many(make_records(None, *_healthy_round(2.0, 8, offset=8), SERVERS))
+    uploader.add_many(_records(*_healthy_round(1.0, 8)))
+    uploader.add_many(_records(*_healthy_round(2.0, 8, offset=8)))
     assert uploader.flush(3.0)
     (block,) = seen
     assert isinstance(block, ColumnBlock) and len(block) == 16
@@ -538,10 +585,10 @@ def test_log_lines_are_rendered_only_for_a_reader(monkeypatch):
         uploader_module, "_encode", lambda value: (calls.append(1), real(value))[1]
     )
     uploader = ResultUploader(CosmosStore(), ME)
-    uploader.add_many(make_records(None, *_healthy_round(1.0, 30), SERVERS))  # warms the size memo
+    uploader.add_many(_records(*_healthy_round(1.0, 30)))  # warms the size memo
     del calls[:]
     for index in range(1, 20):
-        uploader.add_many(make_records(None, *_healthy_round(1.0 + index, 30), SERVERS))
+        uploader.add_many(_records(*_healthy_round(1.0 + index, 30)))
         uploader.add(_vip_down_record(float(index), stale=False))
     assert calls == []
     assert len(uploader.local_log_lines()) == 20 * 30 + 19
@@ -558,3 +605,117 @@ def test_mixed_schema_flush_takes_the_row_path(stale_first):
     pair.flush(3.0)
     (extent,) = pair.new_store.stream(STREAM).extents
     assert extent.columns is None and not extent.adopted
+
+
+# -- batches born from the engine's ProbeBatch -----------------------------------------
+
+_ENGINE_SPEC = TopologySpec(n_podsets=2, pods_per_podset=3, servers_per_pod=6, n_spines=4)
+_ENGINE_TAGS = (("intra-pod", "high"), ("tor-level", "high"), ("tor-level", "low"))
+
+
+class _Engine:
+    """A lossy 36-server fabric and one agent's round, as the agent hands
+    it over: entries and tags as tuples, so the round plan and its static
+    columns are built once and shared."""
+
+    def __init__(self, payload_every: int = 0) -> None:
+        lossy = PROFILES["throughput"].with_drop_targets(0.05, 0.099)
+        self.fabric = Fabric(
+            MultiDCTopology.single(_ENGINE_SPEC), seed=3, profiles={_ENGINE_SPEC.name: lossy}
+        )
+        servers = self.fabric.topology.dc(0).servers
+        self.servers = {server.device_id: server for server in servers}
+        self.src = servers[0].device_id
+        self.entries = tuple(
+            (s.device_id, 81, 1200 if payload_every and i % payload_every == 0 else 0)
+            for i, s in enumerate(servers[1:31])
+        )
+        self.tags = tuple(_ENGINE_TAGS[i % 3] for i in range(30))
+
+    def round(self, pair: _Pair, t: float, stale: bool = False):
+        probes = self.fabric.probe_many(self.src, self.entries, t=t)
+        batch = pair.probes(
+            probes, self.tags, stale, topology=self.fabric.topology, servers=self.servers
+        )
+        return probes, batch
+
+
+class TestEngineBornBatches:
+    def test_all_fast_rounds_with_a_timeout(self):
+        """Sixty analytic rounds, a flush every ten: bare columns all the
+        way, 3 s / 9 s signatures and one 21 s ``timeout`` among them."""
+        engine, pair = _Engine(), _Pair()
+        errors, statics = [], set()
+        for index in range(60):
+            probes, batch = engine.round(pair, 60.0 * index)
+            assert probes._kept is None and probes.payload_rtt_s is None
+            errors.append(probes.error)
+            statics.add(id(batch.static))
+            if index % 10 == 9:
+                pair.flush(60.0 * index + 1.0)
+        assert len(statics) == 1  # sixty batches, one set of static columns
+        assert sum(e is None for e in errors) > 50  # mostly no error list at all
+        assert [e.count("timeout") for e in errors if e is not None] == [1]
+        assert pair.new.stats.records_uploaded == 1800
+
+    def test_mixed_scalar_and_fast_rounds(self):
+        """Payload entries and a black-holed ToR send some of each round to
+        the scalar engine; float and ``None`` payload RTTs share a column."""
+        engine, pair = _Engine(payload_every=7), _Pair()
+        for index in range(4):
+            if index == 2:
+                apply_scenario("tor-blackhole", engine.fabric)
+            probes, batch = engine.round(pair, 60.0 * index)
+            kept = sum(row is not None for row in probes._kept)
+            assert kept == (5 if index < 2 else 10)
+            assert sum(p is not None for p in batch.payload_rtt_us) <= 5
+        assert {None, "timeout"} <= {
+            error for segment in pair.new._log for error in segment.item.error
+        }
+        pair.flush(300.0)
+        (extent,) = pair.new_store.stream(STREAM).extents
+        assert extent.adopted and extent.columns.columns["payload_rtt_us"].dtype == object
+
+    def test_a_stale_round_does_not_leak_into_its_static_siblings(self):
+        engine, pair = _Engine(), _Pair()
+        _probes, first = engine.round(pair, 0.0)
+        _probes, stale = engine.round(pair, 60.0, stale=True)
+        _probes, last = engine.round(pair, 120.0)
+        assert first.static is stale.static is last.static
+        assert stale.stale and not first.stale and not last.stale
+        assert "pinglist_stale" in stale.columns
+        assert "pinglist_stale" not in first.columns and "pinglist_stale" not in last.columns
+        pair.flush(130.0)  # mixed schema: row dicts, as the oracle ships them
+        (extent,) = pair.new_store.stream(STREAM).extents
+        assert extent.columns is None and not extent.adopted
+        rows = list(pair.new_store.read(STREAM))
+        assert ["pinglist_stale" in row for row in rows] == [False] * 30 + [True] * 30 + [False] * 30
+
+    def test_backstop_cuts_a_batch_that_shares_static_columns(self):
+        engine, pair = _Engine(), _Pair(flush_threshold_records=40, max_buffer_records=70)
+        _probes, first = engine.round(pair, 0.0)
+        engine.round(pair, 60.0)
+        engine.round(pair, 120.0)  # 90 held: 20 rows off the first batch
+        assert pair.new.stats.records_discarded == 20
+        head = pair.new._buffer[0]
+        assert head.n == 10 and head.static is not first.static
+        assert first.n == 30 and len(first.static.lists["dst"]) == 30  # the shared one is whole
+        assert head.static.lists["dst"] == first.static.lists["dst"][20:]
+        pair.flush(130.0)
+        assert [len(e.records) for e in pair.new_store.stream(STREAM).extents] == [70]
+
+    def test_spool_and_replay(self):
+        engine = _Engine()
+        pair = _Pair(spool_cap_records=100, retry_base_s=1.0, retry_cap_s=2.0, max_retries=5)
+        pair.black_out(True)
+        for index in range(4):
+            engine.round(pair, 60.0 * index)
+            pair.flush(60.0 * index + 30.0)
+        assert pair.new.spooled_records == 90  # 120 into a 100-row quota
+        assert pair.new.stats.records_discarded == 30
+        pair.black_out(False)
+        engine.round(pair, 300.0, stale=True)
+        pair.flush(400.0)
+        assert pair.new.spooled_records == 0
+        assert pair.new.stats.records_replayed == 90
+        assert pair.new.stats.records_uploaded == 120

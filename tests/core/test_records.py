@@ -123,7 +123,9 @@ class TestRecordBatch:
         topology, results, tags = round_
         fresh = make_records(topology, results, tags)
         stale = make_records(topology, results, tags)
-        stale.columns["pinglist_stale"] = [True] * stale.n
+        stale.stale = True
+        assert tuple(stale.columns) == RECORD_COLUMNS + ("pinglist_stale",)
+        assert tuple(fresh.columns) == RECORD_COLUMNS
         assert RecordBatch.pack([fresh, stale]) is None
         assert RecordBatch.pack([stale, stale]).columns["pinglist_stale"].dtype == np.bool_
 
@@ -132,3 +134,10 @@ class TestRecordBatch:
         batch = make_records(topology, results, tags)
         assert batch[1:].rows() == batch.rows()[1:]
         assert len(batch[4:]) == 0 and len(batch[:9]) == 4
+
+    def test_a_tag_per_probe_or_nothing(self, round_):
+        """A bare ``zip`` dropped the surplus silently."""
+        topology, results, tags = round_
+        for wrong in (tags[:-1], tags + [("tor-level", "high")]):
+            with pytest.raises(ValueError, match="tags for 4 probes"):
+                make_records(topology, results, wrong)

@@ -20,10 +20,10 @@ from repro.core.agent.agent import AgentConfig
 from repro.core.controller.generator import GeneratorConfig
 from repro.core.controller.pinglist import Pinglist
 from repro.core.dsa.pipeline import DsaConfig
-from repro.core.dsa.records import CLASS_STREAM
+from repro.core.dsa.records import CLASS_STREAM, LATENCY_STREAM
 from repro.core.sharded import ShardedFleet
 from repro.core.system import PingmeshSystem, PingmeshSystemConfig
-from repro.netsim.faults import SilentRandomDrop
+from repro.netsim.faults import BlackholeType1, SilentRandomDrop
 from repro.netsim.topology import TopologySpec
 from repro.stream.plane import StreamConfig
 
@@ -126,6 +126,44 @@ class TestPlanStaleness:
         assert fleet.run_round(60.0) == total - len(current) + 2
         agent.pinglist = current
         assert fleet.run_round(120.0) == total
+
+
+class TestStalePinglistUnderSharding:
+    def test_degraded_rows_of_a_stale_agent_carry_the_tag(self):
+        """Regression: the shard handed degraded-pair batches to its
+        uploader untagged, so during an incident an agent probing an
+        unconfirmed pinglist looked fresh under ``ShardedFleet`` while the
+        per-agent driver tagged the very same probes."""
+        system = _system()
+        fleet = ShardedFleet(system)
+        fleet.run_round(0.0)
+        dc = system.topology.dc(0)
+        system.fabric.faults.inject(
+            BlackholeType1(switch_id=dc.tors[0].device_id, fraction=0.5)
+        )
+        stale_id = dc.servers_in_pod(0)[1].device_id
+        stale_agent = system.agents[stale_id]
+        stale_agent.safety.record_controller_failure(30.0)
+        assert stale_agent.pinglist_stale and stale_agent.probing
+
+        shard = fleet.shards[(0, 0)]
+        fleet.run_round(60.0)
+        held = shard.probe_uploader._buffer
+        by_src = {batch.static.lists["src"][0]: batch for batch in held}
+        assert len(by_src) == len(held) > 1 and stale_id in by_src
+        assert [src for src, batch in by_src.items() if batch.stale] == [stale_id]
+
+        stats = shard.probe_uploader.stats
+        added = stats.records_added
+        assert shard.probe_uploader.flush(61.0)
+        assert stats.records_uploaded == added and stats.records_discarded == 0
+        assert shard.probe_uploader.buffered_records == 0
+        # Mixed schema: shipped as row dicts, the tag on the stale agent's only.
+        extent = system.store.stream(LATENCY_STREAM).extents[-1]
+        assert extent.columns is None and len(extent.records) == added
+        for row in extent.records:
+            assert row.get("pinglist_stale", False) == (row["src"] == stale_id)
+        assert sum(row["src"] == stale_id for row in extent.records) == by_src[stale_id].n
 
 
 class TestShardedParity:

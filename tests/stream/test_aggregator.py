@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dsa.records import StaticColumns
 from repro.stream.aggregator import PEER_CLASSES, StreamAggregator
 
 
@@ -60,37 +61,57 @@ class TestWindowing:
             _aggregator(window_s=0.0)
 
 
+def _columns(outcomes):
+    """``(cls, success, rtt_us)`` triples as ``observe_round`` takes a round:
+    the pinglist's static class positions plus two outcome arrays."""
+    classes = StaticColumns({"purpose": [cls for cls, _ok, _rtt in outcomes]}).classes
+    success = np.array([ok for _cls, ok, _rtt in outcomes], dtype=bool)
+    rtt_us = np.array([rtt for _cls, _ok, rtt in outcomes], dtype=np.float64)
+    return classes, success, rtt_us
+
+
 class TestObserveRound:
     def test_round_matches_scalar_observes(self):
+        for n in (0, 1, 30, 200):
+            for dead in ((), ("vip",), ("vip", "tor-level"), PEER_CLASSES):
+                self._round_equals_a_loop_of_observes(n, dead)
+
+    def _round_equals_a_loop_of_observes(self, n, dead):
+        """Payload for payload.  RTTs are whole microseconds — with the §4.2
+        signatures among them — so every partial sum is exact and ``total``
+        cannot depend on the order numpy adds in."""
         rng = np.random.default_rng(3)
-        outcomes = [
-            (
-                PEER_CLASSES[i % len(PEER_CLASSES)],
-                bool(rng.random() < 0.9),
-                float(rng.uniform(100.0, 1000.0)),
-            )
-            for i in range(200)
-        ]
+        outcomes = []
+        for i in range(n):
+            cls = PEER_CLASSES[int(rng.integers(len(PEER_CLASSES)))]
+            rtt = float(rng.integers(100, 1_000)) + (0.0, 3e6, 9e6)[int(rng.integers(8)) % 3]
+            outcomes.append((cls, cls not in dead and bool(rng.random() < 0.9), rtt))
         scalar, batched = _aggregator(), _aggregator()
         for cls, ok, rtt in outcomes:
             scalar.observe(42.0, cls, ok, rtt)
-        batched.observe_round(42.0, iter(outcomes))
-        (a,) = scalar.flush_all()
-        (b,) = batched.flush_all()
-        assert a.probes == b.probes == 200
-        assert set(a.classes) == set(b.classes)
-        for cls in a.classes:
-            scalar_payload, batched_payload = a.classes[cls], b.classes[cls]
-            scalar_total = scalar_payload["sketch"].pop("total")
-            batched_total = batched_payload["sketch"].pop("total")
-            # Summation order differs between the scalar and vectorized
-            # paths, so `total` agrees only to floating rounding.
-            assert scalar_total == pytest.approx(batched_total)
-            assert scalar_payload == batched_payload
+        batched.observe_round(42.0, *_columns(outcomes))
+        assert batched.probes_folded == scalar.probes_folded == n
+        want, got = scalar.flush_all(), batched.flush_all()
+        assert len(got) == len(want) == (1 if n else 0)
+        for a, b in zip(want, got):
+            assert a.probes == b.probes == n
+            assert list(a.classes) == list(b.classes)  # first appearance
+            assert a.classes == b.classes
+            for cls in dead:
+                if cls in b.classes:
+                    assert b.classes[cls]["success"] == 0 < b.classes[cls]["failed"]
+
+    def test_single_class_round_takes_every_row(self):
+        classes, success, rtt_us = _columns([("tor-level", True, 250.0)] * 5)
+        assert classes == {"tor-level": slice(None)}
+        agg = _aggregator()
+        agg.observe_round(0.0, classes, success, rtt_us)
+        (delta,) = agg.flush_all()
+        assert delta.classes["tor-level"]["success"] == 5
 
     def test_empty_round_is_a_noop(self):
         agg = _aggregator()
-        agg.observe_round(0.0, iter(()))
+        agg.observe_round(0.0, *_columns([]))
         assert agg.probes_folded == 0
         assert agg.open_windows == 0
 

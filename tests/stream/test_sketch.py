@@ -85,6 +85,20 @@ class TestQuantileAccuracy:
         assert scalar.min_seen == vectorized.min_seen
         assert scalar.max_seen == vectorized.max_seen
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_small_batches_count_like_np_unique(self, n, monkeypatch):
+        """Either side of the size at which ``add_many`` stops counting
+        value by value: the same payload as the ``np.unique`` fold."""
+        import repro.stream.sketch as sketch_module
+
+        values = _draw_values(DISTRIBUTIONS[0], 7, n)
+        folded = LatencySketch()
+        folded.add_many(values)
+        monkeypatch.setattr(sketch_module, "_SMALL_BATCH", 0)
+        unique = LatencySketch()
+        unique.add_many(values)
+        assert folded.to_payload() == unique.to_payload()
+
     def test_empty_sketch(self):
         sketch = LatencySketch()
         assert sketch.quantile(50.0) is None
