@@ -6,7 +6,10 @@ Gates, straight from the broker issue's acceptance criteria:
   request shapes (single-pair bursts, multi-pair bursts, SCOPE and
   stream-plane reads) against a live 1024-server sharded fleet over one
   simulated 10-minute window.  Gates: the run finishes inside a
-  wall-clock budget, p99 request→result latency stays under the bound,
+  wall-clock budget, an injected probe and a stream read each cost no
+  more than their per-unit budget (the request plane pays per class and
+  per stream window, not per request), p99 request→result latency stays
+  under the bound,
   every tenant credit ledger conserves exactly, and admission is fair —
   a Jain index over identical tenants' launched probes near 1.0.
 * **No interference** — the same fleet, same seed, with an idle broker
@@ -40,7 +43,14 @@ from repro.stream.plane import StreamConfig
 
 N_TENANTS = 10_000
 N_WAVES = 10
-MAX_WALL_S = 300.0
+# Measured 0.9-1.1 s on the reference box; 3x is the gate.
+MAX_WALL_S = 3.0
+# ``on_fleet_round`` wall time per injected probe (12 µs measured; 63 µs
+# when every request compiled and drew its own class groups) and the mean
+# ``submit(kind="stream")`` (55 µs measured; 400 µs when every read
+# re-merged the windows).
+MAX_US_PER_INJECTED_PROBE = 25.0
+MAX_US_PER_STREAM_READ = 100.0
 # Two fleet rounds finish a 2-probes-per-pair burst; four rounds of
 # headroom absorb rotation and per-source contention under full load.
 MAX_P99_LATENCY_S = 240.0
@@ -82,6 +92,20 @@ def _run_load():
     for i in range(N_TENANTS):
         broker.register_tenant(f"tenant-{i:05d}", TenantQuota(credits_per_window=32))
 
+    inject_s = stream_read_s = 0.0
+    stream_reads = 0
+    inject = broker.on_fleet_round
+
+    def timed_inject(fleet_, t):
+        nonlocal inject_s
+        t0 = time.perf_counter()
+        try:
+            return inject(fleet_, t)
+        finally:
+            inject_s += time.perf_counter() - t0
+
+    broker.on_fleet_round = timed_inject
+
     uniform: list = []  # identical single-pair tenants, for the Jain gate
     per_wave = N_TENANTS // N_WAVES
     started = time.perf_counter()
@@ -93,7 +117,10 @@ def _run_load():
             if shape == 7:
                 broker.submit(tenant, kind="scope")
             elif shape == 8:
+                t0 = time.perf_counter()
                 broker.submit(tenant, kind="stream")
+                stream_read_s += time.perf_counter() - t0
+                stream_reads += 1
             elif shape == 9:
                 pairs = [tuple(rng.sample(servers, 2)) for _ in range(4)]
                 broker.submit(tenant, pairs=pairs, probes_per_pair=2)
@@ -118,6 +145,8 @@ def _run_load():
     jain = sum(launched) ** 2 / (len(launched) * sum(x * x for x in launched))
     return {
         "wall_s": wall_s,
+        "us_per_injected_probe": 1e6 * inject_s / broker.probes_launched,
+        "us_per_stream_read": 1e6 * stream_read_s / stream_reads,
         "tenants": len(broker.accounts),
         "submitted": broker.requests_submitted,
         "admitted": broker.requests_admitted,
@@ -148,11 +177,23 @@ def bench_broker_load_10k_tenants(benchmark):
         f"injected; p99 request->result {metrics['p99_latency_s']:.0f}s "
         f"(gate <={MAX_P99_LATENCY_S:.0f}s), Jain fairness "
         f"{metrics['jain_fairness']:.4f} (gate >={MIN_JAIN_FAIRNESS:.2f}), "
-        f"wall {metrics['wall_s']:.1f}s (gate <={MAX_WALL_S:.0f}s)"
+        f"wall {metrics['wall_s']:.1f}s (gate <={MAX_WALL_S:.1f}s), "
+        f"{metrics['us_per_injected_probe']:.1f} us/injected probe "
+        f"(gate <={MAX_US_PER_INJECTED_PROBE:.0f}), "
+        f"{metrics['us_per_stream_read']:.1f} us/stream read "
+        f"(gate <={MAX_US_PER_STREAM_READ:.0f})"
     )
     assert metrics["wall_s"] <= MAX_WALL_S, (
         f"load gen took {metrics['wall_s']:.1f}s wall "
-        f"(budget {MAX_WALL_S:.0f}s)"
+        f"(budget {MAX_WALL_S:.1f}s)"
+    )
+    assert metrics["us_per_injected_probe"] <= MAX_US_PER_INJECTED_PROBE, (
+        f"{metrics['us_per_injected_probe']:.1f} us per injected probe "
+        f"(budget {MAX_US_PER_INJECTED_PROBE:.0f})"
+    )
+    assert metrics["us_per_stream_read"] <= MAX_US_PER_STREAM_READ, (
+        f"{metrics['us_per_stream_read']:.1f} us per stream read "
+        f"(budget {MAX_US_PER_STREAM_READ:.0f})"
     )
     assert metrics["bursts_unfinished"] == 0, (
         f"{metrics['bursts_unfinished']} admitted bursts never reached a "

@@ -13,6 +13,12 @@ Reject reasons (terminal, no credits debited):
 * ``insufficient-credits`` — the tenant's balance cannot cover the
   (post-clamp) cost.
 * ``empty-target`` — target selectors expanded to zero pairs.
+* ``bad-target`` — a selector or pair names nothing in the topology.
+* ``bad-params`` — a read query's ``windows`` / ``since_s`` is not a
+  number (or ``since_s`` is negative or not finite), or ``cls`` /
+  ``exclude_cls`` is not a class name.  Out-of-range ``windows`` are
+  clamped to ``[1, retention_windows]``, not rejected.
+* ``stream-unavailable`` — a stream read with no stream plane attached.
 
 Oversized bursts are *truncated, never silently rejected*: a burst asking
 for more pairs or probes-per-pair than the caps allow is clamped, the

@@ -8,11 +8,12 @@ queries, admission control debits per-tenant credit ledgers and clamps
 every burst to global safety bounds, and accepted work is scheduled onto
 the *running* fleet by piggybacking on the existing round engines:
 
-* under a :class:`~repro.core.sharded.ShardedFleet`, injected pairs are
-  compiled into extra class-plan groups (tagged ``broker:<request_id>``
-  so groups never mix requests and outcomes self-attribute) and executed
-  right after the baseline round, with per-pair degraded work routed
-  through :meth:`~repro.netsim.fabric.Fabric.probe_many`;
+* under a :class:`~repro.core.sharded.ShardedFleet`, a round's injected
+  pairs are compiled into one extra class plan — one group per path
+  class, whatever requests its members belong to — executed right after
+  the baseline round and attributed back per member, with per-pair
+  degraded work routed through
+  :meth:`~repro.netsim.fabric.Fabric.probe_many`;
 * under per-agent rounds, each agent's hook drains that server's queue
   through ``probe_many``.
 
@@ -40,6 +41,7 @@ Safety-limit interaction, in one place:
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -54,7 +56,6 @@ from repro.broker.requests import (
 from repro.core.agent.safety import SafetyGuard
 from repro.core.dsa.records import LATENCY_STREAM
 from repro.cosmos.scope import agg, col, extract
-from repro.netsim.fabric import merge_class_plans
 from repro.resilience import CircuitBreaker, RetryPolicy, derive_seed
 
 __all__ = ["BrokerConfig", "MeasurementBroker"]
@@ -95,9 +96,9 @@ class MeasurementBroker:
         self.admission = self.config.admission
         self.accounts: dict[str, TenantAccount] = {}
         self.channels: dict[int, ResultChannel] = {}
+        # In fleet-round fairness order: the head moves to the back each round.
         self.inflight: dict[int, MeasurementRequest] = {}
         self._work: dict[int, list[list]] = {}  # rid -> live work items
-        self._rotation: deque[int] = deque()  # fleet-round fairness order
         self._src_index: dict[str, deque] = {}  # src -> (rid, item) queue
         self._next_request_id = 0
         # Broker-wide telemetry / invariant ledgers.
@@ -229,7 +230,6 @@ class MeasurementBroker:
         ]
         self.inflight[rid] = request
         self._work[rid] = items
-        self._rotation.append(rid)
         for item in items:
             self._src_index.setdefault(item[_SRC], deque()).append((rid, item))
         channel.probes_admitted = len(expanded) * admitted_ppp
@@ -343,21 +343,34 @@ class MeasurementBroker:
         params: dict,
         now: float,
     ) -> ResultChannel:
-        """SCOPE / stream-plane reads: synchronous, zero fabric draws."""
+        """SCOPE / stream-plane reads: synchronous, zero fabric draws.
+        ``params`` are the tenant's: validated before the debit, so a bad
+        one is a rejection, not an exception with the credit gone."""
         if kind == "stream" and self.system.stream is None:
             return self._reject(channel, now, "stream-unavailable", account)
+        try:
+            if kind == "scope":
+                since_s = float(params.get("since_s", 600.0))
+                valid = 0.0 <= since_s < math.inf
+            else:
+                windows = int(params.get("windows", 3))
+                classes = params.get("cls"), params.get("exclude_cls")
+                valid = all(c is None or isinstance(c, str) for c in classes)
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            return self._reject(channel, now, "bad-params", account)
         if not account.try_debit(self.admission.read_query_cost, now):
             return self._reject(channel, now, "insufficient-credits", account)
         if kind == "scope":
-            channel.rows = self._scope_rows(params, now)
+            channel.rows = self._scope_rows(now - since_s)
         else:
-            channel.rows = self._stream_rows(params)
+            channel.rows = self._stream_rows(windows, *classes)
         channel.finish(now, RequestState.COMPLETED)
         return channel
 
-    def _scope_rows(self, params: dict, now: float) -> list[dict]:
+    def _scope_rows(self, since: float) -> list[dict]:
         """Per-DC latency/drop summary over the batch store's raw rows."""
-        since = now - float(params.get("since_s", 600.0))
         store = self.system.store
         if not store.has_stream(LATENCY_STREAM):
             return []
@@ -396,17 +409,16 @@ class MeasurementBroker:
             for total in totals
         ]
 
-    def _stream_rows(self, params: dict) -> list[dict]:
-        """Per-DC quantiles from the streaming merge tree's recent windows."""
+    def _stream_rows(self, windows: int, cls, exclude_cls) -> list[dict]:
+        """Per-DC quantiles from the streaming merge tree's newest windows
+        (``windows`` clamped to what the tree retains)."""
         ingest = self.system.stream.ingest
-        windows = ingest.latest_windows(int(params.get("windows", 3)))
-        if not windows:
-            return []
-        merged = ingest.merged_by_dc(
-            windows,
-            cls=params.get("cls"),
-            exclude_cls=params.get("exclude_cls"),
+        starts = ingest.latest_windows(
+            min(max(windows, 1), ingest.retention_windows)
         )
+        if not starts:
+            return []
+        merged = ingest.merged_by_dc(starts, cls=cls, exclude_cls=exclude_cls)
         rows = []
         for dc in sorted(merged):
             stats = merged[dc]
@@ -517,100 +529,90 @@ class MeasurementBroker:
         baseline probe streams are bit-identical with or without a broker
         attached.  Work is picked round-robin over requests (the rotation
         advances every round), clamped per source agent and per fleet
-        round, compiled per source into class plans tagged
-        ``broker:<request_id>`` and merged; pairs the class engine cannot
-        serve degrade to :meth:`probe_many`, exactly like baseline rounds.
+        round, and compiled in one pass into one class plan whose groups
+        hold every request's probes of a path class; pairs the class engine
+        cannot serve degrade to :meth:`probe_many` per source, exactly like
+        baseline rounds.
+
+        A group's outcome is attributed through ``member_indices``:
+        members of a class are exchangeable under the model, so its
+        ``failed`` probes are a uniform draw without replacement among
+        them (made only when there are any); the others succeeded.
         """
         if not self.inflight:
             return 0
         fabric = self.system.fabric
         fleet_cap = self.admission.max_injected_per_fleet_round
         per_src_cap = self.admission.max_injected_per_agent_round
-        self._rotation.rotate(-1)
-        chosen_by_src: dict[str, list[tuple[int, list]]] = {}
-        per_src: dict[str, int] = {}
+        head = next(iter(self.inflight))
+        self.inflight[head] = self.inflight.pop(head)  # rotate by one
+        chosen: list[tuple[int, list]] = []
+        per_src: dict[str, int] = {}  # -1: the source must stay silent
         seen: set[tuple[str, str, int]] = set()
-        total = 0
-        dead_rids = []
-        for rid in self._rotation:
-            if total >= fleet_cap:
+        for rid in self.inflight:
+            if len(chosen) >= fleet_cap:
                 break
-            if rid not in self.inflight:
-                dead_rids.append(rid)
-                continue
             taken_for_rid = 0
             for item in self._work[rid]:
-                if total >= fleet_cap or taken_for_rid >= per_src_cap:
+                if len(chosen) >= fleet_cap or taken_for_rid >= per_src_cap:
                     break
                 if item[_REMAINING] <= 0:
                     continue
                 src = item[_SRC]
-                if per_src.get(src, 0) >= per_src_cap:
-                    continue
-                if not self._src_allowed(src):
+                taken = per_src.get(src)
+                if taken is None:
+                    taken = per_src[src] = 0 if self._src_allowed(src) else -1
+                if taken < 0 or taken >= per_src_cap:
                     continue
                 key = (src, item[_DST], item[_PORT])
                 if key in seen:
                     continue
                 seen.add(key)
-                chosen_by_src.setdefault(src, []).append((rid, item))
-                per_src[src] = per_src.get(src, 0) + 1
+                chosen.append((rid, item))
+                per_src[src] = taken + 1
                 taken_for_rid += 1
-                total += 1
-        for rid in dead_rids:
-            try:
-                self._rotation.remove(rid)
-            except ValueError:
-                pass
-        if not chosen_by_src:
+        if not chosen:
             return 0
 
-        touched: set[int] = set()
-        plans = []
-        plan_sources: list[tuple[str, list]] = []
-        for src in sorted(chosen_by_src):
-            chosen = chosen_by_src[src]
-            entries = [
-                (item[_DST], item[_PORT], item[_PAYLOAD]) for _rid, item in chosen
-            ]
-            tags = [(f"broker:{rid}", self.inflight[rid].qos) for rid, _ in chosen]
-            plan = fabric.build_class_plan(src, entries, tags)
-            if plan.groups:
-                plans.append(plan)
-            if plan.passthrough:
-                pt_entries = [entries[i] for i in plan.passthrough]
-                results = fabric.probe_many(src, pt_entries, t=t)
-                for index, result in zip(plan.passthrough, results):
-                    rid, item = chosen[index]
-                    channel = self.channels[rid]
-                    channel.probes_launched += 1
-                    self.probes_launched += 1
-                    channel.record_outcome(
-                        t, result.src, result.dst, result.success, result.rtt_s
-                    )
-                    self.probes_delivered += 1
-                    touched.add(rid)
-            plan_sources.append((src, chosen))
-            for _rid, item in chosen:
-                item[_REMAINING] -= 1
+        channels = self.channels
+        entries = [(item[_DST], item[_PORT], item[_PAYLOAD]) for _rid, item in chosen]
+        plan = fabric.compile_class_plan(
+            [item[_SRC] for _rid, item in chosen],
+            entries,
+            [("broker", self.inflight[rid].qos) for rid, _item in chosen],
+        )
+        for rid, item in chosen:
+            item[_REMAINING] -= 1
+            channels[rid].probes_launched += 1
+        self.probes_launched += len(chosen)
 
-        if plans:
-            merged = merge_class_plans(plans)
-            outcomes = fabric.run_class_plan(merged, t=t)
-            for outcome in outcomes:
-                rid = int(outcome.purpose.partition(":")[2])
-                channel = self.channels[rid]
-                channel.probes_launched += outcome.n
-                self.probes_launched += outcome.n
-                channel.record_aggregate(outcome.success, outcome.failed)
+        passthrough: dict[str, list[int]] = {}
+        for index in plan.passthrough:
+            passthrough.setdefault(chosen[index][1][_SRC], []).append(index)
+        for src in sorted(passthrough):
+            indices = passthrough[src]
+            results = fabric.probe_many(src, [entries[i] for i in indices], t=t)
+            for index, result in zip(indices, results):
+                channels[chosen[index][0]].record_outcome(
+                    t, result.src, result.dst, result.success, result.rtt_s
+                )
+            self.probes_delivered += len(indices)
+        if plan.groups:
+            outcomes = fabric.run_class_plan(plan, t=t)
+            for outcome, indices in zip(outcomes, plan.member_indices):
+                if outcome.failed:  # who failed: the head of a uniform shuffle
+                    indices = fabric.rng.permutation(indices).tolist()
+                for index in indices[:outcome.failed]:
+                    channels[chosen[index][0]].record_aggregate(0, 1)
+                for index in indices[outcome.failed:]:
+                    channels[chosen[index][0]].record_aggregate(1, 0)
                 self.probes_delivered += outcome.n
-                touched.add(rid)
 
-        self.round_log.append((t, total, fleet_cap))
-        self._round_injected_total += total
-        for rid in touched:
+        self.round_log.append((t, len(chosen), fleet_cap))
+        self._round_injected_total += len(chosen)
+        for rid in {rid for rid, _item in chosen}:
             self._maybe_complete(rid, t)
-        return total
+        return len(chosen)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -635,10 +637,6 @@ class MeasurementBroker:
         for item in self._work.pop(rid, ()):
             item[_REMAINING] = 0
         self.inflight.pop(rid, None)
-        try:
-            self._rotation.remove(rid)
-        except ValueError:
-            pass
 
     def tick(self, t: float | None = None) -> None:
         """Housekeeping: deadlines, window refills, fleet-health evidence."""

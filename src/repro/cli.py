@@ -323,16 +323,7 @@ def _cmd_stream(args) -> int:
     starts = stream.ingest.latest_windows(
         max(1, int(60.0 / stream.config.window_s))
     )
-    per_class: dict = {}
-    for start in starts:
-        for (_dc, _podset, _pod, cls), stats in stream.ingest.window(
-            start
-        ).items():
-            into = per_class.get(cls)
-            if into is None:
-                per_class[cls] = stats.copy()
-            else:
-                into.merge(stats.copy())
+    per_class = stream.ingest.merged_by_class(starts)
     print(f"{'class':12s} {'probes':>7s} {'drop':>9s} {'p50':>9s} {'p99':>9s}")
     for cls, stats in sorted(per_class.items()):
         p50, p99 = stats.quantile_us(50.0), stats.quantile_us(99.0)

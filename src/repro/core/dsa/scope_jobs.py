@@ -152,8 +152,11 @@ def job_scope_drop_rates(
     Fully vectorized on columnar windows: two grouped segmented reductions
     (intra-pod and inter-pod) instead of per-DC python list splits.
     """
-    base = _base_rows(store, window_start, window_end, rows).where(
-        col("src_dc") == col("dst_dc")
+    # A filtered subset copies the columns it keeps: keep what the job reads.
+    base = (
+        _base_rows(store, window_start, window_end, rows)
+        .select("src_dc", "dst_dc", "src_pod", "dst_pod", "success", "rtt_us")
+        .where(col("src_dc") == col("dst_dc"))
     )
     if not base:
         return []

@@ -266,25 +266,23 @@ class _SegmentedColumns:
             self.starts = np.empty(0, dtype=np.intp)
             self.counts = np.empty(0, dtype=np.int64)
             self.n_groups = 0
-            self._sorted_keys: list[np.ndarray] = [
-                np.empty(0, dtype=arr.dtype) for arr in key_arrays
-            ]
             self.group_order = np.empty(0, dtype=np.intp)
         else:
             self.order = np.lexsort(tuple(key_arrays[::-1]))
-            self._sorted_keys = [arr[self.order] for arr in key_arrays]
             change = np.zeros(n, dtype=bool)
             change[0] = True
-            for sorted_key in self._sorted_keys:
+            # One key's sorted copy at a time: a window's string keys are
+            # its widest columns, and only the group values are kept.
+            for arr in key_arrays:
+                sorted_key = arr[self.order]
                 change[1:] |= sorted_key[1:] != sorted_key[:-1]
+                del sorted_key  # before the next key's copy is made
             self.starts = np.flatnonzero(change)
             self.counts = np.diff(np.append(self.starts, n))
             self.n_groups = len(self.starts)
             # Present groups in first-appearance order, like the row path.
             self.group_order = np.argsort(self.order[self.starts], kind="stable")
-        self._sorted_cache: dict[str, np.ndarray] = dict(
-            zip(keys, self._sorted_keys)
-        )
+        self._sorted_cache: dict[str, np.ndarray] = {}
         self._value_sorted_cache: dict[str, np.ndarray] = {}
         self._view = _SortedColumnView(self)
 
@@ -307,10 +305,8 @@ class _SegmentedColumns:
 
     def key_values(self) -> list[np.ndarray]:
         """Per-key unique group values, in first-appearance order."""
-        return [
-            sorted_key[self.starts][self.group_order]
-            for sorted_key in self._sorted_keys
-        ]
+        firsts = self.order[self.starts][self.group_order]  # each group's first row
+        return [self.columns[key][firsts] for key in self.keys]
 
     def sorted_column(self, name: str) -> np.ndarray:
         cached = self._sorted_cache.get(name)

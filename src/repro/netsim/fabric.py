@@ -32,8 +32,9 @@ wholesale on any device transition, fault change, or growth.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -1226,24 +1227,40 @@ class Fabric:
         entries: Sequence[ProbeEntry],
         tags: Sequence[tuple[str, str]] | None = None,
     ) -> ClassRoundPlan:
-        """Compile one agent's probe round into closed-form class groups.
+        """Compile one agent's probe round into closed-form class groups:
+        :meth:`compile_class_plan` with every entry probed from ``src``."""
+        return self.compile_class_plan(
+            repeat(self._resolve(src)),
+            entries,
+            repeat(("tor-level", "high")) if tags is None else tags,
+        )
 
-        ``tags`` pairs each entry with its (purpose, qos); grouping keys on
-        the tag plus the pod-pair class facts, so plan construction is one
-        memoized dict lookup per entry plus the group/SNMP accounting.
+    def compile_class_plan(
+        self,
+        sources: Iterable[Server | str],
+        entries: Sequence[ProbeEntry],
+        tags: Iterable[tuple[str, str]],
+    ) -> ClassRoundPlan:
+        """Compile probes into closed-form class groups, a source per entry.
+
+        ``sources`` and ``tags`` pair each entry with who probes it and its
+        (purpose, qos); grouping keys on the tag plus the pod-pair class
+        facts — never on the source — so plan construction is one memoized
+        dict lookup per entry plus the group/SNMP accounting, and a round
+        of many sources (the broker's) has as few groups as path classes.
         Entries that need per-pair fidelity land in ``passthrough`` (by
         index) — exactly the pairs :meth:`probe_many`'s partition rule
         would refuse to fast-path, plus same-host entries.
         """
-        src_server = self._resolve(src)
         version = self.topology.state_version.value
-        if tags is None:
-            tags = [("tor-level", "high")] * len(entries)
-        src_id = src_server.device_id
         groups: dict[tuple, tuple[ClassGroup, list[int]]] = {}  # + entry indices
         passthrough: list[int] = []
         counter_acc: dict[int, list] = {}
-        for index, (dst_id, dst_port, payload_bytes) in enumerate(entries):
+        for index, (src, (dst_id, dst_port, payload_bytes), (purpose, qos)) in enumerate(
+            zip(sources, entries, tags)
+        ):
+            src_server = self._resolve(src)
+            src_id = src_server.device_id
             if payload_bytes > 0 or dst_id == src_id:
                 passthrough.append(index)
                 continue
@@ -1256,7 +1273,6 @@ class Fabric:
                 passthrough.append(index)
                 continue
             route = facts.route
-            purpose, qos = tags[index]
             key = (purpose, qos, facts.class_key)
             slot = groups.get(key)
             if slot is None:

@@ -20,11 +20,22 @@ rejected-and-counted (``deltas_rejected``), never dropped on the floor.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import itemgetter
+from types import MappingProxyType
 
 from repro.stream.aggregator import StreamDelta
 from repro.stream.sketch import ClassStats
 
 __all__ = ["StreamIngestService"]
+
+# What a rollup groups the tree's (dc, podset, pod, cls) keys by; _ALL maps
+# every key to ``()``.
+_DC, _POD, _CLASS, _ALL = (
+    itemgetter(0), itemgetter(0, 1, 2), itemgetter(3), itemgetter(slice(0))
+)
+# Distinct rollups memoised between two tree changes; tenants choose the
+# windows and classes of a stream read, so past this the memo starts over.
+_ROLLUP_MEMO_CAP = 64
 
 
 class StreamIngestService:
@@ -45,6 +56,7 @@ class StreamIngestService:
         self.max_buckets = max_buckets
         # window_start -> {(dc, podset, pod, cls) -> ClassStats}
         self._windows: "OrderedDict[float, dict]" = OrderedDict()
+        self._rollups: dict = {}  # rollup memo; holds nothing across a change
         self.deltas_ingested = 0
         self.deltas_rejected = 0
         self.probes_ingested = 0
@@ -70,6 +82,7 @@ class StreamIngestService:
                 self.deltas_rejected += 1
                 self.probes_rejected += delta.probes
                 return False
+        self._rollups.clear()
         window = self._windows.get(delta.window_start)
         if window is None:
             window = {}
@@ -110,7 +123,42 @@ class StreamIngestService:
         starts = list(self._windows)
         return starts[-k:] if k > 0 else []
 
-    def merged_by_dc(self, window_starts, cls=None, exclude_cls=None) -> dict:
+    def _rollup(
+        self, window_starts, key_of, dc=None, podset=None, pod=None, cls=None,
+        exclude_cls=None,
+    ):
+        """The one fold every rollup is: merge the given windows' stats into
+        one :class:`ClassStats` per ``key_of((dc, podset, pod, cls))``.
+
+        The filters keep a tree key only where each one given equals it;
+        ``exclude_cls`` drops one class.  The result is memoised until the
+        tree next changes and handed to every caller as the same
+        **read-only** objects: detectors, the broker and the CLI only read
+        them, and nothing may merge into or observe through one.
+        """
+        starts, filters = tuple(window_starts), (dc, podset, pod, cls)
+        memo_key = (starts, key_of, filters, exclude_cls)
+        rolled = self._rollups.get(memo_key)
+        if rolled is not None:
+            return rolled
+        wanted = [(i, v) for i, v in enumerate(filters) if v is not None]
+        merged: dict = {}
+        for start in starts:
+            for key, stats in self._windows.get(start, {}).items():
+                if key[3] == exclude_cls or any(key[i] != v for i, v in wanted):
+                    continue
+                group = key_of(key)
+                into = merged.get(group)
+                if into is None:
+                    merged[group] = stats.copy()
+                else:
+                    into.merge(stats)
+        if len(self._rollups) >= _ROLLUP_MEMO_CAP:
+            self._rollups.clear()
+        rolled = self._rollups[memo_key] = MappingProxyType(merged)
+        return rolled
+
+    def merged_by_dc(self, window_starts, cls=None, exclude_cls=None):
         """Roll the given windows up to per-DC :class:`ClassStats`.
 
         By default all classes and all pods of a DC merge into one stats
@@ -119,54 +167,20 @@ class StreamIngestService:
         RTT is WAN-sized), mirroring the batch tracker's scope routing,
         while the inter-DC detector keeps only it.
         """
-        merged: dict[int, ClassStats] = {}
-        for start in window_starts:
-            for (dc, _podset, _pod, k_cls), stats in self._windows.get(
-                start, {}
-            ).items():
-                if cls is not None and k_cls != cls:
-                    continue
-                if exclude_cls is not None and k_cls == exclude_cls:
-                    continue
-                into = merged.get(dc)
-                if into is None:
-                    merged[dc] = stats.copy()
-                else:
-                    into.merge(stats.copy())
-        return merged
+        return self._rollup(window_starts, _DC, cls=cls, exclude_cls=exclude_cls)
 
-    def merged_by_pod(self, window_starts) -> dict:
+    def merged_by_pod(self, window_starts):
         """Roll the given windows up to ``(dc, podset, pod)`` stats."""
-        merged: dict[tuple, ClassStats] = {}
-        for start in window_starts:
-            for (dc, podset, pod, _cls), stats in self._windows.get(
-                start, {}
-            ).items():
-                key = (dc, podset, pod)
-                into = merged.get(key)
-                if into is None:
-                    merged[key] = stats.copy()
-                else:
-                    into.merge(stats.copy())
-        return merged
+        return self._rollup(window_starts, _POD)
+
+    def merged_by_class(self, window_starts):
+        """Roll the given windows up to per-peer-class stats."""
+        return self._rollup(window_starts, _CLASS)
 
     def merged_key(self, window_starts, dc, podset=None, pod=None, cls=None) -> ClassStats:
         """Merge every retained stats object matching the key filters."""
-        out = ClassStats(self.relative_accuracy, self.max_buckets)
-        for start in window_starts:
-            for (k_dc, k_podset, k_pod, k_cls), stats in self._windows.get(
-                start, {}
-            ).items():
-                if k_dc != dc:
-                    continue
-                if podset is not None and k_podset != podset:
-                    continue
-                if pod is not None and k_pod != pod:
-                    continue
-                if cls is not None and k_cls != cls:
-                    continue
-                out.merge(stats.copy())
-        return out
+        merged = self._rollup(window_starts, _ALL, dc, podset, pod, cls)
+        return merged.get(()) or ClassStats(self.relative_accuracy, self.max_buckets)
 
     @property
     def memory_buckets(self) -> int:

@@ -320,3 +320,53 @@ class TestReadQueries:
         before = account.balance
         broker.submit("acme", kind="scope")
         assert account.balance == before - broker.admission.read_query_cost
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("stream", {"windows": "many"}),
+            ("stream", {"windows": None}),
+            ("stream", {"windows": float("nan")}),
+            ("stream", {"windows": float("inf")}),
+            ("stream", {"cls": ["intra-pod"]}),
+            ("stream", {"exclude_cls": 3}),
+            ("scope", {"since_s": "soon"}),
+            ("scope", {"since_s": None}),
+            ("scope", {"since_s": -1.0}),
+            ("scope", {"since_s": float("nan")}),
+            ("scope", {"since_s": float("inf")}),
+        ],
+    )
+    def test_bad_read_params_are_rejected_before_the_debit(self, broker, kind, params):
+        """Each of these used to raise out of ``submit()`` after the debit:
+        the credit was gone and the channel stayed ``PENDING`` for good."""
+        account = broker.accounts["acme"]
+        before = account.balance
+        channel = broker.submit("acme", kind=kind, params=params)
+        assert channel.state is RequestState.REJECTED
+        assert channel.reject_reason == "bad-params"
+        assert account.balance == before and account.conserved()
+        assert all(ch.done for ch in broker.channels.values())
+
+    def test_out_of_range_read_windows_are_clamped(self, broker):
+        broker.system.run_for(300.0)
+        ingest = broker.system.stream.ingest
+
+        def rows(windows):
+            channel = broker.submit("acme", kind="stream", params={"windows": windows})
+            assert channel.state is RequestState.COMPLETED
+            return channel.rows
+
+        assert len(ingest.window_starts()) > 3
+        assert rows(-5) == rows(0) == rows(1)
+        assert rows(10**12) == rows(ingest.retention_windows)
+        assert rows(1)[0]["probes"] < rows(3)[0]["probes"] < rows(10**12)[0]["probes"]
+        # A numeric string and a None class are what they look like.
+        assert rows("3") == rows(3)
+        explicit = broker.submit(
+            "acme", kind="stream", params={"windows": 3, "cls": None}
+        )
+        assert explicit.rows == rows(3)
+        huge = broker.submit("acme", kind="scope", params={"since_s": 1e300})
+        assert huge.state is RequestState.COMPLETED
+

@@ -8,6 +8,7 @@ percentiles, empty ratio denominators) and a randomized property test.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,38 @@ class TestOutputPinsNothing:
         assert cols.output()[0]["t"] == RECORDS[0]["t"]
         # Iteration is the explicit way to keep a row view.
         assert list(cols) == second and cols._rows is not None
+
+
+class TestGroupByHoldsOneSortedKey:
+    def test_wide_string_keys_are_not_all_held_sorted(self):
+        """Grouping a window by its string columns (the black-hole job's
+        ``src``, ``dst``) sorts one key at a time and keeps group values,
+        not a sorted twin of every key: the transient is what decided how
+        far the daily job pushed peak RSS from one run to the next."""
+        n = 60_000
+        names = np.array([f"dc0/ps0/pod{i % 16}/s{i % 251}" for i in range(n)])
+        columns = {"a": names, "b": names[::-1].copy(), "c": names.copy(), "v": np.ones(n)}
+        reference = RowSet(RowSet.from_columns(columns).output())
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            out = (
+                RowSet.from_columns(columns)
+                .group_by("a", "b", "c")
+                .aggregate(n=agg.count(), total=agg.sum("v"))
+                .output()
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_output(
+            reference.group_by("a", "b", "c")
+            .aggregate(n=agg.count(), total=agg.sum("v"))
+            .output(),
+            out,
+        )
+        # One sorted key plus its shifted comparison, never all three keys.
+        assert peak - base < 2 * names.nbytes
 
 
 class TestPercentileFarFromRowZero:

@@ -278,6 +278,51 @@ class TestLedgerAndMerge:
         assert len(merged.groups) == 1
         assert merged.groups[0].n == 8
 
+    def test_one_compile_over_many_sources_equals_the_merged_parts(self):
+        """A source per entry (the broker's round): the same groups, the
+        same members and as many SNMP packets as compiling source by source
+        and merging — and ``member_indices`` / ``passthrough`` partition the
+        round's positions."""
+        fabric = _fabric()
+        dc = fabric.topology.dc(0)
+        sources = [dc.servers_in_podset(0)[0], dc.servers_in_podset(1)[1]]
+        peers = dc.servers_in_podset(0)[1:3] + dc.servers_in_podset(1)[2:4]
+        dc.servers_in_podset(1)[3].bring_down()
+        tags = [("broker", "high"), ("broker", "low")] * 2
+        plans = [
+            fabric.build_class_plan(src, _entries_for(fabric, src, peers), tags)
+            for src in sources
+        ]
+        merged = merge_class_plans(plans)
+        # Interleave the two sources' rounds, entry by entry.
+        entries = [e for src in sources for e in _entries_for(fabric, src, peers)]
+        order = [0, 4, 1, 5, 2, 6, 3, 7]
+        whole = fabric.compile_class_plan(
+            [sources[i // 4] for i in order],
+            [entries[i] for i in order],
+            [tags[i % 4] for i in order],
+        )
+
+        def keyed(plan):
+            return {
+                (g.purpose, g.qos, g.scope, g.n_hops, g.p_attempt): sorted(g.members)
+                for g in plan.groups
+            }
+
+        assert keyed(whole) == keyed(merged) and len(whole.groups) > 1
+        assert whole.n_class_probes == merged.n_class_probes == 6
+        assert sorted(order[i] for i in whole.passthrough) == [3, 7]
+        positions = sorted(i for indices in whole.member_indices for i in indices)
+        assert sorted(positions + whole.passthrough) == list(range(8))
+        for group, indices in zip(whole.groups, whole.member_indices):
+            assert group.members == [
+                (sources[order[i] // 4].device_id, *entries[order[i]][:2])
+                for i in indices
+            ]
+        assert sum(k for _c, k in whole.counter_increments) == sum(
+            k for _c, k in merged.counter_increments
+        )
+
     def test_merge_rejects_mixed_generations(self):
         fabric = _fabric()
         dc = fabric.topology.dc(0)
