@@ -281,6 +281,11 @@ class FleetShard:
                     t, batch.static.classes, batch.success, batch.rtt_us
                 )
             self.probe_uploader.add_many(agent._tag_stale_many(batch))
+            if self.probe_uploader.should_flush:
+                # Mid-round: an incident's record flood (one silent-spine
+                # round is more rows than the buffer's backstop holds) must
+                # not wait for maybe_upload and lose its oldest rows (§4.1).
+                self.probe_uploader.flush(t)
             launched += batch.n
         return launched
 

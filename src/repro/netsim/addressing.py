@@ -12,9 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "IPv4Address",
     "FiveTuple",
+    "ecmp_hash_many",
     "EphemeralPortAllocator",
     "PROTO_TCP",
     "PROTO_UDP",
@@ -29,6 +32,11 @@ PROTO_UDP = 17
 # of drawing a fresh source port for every probe.
 EPHEMERAL_PORT_MIN = 49_152
 EPHEMERAL_PORT_MAX = 65_535
+
+# The ECMP hash's mix (FNV-1a's offset basis and prime), shared by
+# FiveTuple.ecmp_hash and its array form.
+_HASH_SEED = 0xCBF29CE484222325
+_HASH_PRIME = 0x100000001B3
 
 
 @dataclass(frozen=True, order=True)
@@ -118,7 +126,7 @@ class FiveTuple:
         ``salt`` lets each switch tier hash differently, as real fabrics
         salt per-switch to avoid ECMP polarization.
         """
-        h = 0xCBF29CE484222325 ^ (salt & 0xFFFFFFFFFFFFFFFF)
+        h = _HASH_SEED ^ (salt & 0xFFFFFFFFFFFFFFFF)
         for word in (
             self.src_ip.value,
             self.dst_ip.value,
@@ -126,7 +134,7 @@ class FiveTuple:
             self.protocol,
         ):
             h ^= word
-            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+            h = (h * _HASH_PRIME) & 0xFFFFFFFFFFFFFFFF
             h ^= h >> 29
         return h
 
@@ -135,6 +143,23 @@ class FiveTuple:
         return (
             f"{self.src_ip}:{self.src_port}->{self.dst_ip}:{self.dst_port}/{proto}"
         )
+
+
+def ecmp_hash_many(src_ip, src_port, dst_ip, dst_port, protocol, salt) -> np.ndarray:
+    """:meth:`FiveTuple.ecmp_hash` of many flows at once, as ``uint64``.
+
+    Every argument is an array (or a number) of the five-tuple field it is
+    named after, ``src_ip`` / ``dst_ip`` as 32-bit values and ``salt``
+    below 2**64; they broadcast against each other.  ``uint64`` arithmetic
+    wraps where the scalar hash masks, so the two agree bit for bit.
+    """
+    u64 = np.uint64
+    src_port, dst_port = np.asarray(src_port, dtype=u64), np.asarray(dst_port, dtype=u64)
+    h = u64(_HASH_SEED) ^ np.asarray(salt, dtype=u64)
+    for word in (src_ip, dst_ip, (src_port << u64(16)) | dst_port, protocol):
+        h = (h ^ np.asarray(word, dtype=u64)) * u64(_HASH_PRIME)
+        h = h ^ (h >> u64(29))
+    return h
 
 
 class EphemeralPortAllocator:

@@ -83,20 +83,20 @@ class DropModel:
 
     def __init__(self, profile: WorkloadProfile) -> None:
         self.profile = profile
-        self.budget = DropBudget.from_profile(profile)
+        self.budget = budget = DropBudget.from_profile(profile)
+        self._hop_drop = {
+            DeviceKind.TOR: budget.tor,
+            DeviceKind.LEAF: budget.leaf,
+            DeviceKind.SPINE: budget.spine,
+            DeviceKind.BORDER: budget.border,
+        }
 
     def hop_drop_prob(self, kind: DeviceKind) -> float:
         """Baseline per-traversal drop probability for a switch tier."""
-        budget = self.budget
-        if kind == DeviceKind.TOR:
-            return budget.tor
-        if kind == DeviceKind.LEAF:
-            return budget.leaf
-        if kind == DeviceKind.SPINE:
-            return budget.spine
-        if kind == DeviceKind.BORDER:
-            return budget.border
-        raise ValueError(f"not a switch tier: {kind}")
+        try:
+            return self._hop_drop[kind]
+        except KeyError:
+            raise ValueError(f"not a switch tier: {kind}") from None
 
     def direction_drop_prob(self, path: Path) -> float:
         """P(a packet is dropped traversing ``path`` once), healthy network."""

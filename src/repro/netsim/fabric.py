@@ -15,13 +15,13 @@ and the fault injector.  It offers two probe paths:
   called.
 * :meth:`Fabric.probe_many` — the fleet fast path: one agent's whole probe
   round in a single call, returned as one columnar :class:`ProbeBatch`.
-  Pairs whose ECMP envelope is untouched by live faults sample outcome +
-  RTT array-at-a-time from the same analytic model ``batch_probe`` uses;
-  pairs that need full fidelity (a fault anywhere in their envelope, a
-  payload echo, a down endpoint) run the scalar engine — correctness never
-  depends on which partition a pair landed in.  Everything about a round
-  but its draws is compiled once per (source, entries object, generation)
-  into a :class:`_RoundPlan`.
+  Probes whose own ECMP path crosses no live fault sample outcome + RTT
+  array-at-a-time from the same analytic model ``batch_probe`` uses;
+  probes that need full fidelity (a fault on the flow's forward or reverse
+  path, a payload echo, a down endpoint) run the scalar engine —
+  correctness never depends on which partition a probe landed in.
+  Everything about a round but its ports and draws is compiled once per
+  (source, entries object, generation) into a :class:`_RoundPlan`.
 
 The same models and the same seed discipline back all three paths.  What
 routing knows about a pod pair comes from the router's route table
@@ -44,11 +44,12 @@ from repro.netsim.addressing import (
     PROTO_TCP,
     EphemeralPortAllocator,
     FiveTuple,
+    ecmp_hash_many,
 )
 from repro.netsim import drops
 from repro.netsim.devices import Server, Switch
 from repro.netsim.drops import DropModel
-from repro.netsim.faults import FaultInjector
+from repro.netsim.faults import FaultInjector, wan_link_id
 from repro.netsim.latency import LatencyModel
 from repro.netsim.routing import (
     SCOPE_HOP_KINDS,
@@ -146,9 +147,14 @@ class _ClassFacts:
 
     route: PodRoute
     p_attempt: float
-    # Full fidelity needed: no live route, or a fault anywhere on the
-    # envelope (it may sit on a path a representative flow does not take).
+    # Full fidelity for every flow: no live route, or a fault on what every
+    # flow of the pair crosses (either ToR, a WAN direction).
     scalar: bool
+    # Set when a fault sits on an ECMP tier of the envelope instead, where
+    # only the flows that hash onto it meet it: one column per decision
+    # point, forward tiers then the reply's, as uint64 rows ``(salt, live
+    # switches, slot of the first, 1 if forward)`` — see ``Fabric._slots``.
+    tiers: np.ndarray | None
     # What class grouping keys on besides (purpose, qos).  The WAN term
     # splits on *direction* (wan_fwd vs wan_rev, plus the destination DC):
     # with asymmetric long-haul latency, dc0->dc1 and dc0->dc2 classes — or
@@ -174,32 +180,87 @@ class _PairFastInfo:
     forward_counters: tuple  # the forward hops' SnmpCounters, pre-resolved
 
 
+class _FlowColumns:
+    """A plan's judged flows as the arrays one ECMP pass reads.
+
+    Per flow, in entry order: ``at`` (entry position), ``dsts``, ``facts``
+    (the pod pair's) and ``starts`` — the flow's first column, one past the
+    last flow's at the end.  Per column, one for each decision point on a
+    flow's forward or reverse route: ``row`` is the flow, ``salt`` /
+    ``n_live`` / ``offset`` / ``forward`` are the pairs'
+    ``_ClassFacts.tiers`` side by side, ``ip_a`` / ``ip_b`` / ``dst_port``
+    the five-tuple as the column's direction sends it (the reply swaps the
+    addresses) — everything but the round's source port, which ``port_at``
+    finds among the up-front ports.  ``slots`` is the generation's table.
+    """
+
+    __slots__ = (
+        "at", "dsts", "facts", "starts", "row", "salt", "n_live", "offset",
+        "forward", "ip_a", "ip_b", "dst_port", "port_at", "slots",
+    )
+
+    def __init__(self, plan: "_RoundPlan", dsts, facts, slots: list[Switch]) -> None:
+        self.dsts, self.facts, self.slots = dsts, facts, slots
+        places = [place for place, (_at, flow) in enumerate(plan.slow) if flow >= 0]
+        self.at = [plan.slow[place][0] for place in places]
+        tiers = [each.tiers for each in facts]
+        widths = [columns.shape[1] for columns in tiers]
+        self.starts = np.cumsum([0] + widths)
+        self.row = row = np.repeat(np.arange(len(widths)), widths)
+        self.salt, self.n_live, self.offset, forward = np.concatenate(tiers, axis=1)
+        self.forward = forward = forward != 0
+        # What differs flow to flow: its port's place, and whom it probes.
+        self.port_at, dst_ip, self.dst_port = np.array(
+            [
+                (place, dst.ip.value, plan.entries[index][1])
+                for place, index, dst in zip(places, self.at, dsts)
+            ],
+            dtype=np.uint64,
+        )[row].T
+        src_ip = np.uint64(plan.src_ip.value)
+        self.ip_a = np.where(forward, src_ip, dst_ip)
+        self.ip_b = np.where(forward, dst_ip, src_ip)
+
+    def hop_ids(self, flow: int, slots: np.ndarray) -> tuple[str, ...]:
+        """A flow's own forward hops, given a round's slot per column."""
+        columns = slice(self.starts[flow], self.starts[flow + 1])
+        route = self.facts[flow].route
+        chosen = slots[columns][self.forward[columns]]
+        return (
+            route.src_tor.device_id,
+            *[self.slots[slot].device_id for slot in chosen],
+            route.dst_tor.device_id,
+        )
+
+
 class _RoundPlan:
     """What one (source, entries object, generation) fixes about a round.
 
-    The partition — ``scalar`` entry positions go to the full-fidelity
-    engine, ``fast`` ones to the analytic draw, both in entry order — and,
-    of the fast partition, everything but the draws: ``p_attempt`` and
-    ``wan`` (``None``: no WAN term) per fast probe, ``hop_classes`` as
-    ``(n_hops, places among the fast probes, how many)`` in order of first
-    appearance, ``counters`` as one ``(SnmpCounters, packets per round)``
-    per distinct forward hop, ``no_drops`` as the read-only ``(success,
-    syn_drops)`` columns every round without a lost SYN shares, ``infos``
-    (by entry position) for the row view.  ``static`` belongs to the record
+    The partition, in entry order: ``slow`` positions get their source
+    ports up front, as ``(position, flow)`` — ``flow`` -1 for the ones that
+    always go to the full-fidelity engine, else the row in ``flows`` whose
+    verdict each round decides; ``fast`` ones always join the analytic
+    draw.  Of the analytic candidates (``at``: fast, then judged), all but
+    the draws: ``p_attempt``, ``n_hops`` and ``wan`` (``None``: no WAN term)
+    per candidate; and, fixed because a plan without judged flows draws for
+    all of them every round, ``hop_classes`` as ``(n_hops, places, how
+    many)`` in order of first appearance and ``no_drops`` as the read-only
+    ``(success, syn_drops)`` columns every round without a lost SYN shares.
+    ``counters`` is one ``(SnmpCounters, packets per round)`` per distinct
+    forward hop of the fast positions, ``infos`` (by entry position, the
+    fast ones') serve the row view.  ``static`` belongs to the record
     layer: what it derived from this plan, kept with it.
     """
 
     __slots__ = (
-        "src_id", "src_ip", "entries", "dst_ids", "scalar", "fast", "fast_at",
-        "infos", "p_attempt", "wan", "hop_classes", "counters", "no_drops",
-        "static",
+        "src_id", "src_ip", "entries", "dst_ids", "slow", "flows", "fast", "at",
+        "infos", "p_attempt", "n_hops", "wan", "hop_classes", "counters",
+        "no_drops", "static",
     )
 
     def __init__(self, src_id: str, dst_ids: tuple[str, ...]) -> None:
         self.src_id = src_id
         self.dst_ids = dst_ids
-        self.scalar: Sequence[int] = range(len(dst_ids))  # until compiled
-        self.fast: list[int] = []
         self.static = None
 
 
@@ -228,11 +289,14 @@ class ProbeBatch(Sequence):
     payload_rtt_s: list | None
     src_port: Sequence[int]
     _kept: list | None = None  # the scalar engine's rows by position, if any
+    _flow_slots: np.ndarray | None = None  # the judged flows' slot per column
 
     @classmethod
-    def assemble(cls, plan: _RoundPlan, t: float, rows, fast=None) -> "ProbeBatch":
-        """Columns read off the scalar engine's ``rows`` (the plan's
-        ``scalar`` positions), with the ``fast`` partition's ``(success,
+    def assemble(
+        cls, plan: _RoundPlan, t: float, scalar_at, rows, analytic=None, flow_slots=None
+    ) -> "ProbeBatch":
+        """Columns read off the scalar engine's ``rows`` (at positions
+        ``scalar_at``), with the analytic draw's ``(positions, success,
         rtt_s, syn_drops, error, src_port)`` scattered among them."""
         n = len(plan.dst_ids)
         kept: list = [None] * n
@@ -242,7 +306,7 @@ class ProbeBatch(Sequence):
         error: list = [None] * n
         payload_rtt_s: list = [None] * n
         src_port = [0] * n
-        for index, row in zip(plan.scalar, rows):
+        for index, row in zip(scalar_at, rows):
             kept[index] = row
             success[index] = row.success
             rtt_s[index] = row.rtt_s
@@ -251,17 +315,18 @@ class ProbeBatch(Sequence):
             payload_rtt_s[index] = row.payload_rtt_s
             if row.flow is not None:
                 src_port[index] = row.flow.src_port
-        if fast is not None:
-            fast_success, fast_rtt_s, fast_syn_drops, fast_error, fast_ports = fast
-            success[plan.fast_at] = fast_success
-            rtt_s[plan.fast_at] = fast_rtt_s
-            syn_drops[plan.fast_at] = fast_syn_drops
-            for place, index in enumerate(plan.fast):
-                src_port[index] = fast_ports[place]
-                if fast_error is not None:
-                    error[index] = fast_error[place]
+        if analytic is not None:
+            at, drawn_success, drawn_rtt_s, drawn_syn_drops, drawn_error, ports = analytic
+            success[at] = drawn_success
+            rtt_s[at] = drawn_rtt_s
+            syn_drops[at] = drawn_syn_drops
+            for place, index in enumerate(at.tolist()):
+                src_port[index] = ports[place]
+                if drawn_error is not None:
+                    error[index] = drawn_error[place]
         return cls(
-            plan, t, success, rtt_s, syn_drops, error, payload_rtt_s, src_port, kept
+            plan, t, success, rtt_s, syn_drops, error, payload_rtt_s, src_port, kept,
+            flow_slots,
         )
 
     @classmethod
@@ -272,7 +337,7 @@ class ProbeBatch(Sequence):
         if any(row.src != first.src or row.t != first.t for row in results):
             raise ValueError("a batch shares one source and one instant")
         plan = _RoundPlan(first.src, tuple([row.dst for row in results]))
-        return cls.assemble(plan, first.t, results)
+        return cls.assemble(plan, first.t, range(len(results)), results)
 
     @property
     def src(self) -> str:
@@ -295,6 +360,13 @@ class ProbeBatch(Sequence):
         if row is None:
             plan = self.plan
             info = plan.infos[index]
+            if info is not None:
+                dst, scope, hops = info.dst, info.scope, info.forward_hop_ids
+            else:  # a judged flow that met no fault: its own hops
+                flows = plan.flows
+                flow = flows.at.index(index)
+                dst, scope = flows.dsts[flow], flows.facts[flow].route.scope
+                hops = flows.hop_ids(flow, self._flow_slots)
             row = ProbeResult(
                 src=plan.src_id,
                 dst=plan.dst_ids[index],
@@ -306,12 +378,12 @@ class ProbeBatch(Sequence):
                 flow=FiveTuple(
                     src_ip=plan.src_ip,
                     src_port=self.src_port[index],
-                    dst_ip=info.dst.ip,
+                    dst_ip=dst.ip,
                     dst_port=plan.entries[index][1],
                     protocol=PROTO_TCP,
                 ),
-                scope=info.scope,
-                forward_hops=info.forward_hop_ids,
+                scope=scope,
+                forward_hops=hops,
             )
         return row
 
@@ -563,6 +635,18 @@ def execute_class_groups(groups, latency_models, t, draw) -> list[ClassOutcome]:
     return outcomes
 
 
+def _hop_classes(n_hops: list[int]) -> list[tuple]:
+    """``(n_hops, places, how many)`` per distinct hop count among analytic
+    probes, in order of first appearance — an RTT draw each."""
+    by_hops: dict[int, list[int]] = {}
+    for place, hops in enumerate(n_hops):
+        by_hops.setdefault(hops, []).append(place)
+    return [
+        (hops, np.array(places, dtype=np.intp), len(places))
+        for hops, places in by_hops.items()
+    ]
+
+
 class Fabric:
     """A multi-DC network ready to carry probes.
 
@@ -622,6 +706,13 @@ class Fabric:
         self._pair_cache: dict[tuple[str, str, int], _PairFastInfo] = {}
         self._class_facts_cache: dict[tuple, _ClassFacts] = {}
         self._round_plans: dict[str, _RoundPlan] = {}  # by source, its latest
+        # The live switches of every ECMP tier a judged flow can cross, each
+        # tier's side by side (found by its first switch): a hash choice
+        # plus the tier's offset is a *slot*, and one gather against
+        # ``_slot_faulted`` tells whether the flow met a fault there.
+        self._slots: list[Switch] = []
+        self._tier_offsets: dict[str, int] = {}
+        self._slot_faulted = np.zeros(0, dtype=bool)
         self._cache_version = -1
         self._server_cache: dict[str, Server] = {}
 
@@ -800,7 +891,7 @@ class Fabric:
                 syn_drops=outcome.drops,
                 flow=flow,
                 scope=forward.scope,
-                forward_hops=tuple(forward.hop_ids()),
+                forward_hops=forward.hop_id_tuple,
             )
 
         network_rtt = latency_model.sample_one(
@@ -827,7 +918,7 @@ class Fabric:
             payload_rtt_s=payload_rtt,
             flow=flow,
             scope=forward.scope,
-            forward_hops=tuple(forward.hop_ids()),
+            forward_hops=forward.hop_id_tuple,
         )
 
     def _payload_exchange(
@@ -1020,6 +1111,9 @@ class Fabric:
             self._pair_cache.clear()
             self._class_facts_cache.clear()
             self._round_plans.clear()
+            self._slots = []  # a new list: a batch may still read the old one
+            self._tier_offsets.clear()
+            self._slot_faulted = self._slot_faulted[:0]
             self._cache_version = version
 
     def _pair_info(self, src: Server, dst: Server, dst_port: int) -> _PairFastInfo:
@@ -1034,7 +1128,7 @@ class Fabric:
             n_hops=forward.n_hops,
             wan_rtt=forward.wan_rtt + reverse.wan_rtt,
             scope=forward.scope,
-            forward_hop_ids=tuple(forward.hop_ids()),
+            forward_hop_ids=forward.hop_id_tuple,
             forward_counters=tuple(hop.counters for hop in forward.hops),
         )
         self._pair_cache[(src.device_id, dst.device_id, dst_port)] = info
@@ -1058,8 +1152,11 @@ class Fabric:
         plan = _RoundPlan(src_id, tuple([entry[0] for entry in entries]))
         plan.src_ip = src_server.ip
         plan.entries = entries
-        plan.scalar = []
+        plan.slow = []
+        plan.fast = []
         plan.infos = [None] * len(entries)
+        dsts: list[Server] = []  # of the judged positions, and their facts
+        judged: list[_ClassFacts] = []
         pair_cache = self._pair_cache
         for index, (dst_id, dst_port, payload_bytes) in enumerate(entries):
             info = None
@@ -1067,42 +1164,66 @@ class Fabric:
                 info = pair_cache.get((src_id, dst_id, dst_port))
             if info is None:
                 dst_server = self._resolve(dst_id)
-                if (
-                    payload_bytes > 0
-                    or not dst_server.is_up
-                    or (
-                        dst_id != src_id
-                        and self._class_facts(src_server, dst_server).scalar
-                    )
-                ):
-                    plan.scalar.append(index)
+                if payload_bytes > 0 or not dst_server.is_up:
+                    plan.slow.append((index, -1))
                     continue
+                if dst_id != src_id:
+                    facts = self._class_facts(src_server, dst_server)
+                    if facts.scalar:
+                        plan.slow.append((index, -1))
+                        continue
+                    if facts.tiers is not None:
+                        plan.slow.append((index, len(judged)))
+                        dsts.append(dst_server)
+                        judged.append(facts)
+                        continue
                 info = self._pair_info(src_server, dst_server, dst_port)
             plan.fast.append(index)
             plan.infos[index] = info
-        fast_infos = [plan.infos[index] for index in plan.fast]
-        k = len(fast_infos)
-        plan.fast_at = np.array(plan.fast, dtype=np.intp)
-        plan.p_attempt = np.array([info.p_attempt for info in fast_infos])
-        wan = np.array([info.wan_rtt for info in fast_infos])
+        flows = plan.flows = (
+            _FlowColumns(plan, dsts, judged, self._slots) if judged else None
+        )
+        infos = [plan.infos[index] for index in plan.fast]
+        routes = [facts.route for facts in judged]
+        plan.at = np.array(plan.fast + (flows.at if judged else []), dtype=np.intp)
+        plan.p_attempt = np.array(
+            [info.p_attempt for info in infos] + [facts.p_attempt for facts in judged]
+        )
+        plan.n_hops = [info.n_hops for info in infos] + [route.n_hops for route in routes]
+        wan = np.array(
+            [info.wan_rtt for info in infos]
+            + [route.wan_fwd + route.wan_rev for route in routes]
+        )
         plan.wan = wan if wan.any() else None
-        by_hops: dict[int, list[int]] = {}
         packets: dict[int, list] = {}
-        for place, info in enumerate(fast_infos):
-            by_hops.setdefault(info.n_hops, []).append(place)
+        for info in infos:
             for counters in info.forward_counters:
                 packets.setdefault(id(counters), [counters, 0])[1] += 1
-        plan.hop_classes = [
-            (n_hops, np.array(places, dtype=np.intp), len(places))
-            for n_hops, places in by_hops.items()
-        ]
+        plan.hop_classes = _hop_classes(plan.n_hops)
         plan.counters = [tuple(entry) for entry in packets.values()]
+        k = len(plan.n_hops)
         plan.no_drops = (np.ones(k, dtype=bool), np.zeros(k, dtype=np.int64))
         for column in plan.no_drops:
             column.flags.writeable = False
         if type(entries) is tuple:
             self._round_plans[src_id] = plan
         return plan
+
+    def _judge_flows(self, flows: _FlowColumns, ports: Sequence[int]):
+        """This round's ECMP choice at every decision point of every judged
+        flow, both directions, in one pass — ``Router._bucket_for`` over
+        arrays.  Returns which flows meet a faulted switch, and every
+        column's slot."""
+        port = np.asarray(ports, dtype=np.uint64)[flows.port_at]
+        forward, dst_port = flows.forward, flows.dst_port
+        choice = ecmp_hash_many(
+            flows.ip_a, np.where(forward, port, dst_port),
+            flows.ip_b, np.where(forward, dst_port, port),
+            PROTO_TCP, flows.salt,
+        ) % flows.n_live
+        slots = (flows.offset + choice).astype(np.intp)
+        hit = np.logical_or.reduceat(self._slot_faulted[slots], flows.starts[:-1])
+        return hit, slots
 
     def probe_many(
         self, src: Server | str, entries: Sequence[ProbeEntry], t: float = 0.0
@@ -1113,83 +1234,130 @@ class Fabric:
         agent's probe round); the :class:`ProbeBatch` that comes back holds
         the outcomes as columns in entry order, and reads as the sequence
         of :class:`ProbeResult` they stand for.  The round is partitioned
-        (once per entries tuple and generation, :meth:`_round_plan`):
+        envelope first (once per entries tuple and generation,
+        :meth:`_round_plan`), flow second (each round):
 
         * **scalar** (full-fidelity engine, per-hop decisions): any entry
           with a payload echo, a down destination, no route, or a live
-          fault anywhere in the pair's ECMP envelope — decided from the
-          pod pair's class facts before anything is routed, so a degraded
-          probe routes only its own flow, forward and reverse;
-        * **fast** (analytic, array-at-a-time): everything else — outcome
-          and RTT sampled exactly as :meth:`batch_probe` samples them, from
-          the same models and the same generator, after the scalar probes.
+          fault on what every flow of the pair crosses (a ToR, a WAN
+          direction) — decided from the pod pair's class facts before
+          anything is routed;
+        * **judged**: a live fault on an ECMP tier of the pair's envelope.
+          The round's fresh source port decides: every judged flow's
+          per-tier choice, forward and reverse, is computed in one array
+          pass, and only the flows that hash onto a faulted switch go to
+          the scalar engine, with that port pinned — so a degraded probe
+          routes only its own flow, and a clear one is never routed;
+        * **fast** (analytic, array-at-a-time): everything else, and the
+          judged flows that met no fault — outcome and RTT sampled exactly
+          as :meth:`batch_probe` samples them, from the same models and
+          the same generator, in one draw after the scalar probes.
 
         Every probe still draws a fresh ephemeral source port (the ECMP
-        sweep discipline), counts into the conservation ledger, and is
+        sweep discipline; the scalar and judged positions' in entry order,
+        then the fast ones'), counts into the conservation ledger, and is
         reported to the probe observers.
         """
         src_server = self._resolve(src)
         src_id = src_server.device_id
-        if src_server.is_up:
-            self._check_generation()
-            plan = self._round_plan(src_server, entries)
-        else:
+        if not src_server.is_up:
             # No process on a powered-off host: every probe is refused, one
             # by one, by the scalar engine.
             plan = _RoundPlan(src_id, tuple([entry[0] for entry in entries]))
-        rows = []
-        for index in plan.scalar:
-            dst_id, dst_port, payload_bytes = entries[index]
-            rows.append(
+            rows = [
                 self.probe(
                     src_server, dst_id, t=t, payload_bytes=payload_bytes,
                     dst_port=dst_port,
                 )
-            )
-        k = len(plan.fast)
-        if not k:
-            return ProbeBatch.assemble(plan, t, rows)
+                for dst_id, dst_port, payload_bytes in entries
+            ]
+            return ProbeBatch.assemble(plan, t, range(len(rows)), rows)
+        self._check_generation()
+        plan = self._round_plan(src_server, entries)
+        allocator = self._port_allocator(src_id)
+        slow_ports = allocator.allocate_many(len(plan.slow))
+        flows, k = plan.flows, len(plan.fast)
+        if flows is not None:
+            hit, flow_slots = self._judge_flows(flows, slow_ports)
+            verdicts = hit.tolist()
+        rows, scalar_at, clear, clear_ports = [], [], [], []
+        for (index, flow), port in zip(plan.slow, slow_ports):
+            if flow < 0 or verdicts[flow]:
+                dst_id, dst_port, payload_bytes = entries[index]
+                rows.append(
+                    self.probe(
+                        src_server, dst_id, t=t, payload_bytes=payload_bytes,
+                        dst_port=dst_port, src_port=port,
+                    )
+                )
+                scalar_at.append(index)
+            else:
+                clear.append(k + flow)
+                clear_ports.append(port)
+                flows.facts[flow].route.dst_tor.counters.packets_forwarded += 1
+        n = k + len(clear)
+        if not n:
+            return ProbeBatch.assemble(plan, t, scalar_at, rows)
+        if flows is None:
+            at, p_attempt, wan = plan.at, plan.p_attempt, plan.wan
+            hop_classes = plan.hop_classes
+        else:
+            # Of the analytic candidates, this round draws for the fast
+            # positions and the judged flows that met no fault.
+            keep = [*range(k), *clear]
+            at, p_attempt = plan.at[keep], plan.p_attempt[keep]
+            wan = plan.wan[keep] if plan.wan is not None else None
+            hop_classes = _hop_classes([plan.n_hops[place] for place in keep])
 
         # The analytic partition: three attempts' uniforms in one draw (the
-        # stream three draws of k would read), then an RTT per hop class.
-        dropped = self.rng.random((3, k)) < plan.p_attempt
+        # stream three draws of n would read), then an RTT per hop class.
+        dropped = self.rng.random((3, n)) < p_attempt
         latency_model = self._latency[src_server.dc_index]
-        if len(plan.hop_classes) == 1:
-            rtt_s = latency_model.sample(self.rng, plan.hop_classes[0][0], t=t, n=k)
+        if len(hop_classes) == 1:
+            rtt_s = latency_model.sample(self.rng, hop_classes[0][0], t=t, n=n)
         else:
-            rtt_s = np.empty(k)
-            for n_hops, places, count in plan.hop_classes:
+            rtt_s = np.empty(n)
+            for n_hops, places, count in hop_classes:
                 rtt_s[places] = latency_model.sample(self.rng, n_hops, t=t, n=count)
         error = None
         if np.count_nonzero(dropped[0]):
             twice = dropped[0] & dropped[1]
             syn_drops = dropped[0].astype(np.int64) + twice + (twice & dropped[2])
             success = syn_drops < 3
-            waited = np.zeros(k)
+            waited = np.zeros(n)
             waited[syn_drops == 1] = tcp.syn_rtt_signature(1)
             waited[syn_drops == 2] = tcp.syn_rtt_signature(2)
             rtt_s += waited
             if not success.all():
                 error = [None if ok else "timeout" for ok in success.tolist()]
-        else:
-            success, syn_drops = plan.no_drops  # shared, read-only
-        if plan.wan is not None:
-            rtt_s += plan.wan
+        else:  # shared, read-only (whole, unless judged flows went scalar)
+            success, syn_drops = plan.no_drops[0][:n], plan.no_drops[1][:n]
+        if wan is not None:
+            rtt_s += wan
         if error is not None:
             rtt_s = np.where(success, rtt_s, tcp.syn_rtt_signature(3))
 
-        ports = self._port_allocator(src_id).allocate_many(k)
+        ports = allocator.allocate_many(k)
         if self.probe_observers:
-            for index in plan.fast:
+            for index in at.tolist():
                 dst_id, dst_port, payload_bytes = entries[index]
                 self._notify_probe(src_id, dst_id, t, payload_bytes, dst_port)
         for counters, packets in plan.counters:
             counters.packets_forwarded += packets
-        self.probes_carried += k
-        if not rows:
+        if clear_ports:
+            # The clear flows' own forward hops: the source ToR, the switch
+            # each tier's hash chose (the destination ToRs counted above).
+            flows.facts[0].route.src_tor.counters.packets_forwarded += len(clear_ports)
+            carried = np.bincount(flow_slots[flows.forward & ~hit[flows.row]])
+            for slot in np.flatnonzero(carried).tolist():
+                flows.slots[slot].counters.packets_forwarded += int(carried[slot])
+            ports = [*ports, *clear_ports]
+        self.probes_carried += n
+        if flows is None and not rows:
             return ProbeBatch(plan, t, success, rtt_s, syn_drops, error, None, ports)
         return ProbeBatch.assemble(
-            plan, t, rows, (success, rtt_s, syn_drops, error, ports)
+            plan, t, scalar_at, rows, (at, success, rtt_s, syn_drops, error, ports),
+            flow_slots if clear_ports else None,
         )
 
     # -- closed-form class rounds ----------------------------------------------
@@ -1209,17 +1377,49 @@ class Fabric:
             p_attempt = self._dropmodel[src.dc_index].attempt_drop_prob_kinds(
                 SCOPE_HOP_KINDS[route.scope], wan=route.scope is PathScope.INTER_DC
             )
+            faulted = self.faults.faulted_switch_ids()
+            scalar, tiers = not route.routable, None
+            if not scalar and not faulted.isdisjoint(route.envelope):
+                # A fault on a ToR or a WAN direction is on every flow's
+                # path; one on an ECMP tier only where the hash picks it.
+                pinned = {route.src_tor.device_id, route.dst_tor.device_id}
+                if route.scope is PathScope.INTER_DC:
+                    there, back = (src.dc_index, dst.dc_index), (dst.dc_index, src.dc_index)
+                    pinned.update((wan_link_id(*there), wan_link_id(*back)))
+                scalar = not faulted.isdisjoint(pinned)
+                if not scalar:
+                    reverse = self.router.pod_route(dst, src)
+                    tiers = np.array(
+                        [
+                            (salt, len(live), self._tier_offset(live), forward)
+                            for each, forward in ((route, 1), (reverse, 0))
+                            for live, salt in each.tiers
+                        ],
+                        dtype=np.uint64,
+                    ).T
             facts = self._class_facts_cache[key] = _ClassFacts(
                 route=route,
                 p_attempt=p_attempt,
-                scalar=not route.routable
-                or not self.faults.faulted_switch_ids().isdisjoint(route.envelope),
+                scalar=scalar,
+                tiers=tiers,
                 class_key=(
                     src.dc_index, dst.dc_index, route.scope, route.n_hops,
                     route.wan_fwd, route.wan_rev, p_attempt,
                 ),
             )
         return facts
+
+    def _tier_offset(self, live: tuple[Switch, ...]) -> int:
+        """Where a tier's live switches sit in ``_slots`` (added on first use)."""
+        offset = self._tier_offsets.get(live[0].device_id)
+        if offset is None:
+            offset = self._tier_offsets[live[0].device_id] = len(self._slots)
+            self._slots.extend(live)
+            faulted = self.faults.faulted_switch_ids()
+            self._slot_faulted = np.append(
+                self._slot_faulted, [switch.device_id in faulted for switch in live]
+            )
+        return offset
 
     def build_class_plan(
         self,
@@ -1269,7 +1469,7 @@ class Fabric:
                 passthrough.append(index)
                 continue
             facts = self._class_facts(src_server, dst_server)
-            if facts.scalar:
+            if facts.scalar or facts.tiers is not None:
                 passthrough.append(index)
                 continue
             route = facts.route

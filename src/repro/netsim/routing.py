@@ -70,13 +70,25 @@ class Path:
     scope: PathScope
     hops: list[Switch] = field(default_factory=list)
     wan_rtt: float = 0.0
+    _hop_id_tuple: tuple[str, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_hops(self) -> int:
         return len(self.hops)
 
+    @property
+    def hop_id_tuple(self) -> tuple[str, ...]:
+        """The hops' device ids, built once: a path is cached per ECMP
+        bucket and every probe along it reports the same tuple."""
+        ids = self._hop_id_tuple
+        if ids is None:
+            ids = self._hop_id_tuple = tuple([hop.device_id for hop in self.hops])
+        return ids
+
     def hop_ids(self) -> list[str]:
-        return [hop.device_id for hop in self.hops]
+        return list(self.hop_id_tuple)
 
     def __repr__(self) -> str:
         route = " -> ".join(self.hop_ids()) or "(direct)"

@@ -3,8 +3,9 @@
 ``probe_many`` samples the healthy partition of a round from the same
 analytic model ``batch_probe`` uses, while anything needing full fidelity
 runs the scalar engine.  These tests pin both halves of that contract:
-the partition rule (who goes where) and distribution parity (fast and
-scalar rounds with the same seed agree on drop rate and percentiles).
+the partition rule (who goes where — envelope first, flow second) and
+distribution parity (fast and scalar rounds with the same seed agree on
+drop rate and percentiles, with or without a fault on the envelope).
 """
 
 from __future__ import annotations
@@ -78,22 +79,47 @@ class TestPartitionRule:
         assert len(calls) == 1
         assert not results[2].success
 
-    def test_fault_in_envelope_takes_the_scalar_engine(self):
-        """A fault on ANY switch the pair's ECMP sweep could cross forces
-        the scalar engine — even when the representative path avoids it."""
+    def test_fault_in_envelope_is_judged_per_flow(self):
+        """A fault on a switch the pair's ECMP sweep *could* cross sends to
+        the scalar engine the flows whose own path — out or back, under
+        this round's source port — does cross it, and no other."""
         fabric = _fabric()
-        src, entries = _round_entries(fabric)
+        src, _entries = _round_entries(fabric)
         # Fault one spine: every cross-podset pair has it in its envelope,
-        # whichever spine their representative flow hashes to.
+        # whichever spine a representative flow would hash to.
         spine = fabric.topology.dc(0).spines[0]
         fabric.faults.inject(SilentRandomDrop(switch_id=spine.device_id))
-        calls = _count_scalar_probes(fabric)
+        scalar_ports = []
+        scalar_engine = fabric.probe
+        fabric.probe = lambda *args, **kwargs: (
+            scalar_ports.append(kwargs["src_port"]) or scalar_engine(*args, **kwargs)
+        )
         cross = [
-            (s.device_id, 81, 0)
+            (s.device_id, port, 0)
             for s in fabric.topology.dc(0).servers_in_podset(1)
+            for port in (81, 82, 83)
         ]
-        fabric.probe_many(src, cross)
-        assert len(calls) == len(cross)
+        results = fabric.probe_many(src, cross)
+        crossing = []
+        for result, (dst_id, _port, _payload) in zip(results, cross):
+            dst = fabric.topology.server(dst_id)
+            paths = (
+                fabric.router.path(src, dst, result.flow),
+                fabric.router.path(dst, src, result.flow.reversed()),
+            )
+            if any(spine in path.hops for path in paths):
+                crossing.append(result.flow.src_port)
+        assert scalar_ports == crossing
+        assert 0 < len(crossing) < len(cross)
+        # A fault on a ToR is on every flow's path: no flow escapes it.
+        del fabric.probe
+        tor = fabric.topology.dc(0).tor_of(fabric.topology.server(cross[0][0]))
+        fabric.faults.inject(SilentRandomDrop(switch_id=tor.device_id))
+        calls = _count_scalar_probes(fabric)
+        behind_tor = [entry for entry in cross if fabric.topology.dc(0).tor_of(
+            fabric.topology.server(entry[0])) is tor]
+        fabric.probe_many(src, behind_tor)
+        assert len(calls) == len(behind_tor) > 0
 
     def test_fault_outside_envelope_stays_fast(self):
         fabric = _fabric()
@@ -152,6 +178,46 @@ class TestDistributionParity:
             a = np.percentile(fast_rtt, q)
             b = np.percentile(scalar_rtt, q)
             assert abs(a - b) / b < 0.15, f"P{q}: fast {a:.6f}s vs scalar {b:.6f}s"
+
+    def test_silent_spine_rounds_match_a_probe_loop_statistically(self):
+        """One spine of four drops 20% of what crosses it: rounds judged
+        per flow (most flows analytic, the crossing ones scalar) agree with
+        an all-scalar ``Fabric.probe`` loop on every drop signature's count
+        and on the clean probes' RTT quantiles."""
+        rounds, t_step = 200, 30.0
+        judged, scalar = _fabric(seed=5), _fabric(seed=5)
+        for fabric in (judged, scalar):
+            dc = fabric.topology.dc(0)
+            fabric.faults.inject(
+                SilentRandomDrop(switch_id=dc.spines[2].device_id, drop_prob=0.2)
+            )
+        src_j, src_s = (f.topology.dc(0).servers_in_podset(0)[0] for f in (judged, scalar))
+        entries = [
+            (s.device_id, port, 0)
+            for s in judged.topology.dc(0).servers_in_podset(1)
+            for port in (81, 82)
+        ]
+        calls = _count_scalar_probes(judged)
+        judged_results, scalar_results = [], []
+        for r in range(rounds):
+            t = r * t_step
+            judged_results.extend(judged.probe_many(src_j, entries, t=t))
+            for dst_id, dst_port, _payload in entries:
+                scalar_results.append(scalar.probe(src_s, dst_id, t=t, dst_port=dst_port))
+        n = len(scalar_results)
+        assert 0.3 * n < len(calls) < 0.6 * n  # 1 - (3/4)**2 of the flows cross
+        drops_j = np.array([r.syn_drops for r in judged_results])
+        drops_s = np.array([r.syn_drops for r in scalar_results])
+        for signature in (1, 2, 3):
+            a, b = (drops_j == signature).mean(), (drops_s == signature).mean()
+            sigma = np.sqrt(2.0 * max(b, 1.0 / n) * (1.0 - b) / n)
+            assert abs(a - b) <= 4.0 * sigma, f"{signature} drops: {a:.4f} vs {b:.4f}"
+        assert (drops_s == 1).mean() > 0.05  # the fault is what is being compared
+        rtt_j = np.array([r.rtt_s for r in judged_results])[drops_j == 0]
+        rtt_s = np.array([r.rtt_s for r in scalar_results])[drops_s == 0]
+        for q in (50, 90):
+            a, b = np.percentile(rtt_j, q), np.percentile(rtt_s, q)
+            assert abs(a - b) / b < 0.15, f"P{q}: judged {a:.6f}s vs scalar {b:.6f}s"
 
     def test_agent_rounds_agree_across_engines(self):
         """A fast agent and a scalar agent over identical worlds produce

@@ -394,3 +394,47 @@ class TestScaleSmoke:
         assert ledger["probes_folded"] == (
             ledger["probes_emitted"] + ledger["probes_pending"]
         )
+
+    def test_silent_spine_round_on_1k_discards_nothing(self):
+        """Paper §4.1 — the data from the bad minutes must be there.  One
+        silent-spine round hands a shard nearly as many per-probe rows as
+        its uploader's backstop holds; on top of what an earlier, smaller
+        incident left below the flush threshold that is more than it holds,
+        so the shard flushes mid-round instead of after it."""
+        from repro.netsim.scenarios import apply_scenario
+
+        spec = TopologySpec(
+            n_podsets=4, pods_per_podset=16, servers_per_pod=16, n_spines=8
+        )
+        system = PingmeshSystem(
+            PingmeshSystemConfig(
+                specs=(spec,),
+                agent=AgentConfig(round_mode="class", upload_period_s=600.0),
+                generator=GeneratorConfig(max_peers_per_server=64),
+                stream=StreamConfig(shard_aggregation=True),
+                dsa=DsaConfig(ingestion_delay_s=0.0, near_real_time_period_s=300.0),
+            )
+        )
+        with ShardedFleet(system) as fleet:
+            fleet.run_for(60.0)  # pinglists fetched, plans compiled
+            uploaders = [shard.probe_uploader for shard in fleet.shards.values()]
+            blackhole = apply_scenario("tor-blackhole", system.fabric)
+            fleet.run_for(120.0)
+            blackhole.revert()
+            held = [uploader.buffered_records for uploader in uploaders]
+            assert 0 < max(held) < uploaders[0].flush_threshold_records
+            added = [uploader.stats.records_added for uploader in uploaders]
+            apply_scenario("silent-spine", system.fabric)
+            fleet.run_for(60.0)
+            for uploader in uploaders:
+                stats = uploader.stats
+                assert stats.records_discarded == 0
+                assert stats.records_added == (
+                    stats.records_uploaded
+                    + uploader.buffered_records
+                    + uploader.spooled_records
+                )
+            assert any(
+                rows + uploader.stats.records_added - before > uploader.max_buffer_records
+                for uploader, rows, before in zip(uploaders, held, added)
+            )

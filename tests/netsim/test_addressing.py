@@ -12,6 +12,7 @@ from repro.netsim.addressing import (
     EphemeralPortAllocator,
     FiveTuple,
     IPv4Address,
+    ecmp_hash_many,
 )
 
 
@@ -115,6 +116,46 @@ class TestFiveTuple:
         other_sport = sport % 65_535 + 1
         if other_sport != sport:
             assert _tuple(src_port=other_sport, dst_port=dport).ecmp_hash() != base
+
+
+_ports = st.integers(min_value=1, max_value=65_535)
+_words32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+
+
+class TestEcmpHashMany:
+    @given(
+        flows=st.lists(
+            st.tuples(
+                _words32, _ports, _words32, _ports,
+                st.sampled_from((PROTO_TCP, PROTO_UDP)),
+                # Any 64-bit salt: the multiplicative mix wraps on almost
+                # every step whatever the salt, the extremes included.
+                st.one_of(
+                    st.integers(min_value=0, max_value=(1 << 64) - 1),
+                    st.sampled_from((0, (1 << 64) - 1, 0x1EAF, 0xD1EAF)),
+                ),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_equals_the_scalar_hash(self, flows):
+        src_ip, src_port, dst_ip, dst_port, protocol, salt = zip(*flows)
+        hashed = ecmp_hash_many(src_ip, src_port, dst_ip, dst_port, protocol, salt)
+        assert hashed.tolist() == [
+            FiveTuple(IPv4Address(a), sport, IPv4Address(b), dport, proto).ecmp_hash(salt)
+            for a, sport, b, dport, proto, salt in flows
+        ]
+
+    def test_arguments_broadcast(self):
+        """One flow against a column of salts, as a path's tiers hash it."""
+        flow = _tuple()
+        salts = [0x1EAF, 0x59135, 0xD1EAF]
+        hashed = ecmp_hash_many(
+            flow.src_ip.value, [flow.src_port], flow.dst_ip.value, flow.dst_port,
+            flow.protocol, salts,
+        )
+        assert hashed.tolist() == [flow.ecmp_hash(salt) for salt in salts]
 
 
 class TestEphemeralPortAllocator:

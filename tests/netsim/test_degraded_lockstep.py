@@ -2,17 +2,29 @@
 
 Two contracts, both bit-exact:
 
-* (a) ``Fabric.probe_many`` over a round in which *every* entry needs full
-  fidelity is indistinguishable from a loop of ``Fabric.probe`` calls —
-  same results, same generator end state, same port-allocator position,
-  same SNMP counters, same ledger.  Whatever ``probe_many`` does to decide
-  that an entry is scalar-bound may cost time but must never cost a draw.
+* (a) In a ``Fabric.probe_many`` round, a flow that crosses a faulted
+  device is ``Fabric.probe(src_port=...)`` bit for bit — same result, same
+  draws, same SNMP counters — and a flow that does not is never routed per
+  hop.  A round in which *every* entry needs full fidelity (a fault on a
+  ToR, a WAN direction or a whole tier, a payload echo, a down or
+  unroutable destination) is therefore indistinguishable from a loop of
+  ``Fabric.probe`` calls: same results, same generator end state, same
+  port-allocator position, same SNMP counters, same ledger.  Whatever
+  ``probe_many`` does to decide that a flow is scalar-bound may cost time
+  but must never cost a draw.
 * (b) A 256-server ``ShardedFleet`` fault drill leaves a fingerprint —
   RNG end states, every switch's SNMP tuple, the probe ledger, uploaded and
-  discarded rows, alert events — that is pinned as literals.  The literals
-  were recorded before the pod-pair route table existed (at commit
-  88c7251), so they hold any routing/partition/recompile rewrite to "same
-  simulation, draw for draw".
+  discarded rows, alert events — that is pinned as literals, so it holds
+  any routing/partition/recompile rewrite to "same simulation, draw for
+  draw".  This is the one place a draw change is acknowledged: the literals
+  were recorded at commit 88c7251 and re-recorded once, with the per-flow
+  partition rule (ISSUE 24) — under silent-spine only the flows that hash
+  onto the faulted spine still take the scalar engine, the rest join the
+  round's analytic draw.  That moved the fabric generator, the SNMP
+  counters, the latency rows and, with other SYNs now lost at the spine,
+  one stream-plane ``drop_rate`` episode (970 -> 1090); the ledger, the
+  shard generators, the class rows, the row counts and the other five
+  events stayed.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from repro.core.dsa.pipeline import DsaConfig
 from repro.core.dsa.records import CLASS_STREAM, LATENCY_STREAM
 from repro.core.sharded import ShardedFleet
 from repro.core.system import PingmeshSystem, PingmeshSystemConfig
+from repro.netsim.addressing import FiveTuple
 from repro.netsim.fabric import Fabric
 from repro.netsim.faults import (
     BlackholeType1,
@@ -72,12 +85,13 @@ def _type2(fabric):
     return dc.servers[1:]
 
 
-def _silent_spine(fabric):
+def _all_spines_silent(fabric):
     dc = fabric.topology.dc(0)
-    fabric.faults.inject(
-        SilentRandomDrop(switch_id=dc.spines[1].device_id, drop_prob=0.2)
-    )
-    return dc.servers_in_podset(1)
+    for spine in dc.spines:
+        fabric.faults.inject(
+            SilentRandomDrop(switch_id=spine.device_id, drop_prob=0.2)
+        )
+    return dc.servers_in_podset(1)  # whichever spine a flow hashes onto
 
 
 def _leaf_congestion(fabric):
@@ -118,7 +132,7 @@ def _fiber_cut(fabric):
 _CASES = {
     "blackhole-type1": (False, _type1),
     "blackhole-type2": (False, _type2),
-    "silent-spine": (False, _silent_spine),
+    "silent-spine-tier": (False, _all_spines_silent),
     "leaf-congestion": (False, _leaf_congestion),
     "down-destination": (False, _down_destinations),
     "down-tor": (False, _down_tor),
@@ -185,6 +199,59 @@ class TestProbeManyIsTheScalarEngine:
             ]
             assert [_comparable(r) for r in got] == [_comparable(r) for r in want]
         assert _end_state(batched, rounds[0][0]) == _end_state(looped, rounds[1][0])
+
+    def test_only_flows_that_cross_the_fault_are_scalar_probes(self):
+        """One silent spine of four, on every envelope of the round: the
+        flows whose forward or reverse path holds the spine are the pinned-
+        port ``Fabric.probe`` calls, bit for bit and in entry order; the
+        rest are never routed per hop, report their own ECMP hops and count
+        one packet on each."""
+        batched, looped = _fabric(), _fabric()
+        for fabric in (batched, looped):
+            spine = fabric.topology.dc(0).spines[1]
+            fabric.faults.inject(
+                SilentRandomDrop(switch_id=spine.device_id, drop_prob=0.2)
+            )
+        src_b, src_l = (f.topology.dc(0).servers[0] for f in (batched, looped))
+        entries = [
+            (dst.device_id, port, 0)
+            for dst in batched.topology.dc(0).servers_in_podset(1)
+            for port in (81, 82)
+        ]
+        routed = []
+        route = batched.router.path
+        batched.router.path = lambda *args: routed.append(args) or route(*args)
+        crossing = 0
+        for round_index, t in enumerate((0.0, 60.0, 120.0)):
+            # The scalar probes draw first, in entry order: from the same
+            # generator state the loop reproduces every one of them.
+            looped.rng.bit_generator.state = batched.rng.bit_generator.state
+            routed.clear()
+            got = batched.probe_many(src_b, entries, t=t)
+            scalar = 0
+            for row, (dst_id, port, _payload) in zip(got, entries):
+                dst = looped.topology.server(dst_id)
+                flow = FiveTuple(src_l.ip, row.flow.src_port, dst.ip, port)
+                forward = looped.router.path(src_l, dst, flow)
+                reverse = looped.router.path(dst, src_l, flow.reversed())
+                if spine in forward.hops or spine in reverse.hops:
+                    probe = looped.probe(
+                        src_l, dst, t=t, dst_port=port, src_port=flow.src_port
+                    )
+                    assert _comparable(row) == _comparable(probe)
+                    scalar += 1
+                else:
+                    assert row.forward_hops == forward.hop_id_tuple
+                    assert row.scope is forward.scope and row.flow == flow
+                    for hop in forward.hops:  # what the analytic draw counts
+                        hop.counters.packets_forwarded += 1
+            assert len(routed) == 2 * scalar
+            assert batched.probes_carried == (round_index + 1) * len(entries)
+            crossing += scalar
+        # 1 - (3/4)**2 of the flows cross one spine of four.
+        assert 10 < crossing < 3 * len(entries) / 2
+        assert _snmp(batched) == _snmp(looped)
+        assert batched._ports[src_b.device_id]._next == 49_152 + 3 * len(entries)
 
     def test_payload_entries_are_scalar_on_a_healthy_fabric(self):
         batched, looped = _fabric(), _fabric()
@@ -271,19 +338,22 @@ def run_fleet_drill(seed: int = 7) -> dict:
         }
 
 
-# Recorded at commit 88c7251 (the parent of the route-table change), before
-# any source edit: `python tests/netsim/test_degraded_lockstep.py`.
+# Recorded with `python tests/netsim/test_degraded_lockstep.py`: at commit
+# 88c7251 (the parent of the route-table change), then once more with the
+# per-flow partition rule — see (b) above for what moved.
 PINNED_DRILL = {
-    "fabric_rng": 2265800029,
+    "fabric_rng": 2755401830,
     "shard_rngs": 458643845,
-    "snmp": 324836657,
+    "snmp": 573867111,
     "ledger": (172800, 172800, 0, 0),
     "uploaded": 9382,
     "discarded": 0,
-    "rows": {"pingmesh/latency": 1581379299, "pingmesh/latency-class": 2357647459},
+    "rows": {"pingmesh/latency": 747453548, "pingmesh/latency-class": 2357647459},
     "alerts": [
         (670.0, "breach", "failure_rate"),
         (910.0, "recovery", "failure_rate"),
+        (970.0, "breach", "drop_rate"),
+        (1090.0, "recovery", "drop_rate"),
         (1150.0, "breach", "failure_rate"),
         (1200.0, "breach", "drop_rate"),
         (1200.0, "recovery", "drop_rate"),

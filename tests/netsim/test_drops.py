@@ -122,6 +122,9 @@ class TestCalibration:
         model = DropModel(profile_for("throughput"))
         with pytest.raises(ValueError):
             model.hop_drop_prob(DeviceKind.SERVER)
+        # The switch tiers read the budget's own numbers.
+        assert model.hop_drop_prob(DeviceKind.TOR) is model.budget.tor
+        assert model.hop_drop_prob(DeviceKind.BORDER) is model.budget.border
 
     def test_wan_adds_drop_probability(self):
         multi = MultiDCTopology(

@@ -10,7 +10,7 @@ fault changes, and growth events happens in between.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.agent.agent import AgentConfig
@@ -30,6 +30,7 @@ from repro.netsim.faults import (
     WanFiberCut,
     podset_down,
     podset_up,
+    wan_link_id,
 )
 from repro.netsim.routing import NoRouteError, Router
 from repro.netsim.scenarios import apply_scenario
@@ -276,13 +277,26 @@ class TestCachedEqualsFreshProperty:
             max_size=4,
         ),
     )
+    # Pool indices: dc-w leaves 4-7, spines 8-10, borders 11-12, dc-e spines
+    # 17-18.  A silent spine as its tier shrinks to two, then one (itself);
+    # a remote spine, a border and a leaf judged across the WAN; then the
+    # WAN itself cut (on every inter-DC flow), and the first fault cleared.
+    @example(
+        ops=[
+            ("fault", 9), ("down", 8), ("down", 10), ("up", 8), ("down", 9),
+            ("fault", 17), ("fault", 11), ("fault", 5), ("wan-fault", 0), ("clear", 0),
+        ],
+        probes=[(0, 4, 50_000)],
+    )
     @settings(max_examples=60, deadline=None)
     def test_the_table_is_the_router(self, ops, probes):
         """Across random fault/flap/outage/growth/retime sequences, the
         route table answers exactly as the from-scratch reference does:
-        ``path`` == ``uncached_path`` hop object for hop object, and the
-        class plan's passthrough set is the set ``probe_many`` hands to the
-        scalar engine."""
+        ``path`` == ``uncached_path`` hop object for hop object; and of the
+        class plan's passthrough set, ``probe_many`` hands the scalar engine
+        exactly the flows the router says cross a fault (or cannot be
+        judged: payload, dead destination, no route) — the vector verdict
+        is ``Router.path``'s, at every tier size and across the WAN."""
         fabric = _two_dc_fabric()
         topo, router = fabric.topology, fabric.router
         active_faults: list = []
@@ -324,15 +338,39 @@ class TestCachedEqualsFreshProperty:
                 or scalar_engine(s, d, **kw)
             )
             try:
-                fabric.probe_many(src, entries)
+                batch = fabric.probe_many(src, entries)
             finally:
                 del fabric.probe
+            faulted = fabric.faults.faulted_switch_ids()
+
+            def crosses_a_fault(index):
+                dst_id, dst_port, payload = entries[index]
+                dst = topo.server(dst_id)
+                if payload > 0 or not dst.is_up:
+                    return True
+                flow = FiveTuple(src.ip, batch.src_port[index], dst.ip, dst_port)
+                try:
+                    paths = (
+                        router.path(src, dst, flow),
+                        router.path(dst, src, flow.reversed()),
+                    )
+                except NoRouteError:
+                    return True
+                crossed = {hop.device_id for path in paths for hop in path.hops}
+                if src.dc_index != dst.dc_index:
+                    crossed |= {
+                        wan_link_id(src.dc_index, dst.dc_index),
+                        wan_link_id(dst.dc_index, src.dc_index),
+                    }
+                return not faulted.isdisjoint(crossed)
+
             passed = [
                 entries[index][:2]
                 for index in plan.passthrough
                 # A payload-free same-host entry is the one kind the plan
-                # passes through and probe_many still fast-paths.
-                if entries[index][0] != src.device_id or entries[index][2] > 0
+                # passes through and probe_many always fast-paths.
+                if (entries[index][0] != src.device_id or entries[index][2] > 0)
+                and crosses_a_fault(index)
             ]
             assert passed == scalar_bound
 
@@ -379,8 +417,9 @@ class TestCachedEqualsFreshProperty:
 
 class TestDegradedRoundCallCounts:
     """Wall-clock-free guard on the degraded path: what a silent-spine
-    round *calls*, counted by wrapping — so the cost model (route once per
-    direction per probe, judge once per pod pair) cannot silently regress."""
+    round *calls*, counted by wrapping — so the cost model (a scalar probe
+    for the flows that cross the spine and for no other, routed once per
+    direction; judge once per pod pair) cannot silently regress."""
 
     def test_silent_spine_round_routes_twice_per_probe(self, monkeypatch):
         system = PingmeshSystem(
@@ -414,8 +453,19 @@ class TestDegradedRoundCallCounts:
             counted(fabric, "_pair_info")
             counted(fabric, "probe")
             counted(fabric_module, "_ClassFacts", "facts")
+            rounds = []
+            probe_many = fabric.probe_many
+            monkeypatch.setattr(
+                fabric,
+                "probe_many",
+                lambda src, entries, t: rounds.append(
+                    (src, entries, probe_many(src, entries, t=t))
+                )
+                or rounds[-1][2],
+            )
             sent = fleet.probes_sent
             fleet.run_for(60.0)  # one recompile, one degraded round
+            metered = dict(calls)  # the meter stops here
             pod = lambda server: (server.dc_index, server.pod_index)
             pod_pairs = {
                 (pod(system.topology.server(agent.server_id)),
@@ -423,9 +473,27 @@ class TestDegradedRoundCallCounts:
                 for agent in system.agents.values()
                 for entry in agent.pinglist.entries
             }
-            assert calls["probe"] > 1000  # every cross-podset pair degraded
-            assert calls["probe"] < fleet.probes_sent - sent  # intra-podset stayed classed
-            assert calls["path"] == 2 * calls["probe"]
-            assert calls["uncached_path"] == 0
-            assert calls["_pair_info"] == 0
-            assert 0 < calls["facts"] <= len(pod_pairs)
+            # The work meter: one scalar probe per flow whose own path, out
+            # or back, holds the spine — 1 - (7/8)**2 of the cross-podset
+            # flows, every one of which was on the faulted envelope.
+            spine = system.topology.dc(0).spines[1]
+            judged = crossing = 0
+            for src_id, entries, batch in rounds:
+                src = system.topology.server(src_id)
+                for (dst_id, dst_port, _payload), port in zip(entries, batch.src_port):
+                    dst = system.topology.server(dst_id)
+                    assert dst.podset_index != src.podset_index
+                    flow = FiveTuple(src.ip, port, dst.ip, dst_port)
+                    judged += 1
+                    crossing += (
+                        spine in fabric.router.path(src, dst, flow).hops
+                        or spine in fabric.router.path(dst, src, flow.reversed()).hops
+                    )
+            assert judged > 3000  # every cross-podset pair left the class plan
+            assert judged < fleet.probes_sent - sent  # intra-podset stayed classed
+            assert metered["probe"] == crossing
+            assert 0.18 * judged < crossing < 0.29 * judged
+            assert metered["path"] == 2 * metered["probe"]
+            assert metered["uncached_path"] == 0
+            assert metered["_pair_info"] == 0
+            assert 0 < metered["facts"] <= len(pod_pairs)

@@ -123,6 +123,10 @@ class TestEcmp:
         assert all(
             router.path(a, b, flow).hop_ids() == first for _ in range(10)
         )
+        # The id tuple is built once per (cached) path, the list per call.
+        path = router.path(a, b, flow)
+        assert path.hop_id_tuple is router.path(a, b, flow).hop_id_tuple
+        assert path.hop_ids() == list(path.hop_id_tuple) == first
 
     def test_source_port_spreads_over_spines(self, router, multi):
         dc = multi.dc(0)
