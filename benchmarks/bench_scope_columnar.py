@@ -1,22 +1,21 @@
-"""Engineering benchmark: columnar vs row-at-a-time SCOPE execution.
+"""Engineering benchmark: the SCOPE engine on a DSA-shaped window.
 
 Not a paper figure — the perf contract behind the DSA analytics path.  The
 10-min/hourly/daily jobs group-and-aggregate whole time windows; this bench
-pins the columnar path's per-row advantage on exactly that shape (200k
-records, pod-pair grouping, the full aggregate set) so regressions in the
-vectorized engine are visible.
+times exactly that shape (200k records, pod-pair grouping, the full
+aggregate set) and gates its per-row cost on an absolute budget.
 """
-
-import time
 
 import pytest
 
-from _helpers import banner, print_rows
-from repro.cosmos.scope import RowSet, agg, col, extract
+from repro.cosmos.scope import agg, col, extract
 from repro.cosmos.store import CosmosStore
 
 N_RECORDS = 200_000
 N_PODS = 8  # 64 (src, dst) groups, like a DC's podpair_10min job
+# Best round, per row: ~100 ns on the 2-core reference box.  The budget
+# leaves room for a slower host, not for losing the vectorized reductions.
+NS_PER_ROW_BUDGET = 500
 
 
 def _records():
@@ -35,13 +34,10 @@ def _records():
 
 
 @pytest.fixture(scope="module")
-def windows():
-    records = _records()
+def window():
     store = CosmosStore()
-    store.append("bench/latency", records, t=600.0)
-    columnar = extract(store, "bench/latency")
-    assert columnar.is_columnar
-    return RowSet(records), columnar
+    store.append("bench/latency", _records(), t=600.0)
+    return extract(store, "bench/latency")
 
 
 def _podpair_query(rows):
@@ -63,48 +59,13 @@ def _podpair_query(rows):
     )
 
 
-def bench_group_aggregate_row_path(benchmark, windows):
-    row_set, _ = windows
-    out = benchmark(lambda: _podpair_query(row_set))
+def bench_group_aggregate_columnar(benchmark, window):
+    out = benchmark(lambda: _podpair_query(window))
     assert len(out) == N_PODS * N_PODS
-
-
-def bench_group_aggregate_columnar(benchmark, windows):
-    _, columnar = windows
-    out = benchmark(lambda: _podpair_query(columnar))
-    assert len(out) == N_PODS * N_PODS
-
-
-def bench_columnar_vs_row_speedup(benchmark, windows):
-    """Acceptance gate: columnar group/aggregate ≥10× faster per row."""
-    import gc
-
-    row_set, columnar = windows
-
-    def _best_of(fn, runs):
-        # min over runs: immune to GC pauses from neighbouring benches.
-        best, out = float("inf"), None
-        for _ in range(runs):
-            start = time.perf_counter()
-            out = fn()
-            best = min(best, time.perf_counter() - start)
-        return best, out
-
-    def measure():
-        gc.collect()
-        row_s, row_out = _best_of(lambda: _podpair_query(row_set), 2)
-        col_s, col_out = _best_of(lambda: _podpair_query(columnar), 5)
-        assert len(row_out) == len(col_out) == N_PODS * N_PODS
-        return row_s / col_s, row_s, col_s
-
-    speedup, row_s, col_s = benchmark.pedantic(measure, rounds=1, iterations=1)
-    banner("SCOPE execution: row-at-a-time vs columnar (200k-record window)")
-    print_rows(
-        ["path", "per window", "per row"],
-        [
-            ["row-at-a-time", f"{row_s * 1e3:.1f} ms", f"{row_s / N_RECORDS * 1e9:.0f} ns"],
-            ["columnar", f"{col_s * 1e3:.1f} ms", f"{col_s / N_RECORDS * 1e9:.0f} ns"],
-            ["speedup", f"{speedup:.1f}×", ""],
-        ],
+    ns_per_row = benchmark.stats.stats.min / N_RECORDS * 1e9
+    benchmark.extra_info["ns_per_row"] = round(ns_per_row, 1)
+    benchmark.extra_info["budget_ns_per_row"] = NS_PER_ROW_BUDGET
+    assert ns_per_row <= NS_PER_ROW_BUDGET, (
+        f"group/aggregate costs {ns_per_row:.0f} ns per row "
+        f"(budget {NS_PER_ROW_BUDGET} ns)"
     )
-    assert speedup >= 10

@@ -11,7 +11,8 @@ sized-not-rendered local log and adopted extents against the
 dict-per-record pipeline they replaced), then ``bench_engine_throughput``,
 ``bench_dsa_pipeline`` (with ``bench_record_path``: bytes held per probe
 and round-to-extent cost per record, both gated) and
-``bench_scope_columnar``, and writes ``BENCH_dsa.json``.  The
+``bench_scope_columnar`` (the SCOPE engine's per-row budget), and writes
+``BENCH_dsa.json``.  The
 ``chaos`` suite first runs the chaos drill tier
 (``tests/integration/test_chaos_drills.py`` — every canned fault campaign
 must finish with zero invariant violations), then ``bench_chaos_overhead``
@@ -60,9 +61,9 @@ meaningless in a fresh checkout) without executing anything: CI's cheap
 gate.  ``--profile`` wraps the bench run in cProfile and prints the
 top-20 cumulative hotspots afterwards.
 
-Each bench file carries its own hard assertions (e.g. the columnar path's
-≥10× speedup gate), so the exit code is a pass/fail verdict, not just a
-timing dump.  Commit the snapshots to make timing drift reviewable
+Each bench file carries its own hard assertions (e.g. the SCOPE engine's
+≤ 500 ns-per-row group/aggregate budget), so the exit code is a pass/fail
+verdict, not just a timing dump.  Commit the snapshots to make timing drift reviewable
 alongside the change that caused it.
 """
 

@@ -79,8 +79,8 @@ class BlackholeDetector:
     def _pair_rows(self, rows: RowSet | list[Row]) -> list[Row]:
         """One row per probed ``(src, dst)`` pair, in first-probe order:
         both endpoints' coordinates, probes made and probes answered.  The
-        only pass over the window — a column-backed one is reduced in
-        place, and what comes out is pairs, not probes."""
+        only pass over the window — it is reduced in place, and what comes
+        out is pairs, not probes."""
         window = RowSet.of(rows)
         if not window:
             return []

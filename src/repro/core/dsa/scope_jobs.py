@@ -7,11 +7,10 @@ cadences (10 minutes, 1 hour, 1 day) and lands the rows in the results
 database.
 
 Filters and computed columns are written with the ``col``/``lit``
-expression language, so on column-backed extents the whole job executes
-vectorized (masks + segmented reductions) and degrades transparently to
-the per-row path otherwise.  Every job takes an optional precomputed
-``rows`` rowset: the pipeline extracts each time window from the store
-once and shares it across the jobs of a tick.
+expression language, so the whole job executes vectorized (masks +
+segmented reductions) over the extents' columns.  Every job takes an
+optional precomputed ``rows`` rowset: the pipeline extracts each time
+window from the store once and shares it across the jobs of a tick.
 """
 
 from __future__ import annotations

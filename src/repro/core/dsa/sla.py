@@ -11,11 +11,10 @@ applications are calculated by mapping the services and applications to the
 servers they use").
 
 Every scope is a ``where / group_by / aggregate`` over the window's
-:class:`~repro.cosmos.scope.RowSet`, so a column-backed window (what the
-pipeline extracts) is reduced in place — masks, one sort per scope,
-segmented reductions — and only the SLAs themselves ever become Python
-objects.  A plain ``list[dict]`` is wrapped in a ``RowSet`` and takes the
-engine's row path; the numbers are the same either way.
+:class:`~repro.cosmos.scope.RowSet`, so the window the pipeline extracts is
+reduced in place — masks, one sort per scope, segmented reductions — and
+only the SLAs themselves ever become Python objects.  A plain
+``list[dict]`` is packed into a ``RowSet`` once, on entry.
 """
 
 from __future__ import annotations

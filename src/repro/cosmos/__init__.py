@@ -8,11 +8,10 @@ This package provides both:
   extents, with ingestion accounting and retention,
 * :mod:`repro.cosmos.scope` — a rowset query engine with SCOPE's verbs
   (``extract``, ``where``, ``select``, ``group_by``/``aggregate``,
-  ``order_by``, ``output``), executing columnar (vectorized) whenever the
-  data and the query allow, row-at-a-time otherwise,
+  ``order_by``, ``output``), one vectorized engine over columns,
 * :mod:`repro.cosmos.columnar` — the column-major extent packing
   (:class:`~repro.cosmos.columnar.ColumnBlock`) and the ``col``/``lit``
-  expression language both paths share,
+  expression language the engine evaluates,
 * :mod:`repro.cosmos.jobs` — the Job Manager that submits recurring SCOPE
   jobs "automatically and periodically ... without user intervention".
 """

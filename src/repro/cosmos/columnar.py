@@ -1,26 +1,24 @@
-"""Columnar extents for the Cosmos store and the SCOPE fast path.
+"""Columnar extents and the expression language of the SCOPE engine.
 
 The paper's DSA layer digests "more than 200 billion probes" and "24
 terabytes" per day (§2.3, §3.5); per-record Python processing cannot keep
 that shape even at simulator scale.  This module provides the two pieces
-the analytics half needs to go vectorized:
+the analytics half runs on:
 
-* :class:`ColumnBlock` — the column-major twin of an extent's row tuple: a
-  dict of numpy arrays (one per record field) packed at append time.  The
-  SCOPE engine concatenates blocks into a column-backed
-  :class:`~repro.cosmos.scope.RowSet` and runs filters and aggregations as
-  array operations instead of per-dict loops.
+* :class:`ColumnBlock` — an extent's records, column-major: a dict of numpy
+  arrays (one per record field), packed once at append time or adopted from
+  a producer that already holds columns.  The SCOPE engine concatenates
+  blocks into a :class:`~repro.cosmos.scope.RowSet` and runs filters and
+  aggregations as array operations.
 * :func:`col` / :func:`lit` — a tiny expression language for predicates and
-  computed columns.  An :class:`Expr` evaluates *both* ways: called with a
-  row dict it behaves like the plain lambdas SCOPE scripts always used;
-  handed a column dict it evaluates vectorized.  This is what lets one
-  query text drive either execution path.
+  computed columns, evaluated against a ``{name -> ndarray}`` mapping.
 
 Packing is type-strict: a column becomes a typed array only when every
 value is of one homogeneous scalar type (bool / int / float / str —
 int+float mixes promote to float).  Anything else (``None``, lists, mixed
-types) becomes an ``object`` array, and such columns are excluded from
-vectorized aggregation so results stay bit-compatible with the row path.
+types) becomes an ``object`` array.  Rows need not share a schema: the
+block's columns are the union of their keys in first-appearance order, and
+a row without a key holds ``None`` there.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["ColumnBlock", "Expr", "col", "concat_blocks", "lit"]
+__all__ = ["ColumnBlock", "Expr", "col", "concat_blocks", "lit", "pack_values"]
 
 Record = dict[str, Any]
 
@@ -43,7 +41,7 @@ _FLOAT_TYPES = (float, np.floating)
 _STR_TYPES = (str, np.str_)
 
 
-def _pack_values(values: list[Any]) -> np.ndarray:
+def pack_values(values: list[Any]) -> np.ndarray:
     """One column as the narrowest safe numpy array.
 
     Never lets numpy coerce across kinds (``np.asarray([1, "a"])`` would
@@ -110,24 +108,16 @@ class ColumnBlock:
         )
 
     @classmethod
-    def from_records(cls, records: Sequence[Record]) -> "ColumnBlock | None":
-        """Pack homogeneous records; ``None`` when rows differ in schema.
-
-        Heterogeneous chunks (differing key sets) stay row-only — the SCOPE
-        layer falls back to the per-dict path for them.
-        """
-        if not records:
-            return None
-        first_keys = list(records[0])
-        key_set = set(first_keys)
-        if len(first_keys) != len(key_set):
-            return None
+    def from_records(cls, records: Sequence[Record]) -> "ColumnBlock":
+        """Pack row dicts: one column per key any of them has, in
+        first-appearance order, ``None`` where a row lacks the key."""
+        names = dict.fromkeys(records[0]) if records else {}
         for record in records:
-            if record.keys() != key_set:
-                return None
+            if record.keys() != names.keys():
+                names.update(dict.fromkeys(record))
         columns = {
-            name: _pack_values([record[name] for record in records])
-            for name in first_keys
+            name: pack_values([record.get(name) for record in records])
+            for name in names
         }
         return cls(columns=columns, n=len(records))
 
@@ -136,10 +126,10 @@ class ColumnBlock:
     def size_bytes(self) -> int:
         """Approximate JSON-serialized size, computed per column.
 
-        Replaces the store's old per-record ``json.dumps`` sizing: typed
-        columns are measured with array arithmetic, object columns with a
-        single ``json.dumps`` of the column.  Approximate is fine — the
-        store's contract has always been "approximate serialized size".
+        Typed columns are measured with array arithmetic, object columns
+        with a single ``json.dumps`` of the column — a row that lacked a key
+        counts it as ``null``.  Approximate is fine — the store's contract
+        has always been "approximate serialized size".
         """
         if self.n == 0:
             return 0
@@ -180,23 +170,23 @@ def _column_value_bytes(arr: np.ndarray) -> int:
     return len(payload) - 2 - max(len(arr) - 1, 0)
 
 
-def concat_blocks(blocks: Sequence[ColumnBlock]) -> "ColumnBlock | None":
-    """Concatenate blocks sharing one schema; ``None`` on schema drift.
+def concat_blocks(blocks: Sequence[ColumnBlock]) -> ColumnBlock:
+    """Concatenate blocks, rows in order, with the union of their columns.
 
-    Columns whose dtypes disagree across blocks degrade to object arrays
-    only when numpy cannot promote them safely (bool/str vs numeric);
-    int/float mixes promote to float as in packing.
+    A block without one of the columns holds ``None`` there (an ``object``
+    part).  Columns whose dtypes disagree across blocks degrade to object
+    arrays only when numpy cannot promote them safely (bool/str vs numeric,
+    or a ``None`` part); int/float mixes promote to float as in packing.
     """
-    if not blocks:
-        return None
-    names = list(blocks[0].columns)
-    name_set = set(names)
-    for block in blocks:
-        if set(block.columns) != name_set:
-            return None
+    names = dict.fromkeys(name for block in blocks for name in block.columns)
     columns: dict[str, np.ndarray] = {}
     for name in names:
-        parts = [block.columns[name] for block in blocks]
+        parts = [
+            block.columns[name]
+            if name in block.columns
+            else np.full(block.n, None, dtype=object)
+            for block in blocks
+        ]
         kinds = {part.dtype.kind for part in parts}
         if len(kinds) == 1 or kinds <= {"i", "u", "f"}:
             columns[name] = np.concatenate(parts)
@@ -214,42 +204,30 @@ def concat_blocks(blocks: Sequence[ColumnBlock]) -> "ColumnBlock | None":
 
 
 class Expr:
-    """A column expression usable on both execution paths.
-
-    Calling an :class:`Expr` with a row dict evaluates it per-row (it is a
-    drop-in replacement for the lambdas SCOPE scripts pass to ``where`` /
-    ``count_if`` / ``ratio``); :meth:`eval_columns` evaluates it against a
-    ``{name -> ndarray}`` mapping, vectorized.
+    """A column expression, evaluated vectorized by :meth:`eval_columns`
+    against a ``{name -> ndarray}`` mapping.
 
     Combine with ``== != < <= > >= + - * / & | ~`` and :meth:`isin`.  Use
-    ``&``/``|``/``~`` (not ``and``/``or``/``not``) so both paths agree.
+    ``&``/``|``/``~``: Python cannot overload ``and``/``or``/``not``.
     """
 
-    __slots__ = ("_row_fn", "_col_fn", "columns")
+    __slots__ = ("_fn", "columns")
 
     def __init__(
-        self,
-        row_fn: Callable[[Record], Any],
-        col_fn: Callable[[Mapping[str, np.ndarray]], Any],
-        columns: frozenset[str],
+        self, fn: Callable[[Mapping[str, np.ndarray]], Any], columns: frozenset[str]
     ) -> None:
-        self._row_fn = row_fn
-        self._col_fn = col_fn
-        self.columns = columns
-
-    def __call__(self, row: Record) -> Any:
-        return self._row_fn(row)
+        self._fn = fn
+        self.columns = columns  # what a column set must hold to evaluate it
 
     def eval_columns(self, columns: Mapping[str, np.ndarray]) -> Any:
-        return self._col_fn(columns)
+        return self._fn(columns)
 
     # -- combinators -------------------------------------------------------
 
     def _binary(self, other: Any, op: Callable[[Any, Any], Any]) -> "Expr":
         other = _as_expr(other)
         return Expr(
-            lambda row, a=self._row_fn, b=other._row_fn: op(a(row), b(row)),
-            lambda cols, a=self._col_fn, b=other._col_fn: op(a(cols), b(cols)),
+            lambda cols, a=self._fn, b=other._fn: op(a(cols), b(cols)),
             self.columns | other.columns,
         )
 
@@ -290,20 +268,11 @@ class Expr:
         return self._binary(other, lambda a, b: np.logical_or(a, b))
 
     def __invert__(self) -> "Expr":
-        return Expr(
-            lambda row, f=self._row_fn: not f(row),
-            lambda cols, f=self._col_fn: np.logical_not(f(cols)),
-            self.columns,
-        )
+        return Expr(lambda cols, f=self._fn: np.logical_not(f(cols)), self.columns)
 
     def isin(self, values: Iterable[Any]) -> "Expr":
-        allowed = set(values)
-        allowed_arr = np.array(sorted(allowed, key=repr), dtype=object)
-        return Expr(
-            lambda row, f=self._row_fn: f(row) in allowed,
-            lambda cols, f=self._col_fn: np.isin(f(cols), allowed_arr),
-            self.columns,
-        )
+        allowed = np.array(sorted(set(values), key=repr), dtype=object)
+        return Expr(lambda cols, f=self._fn: np.isin(f(cols), allowed), self.columns)
 
     def __hash__(self) -> int:  # __eq__ is overloaded, keep Exprs usable in sets
         return id(self)
@@ -319,24 +288,30 @@ def _as_expr(value: Any) -> Expr:
 def col(name: str, default: Any = None) -> Expr:
     """Reference a column: ``col("rtt_us") >= 2.5e6``.
 
-    With ``default`` (a value or an :class:`Expr`) the column is optional:
-    a row — or a whole column set — without it reads the default instead,
-    ``col("dst_dc", default=col("src_dc"))``.
+    With ``default`` (a value or an :class:`Expr`) the column is optional,
+    ``col("dst_dc", default=col("src_dc"))``: a column set without it reads
+    the default, and where it holds ``None`` — the rows that lacked the key
+    when they were packed — the default fills in, the result typed as
+    packing would type it.
     """
     if default is None:
-        return Expr(
-            lambda row: row[name],
-            lambda cols: cols[name],
-            frozenset((name,)),
-        )
+        return Expr(lambda cols: cols[name], frozenset((name,)))
     fallback = _as_expr(default)
-    return Expr(
-        lambda row: row[name] if name in row else fallback(row),
-        lambda cols: cols[name] if name in cols else fallback.eval_columns(cols),
-        fallback.columns,
-    )
+
+    def read(cols: Mapping[str, np.ndarray]) -> Any:
+        if name not in cols:
+            return fallback.eval_columns(cols)
+        values = cols[name]
+        if values.dtype.kind != "O":
+            return values
+        fill = np.broadcast_to(fallback.eval_columns(cols), values.shape).tolist()
+        return pack_values(
+            [dflt if value is None else value for value, dflt in zip(values.tolist(), fill)]
+        )
+
+    return Expr(read, fallback.columns)
 
 
 def lit(value: Any) -> Expr:
     """A constant expression (e.g. ``select(t=lit(window_end))``)."""
-    return Expr(lambda row: value, lambda cols: value, frozenset())
+    return Expr(lambda cols: value, frozenset())

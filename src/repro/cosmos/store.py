@@ -15,9 +15,8 @@ historical data for 2 months").
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from repro.cosmos.columnar import ColumnBlock
 
@@ -30,30 +29,18 @@ class ExtentUnavailableError(Exception):
     """All replicas of an extent are on failed storage nodes."""
 
 
-def _chunk_size(chunk: Sequence[Record], block: ColumnBlock | None) -> int:
-    """Approximate serialized size of an extent's records in bytes.
-
-    Columnar chunks are sized with vectorized per-column arithmetic;
-    heterogeneous chunks fall back to one ``json.dumps`` of the whole chunk
-    (minus the list syntax) — either way, no per-record serialization.
-    """
-    if block is not None:
-        return block.size_bytes()
-    payload = json.dumps(list(chunk), default=str, separators=(",", ":"))
-    return len(payload) - 2 - max(len(chunk) - 1, 0)
-
-
 @dataclass(frozen=True)
 class Extent:
     """An immutable chunk of a stream, replicated across nodes.
 
-    Appended as row dicts, ``records`` is the tuple of (copied) rows and
-    ``columns`` their column-major twin, packed at append time when the
-    chunk is schema-homogeneous and ``None`` otherwise.  Appended as a
-    :class:`~repro.cosmos.columnar.ColumnBlock`, the extent *is* the block:
-    ``records`` and ``columns`` are the one adopted object, whose ``len``
-    costs nothing and whose rows exist only while someone iterates them.
-    The SCOPE engine reads ``columns`` for vectorized execution.
+    Every extent carries its records as a
+    :class:`~repro.cosmos.columnar.ColumnBlock`, ``columns`` — the only
+    form the SCOPE engine reads.  Appended as row dicts, ``records`` is the
+    tuple of (copied) rows and ``columns`` their packing, made at append
+    time whatever the rows' schemas.  Appended as a block, the extent *is*
+    the block: ``records`` and ``columns`` are the one adopted object, whose
+    ``len`` costs nothing and whose rows exist only while someone iterates
+    them.
     """
 
     extent_id: int
@@ -61,7 +48,7 @@ class Extent:
     replicas: tuple[int, ...]
     size_bytes: int
     appended_at: float
-    columns: ColumnBlock | None = None
+    columns: ColumnBlock
 
     @property
     def adopted(self) -> bool:
@@ -178,7 +165,7 @@ class CosmosStore:
             else:
                 chunk = tuple(dict(record) for record in chunk)
                 block = ColumnBlock.from_records(chunk)
-            size = _chunk_size(chunk, block)
+            size = block.size_bytes()
             replicas = self._place_replicas()
             stream.extents.append(
                 Extent(
@@ -253,8 +240,8 @@ class CosmosStore:
     ) -> Iterator[Extent]:
         """Iterate a stream's live extents, oldest first (one scan).
 
-        The SCOPE engine's columnar path reads whole extents (their
-        :class:`~repro.cosmos.columnar.ColumnBlock` twins) instead of
+        The SCOPE engine reads whole extents (their
+        :class:`~repro.cosmos.columnar.ColumnBlock` columns) instead of
         per-record streams.  Pruning and availability checks match
         :meth:`read_where`.
         """

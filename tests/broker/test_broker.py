@@ -298,13 +298,22 @@ class TestReadQueries:
                 scanned.append(extent.extent_id)
                 yield extent
 
+        materialized = []
+        real_to_rows = ColumnBlock.to_rows
+
+        def counting_to_rows(block):
+            materialized.append(block.n)
+            return real_to_rows(block)
+
         reads_before = store.read_count
         with mock.patch.object(store, "extents", counting_extents), mock.patch.object(
-            ColumnBlock, "to_rows", side_effect=AssertionError("rows materialized")
+            ColumnBlock, "to_rows", counting_to_rows
         ):
             channel = broker.submit("acme", kind="scope", params={"since_s": 300.0})
         assert channel.state is RequestState.COMPLETED
         assert channel.rows == expected_rows and expected_rows
+        # Rows are made for the per-DC results only, never for the window.
+        assert sum(materialized) <= 2 * len(expected_rows)
         assert store.read_count == reads_before + 1
         assert scanned and old.isdisjoint(scanned)
 

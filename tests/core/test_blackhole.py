@@ -227,10 +227,7 @@ class _RowWalkDetector(BlackholeDetector):
 
 
 def _columnar_window(rows):
-    block = ColumnBlock.from_records(rows)
-    window = RowSet.from_columns(block.columns)
-    assert window.is_columnar
-    return window
+    return RowSet.from_columns(ColumnBlock.from_records(rows).columns)
 
 
 def _without(rows, *columns):

@@ -4,10 +4,10 @@ from unittest import mock
 
 import pytest
 
-import repro.cosmos.scope as scope_engine
 from repro.core.dsa.database import ResultsDatabase
 from repro.core.dsa.pipeline import DsaConfig, DsaPipeline
 from repro.core.dsa.records import LATENCY_STREAM
+from repro.cosmos.columnar import ColumnBlock
 from repro.cosmos.jobs import JobManager
 from repro.cosmos.store import CosmosStore
 from repro.netsim.simclock import EventQueue, SimClock
@@ -239,14 +239,14 @@ class TestJobsReadTheWindowInPlace:
             agent.uploader.flush(now, force=True)
 
         materialized = []
-        real = scope_engine._rows_from_columns
+        real = ColumnBlock.to_rows
 
-        def metered(columns):
-            rows = real(columns)
+        def metered(block):
+            rows = real(block)
             materialized.append(len(rows))
             return rows
 
-        with mock.patch.object(scope_engine, "_rows_from_columns", metered):
+        with mock.patch.object(ColumnBlock, "to_rows", metered):
             sla_rows = system.dsa.run_hourly_job(now)
             system.dsa.run_daily_job(now)
         window = system.store.stream(LATENCY_STREAM)

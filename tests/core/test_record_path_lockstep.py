@@ -382,10 +382,6 @@ class _Pair:
             assert mine.appended_at == theirs.appended_at
             # The oracle's twin is what packing dict copies gives.
             reference = ColumnBlock.from_records(theirs.records)
-            assert (mine.columns is None) == (reference is None)
-            if reference is None:
-                assert list(mine.records) == list(theirs.records)
-                continue
             assert list(mine.columns.columns) == list(reference.columns)
             for name, column in reference.columns.items():
                 assert mine.columns.columns[name].dtype == column.dtype, name
@@ -596,15 +592,19 @@ def test_log_lines_are_rendered_only_for_a_reader(monkeypatch):
 
 
 @pytest.mark.parametrize("stale_first", [False, True])
-def test_mixed_schema_flush_takes_the_row_path(stale_first):
+def test_mixed_schema_flush_packs_null_stale_on_fresh_rows(stale_first):
     """Stale-tagged rounds beside fresh ones disagree on schema: the flush
-    ships row dicts and the extent has no block, as before."""
+    ships row dicts, and the store packs them into one block whose
+    ``pinglist_stale`` column is ``None`` on the fresh rows."""
     pair = _Pair()
     pair.round(*_healthy_round(1.0, 3), stale=stale_first)
     pair.round(*_healthy_round(2.0, 3, offset=3), stale=not stale_first)
     pair.flush(3.0)
     (extent,) = pair.new_store.stream(STREAM).extents
-    assert extent.columns is None and not extent.adopted
+    assert not extent.adopted
+    assert list(extent.columns.columns) == list(RECORD_COLUMNS) + ["pinglist_stale"]
+    first, second = ([True] * 3, [None] * 3) if stale_first else ([None] * 3, [True] * 3)
+    assert extent.columns.columns["pinglist_stale"].tolist() == first + second
 
 
 # -- batches born from the engine's ProbeBatch -----------------------------------------
@@ -687,7 +687,8 @@ class TestEngineBornBatches:
         assert "pinglist_stale" not in first.columns and "pinglist_stale" not in last.columns
         pair.flush(130.0)  # mixed schema: row dicts, as the oracle ships them
         (extent,) = pair.new_store.stream(STREAM).extents
-        assert extent.columns is None and not extent.adopted
+        assert not extent.adopted
+        assert extent.columns.columns["pinglist_stale"].tolist() == [None] * 30 + [True] * 30 + [None] * 30
         rows = list(pair.new_store.read(STREAM))
         assert ["pinglist_stale" in row for row in rows] == [False] * 30 + [True] * 30 + [False] * 30
 

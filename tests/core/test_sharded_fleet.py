@@ -160,7 +160,7 @@ class TestStalePinglistUnderSharding:
         assert shard.probe_uploader.buffered_records == 0
         # Mixed schema: shipped as row dicts, the tag on the stale agent's only.
         extent = system.store.stream(LATENCY_STREAM).extents[-1]
-        assert extent.columns is None and len(extent.records) == added
+        assert not extent.adopted and len(extent.records) == added
         for row in extent.records:
             assert row.get("pinglist_stale", False) == (row["src"] == stale_id)
         assert sum(row["src"] == stale_id for row in extent.records) == by_src[stale_id].n

@@ -322,10 +322,7 @@ def _sla_rows(draw, with_dst_dc=True):
 
 
 def _columnar(rows):
-    block = ColumnBlock.from_records(rows)
-    window = RowSet.from_columns(block.columns) if block is not None else RowSet(rows)
-    assert window.is_columnar == bool(rows)
-    return window
+    return RowSet.from_columns(ColumnBlock.from_records(rows).columns)
 
 
 class TestEngineEqualsRowLoops:

@@ -48,11 +48,16 @@ class TestColumnBlockPacking:
         assert block.columns["v"].dtype == object
         assert block.columns["v"].tolist() == [True, 2]
 
-    def test_heterogeneous_schema_returns_none(self):
-        assert ColumnBlock.from_records([{"a": 1}, {"b": 2}]) is None
+    def test_heterogeneous_schema_packs_the_union(self):
+        block = ColumnBlock.from_records([{"a": 1, "c": "x"}, {"b": 2.5, "a": 3}])
+        assert list(block.columns) == ["a", "c", "b"]
+        assert block.columns["a"].dtype == np.int64
+        assert block.columns["c"].tolist() == ["x", None]
+        assert block.columns["b"].tolist() == [None, 2.5]
 
-    def test_empty_returns_none(self):
-        assert ColumnBlock.from_records([]) is None
+    def test_empty_packs_no_columns(self):
+        block = ColumnBlock.from_records([])
+        assert block.columns == {} and block.n == 0 and block.to_rows() == []
 
     def test_to_rows_roundtrip_python_scalars(self):
         records = _records(3)
@@ -78,10 +83,14 @@ class TestColumnBlockPacking:
         assert merged.n == 5
         assert merged.columns["i"].tolist() == [0, 1, 2, 3, 4]
 
-    def test_concat_schema_drift_returns_none(self):
-        a = ColumnBlock.from_records([{"a": 1}])
-        b = ColumnBlock.from_records([{"b": 1}])
-        assert concat_blocks([a, b]) is None
+    def test_concat_schema_drift_fills_nulls(self):
+        a = ColumnBlock.from_records([{"a": 1}, {"a": 2}])
+        b = ColumnBlock.from_records([{"b": 1.5}])
+        merged = concat_blocks([a, b])
+        assert merged.n == 3
+        assert merged.columns["a"].tolist() == [1, 2, None]
+        assert merged.columns["b"].tolist() == [None, None, 1.5]
+        assert concat_blocks([]).columns == {} and concat_blocks([]).n == 0
 
 
 class TestStorePacksBlocks:
@@ -93,12 +102,14 @@ class TestStorePacksBlocks:
         assert all(block is not None for block in blocks)
         assert [block.n for block in blocks] == [4, 4, 2]
 
-    def test_heterogeneous_chunk_has_no_block(self):
+    def test_heterogeneous_chunk_packs_with_nulls(self):
         store = CosmosStore()
         store.append("s", [{"a": 1}, {"b": 2}])
-        assert store.stream("s").extents[0].columns is None
-        # Size accounting still works without a block.
-        assert store.bytes_ingested > 0
+        (extent,) = store.stream("s").extents
+        assert extent.columns.to_rows() == [{"a": 1, "b": None}, {"a": None, "b": 2}]
+        assert extent.records == ({"a": 1}, {"b": 2})  # the rows as appended
+        # '{"a":1,"b":null}' twice: a missing key is sized as a null.
+        assert extent.size_bytes == store.bytes_ingested == 32
 
     def test_version_bumps_on_mutations(self):
         store = CosmosStore()
@@ -209,35 +220,36 @@ class TestExpressions:
     def columns(self):
         return ColumnBlock.from_records(self.ROWS).columns
 
+    # Each expression with its value on each of ROWS, worked out by hand.
     @pytest.mark.parametrize(
         "expr",
         [
-            col("a") == 2,
-            col("a") != 2,
-            col("a") < 2,
-            col("a") <= 2,
-            col("a") > 2,
-            col("a") >= 2,
-            col("ok"),
-            ~col("ok"),
-            col("ok") & (col("b") > 8.0),
-            col("ok") | (col("a") == 2),
-            col("a") + col("b") > 12,
-            col("b") - col("a") < 10,
-            col("a") * 2 >= 4,
-            col("b") / 2 > 5,
-            col("name") == "x",
-            col("a").isin([1, 3]),
-            lit(True),
-            lit(False),
+            (col("a") == 2, [False, True, False]),
+            (col("a") != 2, [True, False, True]),
+            (col("a") < 2, [True, False, False]),
+            (col("a") <= 2, [True, True, False]),
+            (col("a") > 2, [False, False, True]),
+            (col("a") >= 2, [False, True, True]),
+            (col("ok"), [True, False, True]),
+            (~col("ok"), [False, True, False]),
+            (col("ok") & (col("b") > 8.0), [True, False, False]),
+            (col("ok") | (col("a") == 2), [True, True, True]),
+            (col("a") + col("b") > 12, [False, True, False]),
+            (col("b") - col("a") < 10, [True, False, True]),
+            (col("a") * 2 >= 4, [False, True, True]),
+            (col("b") / 2 > 5, [False, True, False]),
+            (col("name") == "x", [True, False, True]),
+            (col("a").isin([1, 3]), [True, False, True]),
+            (lit(True), [True, True, True]),
+            (lit(False), [False, False, False]),
         ],
     )
     def test_row_and_column_evaluation_agree(self, expr, columns):
-        per_row = [bool(expr(row)) for row in self.ROWS]
+        expr, per_row = expr
         vector = np.broadcast_to(
             np.asarray(expr.eval_columns(columns), dtype=bool), (len(self.ROWS),)
         )
-        assert per_row == vector.tolist()
+        assert vector.tolist() == per_row
 
     def test_optional_column_reads_its_default(self, columns):
         for name, default, expected in (
@@ -245,13 +257,13 @@ class TestExpressions:
             ("zz", col("b"), [10.0, 20.0, 5.0]),  # absent: another column
             ("zz", -1, [-1, -1, -1]),  # absent: a constant
         ):
-            expr = col(name, default=default)
-            assert [expr(row) for row in self.ROWS] == expected
-            vector = np.broadcast_to(np.asarray(expr.eval_columns(columns)), (3,))
+            vector = np.broadcast_to(col(name, default=default).eval_columns(columns), (3,))
             assert vector.tolist() == expected
-        # Row by row, a row that has the column wins over the default.
-        expr = col("zz", default=col("a"))
-        assert [expr(row) for row in [{"a": 1}, {"a": 2, "zz": 9}]] == [1, 9]
+        # Rows that lacked the key hold None there: the default fills those
+        # in, and the result is typed as packing would type it.
+        sometimes = ColumnBlock.from_records([{"a": 1}, {"a": 2, "zz": 9}]).columns
+        filled = col("zz", default=col("a")).eval_columns(sometimes)
+        assert filled.dtype == np.int64 and filled.tolist() == [1, 9]
         # Only the default's columns are *required* of a column set.
         assert col("zz", default=col("a")).columns == {"a"}
         assert col("zz", default=0).columns == frozenset()
@@ -263,5 +275,4 @@ class TestExpressions:
 
     def test_arithmetic_values_agree(self, columns):
         expr = (col("a") + 1) * col("b")
-        per_row = [expr(row) for row in self.ROWS]
-        assert expr.eval_columns(columns).tolist() == per_row
+        assert expr.eval_columns(columns).tolist() == [20.0, 60.0, 20.0]

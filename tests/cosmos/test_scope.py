@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cosmos.scope import RowSet, agg, extract
+from repro.cosmos.scope import RowSet, agg, col, extract, lit
 from repro.cosmos.store import CosmosStore
 
 
@@ -22,14 +22,14 @@ def rows():
 
 class TestVerbs:
     def test_where(self, rows):
-        assert len(rows.where(lambda r: r["ok"])) == 3
+        assert len(rows.where(col("ok"))) == 3
 
     def test_select_projection(self, rows):
         out = rows.select("pod").output()
         assert out[0] == {"pod": "p0"}
 
     def test_select_computed_column(self, rows):
-        out = rows.select("pod", rtt_ms=lambda r: r["rtt_us"] / 1000).output()
+        out = rows.select("pod", rtt_ms=col("rtt_us") / 1000).output()
         assert out[0] == {"pod": "p0", "rtt_ms": 0.2}
 
     def test_select_noop(self, rows):
@@ -49,16 +49,8 @@ class TestVerbs:
         with pytest.raises(ValueError):
             rows.take(-1)
 
-    def test_union(self, rows):
-        assert len(rows.union(rows)) == 8
-
-    def test_distinct(self, rows):
-        assert len(rows.distinct("pod")) == 2
-        with pytest.raises(ValueError):
-            rows.distinct()
-
     def test_rowsets_are_immutable_through_verbs(self, rows):
-        rows.where(lambda r: False)
+        rows.where(lit(False))
         rows.order_by("rtt_us")
         assert len(rows) == 4
 
@@ -96,13 +88,13 @@ class TestGroupingAndAggregates:
 
     def test_count_if(self, rows):
         out = rows.group_by("pod").aggregate(
-            ok=agg.count_if(lambda r: r["ok"])
+            ok=agg.count_if(col("ok"))
         ).order_by("pod").output()
         assert [row["ok"] for row in out] == [2, 1]
 
     def test_sum_avg_min(self, rows):
         out = (
-            rows.where(lambda r: r["pod"] == "p0")
+            rows.where(col("pod") == "p0")
             .group_by("pod")
             .aggregate(
                 total=agg.sum("rtt_us"),
@@ -128,15 +120,15 @@ class TestGroupingAndAggregates:
     def test_ratio_drop_rate_shape(self, rows):
         """The §4.2 heuristic expressed as an aggregate."""
         drop_rate = agg.ratio(
-            numerator=lambda r: r["rtt_us"] > 2.5e6,  # ~3 s probes
-            denominator=lambda r: r["ok"],
+            numerator=col("rtt_us") > 2.5e6,  # ~3 s probes
+            denominator=col("ok"),
         )
         out = rows.group_by("pod").aggregate(rate=drop_rate).order_by("pod").output()
         assert out[0]["rate"] == 0.0
         assert out[1]["rate"] == 1.0  # 1 three-second probe / 1 successful
 
     def test_ratio_empty_denominator_is_zero(self):
-        rate = agg.ratio(lambda r: True, lambda r: False)
+        rate = agg.ratio(lit(True), lit(False))
         assert RowSet([{"x": 1}]).group_by("x").aggregate(r=rate).output()[0]["r"] == 0.0
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
@@ -156,4 +148,4 @@ class TestExtract:
     def test_extract_with_predicate_pushdown(self):
         store = CosmosStore()
         store.append("s", [{"a": i} for i in range(10)])
-        assert len(extract(store, "s", lambda r: r["a"] >= 5)) == 5
+        assert len(extract(store, "s", col("a") >= 5)) == 5

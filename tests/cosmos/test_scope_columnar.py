@@ -1,9 +1,10 @@
-"""Row-path vs columnar-path parity for the SCOPE engine.
+"""The SCOPE engine against reference values.
 
-Every verb and every aggregator must produce identical rows in identical
-order through both execution paths; these tests hold that contract,
+Every verb and every aggregator is held to the same query worked out in the
+test — plain Python over the row dicts, ``np.percentile`` for percentiles —
 including the edge cases (empty rowsets, all-failure windows, q=0/100
-percentiles, empty ratio denominators) and a randomized property test.
+percentiles, empty ratio denominators), first-appearance group order,
+``order_by`` stability under ``desc``, and a randomized pod-pair query.
 """
 
 import math
@@ -19,10 +20,9 @@ from repro.cosmos.scope import RowSet, agg, col, extract, lit
 from repro.cosmos.store import CosmosStore
 
 
-# Percentile columns of the queries below.  Both paths take the same order
-# statistics through the same interpolation, so they agree to the bit; sums
-# and means accumulate in different orders and get a tolerance.
-_PERCENTILE_KEY = re.compile(r"p\d*$")
+# Percentiles and counts must match the reference to the bit; sums and
+# means may accumulate in a different order and get a tolerance.
+_EXACT_KEY = re.compile(r"(p\d*|n|ok)$")
 
 
 def _approx_equal(a, b, exact=False):
@@ -33,18 +33,14 @@ def _approx_equal(a, b, exact=False):
     return a == b and type(a) is type(b)
 
 
-def assert_same_output(row_result, col_result):
-    """Both paths: same rows, same order, same keys, same value types."""
-    assert len(row_result) == len(col_result)
-    for row_row, col_row in zip(row_result, col_result):
-        assert list(row_row) == list(col_row)
-        for key in row_row:
-            exact = _PERCENTILE_KEY.match(key) is not None
-            assert _approx_equal(row_row[key], col_row[key], exact), (
-                key,
-                row_row[key],
-                col_row[key],
-            )
+def assert_same_output(expected, actual):
+    """Same rows, same order, same keys, same value types."""
+    assert len(expected) == len(actual)
+    for want, got in zip(expected, actual):
+        assert list(want) == list(got)
+        for key in want:
+            exact = _EXACT_KEY.match(key) is not None
+            assert _approx_equal(want[key], got[key], exact), (key, want[key], got[key])
 
 
 RECORDS = [
@@ -65,279 +61,238 @@ RECORDS = [
 ]
 
 
-def both_paths(records=RECORDS, extent_max_records=16):
-    """The same data as a row-backed and a column-backed rowset."""
-    row_set = RowSet(records)
+def extracted(records=RECORDS, extent_max_records=16):
+    """``records`` as the jobs read them: appended, then extracted."""
     store = CosmosStore(extent_max_records=extent_max_records)
     store.append("s", records, t=0.0)
-    col_set = extract(store, "s")
-    assert col_set.is_columnar
-    assert not row_set.is_columnar
-    return row_set, col_set
+    return extract(store, "s")
 
 
+def reference_groups(records, *keys):
+    """``{key tuple -> rows}`` in first-appearance order."""
+    groups = {}
+    for row in records:
+        groups.setdefault(tuple(row[key] for key in keys), []).append(row)
+    return groups
+
+
+def reference_aggregate(records, keys, **reducers):
+    return [
+        {**dict(zip(keys, group)), **{name: fn(rows) for name, fn in reducers.items()}}
+        for group, rows in reference_groups(records, *keys).items()
+    ]
+
+
+def _ratio(rows, top, bottom):
+    denominator = sum(1 for row in rows if bottom(row))
+    return sum(1 for row in rows if top(row)) / denominator if denominator else 0.0
+
+
+def _pct(q):
+    return lambda rows: float(np.percentile([row["rtt_us"] for row in rows], q))
+
+
+def _is_drop(row):
+    return row["success"] and row["rtt_us"] >= 2.5e6
+
+
+# name -> (the engine's aggregate, the reference reducer over a group's rows)
 ALL_AGGREGATES = dict(
-    n=lambda: agg.count(),
-    ok=lambda: agg.count_if(col("success")),
-    total=lambda: agg.sum("rtt_us"),
-    mean=lambda: agg.avg("rtt_us"),
-    low=lambda: agg.min("rtt_us"),
-    high=lambda: agg.max("rtt_us"),
-    p0=lambda: agg.percentile("rtt_us", 0),
-    p50=lambda: agg.percentile("rtt_us", 50),
-    p99=lambda: agg.percentile("rtt_us", 99),
-    p100=lambda: agg.percentile("rtt_us", 100),
-    rate=lambda: agg.ratio(
-        numerator=col("success") & (col("rtt_us") >= 2.5e6),
-        denominator=col("success"),
+    n=(agg.count, len),
+    ok=(lambda: agg.count_if(col("success")), lambda g: sum(r["success"] for r in g)),
+    total=(lambda: agg.sum("rtt_us"), lambda g: sum(r["rtt_us"] for r in g)),
+    mean=(lambda: agg.avg("rtt_us"), lambda g: sum(r["rtt_us"] for r in g) / len(g)),
+    low=(lambda: agg.min("rtt_us"), lambda g: min(r["rtt_us"] for r in g)),
+    high=(lambda: agg.max("rtt_us"), lambda g: max(r["rtt_us"] for r in g)),
+    p0=(lambda: agg.percentile("rtt_us", 0), _pct(0)),
+    p50=(lambda: agg.percentile("rtt_us", 50), _pct(50)),
+    p99=(lambda: agg.percentile("rtt_us", 99), _pct(99)),
+    p100=(lambda: agg.percentile("rtt_us", 100), _pct(100)),
+    rate=(
+        lambda: agg.ratio(
+            numerator=col("success") & (col("rtt_us") >= 2.5e6),
+            denominator=col("success"),
+        ),
+        lambda g: _ratio(g, _is_drop, lambda r: r["success"]),
     ),
 )
 
 
 class TestVerbParity:
-    def test_where_expr(self):
-        rows, cols = both_paths()
-        expr = (col("success")) & (col("rtt_us") < 1e6) | (col("src_pod") == 2)
-        assert_same_output(rows.where(expr).output(), cols.where(expr).output())
+    """Each verb against the same rows worked out in plain Python."""
 
-    def test_where_lambda_falls_back(self):
-        rows, cols = both_paths()
-        pred = lambda r: r["src_pod"] >= 1 and r["success"]  # noqa: E731
-        filtered = cols.where(pred)
-        assert not filtered.is_columnar
-        assert_same_output(rows.where(pred).output(), filtered.output())
+    def test_where_expr(self):
+        expr = (col("success")) & (col("rtt_us") < 1e6) | (col("src_pod") == 2)
+        expected = [
+            r for r in RECORDS if (r["success"] and r["rtt_us"] < 1e6) or r["src_pod"] == 2
+        ]
+        assert_same_output(expected, extracted().where(expr).output())
+
+    def test_where_lambda_is_a_type_error(self):
+        with pytest.raises(TypeError, match="where takes a col/lit expression"):
+            extracted().where(lambda r: r["success"])
 
     def test_where_empty_result(self):
-        rows, cols = both_paths()
-        expr = col("rtt_us") < 0
-        assert rows.where(expr).output() == cols.where(expr).output() == []
+        assert extracted().where(col("rtt_us") < 0).output() == []
 
     def test_select_projection(self):
-        rows, cols = both_paths()
-        assert_same_output(
-            rows.select("src_pod", "rtt_us").output(),
-            cols.select("src_pod", "rtt_us").output(),
-        )
+        expected = [{"src_pod": r["src_pod"], "rtt_us": r["rtt_us"]} for r in RECORDS]
+        assert_same_output(expected, extracted().select("src_pod", "rtt_us").output())
 
     def test_select_computed_expr_and_lit(self):
-        rows, cols = both_paths()
-        kwargs = dict(rtt_ms=col("rtt_us") / 1000.0, window=lit(600.0))
-        out_cols = cols.select("src_pod", **kwargs)
-        assert out_cols.is_columnar
-        assert_same_output(rows.select("src_pod", **kwargs).output(), out_cols.output())
+        out = extracted().select("src_pod", rtt_ms=col("rtt_us") / 1000.0, window=lit(600.0))
+        expected = [
+            {"src_pod": r["src_pod"], "rtt_ms": r["rtt_us"] / 1000.0, "window": 600.0}
+            for r in RECORDS
+        ]
+        assert_same_output(expected, out.output())
 
-    def test_select_lambda_falls_back(self):
-        rows, cols = both_paths()
-        fn = lambda r: r["rtt_us"] / 1000.0  # noqa: E731
-        assert_same_output(
-            rows.select("src_pod", rtt_ms=fn).output(),
-            cols.select("src_pod", rtt_ms=fn).output(),
-        )
+    def test_select_lambda_is_a_type_error(self):
+        with pytest.raises(TypeError, match="select takes a col/lit expression"):
+            extracted().select("src_pod", rtt_ms=lambda r: r["rtt_us"] / 1000.0)
 
     def test_order_by_multikey(self):
-        rows, cols = both_paths()
-        assert_same_output(
-            rows.order_by("src_pod", "dst_pod", "t").output(),
-            cols.order_by("src_pod", "dst_pod", "t").output(),
-        )
+        expected = sorted(RECORDS, key=lambda r: (r["src_pod"], r["dst_pod"], r["t"]))
+        assert_same_output(expected, extracted().order_by("src_pod", "dst_pod", "t").output())
 
     def test_order_by_desc_stability(self):
-        # Ties on the sort keys must keep original order on both paths.
-        rows, cols = both_paths()
-        assert_same_output(
-            rows.order_by("src_pod", desc=True).output(),
-            cols.order_by("src_pod", desc=True).output(),
-        )
+        # Ties on the sort key keep their original order under ``desc`` too,
+        # as Python's own sort does with ``reverse=True``.
+        expected = sorted(RECORDS, key=lambda r: r["src_pod"], reverse=True)
+        assert_same_output(expected, extracted().order_by("src_pod", desc=True).output())
 
     def test_order_by_string_key(self):
-        rows, cols = both_paths()
-        assert_same_output(
-            rows.order_by("src", "t").output(), cols.order_by("src", "t").output()
-        )
+        expected = sorted(RECORDS, key=lambda r: (r["src"], r["t"]))
+        assert_same_output(expected, extracted().order_by("src", "t").output())
 
     def test_take(self):
-        rows, cols = both_paths()
-        assert_same_output(rows.take(7).output(), cols.take(7).output())
-        assert_same_output(rows.take(0).output(), cols.take(0).output())
+        assert_same_output(RECORDS[:7], extracted().take(7).output())
+        assert extracted().take(0).output() == []
 
     def test_column(self):
-        rows, cols = both_paths()
-        assert rows.column("rtt_us") == cols.column("rtt_us")
-        assert rows.column("src") == cols.column("src")
-
-    def test_distinct(self):
-        rows, cols = both_paths()
-        assert_same_output(
-            rows.distinct("src_pod", "dst_pod").output(),
-            cols.distinct("src_pod", "dst_pod").output(),
-        )
-
-    def test_union(self):
-        rows, cols = both_paths()
-        assert_same_output(
-            rows.union(rows).output(), cols.union(cols).output()
-        )
-
-    def test_join(self):
-        rows, cols = both_paths()
-        right_records = [{"src_pod": p, "label": f"pod-{p}"} for p in range(2)]
-        right_rows = RowSet(right_records)
-        assert_same_output(
-            rows.join(right_rows, on=("src_pod",), how="left").output(),
-            cols.join(right_rows, on=("src_pod",), how="left").output(),
-        )
+        assert extracted().column("rtt_us") == [r["rtt_us"] for r in RECORDS]
+        assert extracted().column("src") == [r["src"] for r in RECORDS]
 
     def test_iteration_and_len(self):
-        rows, cols = both_paths()
-        assert len(rows) == len(cols)
-        assert list(rows.output()) == list(cols.output())
+        rows = extracted()
+        assert len(rows) == len(RECORDS)
+        assert list(rows) == RECORDS
 
     def test_output_returns_fresh_copies_on_both_paths(self):
-        for rowset in both_paths():
+        """Rows packed on entry and rows extracted from extents alike."""
+        for rowset in (RowSet(RECORDS), extracted()):
             out = rowset.output()
             out[0]["src_pod"] = 999
             assert rowset.output()[0]["src_pod"] != 999
 
 
 class TestAggregateParity:
+    """Each aggregator against its reducer over hand-built groups."""
+
     def test_every_aggregator(self):
-        rows, cols = both_paths()
-        row_out = rows.group_by("src_dc", "src_pod").aggregate(
-            **{name: make() for name, make in ALL_AGGREGATES.items()}
+        out = extracted().group_by("src_dc", "src_pod").aggregate(
+            **{name: make() for name, (make, _ref) in ALL_AGGREGATES.items()}
         )
-        col_out = cols.group_by("src_dc", "src_pod").aggregate(
-            **{name: make() for name, make in ALL_AGGREGATES.items()}
+        expected = reference_aggregate(
+            RECORDS,
+            ("src_dc", "src_pod"),
+            **{name: ref for name, (_make, ref) in ALL_AGGREGATES.items()},
         )
-        assert col_out.is_columnar
-        assert_same_output(row_out.output(), col_out.output())
+        assert_same_output(expected, out.output())
 
     def test_group_order_matches_first_appearance(self):
         records = [
             {"k": key, "v": float(i)}
             for i, key in enumerate([3, 1, 3, 2, 1, 2, 0])
         ]
-        rows, cols = both_paths(records)
-        row_out = rows.group_by("k").aggregate(n=agg.count()).output()
-        col_out = cols.group_by("k").aggregate(n=agg.count()).output()
-        assert [r["k"] for r in row_out] == [3, 1, 2, 0]
-        assert_same_output(row_out, col_out)
+        out = extracted(records).group_by("k").aggregate(n=agg.count()).output()
+        assert out == [{"k": 3, "n": 2}, {"k": 1, "n": 2}, {"k": 2, "n": 2}, {"k": 0, "n": 1}]
 
     def test_single_row_groups(self):
         records = [{"k": i, "v": float(i)} for i in range(5)]
-        rows, cols = both_paths(records)
-        assert_same_output(
-            rows.group_by("k").aggregate(p=agg.percentile("v", 50)).output(),
-            cols.group_by("k").aggregate(p=agg.percentile("v", 50)).output(),
-        )
+        out = extracted(records).group_by("k").aggregate(p=agg.percentile("v", 50))
+        assert out.output() == [{"k": i, "p": float(i)} for i in range(5)]
 
     def test_empty_rowset_grouping(self):
-        rows, cols = both_paths()
-        empty_expr = col("rtt_us") < 0
-        row_empty = rows.where(empty_expr)
-        col_empty = cols.where(empty_expr)
-        assert (
-            row_empty.group_by("src_pod").aggregate(n=agg.count()).output()
-            == col_empty.group_by("src_pod").aggregate(n=agg.count()).output()
-            == []
-        )
+        empty = extracted().where(col("rtt_us") < 0)
+        assert empty.group_by("src_pod").aggregate(n=agg.count()).output() == []
 
     def test_all_failure_window_ratio_is_zero(self):
         records = [
             {"pod": p, "success": False, "rtt_us": 3.5e6}
             for p in (0, 1, 0, 1)
         ]
-        rows, cols = both_paths(records)
-        rate = lambda: agg.ratio(  # noqa: E731
+        rate = agg.ratio(
             numerator=col("success") & (col("rtt_us") >= 2.5e6),
             denominator=col("success"),
         )
-        row_out = rows.group_by("pod").aggregate(rate=rate()).output()
-        col_out = cols.group_by("pod").aggregate(rate=rate()).output()
-        assert [r["rate"] for r in row_out] == [0.0, 0.0]
-        assert_same_output(row_out, col_out)
+        out = extracted(records).group_by("pod").aggregate(rate=rate).output()
+        assert out == [{"pod": 0, "rate": 0.0}, {"pod": 1, "rate": 0.0}]
 
     def test_bool_sum_and_minmax(self):
         records = [{"k": i % 2, "flag": i % 3 == 0} for i in range(10)]
-        rows, cols = both_paths(records)
-        assert_same_output(
-            rows.group_by("k")
+        out = (
+            extracted(records)
+            .group_by("k")
             .aggregate(s=agg.sum("flag"), lo=agg.min("flag"), hi=agg.max("flag"))
-            .output(),
-            cols.group_by("k")
-            .aggregate(s=agg.sum("flag"), lo=agg.min("flag"), hi=agg.max("flag"))
-            .output(),
+            .output()
         )
+        expected = reference_aggregate(
+            records,
+            ("k",),
+            s=lambda g: sum(r["flag"] for r in g),
+            lo=lambda g: min(r["flag"] for r in g),
+            hi=lambda g: max(r["flag"] for r in g),
+        )
+        assert_same_output(expected, out)
 
     def test_int_column_aggregates_stay_int(self):
         records = [{"k": i % 2, "v": i} for i in range(9)]
-        rows, cols = both_paths(records)
-        row_out = rows.group_by("k").aggregate(
+        out = extracted(records).group_by("k").aggregate(
             s=agg.sum("v"), lo=agg.min("v"), hi=agg.max("v")
         ).output()
-        col_out = cols.group_by("k").aggregate(
-            s=agg.sum("v"), lo=agg.min("v"), hi=agg.max("v")
-        ).output()
-        assert_same_output(row_out, col_out)
-        assert type(col_out[0]["s"]) is int
+        assert out == [{"k": 0, "s": 20, "lo": 0, "hi": 8}, {"k": 1, "s": 16, "lo": 1, "hi": 7}]
+        assert type(out[0]["s"]) is int
 
-    def test_custom_callable_falls_back(self):
-        rows, cols = both_paths()
-        spread = lambda group: max(r["rtt_us"] for r in group) - min(  # noqa: E731
-            r["rtt_us"] for r in group
-        )
-        assert_same_output(
-            rows.group_by("src_pod").aggregate(spread=spread).output(),
-            cols.group_by("src_pod").aggregate(spread=spread).output(),
-        )
+    def test_custom_callable_is_a_type_error(self):
+        spread = lambda group: max(r["rtt_us"] for r in group)  # noqa: E731
+        with pytest.raises(TypeError, match="'spread' is not an agg"):
+            extracted().group_by("src_pod").aggregate(spread=spread)
 
-    def test_lambda_count_if_falls_back(self):
-        rows, cols = both_paths()
-        pred = lambda r: r["success"]  # noqa: E731
-        assert_same_output(
-            rows.group_by("src_pod").aggregate(ok=agg.count_if(pred)).output(),
-            cols.group_by("src_pod").aggregate(ok=agg.count_if(pred)).output(),
-        )
+    def test_lambda_count_if_is_a_type_error(self):
+        with pytest.raises(TypeError, match="count_if takes a col/lit expression"):
+            agg.count_if(lambda r: r["success"])
 
-    def test_object_column_percentile_falls_back(self):
-        # None in a numeric column -> object dtype -> row path, not a crash.
-        records = [{"k": 0, "v": 1.0}, {"k": 0, "v": 2.0}, {"k": 1, "v": 3.0}]
-        hetero = records + [{"k": 1, "v": 4.0}]
+    def test_object_column_percentile_names_the_column(self):
+        """An object column reduces when its values are of one kind (after
+        a filter, say) and is a TypeError naming it when they are not."""
         store = CosmosStore()
-        store.append("s", [dict(r, extra=None) for r in hetero], t=0.0)
-        cols = extract(store, "s")
-        assert cols.is_columnar  # None column packs as object
-        out = cols.group_by("k").aggregate(p=agg.percentile("v", 50)).output()
-        rows_out = (
-            RowSet([dict(r, extra=None) for r in hetero])
-            .group_by("k")
-            .aggregate(p=agg.percentile("v", 50))
-            .output()
-        )
-        assert_same_output(rows_out, out)
+        store.append("s", [{"k": 0, "v": 1.0}, {"k": 0, "v": 2.0}, {"k": 1}, {"k": 1, "v": 4.0}])
+        rows = extract(store, "s")
+        with pytest.raises(TypeError, match="cannot reduce column 'v' of dtype object"):
+            rows.group_by("k").aggregate(p=agg.percentile("v", 50))
+        answered = rows.where(col("k") == 0).group_by("k").aggregate(p=agg.percentile("v", 50))
+        assert answered.output() == [{"k": 0, "p": 1.5}]
+        with pytest.raises(TypeError, match="cannot group by column 'v'"):
+            rows.group_by("v")
 
     @pytest.mark.parametrize("q", [0, 25, 50, 75, 99, 100])
     def test_percentile_edges(self, q):
-        rows, cols = both_paths()
-        assert_same_output(
-            rows.group_by("src_pod").aggregate(p=agg.percentile("rtt_us", q)).output(),
-            cols.group_by("src_pod").aggregate(p=agg.percentile("rtt_us", q)).output(),
-        )
+        out = extracted().group_by("src_pod").aggregate(p=agg.percentile("rtt_us", q))
+        assert_same_output(reference_aggregate(RECORDS, ("src_pod",), p=_pct(q)), out.output())
 
 
 class TestOutputPinsNothing:
     def test_columnar_output_is_fresh_and_uncached(self):
-        """``output()`` of a column-backed set builds its dicts from the
-        columns each time and keeps none — a window shared through a cache
-        must not grow a row twin because one consumer wanted rows."""
-        rows, cols = both_paths()
+        """``output()`` and iteration build their dicts from the columns
+        each time and keep none — a window shared through a cache must not
+        grow a row twin because one consumer wanted rows."""
+        cols = extracted()
         first, second = cols.output(), cols.output()
-        assert_same_output(rows.output(), first)
-        assert first == second and first[0] is not second[0]
-        assert cols._rows is None
+        assert first == second == RECORDS and first[0] is not second[0]
         first[0]["t"] = "mutated"
         assert cols.output()[0]["t"] == RECORDS[0]["t"]
-        # Iteration is the explicit way to keep a row view.
-        assert list(cols) == second and cols._rows is not None
+        assert next(iter(cols)) is not next(iter(cols))
 
 
 class TestGroupByHoldsOneSortedKey:
@@ -349,7 +304,6 @@ class TestGroupByHoldsOneSortedKey:
         n = 60_000
         names = np.array([f"dc0/ps0/pod{i % 16}/s{i % 251}" for i in range(n)])
         columns = {"a": names, "b": names[::-1].copy(), "c": names.copy(), "v": np.ones(n)}
-        reference = RowSet(RowSet.from_columns(columns).output())
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
@@ -362,12 +316,13 @@ class TestGroupByHoldsOneSortedKey:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert_same_output(
-            reference.group_by("a", "b", "c")
-            .aggregate(n=agg.count(), total=agg.sum("v"))
-            .output(),
-            out,
+        expected = reference_aggregate(
+            RowSet.from_columns(columns).output(),
+            ("a", "b", "c"),
+            n=len,
+            total=lambda g: sum(r["v"] for r in g),
         )
+        assert_same_output(expected, out)
         # One sorted key plus its shifted comparison, never all three keys.
         assert peak - base < 2 * names.nbytes
 
@@ -412,33 +367,37 @@ class TestRandomizedParity:
             {"src_pod": a, "dst_pod": b, "success": ok, "rtt_us": rtt}
             for a, b, ok, rtt in data
         ]
-        row_set = RowSet(records)
         store = CosmosStore(extent_max_records=7)
         store.append("s", records, t=0.0)
-        col_set = extract(store, "s") if records else RowSet([])
-
-        def query(rows):
-            filtered = rows.where((col("src_pod") >= 1) | col("success"))
-            if not filtered:
-                return []
-            return (
-                filtered.group_by("src_pod", "dst_pod")
-                .aggregate(
-                    n=agg.count(),
-                    ok=agg.count_if(col("success")),
-                    p=agg.percentile("rtt_us", q),
-                    total=agg.sum("rtt_us"),
-                    rate=agg.ratio(
-                        numerator=col("success") & (col("rtt_us") >= 2.5e6),
-                        denominator=col("success"),
-                    ),
-                )
-                .order_by("src_pod", "dst_pod")
-                .take(50)
-                .output()
+        window = extract(store, "s") if records else RowSet([])  # no stream, no columns
+        filtered = window.where((col("src_pod") >= 1) | col("success"))
+        out = (
+            filtered.group_by("src_pod", "dst_pod")
+            .aggregate(
+                n=agg.count(),
+                ok=agg.count_if(col("success")),
+                p=agg.percentile("rtt_us", q),
+                total=agg.sum("rtt_us"),
+                rate=agg.ratio(
+                    numerator=col("success") & (col("rtt_us") >= 2.5e6),
+                    denominator=col("success"),
+                ),
             )
-
-        assert_same_output(query(row_set), query(col_set))
+            .order_by("src_pod", "dst_pod")
+            .take(50)
+            .output()
+        )
+        expected = reference_aggregate(
+            [r for r in records if r["src_pod"] >= 1 or r["success"]],
+            ("src_pod", "dst_pod"),
+            n=len,
+            ok=lambda g: sum(r["success"] for r in g),
+            p=_pct(q),
+            total=lambda g: sum(r["rtt_us"] for r in g),
+            rate=lambda g: _ratio(g, _is_drop, lambda r: r["success"]),
+        )
+        expected.sort(key=lambda r: (r["src_pod"], r["dst_pod"]))
+        assert_same_output(expected[:50], out)
 
 
 class TestExtractColumnar:
@@ -446,16 +405,34 @@ class TestExtractColumnar:
         store = CosmosStore(extent_max_records=3)
         store.append("s", [{"a": i, "b": float(i)} for i in range(10)], t=0.0)
         rows = extract(store, "s")
-        assert rows.is_columnar
         assert rows.column("a") == list(range(10))
+        assert rows.group_by("a").aggregate(s=agg.sum("b")).column("s") == [float(i) for i in range(10)]
 
-    def test_extract_falls_back_on_schema_drift(self):
+    def test_extract_null_fills_schema_drift(self):
         store = CosmosStore(extent_max_records=2)
         store.append("s", [{"a": 1}, {"a": 2}], t=0.0)
         store.append("s", [{"b": 3}, {"b": 4}], t=0.0)
         rows = extract(store, "s")
-        assert not rows.is_columnar
-        assert len(rows) == 4
+        assert rows.output() == [
+            {"a": 1, "b": None}, {"a": 2, "b": None}, {"a": None, "b": 3}, {"a": None, "b": 4}
+        ]
+        assert rows.where(col("a", default=0) > 1).column("a") == [2]
+
+    def test_extract_stale_extent_beside_a_fresh_one(self):
+        """A round probed from an unconfirmed pinglist carries
+        ``pinglist_stale``; its extent beside a fresh one reads as one
+        window, the tag null on the fresh rows."""
+        fresh = [{"t": 60.0, "src": "s0", "rtt_us": 200.0 + i, "success": True} for i in range(3)]
+        stale = [dict(row, t=120.0, pinglist_stale=True) for row in fresh]
+        store = CosmosStore()
+        store.append("s", fresh, t=60.0)
+        store.append("s", stale, t=120.0)
+        store.append("s", fresh, t=180.0)
+        rows = extract(store, "s")
+        assert rows.column("pinglist_stale") == [None] * 3 + [True] * 3 + [None] * 3
+        tagged = rows.where(col("pinglist_stale", default=False))
+        assert tagged.column("t") == [120.0] * 3
+        assert rows.group_by("src").aggregate(p=agg.percentile("rtt_us", 50)).column("p") == [201.0]
 
     def test_extract_single_scan(self):
         store = CosmosStore()
