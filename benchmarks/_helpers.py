@@ -10,7 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["banner", "fmt_us", "fmt_rate", "percentiles_us", "print_rows"]
+from repro.netsim.fabric import DEFAULT_PROBE_PORT
+
+__all__ = [
+    "banner", "fmt_us", "fmt_rate", "percentiles_us", "print_rows", "probe_rounds",
+]
+
+ROUND_SIZE = 10_000  # entries in the pinglist probe_rounds repeats
+
+
+def probe_rounds(fabric, src, dst, n, t=0.0, payload_bytes=0):
+    """``n`` probes ``src`` -> ``dst`` the way an agent sends them: repeated
+    ``Fabric.probe_many`` rounds over one cached pinglist of identical
+    entries.  Returns the rounds' :class:`~repro.netsim.fabric.ProbeBatch`
+    objects, in order."""
+    entry = (dst.device_id, DEFAULT_PROBE_PORT, payload_bytes)
+    full, rest = divmod(n, ROUND_SIZE)
+    pinglist = (entry,) * ROUND_SIZE
+    batches = [fabric.probe_many(src, pinglist, t=t) for _ in range(full)]
+    if rest:
+        batches.append(fabric.probe_many(src, (entry,) * rest, t=t))
+    return batches
 
 
 def banner(title: str) -> None:

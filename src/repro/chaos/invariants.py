@@ -31,8 +31,7 @@ invariant                    claim
 ``sla-ground-truth``         §4.3 — on a network with no injected fault,
                              macro SLA rows stay inside alert thresholds.
 ``probe-conservation``       every probe the fabric counted (carried or
-                             refused, minus the unobserved batch path) was
-                             seen by the per-probe observers — neither the
+                             refused) was seen by the per-probe observers — neither the
                              scalar engine nor the ``probe_many`` fast path
                              may lose or invent probes.
 ``stream-delta-conservation``  every probe folded into the streaming plane
@@ -157,7 +156,7 @@ class InvariantChecker:
         self._ever_faulted = False
         self._repairs_checked = 0
         self._attached = False
-        self._ledger_baseline = (0, 0, 0, 0)
+        self._ledger_baseline = (0, 0, 0)
         # (emitted, ingested, dropped, rejected) at the previous phase
         # check — the freshness invariant reasons about the delta since.
         self._stream_baseline = (0, 0, 0, 0)
@@ -189,7 +188,6 @@ class InvariantChecker:
         self._ledger_baseline = (
             fabric.probes_carried,
             fabric.probes_refused,
-            fabric.probes_carried_batched,
             self.probes_observed,
         )
         self._upload_baseline = self._upload_ledger()
@@ -607,30 +605,24 @@ class InvariantChecker:
     def _check_probe_conservation(self, now: float) -> None:
         """The fabric's probe ledger must match what the observers saw.
 
-        Since attach, ``carried + refused - batched`` (batch_probe's bulk
-        path bypasses the observers by design) must equal the probes this
+        Since attach, ``carried + refused`` must equal the probes this
         checker observed: the fast path may not skip notification, and the
         scalar path may not double-count a refused probe as carried.
         """
         if not self._attached:
             return
         fabric = self.system.fabric
-        base_carried, base_refused, base_batched, base_observed = self._ledger_baseline
-        ledger = (
-            (fabric.probes_carried - base_carried)
-            + (fabric.probes_refused - base_refused)
-            - (fabric.probes_carried_batched - base_batched)
-        )
+        base_carried, base_refused, base_observed = self._ledger_baseline
+        carried = fabric.probes_carried - base_carried
+        refused = fabric.probes_refused - base_refused
         observed = self.probes_observed - base_observed
-        if ledger != observed:
+        if carried + refused != observed:
             self._violate(
                 now,
                 "probe-conservation",
-                f"fabric ledger says {ledger} observable probes since attach "
-                f"(carried {fabric.probes_carried - base_carried}, refused "
-                f"{fabric.probes_refused - base_refused}, batched "
-                f"{fabric.probes_carried_batched - base_batched}) but the "
-                f"observer saw {observed}",
+                f"fabric ledger says {carried + refused} probes since attach "
+                f"(carried {carried}, refused {refused}) but the observer "
+                f"saw {observed}",
             )
 
     def _check_watchdog_latency(self, now: float) -> None:

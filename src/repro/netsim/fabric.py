@@ -7,24 +7,22 @@ and the fault injector.  It offers two probe paths:
   Pingmesh Agents: fresh source port, per-attempt per-hop drop decisions,
   fault evaluation, SNMP counter bookkeeping, TCP retransmission
   signatures, optional payload echo.
-* :meth:`Fabric.batch_probe` — vectorized numpy path for statistics-heavy
-  benches (Table 1 needs ≥10⁶ probes).  When no fault touches the path it
-  collapses the per-hop model into one analytic attempt-drop probability
-  and samples everything array-at-a-time; when faults are present it falls
-  back to the scalar path so correctness never depends on which API you
-  called.
 * :meth:`Fabric.probe_many` — the fleet fast path: one agent's whole probe
   round in a single call, returned as one columnar :class:`ProbeBatch`.
   Probes whose own ECMP path crosses no live fault sample outcome + RTT
-  array-at-a-time from the same analytic model ``batch_probe`` uses;
+  array-at-a-time from the analytic model: the pair's per-hop drop
+  budgets collapsed into one attempt-drop probability, three Bernoulli
+  attempts per probe, an RTT from the DC latency model;
   probes that need full fidelity (a fault on the flow's forward or reverse
   path, a payload echo, a down endpoint) run the scalar engine —
   correctness never depends on which partition a probe landed in.
   Everything about a round but its ports and draws is compiled once per
   (source, entries object, generation) into a :class:`_RoundPlan`.
 
-The same models and the same seed discipline back all three paths.  What
-routing knows about a pod pair comes from the router's route table
+The same models and the same seed discipline back both paths, and the
+closed-form class rounds (:meth:`Fabric.run_class_plan`) draw from the
+same analytic model a group at a time.  What routing knows about a pod
+pair comes from the router's route table
 (:class:`~repro.netsim.routing.PodRoute`); the verdicts and pair info built
 on it are cached against the topology's ``state_version`` and invalidated
 wholesale on any device transition, fault change, or growth.
@@ -66,7 +64,6 @@ __all__ = [
     "Fabric",
     "ProbeResult",
     "ProbeBatch",
-    "BatchProbeResult",
     "ProbeEntry",
     "ClassGroup",
     "ClassRoundPlan",
@@ -109,27 +106,6 @@ class ProbeResult:
         return self.rtt_s * 1e6
 
 
-@dataclass
-class BatchProbeResult:
-    """Vectorized outcome of ``n`` probes between one server pair."""
-
-    src: str
-    dst: str
-    t: float
-    rtt_s: np.ndarray  # RTT of successful probes (waits included)
-    success: np.ndarray  # bool mask, aligned with rtt_s
-    syn_drops: np.ndarray  # int per probe
-    scope: PathScope
-    attempt_drop_prob: float  # analytic per-attempt drop probability
-
-    @property
-    def n(self) -> int:
-        return int(self.success.size)
-
-    def successful_rtts(self) -> np.ndarray:
-        return self.rtt_s[self.success]
-
-
 # One probe request in a probe_many round: (dst_id, dst_port, payload_bytes).
 ProbeEntry = tuple[str, int, int]
 
@@ -167,8 +143,8 @@ class _PairFastInfo:
     """Cached per-(src, dst, dst_port) routing facts for the fast path.
 
     Built from a representative flow (fixed source port, like
-    ``batch_probe``) for pairs the partition sends to the fast path, and
-    only those; valid for one state generation.
+    :meth:`Fabric.expected_attempt_drop`) for pairs the partition sends to
+    the fast path, and only those; valid for one state generation.
     """
 
     dst: Server
@@ -686,15 +662,11 @@ class Fabric:
         self._ports: dict[str, EphemeralPortAllocator] = {}
         # Conservation ledger (checked by the chaos invariant catalogue):
         # probes_carried entered the network; probes_refused were turned
-        # away at the source host (agent down) and never touched a wire;
-        # probes_carried_batched were carried by batch_probe's bulk path
-        # while NO observer was attached (with observers, the bulk path
-        # notifies per probe and counts as observed, so every probe source
-        # — scalar, fast-path, class rounds, bulk — is covered).
-        # carried + refused - batched == probes the per-probe observers saw.
+        # away at the source host (agent down) and never touched a wire.
+        # Every probe source — scalar, fast path, class rounds — notifies
+        # the observers per probe, so carried + refused == probes observed.
         self.probes_carried = 0
         self.probes_refused = 0
-        self.probes_carried_batched = 0
         # Per-probe observers: called as (src_id, dst_id, t, payload_bytes,
         # dst_port) for every probe on the scalar path AND the probe_many
         # fast path — the chaos invariant checker hooks in here.
@@ -952,7 +924,7 @@ class Fabric:
         )
         return outcome.waited_s + network_rtt + outcome.extra_latency_s
 
-    # -- analytic + vectorized paths -------------------------------------------
+    # -- analytic model ---------------------------------------------------------
 
     def expected_attempt_drop(
         self, src: Server | str, dst: Server | str, dst_port: int = DEFAULT_PROBE_PORT
@@ -969,136 +941,6 @@ class Fabric:
         forward, reverse = self._paths(src_server, dst_server, flow, flow.reversed())
         return self._dropmodel[src_server.dc_index].attempt_drop_prob(
             forward, reverse
-        )
-
-    def _path_has_faults(self, *paths: Path) -> bool:
-        for path in paths:
-            for hop in path.hops:
-                if self.faults.faults_on(hop.device_id):
-                    return True
-            if path.scope is PathScope.INTER_DC and self.faults.wan_faults_on(
-                path.src.dc_index, path.dst.dc_index
-            ):
-                return True
-        return False
-
-    def batch_probe(
-        self,
-        src: Server | str,
-        dst: Server | str,
-        n: int,
-        t: float = 0.0,
-        payload_bytes: int = 0,
-        dst_port: int = DEFAULT_PROBE_PORT,
-    ) -> BatchProbeResult:
-        """``n`` probes between one pair, vectorized when the path is healthy.
-
-        Falls back to the scalar engine when any fault sits on the pair's
-        forward or reverse path, or either endpoint is down, so results stay
-        trustworthy in incident scenarios.
-        """
-        if n < 1:
-            raise ValueError(f"n must be >= 1: {n}")
-        src_server = self._resolve(src)
-        dst_server = self._resolve(dst)
-        flow = FiveTuple(src_server.ip, 49_152, dst_server.ip, dst_port)
-        try:
-            forward, reverse = self._paths(
-                src_server, dst_server, flow, flow.reversed()
-            )
-        except NoRouteError:
-            forward = None  # type: ignore[assignment]
-        degraded = (
-            forward is None
-            or not src_server.is_up
-            or not dst_server.is_up
-            or self._path_has_faults(forward, reverse)
-        )
-        if degraded:
-            return self._batch_via_scalar(
-                src_server, dst_server, n, t, payload_bytes, dst_port
-            )
-
-        drop_model = self._dropmodel[src_server.dc_index]
-        p_attempt = drop_model.attempt_drop_prob(forward, reverse)
-        latency_model = self._latency[src_server.dc_index]
-
-        drops1 = self.rng.random(n) < p_attempt
-        drops2 = self.rng.random(n) < p_attempt
-        drops3 = self.rng.random(n) < p_attempt
-        syn_drops = (
-            drops1.astype(np.int64)
-            + (drops1 & drops2).astype(np.int64)
-            + (drops1 & drops2 & drops3).astype(np.int64)
-        )
-        success = syn_drops < 3
-        waited = np.zeros(n)
-        waited[syn_drops == 1] = tcp.syn_rtt_signature(1)
-        waited[syn_drops == 2] = tcp.syn_rtt_signature(2)
-        base = latency_model.sample(
-            self.rng,
-            forward.n_hops,
-            t=t,
-            wan_rtt=forward.wan_rtt + reverse.wan_rtt,
-            payload_bytes=payload_bytes,
-            n=n,
-        )
-        rtt = np.where(success, waited + base, tcp.syn_rtt_signature(3))
-        for hop in forward.hops:
-            hop.counters.packets_forwarded += n
-        self.probes_carried += n
-        if self.probe_observers:
-            # With observers attached, the bulk path reports every probe
-            # individually (same contract as the scalar and probe_many
-            # paths) and counts as observed; only unobserved bulk carries
-            # land in the ``batched`` ledger column.
-            src_id, dst_id = src_server.device_id, dst_server.device_id
-            for _ in range(n):
-                self._notify_probe(src_id, dst_id, t, payload_bytes, dst_port)
-        else:
-            self.probes_carried_batched += n
-        return BatchProbeResult(
-            src=src_server.device_id,
-            dst=dst_server.device_id,
-            t=t,
-            rtt_s=rtt,
-            success=success,
-            syn_drops=syn_drops,
-            scope=forward.scope,
-            attempt_drop_prob=p_attempt,
-        )
-
-    def _batch_via_scalar(
-        self,
-        src: Server,
-        dst: Server,
-        n: int,
-        t: float,
-        payload_bytes: int,
-        dst_port: int,
-    ) -> BatchProbeResult:
-        rtts = np.zeros(n)
-        success = np.zeros(n, dtype=bool)
-        syn_drops = np.zeros(n, dtype=np.int64)
-        scope = PathScope.SAME_HOST
-        for i in range(n):
-            result = self.probe(
-                src, dst, t=t, payload_bytes=payload_bytes, dst_port=dst_port
-            )
-            rtts[i] = result.rtt_s
-            success[i] = result.success
-            syn_drops[i] = result.syn_drops
-            if result.scope is not None:
-                scope = result.scope
-        return BatchProbeResult(
-            src=src.device_id,
-            dst=dst.device_id,
-            t=t,
-            rtt_s=rtts,
-            success=success,
-            syn_drops=syn_drops,
-            scope=scope,
-            attempt_drop_prob=float("nan"),
         )
 
     # -- fleet fast path --------------------------------------------------------
@@ -1249,9 +1091,10 @@ class Fabric:
           the scalar engine, with that port pinned — so a degraded probe
           routes only its own flow, and a clear one is never routed;
         * **fast** (analytic, array-at-a-time): everything else, and the
-          judged flows that met no fault — outcome and RTT sampled exactly
-          as :meth:`batch_probe` samples them, from the same models and
-          the same generator, in one draw after the scalar probes.
+          judged flows that met no fault — three Bernoulli attempts at the
+          pair's attempt-drop probability and an RTT from the DC latency
+          model, from the same generator, in one draw after the scalar
+          probes.
 
         Every probe still draws a fresh ephemeral source port (the ECMP
         sweep discipline; the scalar and judged positions' in entry order,
@@ -1566,7 +1409,7 @@ class Fabric:
         """Execute one round of a class plan: one multinomial outcome draw
         plus one latency sample per group.
 
-        The analytic model is ``batch_probe``'s: per-attempt drops are
+        The analytic model is :meth:`probe_many`'s: per-attempt drops are
         i.i.d. Bernoulli(p_attempt), so a group of ``m`` pairs is one
         Multinomial(m, [success, 1-drop, 2-drop, failure]) draw; successful
         RTTs sample from the DC latency model with the retransmission

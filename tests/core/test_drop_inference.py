@@ -10,6 +10,7 @@ from repro.core.dsa.drop_inference import (
 )
 from repro.netsim.fabric import Fabric
 from repro.netsim.topology import TopologySpec
+from tests.conftest import probe_rounds
 
 
 class TestClassification:
@@ -90,6 +91,6 @@ class TestAccuracyAgainstGroundTruth:
         a = dc.servers_in_podset(0)[0]
         b = dc.servers_in_podset(1)[0]
         truth = fabric.expected_attempt_drop(a, b)
-        batch = fabric.batch_probe(a, b, 3_000_000)
-        estimate = estimate_drop_rate_from_arrays(batch.rtt_s, batch.success)
+        success, rtt_s, _drops = probe_rounds(fabric, a, b, 3_000_000)
+        estimate = estimate_drop_rate_from_arrays(rtt_s, success)
         assert estimate.rate == pytest.approx(truth, rel=0.2)

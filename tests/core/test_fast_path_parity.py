@@ -1,7 +1,7 @@
 """Fast rounds must be statistically indistinguishable from scalar rounds.
 
-``probe_many`` samples the healthy partition of a round from the same
-analytic model ``batch_probe`` uses, while anything needing full fidelity
+``probe_many`` samples the healthy partition of a round from the analytic
+model the class rounds also draw from, while anything needing full fidelity
 runs the scalar engine.  These tests pin both halves of that contract:
 the partition rule (who goes where — envelope first, flow second) and
 distribution parity (fast and scalar rounds with the same seed agree on

@@ -52,14 +52,11 @@ class TestShardedConservation:
         fleet = ShardedFleet(system)
         carried_before = system.fabric.probes_carried
         refused_before = system.fabric.probes_refused
-        batched_before = system.fabric.probes_carried_batched
         launched = fleet.run_round(0.0)
         assert launched > 0
         assert len(observed) == launched
-        ledger = (
-            (system.fabric.probes_carried - carried_before)
-            + (system.fabric.probes_refused - refused_before)
-            - (system.fabric.probes_carried_batched - batched_before)
+        ledger = (system.fabric.probes_carried - carried_before) + (
+            system.fabric.probes_refused - refused_before
         )
         assert ledger == len(observed)
 
@@ -311,23 +308,17 @@ class TestExecutorParity:
         assert serial == process
 
     def test_probe_conservation_exact_per_executor(self):
-        """launched == carried + refused - batched for every executor —
+        """launched == carried + refused for every executor —
         the fabric ledger balances to the probe no matter who runs the
         draws or which process they run in."""
         for executor, workers in (("serial", 0), ("thread", 2), ("process", 2)):
             system = _system(seed=5)
             with ShardedFleet(system, workers=workers, executor=executor) as fleet:
-                before = (
-                    system.fabric.probes_carried,
-                    system.fabric.probes_refused,
-                    system.fabric.probes_carried_batched,
-                )
+                before = (system.fabric.probes_carried, system.fabric.probes_refused)
                 launched = fleet.run_round(0.0)
                 assert launched > 0
-                ledger = (
-                    (system.fabric.probes_carried - before[0])
-                    + (system.fabric.probes_refused - before[1])
-                    - (system.fabric.probes_carried_batched - before[2])
+                ledger = (system.fabric.probes_carried - before[0]) + (
+                    system.fabric.probes_refused - before[1]
                 )
                 assert ledger == launched, executor
 

@@ -12,6 +12,7 @@ from repro.netsim.faults import (
     podset_down,
 )
 from repro.netsim.topology import TopologySpec
+from tests.conftest import probe_rounds
 
 FAST_DSA = DsaConfig(
     ingestion_delay_s=0.0,
@@ -110,8 +111,8 @@ class TestSilentDropIncident:
         dc = system.topology.dc(0)
         a = dc.servers_in_podset(0)[0]
         b = dc.servers_in_podset(1)[0]
-        batch = system.fabric.batch_probe(a, b, 20_000)
-        assert batch.success.mean() > 0.999
+        success, _rtt, _drops = probe_rounds(system.fabric, a, b, 20_000)
+        assert success.mean() > 0.999
 
 
 class TestFigure8Patterns:

@@ -27,6 +27,7 @@ from repro.netsim.fabric import (
 from repro.netsim.faults import CongestionFault, SilentRandomDrop
 from repro.netsim.routing import SCOPE_HOP_KINDS, PathScope, classify_scope
 from repro.netsim.topology import MultiDCTopology, TopologySpec
+from tests.conftest import probe_rounds
 
 _SPEC = TopologySpec(n_podsets=2, pods_per_podset=2, servers_per_pod=4, n_spines=4)
 
@@ -237,24 +238,23 @@ class TestRunClassPlan:
         # INTRA_DC forward path: ToR, Leaf, Spine, Leaf, ToR = 5 hops/probe.
         assert after - before == 5 * len(cross)
 
-    def test_class_rtts_match_batch_probe_distribution(self):
+    def test_class_rtts_match_probe_many_distribution(self):
         """Class-level RTT samples come from the same analytic model as
-        ``batch_probe`` — medians within a few percent over a big draw."""
+        ``probe_many``'s fast path — medians within a few percent over a
+        big draw."""
         fabric_a = _fabric(seed=11)
         fabric_b = _fabric(seed=11)
         dc = fabric_a.topology.dc(0)
         src = dc.servers_in_podset(0)[0]
         dst = dc.servers_in_podset(1)[0]
         n = 4000
-        batch = fabric_b.batch_probe(
-            src.device_id, dst.device_id, n=n
-        )
+        success, rtt_s, _drops = probe_rounds(fabric_b, src, dst, n)
         plan = fabric_a.build_class_plan(
             src, [(dst.device_id, 81, 0)] * n
         )
         outcomes = fabric_a.run_class_plan(plan)
         class_rtts = np.concatenate([o.rtt_s for o in outcomes])
-        batch_ok = batch.rtt_s[batch.success]
+        batch_ok = rtt_s[success]
         assert np.isclose(
             np.median(class_rtts), np.median(batch_ok), rtol=0.05
         )

@@ -161,7 +161,7 @@ def _end_state(fabric, src):
         fabric.rng.bit_generator.state,
         fabric._ports[src.device_id]._next,
         _snmp(fabric),
-        (fabric.probes_carried, fabric.probes_refused, fabric.probes_carried_batched),
+        (fabric.probes_carried, fabric.probes_refused),
     )
 
 
@@ -326,7 +326,6 @@ def run_fleet_drill(seed: int = 7) -> dict:
                 fleet.probes_sent,
                 system.fabric.probes_carried,
                 system.fabric.probes_refused,
-                system.fabric.probes_carried_batched,
             ),
             "uploaded": sum(u.stats.records_uploaded for u in uploaders),
             "discarded": sum(u.stats.records_discarded for u in uploaders),
@@ -345,7 +344,7 @@ PINNED_DRILL = {
     "fabric_rng": 2755401830,
     "shard_rngs": 458643845,
     "snmp": 573867111,
-    "ledger": (172800, 172800, 0, 0),
+    "ledger": (172800, 172800, 0),
     "uploaded": 9382,
     "discarded": 0,
     "rows": {"pingmesh/latency": 747453548, "pingmesh/latency-class": 2357647459},

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.netsim.fabric import Fabric
+from repro.netsim.fabric import DEFAULT_PROBE_PORT, Fabric
 from repro.netsim.faults import BlackholeType1, BlackholeType2, SilentRandomDrop
 from repro.netsim.routing import PathScope
 from repro.netsim.topology import MultiDCTopology, TopologySpec
 from repro.netsim.workload import profile_for
+from tests.conftest import probe_rounds
 
 
 @pytest.fixture()
@@ -68,48 +69,16 @@ class TestScalarProbe:
         assert (fabric.probes_carried, fabric.probes_refused) == (1, 1)
 
     def test_probe_ledger_matches_observer_count(self, fabric, dc):
-        """carried + refused - batched == probes the observers saw.
-
-        With observers attached, *every* probe source reports — the
-        scalar path, the refused path, and batch_probe's bulk path —
-        so the batched column stays zero and the ledger covers all 52.
-        """
+        """carried + refused == probes the observers saw: every probe
+        source — the scalar path, the refused path and a probe_many
+        round — reports, so the ledger covers all 52."""
         seen = []
         fabric.probe_observers.append(lambda *args: seen.append(args))
         fabric.probe(dc.servers[0], dc.servers[1])
         dc.servers[3].bring_down()
         fabric.probe(dc.servers[3], dc.servers[0])
-        fabric.batch_probe(dc.servers[0], dc.servers[40], n=50)
-        ledger = (
-            fabric.probes_carried
-            + fabric.probes_refused
-            - fabric.probes_carried_batched
-        )
-        assert ledger == len(seen) == 52
-
-    def test_batch_probe_reports_every_probe_to_observers(self, fabric, dc):
-        """Regression: the healthy vectorized batch path used to bypass
-        ``probe_observers`` entirely (only controller-scheduled probes
-        were observed), leaving injected/bulk work invisible to the
-        chaos probe-conservation invariant."""
-        seen = []
-        fabric.probe_observers.append(lambda *args: seen.append(args))
-        src, dst = dc.servers[0], dc.servers[40]
-        fabric.batch_probe(src, dst, n=25, t=5.0, dst_port=8080)
-        assert len(seen) == 25
-        assert set(seen) == {(src.device_id, dst.device_id, 5.0, 0, 8080)}
-        # Observed bulk probes count as observed, not batched: the
-        # conservation ledger holds without a correction column.
-        assert fabric.probes_carried_batched == 0
-        assert fabric.probes_carried == 25
-
-    def test_batch_probe_unobserved_path_still_counts_batched(self, fabric, dc):
-        """Without observers the bulk path keeps its cheap accounting:
-        carries land in the ``batched`` ledger column so conservation
-        still balances for observer-free users (benches, notebooks)."""
-        fabric.batch_probe(dc.servers[0], dc.servers[40], n=30)
-        assert fabric.probes_carried_batched == 30
-        assert fabric.probes_carried == 30
+        probe_rounds(fabric, dc.servers[0], dc.servers[40], 50)
+        assert fabric.probes_carried + fabric.probes_refused == len(seen) == 52
 
     def test_no_route_when_leaf_tier_down(self, fabric, dc):
         for leaf in dc.leaves_of(0):
@@ -153,29 +122,33 @@ def _rtts(fabric):
 
 
 class TestBatchProbe:
+    """Many probes between one pair, as ``probe_many`` rounds draw them."""
+
     def test_shapes_and_masks(self, fabric, dc):
-        batch = fabric.batch_probe(dc.servers[0], dc.servers[30], 5000)
-        assert batch.n == 5000
-        assert batch.rtt_s.shape == (5000,)
-        assert batch.success.dtype == bool
-        assert batch.successful_rtts().size == batch.success.sum()
+        a, b = dc.servers[0], dc.servers[30]
+        success, rtt_s, syn_drops = probe_rounds(fabric, a, b, 5000)
+        assert rtt_s.shape == syn_drops.shape == success.shape == (5000,)
+        assert success.dtype == bool
+        assert (rtt_s[success] > 0).all()
 
     def test_healthy_batch_mostly_succeeds(self, fabric, dc):
-        batch = fabric.batch_probe(dc.servers[0], dc.servers[30], 50_000)
-        assert batch.success.mean() > 0.999
+        a, b = dc.servers[0], dc.servers[30]
+        success, _rtt, _drops = probe_rounds(fabric, a, b, 50_000)
+        assert success.mean() > 0.999
 
     def test_attempt_drop_prob_matches_profile(self, fabric, dc):
         a = dc.servers_in_podset(0)[0]
         b = dc.servers_in_podset(1)[0]
-        batch = fabric.batch_probe(a, b, 10)
+        plan = fabric.build_class_plan(a, [(b.device_id, DEFAULT_PROBE_PORT, 0)])
         profile = profile_for(dc.spec.profile_name)
-        assert batch.attempt_drop_prob == pytest.approx(
+        assert plan.groups[0].p_attempt == pytest.approx(
             profile.inter_pod_drop, rel=0.01
         )
 
     def test_drop_signatures_are_3s_and_9s(self, fabric, dc):
-        batch = fabric.batch_probe(dc.servers[0], dc.servers[30], 300_000)
-        one_drop = batch.rtt_s[batch.syn_drops == 1]
+        a, b = dc.servers[0], dc.servers[30]
+        _ok, rtt_s, syn_drops = probe_rounds(fabric, a, b, 300_000)
+        one_drop = rtt_s[syn_drops == 1]
         if one_drop.size:
             assert (one_drop >= 3.0).all()
             assert (one_drop < 4.0).all()
@@ -187,19 +160,16 @@ class TestBatchProbe:
         fabric.faults.inject(
             BlackholeType1(switch_id=tor.device_id, fraction=1.0)
         )
-        batch = fabric.batch_probe(a, b, 50)
-        assert not batch.success.any()
-        assert np.isnan(batch.attempt_drop_prob)  # scalar path marker
+        # A ToR fault sends every probe of the pair to the scalar engine,
+        # which sees the blackhole; the analytic draw would succeed.
+        success, _rtt, _drops = probe_rounds(fabric, a, b, 50)
+        assert not success.any()
 
     def test_batch_with_down_destination(self, fabric, dc):
         victim = dc.servers[2]
         victim.bring_down()
-        batch = fabric.batch_probe(dc.servers[0], victim, 20)
-        assert not batch.success.any()
-
-    def test_rejects_nonpositive_n(self, fabric, dc):
-        with pytest.raises(ValueError):
-            fabric.batch_probe(dc.servers[0], dc.servers[1], 0)
+        success, _rtt, _drops = probe_rounds(fabric, dc.servers[0], victim, 20)
+        assert not success.any()
 
     def test_batch_and_scalar_distributions_agree(self, dc):
         """Same models behind both paths: medians must line up."""
@@ -207,8 +177,8 @@ class TestBatchProbe:
         dc = fabric.topology.dc(0)
         a, b = dc.servers[0], dc.servers[30]
         scalar = np.array([fabric.probe(a, b).rtt_s for _ in range(800)])
-        batch = fabric.batch_probe(a, b, 20_000).successful_rtts()
-        assert np.median(scalar) == pytest.approx(np.median(batch), rel=0.15)
+        success, rtt_s, _drops = probe_rounds(fabric, a, b, 20_000)
+        assert np.median(scalar) == pytest.approx(np.median(rtt_s[success]), rel=0.15)
 
 
 class TestFaultsThroughFabric:
@@ -292,8 +262,8 @@ class TestExpectedAttemptDrop:
         a = dc.servers_in_podset(0)[0]
         b = dc.servers_in_podset(1)[0]
         expected = fabric.expected_attempt_drop(a, b)
-        batch = fabric.batch_probe(a, b, 2_000_000)
-        empirical = (batch.syn_drops >= 1).mean()
+        _ok, _rtt, syn_drops = probe_rounds(fabric, a, b, 2_000_000)
+        empirical = (syn_drops >= 1).mean()
         assert empirical == pytest.approx(expected, rel=0.25)
 
 

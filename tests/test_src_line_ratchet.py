@@ -11,7 +11,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # ``wc -l`` summed over src/**/*.py.
-SRC_LINE_CEILING = 19_693
+SRC_LINE_CEILING = 19_528
 
 
 def test_src_stays_under_its_line_ceiling():
