@@ -121,7 +121,7 @@ def _group_slas(
         .output()
     )
     successful = (
-        rows.where(col("success"))
+        rows.select(*keys, "success", "rtt_us").where(col("success"))
         .group_by(*keys)
         .aggregate(
             p50_us=agg.percentile("rtt_us", 50), p99_us=agg.percentile("rtt_us", 99)

@@ -272,10 +272,6 @@ class CosmosStore:
         self._down_nodes.discard(node)
         self.version += 1
 
-    @property
-    def down_nodes(self) -> set[int]:
-        return set(self._down_nodes)
-
     def expire_before(self, name: str, cutoff_t: float) -> int:
         """Drop extents appended before ``cutoff_t`` (retention policy).
 

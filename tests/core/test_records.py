@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dsa.records import (
+    CODED_COLUMNS,
     LATENCY_STREAM,
     RECORD_COLUMNS,
     RECORD_DTYPES,
@@ -112,9 +113,14 @@ class TestRecordBatch:
         assert block.to_rows() == batch.rows() + batch.rows()[1:3]
         for name, column in block.columns.items():
             nullable = name in ("payload_rtt_us", "error")  # both hold a None here
+            if name in CODED_COLUMNS:  # text the producer codes: int32 into one table
+                assert column.dtype == np.int32 and block.decoded(name).dtype.kind == "U", name
+                continue
             assert column.dtype == (object if nullable else np.dtype(RECORD_DTYPES[name])) or (
                 column.dtype.kind == "U" and RECORD_DTYPES[name] is np.str_
             ), name
+        assert set(block.vocab) == set(CODED_COLUMNS)
+        assert len({id(vocab) for vocab in block.vocab.values()}) == 1
         # Without a None in them, the nullable columns pack typed too.
         assert RecordBatch.pack([batch[1:2]]).columns["payload_rtt_us"].dtype == np.float64
         assert RecordBatch.pack([batch[2:3]]).columns["error"].dtype.kind == "U"
