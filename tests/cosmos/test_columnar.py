@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cosmos.columnar import ColumnBlock, col, concat_blocks, lit
+from repro.cosmos.columnar import ColumnBlock, _column_value_bytes, col, concat_blocks, lit
 from repro.cosmos.store import CosmosStore
 
 
@@ -75,6 +75,15 @@ class TestColumnBlockPacking:
             len(json.dumps(r, default=str, separators=(",", ":"))) for r in records
         )
         assert exact * 0.5 <= block.size_bytes() <= exact * 2.0
+
+    def test_float_sizes_are_worked_out_not_written(self):
+        """Short decimals to the character; a full-precision value is taken
+        at 17 significant digits, at most one over its repr."""
+        short = np.array([0.0, 3.0, 60.5, 600.0, 123.456, -0.25, 0.001, 7.125])
+        assert _column_value_bytes(short) == sum(len(repr(v)) for v in short.tolist())
+        rtts = np.random.default_rng(3).lognormal(5, 1, 500)
+        exact = sum(len(repr(v)) for v in rtts.tolist())
+        assert exact <= _column_value_bytes(rtts) <= exact + len(rtts)
 
     def test_concat_blocks(self):
         a = ColumnBlock.from_records(_records(3))
