@@ -40,13 +40,15 @@ PAPER_SCOPE_PATH_S = 20 * 60.0
 PAPER_PA_PATH_S = 5 * 60.0
 
 # What one per-probe record may keep alive once its window is uploaded and
-# read: its entries in the extent's block (~300 B), in the pipeline's cached
-# window (~100 B), and what the uploaders' local logs still pin (their byte
-# cap's worth of recent rounds: the columns a round drew, beside one shared
-# set of the ten its pinglist fixes).  It was 1,550 B when a record was held
-# as a dict, a JSON line, a dict copy and a block at once, and 580 B while
-# every batch carried its own sixteen lists.
-RECORD_BYTES_PER_PROBE_BUDGET = 520
+# read: its entries in the extent's block (~105 B: its four text columns are
+# int32 codes), in the pipeline's cached window (one copy of those, masked
+# extent by extent), and what the uploaders' local logs still pin (their
+# byte cap's worth of recent rounds: the columns a round drew, beside one
+# shared set of the ten its pinglist fixes).  Measured 203 B; the budget is
+# that plus 15%.  It was 1,550 B when a record was held as a dict, a JSON
+# line, a dict copy and a block at once, 580 B while every batch carried its
+# own sixteen lists, and 402 B while server ids were stored as text.
+RECORD_BYTES_PER_PROBE_BUDGET = 234
 # Round -> extent, engine excluded (7.7 us when a round came apart into a
 # ProbeResult per probe and back into columns).
 RECORD_PATH_US_PER_RECORD_BUDGET = 6.0
