@@ -8,13 +8,13 @@ rounds, and the wall-clock must stay inside a per-size budget — measured
 headroom is ~4-5x on the reference machine, so a breach means a real
 regression, not noise.  A second gate pins the class-round engine's edge
 over the per-pair fast path at the 4k size: ≥3x per probe.  A third
-compares the process-pool executor against the thread pool at 16k — the
-≥2x gate binds only on machines with ≥4 CPUs (the measured ratio is
-always recorded), since a single-core box pays IPC overhead for no GIL
-dividend.  The top rung is 64k servers — past the paper's "tens of
-thousands" — whose window budget assumes the lazy pinglist path (system
-start renders 64k pinglists; eager generation would blow the suite's
-runtime long before the window starts).
+compares a two-worker thread pool against serial class draws at 16k over
+ten alternating pairs — the ≥1.1x gate binds on machines with ≥2 CPUs
+(the measured ratios are always recorded), since one core has no second
+thread to give the draws.  The top rung is 64k servers — past the
+paper's "tens of thousands" — whose window budget assumes the lazy
+pinglist path (system start renders 64k pinglists; eager generation
+would blow the suite's runtime long before the window starts).
 
 What comes before the first window has its own gate:
 ``bench_scale_cold_start`` times construct → fleet start (every agent
@@ -75,14 +75,19 @@ SPEEDUP_FLOOR = 3.0  # class rounds vs per-pair fast path, 4k servers
 SPEEDUP_SPEC = SIZES["4k-servers"]
 ROUNDS_PER_LEG = 3
 
-# Executor gate: process workers vs thread workers at 16k servers.  The
-# process pool's whole point is sidestepping the GIL, so the ≥2x gate only
-# binds on machines with enough cores to show it; the measured speedup is
-# recorded unconditionally so single-core CI still tracks the trend.
-EXECUTOR_SPEC = SIZES["16k-servers"]
-EXECUTOR_WORKERS = 4
-EXECUTOR_FLOOR = 2.0
-EXECUTOR_MIN_CPUS = 4
+# Pool gate: a ``workers=2`` thread pool against serial class draws at 16k
+# servers.  Only the numpy draws leave the main thread, so the pool needs a
+# second core to win anything; the gate binds on machines that have one,
+# and the measured ratios are recorded everywhere.  The first few pooled
+# rounds on a fresh process run slower than serial ones (measured: ~5 pairs
+# at 0.85-0.99x before a steady ~1.5x on a 2-vCPU Xeon), so unmeasured pairs
+# warm both legs first.
+POOL_SPEC = SIZES["16k-servers"]
+POOL_WORKERS = 2
+POOL_WARM_PAIRS = 6
+POOL_PAIRS = 10
+POOL_FLOOR = 1.1
+POOL_MIN_CPUS = 2
 
 
 def _build(spec, round_mode="class", shard_aggregation=True):
@@ -200,42 +205,42 @@ def bench_scale_class_vs_fast_speedup(benchmark):
     )
 
 
-def bench_scale_process_vs_thread_speedup(benchmark):
-    """Process pool vs thread pool at 16k servers, matched interleaved
-    best-of-N legs.  Bit-identical results are asserted elsewhere
-    (``tests/core/test_sharded_fleet.py``); this measures only the GIL
-    dividend, and gates ≥2x when the machine has the cores to pay it."""
+def bench_scale_thread_vs_serial_speedup(benchmark):
+    """The thread pool against serial class draws at 16k servers: matched
+    interleaved best-of-N legs on one fleet whose ``workers`` alternates,
+    the leg order flipping every pair.  Bit-identical results are asserted
+    elsewhere (``tests/core/test_sharded_fleet.py``); this measures only
+    the pool's dividend, and gates ≥1.1x when the machine has two CPUs."""
     cpus = os.cpu_count() or 1
-    thread_system = _build(EXECUTOR_SPEC)
-    process_system = _build(EXECUTOR_SPEC)
-    with ShardedFleet(
-        thread_system, workers=EXECUTOR_WORKERS, executor="thread"
-    ) as thread_fleet, ShardedFleet(
-        process_system, workers=EXECUTOR_WORKERS, executor="process"
-    ) as process_fleet:
+    fleet = ShardedFleet(_build(POOL_SPEC))
 
-        def measure():
-            # Warm both: plan compile + merge, pool spawn, worker imports.
-            thread_fleet.run_round(0.0)
-            process_fleet.run_round(0.0)
-            thread_times, process_times = [], []
-            for i in range(ROUNDS_PER_LEG):
-                t = 60.0 * (1 + i)
-                thread_times.append(_timed_fleet_round(thread_fleet, t))
-                process_times.append(_timed_fleet_round(process_fleet, t))
-            return min(thread_times) / min(process_times)
+    def measure():
+        fleet.run_round(0.0)  # warm: compile + merge the shard plans
+        times = {0: [], POOL_WORKERS: []}
+        t = 0.0
+        for pair in range(-POOL_WARM_PAIRS, POOL_PAIRS):
+            legs = (0, POOL_WORKERS) if pair % 2 == 0 else (POOL_WORKERS, 0)
+            for workers in legs:
+                fleet.workers = workers
+                t += 10.0  # every round lands before the 600-s upload timer
+                elapsed = _timed_fleet_round(fleet, t)
+                if pair >= 0:
+                    times[workers].append(elapsed)
+        return times[0], times[POOL_WORKERS]
 
-        speedup = benchmark.pedantic(measure, rounds=1, iterations=1)
+    serial, pooled = benchmark.pedantic(measure, rounds=1, iterations=1)
+    speedup = min(serial) / min(pooled)
+    ratios = [s / p for s, p in zip(serial, pooled)]
     benchmark.extra_info["speedup"] = round(speedup, 2)
+    benchmark.extra_info["pair_ratios"] = [round(r, 2) for r in ratios]
+    benchmark.extra_info["pairs_at_floor"] = sum(r >= POOL_FLOOR for r in ratios)
     benchmark.extra_info["cpu_count"] = cpus
-    benchmark.extra_info["workers"] = EXECUTOR_WORKERS
-    if cpus >= EXECUTOR_MIN_CPUS:
-        benchmark.extra_info["gate"] = f">= {EXECUTOR_FLOOR}x"
-        assert speedup >= EXECUTOR_FLOOR, (
-            f"process pool only {speedup:.2f}x over thread pool at 16k "
-            f"servers with {cpus} CPUs (gate {EXECUTOR_FLOOR:.0f}x)"
+    benchmark.extra_info["workers"] = POOL_WORKERS
+    if cpus >= POOL_MIN_CPUS:
+        benchmark.extra_info["gate"] = f">= {POOL_FLOOR}x"
+        assert speedup >= POOL_FLOOR, (
+            f"thread pool only {speedup:.2f}x over serial at 16k servers "
+            f"with {cpus} CPUs (gate {POOL_FLOOR}x)"
         )
     else:
-        benchmark.extra_info["gate"] = (
-            f"recorded only ({cpus} CPUs < {EXECUTOR_MIN_CPUS})"
-        )
+        benchmark.extra_info["gate"] = f"recorded only ({cpus} CPU < {POOL_MIN_CPUS})"

@@ -28,26 +28,19 @@ driver that runs probe rounds a *shard* at a time:
   (:class:`~repro.stream.sketch.ClassStats`) the shard's numbers leave in,
   everything mergeable, one merge at window close.
 
-Optionally a worker pool executes the per-shard class draws concurrently —
-``executor="thread"`` (the GIL-bound default when ``workers > 0``) or
-``executor="process"`` (true parallelism past the GIL).  Shared-fabric side
-effects (the probe-conservation ledger, SNMP counters) are deferred through
-:class:`~repro.netsim.fabric.ClassLedger` and applied after the join in
-deterministic shard order, so worker count never changes results'
-accounting.  Process workers never see the fabric at all: each shard ships
-its RNG state plus the pure model parameters of its merged plan, the worker
-replays :func:`~repro.netsim.fabric.execute_class_groups` (the exact draw
-sequence the in-process engine uses), and the driver adopts the outcomes
-and the advanced RNG state — so serial, thread and process execution are
-bit-identical under one seed.  Probe observers (the chaos invariant
-catalogue) force serial execution — observer callbacks are not thread-safe
-and the fabric refuses ledger-deferred rounds while any are attached.
+With ``workers > 0`` a thread pool runs the per-shard class draws
+concurrently, and only the draws: each shard's
+:func:`~repro.netsim.fabric.execute_class_groups` touches nothing but the
+shard's own RNG stream.  The generation check before and the shared-fabric
+side effects after (probe observers, the probe-conservation ledger, SNMP
+counters — :meth:`~repro.netsim.fabric.Fabric.account_class_round`) stay on
+the main thread in shard order, so serial and pooled rounds are
+bit-identical under one seed, observers attached or not.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,48 +53,12 @@ from repro.core.dsa.records import (
 )
 from repro.core.system import PingmeshSystem
 from repro.netsim.fabric import (
-    ClassLedger,
     ClassRoundPlan,
     execute_class_groups,
     merge_class_plans,
 )
-from repro.netsim.latency import LatencyModel
 
-__all__ = ["FleetShard", "ShardedFleet", "EXECUTORS"]
-
-EXECUTORS = ("serial", "thread", "process")
-
-
-@dataclass(frozen=True)
-class _WireGroup:
-    """A :class:`~repro.netsim.fabric.ClassGroup` stripped to the model
-    fields a worker process needs — no member pairs, no live objects."""
-
-    purpose: str
-    qos: str
-    dc_index: int
-    dst_dc: int
-    scope: object  # PathScope (enum: pickles by name)
-    n_hops: int
-    wan_rtt: float
-    p_attempt: float
-    n: int
-
-
-def _run_shard_payload(payload):
-    """Execute one shard's class draws in a worker process.
-
-    ``payload`` is ``(wire_groups, profiles_by_dc, t, rng_state)``; the
-    return value is ``(outcomes, final_rng_state)`` so the driver can
-    reassign the shard's generator and keep executors interchangeable
-    mid-run.  Module-level (picklable) and fabric-free by design.
-    """
-    wire_groups, profiles, t, rng_state = payload
-    models = {dc: LatencyModel(profile) for dc, profile in profiles.items()}
-    rng = np.random.default_rng()
-    rng.bit_generator.state = rng_state
-    outcomes = execute_class_groups(wire_groups, models, t, rng)
-    return outcomes, rng.bit_generator.state
+__all__ = ["FleetShard", "ShardedFleet"]
 
 
 class FleetShard:
@@ -289,17 +246,12 @@ class FleetShard:
             launched += batch.n
         return launched
 
-    def run_class_part(
-        self, t: float, rng=None, ledger: ClassLedger | None = None
-    ) -> list:
-        """The closed-form draws.  Thread-safe iff ``ledger`` is given (and
-        no probe observers are attached — the fabric enforces that)."""
+    def run_class_part(self, t: float) -> list:
+        """The closed-form draws on the shard's own RNG stream."""
         plan = self._plan
         if plan is None or not plan.groups:
             return []
-        return self.fleet.system.fabric.run_class_plan(
-            plan, t=t, rng=rng, ledger=ledger
-        )
+        return self.fleet.system.fabric.run_class_plan(plan, t=t, rng=self.rng)
 
     def fold_outcomes(self, t: float, outcomes: list) -> int:
         """Fold class outcomes into the shard's planes (main thread)."""
@@ -338,17 +290,14 @@ class ShardedFleet:
     Usage::
 
         system = PingmeshSystem(config)        # round_mode="class" advised
-        fleet = ShardedFleet(system, workers=4)               # thread pool
-        fleet = ShardedFleet(system, workers=4, executor="process")
+        fleet = ShardedFleet(system, workers=2)
         fleet.run_for(600.0)                   # one simulated 10-min window
 
-    ``executor`` selects how the per-shard class draws run: ``"serial"``
-    (main thread), ``"thread"`` (the default whenever ``workers > 0``) or
-    ``"process"`` (a :class:`ProcessPoolExecutor`, sidestepping the GIL).
-    All three are bit-identical under one seed — each shard owns its RNG
-    stream, and process workers replay the exact in-process draw sequence
-    from shipped RNG state.  Call :meth:`close` (or use the fleet as a
-    context manager) to reap a process pool.
+    ``workers=0`` (the default) runs every shard's class draws on the main
+    thread; ``workers > 0`` runs them on a thread pool opened and joined
+    within each round.  Both are bit-identical under one seed — each shard
+    owns its RNG stream, and everything a round shares is accounted on the
+    main thread in shard order.
 
     The system is started with ``schedule_probe_rounds=False``; everything
     else (pinglist refreshes, DSA jobs, stream ticks, watchdogs, repairs)
@@ -356,24 +305,11 @@ class ShardedFleet:
     fleet-round event in the same queue.
     """
 
-    def __init__(
-        self,
-        system: PingmeshSystem,
-        workers: int = 0,
-        executor: str | None = None,
-    ) -> None:
+    def __init__(self, system: PingmeshSystem, workers: int = 0) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0: {workers}")
-        if executor is None:
-            executor = "thread" if workers > 0 else "serial"
-        if executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; known: {EXECUTORS}")
-        if executor != "serial" and workers < 1:
-            raise ValueError(f"{executor} executor needs workers >= 1: {workers}")
         self.system = system
         self.workers = workers
-        self.executor = executor
-        self._pool: Executor | None = None
         self.shards: dict[tuple[int, int], FleetShard] = {}
         self._agent_count = -1
         self._agent_index: dict[str, int] = {}  # server id -> fleet position
@@ -422,11 +358,11 @@ class ShardedFleet:
 
     def run_round(self, t: float | None = None) -> int:
         """One fleet-wide probe round: every shard's serial work, then every
-        shard's class draws (optionally on a worker pool), then the folds."""
+        shard's class draws (on a thread pool if ``workers > 0``), then the
+        folds."""
         if t is None:
             t = self.system.clock.now
         self._refresh_shards()
-        fabric = self.system.fabric
         ordered = [self.shards[key] for key in sorted(self.shards)]
         launched = 0
         serial_launched = []
@@ -434,29 +370,10 @@ class ShardedFleet:
             n = shard.run_serial_part(t)
             serial_launched.append(n)
             launched += n
-        use_pool = (
-            self.executor != "serial"
-            and self.workers > 0
-            and not fabric.probe_observers
-        )
-        if use_pool and self.executor == "process":
-            outcome_lists = self._run_class_parts_process(ordered, t)
-        elif use_pool:
-            ledgers = [ClassLedger() for _ in ordered]
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = [
-                    pool.submit(
-                        shard.run_class_part, t, rng=shard.rng, ledger=ledger
-                    )
-                    for shard, ledger in zip(ordered, ledgers)
-                ]
-                outcome_lists = [future.result() for future in futures]
-            for ledger in ledgers:
-                fabric.apply_class_ledger(ledger)
+        if self.workers > 0:
+            outcome_lists = self._run_class_parts_pooled(ordered, t)
         else:
-            outcome_lists = [
-                shard.run_class_part(t, rng=shard.rng) for shard in ordered
-            ]
+            outcome_lists = [shard.run_class_part(t) for shard in ordered]
         for shard, outcomes, n_serial in zip(ordered, outcome_lists, serial_launched):
             n_class = shard.fold_outcomes(t, outcomes)
             launched += n_class
@@ -512,87 +429,29 @@ class ShardedFleet:
             if agent.holds_results:
                 self._watched[index] = agent
 
-    def _run_class_parts_process(self, ordered: list[FleetShard], t: float) -> list:
-        """Fan the shards' class draws out to worker processes.
-
-        Per shard: ship ``(model params, RNG state)``, adopt the returned
-        outcomes and advanced RNG state, then apply the deferred side
-        effects from the *locally held* plan — SNMP counter objects never
-        cross the process boundary, so accounting lands on the live
-        switches exactly as thread mode's post-join ledger application
-        does.  Shards with empty plans are skipped without touching their
-        RNG, matching the serial path's early return.
-        """
+    def _run_class_parts_pooled(self, ordered: list[FleetShard], t: float) -> list:
+        """The shards' class draws on a thread pool, and only the draws:
+        plans are checked before the fan-out and accounted after the join,
+        on the main thread in shard order, as serial rounds do them."""
         fabric = self.system.fabric
-        version = fabric.topology.state_version.value
-        pool = self._process_pool()
-        futures: list = []
-        profile_cache: dict[int, object] = {}
-        for shard in ordered:
-            plan = shard._plan
-            if plan is None or not plan.groups:
-                futures.append(None)
-                continue
-            if plan.version != version:
-                raise ValueError(
-                    f"stale class plan: built at generation {plan.version}, "
-                    f"fabric is at {version}"
+        drawn = [shard for shard in ordered if shard._plan.groups]
+        for shard in drawn:
+            fabric.check_class_plan(shard._plan)
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            futures = {
+                shard: pool.submit(
+                    execute_class_groups,
+                    shard._plan.groups,
+                    fabric._latency,
+                    t,
+                    shard.rng,
                 )
-            wire_groups = [
-                _WireGroup(
-                    purpose=group.purpose,
-                    qos=group.qos,
-                    dc_index=group.dc_index,
-                    dst_dc=group.dst_dc,
-                    scope=group.scope,
-                    n_hops=group.n_hops,
-                    wan_rtt=group.wan_rtt,
-                    p_attempt=group.p_attempt,
-                    n=group.n,
-                )
-                for group in plan.groups
-            ]
-            profiles = {}
-            for group in plan.groups:
-                if group.dc_index not in profiles:
-                    profile = profile_cache.get(group.dc_index)
-                    if profile is None:
-                        profile = profile_cache[group.dc_index] = (
-                            fabric.latency_model(group.dc_index).profile
-                        )
-                    profiles[group.dc_index] = profile
-            payload = (wire_groups, profiles, t, shard.rng.bit_generator.state)
-            futures.append(pool.submit(_run_shard_payload, payload))
-        outcome_lists = []
-        for shard, future in zip(ordered, futures):
-            if future is None:
-                outcome_lists.append([])
-                continue
-            outcomes, final_state = future.result()
-            shard.rng.bit_generator.state = final_state
-            ledger = ClassLedger()
-            ledger.probes_carried = sum(outcome.n for outcome in outcomes)
-            ledger.add_counters(shard._plan.counter_increments)
-            fabric.apply_class_ledger(ledger)
-            outcome_lists.append(outcomes)
-        return outcome_lists
-
-    def _process_pool(self) -> Executor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def close(self) -> None:
-        """Reap the worker pool (no-op for serial/thread execution)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ShardedFleet":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+                for shard in drawn
+            }
+        outcomes = {shard: future.result() for shard, future in futures.items()}
+        for shard in drawn:
+            fabric.account_class_round(shard._plan, t)
+        return [outcomes.get(shard, []) for shard in ordered]
 
     # -- scheduling --------------------------------------------------------
 

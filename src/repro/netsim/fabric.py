@@ -68,7 +68,6 @@ __all__ = [
     "ClassGroup",
     "ClassRoundPlan",
     "ClassOutcome",
-    "ClassLedger",
     "merge_class_plans",
     "execute_class_groups",
     "DEFAULT_PROBE_PORT",
@@ -442,30 +441,6 @@ class ClassOutcome:
         return self.n - self.failed
 
 
-@dataclass
-class ClassLedger:
-    """Deferred side effects of a class round (worker-pool execution).
-
-    A shard running class rounds off the main thread must not mutate
-    shared state (the fabric's conservation ledger, switch SNMP counters);
-    it accumulates here and the driver applies the ledger after the join
-    via :meth:`Fabric.apply_class_ledger`.
-    """
-
-    probes_carried: int = 0
-    _counter_acc: dict = field(default_factory=dict)
-
-    def add_counters(self, increments) -> None:
-        acc = self._counter_acc
-        for counters, packets in increments:
-            key = id(counters)
-            entry = acc.get(key)
-            if entry is None:
-                acc[key] = [counters, packets]
-            else:
-                entry[1] += packets
-
-
 def merge_class_plans(
     plans: Sequence[ClassRoundPlan],
     sources: Sequence[tuple[str, Sequence[ProbeEntry]]] | None = None,
@@ -564,12 +539,11 @@ def execute_class_groups(groups, latency_models, t, draw) -> list[ClassOutcome]:
     maps ``dc_index`` -> :class:`~repro.netsim.latency.LatencyModel`.  The
     draw sequence per group is fixed (multinomial, then the latency
     sample), so two callers holding generators in the same state produce
-    bit-identical outcomes — this is what lets a process-pool shard worker
-    replay a shard's round from a shipped RNG state and have the driver
-    adopt its results as if they were drawn in-process.
+    bit-identical outcomes, whichever thread each runs on.
 
     Shared-state side effects (conservation ledger, SNMP counters, probe
-    observers) are the caller's job; this function touches only ``draw``.
+    observers) are :meth:`Fabric.account_class_round`'s; this function
+    touches only ``draw``.
     """
     sig1, sig2, sig3 = tcp.ONE_DROP_RTT_S, tcp.TWO_DROPS_RTT_S, tcp.FAILED_RTT_S
     outcomes: list[ClassOutcome] = []
@@ -1404,7 +1378,6 @@ class Fabric:
         plan: ClassRoundPlan,
         t: float = 0.0,
         rng: np.random.Generator | None = None,
-        ledger: ClassLedger | None = None,
     ) -> list[ClassOutcome]:
         """Execute one round of a class plan: one multinomial outcome draw
         plus one latency sample per group.
@@ -1413,42 +1386,31 @@ class Fabric:
         i.i.d. Bernoulli(p_attempt), so a group of ``m`` pairs is one
         Multinomial(m, [success, 1-drop, 2-drop, failure]) draw; successful
         RTTs sample from the DC latency model with the retransmission
-        signatures added per segment.  With ``ledger`` the shared-state
-        side effects (conservation ledger, SNMP counters) are deferred for
-        a post-join :meth:`apply_class_ledger` — thread-safe shard fan-out.
+        signatures added per segment.
         """
+        self.check_class_plan(plan)
+        draw = rng if rng is not None else self.rng
+        outcomes = execute_class_groups(plan.groups, self._latency, t, draw)
+        self.account_class_round(plan, t)
+        return outcomes
+
+    def check_class_plan(self, plan: ClassRoundPlan) -> None:
+        """Refuse a plan compiled at another state generation."""
         if plan.version != self.topology.state_version.value:
             raise ValueError(
                 f"stale class plan: built at generation {plan.version}, "
                 f"fabric is at {self.topology.state_version.value}"
             )
-        if ledger is not None and self.probe_observers:
-            raise RuntimeError(
-                "deferred-ledger class rounds cannot notify probe observers; "
-                "run observed rounds on the main thread"
-            )
-        draw = rng if rng is not None else self.rng
-        outcomes = execute_class_groups(plan.groups, self._latency, t, draw)
-        total = 0
+
+    def account_class_round(self, plan: ClassRoundPlan, t: float) -> None:
+        """A class round's shared-state side effects, after its draws: probe
+        observers, the conservation ledger and SNMP counters."""
         if self.probe_observers:
             for group in plan.groups:
                 for member_src, member_dst, dst_port in group.members:
                     self._notify_probe(member_src, member_dst, t, 0, dst_port)
-        for group in plan.groups:
-            total += group.n
-        if ledger is None:
-            self.probes_carried += total
-            for counters, packets in plan.counter_increments:
-                counters.packets_forwarded += packets
-        else:
-            ledger.probes_carried += total
-            ledger.add_counters(plan.counter_increments)
-        return outcomes
-
-    def apply_class_ledger(self, ledger: ClassLedger) -> None:
-        """Fold a shard's deferred class-round side effects in (main thread)."""
-        self.probes_carried += ledger.probes_carried
-        for counters, packets in ledger._counter_acc.values():
+        self.probes_carried += sum(group.n for group in plan.groups)
+        for counters, packets in plan.counter_increments:
             counters.packets_forwarded += packets
 
     # -- switch management -----------------------------------------------------

@@ -1,12 +1,13 @@
-"""Property test: process execution is bit-identical to serial.
+"""Property test: pooled execution is bit-identical to serial.
 
 Hypothesis drives a random script of fleet rounds interleaved with the
-events that most plausibly break RNG-state accounting — fault injection
+events that most plausibly break the pool's accounting — fault injection
 (degrading class pairs to the serial per-pair path), replica flaps
 (touching the controller mid-run) and topology growth (new shards joining
-between rounds).  Whatever the script, a process-pool fleet must produce
-the same probes, the same uploaded rows, the same SNMP sums and the same
-per-shard RNG end states as a serial fleet under the same seed.
+between rounds).  Whatever the script, a ``workers=2`` fleet must produce
+the same probes, the same uploaded rows, the same SNMP sums, the same
+per-shard RNG end states and the same probe-observer calls as a serial
+fleet under the same seed — both with a recording observer attached.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _SPEC = TopologySpec(n_podsets=2, pods_per_podset=2, servers_per_pod=2, n_spines
 OPS = ("round", "fault", "clear", "grow", "flap")
 
 
-def _fingerprint(system, fleet):
+def _fingerprint(system, fleet, observed):
     for key in sorted(fleet.shards):
         shard = fleet.shards[key]
         shard.probe_uploader.flush(1e9)
@@ -53,10 +54,17 @@ def _fingerprint(system, fleet):
         (s.device_id, s.counters.packets_forwarded, s.counters.silent_drops)
         for s in system.topology.dc(0).all_switches()
     ]
-    return (fleet.probes_sent, system.fabric.probes_carried, rows, rng_states, snmp)
+    return (
+        fleet.probes_sent,
+        system.fabric.probes_carried,
+        rows,
+        rng_states,
+        snmp,
+        observed,
+    )
 
 
-def _run_script(ops, seed, executor, workers):
+def _run_script(ops, seed, workers):
     system = PingmeshSystem(
         PingmeshSystemConfig(
             specs=(_SPEC,),
@@ -65,30 +73,32 @@ def _run_script(ops, seed, executor, workers):
             stream=StreamConfig(shard_aggregation=True),
         )
     )
-    with ShardedFleet(system, workers=workers, executor=executor) as fleet:
-        t = 0.0
-        fault = None
-        grown = False
-        for op in ops:
-            if op == "round":
-                fleet.run_round(t)
-                t += 30.0
-            elif op == "fault" and fault is None:
-                spine = system.topology.dc(0).spines[0]
-                fault = system.fabric.faults.inject(
-                    SilentRandomDrop(switch_id=spine.device_id, drop_prob=0.25)
-                )
-            elif op == "clear" and fault is not None:
-                system.fabric.faults.clear(fault)
-                fault = None
-            elif op == "grow" and not grown:
-                system.add_podset(0)  # one growth keeps examples cheap
-                grown = True
-            elif op == "flap":
-                system.controller.fail_replica("controller0")
-                system.controller.recover_replica("controller0")
-        fleet.run_round(t)
-        return _fingerprint(system, fleet)
+    observed = []
+    system.fabric.probe_observers.append(lambda *args: observed.append(args))
+    fleet = ShardedFleet(system, workers=workers)
+    t = 0.0
+    fault = None
+    grown = False
+    for op in ops:
+        if op == "round":
+            fleet.run_round(t)
+            t += 30.0
+        elif op == "fault" and fault is None:
+            spine = system.topology.dc(0).spines[0]
+            fault = system.fabric.faults.inject(
+                SilentRandomDrop(switch_id=spine.device_id, drop_prob=0.25)
+            )
+        elif op == "clear" and fault is not None:
+            system.fabric.faults.clear(fault)
+            fault = None
+        elif op == "grow" and not grown:
+            system.add_podset(0)  # one growth keeps examples cheap
+            grown = True
+        elif op == "flap":
+            system.controller.fail_replica("controller0")
+            system.controller.recover_replica("controller0")
+    fleet.run_round(t)
+    return _fingerprint(system, fleet, observed)
 
 
 @settings(max_examples=8, deadline=None)
@@ -96,7 +106,5 @@ def _run_script(ops, seed, executor, workers):
     ops=st.lists(st.sampled_from(OPS), min_size=1, max_size=5),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_process_pool_matches_serial_bit_for_bit(ops, seed):
-    serial = _run_script(ops, seed, "serial", 0)
-    process = _run_script(ops, seed, "process", 2)
-    assert serial == process
+def test_thread_pool_matches_serial_bit_for_bit(ops, seed):
+    assert _run_script(ops, seed, 0) == _run_script(ops, seed, 2)

@@ -11,6 +11,8 @@ new podsets into the shard map without dropping a probe.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -211,7 +213,7 @@ class TestShardedGrowth:
 class TestWorkerPool:
     def test_worker_pool_matches_serial_accounting(self):
         """Worker count must not change the probe ledger or the SNMP sums
-        — the deferred class ledgers make side effects deterministic."""
+        — a pooled round accounts on the main thread, in shard order."""
         totals = {}
         for workers in (0, 4):
             system = _system(seed=7)
@@ -227,12 +229,29 @@ class TestWorkerPool:
             )
         assert totals[0] == totals[4]
 
-    def test_worker_pool_with_observers_falls_back_serial(self):
-        system = _system()
-        system.fabric.probe_observers.append(lambda *args: None)
-        fleet = ShardedFleet(system, workers=4)
-        # Must not raise: observers force the serial path.
-        assert fleet.run_round(0.0) > 0
+    def test_observed_pool_draws_off_the_main_thread(self, monkeypatch):
+        """An attached probe observer does not turn the pool off: the class
+        draws run on worker threads that are gone once the round returns,
+        and the observer sees exactly the serial fleet's calls."""
+        draw_threads = []
+        draw = sharded.execute_class_groups
+
+        def recorded_draw(*args):
+            draw_threads.append(threading.current_thread())
+            return draw(*args)
+
+        monkeypatch.setattr(sharded, "execute_class_groups", recorded_draw)
+        serial_calls = _run_executor_script(0)[-1]
+        assert not draw_threads
+        pooled_calls = _run_executor_script(2)[-1]
+        assert draw_threads
+        assert threading.main_thread() not in draw_threads
+        assert not any(thread.is_alive() for thread in draw_threads)
+        assert pooled_calls == serial_calls and len(serial_calls) > 0
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            ShardedFleet(_system(), workers=-1)
 
     def test_started_system_with_agent_rounds_rejected(self):
         system = _system()
@@ -241,10 +260,11 @@ class TestWorkerPool:
             ShardedFleet(system)
 
 
-def _fingerprint(system, fleet):
+def _fingerprint(system, fleet, observed):
     """Everything a round materializes, in comparable form: per-shard RNG
-    end states, the probe ledger, and every uploaded row (bit-for-bit —
-    floats included — so any draw-sequence divergence shows up)."""
+    end states, the probe ledger, every uploaded row (bit-for-bit —
+    floats included — so any draw-sequence divergence shows up) and the
+    probe observer's calls, last."""
     import json
 
     for key in sorted(fleet.shards):
@@ -275,69 +295,51 @@ def _fingerprint(system, fleet):
         rows,
         rng_states,
         switch_counters,
+        observed,
     )
 
 
-def _run_executor_script(executor, workers, seed=11):
-    """One fixed scenario — rounds, a mid-run fault, growth — under the
-    given executor.  Same seed must mean the same fingerprint."""
+def _run_executor_script(workers, seed=11):
+    """One fixed scenario — rounds, a mid-run fault, growth — with a
+    recording probe observer attached.  Same seed must mean the same
+    fingerprint, whatever the worker count."""
     system = _system(seed=seed)
-    with ShardedFleet(system, workers=workers, executor=executor) as fleet:
-        fleet.run_round(0.0)
-        spine = system.topology.dc(0).spines[0]
-        fault = system.fabric.faults.inject(
-            SilentRandomDrop(switch_id=spine.device_id, drop_prob=0.3)
-        )
-        fleet.run_round(30.0)
-        system.fabric.faults.clear(fault)
-        system.add_podset(0)
-        fleet.run_round(60.0)
-        fleet.run_round(90.0)
-        return _fingerprint(system, fleet)
+    observed = []
+    system.fabric.probe_observers.append(lambda *args: observed.append(args))
+    fleet = ShardedFleet(system, workers=workers)
+    fleet.run_round(0.0)
+    spine = system.topology.dc(0).spines[0]
+    fault = system.fabric.faults.inject(
+        SilentRandomDrop(switch_id=spine.device_id, drop_prob=0.3)
+    )
+    fleet.run_round(30.0)
+    system.fabric.faults.clear(fault)
+    system.add_podset(0)
+    fleet.run_round(60.0)
+    fleet.run_round(90.0)
+    return _fingerprint(system, fleet, observed)
 
 
 class TestExecutorParity:
-    """serial / thread / process must be bit-identical under one seed —
-    the contract that makes the executor a pure deployment knob."""
+    """Serial and pooled rounds must be bit-identical under one seed — the
+    contract that makes ``workers`` a pure deployment knob."""
 
-    def test_three_executors_bit_identical(self):
-        serial = _run_executor_script("serial", 0)
-        thread = _run_executor_script("thread", 2)
-        process = _run_executor_script("process", 2)
-        assert serial == thread
-        assert serial == process
+    def test_serial_and_thread_bit_identical(self):
+        assert _run_executor_script(0) == _run_executor_script(2)
 
     def test_probe_conservation_exact_per_executor(self):
-        """launched == carried + refused for every executor —
-        the fabric ledger balances to the probe no matter who runs the
-        draws or which process they run in."""
-        for executor, workers in (("serial", 0), ("thread", 2), ("process", 2)):
+        """launched == carried + refused, serial or pooled — the fabric
+        ledger balances to the probe no matter who runs the draws."""
+        for workers in (0, 2):
             system = _system(seed=5)
-            with ShardedFleet(system, workers=workers, executor=executor) as fleet:
-                before = (system.fabric.probes_carried, system.fabric.probes_refused)
-                launched = fleet.run_round(0.0)
-                assert launched > 0
-                ledger = (system.fabric.probes_carried - before[0]) + (
-                    system.fabric.probes_refused - before[1]
-                )
-                assert ledger == launched, executor
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            ShardedFleet(_system(), workers=2, executor="fiber")
-
-    def test_pooled_executor_requires_workers(self):
-        with pytest.raises(ValueError, match="workers >= 1"):
-            ShardedFleet(_system(), workers=0, executor="process")
-
-    def test_close_reaps_the_process_pool(self):
-        fleet = ShardedFleet(_system(), workers=2, executor="process")
-        fleet.run_round(0.0)
-        assert fleet._pool is not None
-        fleet.close()
-        assert fleet._pool is None
-        # And close() is idempotent.
-        fleet.close()
+            fleet = ShardedFleet(system, workers=workers)
+            before = (system.fabric.probes_carried, system.fabric.probes_refused)
+            launched = fleet.run_round(0.0)
+            assert launched > 0
+            ledger = (system.fabric.probes_carried - before[0]) + (
+                system.fabric.probes_refused - before[1]
+            )
+            assert ledger == launched, workers
 
 
 class TestScaleSmoke:
@@ -406,26 +408,26 @@ class TestScaleSmoke:
                 dsa=DsaConfig(ingestion_delay_s=0.0, near_real_time_period_s=300.0),
             )
         )
-        with ShardedFleet(system) as fleet:
-            fleet.run_for(60.0)  # pinglists fetched, plans compiled
-            uploaders = [shard.probe_uploader for shard in fleet.shards.values()]
-            blackhole = apply_scenario("tor-blackhole", system.fabric)
-            fleet.run_for(120.0)
-            blackhole.revert()
-            held = [uploader.buffered_records for uploader in uploaders]
-            assert 0 < max(held) < uploaders[0].flush_threshold_records
-            added = [uploader.stats.records_added for uploader in uploaders]
-            apply_scenario("silent-spine", system.fabric)
-            fleet.run_for(60.0)
-            for uploader in uploaders:
-                stats = uploader.stats
-                assert stats.records_discarded == 0
-                assert stats.records_added == (
-                    stats.records_uploaded
-                    + uploader.buffered_records
-                    + uploader.spooled_records
-                )
-            assert any(
-                rows + uploader.stats.records_added - before > uploader.max_buffer_records
-                for uploader, rows, before in zip(uploaders, held, added)
+        fleet = ShardedFleet(system)
+        fleet.run_for(60.0)  # pinglists fetched, plans compiled
+        uploaders = [shard.probe_uploader for shard in fleet.shards.values()]
+        blackhole = apply_scenario("tor-blackhole", system.fabric)
+        fleet.run_for(120.0)
+        blackhole.revert()
+        held = [uploader.buffered_records for uploader in uploaders]
+        assert 0 < max(held) < uploaders[0].flush_threshold_records
+        added = [uploader.stats.records_added for uploader in uploaders]
+        apply_scenario("silent-spine", system.fabric)
+        fleet.run_for(60.0)
+        for uploader in uploaders:
+            stats = uploader.stats
+            assert stats.records_discarded == 0
+            assert stats.records_added == (
+                stats.records_uploaded
+                + uploader.buffered_records
+                + uploader.spooled_records
             )
+        assert any(
+            rows + uploader.stats.records_added - before > uploader.max_buffer_records
+            for uploader, rows, before in zip(uploaders, held, added)
+        )

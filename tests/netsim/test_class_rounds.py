@@ -8,9 +8,8 @@ Three layers:
 * **Partition** — ``build_class_plan`` must refuse exactly the pairs the
   per-pair fast path would refuse (payload, down endpoints, envelope ∩
   faults), plus any pair whose route would not resolve.
-* **Accounting** — probe-conservation ledger, observer notifications, SNMP
-  increments and the deferred-ledger mode must all agree with the
-  immediate path.
+* **Accounting** — probe-conservation ledger, observer notifications and
+  SNMP increments must all agree with the per-pair path.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import pytest
 
 from repro.netsim.addressing import FiveTuple
 from repro.netsim.fabric import (
-    ClassLedger,
     Fabric,
     merge_class_plans,
 )
@@ -333,43 +331,6 @@ class TestLedgerAndMerge:
         plan_b = fabric.build_class_plan(src, _entries_for(fabric, src, peers))
         with pytest.raises(ValueError, match="generation"):
             merge_class_plans([plan_a, plan_b])
-
-    def test_deferred_ledger_equals_immediate(self):
-        fabric_now = _fabric(seed=3)
-        fabric_def = _fabric(seed=3)
-        for fabric in (fabric_now, fabric_def):
-            dc = fabric.topology.dc(0)
-            src = dc.servers_in_podset(0)[0]
-            peers = [s for s in dc.servers if s is not src]
-            plan = fabric.build_class_plan(src, _entries_for(fabric, src, peers))
-            rng = np.random.default_rng(99)
-            if fabric is fabric_now:
-                fabric.run_class_plan(plan, rng=rng)
-            else:
-                ledger = ClassLedger()
-                fabric.run_class_plan(plan, rng=rng, ledger=ledger)
-                fabric.apply_class_ledger(ledger)
-        assert fabric_now.probes_carried == fabric_def.probes_carried
-        counts_now = [
-            s.counters.packets_forwarded
-            for s in fabric_now.topology.dc(0).all_switches()
-        ]
-        counts_def = [
-            s.counters.packets_forwarded
-            for s in fabric_def.topology.dc(0).all_switches()
-        ]
-        assert counts_now == counts_def
-
-    def test_ledger_refused_with_observers_attached(self):
-        fabric = _fabric()
-        dc = fabric.topology.dc(0)
-        src = dc.servers_in_podset(0)[0]
-        plan = fabric.build_class_plan(
-            src, _entries_for(fabric, src, dc.servers_in_podset(1)[:2])
-        )
-        fabric.probe_observers.append(lambda *args: None)
-        with pytest.raises(RuntimeError, match="observers"):
-            fabric.run_class_plan(plan, ledger=ClassLedger())
 
     def test_congestion_latency_fault_degrades_not_distorts(self):
         """A latency-only fault on the envelope must push pairs to the

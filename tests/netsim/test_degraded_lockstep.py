@@ -290,51 +290,51 @@ def run_fleet_drill(seed: int = 7) -> dict:
             stream=StreamConfig(shard_aggregation=True),
         )
     )
-    with ShardedFleet(system) as fleet:
-        fleet.run_for(600.0)
-        for name in ("tor-blackhole", "silent-spine", "podset-down"):
-            scenario = apply_scenario(name, system.fabric)
-            fleet.run_for(2 * _STEP_S)
-            scenario.revert()
-            fleet.run_for(2 * _STEP_S)
-        uploaders = [
-            uploader
-            for _key, shard in sorted(fleet.shards.items())
-            for uploader in (shard.probe_uploader, shard.class_uploader)
-        ]
-        for uploader in uploaders:
-            uploader.flush(1e9)
-        rows = {
-            stream: _crc(
-                sorted(
-                    json.dumps(row, sort_keys=True, default=str)
-                    for row in system.store.read(stream)
-                )
+    fleet = ShardedFleet(system)
+    fleet.run_for(600.0)
+    for name in ("tor-blackhole", "silent-spine", "podset-down"):
+        scenario = apply_scenario(name, system.fabric)
+        fleet.run_for(2 * _STEP_S)
+        scenario.revert()
+        fleet.run_for(2 * _STEP_S)
+    uploaders = [
+        uploader
+        for _key, shard in sorted(fleet.shards.items())
+        for uploader in (shard.probe_uploader, shard.class_uploader)
+    ]
+    for uploader in uploaders:
+        uploader.flush(1e9)
+    rows = {
+        stream: _crc(
+            sorted(
+                json.dumps(row, sort_keys=True, default=str)
+                for row in system.store.read(stream)
             )
-            for stream in (LATENCY_STREAM, CLASS_STREAM)
-        }
-        return {
-            "fabric_rng": _crc(system.fabric.rng.bit_generator.state["state"]),
-            "shard_rngs": _crc(
-                [
-                    shard.rng.bit_generator.state["state"]
-                    for _key, shard in sorted(fleet.shards.items())
-                ]
-            ),
-            "snmp": _crc(_snmp(system.fabric)),
-            "ledger": (
-                fleet.probes_sent,
-                system.fabric.probes_carried,
-                system.fabric.probes_refused,
-            ),
-            "uploaded": sum(u.stats.records_uploaded for u in uploaders),
-            "discarded": sum(u.stats.records_discarded for u in uploaders),
-            "rows": rows,
-            "alerts": [
-                (alert.t, alert.event, alert.metric)
-                for alert in system.alert_engine.history
-            ],
-        }
+        )
+        for stream in (LATENCY_STREAM, CLASS_STREAM)
+    }
+    return {
+        "fabric_rng": _crc(system.fabric.rng.bit_generator.state["state"]),
+        "shard_rngs": _crc(
+            [
+                shard.rng.bit_generator.state["state"]
+                for _key, shard in sorted(fleet.shards.items())
+            ]
+        ),
+        "snmp": _crc(_snmp(system.fabric)),
+        "ledger": (
+            fleet.probes_sent,
+            system.fabric.probes_carried,
+            system.fabric.probes_refused,
+        ),
+        "uploaded": sum(u.stats.records_uploaded for u in uploaders),
+        "discarded": sum(u.stats.records_discarded for u in uploaders),
+        "rows": rows,
+        "alerts": [
+            (alert.t, alert.event, alert.metric)
+            for alert in system.alert_engine.history
+        ],
+    }
 
 
 # Recorded with `python tests/netsim/test_degraded_lockstep.py`: at commit

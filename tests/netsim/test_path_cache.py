@@ -445,55 +445,55 @@ class TestDegradedRoundCallCounts:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        with ShardedFleet(system) as fleet:
-            fleet.run_for(600.0)  # pinglists fetched, plans compiled
-            apply_scenario("silent-spine", fabric)
-            counted(fabric.router, "path")
-            counted(fabric.router, "uncached_path")
-            counted(fabric, "_pair_info")
-            counted(fabric, "probe")
-            counted(fabric_module, "_ClassFacts", "facts")
-            rounds = []
-            probe_many = fabric.probe_many
-            monkeypatch.setattr(
-                fabric,
-                "probe_many",
-                lambda src, entries, t: rounds.append(
-                    (src, entries, probe_many(src, entries, t=t))
-                )
-                or rounds[-1][2],
+        fleet = ShardedFleet(system)
+        fleet.run_for(600.0)  # pinglists fetched, plans compiled
+        apply_scenario("silent-spine", fabric)
+        counted(fabric.router, "path")
+        counted(fabric.router, "uncached_path")
+        counted(fabric, "_pair_info")
+        counted(fabric, "probe")
+        counted(fabric_module, "_ClassFacts", "facts")
+        rounds = []
+        probe_many = fabric.probe_many
+        monkeypatch.setattr(
+            fabric,
+            "probe_many",
+            lambda src, entries, t: rounds.append(
+                (src, entries, probe_many(src, entries, t=t))
             )
-            sent = fleet.probes_sent
-            fleet.run_for(60.0)  # one recompile, one degraded round
-            metered = dict(calls)  # the meter stops here
-            pod = lambda server: (server.dc_index, server.pod_index)
-            pod_pairs = {
-                (pod(system.topology.server(agent.server_id)),
-                 pod(system.topology.server(entry.peer_id)))
-                for agent in system.agents.values()
-                for entry in agent.pinglist.entries
-            }
-            # The work meter: one scalar probe per flow whose own path, out
-            # or back, holds the spine — 1 - (7/8)**2 of the cross-podset
-            # flows, every one of which was on the faulted envelope.
-            spine = system.topology.dc(0).spines[1]
-            judged = crossing = 0
-            for src_id, entries, batch in rounds:
-                src = system.topology.server(src_id)
-                for (dst_id, dst_port, _payload), port in zip(entries, batch.src_port):
-                    dst = system.topology.server(dst_id)
-                    assert dst.podset_index != src.podset_index
-                    flow = FiveTuple(src.ip, port, dst.ip, dst_port)
-                    judged += 1
-                    crossing += (
-                        spine in fabric.router.path(src, dst, flow).hops
-                        or spine in fabric.router.path(dst, src, flow.reversed()).hops
-                    )
-            assert judged > 3000  # every cross-podset pair left the class plan
-            assert judged < fleet.probes_sent - sent  # intra-podset stayed classed
-            assert metered["probe"] == crossing
-            assert 0.18 * judged < crossing < 0.29 * judged
-            assert metered["path"] == 2 * metered["probe"]
-            assert metered["uncached_path"] == 0
-            assert metered["_pair_info"] == 0
-            assert 0 < metered["facts"] <= len(pod_pairs)
+            or rounds[-1][2],
+        )
+        sent = fleet.probes_sent
+        fleet.run_for(60.0)  # one recompile, one degraded round
+        metered = dict(calls)  # the meter stops here
+        pod = lambda server: (server.dc_index, server.pod_index)
+        pod_pairs = {
+            (pod(system.topology.server(agent.server_id)),
+             pod(system.topology.server(entry.peer_id)))
+            for agent in system.agents.values()
+            for entry in agent.pinglist.entries
+        }
+        # The work meter: one scalar probe per flow whose own path, out
+        # or back, holds the spine — 1 - (7/8)**2 of the cross-podset
+        # flows, every one of which was on the faulted envelope.
+        spine = system.topology.dc(0).spines[1]
+        judged = crossing = 0
+        for src_id, entries, batch in rounds:
+            src = system.topology.server(src_id)
+            for (dst_id, dst_port, _payload), port in zip(entries, batch.src_port):
+                dst = system.topology.server(dst_id)
+                assert dst.podset_index != src.podset_index
+                flow = FiveTuple(src.ip, port, dst.ip, dst_port)
+                judged += 1
+                crossing += (
+                    spine in fabric.router.path(src, dst, flow).hops
+                    or spine in fabric.router.path(dst, src, flow.reversed()).hops
+                )
+        assert judged > 3000  # every cross-podset pair left the class plan
+        assert judged < fleet.probes_sent - sent  # intra-podset stayed classed
+        assert metered["probe"] == crossing
+        assert 0.18 * judged < crossing < 0.29 * judged
+        assert metered["path"] == 2 * metered["probe"]
+        assert metered["uncached_path"] == 0
+        assert metered["_pair_info"] == 0
+        assert 0 < metered["facts"] <= len(pod_pairs)
