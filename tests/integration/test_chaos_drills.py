@@ -10,6 +10,8 @@ discards, bounded restarts, ...) is visible in the report.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.autopilot.watchdog import HealthStatus
@@ -17,6 +19,28 @@ from repro.chaos import CAMPAIGNS, build_campaign, run_campaign
 from repro.core.controller.pinglist import Pinglist
 
 ALL_CAMPAIGNS = sorted(CAMPAIGNS)
+
+# sha256 of each drill's ``(violations, probes_observed)`` at seed 0 (the
+# same at seed 7), recorded at commit 07690b6, where the checker saw every
+# probe through a per-probe observer.
+PINNED_OUTCOMES = {
+    "blackhole-vip-dark": "ec012d82d2dca163deab98dc2fcb833d89ba3f38058e359bd39fc1d6827d64f2",
+    "broker-storm": "13e7ccfedb77a5a975c6317ef859a2d4e6c1952ae56f4120a8ef9c97c6c281ef",
+    "controller-brownout": "ffd75c8a89b4847c3fdaca9849e0b932156d6df4a1c958d7c42cf5a59aa6c78d",
+    "controller-flap": "b9645a928b47ee0a466e1f8134c28c14d0749ccf0aec94338d078bfccef633da",
+    "cosmos-blackout": "ffd75c8a89b4847c3fdaca9849e0b932156d6df4a1c958d7c42cf5a59aa6c78d",
+    "cosmos-blackout-heal": "ffd75c8a89b4847c3fdaca9849e0b932156d6df4a1c958d7c42cf5a59aa6c78d",
+    "healthy-baseline": "eb2cc2a796200d313c6d0ba76f26212854e57d3ccfc9c72c388b37dbeea278d5",
+    "kill-switch": "e2094c1cd8f8a5ee60303b5bf2e9e2e49e873a5179716384a75291578991f42d",
+    "memory-squeeze": "7b6fe61d0bdb89ff765b8e77d72d23b194a88fb259dd329ca726ad174e46cad5",
+    "podset-blackout": "28f8fd4090efbed5af0f5587ba1bfda83f1cc0914ff7c901afcf4cff2654ef2d",
+    "recovery-stampede": "964a982f6b0f95b9a4593ac9deec6e7f3e2649df8e1bb62b08f77c1af65b0eca",
+    "replica-flap-storm": "ffd75c8a89b4847c3fdaca9849e0b932156d6df4a1c958d7c42cf5a59aa6c78d",
+    "stream-blackout": "ffd75c8a89b4847c3fdaca9849e0b932156d6df4a1c958d7c42cf5a59aa6c78d",
+    "wan-dci-congestion": "76bf25152e6cf9595bdc7fcc0027a9e1ab6c1e337f81ab2ac62d74617ea37cb9",
+    "wan-fiber-cut": "eec7eed44de31a89f7d17b8a2e29d2976e7eab730ef28187a24a633d801fb844",
+    "wan-partition": "eec7eed44de31a89f7d17b8a2e29d2976e7eab730ef28187a24a633d801fb844",
+}
 
 
 def _run(name: str, seed: int = 0, check_mode: str = "phase"):
@@ -31,6 +55,8 @@ def test_campaign_runs_clean(name):
     report.assert_clean()
     assert report.probes_observed > 0
     assert report.events_run > 0
+    outcome = ([str(v) for v in report.violations], report.probes_observed)
+    assert hashlib.sha256(repr(outcome).encode()).hexdigest() == PINNED_OUTCOMES[name]
 
 
 @pytest.mark.parametrize("name", ALL_CAMPAIGNS)
