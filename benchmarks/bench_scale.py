@@ -19,7 +19,7 @@ would blow the suite's runtime long before the window starts).
 What comes before the first window has its own gate:
 ``bench_scale_cold_start`` times construct → fleet start (every agent
 downloads and parses its pinglist) → first round (every shard compiles
-its class plan) at 4k and 16k, and records the process's peak RSS.
+its class plan) at 4k and 16k, and gates the process's peak RSS.
 
 Run via ``check_regressions.py --suite scale`` → ``BENCH_scale.json``.
 """
@@ -60,6 +60,14 @@ SIZES = {
 COLD_START_BUDGET_S = {
     "4k-servers": 12.0,
     "16k-servers": 60.0,
+}
+
+# Peak-RSS budget (MB) for the same cold start: the measured high-water mark
+# plus 10% (174 / 552 MB on the reference machine; 192 / 624 MB while class
+# plans held a (src, dst, port) tuple per probe).
+COLD_START_RSS_BUDGET_MB = {
+    "4k-servers": 191,
+    "16k-servers": 607,
 }
 
 # Wall-clock budget (seconds) for one simulated 10-minute window, per size.
@@ -122,17 +130,21 @@ def bench_scale_cold_start(benchmark, label):
         cold_start, rounds=1, iterations=1
     )
     budget = COLD_START_BUDGET_S[label]
+    rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+    rss_budget = COLD_START_RSS_BUDGET_MB[label]
     benchmark.extra_info["start_s"] = round(start_s, 2)
     benchmark.extra_info["first_round_s"] = round(first_round_s, 2)
     benchmark.extra_info["budget_s"] = budget
     benchmark.extra_info["probes"] = probes
-    benchmark.extra_info["ru_maxrss_mb"] = round(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    )
+    benchmark.extra_info["ru_maxrss_mb"] = rss_mb
+    benchmark.extra_info["rss_budget_mb"] = rss_budget
     assert probes == SIZES[label].n_servers * 64
     assert start_s + first_round_s <= budget, (
         f"{label}: cold start took {start_s:.1f}s + {first_round_s:.1f}s "
         f"(budget {budget:.0f}s)"
+    )
+    assert rss_mb <= rss_budget, (
+        f"{label}: cold start peaked at {rss_mb} MB (budget {rss_budget} MB)"
     )
 
 

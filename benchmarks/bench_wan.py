@@ -161,13 +161,13 @@ def bench_wan_class_parity(benchmark):
     assert plan.passthrough == []
     assert len(plan.groups) == N_DCS - 1  # direction-split: one per dst DC
     topo = fabric.topology
-    for group in plan.groups:
+    for group, indices in zip(plan.groups, plan.member_indices):
         assert group.scope is PathScope.INTER_DC
-        (src_id, dst_id, dst_port) = group.members[0]
+        dst_id, dst_port, _payload = entries[indices[0]]
         # Bit-identical, not approximately equal: the closed-form class
         # round must draw from exactly the scalar engine's distribution.
         assert group.p_attempt == fabric.expected_attempt_drop(
-            src_id, dst_id, dst_port=dst_port
+            src, dst_id, dst_port=dst_port
         )
         assert group.wan_fwd == topo.wan_rtt[(group.dc_index, group.dst_dc)]
         assert group.wan_rev == topo.wan_rtt[(group.dst_dc, group.dc_index)]

@@ -18,7 +18,7 @@ the *running* fleet by piggybacking on the existing round engines:
   through ``probe_many``.
 
 Nothing bypasses the fabric: every injected probe flows through the same
-probe observers and conservation ledger as baseline traffic, so the whole
+round reports and conservation ledger as baseline traffic, so the whole
 chaos invariant catalogue (spacing floor, payload cap, fail-closed
 silence, probe conservation) covers tenant traffic for free, and three
 broker-specific invariants (tenant quota conservation, injected-probe
@@ -466,8 +466,8 @@ class MeasurementBroker:
 
         Called by :meth:`PingmeshSystem._agent_round` right after the
         baseline round; at most ``max_injected_per_agent_round`` probes,
-        one per work item, through :meth:`Fabric.probe_many` (observers
-        and the conservation ledger see every one).
+        one per work item, through :meth:`Fabric.probe_many` (round reports
+        and the conservation ledger cover every one).
         """
         queue = self._src_index.get(agent.server_id)
         if not queue:

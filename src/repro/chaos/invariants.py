@@ -31,9 +31,9 @@ invariant                    claim
 ``sla-ground-truth``         §4.3 — on a network with no injected fault,
                              macro SLA rows stay inside alert thresholds.
 ``probe-conservation``       every probe the fabric counted (carried or
-                             refused) was seen by the per-probe observers — neither the
-                             scalar engine nor the ``probe_many`` fast path
-                             may lose or invent probes.
+                             refused) was in a round report — neither the
+                             scalar engine, the ``probe_many`` fast path nor
+                             a class round may lose or invent probes.
 ``stream-delta-conservation``  every probe folded into the streaming plane
                              is in exactly one emitted delta or still
                              pending, and every emitted probe was ingested,
@@ -80,10 +80,12 @@ invariant                    claim
                              to the launch ledger.
 ===========================  ==============================================
 
-The checker registers on ``fabric.probe_observers`` — the fabric reports
-every probe on both the scalar path and the ``probe_many`` fast path — so
-the per-probe limits are enforced on *every* probe, O(1) each; the full
-catalogue runs at phase boundaries (or per event-queue step in step mode).
+The checker registers on ``fabric.round_observers``: every engine call —
+a scalar probe, a ``probe_many`` draw, a class round per source — reports
+``(src_id, entries, t)`` once, and the five probe-path checks (payload cap,
+spacing floor, fail-closed and dead-agent silence, conservation count) run
+over that report, reading the source's state once; the full catalogue runs
+at phase boundaries (or per event-queue step in step mode).
 """
 
 from __future__ import annotations
@@ -173,10 +175,9 @@ class InvariantChecker:
     # -- probe-path hook ---------------------------------------------------
 
     def attach(self) -> None:
-        """Register as a fabric probe observer; every probe is checked inline.
+        """Register as a fabric round observer; every round is checked inline.
 
-        The fabric notifies observers from both the scalar ``probe`` path
-        and the ``probe_many`` fast path, so the checker sees the whole
+        Every engine reports what it probed, so the checker sees the whole
         probe stream regardless of which engine carried it.  The ledger
         baseline anchors the probe-conservation invariant to attach time.
         """
@@ -184,7 +185,7 @@ class InvariantChecker:
             return
         self._attached = True
         fabric = self.system.fabric
-        fabric.probe_observers.append(self._on_probe)
+        fabric.round_observers.append(self._on_round)
         self._ledger_baseline = (
             fabric.probes_carried,
             fabric.probes_refused,
@@ -197,58 +198,59 @@ class InvariantChecker:
         if not self._attached:
             return
         try:
-            self.system.fabric.probe_observers.remove(self._on_probe)
+            self.system.fabric.round_observers.remove(self._on_round)
         except ValueError:
             pass
         self._attached = False
 
-    def _on_probe(
-        self, src, dst, t: float, payload_bytes: int, dst_port: int
-    ) -> None:
-        src_id = src if isinstance(src, str) else src.device_id
-        dst_id = dst if isinstance(dst, str) else dst.device_id
-        self.probes_observed += 1
-
-        if payload_bytes > MAX_PAYLOAD_BYTES:
-            self._violate(
-                t,
-                "payload-cap",
-                f"{src_id} sent {payload_bytes} B to {dst_id} "
-                f"(cap {MAX_PAYLOAD_BYTES} B)",
-            )
-
-        # One peer can legitimately carry up to three probe classes per
-        # round (high QoS, low QoS, payload ping) — the 10 s floor binds
-        # per (pair, probe class), matching what the generator emits.
-        key = (src_id, dst_id, dst_port, payload_bytes > 0)
-        last = self._last_probe_t.get(key)
-        if last is not None and (t - last) < MIN_PROBE_INTERVAL_S - _SPACING_EPSILON_S:
-            self._violate(
-                t,
-                "probe-spacing-floor",
-                f"{src_id} -> {dst_id} probed {t - last:.3f}s after the "
-                f"previous probe (floor {MIN_PROBE_INTERVAL_S:.0f}s)",
-            )
-        self._last_probe_t[key] = t
-
+    def _on_round(self, src_id: str, entries, t: float) -> None:
+        """One engine call's probes from ``src_id`` at ``t``."""
+        self.probes_observed += len(entries)
         agent = self.system.agents.get(src_id)
+        silenced = []
         if agent is not None:
             self._dirty_agents.add(src_id)
             if agent.safety.fail_closed:
-                self._violate(
-                    t,
-                    "fail-closed-silent",
-                    f"fail-closed agent {src_id} sent a probe "
-                    f"({agent.safety.fail_closed_reason})",
+                silenced.append(
+                    (
+                        "fail-closed-silent",
+                        f"fail-closed agent {src_id} sent a probe "
+                        f"({agent.safety.fail_closed_reason})",
+                    )
                 )
             if not agent.running:
-                self._violate(
-                    t, "dead-agent-silent", f"terminated agent {src_id} sent a probe"
+                silenced.append(
+                    ("dead-agent-silent", f"terminated agent {src_id} sent a probe")
                 )
             elif not self.system.topology.server(src_id).is_up:
-                self._violate(
-                    t, "dead-agent-silent", f"powered-off server {src_id} sent a probe"
+                silenced.append(
+                    ("dead-agent-silent", f"powered-off server {src_id} sent a probe")
                 )
+        last_probe_t = self._last_probe_t
+        floor = MIN_PROBE_INTERVAL_S - _SPACING_EPSILON_S
+        for dst_id, dst_port, payload_bytes in entries:
+            if payload_bytes > MAX_PAYLOAD_BYTES:
+                self._violate(
+                    t,
+                    "payload-cap",
+                    f"{src_id} sent {payload_bytes} B to {dst_id} "
+                    f"(cap {MAX_PAYLOAD_BYTES} B)",
+                )
+            # One peer can legitimately carry up to three probe classes per
+            # round (high QoS, low QoS, payload ping) — the 10 s floor binds
+            # per (pair, probe class), matching what the generator emits.
+            key = (src_id, dst_id, dst_port, payload_bytes > 0)
+            last = last_probe_t.get(key)
+            if last is not None and (t - last) < floor:
+                self._violate(
+                    t,
+                    "probe-spacing-floor",
+                    f"{src_id} -> {dst_id} probed {t - last:.3f}s after the "
+                    f"previous probe (floor {MIN_PROBE_INTERVAL_S:.0f}s)",
+                )
+            last_probe_t[key] = t
+            for invariant, detail in silenced:
+                self._violate(t, invariant, detail)
 
     # -- campaign bookkeeping ----------------------------------------------
 
@@ -603,11 +605,11 @@ class InvariantChecker:
         )
 
     def _check_probe_conservation(self, now: float) -> None:
-        """The fabric's probe ledger must match what the observers saw.
+        """The fabric's probe ledger must match what the rounds reported.
 
         Since attach, ``carried + refused`` must equal the probes this
-        checker observed: the fast path may not skip notification, and the
-        scalar path may not double-count a refused probe as carried.
+        checker observed: no engine may skip its report, and the scalar
+        path may not double-count a refused probe as carried.
         """
         if not self._attached:
             return
@@ -621,8 +623,8 @@ class InvariantChecker:
                 now,
                 "probe-conservation",
                 f"fabric ledger says {carried + refused} probes since attach "
-                f"(carried {carried}, refused {refused}) but the observer "
-                f"saw {observed}",
+                f"(carried {carried}, refused {refused}) but the rounds "
+                f"reported {observed}",
             )
 
     def _check_watchdog_latency(self, now: float) -> None:

@@ -265,9 +265,7 @@ def make_class_record(
     classes), giving the class stream per-DC-pair resolution.
     """
     if outcome.rtt_s.size:
-        rtt_us = outcome.rtt_s * 1e6
-        p50 = float(np.percentile(rtt_us, 50))
-        p99 = float(np.percentile(rtt_us, 99))
+        p50, p99 = np.percentile(outcome.rtt_s * 1e6, (50, 99)).tolist()
     else:
         p50 = p99 = None
     return {

@@ -32,7 +32,7 @@ With ``workers > 0`` a thread pool runs the per-shard class draws
 concurrently, and only the draws: each shard's
 :func:`~repro.netsim.fabric.execute_class_groups` touches nothing but the
 shard's own RNG stream.  The generation check before and the shared-fabric
-side effects after (probe observers, the probe-conservation ledger, SNMP
+side effects after (round reports, the probe-conservation ledger, SNMP
 counters — :meth:`~repro.netsim.fabric.Fabric.account_class_round`) stay on
 the main thread in shard order, so serial and pooled rounds are
 bit-identical under one seed, observers attached or not.

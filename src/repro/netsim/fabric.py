@@ -369,8 +369,9 @@ class ClassGroup:
 
     Every member pair shares the analytic model inputs — attempt-drop
     probability, hop count, WAN RTT, DC latency model — so one multinomial
-    draw plus one latency sample covers the whole group.  ``members`` keep
-    per-pair identity for the probe observers (conservation accounting).
+    draw plus one latency sample covers the whole group of ``n``.  Who the
+    members are is the plan's ``member_indices`` and ``rounds``, not the
+    group's.
     """
 
     purpose: str
@@ -383,11 +384,7 @@ class ClassGroup:
     wan_rev: float  # one-way WAN propagation, dst DC -> src DC
     wan_rtt: float  # wan_fwd + wan_rev: the WAN term added to sampled RTTs
     p_attempt: float
-    members: list[tuple[str, str, int]]  # (src_id, dst_id, dst_port)
-
-    @property
-    def n(self) -> int:
-        return len(self.members)
+    n: int
 
 
 @dataclass
@@ -414,6 +411,12 @@ class ClassRoundPlan:
     # Parallel to ``groups``: the entry indices behind each group's members
     # (with ``passthrough``, a partition of the round's entries).
     member_indices: list[list[int]] = field(default_factory=list)
+    # Per source, ``(src_id, entries, positions)``: the round the plan was
+    # compiled from, held by reference, and where its class members sit in
+    # it — what :meth:`Fabric.account_class_round` reports.
+    rounds: list[tuple[str, Sequence[ProbeEntry], list[int]]] = field(
+        default_factory=list
+    )
 
 
 @dataclass
@@ -447,19 +450,19 @@ def merge_class_plans(
 ) -> ClassRoundPlan:
     """Merge per-source class plans into one (e.g. per podset shard).
 
-    Groups with identical (purpose, qos, class) keys concatenate their
-    members — a sum of multinomials with the same parameters is the
-    multinomial of the sum, so executing the merged plan is distributed
-    identically to executing the parts.  ``passthrough`` and
-    ``member_indices`` are per-source and do not survive the merge; callers
-    keep those alongside.
+    Groups with identical (purpose, qos, class) keys add their counts — a
+    sum of multinomials with the same parameters is the multinomial of the
+    sum, so executing the merged plan is distributed identically to
+    executing the parts.  ``passthrough`` and ``member_indices`` are
+    per-source and do not survive the merge; callers keep those alongside.
+    ``rounds`` concatenate.
 
     ``sources``, when given, names the ``(src_id, entries)`` each plan
     stands for, and makes the plan a *template*: compiled for another
     source whose round has the same :meth:`Fabric.class_plan_shape` and
     destination liveness, it equals this source's own plan except for who
-    the members are — which is read back from ``entries`` through
-    ``member_indices``.  One template may stand for many sources; its SNMP
+    the members are — the source's ``entries`` at the template's member
+    positions.  One template may stand for many sources; its SNMP
     increments then count once per source, folded in one pass.
     """
     if not plans:
@@ -470,6 +473,7 @@ def merge_class_plans(
     version = plans[0].version
     groups: dict[tuple, ClassGroup] = {}
     uses: dict[int, list] = {}  # id(plan) -> [plan, times listed]
+    rounds: list[tuple] = []
     for position, plan in enumerate(plans):
         if plan.version != version:
             raise ValueError(
@@ -480,7 +484,11 @@ def merge_class_plans(
             uses[id(plan)] = [plan, 1]
         else:
             use[1] += 1
-        for ordinal, group in enumerate(plan.groups):
+        if sources is None:
+            rounds.extend(plan.rounds)
+        elif plan.rounds:
+            rounds.append((*sources[position], plan.rounds[0][2]))
+        for group in plan.groups:
             key = (
                 group.purpose, group.qos, group.dc_index, group.dst_dc,
                 group.scope, group.n_hops, group.wan_fwd, group.wan_rev,
@@ -499,18 +507,9 @@ def merge_class_plans(
                     wan_rev=group.wan_rev,
                     wan_rtt=group.wan_rtt,
                     p_attempt=group.p_attempt,
-                    members=[],
+                    n=0,
                 )
-            if sources is None:
-                merged.members.extend(group.members)
-            else:
-                src_id, entries = sources[position]
-                merged.members.extend(
-                    [
-                        (src_id, entries[index][0], entries[index][1])
-                        for index in plan.member_indices[ordinal]
-                    ]
-                )
+            merged.n += group.n
     acc: dict[int, list] = {}
     for plan, times in uses.values():
         for counters, packets in plan.counter_increments:
@@ -527,6 +526,7 @@ def merge_class_plans(
         passthrough=[],
         n_class_probes=sum(group.n for group in merged_groups),
         counter_increments=[(c, k) for c, k in acc.values()],
+        rounds=rounds,
     )
 
 
@@ -541,7 +541,7 @@ def execute_class_groups(groups, latency_models, t, draw) -> list[ClassOutcome]:
     sample), so two callers holding generators in the same state produce
     bit-identical outcomes, whichever thread each runs on.
 
-    Shared-state side effects (conservation ledger, SNMP counters, probe
+    Shared-state side effects (conservation ledger, SNMP counters, round
     observers) are :meth:`Fabric.account_class_round`'s; this function
     touches only ``draw``.
     """
@@ -637,14 +637,17 @@ class Fabric:
         # Conservation ledger (checked by the chaos invariant catalogue):
         # probes_carried entered the network; probes_refused were turned
         # away at the source host (agent down) and never touched a wire.
-        # Every probe source — scalar, fast path, class rounds — notifies
-        # the observers per probe, so carried + refused == probes observed.
+        # Every engine — scalar, fast path, class rounds — reports what it
+        # probed, so carried + refused == probes reported.
         self.probes_carried = 0
         self.probes_refused = 0
-        # Per-probe observers: called as (src_id, dst_id, t, payload_bytes,
-        # dst_port) for every probe on the scalar path AND the probe_many
-        # fast path — the chaos invariant checker hooks in here.
-        self.probe_observers: list[Callable[[str, str, float, int, int], None]] = []
+        # Round observers: called once per engine call as (src_id, entries,
+        # t), ``entries`` the (dst_id, dst_port, payload_bytes) triples that
+        # call probed from src_id at t — the chaos invariant checker hooks
+        # in here.
+        self.round_observers: list[
+            Callable[[str, Sequence[ProbeEntry], float], None]
+        ] = []
         # Fast-path pair info and pod-pair class facts, both valid for one
         # state generation (see _check_generation).  The facts' key is far
         # coarser (pods, not servers): 16k servers with a 64-peer cap touch
@@ -671,12 +674,6 @@ class Fabric:
     def state_version(self) -> int:
         """The topology's routing-state generation (monotonic)."""
         return self.topology.state_version.value
-
-    def _notify_probe(
-        self, src_id: str, dst_id: str, t: float, payload_bytes: int, dst_port: int
-    ) -> None:
-        for observer in self.probe_observers:
-            observer(src_id, dst_id, t, payload_bytes, dst_port)
 
     # -- model lookups ------------------------------------------------------
 
@@ -774,10 +771,10 @@ class Fabric:
         """
         src_server = self._resolve(src)
         dst_server = self._resolve(dst)
-        if self.probe_observers:
-            self._notify_probe(
-                src_server.device_id, dst_server.device_id, t, payload_bytes, dst_port
-            )
+        if self.round_observers:
+            probed = ((dst_server.device_id, dst_port, payload_bytes),)
+            for observer in self.round_observers:
+                observer(src_server.device_id, probed, t)
 
         if not src_server.is_up:
             # The probe never entered the network: the source host has no
@@ -1073,7 +1070,8 @@ class Fabric:
         Every probe still draws a fresh ephemeral source port (the ECMP
         sweep discipline; the scalar and judged positions' in entry order,
         then the fast ones'), counts into the conservation ledger, and is
-        reported to the probe observers.
+        reported to the round observers: by :meth:`probe`, each, if the
+        scalar engine carried it, else in one report of the analytic draw.
         """
         src_server = self._resolve(src)
         src_id = src_server.device_id
@@ -1155,10 +1153,10 @@ class Fabric:
             rtt_s = np.where(success, rtt_s, tcp.syn_rtt_signature(3))
 
         ports = allocator.allocate_many(k)
-        if self.probe_observers:
-            for index in at.tolist():
-                dst_id, dst_port, payload_bytes = entries[index]
-                self._notify_probe(src_id, dst_id, t, payload_bytes, dst_port)
+        if self.round_observers:
+            probed = [entries[index] for index in at.tolist()]
+            for observer in self.round_observers:
+                observer(src_id, probed, t)
         for counters, packets in plan.counters:
             counters.packets_forwarded += packets
         if clear_ports:
@@ -1272,8 +1270,9 @@ class Fabric:
         version = self.topology.state_version.value
         groups: dict[tuple, tuple[ClassGroup, list[int]]] = {}  # + entry indices
         passthrough: list[int] = []
+        members: dict[str, list[int]] = {}  # by source, its entry indices
         counter_acc: dict[int, list] = {}
-        for index, (src, (dst_id, dst_port, payload_bytes), (purpose, qos)) in enumerate(
+        for index, (src, (dst_id, _port, payload_bytes), (purpose, qos)) in enumerate(
             zip(sources, entries, tags)
         ):
             src_server = self._resolve(src)
@@ -1305,14 +1304,15 @@ class Fabric:
                         wan_rev=route.wan_rev,
                         wan_rtt=route.wan_fwd + route.wan_rev,
                         p_attempt=facts.p_attempt,
-                        members=[],
+                        n=0,
                     ),
                     [],
                 )
             group, indices = slot
-            ordinal = len(indices)
-            group.members.append((src_id, dst_id, dst_port))
+            ordinal = group.n
+            group.n += 1
             indices.append(index)
+            members.setdefault(src_id, []).append(index)
             # Representative forward path for SNMP accounting: ToRs are
             # fixed, ECMP tiers spread by member ordinal.
             hops = [route.src_tor]
@@ -1335,6 +1335,7 @@ class Fabric:
             n_class_probes=sum(group.n for group in merged_groups),
             counter_increments=[(c, k) for c, k in counter_acc.values()],
             member_indices=[indices for _group, indices in groups.values()],
+            rounds=[(src, entries, indices) for src, indices in members.items()],
         )
 
     def class_plan_shape(
@@ -1403,13 +1404,15 @@ class Fabric:
             )
 
     def account_class_round(self, plan: ClassRoundPlan, t: float) -> None:
-        """A class round's shared-state side effects, after its draws: probe
-        observers, the conservation ledger and SNMP counters."""
-        if self.probe_observers:
-            for group in plan.groups:
-                for member_src, member_dst, dst_port in group.members:
-                    self._notify_probe(member_src, member_dst, t, 0, dst_port)
-        self.probes_carried += sum(group.n for group in plan.groups)
+        """A class round's shared-state side effects, after its draws: one
+        report per source to the round observers, the conservation ledger
+        and SNMP counters."""
+        if self.round_observers:
+            for src_id, entries, positions in plan.rounds:
+                probed = [entries[index] for index in positions]
+                for observer in self.round_observers:
+                    observer(src_id, probed, t)
+        self.probes_carried += plan.n_class_probes
         for counters, packets in plan.counter_increments:
             counters.packets_forwarded += packets
 

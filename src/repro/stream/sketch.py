@@ -54,7 +54,6 @@ class LatencySketch:
         "_log_gamma",
         "buckets",
         "count",
-        "total",
         "min_seen",
         "max_seen",
     )
@@ -80,7 +79,6 @@ class LatencySketch:
         self._log_gamma = math.log(self._gamma)
         self.buckets: dict[int, int] = {}
         self.count = 0
-        self.total = 0.0
         self.min_seen = math.inf
         self.max_seen = -math.inf
 
@@ -94,7 +92,6 @@ class LatencySketch:
         index = self._index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
         self.count += 1
-        self.total += value
         if value < self.min_seen:
             self.min_seen = value
         if value > self.max_seen:
@@ -120,7 +117,6 @@ class LatencySketch:
             for index, count in zip(uniques.tolist(), counts.tolist()):
                 buckets[index] = buckets.get(index, 0) + count
         self.count += int(array.size)
-        self.total += float(array.sum())
         self.min_seen = min(self.min_seen, float(array.min()))
         self.max_seen = max(self.max_seen, float(array.max()))
         if len(buckets) > self.max_buckets:
@@ -180,7 +176,6 @@ class LatencySketch:
         for index, count in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + count
         self.count += other.count
-        self.total += other.total
         self.min_seen = min(self.min_seen, other.min_seen)
         self.max_seen = max(self.max_seen, other.max_seen)
         if len(self.buckets) > self.max_buckets:
@@ -193,7 +188,6 @@ class LatencySketch:
         )
         clone.buckets = dict(self.buckets)
         clone.count = self.count
-        clone.total = self.total
         clone.min_seen = self.min_seen
         clone.max_seen = self.max_seen
         return clone
@@ -205,7 +199,6 @@ class LatencySketch:
             "min_value": self.min_value,
             "buckets": sorted(self.buckets.items()),
             "count": self.count,
-            "total": self.total,
             "min": self.min_seen if self.count else None,
             "max": self.max_seen if self.count else None,
         }
@@ -217,7 +210,6 @@ class LatencySketch:
         sketch = cls(payload["ra"], max_buckets, payload["min_value"])
         sketch.buckets = {int(i): int(c) for i, c in payload["buckets"]}
         sketch.count = int(payload["count"])
-        sketch.total = float(payload["total"])
         sketch.min_seen = (
             float(payload["min"]) if payload["min"] is not None else math.inf
         )

@@ -91,7 +91,7 @@ def test_checker_is_detached_even_when_an_action_raises():
     campaign.add(Exploding(), start_t=30.0)
     with pytest.raises(RuntimeError, match="boom"):
         campaign.run(60.0)
-    assert system.fabric.probe_observers == []
+    assert system.fabric.round_observers == []
 
 
 def test_report_counts_probes_and_violations():

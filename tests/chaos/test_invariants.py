@@ -26,15 +26,15 @@ def _two_servers(system):
 
 class TestProbePathHooks:
     def test_attach_and_detach_manage_the_observer_list(self, system):
-        assert system.fabric.probe_observers == []
+        assert system.fabric.round_observers == []
         checker = _attached(system)
-        assert checker._on_probe in system.fabric.probe_observers
+        assert checker._on_round in system.fabric.round_observers
         checker.attach()  # idempotent: no double registration
-        assert system.fabric.probe_observers.count(checker._on_probe) == 1
+        assert system.fabric.round_observers.count(checker._on_round) == 1
         checker.detach()
-        assert system.fabric.probe_observers == []
+        assert system.fabric.round_observers == []
         checker.detach()  # idempotent
-        assert system.fabric.probe_observers == []
+        assert system.fabric.round_observers == []
 
     def test_probe_results_pass_through_unchanged(self, system):
         src, dst = _two_servers(system)

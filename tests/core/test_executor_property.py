@@ -6,62 +6,27 @@ events that most plausibly break the pool's accounting — fault injection
 (touching the controller mid-run) and topology growth (new shards joining
 between rounds).  Whatever the script, a ``workers=2`` fleet must produce
 the same probes, the same uploaded rows, the same SNMP sums, the same
-per-shard RNG end states and the same probe-observer calls as a serial
-fleet under the same seed — both with a recording observer attached.
+per-shard RNG end states and the same reported probes as a serial
+fleet under the same seed — both with a recording round observer attached.
 """
 
 from __future__ import annotations
-
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.agent.agent import AgentConfig
-from repro.core.dsa.records import CLASS_STREAM
 from repro.core.sharded import ShardedFleet
 from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.netsim.faults import SilentRandomDrop
 from repro.netsim.topology import TopologySpec
 from repro.stream.plane import StreamConfig
+from tests.conftest import record_probe_calls
+from tests.core.test_sharded_fleet import _fingerprint
 
 _SPEC = TopologySpec(n_podsets=2, pods_per_podset=2, servers_per_pod=2, n_spines=4)
 
 OPS = ("round", "fault", "clear", "grow", "flap")
-
-
-def _fingerprint(system, fleet, observed):
-    for key in sorted(fleet.shards):
-        shard = fleet.shards[key]
-        shard.probe_uploader.flush(1e9)
-        shard.class_uploader.flush(1e9)
-    rows = {}
-    for stream in ("pingmesh/latency", CLASS_STREAM):
-        try:
-            rows[stream] = sorted(
-                json.dumps(row, sort_keys=True, default=str)
-                for row in system.store.read(stream)
-            )
-        except KeyError:  # stream never written (e.g. no degraded pairs)
-            rows[stream] = []
-    rng_states = {
-        key: json.dumps(
-            fleet.shards[key].rng.bit_generator.state, sort_keys=True, default=str
-        )
-        for key in sorted(fleet.shards)
-    }
-    snmp = [
-        (s.device_id, s.counters.packets_forwarded, s.counters.silent_drops)
-        for s in system.topology.dc(0).all_switches()
-    ]
-    return (
-        fleet.probes_sent,
-        system.fabric.probes_carried,
-        rows,
-        rng_states,
-        snmp,
-        observed,
-    )
 
 
 def _run_script(ops, seed, workers):
@@ -73,8 +38,7 @@ def _run_script(ops, seed, workers):
             stream=StreamConfig(shard_aggregation=True),
         )
     )
-    observed = []
-    system.fabric.probe_observers.append(lambda *args: observed.append(args))
+    observed = record_probe_calls(system.fabric)
     fleet = ShardedFleet(system, workers=workers)
     t = 0.0
     fault = None

@@ -39,8 +39,8 @@ def _round_entries(fabric, n=12):
 
 
 def _count_scalar_probes(fabric):
-    """Monkeypatch-free spy: scalar probes notify observers from ``probe``,
-    so count calls routed through it by wrapping the bound method."""
+    """Monkeypatch-free spy: scalar probes are ``probe`` calls, so count
+    calls routed through it by wrapping the bound method."""
     calls = []
     original = fabric.probe
 

@@ -21,6 +21,7 @@ from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.netsim.drops import DropModel
 from repro.netsim.routing import PathScope
 from repro.netsim.topology import TopologySpec
+from tests.conftest import record_probe_calls
 
 _SPEC = TopologySpec(n_podsets=2, pods_per_podset=2, servers_per_pod=4)
 _FAST_DSA = DsaConfig(ingestion_delay_s=0.0, near_real_time_period_s=300.0)
@@ -233,15 +234,12 @@ class TestRoundAttribution:
         for src, dst in pairs:
             route = fabric._class_facts(fabric._resolve(src), fabric._resolve(dst)).route
             expected_packets += 1 + len(route.tiers) + (route.scope is not PathScope.INTRA_POD)
-        seen = []
-        fabric.probe_observers.append(
-            lambda src, dst, t, payload, port: seen.append((src, dst))
-        )
+        calls = record_probe_calls(fabric)
         switches = system.topology.dc(0).all_switches()
         before = sum(sw.counters.packets_forwarded for sw in switches)
         assert broker.on_fleet_round(fleet, system.clock.now + 60.0) == len(pairs)
         after = sum(sw.counters.packets_forwarded for sw in switches)
-        assert sorted(seen) == sorted(pairs)
+        assert sorted((src, dst) for src, dst, *_rest in calls) == sorted(pairs)
         assert after - before == expected_packets
 
 

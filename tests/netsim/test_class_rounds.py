@@ -8,7 +8,7 @@ Three layers:
 * **Partition** — ``build_class_plan`` must refuse exactly the pairs the
   per-pair fast path would refuse (payload, down endpoints, envelope ∩
   faults), plus any pair whose route would not resolve.
-* **Accounting** — probe-conservation ledger, observer notifications and
+* **Accounting** — probe-conservation ledger, round reports and
   SNMP increments must all agree with the per-pair path.
 """
 
@@ -25,7 +25,7 @@ from repro.netsim.fabric import (
 from repro.netsim.faults import CongestionFault, SilentRandomDrop
 from repro.netsim.routing import SCOPE_HOP_KINDS, PathScope, classify_scope
 from repro.netsim.topology import MultiDCTopology, TopologySpec
-from tests.conftest import probe_rounds
+from tests.conftest import probe_rounds, record_probe_calls
 
 _SPEC = TopologySpec(n_podsets=2, pods_per_podset=2, servers_per_pod=4, n_spines=4)
 
@@ -196,8 +196,7 @@ class TestRunClassPlan:
         fabric = _fabric()
         dc = fabric.topology.dc(0)
         src = dc.servers_in_podset(0)[0]
-        observed = []
-        fabric.probe_observers.append(lambda *args: observed.append(args))
+        observed = record_probe_calls(fabric)
         before = fabric.probes_carried
         plan = fabric.build_class_plan(
             src, _entries_for(fabric, src, dc.servers_in_podset(1)[:6])
@@ -279,8 +278,8 @@ class TestLedgerAndMerge:
     def test_one_compile_over_many_sources_equals_the_merged_parts(self):
         """A source per entry (the broker's round): the same groups, the
         same members and as many SNMP packets as compiling source by source
-        and merging — and ``member_indices`` / ``passthrough`` partition the
-        round's positions."""
+        and merging — ``member_indices`` / ``passthrough`` partition the
+        round's positions, and ``rounds`` name each source's members."""
         fabric = _fabric()
         dc = fabric.topology.dc(0)
         sources = [dc.servers_in_podset(0)[0], dc.servers_in_podset(1)[1]]
@@ -302,21 +301,23 @@ class TestLedgerAndMerge:
         )
 
         def keyed(plan):
-            return {
-                (g.purpose, g.qos, g.scope, g.n_hops, g.p_attempt): sorted(g.members)
-                for g in plan.groups
-            }
+            return {(g.purpose, g.qos, g.scope, g.n_hops, g.p_attempt): g.n for g in plan.groups}
+
+        def members(plan):
+            return sorted(
+                (src, *round_[i][:2]) for src, round_, positions in plan.rounds
+                for i in positions
+            )
 
         assert keyed(whole) == keyed(merged) and len(whole.groups) > 1
         assert whole.n_class_probes == merged.n_class_probes == 6
+        assert members(whole) == members(merged)
         assert sorted(order[i] for i in whole.passthrough) == [3, 7]
         positions = sorted(i for indices in whole.member_indices for i in indices)
         assert sorted(positions + whole.passthrough) == list(range(8))
-        for group, indices in zip(whole.groups, whole.member_indices):
-            assert group.members == [
-                (sources[order[i] // 4].device_id, *entries[order[i]][:2])
-                for i in indices
-            ]
+        assert [src for src, _round, _positions in whole.rounds] == [
+            s.device_id for s in sources
+        ]
         assert sum(k for _c, k in whole.counter_increments) == sum(
             k for _c, k in merged.counter_increments
         )

@@ -8,7 +8,7 @@ from repro.netsim.faults import BlackholeType1, BlackholeType2, SilentRandomDrop
 from repro.netsim.routing import PathScope
 from repro.netsim.topology import MultiDCTopology, TopologySpec
 from repro.netsim.workload import profile_for
-from tests.conftest import probe_rounds
+from tests.conftest import probe_rounds, record_probe_calls
 
 
 @pytest.fixture()
@@ -69,11 +69,10 @@ class TestScalarProbe:
         assert (fabric.probes_carried, fabric.probes_refused) == (1, 1)
 
     def test_probe_ledger_matches_observer_count(self, fabric, dc):
-        """carried + refused == probes the observers saw: every probe
+        """carried + refused == probes reported: every probe
         source — the scalar path, the refused path and a probe_many
         round — reports, so the ledger covers all 52."""
-        seen = []
-        fabric.probe_observers.append(lambda *args: seen.append(args))
+        seen = record_probe_calls(fabric)
         fabric.probe(dc.servers[0], dc.servers[1])
         dc.servers[3].bring_down()
         fabric.probe(dc.servers[3], dc.servers[0])
