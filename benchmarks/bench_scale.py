@@ -191,8 +191,7 @@ def _timed_agent_round(system, t):
 
 def bench_scale_class_vs_fast_speedup(benchmark):
     """The ≥3x gate at 4k servers: sharded class rounds vs per-agent
-    per-pair fast rounds.  Matched interleaved best-of-N legs, as in
-    ``bench_fleet_round_speedup``."""
+    per-pair fast rounds, timed as matched interleaved best-of-N legs."""
     classed = _build(SPEEDUP_SPEC)
     fleet = ShardedFleet(classed)
     fast = _build(SPEEDUP_SPEC, round_mode="fast", shard_aggregation=False)

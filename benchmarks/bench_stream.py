@@ -31,7 +31,7 @@ from repro.stream.ingest import StreamIngestService
 from repro.stream.plane import StreamConfig
 from repro.stream.sketch import LatencySketch
 
-# The 256-server configuration from bench_scale / bench_fleet_round.
+# The 256-server configuration from bench_scale.
 SPEC = TopologySpec(n_podsets=4, pods_per_podset=4, servers_per_pod=16, n_spines=8)
 
 # The batch plane's near-real-time cadence (§3.5) — the floor streaming

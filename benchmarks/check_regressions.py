@@ -5,10 +5,12 @@ Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/check_regressions.py [--suite dsa|chaos|paper|all]
 
-The ``dsa`` suite (the default) first runs the record-path correctness
-tier (``tests/core/test_record_path_lockstep.py`` — column batches, the
-sized-not-rendered local log and adopted extents against the
-dict-per-record pipeline they replaced), then ``bench_engine_throughput``,
+The ``dsa`` suite (the default) first runs the engine and record-path
+correctness tier (the recorded probe-round fingerprints, the path-cache
+property tests and ``tests/core/test_record_path_lockstep.py`` — column
+batches, the sized-not-rendered local log and adopted extents against the
+dict-per-record pipeline they replaced), then ``bench_engine_throughput``
+(with the >20x fast-over-scalar engine gate),
 ``bench_dsa_pipeline`` (with ``bench_record_path``: bytes held per probe
 and round-to-extent cost per record, both gated) and
 ``bench_scope_columnar`` (the SCOPE engine's per-row budget), and writes
@@ -17,11 +19,7 @@ and round-to-extent cost per record, both gated) and
 (``tests/integration/test_chaos_drills.py`` — every canned fault campaign
 must finish with zero invariant violations), then ``bench_chaos_overhead``
 (the <10% checker-overhead gate), and writes ``BENCH_chaos.json``.  The
-``fleet`` suite first runs the fast-path correctness tier (the recorded
-probe-round fingerprints, the path-cache property tests and the
-fast/scalar parity tests), then
-``bench_fleet_round`` (the ≥5× fleet-round speedup gate), and writes
-``BENCH_fleet.json``.  The ``stream`` suite first runs the streaming-plane
+``stream`` suite first runs the streaming-plane
 correctness tier (sketch/aggregator/ingest/detector property tests and the
 batch-parity integration gate), then ``bench_stream`` (ingest throughput,
 the ≥50× detection-latency gate, constant sketch memory), and writes
@@ -91,9 +89,6 @@ TIER1_BENCHES = [
 CHAOS_BENCHES = [
     "bench_chaos_overhead.py",
 ]
-FLEET_BENCHES = [
-    "bench_fleet_round.py",
-]
 STREAM_BENCHES = [
     "bench_stream.py",
 ]
@@ -126,19 +121,17 @@ PAPER_BENCHES = [
     "bench_ablation_srcport.py",
     "bench_limitation_icw.py",
 ]
-# The bytes-per-probe gate means nothing unless the columnar record path
-# logs, ledgers and stores exactly what the dict-per-record one did.
-DSA_CORRECTNESS_TIER = ["tests/core/test_record_path_lockstep.py"]
-CHAOS_DRILL_TIER = ["tests/integration/test_chaos_drills.py"]
-# Correctness before speed: the fleet suite's bench numbers mean nothing
+# Correctness before speed: the fast-over-scalar engine gate means nothing
 # unless a compiled, columnar round is the recorded per-probe one (first:
-# it is the cheapest to fail), cached paths equal fresh paths and fast
-# rounds match scalar rounds.
-FLEET_CORRECTNESS_TIER = [
+# it is the cheapest to fail) and cached paths equal fresh paths; the
+# bytes-per-probe gate means nothing unless the columnar record path logs,
+# ledgers and stores exactly what the dict-per-record one did.
+DSA_CORRECTNESS_TIER = [
     "tests/netsim/test_probe_round_fingerprint.py",
     "tests/netsim/test_path_cache.py",
-    "tests/core/test_fast_path_parity.py",
+    "tests/core/test_record_path_lockstep.py",
 ]
+CHAOS_DRILL_TIER = ["tests/integration/test_chaos_drills.py"]
 # Same rule for streaming: the latency gate means nothing unless the
 # sketches are accurate/mergeable and the plane agrees with batch.
 STREAM_CORRECTNESS_TIER = [
@@ -182,7 +175,6 @@ BENCH_DIR = Path(__file__).resolve().parent
 SUITES = {
     "dsa": (TIER1_BENCHES, "BENCH_dsa.json"),
     "chaos": (CHAOS_BENCHES, "BENCH_chaos.json"),
-    "fleet": (FLEET_BENCHES, "BENCH_fleet.json"),
     "stream": (STREAM_BENCHES, "BENCH_stream.json"),
     "scale": (SCALE_BENCHES, "BENCH_scale.json"),
     "wan": (WAN_BENCHES, "BENCH_wan.json"),
@@ -275,7 +267,6 @@ def run_suite(suite: str, output: Path | None, profile: bool = False) -> int:
     gate_tiers = {
         "dsa": DSA_CORRECTNESS_TIER,
         "chaos": CHAOS_DRILL_TIER,
-        "fleet": FLEET_CORRECTNESS_TIER,
         "stream": STREAM_CORRECTNESS_TIER,
         "scale": SCALE_CORRECTNESS_TIER,
         "wan": WAN_CORRECTNESS_TIER,

@@ -21,7 +21,6 @@ from repro.autopilot.device_manager import DeviceManager, MachineState
 from repro.autopilot.environment import AutopilotEnvironment
 from repro.autopilot.perfcounter import PerfcounterAggregator
 from repro.autopilot.repair import RepairAction, RepairService
-from repro.autopilot.rollout import RolloutState, StagedRollout
 from repro.autopilot.service_manager import ServiceManager
 from repro.autopilot.shared_service import (
     ResourceBudgetExceeded,
@@ -40,9 +39,7 @@ __all__ = [
     "RepairService",
     "ResourceBudgetExceeded",
     "ResourceUsage",
-    "RolloutState",
     "ServiceManager",
     "SharedService",
-    "StagedRollout",
     "WatchdogService",
 ]

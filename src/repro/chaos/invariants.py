@@ -166,7 +166,7 @@ class InvariantChecker:
         # latency, uploaded class) at attach time.  Only meaningful when the
         # agents are the streams' exclusive writers.
         self.exclusive_upload_writers = exclusive_upload_writers
-        self._upload_baseline = (0, 0, 0, 0)
+        self._upload_baseline = (0, 0, 0)
         # Herd telemetry: the bucket the checker attached in is excluded
         # (a synchronous fleet start legitimately lands in one second).
         self._herd_attach_second = -1
@@ -284,11 +284,7 @@ class InvariantChecker:
         self._dirty_agents.clear()
 
     def _check_agent(self, agent, now: float) -> None:
-        uploaders = [agent.uploader]
-        if getattr(agent, "class_uploader", None) is not None:
-            uploaders.append(agent.class_uploader)
-        for uploader in uploaders:
-            self._check_uploader(agent.server_id, uploader, now)
+        self._check_uploader(agent.server_id, agent.uploader, now)
         self._check_staleness_machine(agent, now)
         counters = agent.counters
         if counters.probes_failed > 0 and counters.drop_rate() <= 0.0:
@@ -411,8 +407,8 @@ class InvariantChecker:
         self._check_broker(now)
         return self.violations[before:]
 
-    def _upload_ledger(self) -> tuple[int, int, int, int]:
-        """(stored latency, stored class, uploaded latency, uploaded class)."""
+    def _upload_ledger(self) -> tuple[int, int, int]:
+        """(stored latency, stored class, uploaded latency)."""
         store = self.system.store
         stored_latency = (
             store.stream(LATENCY_STREAM).record_count
@@ -424,14 +420,11 @@ class InvariantChecker:
             if store.has_stream(CLASS_STREAM)
             else 0
         )
-        uploaded_latency = 0
-        uploaded_class = 0
-        for agent in self.system.agents.values():
-            uploaded_latency += agent.uploader.stats.records_uploaded
-            class_uploader = getattr(agent, "class_uploader", None)
-            if class_uploader is not None:
-                uploaded_class += class_uploader.stats.records_uploaded
-        return stored_latency, stored_class, uploaded_latency, uploaded_class
+        uploaded_latency = sum(
+            agent.uploader.stats.records_uploaded
+            for agent in self.system.agents.values()
+        )
+        return stored_latency, stored_class, uploaded_latency
 
     def _check_upload_replay(self, now: float) -> None:
         """Since attach, Cosmos gained exactly the records the uploaders
@@ -441,11 +434,12 @@ class InvariantChecker:
         two-month retention window, so expiry cannot shrink the store)."""
         if not self._attached or not self.exclusive_upload_writers:
             return
-        base_lat, base_cls, base_up_lat, base_up_cls = self._upload_baseline
-        stored_lat, stored_cls, up_lat, up_cls = self._upload_ledger()
+        base_lat, base_cls, base_up_lat = self._upload_baseline
+        stored_lat, stored_cls, up_lat = self._upload_ledger()
         for label, stored_delta, uploaded_delta in (
             (LATENCY_STREAM, stored_lat - base_lat, up_lat - base_up_lat),
-            (CLASS_STREAM, stored_cls - base_cls, up_cls - base_up_cls),
+            # Agents never write the class stream; ShardedFleet's shards do.
+            (CLASS_STREAM, stored_cls - base_cls, 0),
         ):
             if stored_delta != uploaded_delta:
                 kind = "duplicated" if stored_delta > uploaded_delta else "lost"

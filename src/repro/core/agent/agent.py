@@ -34,13 +34,7 @@ from repro.core.controller.service import (
     PinglistNotFoundError,
     PingmeshControllerService,
 )
-from repro.core.dsa.records import (
-    CLASS_STREAM,
-    RecordBatch,
-    make_class_record,
-    make_record,
-    make_records,
-)
+from repro.core.dsa.records import RecordBatch, make_record, make_records
 from repro.netsim.devices import StateVersion
 from repro.netsim.fabric import Fabric, ProbeBatch
 from repro.resilience import PinglistState, RetryPolicy, derive_seed
@@ -58,11 +52,11 @@ class AgentConfig:
 
     pinglist_refresh_s: float = 1800.0  # periodic pull from the controller
     upload_period_s: float = 600.0  # the upload timer
-    # "scalar" | "fast" | "class": rung of the fidelity ladder for non-VIP
-    # probe rounds.  "scalar" is the reference (one Fabric.probe per peer),
-    # "fast" routes the round through Fabric.probe_many, "class" compiles
-    # the pinglist into closed-form class rounds (Fabric.build_class_plan),
-    # degrading per pair to the fast path whenever fidelity cannot be traded.
+    # "fast" | "class": who runs the fleet's probe rounds.  "fast"
+    # is each agent's own staggered round through Fabric.probe_many;
+    # "class" is repro.core.sharded.ShardedFleet's closed-form class rounds,
+    # shard by shard, degrading per pair to the fast path whenever fidelity
+    # cannot be traded.  VIP probes take the scalar engine under either.
     round_mode: str = "fast"
     upload_threshold_records: int = 2000  # ... or the size threshold
     # Degraded-mode resilience: jittered refresh scheduling + backoff on
@@ -88,7 +82,7 @@ class AgentConfig:
             raise ValueError(f"refresh period must be positive: {self.pinglist_refresh_s}")
         if self.upload_period_s <= 0:
             raise ValueError(f"upload period must be positive: {self.upload_period_s}")
-        if self.round_mode not in ("scalar", "fast", "class"):
+        if self.round_mode not in ("fast", "class"):
             raise ValueError(f"unknown round mode: {self.round_mode!r}")
         if not 0.0 <= self.refresh_jitter_fraction < 1.0:
             raise ValueError(
@@ -134,19 +128,6 @@ class PingmeshAgent(SharedService):
         self.pinglist: Pinglist | None = None
         self._record_server_cache: dict = {}
         self._round_plan: tuple | None = None  # keyed on the pinglist object
-        # Class-round state: summary rows ship on their own stream so the
-        # per-probe scanners never see a wrong-schema record.
-        self.class_uploader: ResultUploader | None = None
-        if self.config.round_mode == "class":
-            self.class_uploader = ResultUploader(
-                uploader.store,
-                server_id,
-                stream=CLASS_STREAM,
-                flush_threshold_records=self.config.upload_threshold_records,
-                retry_base_s=self.config.upload_retry_base_s,
-                retry_cap_s=self.config.upload_retry_cap_s,
-                spool_cap_records=self.config.upload_spool_cap_records,
-            )
         # Refresh scheduling: a per-agent seeded RNG stream drives both the
         # steady-state jittered period and the failure backoff, so a fleet
         # recovering from a controller outage spreads its re-polls instead
@@ -156,7 +137,6 @@ class PingmeshAgent(SharedService):
             self.config.refresh_retry_cap_s,
             seed=derive_seed(server_id, "pinglist-refresh"),
         )
-        self._class_plan: tuple | None = None  # (pinglist, version, compiled)
         self.last_upload_t = 0.0
         self.probes_sent = 0
         self.rounds_run = 0
@@ -218,6 +198,9 @@ class PingmeshAgent(SharedService):
     # assignment (``SharedService.__init__`` writes ``running``).
     _running = False
     _pinglist: Pinglist | None = None
+    # Always None: class summaries ship from ShardedFleet's shard uploaders,
+    # never from an agent.  Kept by name because benchmarks/e2e reads it.
+    class_uploader: ResultUploader | None = None
 
     @property
     def running(self) -> bool:
@@ -247,10 +230,7 @@ class PingmeshAgent(SharedService):
     def holds_results(self) -> bool:
         """Are records buffered or spooled, i.e. can :meth:`maybe_upload`
         act before the upload timer fires?"""
-        return any(
-            uploader is not None and (uploader.buffered_records or uploader.spool)
-            for uploader in (self.uploader, self.class_uploader)
-        )
+        return bool(self.uploader.buffered_records or self.uploader.spool)
 
     @property
     def pinglist_state(self) -> PinglistState:
@@ -286,14 +266,14 @@ class PingmeshAgent(SharedService):
     def run_probe_round(self, t: float) -> int:
         """Probe every peer in the pinglist once.  Returns probes launched.
 
-        The system schedules rounds at :attr:`probe_interval_s`, so each
-        source-destination pair is probed at most once per interval —
-        honouring the hard 10 s floor.  Unless ``config.round_mode`` is
-        ``"scalar"`` the round goes through
-        :meth:`~repro.netsim.fabric.Fabric.probe_many` (one call for the
-        whole pinglist, counters and uploader fed in bulk); VIP probes
-        always take the scalar engine because resolution and the dark-VIP
-        record are per-probe decisions.
+        The system schedules rounds at :attr:`probe_interval_s` in
+        ``"fast"`` mode, so each source-destination pair is probed at most
+        once per interval — honouring the hard 10 s floor.  The round goes
+        through :meth:`~repro.netsim.fabric.Fabric.probe_many` (one call for
+        the whole pinglist, counters and uploader fed in bulk); VIP probes
+        take the scalar engine because resolution and the dark-VIP record
+        are per-probe decisions.  In ``"class"`` mode nothing calls this:
+        :class:`~repro.core.sharded.ShardedFleet` probes the pinglists.
         """
         if not self.probing:
             return 0
@@ -301,12 +281,14 @@ class PingmeshAgent(SharedService):
             # The host lost power (podset down): no process, no probes, no
             # data — which is exactly what paints Figure 8(b)'s white cross.
             return 0
-        if self.config.round_mode == "scalar":
-            launched = self._run_probe_round_scalar(t)
-        elif self.config.round_mode == "class":
-            launched = self._run_probe_round_class(t)
-        else:
-            launched = self._run_probe_round_fast(t)
+        launched = 0
+        vip_entries, probe_entries, tags = self._round_entries()
+        for entry in vip_entries:
+            launched += self._probe_vip(entry, t)
+        if probe_entries:
+            launched += self._record_results(
+                self.fabric.probe_many(self.server_id, probe_entries, t=t), tags, t
+            )
         self.probes_sent += launched
         self.rounds_run += 1
         self._account_resources(launched)
@@ -343,36 +325,6 @@ class PingmeshAgent(SharedService):
                 t, "vip", result.success, result.rtt_s * 1e6
             )
         return 1
-
-    def _run_probe_round_scalar(self, t: float) -> int:
-        """Reference round: one :meth:`Fabric.probe` call per peer, in
-        pinglist order; results are recorded a run at a time, each run
-        before the next VIP probe so rows keep that order too."""
-        launched = 0
-        results: list = []
-        tags: list[tuple[str, str]] = []
-        for entry in self.pinglist.entries:
-            if entry.purpose == "vip":
-                launched += self._record_scalar_run(results, tags, t)
-                results, tags = [], []
-                launched += self._probe_vip(entry, t)
-                continue
-            payload = self.safety.clamp_payload(entry.payload_bytes)
-            dst_port = self.pinglist.parameters.port_for(entry.qos, entry.purpose)
-            results.append(
-                self.fabric.probe(
-                    self.server_id, entry.peer_id, t=t,
-                    payload_bytes=payload, dst_port=dst_port,
-                )
-            )
-            tags.append((entry.purpose, entry.qos))
-        return launched + self._record_scalar_run(results, tags, t)
-
-    def _record_scalar_run(self, results: list, tags: list, t: float) -> int:
-        """Record one run of scalar probes (none: a VIP entry came first)."""
-        if not results:
-            return 0
-        return self._record_results(ProbeBatch.from_results(results), tags, t)
 
     def _record_results(self, probes: ProbeBatch, tags, t: float) -> int:
         """Feed one engine call's probes, tagged ``(purpose, qos)``, to the
@@ -426,77 +378,6 @@ class PingmeshAgent(SharedService):
         self._round_plan = plan
         return plan[1:]
 
-    def _run_probe_round_fast(self, t: float) -> int:
-        """Fast round: the whole pinglist in one ``probe_many`` call."""
-        launched = 0
-        vip_entries, probe_entries, tags = self._round_entries()
-        for entry in vip_entries:
-            launched += self._probe_vip(entry, t)
-        if probe_entries:
-            launched += self._record_results(
-                self.fabric.probe_many(self.server_id, probe_entries, t=t), tags, t
-            )
-        return launched
-
-    def _current_class_plan(self) -> tuple:
-        """The compiled class plan for the current pinglist + fabric
-        generation with its degraded pairs' round — ``(plan, entries,
-        tags)``, the last two as tuples the engine keys its own per-round
-        plan on — rebuilt only when either changes."""
-        version = self.fabric.topology.state_version.value
-        cached = self._class_plan
-        if (
-            cached is not None
-            and cached[0] is self.pinglist
-            and cached[1] == version
-        ):
-            return cached[2]
-        _vip_entries, probe_entries, tags = self._round_entries()
-        plan = self.fabric.build_class_plan(self.server_id, probe_entries, tags)
-        compiled = (
-            plan,
-            tuple([probe_entries[i] for i in plan.passthrough]),
-            tuple([tags[i] for i in plan.passthrough]),
-        )
-        self._class_plan = (self.pinglist, version, compiled)
-        return compiled
-
-    def _run_probe_round_class(self, t: float) -> int:
-        """Closed-form round: class groups in one draw each, degraded pairs
-        through the per-pair fast path, VIPs scalar — the fidelity ladder
-        top rung."""
-        launched = 0
-        vip_entries, probe_entries, _tags = self._round_entries()
-        for entry in vip_entries:
-            launched += self._probe_vip(entry, t)
-        if not probe_entries:
-            return launched
-        plan, pass_entries, pass_tags = self._current_class_plan()
-        if pass_entries:
-            launched += self._record_results(
-                self.fabric.probe_many(self.server_id, pass_entries, t=t),
-                pass_tags,
-                t,
-            )
-        if plan.groups:
-            me = self.fabric.topology.server(self.server_id)
-            for outcome in self.fabric.run_class_plan(plan, t=t):
-                self.counters.add_class_round(outcome.failed, outcome.rtt_s)
-                if self.stream_aggregator is not None:
-                    self.stream_aggregator.observe_class_round(
-                        t, outcome.purpose, outcome.failed, outcome.rtt_s * 1e6
-                    )
-                self.class_uploader.add(
-                    self._tag_stale(
-                        make_class_record(
-                            outcome, t, self.server_id,
-                            me.dc_index, me.podset_index, me.pod_index,
-                        )
-                    )
-                )
-            launched += plan.n_class_probes
-        return launched
-
     def _vip_down_record(self, entry, t: float) -> dict:
         """A failed availability probe of a dark VIP.
 
@@ -539,13 +420,6 @@ class PingmeshAgent(SharedService):
             / 1e6
             + self.uploader.local_log_bytes / 1e6
         )
-        if self.class_uploader is not None:
-            memory_mb += (
-                self.class_uploader.buffered_records
-                * config.memory_per_record_kb
-                / 1024.0
-                + self.class_uploader.local_log_bytes / 1e6
-            )
         if self.stream_aggregator is not None:
             memory_mb += (
                 self.stream_aggregator.memory_buckets
@@ -574,22 +448,13 @@ class PingmeshAgent(SharedService):
         if not self.fabric.topology.server(self.server_id).is_up:
             return False
         timer_due = (t - self.last_upload_t) >= self.config.upload_period_s
-        class_due = (
-            self.class_uploader is not None and self.class_uploader.should_flush
-        )
-        replay_due = self.uploader.replay_due(t) or (
-            self.class_uploader is not None and self.class_uploader.replay_due(t)
-        )
         if (
             not timer_due
             and not self.uploader.should_flush
-            and not class_due
-            and not replay_due
+            and not self.uploader.replay_due(t)
         ):
             return False
         uploaded = self.uploader.flush(t)
-        if self.class_uploader is not None:
-            uploaded = self.class_uploader.flush(t) and uploaded
         self.last_upload_t = t
         self.counters.reset_window()
         return uploaded

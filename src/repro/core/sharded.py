@@ -289,7 +289,7 @@ class ShardedFleet:
 
     Usage::
 
-        system = PingmeshSystem(config)        # round_mode="class" advised
+        system = PingmeshSystem(config)        # round_mode="class" required
         fleet = ShardedFleet(system, workers=2)
         fleet.run_for(600.0)                   # one simulated 10-min window
 
@@ -299,15 +299,21 @@ class ShardedFleet:
     owns its RNG stream, and everything a round shares is accounted on the
     main thread in shard order.
 
-    The system is started with ``schedule_probe_rounds=False``; everything
-    else (pinglist refreshes, DSA jobs, stream ticks, watchdogs, repairs)
-    keeps its normal schedule, and the fleet installs one recurring
-    fleet-round event in the same queue.
+    The fleet attaches itself as ``system.fleet`` and starts the system; a
+    class-mode system schedules no per-agent rounds, everything else
+    (pinglist refreshes, DSA jobs, stream ticks, watchdogs, repairs) keeps
+    its normal schedule, and the fleet installs one recurring fleet-round
+    event in the same queue.
     """
 
     def __init__(self, system: PingmeshSystem, workers: int = 0) -> None:
         if workers < 0:
             raise ValueError(f"workers must be >= 0: {workers}")
+        if system.config.agent.round_mode != "class":
+            raise ValueError(
+                f"ShardedFleet drives class rounds; the system's agents run "
+                f"their own {system.config.agent.round_mode!r} rounds"
+            )
         self.system = system
         self.workers = workers
         self.shards: dict[tuple[int, int], FleetShard] = {}
@@ -323,13 +329,9 @@ class ShardedFleet:
         # separately so baseline probe streams stay bit-identical with the
         # broker idle (the no-interference gate).
         self.broker_probes_sent = 0
+        system.fleet = self
         if not system._started:
-            system.start(schedule_probe_rounds=False)
-        elif system._schedule_probe_rounds:
-            raise RuntimeError(
-                "system already runs per-agent rounds; build the fleet "
-                "before starting the system"
-            )
+            system.start()
 
     # -- shard maintenance -------------------------------------------------
 

@@ -54,7 +54,6 @@ class PingmeshSystemConfig:
     thresholds: SlaThresholds = field(default_factory=SlaThresholds)
     n_controller_replicas: int = 2
     services: tuple[ServiceDefinition, ...] = ()
-    stagger_rounds: bool = True  # spread agent rounds over the interval
     repair_poll_period_s: float = 300.0  # RS drains the DM queue this often
     # §6.2 VIP monitoring: logical VIP name -> the DIP server ids behind it.
     # Each VIP becomes a pinglist target; the agents' probes are load-
@@ -126,8 +125,9 @@ class PingmeshSystem:
         self.stale_agents = 0
         # On-demand measurement broker (repro.broker); attaches itself.
         self.broker = None
+        # Class-round orchestrator (repro.core.sharded.ShardedFleet); attaches itself.
+        self.fleet = None
         self._started = False
-        self._schedule_probe_rounds = True
 
     @classmethod
     def build(
@@ -207,19 +207,23 @@ class PingmeshSystem:
     def _staleness_moved(self, old: PinglistState, new: PinglistState) -> None:
         self.stale_agents += (new is PinglistState.STALE) - (old is PinglistState.STALE)
 
-    def start(self, schedule_probe_rounds: bool = True) -> None:
+    def start(self) -> None:
         """Deploy agents fleet-wide, start DSA jobs, PA and watchdogs.
 
-        ``schedule_probe_rounds=False`` leaves the per-agent probe-round
-        events off the queue (pinglist refreshes still run) — for an
-        external round driver like
-        :class:`~repro.core.sharded.ShardedFleet`, which runs rounds shard
-        at a time instead of agent at a time.
+        ``round_mode`` picks who runs probe rounds: in ``"fast"`` mode every
+        agent runs its own staggered probe rounds; in ``"class"`` mode no
+        agent does, and the attached :class:`~repro.core.sharded.ShardedFleet`
+        runs them shard at a time — so a class-mode system refuses to start
+        without one.  Pinglist refreshes run per agent either way.
         """
         if self._started:
             raise RuntimeError("system already started")
+        if not self._agent_rounds and self.fleet is None:
+            raise RuntimeError(
+                "class-mode rounds run under a ShardedFleet: build one on "
+                "the system instead of starting it"
+            )
         self._started = True
-        self._schedule_probe_rounds = schedule_probe_rounds
 
         for agent in self.env.deploy_shared_service(self._agent_factory()):
             self._adopt(agent)
@@ -242,20 +246,28 @@ class PingmeshSystem:
                 self.config.stream.window_s, self._stream_tick, name="stream-tick"
             )
 
-        # Initial pinglist fetch + per-agent schedules.
+        self._schedule_agents(list(self.agents.values()))
+
+    @property
+    def _agent_rounds(self) -> bool:
+        """Do agents run their own probe rounds (``"fast"`` mode)?"""
+        return self.config.agent.round_mode == "fast"
+
+    def _schedule_agents(self, agents: list[PingmeshAgent]) -> None:
+        """Initial pinglist fetch, then each agent's schedules: probe
+        rounds staggered over the interval (fast mode only) and jittered
+        refreshes, so the fleet's polls (and its recovery retries)
+        decorrelate instead of thundering."""
         interval = self._round_interval()
-        n = max(1, len(self.agents))
-        for index, agent in enumerate(self.agents.values()):
+        n = max(1, len(agents))
+        for index, agent in enumerate(agents):
             agent.refresh_pinglist(self.clock.now)
-            if schedule_probe_rounds:
-                offset = (
-                    (index / n) * interval if self.config.stagger_rounds else 0.0
-                )
+            if self._agent_rounds:
                 self.queue.schedule_after(
-                    offset, lambda a=agent: self._agent_round(a), name="agent-round"
+                    (index / n) * interval,
+                    lambda a=agent: self._agent_round(a),
+                    name="agent-round",
                 )
-            # Per-agent jittered refresh offsets: the fleet's polls (and
-            # its recovery retries) decorrelate instead of thundering.
             self.queue.schedule_after(
                 agent.next_refresh_delay(),
                 lambda a=agent: self._agent_refresh(a),
@@ -425,20 +437,9 @@ class PingmeshSystem:
             self._agent_factory(), servers=new_ids
         )
         self.service_manager.supervise_all(agents)
-        interval = self._round_interval()
-        for index, agent in enumerate(agents):
+        for agent in agents:
             self._adopt(agent)
-            agent.refresh_pinglist(self.clock.now)
-            if self._schedule_probe_rounds:
-                offset = (index / max(1, len(agents))) * interval
-                self.queue.schedule_after(
-                    offset, lambda a=agent: self._agent_round(a), name="agent-round"
-                )
-            self.queue.schedule_after(
-                agent.next_refresh_delay(),
-                lambda a=agent: self._agent_refresh(a),
-                name="agent-refresh",
-            )
+        self._schedule_agents(agents)
         return new_ids
 
     # -- convenience accessors ----------------------------------------------------

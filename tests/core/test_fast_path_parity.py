@@ -15,14 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.agent.agent import AgentConfig, PingmeshAgent
-from repro.stream.sketch import ClassStats
-from repro.core.agent.uploader import ResultUploader
-from repro.core.controller.service import PingmeshControllerService
-from repro.cosmos.store import CosmosStore
+from repro.core.agent.agent import AgentConfig
+from repro.core.sharded import ShardedFleet
+from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.netsim.fabric import Fabric
 from repro.netsim.faults import BlackholeType1, SilentRandomDrop
 from repro.netsim.topology import TopologySpec
+from repro.stream.sketch import ClassStats
 
 _SPEC = TopologySpec(n_podsets=2, pods_per_podset=2, servers_per_pod=4, n_spines=4)
 
@@ -219,31 +218,6 @@ class TestDistributionParity:
             a, b = np.percentile(rtt_j, q), np.percentile(rtt_s, q)
             assert abs(a - b) / b < 0.15, f"P{q}: judged {a:.6f}s vs scalar {b:.6f}s"
 
-    def test_agent_rounds_agree_across_engines(self):
-        """A fast agent and a scalar agent over identical worlds produce
-        the same record count, schema, and matching counter stats."""
-        outputs = {}
-        for round_mode in ("fast", "scalar"):
-            fabric = _fabric(seed=9)
-            controller = PingmeshControllerService(fabric.topology, n_replicas=2)
-            controller.regenerate()
-            store = CosmosStore()
-            server_id = fabric.topology.dc(0).servers[0].device_id
-            uploader = ResultUploader(store, server_id)
-            agent = PingmeshAgent(
-                server_id, fabric, controller, uploader,
-                config=AgentConfig(round_mode=round_mode),
-            )
-            agent.start(now=0.0)
-            agent.refresh_pinglist(t=0.0)
-            launched = sum(
-                agent.run_probe_round(t=30.0 * (r + 1)) for r in range(5)
-            )
-            outputs[round_mode] = (launched, agent.uploader.buffered_records,
-                                 agent.counters.probes_total)
-
-        assert outputs["fast"] == outputs["scalar"]
-
     def test_record_schema_identical_across_engines(self):
         from repro.core.dsa.records import make_record, make_records
 
@@ -300,51 +274,35 @@ class TestClassRoundParity:
             assert abs(a - b) / b < 0.15, f"P{q}: class {a:.6f}s vs fast {b:.6f}s"
 
     def test_agent_rounds_agree_across_modes(self):
-        """A class-mode agent and a fast-mode agent over identical worlds
-        launch the same probe count per round and agree on counter totals;
-        class mode ships summary rows on the class stream instead of
-        per-probe rows."""
-        outputs = {}
-        for mode in ("class", "fast"):
-            fabric = _fabric(seed=9)
-            controller = PingmeshControllerService(fabric.topology, n_replicas=2)
-            controller.regenerate()
-            store = CosmosStore()
-            server_id = fabric.topology.dc(0).servers[0].device_id
-            uploader = ResultUploader(store, server_id)
-            agent = PingmeshAgent(
-                server_id, fabric, controller, uploader,
-                config=AgentConfig(round_mode=mode),
+        """One ShardedFleet round and the fast agents' own rounds over the
+        same world — a spine fault degrading part of it — launch the same
+        probes, shard by shard: the sharded fleet changes who runs a round
+        and how it draws, not what it probes."""
+        systems = {
+            mode: PingmeshSystem(
+                PingmeshSystemConfig(
+                    specs=(_SPEC,), seed=9, agent=AgentConfig(round_mode=mode)
+                )
             )
-            agent.start(now=0.0)
-            agent.refresh_pinglist(t=0.0)
-            launched = sum(
-                agent.run_probe_round(t=30.0 * (r + 1)) for r in range(5)
-            )
-            outputs[mode] = (launched, agent.counters.probes_total)
+            for mode in ("class", "fast")
+        }
+        fleet = ShardedFleet(systems["class"])
+        systems["fast"].start()
+        for system in systems.values():
+            spine = system.topology.dc(0).spines[0]
+            system.fabric.faults.inject(SilentRandomDrop(switch_id=spine.device_id))
+        fleet.run_round(30.0)
+        assert any(shard._passthrough for shard in fleet.shards.values())
 
-        assert outputs["class"] == outputs["fast"]
-
-    def test_class_agent_uploads_to_class_stream(self):
-        from repro.core.dsa.records import CLASS_RECORD_COLUMNS, CLASS_STREAM
-
-        fabric = _fabric(seed=4)
-        controller = PingmeshControllerService(fabric.topology, n_replicas=2)
-        controller.regenerate()
-        store = CosmosStore()
-        server_id = fabric.topology.dc(0).servers[0].device_id
-        agent = PingmeshAgent(
-            server_id, fabric, controller, ResultUploader(store, server_id),
-            config=AgentConfig(round_mode="class"),
-        )
-        agent.start(now=0.0)
-        agent.refresh_pinglist(t=0.0)
-        agent.run_probe_round(t=30.0)
-        assert agent.class_uploader.buffered_records > 0
-        agent.class_uploader.flush(60.0)
-        records = list(store.read(CLASS_STREAM))
-        assert records
-        assert set(records[0]) == set(CLASS_RECORD_COLUMNS)
+        fast = systems["fast"]
+        per_shard: dict = {}
+        for agent in fast.agents.values():
+            server = fast.topology.server(agent.server_id)
+            key = (server.dc_index, server.podset_index)
+            per_shard[key] = per_shard.get(key, 0) + agent.run_probe_round(30.0)
+        assert per_shard == {
+            key: shard.probes_sent for key, shard in fleet.shards.items()
+        }
 
 
 def _apply_event(fabric, event):

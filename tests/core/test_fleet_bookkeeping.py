@@ -51,9 +51,11 @@ def _would_upload(agent: PingmeshAgent, t: float) -> bool:
     """Would the pre-change per-round ``maybe_upload`` call have flushed?"""
     if not agent.running or not agent.fabric.topology.server(agent.server_id).is_up:
         return False
-    uploaders = [u for u in (agent.uploader, agent.class_uploader) if u is not None]
-    return (t - agent.last_upload_t) >= agent.config.upload_period_s or any(
-        u.should_flush or u.replay_due(t) for u in uploaders
+    uploader = agent.uploader
+    return (
+        (t - agent.last_upload_t) >= agent.config.upload_period_s
+        or uploader.should_flush
+        or uploader.replay_due(t)
     )
 
 

@@ -167,19 +167,18 @@ class TestStalePinglistUnderSharding:
 
 class TestShardedParity:
     def test_sharded_totals_match_per_agent_class_mode(self):
-        """A sharded fleet and per-agent class agents over the same world
-        launch identical probe counts per round (same plans, same
-        partition — only the draw batching differs)."""
-        sharded = _system(seed=3)
-        fleet = ShardedFleet(sharded)
-        per_agent = _system(seed=3, shard_aggregation=False)
+        """A class-mode fleet's sharded round and the same world's fast
+        agents' own rounds launch identical probe counts (same pinglists —
+        only who runs the round and how it draws differ)."""
+        fleet = ShardedFleet(_system(seed=3))
+        per_agent = _system(round_mode="fast", seed=3, shard_aggregation=False)
         per_agent.start()
 
         fleet_launched = fleet.run_round(0.0)
         agent_launched = sum(
             agent.run_probe_round(0.0) for agent in per_agent.agents.values()
         )
-        assert fleet_launched == agent_launched
+        assert fleet_launched == agent_launched > 0
 
     def test_class_summaries_reach_class_stream(self):
         system = _system()
@@ -254,10 +253,26 @@ class TestWorkerPool:
             ShardedFleet(_system(), workers=-1)
 
     def test_started_system_with_agent_rounds_rejected(self):
+        """Fast-mode agents run their own rounds: no fleet may drive them
+        as well, whether or not the system has started."""
+        for started in (False, True):
+            system = _system(round_mode="fast")
+            if started:
+                system.start()  # schedules per-agent rounds
+            with pytest.raises(ValueError, match="drives class rounds"):
+                ShardedFleet(system)
+            assert system.fleet is None
+
+    def test_class_system_without_a_fleet_refuses_to_start(self):
+        """A class-mode system's agents schedule no rounds, so it must not
+        run without the fleet that probes for them."""
         system = _system()
-        system.start()  # schedules per-agent rounds
-        with pytest.raises(RuntimeError, match="per-agent"):
-            ShardedFleet(system)
+        for start in (system.start, lambda: system.run_for(60.0)):
+            with pytest.raises(RuntimeError, match="ShardedFleet"):
+                start()
+        assert not system.agents
+        fleet = ShardedFleet(system)
+        assert system.fleet is fleet and system._started
 
 
 def _fingerprint(system, fleet, observed):

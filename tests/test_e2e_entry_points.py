@@ -76,7 +76,9 @@ def test_attributes_the_harness_reads():
 
     uploaders = []
     for agent in system.agents.values():
-        uploaders += [agent.uploader, agent.class_uploader]
+        # Read by name in benchmarks/e2e; class rows ship from the shards.
+        assert agent.class_uploader is None
+        uploaders.append(agent.uploader)
     for shard in fleet.shards.values():
         uploaders += [shard.probe_uploader, shard.class_uploader]
     for uploader in uploaders:
