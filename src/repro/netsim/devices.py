@@ -7,9 +7,9 @@ us everything is fine" (§6).  Congestion and FCS drops do increment them.
 
 Every operational state transition bumps the topology's shared
 :class:`StateVersion` (attached at registration time), which is what lets
-the router and fabric cache paths between transitions: a cache stamped with
-the current version is valid exactly until the next up/down/isolate/reload
-or fault change anywhere in the network.
+the router and fabric cache between transitions: a cache stamped with the
+current version is valid exactly until the next up/down/isolate/reload,
+fault change or growth its contents depend on.
 """
 
 from __future__ import annotations
@@ -32,22 +32,26 @@ __all__ = [
 
 
 class StateVersion:
-    """A monotonic counter stamping the network's routing-relevant state.
+    """Two monotonic counters stamping the network's state.
 
-    Bumped on every device up/down/isolate transition, every fault
-    inject/clear, and every topology growth event.  Caches (router paths,
-    fabric pair info) record the value they were built at and invalidate
-    wholesale when it moves — over-bumping is always safe, missing a bump
-    never is.
+    ``value`` moves on every device up/down/isolate transition, switch
+    reload, fault inject/clear, topology growth and WAN retime; ``routing``
+    on all of those but fault changes and server flips, which move no
+    route.  A cache records the counter its contents depend on and is
+    rebuilt when that one moves — over-bumping is always safe, missing a
+    bump never is.
     """
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "routing")
 
     def __init__(self) -> None:
         self.value = 0
+        self.routing = 0
 
-    def bump(self) -> int:
+    def bump(self, routing: bool = True) -> int:
         self.value += 1
+        if routing:
+            self.routing += 1
         return self.value
 
     def __repr__(self) -> str:
@@ -123,7 +127,8 @@ class Device:
             return
         self.state = state
         if self._state_version is not None:
-            self._state_version.bump()
+            # Routes are pod to pod: only a switch's liveness can move one.
+            self._state_version.bump(routing=self.kind is not DeviceKind.SERVER)
 
     def bring_down(self) -> None:
         self._set_state(DeviceState.DOWN)

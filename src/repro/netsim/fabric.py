@@ -14,8 +14,9 @@ and the fault injector.  It offers two probe paths:
   budgets collapsed into one attempt-drop probability, three Bernoulli
   attempts per probe, an RTT from the DC latency model;
   probes that need full fidelity (a fault on the flow's forward or reverse
-  path, a payload echo, a down endpoint) run the scalar engine —
-  correctness never depends on which partition a probe landed in.
+  path, a payload echo, a down endpoint) run the scalar engine, and ones
+  with no live route are answered by the plan — correctness never depends
+  on which partition a probe landed in.
   Everything about a round but its ports and draws is compiled once per
   (source, entries object, generation) into a :class:`_RoundPlan`.
 
@@ -108,6 +109,9 @@ class ProbeResult:
 # One probe request in a probe_many round: (dst_id, dst_port, payload_bytes).
 ProbeEntry = tuple[str, int, int]
 
+# A round plan's ``slow`` flow for an entry whose pod pair has no live route.
+_NO_ROUTE = -2
+
 
 @dataclass(frozen=True)
 class _ClassFacts:
@@ -196,15 +200,15 @@ class _FlowColumns:
         self.ip_a = np.where(forward, src_ip, dst_ip)
         self.ip_b = np.where(forward, dst_ip, src_ip)
 
-    def hop_ids(self, flow: int, slots: np.ndarray) -> tuple[str, ...]:
-        """A flow's own forward hops, given a round's slot per column."""
-        columns = slice(self.starts[flow], self.starts[flow + 1])
-        route = self.facts[flow].route
-        chosen = slots[columns][self.forward[columns]]
+    def hops(self, flow: int, slots) -> tuple[list[Switch], list[Switch]]:
+        """A flow's own forward and reverse hops, given a round's slot per
+        column — switch for switch what ``Router.path`` picks."""
+        start, stop = self.starts[flow], self.starts[flow + 1]
+        half = (start + stop) // 2  # the forward tiers, then as many back
+        route, table = self.facts[flow].route, self.slots
         return (
-            route.src_tor.device_id,
-            *[self.slots[slot].device_id for slot in chosen],
-            route.dst_tor.device_id,
+            [route.src_tor, *[table[slot] for slot in slots[start:half]], route.dst_tor],
+            [route.dst_tor, *[table[slot] for slot in slots[half:stop]], route.src_tor],
         )
 
 
@@ -213,29 +217,32 @@ class _RoundPlan:
 
     The partition, in entry order: ``slow`` positions get their source
     ports up front, as ``(position, flow)`` — ``flow`` -1 for the ones that
-    always go to the full-fidelity engine, else the row in ``flows`` whose
-    verdict each round decides; ``fast`` ones always join the analytic
-    draw.  Of the analytic candidates (``at``: fast, then judged), all but
-    the draws: ``p_attempt``, ``n_hops`` and ``wan`` (``None``: no WAN term)
-    per candidate; and, fixed because a plan without judged flows draws for
-    all of them every round, ``hop_classes`` as ``(n_hops, places, how
-    many)`` in order of first appearance and ``no_drops`` as the read-only
-    ``(success, syn_drops)`` columns every round without a lost SYN shares.
-    ``counters`` is one ``(SnmpCounters, packets per round)`` per distinct
-    forward hop of the fast positions, ``infos`` (by entry position, the
-    fast ones') serve the row view.  ``static`` belongs to the record
-    layer: what it derived from this plan, kept with it.
+    always go to the full-fidelity engine, ``_NO_ROUTE`` for the ones with
+    no live route (their destinations in ``unroutable``, by position),
+    else the row in ``flows`` whose verdict each round decides; ``fast``
+    ones always join the analytic draw.  Of the analytic candidates
+    (``at``: fast, then judged), all but the draws: ``p_attempt``,
+    ``n_hops`` and ``wan`` (``None``: no WAN term) per candidate; and, fixed
+    because a plan without judged flows draws for all of them every round,
+    ``hop_classes`` as ``(n_hops, places, how many)`` in order of first
+    appearance and ``no_drops`` as the read-only ``(success, syn_drops)``
+    columns every round without a lost SYN shares.  ``counters`` is one
+    ``(SnmpCounters, packets per round)`` per distinct forward hop of the
+    fast positions, ``infos`` (by entry position, the fast ones') serve the
+    row view.  ``static`` belongs to the record layer: what it derived from
+    this plan, kept with it.
     """
 
     __slots__ = (
-        "src_id", "src_ip", "entries", "dst_ids", "slow", "flows", "fast", "at",
-        "infos", "p_attempt", "n_hops", "wan", "hop_classes", "counters",
-        "no_drops", "static",
+        "src_id", "src_ip", "entries", "dst_ids", "slow", "unroutable", "flows",
+        "fast", "at", "infos", "p_attempt", "n_hops", "wan", "hop_classes",
+        "counters", "no_drops", "static",
     )
 
     def __init__(self, src_id: str, dst_ids: tuple[str, ...]) -> None:
         self.src_id = src_id
         self.dst_ids = dst_ids
+        self.unroutable = {}
         self.static = None
 
 
@@ -268,11 +275,13 @@ class ProbeBatch(Sequence):
 
     @classmethod
     def assemble(
-        cls, plan: _RoundPlan, t: float, scalar_at, rows, analytic=None, flow_slots=None
+        cls, plan: _RoundPlan, t: float, scalar_at, rows, analytic=None,
+        flow_slots=None, no_route=(),
     ) -> "ProbeBatch":
         """Columns read off the scalar engine's ``rows`` (at positions
         ``scalar_at``), with the analytic draw's ``(positions, success,
-        rtt_s, syn_drops, error, src_port)`` scattered among them."""
+        rtt_s, syn_drops, error, src_port)`` and the source ports of the
+        plan's unroutable positions (``no_route``) scattered among them."""
         n = len(plan.dst_ids)
         kept: list = [None] * n
         success = np.zeros(n, dtype=bool)
@@ -290,6 +299,9 @@ class ProbeBatch(Sequence):
             payload_rtt_s[index] = row.payload_rtt_s
             if row.flow is not None:
                 src_port[index] = row.flow.src_port
+        for index, port in zip(plan.unroutable, no_route):
+            error[index] = "no_route"
+            src_port[index] = port
         if analytic is not None:
             at, drawn_success, drawn_rtt_s, drawn_syn_drops, drawn_error, ports = analytic
             success[at] = drawn_success
@@ -337,11 +349,14 @@ class ProbeBatch(Sequence):
             info = plan.infos[index]
             if info is not None:
                 dst, scope, hops = info.dst, info.scope, info.forward_hop_ids
+            elif index in plan.unroutable:  # no route: no scope, no hops
+                dst, scope, hops = plan.unroutable[index], None, ()
             else:  # a judged flow that met no fault: its own hops
                 flows = plan.flows
                 flow = flows.at.index(index)
                 dst, scope = flows.dsts[flow], flows.facts[flow].route.scope
-                hops = flows.hop_ids(flow, self._flow_slots)
+                there, _back = flows.hops(flow, self._flow_slots)
+                hops = tuple([hop.device_id for hop in there])
             row = ProbeResult(
                 src=plan.src_id,
                 dst=plan.dst_ids[index],
@@ -813,6 +828,15 @@ class Fabric:
                 error="no_route",
                 flow=flow,
             )
+        return self._probe_along(forward, reverse, flow, reply, t, payload_bytes)
+
+    def _probe_along(
+        self, forward: Path, reverse: Path, flow: FiveTuple, reply: FiveTuple,
+        t: float, payload_bytes: int = 0,
+    ) -> ProbeResult:
+        """The scalar engine's per-hop core: one carried probe of ``flow``
+        out along ``forward`` and its ``reply`` back along ``reverse``."""
+        src_server, dst_server = forward.src, forward.dst
 
         def syn_attempt() -> tuple[bool, float]:
             delivered, extra_fwd = self._traverse(forward, flow, 40)
@@ -977,11 +1001,15 @@ class Fabric:
                 info = pair_cache.get((src_id, dst_id, dst_port))
             if info is None:
                 dst_server = self._resolve(dst_id)
+                facts = None if dst_id == src_id else self._class_facts(src_server, dst_server)
+                if facts is not None and not facts.route.routable:
+                    plan.slow.append((index, _NO_ROUTE))
+                    plan.unroutable[index] = dst_server
+                    continue
                 if payload_bytes > 0 or not dst_server.is_up:
                     plan.slow.append((index, -1))
                     continue
-                if dst_id != src_id:
-                    facts = self._class_facts(src_server, dst_server)
+                if facts is not None:
                     if facts.scalar:
                         plan.slow.append((index, -1))
                         continue
@@ -1050,17 +1078,21 @@ class Fabric:
         envelope first (once per entries tuple and generation,
         :meth:`_round_plan`), flow second (each round):
 
-        * **scalar** (full-fidelity engine, per-hop decisions): any entry
-          with a payload echo, a down destination, no route, or a live
+        * **no route**: the pod pair's route record has no live route.
+          Answered in the plan — :meth:`probe`'s ``no_route`` row, without
+          routing, drawing or calling the scalar engine;
+        * **scalar** (:meth:`probe`, full fidelity, per-hop decisions): any
+          other entry with a payload echo, a down destination, or a live
           fault on what every flow of the pair crosses (a ToR, a WAN
           direction) — decided from the pod pair's class facts before
           anything is routed;
         * **judged**: a live fault on an ECMP tier of the pair's envelope.
           The round's fresh source port decides: every judged flow's
           per-tier choice, forward and reverse, is computed in one array
-          pass, and only the flows that hash onto a faulted switch go to
-          the scalar engine, with that port pinned — so a degraded probe
-          routes only its own flow, and a clear one is never routed;
+          pass, and only the flows that hash onto a faulted switch enter
+          the scalar engine's per-hop core, on paths built from the hops
+          that pass chose — so a degraded probe is never routed again, and
+          a clear one is never routed;
         * **fast** (analytic, array-at-a-time): everything else, and the
           judged flows that met no fault — three Bernoulli attempts at the
           pair's attempt-drop probability and an RTT from the DC latency
@@ -1068,10 +1100,10 @@ class Fabric:
           probes.
 
         Every probe still draws a fresh ephemeral source port (the ECMP
-        sweep discipline; the scalar and judged positions' in entry order,
-        then the fast ones'), counts into the conservation ledger, and is
-        reported to the round observers: by :meth:`probe`, each, if the
-        scalar engine carried it, else in one report of the analytic draw.
+        sweep discipline; the slow positions' in entry order, then the
+        fast ones'), counts into the conservation ledger, and is reported
+        to the round observers — one by one in entry order, as
+        :meth:`probe` reports, or in the one report of the analytic draw.
         """
         src_server = self._resolve(src)
         src_id = src_server.device_id
@@ -1094,25 +1126,40 @@ class Fabric:
         flows, k = plan.flows, len(plan.fast)
         if flows is not None:
             hit, flow_slots = self._judge_flows(flows, slow_ports)
-            verdicts = hit.tolist()
-        rows, scalar_at, clear, clear_ports = [], [], [], []
+            verdicts, slots = hit.tolist(), flow_slots.tolist()
+        rows, scalar_at, clear, clear_ports, no_route = [], [], [], [], []
         for (index, flow), port in zip(plan.slow, slow_ports):
-            if flow < 0 or verdicts[flow]:
-                dst_id, dst_port, payload_bytes = entries[index]
-                rows.append(
-                    self.probe(
-                        src_server, dst_id, t=t, payload_bytes=payload_bytes,
-                        dst_port=dst_port, src_port=port,
-                    )
+            dst_id, dst_port, payload_bytes = entries[index]
+            if flow == -1:
+                row = self.probe(
+                    src_server, dst_id, t=t, payload_bytes=payload_bytes,
+                    dst_port=dst_port, src_port=port,
                 )
-                scalar_at.append(index)
-            else:
+            elif flow >= 0 and not verdicts[flow]:
                 clear.append(k + flow)
                 clear_ports.append(port)
                 flows.facts[flow].route.dst_tor.counters.packets_forwarded += 1
+                continue
+            else:  # carried without Fabric.probe, so reported as it reports
+                self.probes_carried += 1
+                for observer in self.round_observers:
+                    observer(src_id, ((dst_id, dst_port, payload_bytes),), t)
+                if flow == _NO_ROUTE:
+                    no_route.append(port)
+                    continue
+                there, back = flows.hops(flow, slots)
+                dst, route = flows.dsts[flow], flows.facts[flow].route
+                five = FiveTuple(src_server.ip, port, dst.ip, dst_port, PROTO_TCP)
+                row = self._probe_along(
+                    Path(src_server, dst, route.scope, there, route.wan_fwd),
+                    Path(dst, src_server, route.scope, back, route.wan_rev),
+                    five, five.reversed(), t,
+                )
+            rows.append(row)
+            scalar_at.append(index)
         n = k + len(clear)
         if not n:
-            return ProbeBatch.assemble(plan, t, scalar_at, rows)
+            return ProbeBatch.assemble(plan, t, scalar_at, rows, no_route=no_route)
         if flows is None:
             at, p_attempt, wan = plan.at, plan.p_attempt, plan.wan
             hop_classes = plan.hop_classes
@@ -1168,11 +1215,11 @@ class Fabric:
                 flows.slots[slot].counters.packets_forwarded += int(carried[slot])
             ports = [*ports, *clear_ports]
         self.probes_carried += n
-        if flows is None and not rows:
+        if flows is None and not rows and not no_route:
             return ProbeBatch(plan, t, success, rtt_s, syn_drops, error, None, ports)
         return ProbeBatch.assemble(
             plan, t, scalar_at, rows, (at, success, rtt_s, syn_drops, error, ports),
-            flow_slots if clear_ports else None,
+            flow_slots if clear_ports else None, no_route,
         )
 
     # -- closed-form class rounds ----------------------------------------------

@@ -359,9 +359,9 @@ class FaultInjector:
     """Registry of active faults, consulted by the fabric per hop.
 
     ``state_version`` (when attached) is bumped on every inject/clear so
-    path and pair caches stamped against it invalidate: a fault changes
-    which pairs may take the analytic fast path even though routing itself
-    is unchanged.
+    the verdicts stamped against it are rebuilt: a fault changes which pairs
+    may take the analytic fast path.  Routing itself is unchanged, so its
+    routing generation stays.
     """
 
     def __init__(self, state_version=None) -> None:
@@ -377,7 +377,7 @@ class FaultInjector:
             key for key, faults in self._by_switch.items() if faults
         )
         if self.state_version is not None:
-            self.state_version.bump()
+            self.state_version.bump(routing=False)
 
     @staticmethod
     def _keys_of(fault: Fault) -> tuple[str, ...]:

@@ -153,7 +153,7 @@ def _pick(candidates: list[Switch], flow: FiveTuple, salt: int) -> Switch:
 class PodRoute:
     """Everything about routing (src pod -> dst pod) that no flow changes.
 
-    One record per ordered pod pair per state generation, shared by every
+    One record per ordered pod pair per routing generation, shared by every
     server pair and every probe between the two pods: :meth:`Router.path`
     hashes a flow against ``tiers``, the fabric's scalar/fast partition and
     class plans read ``routable`` and ``envelope``.  ``tiers`` are the
@@ -186,18 +186,21 @@ class Router:
     ecmp_bucket)``, where the bucket is the tuple of per-tier ECMP hash
     decisions the flow implies — so the agents' source-port sweep still
     lands on (and caches) every distinct path, it just never recomputes
-    one.  Table and cache are stamped with the topology's
-    :class:`~repro.netsim.devices.StateVersion` and invalidated wholesale
-    the moment any device changes state, any fault is injected or cleared,
-    or the topology grows: liveness is frozen within a generation, which is
-    what makes a cached path provably identical to a fresh
-    :meth:`uncached_path` computation.
+    one.  Both are stamped with the topology's
+    :class:`~repro.netsim.devices.StateVersion`: the route table and its
+    live-tier memo with the routing generation, so a fault change or a
+    server flip keeps every :class:`PodRoute` record; the path cache with
+    the state generation, so it empties on every change and holds only the
+    paths one generation probed.  Liveness is frozen within a routing
+    generation, which is what makes a cached path provably identical to a
+    fresh :meth:`uncached_path` computation.
     """
 
     def __init__(self, topology: MultiDCTopology) -> None:
         self.topology = topology
         self._state_version = topology.state_version
         self._cache_version = -1
+        self._routing_version = -1
         self._path_cache: dict[tuple[str, str, tuple[int, ...]], Path] = {}
         self._routes: dict[tuple[int, int, int, int], PodRoute] = {}
         self._live_cache: dict[int, tuple[Switch, ...]] = {}
@@ -207,24 +210,28 @@ class Router:
     # -- cache plumbing ----------------------------------------------------
 
     def _check_generation(self) -> None:
-        version = self._state_version.value
-        if version != self._cache_version:
-            self.invalidate()
-            self._cache_version = version
+        version = self._state_version
+        if version.value != self._cache_version:
+            self._path_cache.clear()
+            self._cache_version = version.value
+            if version.routing != self._routing_version:
+                self._routes.clear()
+                self._live_cache.clear()
+                self._routing_version = version.routing
 
     def invalidate(self) -> None:
-        """Drop every cached path (normally automatic via the version)."""
+        """Drop every cached path and route (normally automatic)."""
         self._path_cache.clear()
         self._routes.clear()
         self._live_cache.clear()
-        self._cache_version = -1
+        self._cache_version = self._routing_version = -1
 
     @property
     def cached_paths(self) -> int:
         return len(self._path_cache)
 
     def _live(self, candidates: list[Switch]) -> tuple[Switch, ...]:
-        """Live members of a stable candidate list, memoized per generation.
+        """Live members of a stable candidate list, per routing generation.
 
         Keyed by list identity: the candidate lists (``dc.spines``,
         ``dc.borders``, ``dc.leaves[podset]``) are owned by the topology and

@@ -19,9 +19,11 @@ from repro.core.agent.agent import AgentConfig
 from repro.core.sharded import ShardedFleet
 from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.netsim.fabric import Fabric
-from repro.netsim.faults import BlackholeType1, SilentRandomDrop
+from repro.netsim.faults import BlackholeType1, SilentRandomDrop, podset_down
 from repro.netsim.topology import TopologySpec
 from repro.stream.sketch import ClassStats
+from tests.conftest import record_probe_calls
+from tests.netsim.test_degraded_lockstep import _comparable
 
 _SPEC = TopologySpec(n_podsets=2, pods_per_podset=2, servers_per_pod=4, n_spines=4)
 
@@ -38,16 +40,16 @@ def _round_entries(fabric, n=12):
 
 
 def _count_scalar_probes(fabric):
-    """Monkeypatch-free spy: scalar probes are ``probe`` calls, so count
-    calls routed through it by wrapping the bound method."""
+    """Monkeypatch-free spy: a scalar probe is a pass through the engine's
+    per-hop core (``probe``'s or a judged flow's), so wrap the bound method."""
     calls = []
-    original = fabric.probe
+    original = fabric._probe_along
 
     def spy(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    fabric.probe = spy
+    fabric._probe_along = spy
     return calls
 
 
@@ -89,9 +91,10 @@ class TestPartitionRule:
         spine = fabric.topology.dc(0).spines[0]
         fabric.faults.inject(SilentRandomDrop(switch_id=spine.device_id))
         scalar_ports = []
-        scalar_engine = fabric.probe
-        fabric.probe = lambda *args, **kwargs: (
-            scalar_ports.append(kwargs["src_port"]) or scalar_engine(*args, **kwargs)
+        core = fabric._probe_along
+        fabric._probe_along = lambda forward, reverse, flow, *args, **kwargs: (
+            scalar_ports.append(flow.src_port)
+            or core(forward, reverse, flow, *args, **kwargs)
         )
         cross = [
             (s.device_id, port, 0)
@@ -111,7 +114,7 @@ class TestPartitionRule:
         assert scalar_ports == crossing
         assert 0 < len(crossing) < len(cross)
         # A fault on a ToR is on every flow's path: no flow escapes it.
-        del fabric.probe
+        del fabric._probe_along
         tor = fabric.topology.dc(0).tor_of(fabric.topology.server(cross[0][0]))
         fabric.faults.inject(SilentRandomDrop(switch_id=tor.device_id))
         calls = _count_scalar_probes(fabric)
@@ -141,6 +144,41 @@ class TestPartitionRule:
         fabric.faults.inject(BlackholeType1(switch_id=tor.device_id, fraction=1.0))
         results = fabric.probe_many(src, entries, t=50.0)
         assert all(not r.success for r in results)
+
+
+class TestUnroutableParity:
+    def test_plan_resolved_rows_are_probe_rows_without_routing_or_a_draw(self):
+        """Under ``podset-down`` the entries into the dark podset have no
+        live route: the round plan answers them, field for field, as the
+        pinned-port ``Fabric.probe`` would, reports and counts them alike —
+        never routing them, calling the engine for them or drawing."""
+        batched, looped = _fabric(seed=7), _fabric(seed=7)
+        for fabric in (batched, looped):
+            podset_down(fabric.topology, 0, 1)
+        reports, loop_reports = record_probe_calls(batched), record_probe_calls(looped)
+        called = []
+        probe, path = batched.probe, batched.router.path
+        batched.probe = lambda *args, **kw: called.append(args) or probe(*args, **kw)
+        batched.router.path = lambda *args: called.append(args) or path(*args)
+        dc = batched.topology.dc(0)
+        src = dc.servers_in_podset(0)[0]
+        entries = [
+            (dst.device_id, port, 0) for dst in dc.servers_in_podset(1) for port in (81, 82)
+        ]
+        entries.append((entries[0][0], 83, 600))  # a payload echo
+        rng = batched.rng.bit_generator.state
+        batch = batched.probe_many(src, entries, t=30.0)
+        want = [
+            looped.probe(src.device_id, dst_id, t=30.0, payload_bytes=payload,
+                         dst_port=port, src_port=batch.src_port[index])
+            for index, (dst_id, port, payload) in enumerate(entries)
+        ]
+        assert {row.error for row in want} == {"no_route"}
+        assert [_comparable(row) for row in batch] == [_comparable(row) for row in want]
+        assert reports == loop_reports and len(reports) == len(entries)
+        assert batched.probes_carried == looped.probes_carried == len(entries)
+        assert batched.rng.bit_generator.state == rng
+        assert called == []
 
 
 class TestDistributionParity:

@@ -202,10 +202,10 @@ class TestProbeManyIsTheScalarEngine:
 
     def test_only_flows_that_cross_the_fault_are_scalar_probes(self):
         """One silent spine of four, on every envelope of the round: the
-        flows whose forward or reverse path holds the spine are the pinned-
-        port ``Fabric.probe`` calls, bit for bit and in entry order; the
-        rest are never routed per hop, report their own ECMP hops and count
-        one packet on each."""
+        flows whose forward or reverse path holds the spine are the engine
+        core's, on the ECMP pass's paths, each bit for bit the pinned-port
+        ``Fabric.probe`` call, in entry order; no flow is routed per hop, and
+        the rest report their own ECMP hops and count one packet on each."""
         batched, looped = _fabric(), _fabric()
         for fabric in (batched, looped):
             spine = fabric.topology.dc(0).spines[1]
@@ -218,15 +218,16 @@ class TestProbeManyIsTheScalarEngine:
             for dst in batched.topology.dc(0).servers_in_podset(1)
             for port in (81, 82)
         ]
-        routed = []
-        route = batched.router.path
+        routed, carried = [], []
+        route, core = batched.router.path, batched._probe_along
         batched.router.path = lambda *args: routed.append(args) or route(*args)
+        batched._probe_along = lambda *args, **kw: carried.append(args) or core(*args, **kw)
         crossing = 0
         for round_index, t in enumerate((0.0, 60.0, 120.0)):
             # The scalar probes draw first, in entry order: from the same
             # generator state the loop reproduces every one of them.
             looped.rng.bit_generator.state = batched.rng.bit_generator.state
-            routed.clear()
+            carried.clear()
             got = batched.probe_many(src_b, entries, t=t)
             scalar = 0
             for row, (dst_id, port, _payload) in zip(got, entries):
@@ -245,7 +246,8 @@ class TestProbeManyIsTheScalarEngine:
                     assert row.scope is forward.scope and row.flow == flow
                     for hop in forward.hops:  # what the analytic draw counts
                         hop.counters.packets_forwarded += 1
-            assert len(routed) == 2 * scalar
+            assert len(carried) == scalar
+            assert routed == []
             assert batched.probes_carried == (round_index + 1) * len(entries)
             crossing += scalar
         # 1 - (3/4)**2 of the flows cross one spine of four.

@@ -9,6 +9,8 @@ fault changes, and growth events happens in between.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -152,18 +154,25 @@ class TestGenerationInvalidation:
         assert _same_path(after, router.uncached_path(src, dst, flow))
 
     def test_fault_changes_bump_without_changing_routes(self, topo, router):
+        """A fault change moves the state generation, not the routing one:
+        the path cache empties, the pod-route record is kept."""
         src, dst = _cross_podset_pair(topo)
         flow = _flow(src, dst)
         injector = FaultInjector(state_version=topo.state_version)
         before = router.path(src, dst, flow)
+        route = router.pod_route(src, dst)
         version = topo.state_version.value
         fault = injector.inject(SilentRandomDrop(switch_id=before.hops[0].device_id))
         assert topo.state_version.value == version + 1
+        assert router.pod_route(src, dst) is route
+        assert router.cached_paths == 0
         misses = router.cache_misses
         assert _same_path(router.path(src, dst, flow), before)
-        assert router.cache_misses == misses + 1  # the bump forced a rebuild
+        assert router.cache_misses == misses + 1  # the path itself is rebuilt
         injector.clear(fault)
         assert topo.state_version.value == version + 2
+        assert router.pod_route(src, dst) is route
+        assert router.cached_paths == 0
 
     def test_add_podset_during_a_live_run(self, topo, router):
         """Satellite edge: growth invalidates, and new servers route."""
@@ -239,11 +248,14 @@ class TestFastPathInvalidation:
 
 # Operations the property test interleaves with path queries.  Each op
 # bumps (or should bump) the state version; correctness means cached and
-# fresh computation agree after every single one.
+# fresh computation agree after every single one, and that those in
+# _ROUTE_KEEPING_OPS moved no route.
 _OPS = (
     "down", "up", "flap", "fault", "wan-fault", "clear", "podset-down",
-    "podset-up", "grow", "reload", "retime", "server-down", "noop",
+    "podset-up", "grow", "reload", "isolate", "retime", "server-down",
+    "server-up", "noop",
 )
+_ROUTE_KEEPING_OPS = {"fault", "wan-fault", "clear", "server-down", "server-up"}
 
 
 def _two_dc_fabric():
@@ -292,11 +304,11 @@ class TestCachedEqualsFreshProperty:
     def test_the_table_is_the_router(self, ops, probes):
         """Across random fault/flap/outage/growth/retime sequences, the
         route table answers exactly as the from-scratch reference does:
-        ``path`` == ``uncached_path`` hop object for hop object; and of the
-        class plan's passthrough set, ``probe_many`` hands the scalar engine
-        exactly the flows the router says cross a fault (or cannot be
-        judged: payload, dead destination, no route) — the vector verdict
-        is ``Router.path``'s, at every tier size and across the WAN."""
+        ``path`` == ``uncached_path`` hop object for hop object, and a fault
+        or server step keeps every ``PodRoute``; and of the class plan's
+        passthrough set, ``probe_many`` hands the engine's core exactly the
+        routable flows the router says cross a fault (or cannot be judged:
+        payload, dead destination) — the vector verdict is ``Router.path``'s."""
         fabric = _two_dc_fabric()
         topo, router = fabric.topology, fabric.router
         active_faults: list = []
@@ -332,22 +344,20 @@ class TestCachedEqualsFreshProperty:
             entries.append((servers[-1].device_id, 82, 64))  # a payload echo
             plan = fabric.build_class_plan(src, entries)
             scalar_bound = []
-            scalar_engine = fabric.probe
-            fabric.probe = lambda s, d, **kw: (
-                scalar_bound.append((getattr(d, "device_id", d), kw["dst_port"]))
-                or scalar_engine(s, d, **kw)
+            core = fabric._probe_along
+            fabric._probe_along = lambda forward, reverse, flow, *args, **kw: (
+                scalar_bound.append((forward.dst.device_id, flow.dst_port))
+                or core(forward, reverse, flow, *args, **kw)
             )
             try:
                 batch = fabric.probe_many(src, entries)
             finally:
-                del fabric.probe
+                del fabric._probe_along
             faulted = fabric.faults.faulted_switch_ids()
 
             def crosses_a_fault(index):
                 dst_id, dst_port, payload = entries[index]
                 dst = topo.server(dst_id)
-                if payload > 0 or not dst.is_up:
-                    return True
                 flow = FiveTuple(src.ip, batch.src_port[index], dst.ip, dst_port)
                 try:
                     paths = (
@@ -355,6 +365,10 @@ class TestCachedEqualsFreshProperty:
                         router.path(dst, src, flow.reversed()),
                     )
                 except NoRouteError:
+                    # Resolved in the plan: never routed, never carried.
+                    assert batch[index].error == "no_route"
+                    return False
+                if payload > 0 or not dst.is_up:
                     return True
                 crossed = {hop.device_id for path in paths for hop in path.hops}
                 if src.dc_index != dst.dc_index:
@@ -382,6 +396,7 @@ class TestCachedEqualsFreshProperty:
         for op, pick in ops:
             pool = switch_pool()
             switch = pool[pick % len(pool)]
+            routes = dict(router._routes)
             if op == "down":
                 switch.bring_down()
             elif op == "up":
@@ -407,19 +422,23 @@ class TestCachedEqualsFreshProperty:
                 dc.add_podset()
             elif op == "reload":
                 fabric.reload_switch(switch)
+            elif op == "isolate":
+                fabric.isolate_switch(switch)
             elif op == "retime":
                 topo.set_wan_latency(pick % 2, 1 - pick % 2, 0.01 + pick * 1e-6)
-            elif op == "server-down":
-                servers = topo.all_servers()
-                servers[pick % len(servers)].bring_down()
+            elif op in ("server-down", "server-up"):
+                server = topo.all_servers()[pick % len(topo.all_servers())]
+                (server.bring_down if op == "server-down" else server.bring_up)()
             check()
+            if op in _ROUTE_KEEPING_OPS:
+                assert all(router._routes[key] is route for key, route in routes.items())
 
 
 class TestDegradedRoundCallCounts:
     """Wall-clock-free guard on the degraded path: what a silent-spine
-    round *calls*, counted by wrapping — so the cost model (a scalar probe
-    for the flows that cross the spine and for no other, routed once per
-    direction; judge once per pod pair) cannot silently regress."""
+    round *calls*, counted by wrapping — so the cost model (the scalar
+    engine's core for the flows that cross the spine and for no other, on
+    the paths the ECMP pass chose; judge once per pod pair) cannot regress."""
 
     def test_silent_spine_round_routes_twice_per_probe(self, monkeypatch):
         system = PingmeshSystem(
@@ -434,7 +453,7 @@ class TestDegradedRoundCallCounts:
             )
         )
         fabric = system.fabric
-        calls = {"path": 0, "uncached_path": 0, "_pair_info": 0, "probe": 0, "facts": 0}
+        calls = Counter()
 
         def counted(owner, name, key=None):
             original = getattr(owner, name)
@@ -452,6 +471,7 @@ class TestDegradedRoundCallCounts:
         counted(fabric.router, "uncached_path")
         counted(fabric, "_pair_info")
         counted(fabric, "probe")
+        counted(fabric, "_probe_along")
         counted(fabric_module, "_ClassFacts", "facts")
         rounds = []
         probe_many = fabric.probe_many
@@ -465,7 +485,7 @@ class TestDegradedRoundCallCounts:
         )
         sent = fleet.probes_sent
         fleet.run_for(60.0)  # one recompile, one degraded round
-        metered = dict(calls)  # the meter stops here
+        metered = Counter(calls)  # the meter stops here
         pod = lambda server: (server.dc_index, server.pod_index)
         pod_pairs = {
             (pod(system.topology.server(agent.server_id)),
@@ -473,9 +493,9 @@ class TestDegradedRoundCallCounts:
             for agent in system.agents.values()
             for entry in agent.pinglist.entries
         }
-        # The work meter: one scalar probe per flow whose own path, out
-        # or back, holds the spine — 1 - (7/8)**2 of the cross-podset
-        # flows, every one of which was on the faulted envelope.
+        # The work meter: one pass through the engine's core per flow whose
+        # own path, out or back, holds the spine — 1 - (7/8)**2 of the
+        # cross-podset flows, every one of which was on the faulted envelope.
         spine = system.topology.dc(0).spines[1]
         judged = crossing = 0
         for src_id, entries, batch in rounds:
@@ -491,9 +511,8 @@ class TestDegradedRoundCallCounts:
                 )
         assert judged > 3000  # every cross-podset pair left the class plan
         assert judged < fleet.probes_sent - sent  # intra-podset stayed classed
-        assert metered["probe"] == crossing
+        assert metered["_probe_along"] == crossing
         assert 0.18 * judged < crossing < 0.29 * judged
-        assert metered["path"] == 2 * metered["probe"]
-        assert metered["uncached_path"] == 0
+        assert metered["probe"] == metered["path"] == metered["uncached_path"] == 0
         assert metered["_pair_info"] == 0
         assert 0 < metered["facts"] <= len(pod_pairs)
