@@ -32,6 +32,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.cosmos.columnar import ColumnBlock, Vocabulary
+from repro.cosmos.scope import sorted_percentile
 from repro.netsim.fabric import ClassOutcome, ProbeBatch, ProbeResult
 from repro.netsim.topology import MultiDCTopology
 
@@ -265,7 +266,9 @@ def make_class_record(
     classes), giving the class stream per-DC-pair resolution.
     """
     if outcome.rtt_s.size:
-        p50, p99 = np.percentile(outcome.rtt_s * 1e6, (50, 99)).tolist()
+        rtt_us = outcome.rtt_s * 1e6
+        rtt_us.sort()
+        p50, p99 = sorted_percentile(rtt_us, (50, 99), rtt_us.size).tolist()
     else:
         p50 = p99 = None
     return {

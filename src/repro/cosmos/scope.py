@@ -56,6 +56,7 @@ __all__ = [
     "col",
     "extract",
     "lit",
+    "sorted_percentile",
 ]
 
 Row = dict[str, Any]
@@ -64,6 +65,23 @@ Row = dict[str, Any]
 # reduction may have.
 _KEY_KINDS = "biufU"
 _NUMERIC_KINDS = "biuf"
+
+
+def sorted_percentile(values: np.ndarray, q, counts, starts=0) -> np.ndarray:
+    """``np.percentile(segment, q)``, bit for bit, of the ascending segments
+    ``values[starts:starts + counts]``; ``q``, ``counts`` and ``starts``
+    broadcast (several percentiles of one segment, or one of many)."""
+    # Floor, ceiling and fraction of the offset *within* the segment, as
+    # np.percentile takes them of the segment alone: adding the segment
+    # start first would round it into the fraction.
+    offset = (np.asarray(q) / 100.0) * (counts - 1)
+    low = np.floor(offset)
+    t = offset - low
+    a = values[starts + low.astype(np.intp)]
+    b = values[starts + np.ceil(offset).astype(np.intp)]
+    span = b - a
+    # numpy's _lerp: blend from whichever side is nearer, for symmetry.
+    return np.where(t >= 0.5, b - span * (1.0 - t), a + span * t)
 
 
 def _typed(values: np.ndarray, name: str, kinds: str, verb: str) -> np.ndarray:
@@ -243,18 +261,7 @@ class _SegmentedColumns:
         if self.n_groups == 0:
             return np.empty(0, dtype=np.float64)
         values = self._value_sorted(name)
-        # Floor, ceiling and fraction of the offset *within* the segment,
-        # as np.percentile takes them of the group alone: adding the
-        # segment start first would round it into the fraction.
-        offset = (q / 100.0) * (self.counts - 1)
-        low = np.floor(offset)
-        t = offset - low
-        a = values[self.starts + low.astype(np.intp)]
-        b = values[self.starts + np.ceil(offset).astype(np.intp)]
-        span = b - a
-        # numpy's _lerp: blend from whichever side is nearer, for symmetry.
-        result = np.where(t >= 0.5, b - span * (1.0 - t), a + span * t)
-        return result[self.group_order]
+        return sorted_percentile(values, q, self.counts, self.starts)[self.group_order]
 
     def _value_sorted(self, name: str) -> np.ndarray:
         """Column values ascending *within* each group segment."""

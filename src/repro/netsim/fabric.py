@@ -579,8 +579,8 @@ def execute_class_groups(groups, latency_models, t, draw) -> list[ClassOutcome]:
                 rtt[n0:n0 + n1] += sig1
             if n2:
                 rtt[n0 + n1:] += sig2
-            one_drop = int(((rtt >= sig1) & (rtt < sig2)).sum())
-            two_drops = int(((rtt >= sig2) & (rtt < sig3)).sum())
+            one_drop = int(np.count_nonzero((rtt >= sig1) & (rtt < sig2)))
+            two_drops = int(np.count_nonzero((rtt >= sig2) & (rtt < sig3)))
         else:
             rtt = np.empty(0)
             one_drop = two_drops = 0
