@@ -82,10 +82,12 @@ def fingerprint(system: PingmeshSystem) -> dict[str, str]:
     return digests
 
 
-# Recorded at commit 2c0b85d, before any source edit.  One value has moved
+# Recorded at commit 2c0b85d, before any source edit.  Two values have moved
 # since, on purpose: ``ingested``'s byte count, once, when ``size_bytes``
 # stopped writing floats out to measure them (22,947,906 and 22,948,115 B at
-# the parent; the float columns' lengths are now worked out arithmetically).
+# the parent; the float columns' lengths are now worked out arithmetically),
+# and ``table:patterns_10min``, when the empty t=600 window stopped reading
+# as ``podset-down [0, 1, 2, 3]`` (was 6ec6ef28...; now "no per-pair data").
 PINNED: dict[int, dict[str, str]] = {
     1: {
         "ingested": "(22996218, 84510)",
@@ -93,7 +95,7 @@ PINNED: dict[int, dict[str, str]] = {
         "pingmesh/latency-class": "60a33e6cf5151f2d52eddae9685cfa270426aa89d8dbc7dfb854606f1d1a40fe",
         "table:blackhole_daily": "402190f7b89bd620487924e03cb15cfaec58218a467dde4ba76e4441d4349e4c",
         "table:drop_daily": "672d80043f7e5f72a60e17bddf86503e6f6795796db178594309870d4800a203",
-        "table:patterns_10min": "6ec6ef2856da193f04f5ddfcb1fc351698e24c7db4e420dec49d492987657460",
+        "table:patterns_10min": "baec0b2acc272e7541a097b1e444b3a173e090ca8f3856a674c85ac888991c04",
         "table:podpair_10min": "5b5a2c2b96bda16a6cce1a8a95562837d7d20f2a9448ab54d9dce1e3e14b24ec",
         "table:sla_hourly": "329808c23d921ed542ee28fad71bf3545537e5fea09ac08a61e999018433e10c",
     },
@@ -103,7 +105,7 @@ PINNED: dict[int, dict[str, str]] = {
         "pingmesh/latency-class": "60a33e6cf5151f2d52eddae9685cfa270426aa89d8dbc7dfb854606f1d1a40fe",
         "table:blackhole_daily": "402190f7b89bd620487924e03cb15cfaec58218a467dde4ba76e4441d4349e4c",
         "table:drop_daily": "27c9dfcb02ec2c7629d1a447009d9adf0fe6a2c53ad3a0efa0bc15512ec5b7e6",
-        "table:patterns_10min": "6ec6ef2856da193f04f5ddfcb1fc351698e24c7db4e420dec49d492987657460",
+        "table:patterns_10min": "baec0b2acc272e7541a097b1e444b3a173e090ca8f3856a674c85ac888991c04",
         "table:podpair_10min": "8162778ac30eb61e7e11d655cbdf99e0669fb3b0d108bcbfa0f75df977305a24",
         "table:sla_hourly": "9b72d0f9c65703a1c6b1df13d2fa8e89940ace7ffa1d9554e077915bf30956cb",
     },

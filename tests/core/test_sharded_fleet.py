@@ -382,6 +382,18 @@ def test_a_1k_fleet_round_reports_the_parents_calls(workers):
     assert (healthy, calls_digest(calls)) == PINNED_1K_ROUNDS
 
 
+def test_a_healthy_class_window_is_not_a_power_loss():
+    """Class rounds write no pod-pair rows, so a healthy class-mode window's
+    heatmap is all white: no per-pair data, not a podset-down everywhere."""
+    system = _system(dsa=DsaConfig(ingestion_delay_s=0.0, near_real_time_period_s=300.0))
+    ShardedFleet(system).run_for(600.0)
+    patterns = system.database.query("patterns_10min")
+    assert [row["t"] for row in patterns] == [300.0, 600.0]
+    for row in patterns:
+        assert (row["pattern"], row["affected_podsets"]) == ("unclassified", [])
+        assert row["detail"] == "no per-pair data"
+
+
 class TestScaleSmoke:
     def test_scale_smoke_1k_window(self):
         """Tier-1 smoke of the scale suite: 1024 servers, one simulated

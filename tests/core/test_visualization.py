@@ -118,10 +118,14 @@ class TestPatternClassification:
         assert result.pattern != LatencyPattern.PODSET_FAILURE
         assert result.pattern != LatencyPattern.NORMAL
 
-    def test_empty_matrix_is_podset_down_everywhere(self):
+    def test_empty_matrix_is_unclassified_not_podset_down(self):
+        """No per-pair rows at all is no data, not a power loss on every
+        podset: the white cross is guarded like the red one."""
         heatmap = LatencyHeatmap(N_PODS, PODS_PER_PODSET)
         result = heatmap.classify()
-        assert result.pattern == LatencyPattern.PODSET_DOWN
+        assert result.pattern == LatencyPattern.UNCLASSIFIED
+        assert result.affected_podsets == []
+        assert result.detail == "no per-pair data"
 
     def test_podset_of(self):
         heatmap = _heatmap()
