@@ -43,6 +43,29 @@ PINNED_OUTCOMES = {
 }
 
 
+# sha256 of each drill's alert episode history (``Alert.as_row``) plus its
+# DSA ``anomalies`` rows at seed 0, recorded at commit e87084c, before the
+# batch and stream detectors shared one judgement and one EWMA baseline.
+PINNED_ALERTS = {
+    "blackhole-vip-dark": "a5f0f26c29307dec8d2a417c4056d8094317a1db13235359e6d5ccd627ff2ec8",
+    "broker-storm": "fa926399f64e142d82d087064140dba5f1a91a29ffb46c8c7e5a86bdba51e8a0",
+    "controller-brownout": "4cbda3e21dfbf3b528e21d1dcbde0bffff1e1f9c6a45dd181e5de6aa3d7d732d",
+    "controller-flap": "a7bb608d559c535daccefce8e2c25bc2ab12942c80a4286c155ba72e3dfc2760",
+    "cosmos-blackout": "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    "cosmos-blackout-heal": "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    "healthy-baseline": "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    "kill-switch": "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    "memory-squeeze": "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    "podset-blackout": "eb6d6550b2508539d19e8e92a0e8f6f6ad4b8009a2f79f6f632a81ad9d7c6538",
+    "recovery-stampede": "be4e8623e8aaa8d67f6304aef240161625a5e97b7495928c8c747b38ba25d9cb",
+    "replica-flap-storm": "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    "stream-blackout": "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    "wan-dci-congestion": "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    "wan-fiber-cut": "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+    "wan-partition": "1391876e63685b7da0e6a923dc6c4c106590930a70cdf4665088614cae243c44",
+}
+
+
 def _run(name: str, seed: int = 0, check_mode: str = "phase"):
     system, campaign, canned = build_campaign(name, seed=seed, check_mode=check_mode)
     report = campaign.run(canned.duration_s, phase_s=canned.phase_s)
@@ -51,12 +74,17 @@ def _run(name: str, seed: int = 0, check_mode: str = "phase"):
 
 @pytest.mark.parametrize("name", ALL_CAMPAIGNS)
 def test_campaign_runs_clean(name):
-    report = run_campaign(name, seed=0)
+    system, report = _run(name)
     report.assert_clean()
     assert report.probes_observed > 0
     assert report.events_run > 0
     outcome = ([str(v) for v in report.violations], report.probes_observed)
     assert hashlib.sha256(repr(outcome).encode()).hexdigest() == PINNED_OUTCOMES[name]
+    alerts = (
+        [alert.as_row() for alert in system.alert_engine.history],
+        system.database.query("anomalies"),
+    )
+    assert hashlib.sha256(repr(alerts).encode()).hexdigest() == PINNED_ALERTS[name]
 
 
 @pytest.mark.parametrize("name", ALL_CAMPAIGNS)
