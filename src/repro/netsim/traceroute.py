@@ -37,7 +37,7 @@ class HopReport:
     def loss_rate(self) -> float:
         if self.sent == 0:
             return 0.0
-        return 1.0 - self.received / self.sent
+        return (self.sent - self.received) / self.sent
 
 
 @dataclass

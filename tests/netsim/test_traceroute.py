@@ -5,7 +5,12 @@ import pytest
 from repro.netsim.fabric import Fabric
 from repro.netsim.faults import SilentRandomDrop
 from repro.netsim.topology import TopologySpec
-from repro.netsim.traceroute import localize_drop, tcp_traceroute
+from repro.netsim.traceroute import (
+    HopReport,
+    TracerouteResult,
+    localize_drop,
+    tcp_traceroute,
+)
 
 
 @pytest.fixture()
@@ -74,3 +79,15 @@ class TestTraceroute:
         a, b = _cross_podset_pair(fabric)
         result = tcp_traceroute(fabric, a.device_id, b.device_id, probes_per_hop=10)
         assert result.src == a.device_id
+
+
+def test_one_lost_probe_in_200_does_not_blame_a_hop():
+    # 1 - 199/200 rounds to 0.0050000000000000044, just over the default
+    # 0.005 step: one baseline loss used to make the leaf "the first lossy
+    # hop" in front of a black-holed ToR.
+    hops = [
+        HopReport(1, "tor0", sent=200, received=200),
+        HopReport(2, "leaf0", sent=200, received=199),
+        HopReport(3, "tor1", sent=200, received=0),
+    ]
+    assert localize_drop(TracerouteResult("a", "b", None, hops)) == "tor1"
