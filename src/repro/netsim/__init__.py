@@ -19,7 +19,6 @@ It provides:
 from repro.netsim.addressing import FiveTuple, IPv4Address
 from repro.netsim.explain import explain_probe
 from repro.netsim.fabric import Fabric, ProbeResult
-from repro.netsim.faultschedule import FaultSchedule
 from repro.netsim.scenarios import SCENARIOS, apply_scenario
 from repro.netsim.simclock import SimClock
 from repro.netsim.topology import ClosTopology, MultiDCTopology, TopologySpec
@@ -29,7 +28,6 @@ from repro.netsim.workload import WorkloadProfile
 __all__ = [
     "ClosTopology",
     "Fabric",
-    "FaultSchedule",
     "FiveTuple",
     "IPv4Address",
     "MultiDCTopology",

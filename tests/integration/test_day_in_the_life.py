@@ -1,18 +1,18 @@
 """A full operational day, replayed: quiet → black-hole → power blip → quiet.
 
 The showcase integration test: 24 simulated hours on a small deployment
-with a scripted incident timeline, verifying the DSA record reflects the
-day as it actually happened.
+with a scripted incident timeline, run as a chaos campaign so the
+invariant catalogue watches the whole day, verifying the DSA record
+reflects the day as it actually happened.
 """
 
 import pytest
 
+from repro.chaos import ChaosCampaign, ScenarioAction
 from repro.core.agent.agent import AgentConfig
 from repro.core.dsa.pipeline import DsaConfig
-from repro.core.dsa.queries import DsaQueries
 from repro.core.dsa.reports import ReportBuilder
 from repro.core.system import PingmeshSystem, PingmeshSystemConfig
-from repro.netsim.faultschedule import FaultSchedule
 from repro.netsim.simclock import SECONDS_PER_DAY
 from repro.netsim.topology import TopologySpec
 
@@ -38,26 +38,35 @@ def day():
             agent=AgentConfig(upload_period_s=300.0),
         )
     )
-    system.start()
-    schedule = FaultSchedule(system.fabric, system.queue)
+    campaign = ChaosCampaign(system, name="day-in-the-life")
     # 06:00 — a ToR develops a black-hole; auto-repair should clear it.
-    schedule.add("tor-blackhole", BLACKHOLE_START, end_t=None, pod=1)
+    campaign.add(ScenarioAction("tor-blackhole", pod=1), BLACKHOLE_START)
     # 15:00-16:00 — a podset loses power for an hour.
-    schedule.add(
-        "podset-down", PODSET_BLIP_START, end_t=PODSET_BLIP_END, podset=1
+    campaign.add(
+        ScenarioAction("podset-down", podset=1), PODSET_BLIP_START, PODSET_BLIP_END
     )
-    system.run_for(SECONDS_PER_DAY)
-    return system, schedule
+    campaign.run(SECONDS_PER_DAY).assert_clean()
+    return system, campaign
+
+
+def _pattern_history(system, limit: int) -> list[dict]:
+    return system.database.query(
+        "patterns_10min",
+        where=lambda row: row["dc"] == 0,
+        order_by="t",
+        desc=True,
+        limit=limit,
+    )
 
 
 class TestTheDay:
     def test_the_day_completed_without_pipeline_failures(self, day):
-        system, _schedule = day
+        system, _campaign = day
         assert system.clock.now == SECONDS_PER_DAY
         assert system.job_manager.failure_count() == 0
 
     def test_probing_ran_all_day(self, day):
-        system, _schedule = day
+        system, _campaign = day
         assert system.total_probes_sent() > 50_000
 
     def test_blackhole_was_detected_and_repaired(self, day):
@@ -75,8 +84,8 @@ class TestTheDay:
         assert "black-hole" in repairs[0].reason
 
     def test_power_blip_visible_in_pattern_history(self, day):
-        system, _schedule = day
-        history = DsaQueries(system.database).pattern_history(0, limit=200)
+        system, _campaign = day
+        history = _pattern_history(system, limit=200)
         patterns_during_blip = {
             row["pattern"]
             for row in history
@@ -85,13 +94,13 @@ class TestTheDay:
         assert "podset-down" in patterns_during_blip
 
     def test_network_healthy_again_by_midnight(self, day):
-        system, _schedule = day
-        latest = DsaQueries(system.database).pattern_history(0, limit=1)[0]
+        system, _campaign = day
+        latest = _pattern_history(system, limit=1)[0]
         assert latest["pattern"] == "normal"
         assert system.is_network_issue() is False
 
     def test_daily_report_tells_the_story(self, day):
-        system, _schedule = day
+        system, _campaign = day
         report = ReportBuilder(system.database).daily_sla_report(
             t=SECONDS_PER_DAY
         )
@@ -100,14 +109,15 @@ class TestTheDay:
         assert "black-holed ToR(s)" in report.text
 
     def test_ground_truth_bookkeeping(self, day):
-        _system, schedule = day
-        # At noon the black-hole was active, the podset was still up.
-        active_noon = {i.scenario_name for i in schedule.active_at(12 * 3600.0)}
-        assert active_noon == {"tor-blackhole"}
-        active_blip = {i.scenario_name for i in schedule.active_at(15.5 * 3600.0)}
-        assert "podset-down" in active_blip
-        # The power came back.
-        blip = next(
-            i for i in schedule.incidents if i.scenario_name == "podset-down"
-        )
-        assert blip.ended
+        system, campaign = day
+        blackhole, blip = campaign.scheduled
+        # The timeline never healed the black-hole: auto-repair did.
+        assert blackhole.started and not blackhole.ended
+        assert blackhole.action.ground_truth_devices(system) == {
+            system.topology.dc(0).tors[1].device_id
+        }
+        # The power came back, and the whole podset was to blame meanwhile.
+        assert blip.started and blip.ended
+        assert blip.action.ground_truth_devices(system) == {
+            server.device_id for server in system.topology.dc(0).servers_in_podset(1)
+        }
