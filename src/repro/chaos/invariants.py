@@ -98,7 +98,9 @@ from repro.core.agent.safety import (
     MAX_PAYLOAD_BYTES,
     MIN_PROBE_INTERVAL_S,
 )
+from repro.core.dsa.alerts import AlertEngine
 from repro.core.dsa.records import CLASS_STREAM, LATENCY_STREAM
+from repro.core.dsa.sla import NetworkSla
 from repro.netsim.explain import explain_probe
 from repro.resilience import PinglistState
 
@@ -666,20 +668,21 @@ class InvariantChecker:
         rows = self.system.database.query("sla_hourly")
         if rows:
             newest_t = max(row["t"] for row in rows)
-            thresholds = self.system.alert_engine.thresholds
-            for row in rows:
-                if row["t"] != newest_t:
-                    continue
-                if row["scope"] not in ("datacenter", "podset", "service"):
-                    continue
-                if row["probe_count"] < thresholds.min_probe_count:
-                    continue
-                if row["drop_rate"] > thresholds.max_drop_rate:
+            slas = [
+                NetworkSla.from_row(row)
+                for row in rows
+                if row["t"] == newest_t
+                and row["scope"] in ("datacenter", "podset", "service")
+            ]
+            # A fresh engine fires every violation, open episodes or not.
+            fresh = AlertEngine(self.system.alert_engine.thresholds)
+            for alert in fresh.evaluate(slas):
+                if alert.metric == "drop_rate":
                     self._violate(
                         now,
                         "sla-ground-truth",
-                        f"healthy network but {row['scope']}={row['key']} SLA "
-                        f"drop rate {row['drop_rate']:.4f} over threshold",
+                        f"healthy network but {alert.scope}={alert.key} SLA "
+                        f"drop rate {alert.value:.4f} over threshold",
                     )
         # Ground truth from the explainer: with no fault injected, no
         # sampled probe may be eaten by a fault.

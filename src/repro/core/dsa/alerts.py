@@ -10,10 +10,11 @@ A persistent violation is one *episode*, not one alert per evaluation
 window: the engine fires a single ``breach`` event when a (scope, key,
 metric) first violates, tracks it in ``active_episodes``, and emits a
 paired ``recovery`` event when the same series is next observed healthy.
-Both the batch DSA plane and the streaming plane report through the same
-episode table, so whichever plane sees a violation first owns the breach
-event (its ``plane`` tag records the race winner) and the other plane
-will not duplicate it.
+Both the batch DSA plane and the streaming plane judge with the same rule
+(:meth:`AlertEngine.judge`) and report through the same episode table, so
+whichever plane sees a violation first owns the breach event (its
+``plane`` tag records the race winner) and the other plane will not
+duplicate it.
 """
 
 from __future__ import annotations
@@ -132,59 +133,50 @@ class AlertEngine:
         self.history.append(alert)
         return alert
 
-    # -- batch-plane evaluation --------------------------------------------
+    def judge(
+        self,
+        t: float,
+        scope: str,
+        key: str,
+        metric: str,
+        value: float,
+        limit: float,
+        evidence: bool = True,
+        plane: str = "batch",
+    ) -> Alert | None:
+        """The §4.3 rule for one observation of one series.
 
-    def _violations(self, sla: NetworkSla) -> list[tuple[str, float, float]]:
-        """The pure §4.3 check: (metric, value, threshold) per violation.
-
-        Limits are scope-aware — ``dc-pair`` SLAs are judged against the
-        inter-DC thresholds, everything else against the paper's defaults.
+        A value over its limit breaches, but only with ``evidence``: over
+        the limit without it, the episode is held as it is.  Any other
+        value recovers.  Every SLA detector, batch or stream, judges here.
         """
-        found: list[tuple[str, float, float]] = []
-        if sla.probe_count < self.thresholds.min_probe_count:
-            return found
-        drop_limit = self.thresholds.drop_limit_for(sla.scope.value)
-        p99_limit = self.thresholds.p99_limit_for(sla.scope.value)
-        if sla.drop_rate > drop_limit:
-            found.append(("drop_rate", sla.drop_rate, drop_limit))
-        if sla.p99_us is not None and sla.p99_us > p99_limit:
-            found.append(("p99_us", sla.p99_us, p99_limit))
-        return found
+        violated = value > limit
+        if violated and not evidence:
+            return None
+        return self.update_episode(t, scope, key, metric, value, limit, violated, plane)
+
+    # -- batch-plane evaluation --------------------------------------------
 
     def evaluate(self, slas: list[NetworkSla], plane: str = "batch") -> list[Alert]:
         """Fold a batch of SLA windows into the episode table.
 
         Returns only the *events* this batch fired: new breaches and new
         recoveries.  A violation that persists across windows fires once.
+        Limits are scope-aware — ``dc-pair`` SLAs are judged against the
+        inter-DC thresholds, everything else against the paper's defaults.
         """
+        thresholds = self.thresholds
         fired: list[Alert] = []
         for sla in slas:
-            if sla.probe_count < self.thresholds.min_probe_count:
+            if sla.probe_count < thresholds.min_probe_count:
                 continue
-            drop_limit = self.thresholds.drop_limit_for(sla.scope.value)
-            alert = self.update_episode(
-                t=sla.window_end,
-                scope=sla.scope.value,
-                key=sla.key,
-                metric="drop_rate",
-                value=sla.drop_rate,
-                threshold=drop_limit,
-                violated=sla.drop_rate > drop_limit,
-                plane=plane,
-            )
-            if alert is not None:
-                fired.append(alert)
+            scope = sla.scope.value
+            series = [("drop_rate", sla.drop_rate, thresholds.drop_limit_for(scope))]
             if sla.p99_us is not None:
-                p99_limit = self.thresholds.p99_limit_for(sla.scope.value)
-                alert = self.update_episode(
-                    t=sla.window_end,
-                    scope=sla.scope.value,
-                    key=sla.key,
-                    metric="p99_us",
-                    value=sla.p99_us,
-                    threshold=p99_limit,
-                    violated=sla.p99_us > p99_limit,
-                    plane=plane,
+                series.append(("p99_us", sla.p99_us, thresholds.p99_limit_for(scope)))
+            for metric, value, limit in series:
+                alert = self.judge(
+                    sla.window_end, scope, sla.key, metric, value, limit, plane=plane
                 )
                 if alert is not None:
                     fired.append(alert)
@@ -204,7 +196,8 @@ class AlertEngine:
         "If Pingmesh data does not indicate a network problem, then the
         live-site incident is not caused by the network."
 
-        A pure check against the thresholds — episode deduplication must
-        not make a still-burning violation read as "no issue".
+        A pure check against the thresholds: a fresh engine has no open
+        episode, so every violation fires there, and this engine's
+        deduplication cannot make a still-burning one read as "no issue".
         """
-        return any(self._violations(sla) for sla in slas)
+        return bool(AlertEngine(self.thresholds).evaluate(slas))

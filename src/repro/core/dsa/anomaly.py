@@ -20,7 +20,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["EwmaDetector", "AnomalyVerdict", "SeriesAnomalyTracker"]
+__all__ = ["EwmaBaseline", "EwmaDetector", "AnomalyVerdict", "SeriesAnomalyTracker"]
+
+
+class EwmaBaseline:
+    """Exponentially weighted mean and variance of one series.
+
+    The first value seeds the mean, with no variance; each later one moves
+    the mean ``alpha`` of the way to itself and folds its squared distance
+    into the variance.  Both EWMA detectors — this module's per-SLA-series
+    one and the stream plane's P50 drift — keep their baseline here and add
+    only their own rule for flagging a value and for what they fold in.
+    """
+
+    __slots__ = ("alpha", "mean", "var", "n")
+
+    def __init__(self, alpha: float) -> None:
+        self.alpha = alpha
+        self.mean = 0.0
+        self.var = 0.0
+        self.n = 0  # values folded in
+
+    def update(self, value: float) -> None:
+        if self.n == 0:
+            self.mean = value
+        else:
+            delta = value - self.mean
+            self.mean += self.alpha * delta
+            self.var = (1.0 - self.alpha) * (self.var + self.alpha * delta * delta)
+        self.n += 1
 
 
 @dataclass(frozen=True)
@@ -57,8 +85,7 @@ class EwmaDetector:
         self.z_threshold = z_threshold
         self.warmup_observations = warmup_observations
         self.min_std_fraction = min_std_fraction
-        self._mean: float | None = None
-        self._var = 0.0
+        self._baseline = EwmaBaseline(alpha)
         self._count = 0
 
     @property
@@ -73,29 +100,27 @@ class EwmaDetector:
         """
         self._count += 1
         warmed = self._count > self.warmup_observations
-        if self._mean is None:
-            self._mean = value
-            verdict = AnomalyVerdict(value, value, 0.0, 0.0, False, False)
-            return verdict
+        baseline = self._baseline
+        if baseline.n == 0:
+            baseline.update(value)
+            return AnomalyVerdict(value, value, 0.0, 0.0, False, False)
 
         # A floor keeps near-constant series from flagging on float dust.
-        std = math.sqrt(self._var)
-        floor = abs(self._mean) * self.min_std_fraction
+        std = math.sqrt(baseline.var)
+        floor = abs(baseline.mean) * self.min_std_fraction
         effective_std = max(std, floor, 1e-12)
-        z = (value - self._mean) / effective_std
+        z = (value - baseline.mean) / effective_std
         anomalous = warmed and abs(z) > self.z_threshold
         verdict = AnomalyVerdict(
             value=value,
-            mean=self._mean,
+            mean=baseline.mean,
             std=effective_std,
             z_score=z,
             anomalous=anomalous,
             warmed_up=warmed,
         )
         if not anomalous:
-            delta = value - self._mean
-            self._mean += self.alpha * delta
-            self._var = (1 - self.alpha) * (self._var + self.alpha * delta * delta)
+            baseline.update(value)
         return verdict
 
 

@@ -66,6 +66,14 @@ class NetworkSla:
             "p99_us": self.p99_us,
         }
 
+    @classmethod
+    def from_row(cls, row: Row) -> "NetworkSla":
+        """The SLA an :meth:`as_row` row was written from."""
+        return cls(
+            SlaScope(row["scope"]), row["key"], row["window_start"], row["window_end"],
+            row["probe_count"], row["drop_rate"], row["p50_us"], row["p99_us"],
+        )
+
 
 @dataclass(frozen=True)
 class ServiceDefinition:

@@ -29,7 +29,7 @@ from repro.core.dsa.alerts import AlertEngine, SlaThresholds
 from repro.core.dsa.database import ResultsDatabase
 from repro.core.dsa.pipeline import DsaConfig, DsaPipeline
 from repro.core.dsa.records import LATENCY_STREAM
-from repro.core.dsa.sla import ServiceDefinition, SlaTracker
+from repro.core.dsa.sla import NetworkSla, ServiceDefinition, SlaTracker
 from repro.cosmos.jobs import JobManager
 from repro.cosmos.store import CosmosStore
 from repro.netsim.devices import StateVersion
@@ -481,12 +481,6 @@ class PingmeshSystem:
                 for row in rows
                 if row["scope"] in ("datacenter", "podset", "service")
             ]
-        thresholds = self.alert_engine.thresholds
-        for row in rows:
-            if row["probe_count"] < thresholds.min_probe_count:
-                continue
-            if row["drop_rate"] > thresholds.max_drop_rate:
-                return True
-            if row["p99_us"] is not None and row["p99_us"] > thresholds.max_p99_us:
-                return True
-        return False
+        return self.alert_engine.is_network_issue(
+            [NetworkSla.from_row(row) for row in rows]
+        )

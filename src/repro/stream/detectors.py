@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.dsa.alerts import Alert, AlertEngine, SlaThresholds
+from repro.core.dsa.anomaly import EwmaBaseline
 from repro.core.dsa.sla import SlaScope
 
 __all__ = [
@@ -56,7 +57,20 @@ __all__ = [
 
 
 class StreamSlaDetector:
-    """§4.3 thresholds per DC, at sub-window cadence, with noise guards."""
+    """§4.3 thresholds per DC, at sub-window cadence, with noise guards.
+
+    :class:`StreamInterDcSlaDetector` shares this body; the two differ only
+    in the class attributes below and the ``min_p99_samples`` default.
+    """
+
+    scope = SlaScope.DATACENTER.value
+    key_format = "dc{}"
+    # The ``inter-dc`` class is excluded: its healthy latency is WAN-sized
+    # and is judged by StreamInterDcSlaDetector against the inter-DC
+    # thresholds, exactly as the batch tracker routes cross-DC rows to the
+    # ``dc-pair`` scope.
+    peer_class: str | None = None
+    excluded_class: str | None = "inter-dc"
 
     def __init__(
         self,
@@ -74,77 +88,47 @@ class StreamSlaDetector:
         self.min_drop_events = min_drop_events
         self.min_p99_samples = min_p99_samples
 
-    def _judge(
-        self,
-        t: float,
-        key: str,
-        metric: str,
-        value: float,
-        threshold: float,
-        evidence: int,
-    ) -> Alert | None:
-        """Breach/hold/recover one metric with the evidence guard.
-
-        A breach needs ``min_drop_events`` independent corroborating
-        events, not one unlucky retransmission in a tiny window; over the
-        threshold but under the evidence floor the episode is held as-is.
-        """
-        scope = SlaScope.DATACENTER.value
-        if value > threshold:
-            if evidence >= self.min_drop_events:
-                return self.alert_engine.update_episode(
-                    t, scope, key, metric, value, threshold, True,
-                    plane="stream",
-                )
-            return None
-        return self.alert_engine.update_episode(
-            t, scope, key, metric, value, threshold, False, plane="stream"
-        )
-
     def evaluate(self, t: float, ingest) -> list[Alert]:
-        """Judge each DC on the merge of the newest ``eval_windows``.
+        """Judge each DC on the merge of the newest ``eval_windows``."""
+        return self._judge_windows(t, ingest)
 
-        The ``inter-dc`` class is excluded: its healthy latency is
-        WAN-sized and is judged by :class:`StreamInterDcSlaDetector`
-        against the inter-DC thresholds, exactly as the batch tracker
-        routes cross-DC rows to the ``dc-pair`` scope.
+    def _judge_windows(self, t: float, ingest) -> list[Alert]:
+        """Judge every DC series of the newest ``eval_windows``, merged.
+
+        A drop or failure breach needs ``min_drop_events`` independent
+        events, not one unlucky retransmission in a tiny window; P99 below
+        ``min_p99_samples`` is just the max of a small sample, so it is not
+        judged until the merged windows carry enough signal.
         """
         thresholds = self.thresholds
+        scope = self.scope
+        drop_limit = thresholds.drop_limit_for(scope)
+        judge = self.alert_engine.judge
         starts = ingest.latest_windows(self.eval_windows)
-        fired: list[Alert] = []
-        merged = ingest.merged_by_dc(starts, exclude_cls="inter-dc")
+        merged = ingest.merged_by_dc(starts, self.peer_class, self.excluded_class)
+        fired: list[Alert | None] = []
         for dc, stats in sorted(merged.items()):
             if stats.probes < thresholds.min_probe_count:
                 continue
-            key = f"dc{dc}"
+            key = self.key_format.format(dc)
+            # (metric, value, independent events behind it)
+            series = []
             if stats.success > 0:  # §4.2 rate is undefined with no successes
-                alert = self._judge(
-                    t, key, "drop_rate", stats.syn_drop_rate(),
-                    thresholds.max_drop_rate, stats.signature_events,
+                series.append(("drop_rate", stats.syn_drop_rate(), stats.signature_events))
+            series.append(("failure_rate", stats.failure_rate(), stats.failed))
+            for metric, value, events in series:
+                enough = events >= self.min_drop_events
+                fired.append(
+                    judge(t, scope, key, metric, value, drop_limit, enough, "stream")
                 )
-                if alert:
-                    fired.append(alert)
-            alert = self._judge(
-                t, key, "failure_rate", stats.failure_rate(),
-                thresholds.max_drop_rate, stats.failed,
-            )
-            if alert:
-                fired.append(alert)
-            # P99 below ~2x100 successes is just the max of a small sample;
-            # hold until the merged windows carry enough signal.
             if stats.sketch.count >= self.min_p99_samples:
                 p99 = stats.quantile_us(99.0)
-                alert = self.alert_engine.update_episode(
-                    t, SlaScope.DATACENTER.value, key, "p99_us", p99,
-                    thresholds.max_p99_us, p99 > thresholds.max_p99_us,
-                    plane="stream",
-                )
-                if alert:
-                    fired.append(alert)
-        return fired
+                p99_limit = thresholds.p99_limit_for(scope)
+                fired.append(judge(t, scope, key, "p99_us", p99, p99_limit, plane="stream"))
+        return [alert for alert in fired if alert]
 
 
-class StreamInterDcSlaDetector:
+class StreamInterDcSlaDetector(StreamSlaDetector):
     """Inter-DC thresholds over the ``inter-dc`` class, per source DC.
 
     Stream deltas carry no destination DC (an agent summarizes its whole
@@ -157,6 +141,11 @@ class StreamInterDcSlaDetector:
     floors default lower than the intra-DC detector's.
     """
 
+    scope = SlaScope.DC_PAIR.value
+    key_format = "dc{}->*"
+    peer_class = "inter-dc"
+    excluded_class = None
+
     def __init__(
         self,
         alert_engine: AlertEngine,
@@ -165,70 +154,13 @@ class StreamInterDcSlaDetector:
         min_drop_events: int = 3,
         min_p99_samples: int = 50,
     ) -> None:
-        if eval_windows < 1:
-            raise ValueError(f"eval_windows must be >= 1: {eval_windows}")
-        self.alert_engine = alert_engine
-        self.thresholds = thresholds or alert_engine.thresholds
-        self.eval_windows = eval_windows
-        self.min_drop_events = min_drop_events
-        self.min_p99_samples = min_p99_samples
+        super().__init__(
+            alert_engine, thresholds, eval_windows, min_drop_events, min_p99_samples
+        )
 
     def evaluate(self, t: float, ingest) -> list[Alert]:
         """Judge each source DC's WAN class over the newest windows."""
-        thresholds = self.thresholds
-        scope = SlaScope.DC_PAIR.value
-        drop_limit = thresholds.drop_limit_for(scope)
-        p99_limit = thresholds.p99_limit_for(scope)
-        starts = ingest.latest_windows(self.eval_windows)
-        fired: list[Alert] = []
-        merged = ingest.merged_by_dc(starts, cls="inter-dc")
-        for dc, stats in sorted(merged.items()):
-            if stats.probes < thresholds.min_probe_count:
-                continue
-            key = f"dc{dc}->*"
-            if stats.success > 0:
-                rate = stats.syn_drop_rate()
-                violated = (
-                    rate > drop_limit
-                    and stats.signature_events >= self.min_drop_events
-                )
-                if violated or rate <= drop_limit:
-                    alert = self.alert_engine.update_episode(
-                        t, scope, key, "drop_rate", rate, drop_limit,
-                        violated, plane="stream",
-                    )
-                    if alert:
-                        fired.append(alert)
-            failure = stats.failure_rate()
-            failure_violated = (
-                failure > drop_limit and stats.failed >= self.min_drop_events
-            )
-            if failure_violated or failure <= drop_limit:
-                alert = self.alert_engine.update_episode(
-                    t, scope, key, "failure_rate", failure, drop_limit,
-                    failure_violated, plane="stream",
-                )
-                if alert:
-                    fired.append(alert)
-            if stats.sketch.count >= self.min_p99_samples:
-                p99 = stats.quantile_us(99.0)
-                alert = self.alert_engine.update_episode(
-                    t, scope, key, "p99_us", p99, p99_limit,
-                    p99 > p99_limit, plane="stream",
-                )
-                if alert:
-                    fired.append(alert)
-        return fired
-
-
-class _EwmaState:
-    __slots__ = ("mean", "var", "n", "streak")
-
-    def __init__(self) -> None:
-        self.mean = 0.0
-        self.var = 0.0
-        self.n = 0
-        self.streak = 0
+        return self._judge_windows(t, ingest)
 
 
 class EwmaDriftDetector:
@@ -259,7 +191,8 @@ class EwmaDriftDetector:
         self.warmup_windows = warmup_windows
         self.min_rel_drift = min_rel_drift
         self.consecutive = consecutive
-        self._states: dict[int, _EwmaState] = {}
+        self._states: dict[int, EwmaBaseline] = {}
+        self._streaks: dict[int, int] = {}
         self._last_window: float | None = None
 
     def evaluate(self, t: float, ingest) -> list[Alert]:
@@ -278,46 +211,28 @@ class EwmaDriftDetector:
             p50 = stats.quantile_us(50.0)
             if p50 is None:
                 continue
-            state = self._states.setdefault(dc, _EwmaState())
-            if state.n < self.warmup_windows:
-                self._update(state, p50)
+            baseline = self._states.setdefault(dc, EwmaBaseline(self.alpha))
+            if baseline.n < self.warmup_windows:
+                baseline.update(p50)
                 continue
-            sigma = math.sqrt(max(state.var, 0.0))
+            sigma = math.sqrt(max(baseline.var, 0.0))
             limit = max(
-                state.mean + self.k_sigma * sigma,
-                state.mean * (1.0 + self.min_rel_drift),
+                baseline.mean + self.k_sigma * sigma,
+                baseline.mean * (1.0 + self.min_rel_drift),
             )
             drifted = p50 > limit
-            if drifted:
-                state.streak += 1
-            else:
-                state.streak = 0
-                self._update(state, p50)
-            alert = self.alert_engine.update_episode(
-                t,
-                SlaScope.DATACENTER.value,
-                f"dc{dc}",
-                "p50_drift_us",
-                p50,
-                limit,
-                state.streak >= self.consecutive,
-                plane="stream",
+            streak = self._streaks.get(dc, 0) + 1 if drifted else 0
+            self._streaks[dc] = streak
+            if not drifted:
+                baseline.update(p50)
+            # A drifted window short of ``consecutive`` holds the episode.
+            alert = self.alert_engine.judge(
+                t, SlaScope.DATACENTER.value, f"dc{dc}", "p50_drift_us", p50,
+                limit, streak >= self.consecutive, plane="stream",
             )
             if alert:
                 fired.append(alert)
         return fired
-
-    def _update(self, state: _EwmaState, p50: float) -> None:
-        if state.n == 0:
-            state.mean = p50
-            state.var = 0.0
-        else:
-            delta = p50 - state.mean
-            state.mean += self.alpha * delta
-            state.var = (1.0 - self.alpha) * (
-                state.var + self.alpha * delta * delta
-            )
-        state.n += 1
 
 
 @dataclass(frozen=True)
@@ -429,14 +344,8 @@ class PinglistStalenessGauge:
     def observe(self, t: float, stale_agents: int, total_agents: int) -> Alert | None:
         self.stale_agents = stale_agents
         self.total_agents = total_agents
-        fraction = self.stale_fraction
-        return self.alert_engine.update_episode(
-            t,
-            scope="fleet",
-            key="pinglist",
-            metric="stale_fraction",
-            value=fraction,
-            threshold=self.alert_fraction,
-            violated=total_agents > 0 and fraction > self.alert_fraction,
-            plane="stream",
+        # ``stale_fraction`` is 0 with no agents, under any alert fraction.
+        return self.alert_engine.judge(
+            t, "fleet", "pinglist", "stale_fraction", self.stale_fraction,
+            self.alert_fraction, plane="stream",
         )

@@ -122,3 +122,13 @@ def test_scenario_action_applies_and_reverts(system):
     assert system.fabric.faults.has_faults()
     action.end(system, t=20.0)
     assert not system.fabric.faults.has_faults()
+
+
+def test_scenario_action_passes_its_kwargs_to_the_scenario(system):
+    action = ScenarioAction("podset-down", podset=1)
+    servers = system.topology.dc(0).servers_in_podset(1)
+    action.start(system, t=10.0)
+    assert all(not server.is_up for server in servers)
+    assert action.ground_truth_devices(system) == {s.device_id for s in servers}
+    action.end(system, t=20.0)
+    assert all(server.is_up for server in servers)
