@@ -36,7 +36,6 @@ from repro.core.dsa.pipeline import DsaConfig
 from repro.core.sharded import ShardedFleet
 from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.netsim.topology import TopologySpec
-from repro.stream.plane import StreamConfig
 
 SIZES = {
     "1k-servers": TopologySpec(
@@ -98,7 +97,7 @@ POOL_FLOOR = 1.1
 POOL_MIN_CPUS = 2
 
 
-def _build(spec, round_mode="class", shard_aggregation=True):
+def _build(spec, round_mode="class"):
     system = PingmeshSystem(
         PingmeshSystemConfig(
             specs=(spec,),
@@ -106,7 +105,6 @@ def _build(spec, round_mode="class", shard_aggregation=True):
             generator=GeneratorConfig(max_peers_per_server=64),
             agent=AgentConfig(round_mode=round_mode, upload_period_s=600.0),
             dsa=DsaConfig(ingestion_delay_s=0.0, near_real_time_period_s=300.0),
-            stream=StreamConfig(shard_aggregation=shard_aggregation),
         )
     )
     return system
@@ -194,7 +192,7 @@ def bench_scale_class_vs_fast_speedup(benchmark):
     per-pair fast rounds, timed as matched interleaved best-of-N legs."""
     classed = _build(SPEEDUP_SPEC)
     fleet = ShardedFleet(classed)
-    fast = _build(SPEEDUP_SPEC, round_mode="fast", shard_aggregation=False)
+    fast = _build(SPEEDUP_SPEC, round_mode="fast")
     fast.start()
 
     def measure():

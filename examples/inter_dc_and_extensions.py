@@ -17,7 +17,7 @@ from repro import PingmeshSystem, PingmeshSystemConfig, TopologySpec
 from repro.core.agent.agent import AgentConfig
 from repro.core.controller.generator import GeneratorConfig
 from repro.core.dsa.pipeline import DsaConfig
-from repro.cosmos.scope import RowSet, agg
+from repro.cosmos.scope import RowSet, agg, col, lit
 
 
 def main() -> None:
@@ -58,26 +58,27 @@ def main() -> None:
     print(f"records collected: {len(rows):,}")
 
     print("\n-- latency by scope (SCOPE query over the raw stream) --")
-    report = (
-        rows.where(lambda r: r["success"])
-        .select(
-            "rtt_us",
-            scope=lambda r: (
-                "inter-dc"
-                if r["src_dc"] != r["dst_dc"]
-                else ("intra-pod" if r["src_pod"] == r["dst_pod"] else "intra-dc")
-            ),
+    same_dc = col("src_dc") == col("dst_dc")
+    same_pod = col("src_pod") == col("dst_pod")
+    scopes = {
+        "inter-dc": ~same_dc,
+        "intra-pod": same_dc & same_pod,
+        "intra-dc": same_dc & ~same_pod,
+    }
+    report = []
+    for scope, predicate in scopes.items():
+        report += (
+            rows.where(col("success") & predicate)
+            .select("rtt_us", scope=lit(scope))
+            .group_by("scope")
+            .aggregate(
+                probes=agg.count(),
+                p50_us=agg.percentile("rtt_us", 50),
+                p99_us=agg.percentile("rtt_us", 99),
+            )
+            .output()
         )
-        .group_by("scope")
-        .aggregate(
-            probes=agg.count(),
-            p50_us=agg.percentile("rtt_us", 50),
-            p99_us=agg.percentile("rtt_us", 99),
-        )
-        .order_by("p50_us")
-        .output()
-    )
-    for row in report:
+    for row in sorted(report, key=lambda row: row["p50_us"]):
         print(
             f"  {row['scope']:10s} n={row['probes']:6d} "
             f"p50={row['p50_us'] / 1000:8.2f}ms p99={row['p99_us'] / 1000:8.2f}ms"
@@ -85,7 +86,7 @@ def main() -> None:
 
     print("\n-- inter-DC pairs (WAN propagation dominates) --")
     inter = (
-        rows.where(lambda r: r["src_dc"] != r["dst_dc"] and r["success"])
+        rows.where(~same_dc & col("success"))
         .group_by("src_dc", "dst_dc")
         .aggregate(p50_us=agg.percentile("rtt_us", 50))
         .order_by("p50_us")
@@ -100,7 +101,7 @@ def main() -> None:
 
     print("\n-- QoS classes agree on a healthy network --")
     qos = (
-        rows.where(lambda r: r["success"] and r["purpose"] == "tor-level")
+        rows.where(col("success") & (col("purpose") == "tor-level"))
         .group_by("qos")
         .aggregate(p50_us=agg.percentile("rtt_us", 50), probes=agg.count())
         .output()

@@ -42,11 +42,24 @@ Safety-limit interaction, in one place:
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.broker.admission import AdmissionConfig
+from repro.broker.admission import (
+    CREDIT_COST_PER_PROBE,
+    FLEET_BREAKER,
+    MAX_INJECTED_PER_AGENT_ROUND,
+    MAX_INJECTED_PER_FLEET_ROUND,
+    MAX_PAIRS_PER_REQUEST,
+    MAX_PROBES_PER_PAIR,
+    MAX_STALE_FRACTION,
+    READ_QUERY_COST,
+    REQUEST_TIMEOUT_S,
+    AdmissionConfig,
+    dst_port_for,
+)
 from repro.broker.quota import TenantAccount, TenantQuota
 from repro.broker.requests import (
     MeasurementRequest,
@@ -65,24 +78,17 @@ _SRC, _DST, _PORT, _PAYLOAD, _REMAINING = range(5)
 
 # Bounded per-round injection log for the no-starvation invariant.
 _ROUND_LOG_CAP = 512
+# Housekeeping cadence: deadline sweeps, window refills, fleet-health
+# evaluation.  Jittered (RetryPolicy) so a fleet of brokers would not tick
+# in lockstep.
+TICK_INTERVAL_S = 60.0
 
 
 @dataclass(frozen=True)
 class BrokerConfig:
     """Everything configurable about the broker."""
 
-    default_quota: TenantQuota = field(default_factory=TenantQuota)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    # Housekeeping cadence: deadline sweeps, window refills, fleet-health
-    # evaluation.  Jittered (RetryPolicy) so a fleet of brokers would not
-    # tick in lockstep.
-    tick_interval_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.tick_interval_s <= 0:
-            raise ValueError(
-                f"tick_interval_s must be positive: {self.tick_interval_s}"
-            )
 
 
 class MeasurementBroker:
@@ -109,10 +115,10 @@ class MeasurementBroker:
         self.probes_delivered = 0
         self.round_log: deque[tuple[float, int, int]] = deque(maxlen=_ROUND_LOG_CAP)
         self._round_injected_total = 0
-        self.breaker = CircuitBreaker(self.admission.breaker)
+        self.breaker = CircuitBreaker(FLEET_BREAKER)
         self._tick_jitter = RetryPolicy(
-            base_s=self.config.tick_interval_s,
-            cap_s=2 * self.config.tick_interval_s,
+            base_s=TICK_INTERVAL_S,
+            cap_s=2 * TICK_INTERVAL_S,
             seed=derive_seed("broker", "tick"),
         )
         self._tick_scheduled = False
@@ -129,7 +135,7 @@ class MeasurementBroker:
         if account is None:
             account = self.accounts[tenant_id] = TenantAccount(
                 tenant_id,
-                quota or self.config.default_quota,
+                quota or TenantQuota(),
                 t if t is not None else self.system.clock.now,
             )
         return account
@@ -189,25 +195,33 @@ class MeasurementBroker:
             return self._reject(channel, now, "fleet-degraded", account)
 
         try:
+            requested_ppp = max(1, operator.index(probes_per_pair))
+            payload = SafetyGuard.clamp_payload(operator.index(payload_bytes))
+            if deadline_s is None:
+                deadline_s = REQUEST_TIMEOUT_S
+            valid = 0.0 < deadline_s < math.inf
+        except TypeError:
+            valid = False
+        if not valid:
+            return self._reject(channel, now, "bad-params", account)
+        try:
             expanded, requested_pairs = self._expand_pairs(rid, src, dst, pairs)
         except (ValueError, KeyError, TypeError, IndexError):
             return self._reject(channel, now, "bad-target", account)
         if not expanded:
             return self._reject(channel, now, "empty-target", account)
 
-        requested_ppp = max(1, int(probes_per_pair))
-        admitted_ppp = min(requested_ppp, self.admission.max_probes_per_pair)
+        admitted_ppp = min(requested_ppp, MAX_PROBES_PER_PAIR)
         channel.probes_requested = requested_pairs * requested_ppp
         channel.truncated = (
             len(expanded) < requested_pairs or admitted_ppp < requested_ppp
         )
-        cost = len(expanded) * admitted_ppp * self.admission.credit_cost_per_probe
+        cost = len(expanded) * admitted_ppp * CREDIT_COST_PER_PROBE
         if not account.try_debit(cost, now):
             channel.truncated = False
             return self._reject(channel, now, "insufficient-credits", account)
 
-        payload = SafetyGuard.clamp_payload(int(payload_bytes))
-        port = self.admission.dst_port_for(rid)
+        port = dst_port_for(rid)
         request = MeasurementRequest(
             request_id=rid,
             tenant_id=tenant_id,
@@ -218,11 +232,7 @@ class MeasurementBroker:
             qos=qos,
             params=dict(params or {}),
             submitted_t=now,
-            deadline_s=(
-                deadline_s
-                if deadline_s is not None
-                else self.admission.request_timeout_s
-            ),
+            deadline_s=deadline_s,
         )
         items = [
             [pair_src, pair_dst, port, payload, admitted_ppp]
@@ -288,7 +298,7 @@ class MeasurementBroker:
         (``derive_seed``, CRC-based) so expansion is deterministic across
         runs and processes; self-pairs are dropped, duplicates collapse.
         """
-        cap = self.admission.max_pairs_per_request
+        cap = MAX_PAIRS_PER_REQUEST
         if pairs is not None:
             unique = list(dict.fromkeys((s, d) for s, d in pairs if s != d))
             requested = len(unique)
@@ -360,7 +370,7 @@ class MeasurementBroker:
             valid = False
         if not valid:
             return self._reject(channel, now, "bad-params", account)
-        if not account.try_debit(self.admission.read_query_cost, now):
+        if not account.try_debit(READ_QUERY_COST, now):
             return self._reject(channel, now, "insufficient-credits", account)
         if kind == "scope":
             channel.rows = self._scope_rows(now - since_s)
@@ -440,12 +450,7 @@ class MeasurementBroker:
         if self.system.controller.healthy_replica_count() == 0:
             return False
         stream = self.system.stream
-        if (
-            stream is not None
-            and stream.stale_fraction > self.admission.max_stale_fraction
-        ):
-            return False
-        return True
+        return stream is None or stream.stale_fraction <= MAX_STALE_FRACTION
 
     def _src_allowed(self, src_id: str) -> bool:
         """May injected probes originate from this server right now?
@@ -465,7 +470,7 @@ class MeasurementBroker:
         """Drain one server's injected work during its probe round.
 
         Called by :meth:`PingmeshSystem._agent_round` right after the
-        baseline round; at most ``max_injected_per_agent_round`` probes,
+        baseline round; at most ``MAX_INJECTED_PER_AGENT_ROUND`` probes,
         one per work item, through :meth:`Fabric.probe_many` (round reports
         and the conservation ledger cover every one).
         """
@@ -474,7 +479,7 @@ class MeasurementBroker:
             return 0
         if not self._src_allowed(agent.server_id):
             return 0
-        budget = self.admission.max_injected_per_agent_round
+        budget = MAX_INJECTED_PER_AGENT_ROUND
         chosen: list[tuple[int, list]] = []
         deferred: list[tuple[int, list]] = []
         seen: set[tuple[str, int]] = set()
@@ -542,8 +547,8 @@ class MeasurementBroker:
         if not self.inflight:
             return 0
         fabric = self.system.fabric
-        fleet_cap = self.admission.max_injected_per_fleet_round
-        per_src_cap = self.admission.max_injected_per_agent_round
+        fleet_cap = MAX_INJECTED_PER_FLEET_ROUND
+        per_src_cap = MAX_INJECTED_PER_AGENT_ROUND
         head = next(iter(self.inflight))
         self.inflight[head] = self.inflight.pop(head)  # rotate by one
         chosen: list[tuple[int, list]] = []
@@ -656,9 +661,7 @@ class MeasurementBroker:
             account = self.accounts.get(channel.tenant_id)
             if account is not None:
                 if unlaunched > 0:
-                    account.refund(
-                        unlaunched * self.admission.credit_cost_per_probe
-                    )
+                    account.refund(unlaunched * CREDIT_COST_PER_PROBE)
                 account.probes_launched += channel.probes_launched
             if channel.probes_completed > 0:
                 channel.truncated = True
@@ -674,13 +677,13 @@ class MeasurementBroker:
         def broker_tick() -> None:
             self.tick(self.system.clock.now)
             self.system.queue.schedule_after(
-                self._tick_jitter.jitter_period(self.config.tick_interval_s, 0.1),
+                self._tick_jitter.jitter_period(TICK_INTERVAL_S, 0.1),
                 broker_tick,
                 name="broker-tick",
             )
 
         self.system.queue.schedule_after(
-            self._tick_jitter.jitter_period(self.config.tick_interval_s, 0.1),
+            self._tick_jitter.jitter_period(TICK_INTERVAL_S, 0.1),
             broker_tick,
             name="broker-tick",
         )

@@ -1,7 +1,7 @@
 """Per-tenant credit ledgers for the measurement broker.
 
 Credits are the admission currency: one credit buys one injected probe
-(or one read query, see :class:`~repro.broker.admission.AdmissionConfig`).
+(or one read query, see :mod:`repro.broker.admission`).
 Each tenant holds a :class:`TenantAccount` whose ledger is *exactly*
 conserved — the ``tenant-quota-conservation`` chaos invariant asserts
 

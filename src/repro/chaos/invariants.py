@@ -46,13 +46,12 @@ invariant                    claim
                              whenever the plane *can* ingest.
 ``upload-replay-no-duplication``  spool-and-replay — records landing in
                              Cosmos since attach equal the records the
-                             fleet's uploaders report uploaded: a spooled
-                             batch replays exactly once after a blackout
-                             heals, never twice, and the store never gains
-                             records no uploader sent.  (Requires the
-                             agents to be the streams' only writers; pass
-                             ``exclusive_upload_writers=False`` where e.g.
-                             shard uploaders also write.)
+                             fleet's uploaders (the agents', plus the
+                             shards' under a sharded fleet) report
+                             uploaded: a spooled batch replays exactly
+                             once after a blackout heals, never twice, and
+                             the store never gains records no uploader
+                             sent.
 ``staleness-state-machine``  §3.4.2 — the FRESH/STALE/FAIL_CLOSED tracker
                              agrees with the fail-closed rule it asserts:
                              FAIL_CLOSED exactly on the paper's triggers
@@ -92,7 +91,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.autopilot.watchdog import HealthStatus
 from repro.core.agent.safety import (
     MAX_CONTROLLER_FAILURES,
     MAX_PAYLOAD_BYTES,
@@ -139,7 +137,6 @@ class InvariantChecker:
         system,
         watchdog_grace_s: float | None = None,
         explain_sample_pairs: int = 4,
-        exclusive_upload_writers: bool = True,
     ) -> None:
         self.system = system
         # Default bound: two watchdog sweeps plus slack — a fault must be
@@ -165,10 +162,8 @@ class InvariantChecker:
         # check — the freshness invariant reasons about the delta since.
         self._stream_baseline = (0, 0, 0, 0)
         # Spool-and-replay ledger: (stored latency, stored class, uploaded
-        # latency, uploaded class) at attach time.  Only meaningful when the
-        # agents are the streams' exclusive writers.
-        self.exclusive_upload_writers = exclusive_upload_writers
-        self._upload_baseline = (0, 0, 0)
+        # latency, uploaded class) at attach time.
+        self._upload_baseline = (0, 0, 0, 0)
         # Herd telemetry: the bucket the checker attached in is excluded
         # (a synchronous fleet start legitimately lands in one second).
         self._herd_attach_second = -1
@@ -409,8 +404,8 @@ class InvariantChecker:
         self._check_broker(now)
         return self.violations[before:]
 
-    def _upload_ledger(self) -> tuple[int, int, int]:
-        """(stored latency, stored class, uploaded latency)."""
+    def _upload_ledger(self) -> tuple[int, int, int, int]:
+        """(stored latency, stored class, uploaded latency, uploaded class)."""
         store = self.system.store
         stored_latency = (
             store.stream(LATENCY_STREAM).record_count
@@ -422,26 +417,31 @@ class InvariantChecker:
             if store.has_stream(CLASS_STREAM)
             else 0
         )
+        fleet = self.system.fleet
+        shards = list(fleet.shards.values()) if fleet is not None else []
         uploaded_latency = sum(
             agent.uploader.stats.records_uploaded
             for agent in self.system.agents.values()
+        ) + sum(shard.probe_uploader.stats.records_uploaded for shard in shards)
+        uploaded_class = sum(
+            shard.class_uploader.stats.records_uploaded for shard in shards
         )
-        return stored_latency, stored_class, uploaded_latency
+        return stored_latency, stored_class, uploaded_latency, uploaded_class
 
     def _check_upload_replay(self, now: float) -> None:
         """Since attach, Cosmos gained exactly the records the uploaders
         report uploaded — a spooled batch replays once, never twice, and
-        nothing lands that no uploader sent.  Assumes the agents are the
-        streams' only writers (campaigns are far shorter than the
-        two-month retention window, so expiry cannot shrink the store)."""
-        if not self._attached or not self.exclusive_upload_writers:
+        nothing lands that no uploader sent (campaigns are far shorter
+        than the two-month retention window, so expiry cannot shrink the
+        store)."""
+        if not self._attached:
             return
-        base_lat, base_cls, base_up_lat = self._upload_baseline
-        stored_lat, stored_cls, up_lat = self._upload_ledger()
+        base_lat, base_cls, base_up_lat, base_up_cls = self._upload_baseline
+        stored_lat, stored_cls, up_lat, up_cls = self._upload_ledger()
         for label, stored_delta, uploaded_delta in (
             (LATENCY_STREAM, stored_lat - base_lat, up_lat - base_up_lat),
             # Agents never write the class stream; ShardedFleet's shards do.
-            (CLASS_STREAM, stored_cls - base_cls, 0),
+            (CLASS_STREAM, stored_cls - base_cls, up_cls - base_up_cls),
         ):
             if stored_delta != uploaded_delta:
                 kind = "duplicated" if stored_delta > uploaded_delta else "lost"
@@ -724,9 +724,3 @@ class InvariantChecker:
     @property
     def clean(self) -> bool:
         return not self.violations
-
-    def watchdog_errors(self) -> list:
-        return list(self.system.env.watchdogs.error_history)
-
-    def overall_watchdog_status(self) -> HealthStatus:
-        return self.system.env.watchdogs.overall_status()

@@ -41,14 +41,18 @@ from repro.resilience import PinglistState, RetryPolicy, derive_seed
 
 __all__ = ["AgentConfig", "PingmeshAgent"]
 
+# A FRESH agent's refresh period is ``period * U(1 - f, 1 + f)``.
+REFRESH_JITTER_FRACTION = 0.1
+# The resource model approximates the production measurements of Figure 3:
+# ~2500 peers probed with <45 MB memory and ~0.26 % CPU.
+CPU_PER_PROBE_S = 10e-6  # CPU charged per probe
+MEMORY_PER_RECORD_KB = 0.25  # buffered upload record
+MEMORY_PER_SKETCH_BUCKET_BYTES = 16.0  # counters / stream sketch bucket
+
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """Agent tunables.
-
-    The resource-model constants approximate the production measurements of
-    Figure 3: ~2500 peers probed with <45 MB memory and ~0.26 % CPU.
-    """
+    """Agent tunables."""
 
     pinglist_refresh_s: float = 1800.0  # periodic pull from the controller
     upload_period_s: float = 600.0  # the upload timer
@@ -64,18 +68,12 @@ class AgentConfig:
     # uploader's spool-and-replay retry policy.  resilient_refresh=False
     # reverts to fixed-period refresh — the stampede bench's control arm.
     resilient_refresh: bool = True
-    refresh_jitter_fraction: float = 0.1  # period * U(1-f, 1+f)
     refresh_retry_base_s: float = 30.0
     refresh_retry_cap_s: float = 600.0
     upload_retry_base_s: float = 60.0
     upload_retry_cap_s: float = 600.0
-    upload_spool_cap_records: int = 20_000
     memory_cap_mb: float = 80.0
-    cpu_cap_fraction: float = 0.05
-    cpu_per_probe_s: float = 10e-6  # CPU charged per probe
     base_memory_mb: float = 24.0  # code + runtime footprint
-    memory_per_record_kb: float = 0.25  # buffered upload record
-    memory_per_sketch_bucket_bytes: float = 16.0  # counters / stream sketch bucket
 
     def __post_init__(self) -> None:
         if self.pinglist_refresh_s <= 0:
@@ -84,10 +82,6 @@ class AgentConfig:
             raise ValueError(f"upload period must be positive: {self.upload_period_s}")
         if self.round_mode not in ("fast", "class"):
             raise ValueError(f"unknown round mode: {self.round_mode!r}")
-        if not 0.0 <= self.refresh_jitter_fraction < 1.0:
-            raise ValueError(
-                f"jitter fraction must be in [0, 1): {self.refresh_jitter_fraction}"
-            )
         if self.refresh_retry_base_s <= 0 or self.upload_retry_base_s <= 0:
             raise ValueError("retry base delays must be positive")
 
@@ -114,7 +108,6 @@ class PingmeshAgent(SharedService):
             name="pingmesh-agent",
             server_id=server_id,
             memory_cap_mb=self.config.memory_cap_mb,
-            cpu_cap_fraction=self.config.cpu_cap_fraction,
         )
         self.fabric = fabric
         self.controller = controller
@@ -186,7 +179,7 @@ class PingmeshAgent(SharedService):
         if self.safety.pinglist_state is PinglistState.FRESH:
             self.refresh_retry.reset()
             return self.refresh_retry.jitter_period(
-                period, self.config.refresh_jitter_fraction
+                period, REFRESH_JITTER_FRACTION
             )
         return self.refresh_retry.next_delay(cap_s=period)
 
@@ -411,23 +404,22 @@ class PingmeshAgent(SharedService):
         (terminating the agent) if the footprint crosses the OS cap — the
         fail-closed behaviour of §3.4.2.
         """
-        config = self.config
         memory_mb = (
-            config.base_memory_mb
-            + self.uploader.buffered_records * config.memory_per_record_kb / 1024.0
+            self.config.base_memory_mb
+            + self.uploader.buffered_records * MEMORY_PER_RECORD_KB / 1024.0
             + self.counters.sketch.memory_buckets
-            * config.memory_per_sketch_bucket_bytes
+            * MEMORY_PER_SKETCH_BUCKET_BYTES
             / 1e6
             + self.uploader.local_log_bytes / 1e6
         )
         if self.stream_aggregator is not None:
             memory_mb += (
                 self.stream_aggregator.memory_buckets
-                * config.memory_per_sketch_bucket_bytes
+                * MEMORY_PER_SKETCH_BUCKET_BYTES
                 / 1e6
             )
         self.charge(
-            cpu_seconds=probes * config.cpu_per_probe_s,
+            cpu_seconds=probes * CPU_PER_PROBE_S,
             memory_mb=memory_mb,
             sent_bytes=probes * 120,  # SYN+SYN-ACK+upload overhead estimate
         )

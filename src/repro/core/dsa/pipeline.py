@@ -59,7 +59,6 @@ class DsaConfig:
     hourly_period_s: float = ONE_HOUR
     daily_period_s: float = SECONDS_PER_DAY
     retention_s: float = RETENTION_S
-    enable_auto_repair: bool = True
 
     def __post_init__(self) -> None:
         if self.ingestion_delay_s < 0:
@@ -188,8 +187,7 @@ class DsaPipeline:
             if self.fabric is not None:
                 self.silentdrop_detector.localize(incident, self.fabric)
             if (
-                self.config.enable_auto_repair
-                and self.device_manager is not None
+                self.device_manager is not None
                 and incident.localized_switch is not None
             ):
                 self.silentdrop_detector.file_rma(incident, self.device_manager)
@@ -254,7 +252,7 @@ class DsaPipeline:
                 }
             ],
         )
-        if self.config.enable_auto_repair and self.device_manager is not None:
+        if self.device_manager is not None:
             self.blackhole_detector.file_repairs(
                 report, self.device_manager, self.topology
             )

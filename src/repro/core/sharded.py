@@ -85,7 +85,6 @@ class FleetShard:
             flush_threshold_records=config.upload_threshold_records,
             retry_base_s=config.upload_retry_base_s,
             retry_cap_s=config.upload_retry_cap_s,
-            spool_cap_records=config.upload_spool_cap_records,
         )
         self.class_uploader = ResultUploader(
             system.store,
@@ -94,7 +93,6 @@ class FleetShard:
             flush_threshold_records=config.upload_threshold_records,
             retry_base_s=config.upload_retry_base_s,
             retry_cap_s=config.upload_retry_cap_s,
-            spool_cap_records=config.upload_spool_cap_records,
         )
         self.aggregator = (
             system.stream.shard_aggregator(dc, podset)

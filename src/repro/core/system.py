@@ -25,7 +25,7 @@ from repro.core.agent.uploader import ResultUploader
 from repro.core.controller.generator import GeneratorConfig
 from repro.core.controller.service import PingmeshControllerService
 from repro.core.controller.slb import NoHealthyBackendError, SoftwareLoadBalancer
-from repro.core.dsa.alerts import AlertEngine, SlaThresholds
+from repro.core.dsa.alerts import AlertEngine
 from repro.core.dsa.database import ResultsDatabase
 from repro.core.dsa.pipeline import DsaConfig, DsaPipeline
 from repro.core.dsa.records import LATENCY_STREAM
@@ -40,6 +40,8 @@ from repro.stream.plane import StreamConfig, StreamPlane
 
 __all__ = ["PingmeshSystemConfig", "PingmeshSystem"]
 
+REPAIR_POLL_PERIOD_S = 300.0  # the Repair Service drains the DM queue this often
+
 
 @dataclass(frozen=True)
 class PingmeshSystemConfig:
@@ -51,10 +53,8 @@ class PingmeshSystemConfig:
     agent: AgentConfig = field(default_factory=AgentConfig)
     dsa: DsaConfig = field(default_factory=DsaConfig)
     stream: StreamConfig = field(default_factory=StreamConfig)
-    thresholds: SlaThresholds = field(default_factory=SlaThresholds)
     n_controller_replicas: int = 2
     services: tuple[ServiceDefinition, ...] = ()
-    repair_poll_period_s: float = 300.0  # RS drains the DM queue this often
     # §6.2 VIP monitoring: logical VIP name -> the DIP server ids behind it.
     # Each VIP becomes a pinglist target; the agents' probes are load-
     # balanced over its live DIPs, and an all-DIPs-down VIP shows up as
@@ -96,7 +96,7 @@ class PingmeshSystem:
         }
 
         self.sla_tracker = SlaTracker(self.config.services)
-        self.alert_engine = AlertEngine(self.config.thresholds)
+        self.alert_engine = AlertEngine()
         # The streaming plane shares the batch plane's AlertEngine so both
         # report into one episode table (whichever plane detects first owns
         # the breach event).
@@ -167,7 +167,6 @@ class PingmeshSystem:
                 flush_threshold_records=self.config.agent.upload_threshold_records,
                 retry_base_s=self.config.agent.upload_retry_base_s,
                 retry_cap_s=self.config.agent.upload_retry_cap_s,
-                spool_cap_records=self.config.agent.upload_spool_cap_records,
             )
             return PingmeshAgent(
                 server_id,
@@ -239,7 +238,7 @@ class PingmeshSystem:
         self._register_watchdogs()
         self.env.start_services()
         self.queue.schedule_after(
-            self.config.repair_poll_period_s, self._repair_tick, name="repair-tick"
+            REPAIR_POLL_PERIOD_S, self._repair_tick, name="repair-tick"
         )
         if self.stream is not None:
             self.queue.schedule_after(
@@ -319,7 +318,7 @@ class PingmeshSystem:
         """The Repair Service polls the DM queue periodically (§2.3)."""
         self.env.repair_service.process_queue(self.clock.now)
         self.queue.schedule_after(
-            self.config.repair_poll_period_s, self._repair_tick, name="repair-tick"
+            REPAIR_POLL_PERIOD_S, self._repair_tick, name="repair-tick"
         )
 
     def _stream_tick(self) -> None:
@@ -407,10 +406,6 @@ class PingmeshSystem:
         executed = self.env.run_for(duration_s, max_events=max_events)
         self.env.repair_service.process_queue(self.clock.now)
         return executed
-
-    def process_repairs(self) -> list:
-        """Drain pending DM repair requests through the Repair Service now."""
-        return self.env.repair_service.process_queue(self.clock.now)
 
     # -- topology growth ----------------------------------------------------------
 

@@ -72,10 +72,6 @@ class LiveProber:
         self.results.extend(results)
         return list(results)
 
-    def run_round_sync(self) -> list[LivePingResult]:
-        """Blocking wrapper."""
-        return asyncio.run(self.run_round())
-
     def snapshot(self) -> dict[str, float]:
         """The PA counter set, from real measurements."""
         return self.counters.snapshot()

@@ -46,7 +46,6 @@ class StreamConfig:
     enabled: bool = True
     window_s: float = 10.0  # aggregation sub-window (sim seconds)
     relative_accuracy: float = 0.01  # sketch error bound (1 %)
-    max_buckets: int = 2048  # sketch memory cap
     retention_windows: int = 360  # ingest ring: 1 h at the default window
     ingest_vip: str = "stream-ingest.vip"
     n_ingest_replicas: int = 2
@@ -54,24 +53,10 @@ class StreamConfig:
     eval_windows: int = 3
     min_drop_events: int = 3
     min_p99_samples: int = 200
-    # Inter-DC detector P99 floor: WAN probe volume is a sliver of the
-    # fleet's, so the sample requirement is proportionally lower.
-    interdc_min_p99_samples: int = 50
-    # EWMA drift detector.
-    ewma_alpha: float = 0.3
-    ewma_k_sigma: float = 6.0
-    ewma_warmup_windows: int = 6
-    ewma_min_rel_drift: float = 0.5
-    ewma_consecutive: int = 2
-    # Streaming black-hole candidate feed.
-    blackhole_min_failed: int = 5
-    # Pinglist staleness gauge: alert when this fraction of the fleet is
-    # probing a cached (controller-unconfirmed) pinglist.
-    staleness_alert_fraction: float = 0.25
-    # Shard aggregation: one aggregator per (dc, podset) instead of one per
-    # server.  Cuts the per-tick delta count from O(servers) to O(podsets)
-    # for paper-scale fleets; server-granular detector feeds (black-hole
-    # localization by pod) coarsen accordingly, so it is opt-in.
+    # Read by nothing: the system always feeds agents pair aggregators and
+    # the sharded fleet always feeds shard aggregators.  It stays only
+    # because benchmarks/e2e/workloads.py constructs it, and goes with the
+    # next change to that benchmark.
     shard_aggregation: bool = False
 
     def __post_init__(self) -> None:
@@ -114,7 +99,6 @@ class StreamPlane:
             window_s=config.window_s,
             retention_windows=config.retention_windows,
             relative_accuracy=config.relative_accuracy,
-            max_buckets=config.max_buckets,
         )
         self.sla_detector = StreamSlaDetector(
             alert_engine,
@@ -126,24 +110,10 @@ class StreamPlane:
             alert_engine,
             eval_windows=config.eval_windows,
             min_drop_events=config.min_drop_events,
-            min_p99_samples=config.interdc_min_p99_samples,
         )
-        self.drift_detector = EwmaDriftDetector(
-            alert_engine,
-            alpha=config.ewma_alpha,
-            k_sigma=config.ewma_k_sigma,
-            warmup_windows=config.ewma_warmup_windows,
-            min_rel_drift=config.ewma_min_rel_drift,
-            consecutive=config.ewma_consecutive,
-        )
-        self.blackhole_feed = StreamBlackholeFeed(
-            min_failed=config.blackhole_min_failed,
-            eval_windows=config.eval_windows,
-        )
-        self.staleness_gauge = PinglistStalenessGauge(
-            alert_engine,
-            alert_fraction=config.staleness_alert_fraction,
-        )
+        self.drift_detector = EwmaDriftDetector(alert_engine)
+        self.blackhole_feed = StreamBlackholeFeed(eval_windows=config.eval_windows)
+        self.staleness_gauge = PinglistStalenessGauge(alert_engine)
         self._aggregators: dict[str, StreamAggregator] = {}
         self.ticks = 0
         self.last_tick_t: float | None = None
@@ -166,7 +136,7 @@ class StreamPlane:
     def observe_staleness(self, t: float, stale_agents: int, total_agents: int) -> None:
         """Feed the staleness gauge (the system calls this each stream
         tick with the fleet's STALE-agent count).  The gauge breaches an
-        episodic alert past ``staleness_alert_fraction`` — the operator
+        episodic alert past its ``alert_fraction`` — the operator
         signal that the controller is degraded even though probing (on
         cached pinglists) continues."""
         self.staleness_gauge.observe(t, stale_agents, total_agents)
@@ -196,21 +166,8 @@ class StreamPlane:
 
     # -- agent side --------------------------------------------------------
 
-    def aggregator_for(self, server_id: str) -> StreamAggregator:
-        """The (memoized) aggregator for one server's agent.
-
-        Under ``shard_aggregation`` every server in a (dc, podset) shares
-        the shard's aggregator — sketches are mergeable, so folding at the
-        source loses nothing the merge tree wouldn't also lose.
-        """
-        if self.config.shard_aggregation:
-            server = self.topology.server(server_id)
-            return self.shard_aggregator(server.dc_index, server.podset_index)
-        return self.pair_aggregator_for(server_id)
-
     def pair_aggregator_for(self, server_id: str) -> StreamAggregator:
-        """One server's pair-granularity aggregator, always — regardless
-        of ``shard_aggregation``.
+        """One server's (memoized) pair-granularity aggregator.
 
         This is where degraded/faulted/VIP outcomes go under the sharded
         fleet: the healthy bulk flows class-granular through the shard
@@ -227,7 +184,6 @@ class StreamPlane:
                 pod=server.pod_index,
                 window_s=self.config.window_s,
                 relative_accuracy=self.config.relative_accuracy,
-                max_buckets=self.config.max_buckets,
                 granularity="pair",
             )
         return aggregator
@@ -251,7 +207,6 @@ class StreamPlane:
                 pod=-1,
                 window_s=self.config.window_s,
                 relative_accuracy=self.config.relative_accuracy,
-                max_buckets=self.config.max_buckets,
                 granularity="class",
             )
         return aggregator

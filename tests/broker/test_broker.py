@@ -12,6 +12,7 @@ from repro.broker import (
     RequestState,
     TenantQuota,
 )
+from repro.broker import admission
 from repro.core.agent.agent import AgentConfig
 from repro.core.dsa.pipeline import DsaConfig
 from repro.core.dsa.records import LATENCY_STREAM
@@ -115,9 +116,8 @@ class TestAdmission:
         )
         assert channel.state is RequestState.ADMITTED
         assert channel.truncated
-        cfg = broker.admission
         assert channel.probes_admitted <= (
-            cfg.max_pairs_per_request * cfg.max_probes_per_pair
+            admission.MAX_PAIRS_PER_REQUEST * admission.MAX_PROBES_PER_PAIR
         )
         assert channel.probes_requested > channel.probes_admitted
         account = broker.accounts["acme"]
@@ -155,10 +155,9 @@ class TestAdmission:
         assert read.state is RequestState.COMPLETED
 
     def test_per_request_ports_live_in_the_broker_range(self, broker):
-        cfg = broker.admission
-        ports = {cfg.dst_port_for(rid) for rid in range(5000)}
-        assert min(ports) >= cfg.port_base
-        assert max(ports) < cfg.port_base + cfg.port_span
+        ports = {admission.dst_port_for(rid) for rid in range(5000)}
+        assert min(ports) >= admission.PORT_BASE
+        assert max(ports) < admission.PORT_BASE + admission.PORT_SPAN
 
     def test_double_attach_refused(self, broker):
         with pytest.raises(RuntimeError):
@@ -168,6 +167,35 @@ class TestAdmission:
         one = broker._expand_pairs(7, "dc:0", "dc:0", None)
         two = broker._expand_pairs(7, "dc:0", "dc:0", None)
         assert one == two
+
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"payload_bytes": None},
+            {"payload_bytes": "big"},
+            {"probes_per_pair": "many"},
+            {"probes_per_pair": None},
+            {"deadline_s": -5.0},
+            {"deadline_s": 0.0},
+            {"deadline_s": float("nan")},
+            {"deadline_s": float("inf")},
+            {"deadline_s": "soon"},
+        ],
+    )
+    def test_bad_burst_params_are_rejected_before_the_debit(self, broker, params):
+        """A bad payload or probe count used to raise out of ``submit()``
+        (after the debit, for the payload) and leave the channel ``PENDING``
+        for good; a negative or NaN deadline used to be admitted."""
+        account = broker.accounts["acme"]
+        before = account.balance
+        a, b = (s.device_id for s in broker.system.topology.dc(0).servers[:2])
+        channel = broker.submit("acme", pairs=[(a, b)], **params)
+        assert channel.state is RequestState.REJECTED
+        assert channel.reject_reason == "bad-params"
+        assert account.balance == before and account.conserved()
+        assert not broker.inflight
+        assert all(ch.done for ch in broker.channels.values())
 
 
 class TestLifecycle:
@@ -328,7 +356,7 @@ class TestReadQueries:
         account = broker.accounts["acme"]
         before = account.balance
         broker.submit("acme", kind="scope")
-        assert account.balance == before - broker.admission.read_query_cost
+        assert account.balance == before - admission.READ_QUERY_COST
 
     @pytest.mark.parametrize(
         "kind,params",

@@ -33,13 +33,12 @@ from tests.conftest import calls_digest, record_probe_calls
 _SPEC = TopologySpec(n_podsets=2, pods_per_podset=2, servers_per_pod=4, n_spines=4)
 
 
-def _system(round_mode="class", shard_aggregation=True, spec=_SPEC, seed=0, **config):
+def _system(round_mode="class", spec=_SPEC, seed=0, **config):
     return PingmeshSystem(
         PingmeshSystemConfig(
             specs=(spec,),
             seed=seed,
             agent=AgentConfig(round_mode=round_mode),
-            stream=StreamConfig(shard_aggregation=shard_aggregation),
             **config,
         )
     )
@@ -82,9 +81,7 @@ class TestShardedConservation:
         """The full chaos invariant catalogue over sharded rounds."""
         system = _system()
         fleet = ShardedFleet(system)
-        # Shard uploaders write the latency streams without being agents,
-        # so the exclusive-writer replay ledger does not apply here.
-        checker = InvariantChecker(system, exclusive_upload_writers=False)
+        checker = InvariantChecker(system)
         checker.attach()
         fleet.run_for(180.0)
         checker.check_phase()
@@ -171,7 +168,7 @@ class TestShardedParity:
         agents' own rounds launch identical probe counts (same pinglists —
         only who runs the round and how it draws differ)."""
         fleet = ShardedFleet(_system(seed=3))
-        per_agent = _system(round_mode="fast", seed=3, shard_aggregation=False)
+        per_agent = _system(round_mode="fast", seed=3)
         per_agent.start()
 
         fleet_launched = fleet.run_round(0.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.broker import MeasurementBroker, RequestState, TenantQuota
+from repro.broker.admission import MAX_INJECTED_PER_FLEET_ROUND
 from repro.chaos import build_campaign
 from repro.chaos.invariants import InvariantChecker
 from repro.core.agent.agent import AgentConfig
@@ -78,8 +79,7 @@ class TestFleetIntegration:
     def test_invariants_clean_with_active_broker_on_fleet(self):
         system, fleet, broker = _fleet()
         broker.register_tenant("acme", TenantQuota(credits_per_window=5000))
-        # Shard uploaders also write the class stream under a fleet.
-        checker = InvariantChecker(system, exclusive_upload_writers=False)
+        checker = InvariantChecker(system)
         checker.attach()
         broker.submit("acme", src="podset:0/0", dst="podset:0/1")
         fleet.run_for(300.0)
@@ -94,7 +94,7 @@ class TestFleetIntegration:
         broker.register_tenant("acme", TenantQuota(credits_per_window=10_000))
         broker.submit("acme", src="dc:0", dst="dc:0", probes_per_pair=8)
         fleet.run_for(600.0)
-        cap = broker.admission.max_injected_per_fleet_round
+        cap = MAX_INJECTED_PER_FLEET_ROUND
         assert broker.round_log
         for _t, injected, logged_cap in broker.round_log:
             assert injected <= logged_cap <= cap

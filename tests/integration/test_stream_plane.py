@@ -131,7 +131,7 @@ class TestHealthyParity:
 
     def test_stream_memory_is_bounded(self, ran_system):
         plane = ran_system.stream
-        cap = plane.config.max_buckets
+        cap = plane.ingest.max_buckets
         # Ring of retained windows x keys bounds the ingest side; each
         # sketch individually respects the bucket cap.
         for window_start in plane.ingest.window_starts():
@@ -244,7 +244,7 @@ class TestWiring:
     def test_agents_share_the_plane_aggregators(self):
         system = _build()
         for server_id, agent in system.agents.items():
-            assert agent.stream_aggregator is system.stream.aggregator_for(
+            assert agent.stream_aggregator is system.stream.pair_aggregator_for(
                 server_id
             )
 

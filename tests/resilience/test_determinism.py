@@ -10,7 +10,7 @@ bit-identical schedules, then replays one agent's stream standalone.
 import random
 
 from repro.chaos.campaigns import run_campaign
-from repro.core.agent.agent import AgentConfig
+from repro.core.agent.agent import REFRESH_JITTER_FRACTION, AgentConfig
 from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.netsim.topology import TopologySpec
 from repro.resilience import RetryPolicy, derive_seed
@@ -74,7 +74,7 @@ class TestSeededStreams:
         )
         replayed = [
             policy.jitter_period(
-                config.pinglist_refresh_s, config.refresh_jitter_fraction
+                config.pinglist_refresh_s, REFRESH_JITTER_FRACTION
             )
             for _ in draws["refresh"]
         ]

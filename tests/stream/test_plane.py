@@ -38,8 +38,8 @@ class TestAggregatorWiring:
     def test_aggregator_for_is_memoized_with_coordinates(self):
         plane, topology = _plane()
         server = topology.dc(0).servers[-1]
-        aggregator = plane.aggregator_for(server.device_id)
-        assert aggregator is plane.aggregator_for(server.device_id)
+        aggregator = plane.pair_aggregator_for(server.device_id)
+        assert aggregator is plane.pair_aggregator_for(server.device_id)
         assert aggregator.dc == server.dc_index
         assert aggregator.podset == server.podset_index
         assert aggregator.pod == server.pod_index
@@ -48,7 +48,7 @@ class TestAggregatorWiring:
 class TestDelivery:
     def _observe(self, plane, topology, t, n=25):
         server = topology.dc(0).servers[0]
-        aggregator = plane.aggregator_for(server.device_id)
+        aggregator = plane.pair_aggregator_for(server.device_id)
         for _ in range(n):
             aggregator.observe(t, "tor-level", True, 250.0)
 
@@ -108,7 +108,7 @@ class TestDelivery:
     def test_detectors_run_on_tick(self):
         plane, topology = _plane(eval_windows=1)
         server = topology.dc(0).servers[0]
-        aggregator = plane.aggregator_for(server.device_id)
+        aggregator = plane.pair_aggregator_for(server.device_id)
         for _ in range(30):
             aggregator.observe(5.0, "tor-level", True, 250.0)
         for _ in range(5):

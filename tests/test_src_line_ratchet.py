@@ -11,8 +11,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # ``wc -l`` summed over <dir>/**/*.py.
-SRC_LINE_CEILING = 18_865
-TESTS_LINE_CEILING = 19_240
+SRC_LINE_CEILING = 18_768
+TESTS_LINE_CEILING = 19_403
 
 
 def _check(name: str, ceiling: int, constant: str) -> None:
