@@ -327,7 +327,7 @@ class PingmeshAgent(SharedService):
         batch = make_records(
             self.fabric.topology, probes, tags, self._record_server_cache
         )
-        self.counters.add_many(zip(probes.success.tolist(), probes.rtt_s.tolist()))
+        self.counters.add_many(batch.success, batch.rtt_us)
         if self.stream_aggregator is not None:
             self.stream_aggregator.observe_round(
                 t, batch.static.classes, batch.success, batch.rtt_us

@@ -8,13 +8,12 @@ The window accumulator is the stream plane's
 :class:`~repro.stream.sketch.ClassStats` — success / failed / 3 s / 9 s
 counts, the failure-aware drop rate and a constant-memory, exactly
 mergeable quantile sketch, which is the shared-service discipline.  This
-module is only its PA-facing face: probe RTTs come in as seconds, counters
-go out as microseconds under the PA counter names.
+module is only its PA-facing face: a probe's RTT comes in as seconds (a
+round's as the ``rtt_us`` column its records carry), counters go out as
+microseconds under the PA counter names.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
@@ -40,14 +39,10 @@ class LatencyCounters(ClassStats):
         """Record one probe outcome."""
         self.observe(success, rtt_s * 1e6)
 
-    def add_many(self, outcomes: Iterable[tuple[bool, float]]) -> None:
-        """Record a batch of ``(success, rtt_s)`` outcomes.
-
-        A plain loop: a pinglist round is tens of outcomes per agent, where
-        one dict update each beats the vectorized fold's fixed cost.
-        """
-        for success, rtt_s in outcomes:
-            self.observe(success, rtt_s * 1e6)
+    def add_many(self, success: np.ndarray, rtt_us: np.ndarray) -> None:
+        """Record a round's outcomes, as its ``success`` and ``rtt_us``
+        columns, in one :meth:`~ClassStats.observe_many` fold."""
+        self.observe_many(success, rtt_us)
 
     def add_class_round(self, n_failed: int, rtts_s: np.ndarray) -> None:
         """Fold one class-round outcome in: ``n_failed`` connect failures

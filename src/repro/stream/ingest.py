@@ -92,11 +92,10 @@ class StreamIngestService:
         for cls, payload in delta.classes.items():
             key = (delta.dc, delta.podset, delta.pod, cls)
             stats = window.get(key)
-            incoming = ClassStats.from_payload(payload, self.max_buckets)
             if stats is None:
-                window[key] = incoming
+                window[key] = ClassStats.from_payload(payload, self.max_buckets)
             else:
-                stats.merge(incoming)
+                stats.merge_payload(payload)
         self.deltas_ingested += 1
         self.probes_ingested += delta.probes
         self._evict()

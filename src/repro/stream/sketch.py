@@ -39,7 +39,8 @@ from repro.netsim.tcp import FAILED_RTT_US, ONE_DROP_RTT_US, TWO_DROPS_RTT_US
 
 __all__ = ["LatencySketch", "ClassStats"]
 
-# Up to this many values ``add_many`` counts buckets one value at a time.
+# Up to this many values (a pinglist round) ``LatencySketch.add_many`` and
+# ``ClassStats.observe_many`` count buckets one value at a time.
 _SMALL_BATCH = 64
 
 
@@ -99,13 +100,17 @@ class LatencySketch:
         if len(self.buckets) > self.max_buckets:
             self._collapse()
 
+    def _indices(self, array: np.ndarray) -> np.ndarray:
+        """:meth:`_index` of every value of ``array``, in one numpy pass."""
+        clipped = np.maximum(array, self.min_value)
+        return np.ceil(np.log(clipped) / self._log_gamma).astype(np.int64)
+
     def add_many(self, values) -> None:
         """Vectorized :meth:`add` for a whole batch (numpy array or list)."""
         array = np.asarray(values, dtype=np.float64)
         if array.size == 0:
             return
-        clipped = np.maximum(array, self.min_value)
-        indices = np.ceil(np.log(clipped) / self._log_gamma).astype(np.int64)
+        indices = self._indices(array)
         buckets = self.buckets
         if array.size <= _SMALL_BATCH:
             # A pinglist round's worth: a bincount costs more than one dict
@@ -161,20 +166,17 @@ class LatencySketch:
 
     # -- merge / serialization --------------------------------------------
 
-    def _check_compatible(self, other: "LatencySketch") -> None:
-        if (
-            other.relative_accuracy != self.relative_accuracy
-            or other.min_value != self.min_value
-        ):
+    def _check_compatible(self, relative_accuracy: float, min_value: float) -> None:
+        if (relative_accuracy, min_value) != (self.relative_accuracy, self.min_value):
             raise ValueError(
                 "cannot merge sketches with different parameters: "
                 f"{self.relative_accuracy}/{self.min_value} vs "
-                f"{other.relative_accuracy}/{other.min_value}"
+                f"{relative_accuracy}/{min_value}"
             )
 
     def merge(self, other: "LatencySketch") -> "LatencySketch":
         """Fold ``other`` into ``self`` (associative, commutative)."""
-        self._check_compatible(other)
+        self._check_compatible(other.relative_accuracy, other.min_value)
         for index, count in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + count
         self.count += other.count
@@ -205,22 +207,25 @@ class LatencySketch:
             "max": self.max_seen if self.count else None,
         }
 
+    def merge_payload(self, payload: dict) -> "LatencySketch":
+        """:meth:`merge` of ``from_payload(payload)``, without building it."""
+        self._check_compatible(payload["ra"], payload["min_value"])
+        buckets = self.buckets
+        for index, count in payload["buckets"]:
+            buckets[index] = buckets.get(index, 0) + count
+        if payload["count"]:
+            self.count += int(payload["count"])
+            self.min_seen = min(self.min_seen, float(payload["min"]))
+            self.max_seen = max(self.max_seen, float(payload["max"]))
+        if len(buckets) > self.max_buckets:
+            self._collapse()
+        return self
+
     @classmethod
     def from_payload(
         cls, payload: dict, max_buckets: int = 2048
     ) -> "LatencySketch":
-        sketch = cls(payload["ra"], max_buckets, payload["min_value"])
-        sketch.buckets = {int(i): int(c) for i, c in payload["buckets"]}
-        sketch.count = int(payload["count"])
-        sketch.min_seen = (
-            float(payload["min"]) if payload["min"] is not None else math.inf
-        )
-        sketch.max_seen = (
-            float(payload["max"]) if payload["max"] is not None else -math.inf
-        )
-        if len(sketch.buckets) > sketch.max_buckets:
-            sketch._collapse()
-        return sketch
+        return cls(payload["ra"], max_buckets, payload["min_value"]).merge_payload(payload)
 
 
 class ClassStats:
@@ -262,10 +267,44 @@ class ClassStats:
         self.sketch.add(rtt_us)
 
     def observe_many(self, successes, rtts_us) -> None:
-        """Vectorized fold of a whole outcome batch."""
+        """Fold a batch of probe outcomes (RTTs in µs): :meth:`observe` per
+        probe, in one call — the fold the PA counters and the stream
+        aggregator make of every round.
+
+        Up to ``_SMALL_BATCH`` outcomes, a pinglist round, one numpy pass
+        gives every bucket index and a plain loop does the rest; a larger
+        batch takes :meth:`observe_aggregate`'s array counts and bincount.
+        """
         ok = np.asarray(successes, dtype=bool)
         rtts = np.asarray(rtts_us, dtype=np.float64)
-        self.observe_aggregate(int(ok.size) - int(ok.sum()), rtts[ok])
+        if ok.size > _SMALL_BATCH:
+            self.observe_aggregate(ok.size - int(np.count_nonzero(ok)), rtts[ok])
+            return
+        sketch = self.sketch
+        buckets = sketch.buckets
+        low, high = sketch.min_seen, sketch.max_seen
+        n_ok = one_drop = two_drops = 0
+        for success, rtt, index in zip(ok.tolist(), rtts.tolist(), sketch._indices(rtts).tolist()):
+            if success:
+                n_ok += 1
+                buckets[index] = buckets.get(index, 0) + 1
+                if rtt < low:
+                    low = rtt
+                if rtt > high:
+                    high = rtt
+                if rtt >= ONE_DROP_RTT_US:  # one compare for a clean RTT
+                    if rtt < TWO_DROPS_RTT_US:
+                        one_drop += 1
+                    elif rtt < FAILED_RTT_US:
+                        two_drops += 1
+        self.failed += ok.size - n_ok
+        self.success += n_ok
+        self.one_drop += one_drop
+        self.two_drops += two_drops
+        sketch.count += n_ok
+        sketch.min_seen, sketch.max_seen = low, high
+        if len(buckets) > sketch.max_buckets:
+            sketch._collapse()
 
     def observe_aggregate(self, n_failed: int, rtts_us) -> None:
         """Fold a class-round outcome: a failure *count* plus the successful
@@ -359,12 +398,15 @@ class ClassStats:
             "two_drops": self.two_drops,
         }
 
+    def merge_payload(self, payload: dict) -> "ClassStats":
+        """:meth:`merge` of ``from_payload(payload)``, without building it."""
+        self.sketch.merge_payload(payload["sketch"])
+        self.success += int(payload["success"])
+        self.failed += int(payload["failed"])
+        self.one_drop += int(payload["one_drop"])
+        self.two_drops += int(payload["two_drops"])
+        return self
+
     @classmethod
     def from_payload(cls, payload: dict, max_buckets: int = 2048) -> "ClassStats":
-        stats = cls.__new__(cls)
-        stats.sketch = LatencySketch.from_payload(payload["sketch"], max_buckets)
-        stats.success = int(payload["success"])
-        stats.failed = int(payload["failed"])
-        stats.one_drop = int(payload["one_drop"])
-        stats.two_drops = int(payload["two_drops"])
-        return stats
+        return cls(payload["sketch"]["ra"], max_buckets).merge_payload(payload)

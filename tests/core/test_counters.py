@@ -95,7 +95,11 @@ class TestIngestion:
         counters = LatencyCounters()
         for success, rtt_s in order[:low]:
             counters.add(success, rtt_s)
-        counters.add_many(iter(order[low:high]))
+        middle = order[low:high]
+        counters.add_many(
+            np.array([success for success, _rtt in middle], dtype=bool),
+            np.array([rtt_s for _success, rtt_s in middle]) * 1e6,
+        )
         rest = order[high:]
         counters.add_class_round(
             sum(1 for success, _rtt in rest if not success),
@@ -105,6 +109,25 @@ class TestIngestion:
         assert _counts(counters) == _counts(reference)
         assert counters.sketch.buckets == reference.sketch.buckets
         assert counters.probes_total == len(self.OUTCOMES)
+
+    @pytest.mark.parametrize("n", [0, 1, 30, 63, 64, 65, 1_000])
+    def test_a_round_is_its_probes_one_by_one(self, n):
+        """``add_many`` over a round's ``success`` / ``rtt_us`` columns is
+        ``add`` per probe, on either side of the small-round fold: failures,
+        both signatures and RTTs under the sketch's floor included."""
+        rng = np.random.default_rng(n)
+        rtts_s = rng.lognormal(np.log(250e-6), 0.6, n)
+        kind = rng.random(n)
+        rtts_s[kind < 0.1] += 3.0
+        rtts_s[kind < 0.04] += 6.0
+        rtts_s[kind > 0.97] = 1e-12
+        success = rng.random(n) > 0.1
+        rtts_s[~success] = 21.0
+        one_by_one, folded = LatencyCounters(), LatencyCounters()
+        for ok, rtt_s in zip(success.tolist(), rtts_s.tolist()):
+            one_by_one.add(ok, rtt_s)
+        folded.add_many(success, rtts_s * 1e6)
+        assert folded.to_payload() == one_by_one.to_payload()  # min and max too
 
 
 class TestPercentiles:
@@ -131,7 +154,7 @@ class TestPercentiles:
         rtts_s[signature < 0.01] += 3.0
         rtts_s[signature < 0.003] += 6.0  # 9 s in all
         counters = LatencyCounters()
-        counters.add_many((True, float(rtt)) for rtt in rtts_s[:5_000])
+        counters.add_many(np.ones(5_000, dtype=bool), rtts_s[:5_000] * 1e6)
         counters.add_class_round(0, rtts_s[5_000:])
         a = counters.sketch.relative_accuracy
         for q in (50, 99, 99.9):

@@ -306,6 +306,52 @@ class TestClassStats:
         assert scalar.two_drops == vectorized.two_drops
         assert scalar.sketch.buckets == vectorized.sketch.buckets
 
+    @pytest.mark.parametrize("rows", ["all", "every-other", "tail"])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 1_000])
+    def test_the_fold_is_observe_per_probe(self, n, rows, monkeypatch):
+        """``observe_many`` over a round, or one class's rows of it, is
+        ``observe`` per probe — buckets, the four counts, ``min_seen`` and
+        ``max_seen`` — on both of its paths.  The round mixes failures,
+        3 s / 9 s signatures and RTTs under the sketch's ``min_value``."""
+        import repro.stream.sketch as sketch_module
+
+        rng = np.random.default_rng(n)
+        rtts = rng.lognormal(5.5, 0.6, n)
+        kind = rng.random(n)
+        rtts[kind < 0.15] = SIG_1_US + rng.uniform(0.0, 1e3, int((kind < 0.15).sum()))
+        rtts[kind < 0.05] = SIG_2_US
+        rtts[kind > 0.95] = 1e-6
+        successes = rng.random(n) > 0.1
+        rtts[~successes] = rng.choice([0.0, tcp.FAILED_RTT_US], int((~successes).sum()))
+        picked = {"all": slice(None), "every-other": np.arange(0, n, 2), "tail": slice(n // 3, None)}[rows]
+        successes, rtts = successes[picked], rtts[picked]
+        small_batch_paths = (sketch_module._SMALL_BATCH, 0)
+        for max_buckets in (2048, 8):  # 8: the fold collapses too
+            scalar = ClassStats(max_buckets=max_buckets)
+            for ok, rtt in zip(successes.tolist(), rtts.tolist()):
+                scalar.observe(ok, rtt)
+            expected = (scalar.to_payload(), scalar.sketch.min_seen, scalar.sketch.max_seen)
+            for small_batch in small_batch_paths:
+                monkeypatch.setattr(sketch_module, "_SMALL_BATCH", small_batch)
+                folded = ClassStats(max_buckets=max_buckets)
+                folded.observe_many(successes, rtts)
+                assert (folded.to_payload(), folded.sketch.min_seen, folded.sketch.max_seen) == expected
+
+    def test_numpy_bucket_index_is_math_log_at_every_edge(self):
+        """The fold finds bucket indices with ``np.log``, ``observe`` with
+        ``math.log``: they agree at every bucket edge from 1 µs to 100 s,
+        at both floats beside it, and over a log-uniform sample."""
+        sketch = LatencySketch()
+        ks = np.arange(math.floor(math.log(1.0) / sketch._log_gamma),
+                       math.ceil(math.log(1e8) / sketch._log_gamma) + 1)
+        edges = np.concatenate([sketch._gamma ** ks, np.exp(ks * sketch._log_gamma)])
+        values = np.concatenate([
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+            10 ** np.random.default_rng(0).uniform(0.0, 8.0, 200_000),
+        ])
+        expected = [sketch._index(value) for value in values.tolist()]
+        assert sketch._indices(values).tolist() == expected
+
     def test_merge_adds_everything(self):
         a, b = ClassStats(), ClassStats()
         a.observe(True, 200.0)
@@ -314,6 +360,25 @@ class TestClassStats:
         a.merge(b)
         assert (a.success, a.failed, a.one_drop) == (2, 1, 1)
         assert a.sketch.count == 2
+
+    @pytest.mark.parametrize("max_buckets", [2048, 8])
+    def test_merge_payload_is_from_payload_then_merge(self, max_buckets):
+        """The ingest tree's direct merge equals building the delta's stats
+        and merging them, also when the payload holds more buckets than
+        the tree's cap (``from_payload`` collapses it first)."""
+        rng = np.random.default_rng(max_buckets)
+        tree, delta = ClassStats(max_buckets=max_buckets), ClassStats()
+        tree.observe_many(rng.random(500) > 0.05, rng.lognormal(6.0, 1.0, 500))
+        delta.observe_many(rng.random(300) > 0.05, rng.lognormal(4.0, 2.0, 300))
+        delta.observe(True, SIG_2_US)
+        payload = json.loads(json.dumps(delta.to_payload()))
+        assert (len(payload["sketch"]["buckets"]) > max_buckets) == (max_buckets == 8)
+        built = tree.copy().merge(ClassStats.from_payload(payload, max_buckets))
+        direct = tree.copy().merge_payload(payload)
+        assert direct.to_payload() == built.to_payload()
+        assert direct.sketch.memory_buckets <= max_buckets
+        with pytest.raises(ValueError):
+            ClassStats(relative_accuracy=0.05).merge_payload(payload)
 
     def test_payload_round_trip(self):
         stats = ClassStats()
