@@ -39,7 +39,6 @@ from repro.core.dsa.pipeline import DsaConfig
 from repro.core.sharded import ShardedFleet
 from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.netsim.topology import TopologySpec
-from repro.stream.plane import StreamConfig
 
 N_TENANTS = 10_000
 N_WAVES = 10
@@ -68,7 +67,6 @@ def _build_1k(seed: int = 0) -> PingmeshSystem:
             seed=seed,
             agent=AgentConfig(round_mode="class", upload_period_s=600.0),
             generator=GeneratorConfig(max_peers_per_server=32),
-            stream=StreamConfig(shard_aggregation=True),
             dsa=_FAST_DSA,
         )
     )
