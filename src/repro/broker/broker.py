@@ -47,6 +47,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.broker.admission import (
     CREDIT_COST_PER_PROBE,
     FLEET_BREAKER,
@@ -73,8 +75,9 @@ from repro.resilience import CircuitBreaker, RetryPolicy, derive_seed
 
 __all__ = ["BrokerConfig", "MeasurementBroker"]
 
-# Work-item field indices: [src, dst, dst_port, payload, remaining].
-_SRC, _DST, _PORT, _PAYLOAD, _REMAINING = range(5)
+# Work-item field indices: [src, probe entry (dst, dst_port, payload),
+# per-round collision key (src, dst, dst_port), remaining].
+_SRC, _ENTRY, _KEY, _REMAINING = range(4)
 
 # Bounded per-round injection log for the no-starvation invariant.
 _ROUND_LOG_CAP = 512
@@ -106,6 +109,8 @@ class MeasurementBroker:
         self.inflight: dict[int, MeasurementRequest] = {}
         self._work: dict[int, list[list]] = {}  # rid -> live work items
         self._src_index: dict[str, deque] = {}  # src -> (rid, item) queue
+        self._agent_rounds = system.config.agent.round_mode == "fast"
+        self._last_read: tuple = (None, [])  # (the rollup read, its rows)
         self._next_request_id = 0
         # Broker-wide telemetry / invariant ledgers.
         self.requests_submitted = 0
@@ -235,13 +240,14 @@ class MeasurementBroker:
             deadline_s=deadline_s,
         )
         items = [
-            [pair_src, pair_dst, port, payload, admitted_ppp]
+            [pair_src, (pair_dst, port, payload), (pair_src, pair_dst, port), admitted_ppp]
             for pair_src, pair_dst in expanded
         ]
         self.inflight[rid] = request
         self._work[rid] = items
-        for item in items:
-            self._src_index.setdefault(item[_SRC], deque()).append((rid, item))
+        if self._agent_rounds:  # a fleet picks from ``_work`` instead
+            for item in items:
+                self._src_index.setdefault(item[_SRC], deque()).append((rid, item))
         channel.probes_admitted = len(expanded) * admitted_ppp
         channel.state = RequestState.ADMITTED
         self.requests_admitted += 1
@@ -429,19 +435,21 @@ class MeasurementBroker:
         if not starts:
             return []
         merged = ingest.merged_by_dc(starts, cls=cls, exclude_cls=exclude_cls)
-        rows = []
-        for dc in sorted(merged):
-            stats = merged[dc]
-            rows.append(
+        rolled, rows = self._last_read
+        if rolled is not merged:
+            # A quantile sorts the rollup's buckets: once per rollup, not read.
+            rows = [
                 {
                     "dc": dc,
-                    "probes": stats.probes,
-                    "drop_rate": stats.drop_rate(),
-                    "p50_us": stats.quantile_us(50),
-                    "p99_us": stats.quantile_us(99),
+                    "probes": merged[dc].probes,
+                    "drop_rate": merged[dc].drop_rate(),
+                    "p50_us": merged[dc].quantile_us(50),
+                    "p99_us": merged[dc].quantile_us(99),
                 }
-            )
-        return rows
+                for dc in sorted(merged)
+            ]
+            self._last_read = (merged, rows)
+        return [dict(row) for row in rows]
 
     # -- fleet health ------------------------------------------------------
 
@@ -482,12 +490,12 @@ class MeasurementBroker:
         budget = MAX_INJECTED_PER_AGENT_ROUND
         chosen: list[tuple[int, list]] = []
         deferred: list[tuple[int, list]] = []
-        seen: set[tuple[str, int]] = set()
+        seen: set[tuple[str, str, int]] = set()
         while queue and len(chosen) < budget:
             rid, item = queue.popleft()
             if rid not in self.inflight or item[_REMAINING] <= 0:
                 continue  # terminal request / exhausted item: drop
-            key = (item[_DST], item[_PORT])
+            key = item[_KEY]
             if key in seen:
                 deferred.append((rid, item))  # same pair+port this round
                 continue
@@ -496,9 +504,7 @@ class MeasurementBroker:
         if not chosen:
             queue.extendleft(reversed(deferred))
             return 0
-        entries = [
-            (item[_DST], item[_PORT], item[_PAYLOAD]) for _rid, item in chosen
-        ]
+        entries = [item[_ENTRY] for _rid, item in chosen]
         results = self.system.fabric.probe_many(agent.server_id, entries, t=t)
         touched: set[int] = set()
         for (rid, item), result in zip(chosen, results):
@@ -521,7 +527,7 @@ class MeasurementBroker:
         self.round_log.append((t, injected, budget))
         self._round_injected_total += injected
         for rid in touched:
-            self._maybe_complete(rid, t)
+            self._maybe_complete(self.channels[rid], t)
         return injected
 
     # -- execution: sharded fleet rounds -----------------------------------
@@ -551,91 +557,87 @@ class MeasurementBroker:
         per_src_cap = MAX_INJECTED_PER_AGENT_ROUND
         head = next(iter(self.inflight))
         self.inflight[head] = self.inflight.pop(head)  # rotate by one
-        chosen: list[tuple[int, list]] = []
+        # One pass picks the items; per item its tag and its request's place in ``taken``.
+        chosen, requests, tags, taken = [], [], [], []
+        tag_of: dict[str, tuple[str, str]] = {}  # a ("broker", qos) tag per qos
         per_src: dict[str, int] = {}  # -1: the source must stay silent
         seen: set[tuple[str, str, int]] = set()
-        for rid in self.inflight:
-            if len(chosen) >= fleet_cap:
+        for rid, request in self.inflight.items():
+            room = min(per_src_cap, fleet_cap - len(chosen))
+            if room <= 0:
                 break
-            taken_for_rid = 0
+            before, number = len(chosen), len(taken)
+            tag = tag_of.get(qos := request.qos) or tag_of.setdefault(qos, ("broker", qos))
             for item in self._work[rid]:
-                if len(chosen) >= fleet_cap or taken_for_rid >= per_src_cap:
-                    break
-                if item[_REMAINING] <= 0:
+                src, _entry, key, remaining = item
+                if remaining <= 0:
                     continue
-                src = item[_SRC]
-                taken = per_src.get(src)
-                if taken is None:
-                    taken = per_src[src] = 0 if self._src_allowed(src) else -1
-                if taken < 0 or taken >= per_src_cap:
-                    continue
-                key = (src, item[_DST], item[_PORT])
-                if key in seen:
+                sent = per_src.get(src)
+                if sent is None:
+                    sent = per_src[src] = 0 if self._src_allowed(src) else -1
+                if sent < 0 or sent >= per_src_cap or key in seen:
                     continue
                 seen.add(key)
-                chosen.append((rid, item))
-                per_src[src] = taken + 1
-                taken_for_rid += 1
+                item[_REMAINING] = remaining - 1
+                chosen.append(item)
+                requests.append(number)
+                tags.append(tag)
+                per_src[src] = sent + 1
+                if len(chosen) - before >= room:
+                    break
+            launched = len(chosen) - before
+            if launched:
+                channel = self.channels[rid]
+                channel.probes_launched += launched
+                taken.append(channel)
         if not chosen:
             return 0
 
-        channels = self.channels
-        entries = [(item[_DST], item[_PORT], item[_PAYLOAD]) for _rid, item in chosen]
-        plan = fabric.compile_class_plan(
-            [item[_SRC] for _rid, item in chosen],
-            entries,
-            [("broker", self.inflight[rid].qos) for rid, _item in chosen],
-        )
-        for rid, item in chosen:
-            item[_REMAINING] -= 1
-            channels[rid].probes_launched += 1
-        self.probes_launched += len(chosen)
-
+        entries = [item[_ENTRY] for item in chosen]
+        plan = fabric.compile_class_plan((item[_SRC] for item in chosen), entries, tags)
+        self.probes_launched += len(entries)
         passthrough: dict[str, list[int]] = {}
         for index in plan.passthrough:
-            passthrough.setdefault(chosen[index][1][_SRC], []).append(index)
+            passthrough.setdefault(chosen[index][_SRC], []).append(index)
         for src in sorted(passthrough):
             indices = passthrough[src]
             results = fabric.probe_many(src, [entries[i] for i in indices], t=t)
             for index, result in zip(indices, results):
-                channels[chosen[index][0]].record_outcome(
+                taken[requests[index]].record_outcome(
                     t, result.src, result.dst, result.success, result.rtt_s
                 )
             self.probes_delivered += len(indices)
         if plan.groups:
             outcomes = fabric.run_class_plan(plan, t=t)
+            settled = np.zeros(len(entries), dtype=np.intp)  # 1 succeeded, 2 failed
             for outcome, indices in zip(outcomes, plan.member_indices):
+                settled[indices] = 1
                 if outcome.failed:  # who failed: the head of a uniform shuffle
-                    indices = fabric.rng.permutation(indices).tolist()
-                for index in indices[:outcome.failed]:
-                    channels[chosen[index][0]].record_aggregate(0, 1)
-                for index in indices[outcome.failed:]:
-                    channels[chosen[index][0]].record_aggregate(1, 0)
-                self.probes_delivered += outcome.n
+                    settled[fabric.rng.permutation(indices)[:outcome.failed]] = 2
+            counts = np.bincount(3 * np.array(requests) + settled, minlength=3 * len(taken))
+            for channel, ok, lost in zip(taken, *counts.reshape(-1, 3)[:, 1:].T.tolist()):
+                if ok or lost:
+                    channel.record_aggregate(ok, lost)
+            self.probes_delivered += plan.n_class_probes
 
-        self.round_log.append((t, len(chosen), fleet_cap))
-        self._round_injected_total += len(chosen)
-        for rid in {rid for rid, _item in chosen}:
-            self._maybe_complete(rid, t)
-        return len(chosen)
+        self.round_log.append((t, len(entries), fleet_cap))
+        self._round_injected_total += len(entries)
+        for channel in taken:
+            self._maybe_complete(channel, t)
+        return len(entries)
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _maybe_complete(self, rid: int, t: float) -> None:
-        channel = self.channels.get(rid)
-        if channel is None or channel.done:
+    def _maybe_complete(self, channel: ResultChannel, t: float) -> None:
+        if channel.done or channel.probes_launched < channel.probes_admitted:
             return
-        if channel.probes_launched >= channel.probes_admitted:
-            self._retire(rid)
-            account = self.accounts.get(channel.tenant_id)
-            if account is not None:
-                account.probes_launched += channel.probes_launched
-            channel.finish(
-                t,
-                RequestState.TRUNCATED
-                if channel.truncated
-                else RequestState.COMPLETED,
-            )
+        self._retire(channel.request_id)
+        account = self.accounts.get(channel.tenant_id)
+        if account is not None:
+            account.probes_launched += channel.probes_launched
+        channel.finish(
+            t, RequestState.TRUNCATED if channel.truncated else RequestState.COMPLETED
+        )
 
     def _retire(self, rid: int) -> None:
         """Drop a request's scheduling state (items die via remaining=0)."""

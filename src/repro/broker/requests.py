@@ -109,7 +109,7 @@ class ResultChannel:
 
     @property
     def done(self) -> bool:
-        return self.state in TERMINAL_STATES
+        return self.terminal_t is not None  # ``finish`` is the only way in
 
     @property
     def latency_s(self) -> float | None:

@@ -112,6 +112,8 @@ ProbeEntry = tuple[str, int, int]
 # A round plan's ``slow`` flow for an entry whose pod pair has no live route.
 _NO_ROUTE = -2
 
+_MAX_TIERS = 6  # ECMP decision points on the longest (inter-DC) route
+
 
 @dataclass(frozen=True)
 class _ClassFacts:
@@ -600,6 +602,18 @@ def execute_class_groups(groups, latency_models, t, draw) -> list[ClassOutcome]:
     return outcomes
 
 
+def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Items ordered by label (labels by first appearance, stable): order, starts, sizes."""
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    heads = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] - 1))  # each label's first item
+    by_first = np.argsort(order[heads])
+    sizes = np.diff(np.append(heads, len(labels)))[by_first]
+    starts = np.cumsum(sizes) - sizes
+    at = np.repeat(heads[by_first] - starts, sizes) + np.arange(len(labels))
+    return order[at], starts, sizes
+
+
 def _hop_classes(n_hops: list[int]) -> list[tuple]:
     """``(n_hops, places, how many)`` per distinct hop count among analytic
     probes, in order of first appearance — an RTT draw each."""
@@ -677,8 +691,22 @@ class Fabric:
         self._slots: list[Switch] = []
         self._tier_offsets: dict[str, int] = {}
         self._slot_faulted = np.zeros(0, dtype=bool)
+        # Per generation, a row per class code (a class key and the ECMP tiers
+        # it crosses, ``_class_rows``): the key's number in ``_class_keys``,
+        # then per tier its offset and live count.  ``_pair_rows``: each
+        # (source pod, destination pod)'s row; -1 passes through, -2 unseen.
+        self._class_table = np.zeros((0, 1 + 2 * _MAX_TIERS), dtype=np.int64)
+        self._class_rows: dict[tuple, int] = {}
+        self._class_keys: dict[tuple, int] = {}
+        self._pair_rows: np.ndarray | None = None
         self._cache_version = -1
-        self._server_cache: dict[str, Server] = {}
+        # Every server named so far by number, its pod's number, and every pod's
+        # ToR by number: all append-only and identity-stable.
+        self._numbers: dict[str, int] = {}
+        self._servers: list[Server] = []
+        self._server_pods = np.zeros(0, dtype=np.intp)
+        self._pods: dict[tuple[int, int], int] = {}
+        self._tors: list[Switch] = []
 
     @classmethod
     def single_dc(cls, spec: TopologySpec | None = None, seed: int = 0) -> "Fabric":
@@ -707,12 +735,28 @@ class Fabric:
     def _resolve(self, server: Server | str) -> Server:
         if isinstance(server, Server):
             return server
-        # Servers are append-only and identity-stable (state changes mutate
-        # the object in place), so the id -> Server map never goes stale.
-        cached = self._server_cache.get(server)
-        if cached is None:
-            cached = self._server_cache[server] = self.topology.server(server)
-        return cached
+        if server not in self._numbers:
+            self._server_numbers([server])
+        return self._servers[self._numbers[server]]
+
+    def _server_numbers(self, ids: list[str]) -> np.ndarray:
+        """The servers' numbers; a new id numbers every server not yet seen."""
+        numbers = self._numbers
+        try:
+            return np.array([numbers[each] for each in ids], dtype=np.intp)
+        except KeyError as missing:
+            self.topology.server(missing.args[0])  # raises for no such server
+            new = [s for s in self.topology.all_servers() if s.device_id not in numbers]
+            numbers.update((s.device_id, len(self._servers) + i) for i, s in enumerate(new))
+            self._servers += new
+            for server in new:
+                if (server.dc_index, server.pod_index) not in self._pods:
+                    self._pods[server.dc_index, server.pod_index] = len(self._tors)
+                    self._tors.append(self.topology.dc(server.dc_index).tor_of(server))
+            pods = [self._pods[server.dc_index, server.pod_index] for server in new]
+            self._server_pods = np.concatenate([self._server_pods, np.array(pods, dtype=np.intp)])
+            self._pair_rows = None  # sized by the pods
+            return self._server_numbers(ids)
 
     def _port_allocator(self, server_id: str) -> EphemeralPortAllocator:
         allocator = self._ports.get(server_id)
@@ -941,12 +985,15 @@ class Fabric:
     # -- fleet fast path --------------------------------------------------------
 
     def _check_generation(self) -> None:
-        """Drop the pair info, class facts and round plans of a past state
-        generation."""
+        """Drop the pair info, class facts, class tables and round plans of a
+        past state generation."""
         version = self.topology.state_version.value
         if version != self._cache_version:
             self._pair_cache.clear()
             self._class_facts_cache.clear()
+            self._class_rows.clear()
+            self._class_keys.clear()
+            self._pair_rows = None
             self._round_plans.clear()
             self._slots = []  # a new list: a batch may still read the old one
             self._tier_offsets.clear()
@@ -1271,6 +1318,22 @@ class Fabric:
             )
         return facts
 
+    def _class_row(self, facts: _ClassFacts) -> int:
+        """A pod pair's row in ``_class_table`` (added on first use); -1: passed through."""
+        if facts.scalar or facts.tiers is not None:
+            return -1
+        tiers = [x for live, _ in facts.route.tiers for x in (self._tier_offset(live), len(live))]
+        code = (facts.class_key, *tiers)
+        row = self._class_rows.get(code)
+        if row is None:
+            row = self._class_rows[code] = len(self._class_rows)
+            table = self._class_table
+            if row == len(table):
+                table = self._class_table = np.resize(table, (2 * row + 16, table.shape[1]))
+            number = self._class_keys.setdefault(facts.class_key, len(self._class_keys))
+            table[row] = [number, *tiers, *[0] * (2 * _MAX_TIERS - len(tiers))]
+        return row
+
     def _tier_offset(self, live: tuple[Switch, ...]) -> int:
         """Where a tier's live switches sit in ``_slots`` (added on first use)."""
         offset = self._tier_offsets.get(live[0].device_id)
@@ -1306,83 +1369,78 @@ class Fabric:
         """Compile probes into closed-form class groups, a source per entry.
 
         ``sources`` and ``tags`` pair each entry with who probes it and its
-        (purpose, qos); grouping keys on the tag plus the pod-pair class
-        facts — never on the source — so plan construction is one memoized
-        dict lookup per entry plus the group/SNMP accounting, and a round
-        of many sources (the broker's) has as few groups as path classes.
-        Entries that need per-pair fidelity land in ``passthrough`` (by
-        index) — exactly the pairs :meth:`probe_many`'s partition rule
-        would refuse to fast-path, plus same-host entries.
+        (purpose, qos); grouping keys on the tag plus the pod pair's class
+        key — never on the source — so a round of many sources (the
+        broker's) has as few groups as path classes.  Entries that need
+        per-pair fidelity land in ``passthrough`` (by index) — exactly the
+        pairs :meth:`probe_many`'s partition rule would refuse to
+        fast-path, plus same-host entries.
+
+        Per entry only its pod pair and liveness are read; the rest is array
+        passes over the generation's class table: groups and sources by
+        first appearance, member ordinals by a stable sort, and every
+        member's representative forward path (ToRs, and per ECMP tier the
+        live switch its ordinal picks) counted in one bincount.
         """
-        version = self.topology.state_version.value
-        groups: dict[tuple, tuple[ClassGroup, list[int]]] = {}  # + entry indices
-        passthrough: list[int] = []
-        members: dict[str, list[int]] = {}  # by source, its entry indices
-        counter_acc: dict[int, list] = {}
-        for index, (src, (dst_id, _port, payload_bytes), (purpose, qos)) in enumerate(
-            zip(sources, entries, tags)
+        self._check_generation()
+        src_ids = [src if type(src) is str else src.device_id for src, _e in zip(sources, entries)]
+        dst_ids = [entry[0] for entry in entries]
+        src_at, dst_at = self._server_numbers(src_ids), self._server_numbers(dst_ids)
+        up = np.array([self._servers[dst].is_up for dst in dst_at.tolist()], dtype=bool)
+        payload = np.array([entry[2] for entry in entries], dtype=np.int64)
+        candidate = np.flatnonzero((payload <= 0) & (src_at != dst_at) & up)
+        if self._pair_rows is None:
+            self._pair_rows = np.full((len(self._tors),) * 2, -2, dtype=np.int32)
+        pair_rows, pods = self._pair_rows, self._server_pods
+        src_pod, dst_pod = pods[src_at[candidate]], pods[dst_at[candidate]]
+        unseen = np.flatnonzero(pair_rows[src_pod, dst_pod] == -2)
+        for at, pair in zip(
+            candidate[unseen].tolist(), zip(src_pod[unseen].tolist(), dst_pod[unseen].tolist())
         ):
-            src_server = self._resolve(src)
-            src_id = src_server.device_id
-            if payload_bytes > 0 or dst_id == src_id:
-                passthrough.append(index)
-                continue
-            dst_server = self._resolve(dst_id)
-            if not dst_server.is_up:
-                passthrough.append(index)
-                continue
-            facts = self._class_facts(src_server, dst_server)
-            if facts.scalar or facts.tiers is not None:
-                passthrough.append(index)
-                continue
-            route = facts.route
-            key = (purpose, qos, facts.class_key)
-            slot = groups.get(key)
-            if slot is None:
-                slot = groups[key] = (
-                    ClassGroup(
-                        purpose=purpose,
-                        qos=qos,
-                        dc_index=src_server.dc_index,
-                        dst_dc=dst_server.dc_index,
-                        scope=route.scope,
-                        n_hops=route.n_hops,
-                        wan_fwd=route.wan_fwd,
-                        wan_rev=route.wan_rev,
-                        wan_rtt=route.wan_fwd + route.wan_rev,
-                        p_attempt=facts.p_attempt,
-                        n=0,
-                    ),
-                    [],
-                )
-            group, indices = slot
-            ordinal = group.n
-            group.n += 1
-            indices.append(index)
-            members.setdefault(src_id, []).append(index)
-            # Representative forward path for SNMP accounting: ToRs are
-            # fixed, ECMP tiers spread by member ordinal.
-            hops = [route.src_tor]
-            for live, _salt in route.tiers:
-                hops.append(live[ordinal % len(live)])
-            if route.scope is not PathScope.INTRA_POD:
-                hops.append(route.dst_tor)
-            for hop in hops:
-                counters = hop.counters
-                entry = counter_acc.get(id(counters))
-                if entry is None:
-                    counter_acc[id(counters)] = [counters, 1]
-                else:
-                    entry[1] += 1
-        merged_groups = [group for group, _indices in groups.values()]
+            if pair_rows[pair] == -2:  # facts from one of its own entries: a distinct pair
+                facts = self._class_facts(self._resolve(src_ids[at]), self._resolve(dst_ids[at]))
+                pair_rows[pair] = self._class_row(facts)
+        rows = pair_rows[src_pod, dst_pod]
+        served = rows >= 0
+        member, src_pod, dst_pod = candidate[served], src_pod[served], dst_pod[served]
+        table = self._class_table[rows[served]]
+        keys = list(self._class_keys)
+        tag_numbers: dict[tuple[str, str], int] = {}
+        tag_at = [tag_numbers.setdefault(tag, len(tag_numbers)) for tag, _e in zip(tags, entries)]
+        tag_list = list(tag_numbers)
+        order, starts, sizes = _runs(np.array(tag_at)[member] * len(keys) + table[:, 0])
+        ordinal = np.empty(len(member), dtype=np.int64)
+        ordinal[order] = np.arange(len(member)) - np.repeat(starts, sizes)
+        lives, n_tors = table[:, 2::2], len(self._tors)  # a hop: a ToR, or n_tors + a slot
+        packets = np.bincount(np.concatenate([
+            src_pod, dst_pod[dst_pod != src_pod],
+            n_tors + (table[:, 1::2] + ordinal[:, None] % np.maximum(lives, 1))[lives > 0],
+        ]))
+        hit = np.flatnonzero(packets)
+        switches = self._tors + self._slots
+        groups = []
+        for at, number, size in zip(
+            member[order[starts]].tolist(), table[order[starts], 0].tolist(), sizes.tolist()
+        ):
+            dc_index, dst_dc, scope, n_hops, wan_fwd, wan_rev, p_attempt = keys[number]
+            groups.append(ClassGroup(*tag_list[tag_at[at]], dc_index, dst_dc, scope, n_hops,
+                                     wan_fwd, wan_rev, wan_fwd + wan_rev, p_attempt, size))
+        members: dict[str, list[int]] = {}  # by source, in order of appearance
+        for at in member.tolist():
+            members.setdefault(src_ids[at], []).append(at)
+        passthrough = np.ones(len(entries), dtype=bool)
+        passthrough[member] = False
+        grouped = member[order].tolist()
         return ClassRoundPlan(
-            version=version,
-            groups=merged_groups,
-            passthrough=passthrough,
-            n_class_probes=sum(group.n for group in merged_groups),
-            counter_increments=[(c, k) for c, k in counter_acc.values()],
-            member_indices=[indices for _group, indices in groups.values()],
-            rounds=[(src, entries, indices) for src, indices in members.items()],
+            version=self.topology.state_version.value,
+            groups=groups,
+            passthrough=np.flatnonzero(passthrough).tolist(),
+            n_class_probes=len(member),
+            counter_increments=list(
+                zip([switches[hop].counters for hop in hit.tolist()], packets[hit].tolist())
+            ),
+            member_indices=[grouped[a:a + n] for a, n in zip(starts.tolist(), sizes.tolist())],
+            rounds=[(src, entries, positions) for src, positions in members.items()],
         )
 
     def class_plan_shape(

@@ -64,6 +64,16 @@ class TestFleetIntegration:
         assert fleet.broker_probes_sent == channel.probes_launched
         assert broker.probes_launched == broker.probes_delivered
 
+    def test_fleet_rounds_leave_no_per_agent_queue(self):
+        system, fleet, broker = _fleet()
+        broker.register_tenant("acme", TenantQuota(credits_per_window=2000))
+        channel = broker.submit(
+            "acme", src="podset:0/0", dst="podset:0/1", probes_per_pair=2
+        )
+        fleet.run_for(600.0)
+        assert channel.state is RequestState.COMPLETED
+        assert not broker.inflight and broker._src_index == {}
+
     def test_payload_bursts_take_the_passthrough_path(self):
         system, fleet, broker = _fleet()
         broker.register_tenant("acme", TenantQuota(credits_per_window=2000))
@@ -192,7 +202,7 @@ class TestRoundAttribution:
         system, fleet, broker = self._warm(credits=100_000)
         fabric = system.fabric
         fabric._dropmodel[0] = _LossyDrops(fabric.profile_of(0))
-        fabric._class_facts_cache.clear()
+        fabric.topology.state_version.bump(routing=False)  # re-derive every class
         pairs = [pair for pod in range(4) for pair in _pod_pairs(system, pod)]
         group_failed = []
         run_plan = fabric.run_class_plan
