@@ -44,9 +44,9 @@ N_TENANTS = 10_000
 N_WAVES = 10
 # Measured 0.9-1.1 s on the reference box; 3x is the gate.
 MAX_WALL_S = 3.0
-# ``on_fleet_round`` wall time per injected probe (12 µs measured; 63 µs
+# ``on_fleet_round`` wall time per injected probe (11 µs measured; 63 µs
 # when every request compiled and drew its own class groups) and the mean
-# ``submit(kind="stream")`` (55 µs measured; 400 µs when every read
+# ``submit(kind="stream")`` (20 µs measured; 400 µs when every read
 # re-merged the windows).
 MAX_US_PER_INJECTED_PROBE = 25.0
 MAX_US_PER_STREAM_READ = 100.0
