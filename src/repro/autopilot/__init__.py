@@ -9,15 +9,15 @@ pieces Pingmesh touches:
 * :mod:`repro.autopilot.perfcounter` — the Perfcounter Aggregator (PA)
   5-minute counter pipeline,
 * :mod:`repro.autopilot.watchdog` — the Watchdog Service (WS),
-* :mod:`repro.autopilot.device_manager` — the Device Manager (DM) machine
-  state store,
+* :mod:`repro.autopilot.device_manager` — the Device Manager (DM) repair
+  command queue,
 * :mod:`repro.autopilot.repair` — the Repair Service (RS) that reloads and
   RMAs switches,
 * :mod:`repro.autopilot.environment` — an Autopilot environment binding the
   services to a cluster and a clock.
 """
 
-from repro.autopilot.device_manager import DeviceManager, MachineState
+from repro.autopilot.device_manager import DeviceManager
 from repro.autopilot.environment import AutopilotEnvironment
 from repro.autopilot.perfcounter import PerfcounterAggregator
 from repro.autopilot.repair import RepairAction, RepairService
@@ -33,7 +33,6 @@ __all__ = [
     "AutopilotEnvironment",
     "DeviceManager",
     "HealthStatus",
-    "MachineState",
     "PerfcounterAggregator",
     "RepairAction",
     "RepairService",

@@ -1,10 +1,10 @@
-"""The Device Manager (DM): machine state of record (§2.3).
+"""The Device Manager (DM): the repair command queue (§2.3).
 
 "Device Manager (DM), which manages the machine state" — repairs are
 "performed by the Repair Service (RS) ... by taking commands from DM".
 
-We keep a per-device machine state (Healthy / Probation / Failed) plus the
-request queue the Repair Service drains.  Pingmesh's black-hole detector
+We keep the request queue the Repair Service drains and the history of
+completed requests; a per-device machine state is not modelled.  Pingmesh's black-hole detector
 files repair requests here rather than poking switches directly, matching
 the paper's "we then invoke a network repairing service to safely restart
 the ToRs".
@@ -12,17 +12,10 @@ the ToRs".
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass, field
 
-__all__ = ["MachineState", "RepairRequest", "DeviceManager"]
-
-
-class MachineState(enum.Enum):
-    HEALTHY = "healthy"
-    PROBATION = "probation"
-    FAILED = "failed"
+__all__ = ["RepairRequest", "DeviceManager"]
 
 
 @dataclass
@@ -38,28 +31,12 @@ class RepairRequest:
 
 
 class DeviceManager:
-    """Tracks device machine-state and queues repair commands."""
+    """Queues repair commands."""
 
     def __init__(self) -> None:
-        self._states: dict[str, MachineState] = {}
         self._request_ids = itertools.count(1)
         self.pending: list[RepairRequest] = []
         self.history: list[RepairRequest] = []
-
-    # -- machine state -------------------------------------------------------
-
-    def state_of(self, device_id: str) -> MachineState:
-        return self._states.get(device_id, MachineState.HEALTHY)
-
-    def set_state(self, device_id: str, state: MachineState) -> None:
-        self._states[device_id] = state
-
-    def devices_in_state(self, state: MachineState) -> list[str]:
-        return sorted(
-            device_id for device_id, s in self._states.items() if s == state
-        )
-
-    # -- repair request queue ---------------------------------------------------
 
     def request_repair(
         self, device_id: str, action: str, reason: str, t: float
@@ -76,7 +53,6 @@ class DeviceManager:
             requested_t=t,
         )
         self.pending.append(request)
-        self._states[device_id] = MachineState.PROBATION
         return request
 
     def take_pending(self) -> list[RepairRequest]:
@@ -87,8 +63,3 @@ class DeviceManager:
     def mark_completed(self, request: RepairRequest) -> None:
         request.completed = True
         self.history.append(request)
-        self._states[request.device_id] = MachineState.HEALTHY
-
-    def mark_failed_device(self, device_id: str) -> None:
-        """A repair did not fix the device; leave it failed for RMA."""
-        self._states[device_id] = MachineState.FAILED

@@ -81,21 +81,6 @@ class AutopilotEnvironment:
             instances.append(instance)
         return instances
 
-    def service_on(self, server_id: str, service_name: str) -> SharedService:
-        try:
-            return self._deployed[server_id][service_name]
-        except KeyError:
-            raise KeyError(
-                f"service {service_name!r} not deployed on {server_id}"
-            ) from None
-
-    def instances_of(self, service_name: str) -> list[SharedService]:
-        return [
-            services[service_name]
-            for services in self._deployed.values()
-            if service_name in services
-        ]
-
     # -- operation ----------------------------------------------------------
 
     def start_services(self) -> None:

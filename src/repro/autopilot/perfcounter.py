@@ -23,8 +23,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-import numpy as np
-
 from repro.netsim.simclock import EventQueue
 
 __all__ = ["CounterSample", "PerfcounterAggregator", "PA_COLLECTION_PERIOD_S"]
@@ -74,13 +72,6 @@ class PerfcounterAggregator:
     ) -> None:
         """Register the counter callable of one server's service instance."""
         self._producers[server_id] = producer
-
-    def unregister_producer(self, server_id: str) -> None:
-        self._producers.pop(server_id, None)
-
-    @property
-    def producer_count(self) -> int:
-        return len(self._producers)
 
     def start(self) -> None:
         """Begin the periodic collection sweeps."""
@@ -141,45 +132,3 @@ class PerfcounterAggregator:
 
     def latest(self, server_id: str, counter: str) -> CounterSample | None:
         return next(self._samples(server_id, counter, newest_first=True), None)
-
-    def counters_of(self, server_id: str) -> list[str]:
-        names: set[str] = set()
-        for _t, blocks in self._ring:
-            for layout, (rows, _values) in blocks.items():
-                if server_id in rows:
-                    names.update(layout)
-        return sorted(names)
-
-    def aggregate_latest(
-        self, counter: str, how: str = "mean", q: float | None = None
-    ) -> float | None:
-        """Aggregate the newest value of ``counter`` across all servers.
-
-        ``how`` is one of ``mean``, ``max``, ``min``, ``percentile`` (with
-        ``q``).  Returns ``None`` when no server has reported the counter.
-        Only registered producers count (in registration order): a server
-        that was unregistered no longer contributes its last value.
-        """
-        newest: dict[str, float] = {}
-        for _t, blocks in reversed(self._ring):
-            for layout, (rows, packed) in blocks.items():
-                if counter not in layout:
-                    continue
-                width, column = len(layout), layout.index(counter)
-                for server_id, row in rows.items():
-                    if server_id not in newest:
-                        newest[server_id] = packed[row * width + column]
-        values = [newest[sid] for sid in self._producers if sid in newest]
-        if not values:
-            return None
-        if how == "mean":
-            return float(np.mean(values))
-        if how == "max":
-            return float(np.max(values))
-        if how == "min":
-            return float(np.min(values))
-        if how == "percentile":
-            if q is None:
-                raise ValueError("percentile aggregation needs q")
-            return float(np.percentile(values, q))
-        raise ValueError(f"unknown aggregation: {how!r}")

@@ -107,7 +107,6 @@ class RepairService:
     def _rma(self, request: RepairRequest, now: float) -> RepairAction:
         self.fabric.isolate_switch(request.device_id)
         self.device_manager.mark_completed(request)
-        self.device_manager.mark_failed_device(request.device_id)
         action = RepairAction(
             t=now,
             device_id=request.device_id,
@@ -127,8 +126,3 @@ class RepairService:
         )
         self.actions.append(action)
         return action
-
-    def reloads_executed(self) -> int:
-        return sum(
-            1 for action in self.actions if action.action == "reload_switch"
-        )

@@ -67,10 +67,6 @@ class ServiceManager:
         for instance in instances:
             self.supervise(instance)
 
-    @property
-    def supervised_count(self) -> int:
-        return len(self._supervised)
-
     def start(self) -> None:
         """Begin the periodic crash sweeps."""
         if self._started:
@@ -128,13 +124,3 @@ class ServiceManager:
                 reason=reason,
             )
         )
-
-    def crash_looping(self, now: float) -> list[SharedService]:
-        """Instances down with an exhausted budget — watchdog material."""
-        return [
-            instance
-            for instance in self._supervised
-            if not instance.running
-            and instance.terminated_reason is not None
-            and self.exhausted(instance, now)
-        ]

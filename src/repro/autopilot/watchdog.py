@@ -58,9 +58,6 @@ class WatchdogService:
             raise ValueError(f"watchdog already registered: {name}")
         self._checks[name] = check
 
-    def watchdog_names(self) -> list[str]:
-        return sorted(self._checks)
-
     def start(self) -> None:
         if self._started:
             raise RuntimeError("watchdog service already started")
@@ -96,13 +93,3 @@ class WatchdogService:
 
     def latest(self, name: str) -> WatchdogReport | None:
         return self._latest.get(name)
-
-    def overall_status(self) -> HealthStatus:
-        """Worst status across all latest reports (OK when none have run)."""
-        worst = HealthStatus.OK
-        for report in self._latest.values():
-            if report.status == HealthStatus.ERROR:
-                return HealthStatus.ERROR
-            if report.status == HealthStatus.WARNING:
-                worst = HealthStatus.WARNING
-        return worst

@@ -78,14 +78,6 @@ class CampaignReport:
     def clean(self) -> bool:
         return not self.violations
 
-    def assert_clean(self) -> None:
-        if self.violations:
-            details = "\n".join(f"  {v}" for v in self.violations)
-            raise AssertionError(
-                f"campaign {self.name!r} violated "
-                f"{len(self.violations)} invariant(s):\n{details}"
-            )
-
     def summary(self) -> str:
         lines = [
             f"campaign {self.name!r}: "

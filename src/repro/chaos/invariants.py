@@ -431,9 +431,8 @@ class InvariantChecker:
     def _check_upload_replay(self, now: float) -> None:
         """Since attach, Cosmos gained exactly the records the uploaders
         report uploaded — a spooled batch replays once, never twice, and
-        nothing lands that no uploader sent (campaigns are far shorter
-        than the two-month retention window, so expiry cannot shrink the
-        store)."""
+        nothing lands that no uploader sent (the store never expires
+        data, so nothing can shrink it)."""
         if not self._attached:
             return
         base_lat, base_cls, base_up_lat, base_up_cls = self._upload_baseline

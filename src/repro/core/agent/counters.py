@@ -52,18 +52,8 @@ class LatencyCounters(ClassStats):
     # -- reporting ----------------------------------------------------------
 
     @property
-    def probes_total(self) -> int:
-        return self.probes
-
-    @property
     def probes_failed(self) -> int:
         return self.failed
-
-    def percentile_us(self, q: float) -> float | None:
-        """Latency percentile over the window, in microseconds, within the
-        sketch's relative accuracy of the exact one; ``None`` without a
-        successful probe."""
-        return self.quantile_us(q)
 
     def snapshot(self) -> dict[str, float]:
         """The PA counter set (§6.2: "The Pingmesh Agent exposes two PA

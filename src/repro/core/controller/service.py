@@ -219,11 +219,6 @@ class PingmeshControllerService:
             replica.files = {}
             replica.killed = True
 
-    def reconfigure(self, config: GeneratorConfig, t: float = 0.0) -> int:
-        """Swap the generator config and regenerate (§6.2 extensions)."""
-        self.generator.config = config
-        return self.regenerate(t=t)
-
     # -- the RESTful API, as seen by agents ------------------------------------------
 
     def get_pinglist(

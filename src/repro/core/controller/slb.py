@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.resilience import BreakerState, CircuitBreaker, CircuitBreakerConfig
+from repro.resilience import CircuitBreaker, CircuitBreakerConfig
 
 __all__ = ["Backend", "NoHealthyBackendError", "SoftwareLoadBalancer"]
 
@@ -83,12 +83,6 @@ class SoftwareLoadBalancer:
 
     # -- rotation management --------------------------------------------------
 
-    def mark_unhealthy(self, dip: str) -> None:
-        self._backend(dip).healthy = False
-
-    def mark_healthy(self, dip: str) -> None:
-        self._backend(dip).healthy = True
-
     def _backend(self, dip: str) -> Backend:
         try:
             return self.backends[dip]
@@ -134,10 +128,6 @@ class SoftwareLoadBalancer:
         if backend.breaker is not None:
             backend.breaker.record_failure(t)
 
-    def breaker_state(self, dip: str) -> BreakerState | None:
-        backend = self._backend(dip)
-        return backend.breaker.state if backend.breaker else None
-
     # -- dispatch ------------------------------------------------------------------
 
     def pick(self, t: float = 0.0, exclude: set[str] | None = None) -> str:
@@ -163,10 +153,3 @@ class SoftwareLoadBalancer:
             self.requests_total += 1
             return dip
         raise NoHealthyBackendError(f"no healthy backend behind {self.vip}")
-
-    def add_backend(self, dip: str) -> None:
-        """Scale out: add a DIP behind the same VIP (§3.3.2)."""
-        if dip in self.backends:
-            raise ValueError(f"DIP already present: {dip}")
-        self.backends[dip] = self._new_backend(dip)
-        self._order.append(dip)

@@ -184,9 +184,6 @@ class AlertEngine:
 
     # -- queries -----------------------------------------------------------
 
-    def alerts_for(self, key: str) -> list[Alert]:
-        return [alert for alert in self.history if alert.key == key]
-
     def breaches(self) -> list[Alert]:
         return [alert for alert in self.history if alert.event == "breach"]
 

@@ -88,10 +88,6 @@ class EwmaDetector:
         self._baseline = EwmaBaseline(alpha)
         self._count = 0
 
-    @property
-    def observations(self) -> int:
-        return self._count
-
     def observe(self, value: float) -> AnomalyVerdict:
         """Judge one observation, then fold it into the baseline.
 

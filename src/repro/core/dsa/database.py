@@ -4,7 +4,7 @@
 reports and alerts are generated based on the data in this database."
 
 A small relational-style store: named tables of rows, insert + filtered
-query + retention.  Deliberately simple — the heavy lifting happens in the
+query.  Deliberately simple — the heavy lifting happens in the
 SCOPE jobs; this is just their sink.
 """
 
@@ -62,13 +62,3 @@ class ResultsDatabase:
         if not rows:
             return None
         return dict(max(rows, key=lambda row: row[time_column]))
-
-    def expire_before(self, table: str, cutoff_t: float, time_column: str = "t") -> int:
-        """Retention: drop rows older than ``cutoff_t`` (the paper keeps two
-        months of Pingmesh history, §4.3)."""
-        rows = self._tables.get(table)
-        if rows is None:
-            return 0
-        before = len(rows)
-        self._tables[table] = [row for row in rows if row[time_column] >= cutoff_t]
-        return before - len(self._tables[table])

@@ -11,8 +11,8 @@ at T processes the window [T − delay − period, T − delay).
 
 The pipeline lands results in the :class:`ResultsDatabase`, drives the alert
 engine, builds the per-DC heatmaps + pattern classifications, runs the
-silent-drop detector near-real-time and the black-hole detector daily, and
-applies the two-month retention policy.
+silent-drop detector near-real-time and the black-hole detector daily.
+The two-month retention policy is not modelled: no run lasts that long.
 
 Each job tick EXTRACTs its time window from the store exactly once: a small
 window cache (keyed on window bounds and the store's data version) shares
@@ -32,7 +32,6 @@ from repro.core.dsa.alerts import AlertEngine
 from repro.core.dsa.anomaly import SeriesAnomalyTracker
 from repro.core.dsa.blackhole import BlackholeDetector
 from repro.core.dsa.database import ResultsDatabase
-from repro.core.dsa.records import LATENCY_STREAM
 from repro.core.dsa.scope_jobs import (
     job_interdc_latency,
     job_podpair_latency,
@@ -49,7 +48,6 @@ __all__ = ["DsaConfig", "DsaPipeline"]
 
 TEN_MINUTES = 600.0
 ONE_HOUR = 3600.0
-RETENTION_S = 60 * SECONDS_PER_DAY  # "We keep Pingmesh historical data for 2 months"
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,6 @@ class DsaConfig:
     near_real_time_period_s: float = TEN_MINUTES
     hourly_period_s: float = ONE_HOUR
     daily_period_s: float = SECONDS_PER_DAY
-    retention_s: float = RETENTION_S
 
     def __post_init__(self) -> None:
         if self.ingestion_delay_s < 0:
@@ -231,7 +228,7 @@ class DsaPipeline:
         return sla_rows
 
     def run_daily_job(self, t: float) -> list[dict]:
-        """Drop-rate table, black-hole detection, retention."""
+        """Drop-rate table and black-hole detection."""
         start, end = self._window(t, self.config.daily_period_s)
         if end <= start:
             return []
@@ -256,22 +253,9 @@ class DsaPipeline:
             self.blackhole_detector.file_repairs(
                 report, self.device_manager, self.topology
             )
-
-        # Retention: both raw data and derived tables.
-        cutoff = t - self.config.retention_s
-        if cutoff > 0 and self.store.has_stream(LATENCY_STREAM):
-            self.store.expire_before(LATENCY_STREAM, cutoff)
-            for table in self.database.tables():
-                self.database.expire_before(table, cutoff)
         return drop_rows
 
     # -- convenience queries ------------------------------------------------------
-
-    def latest_pattern(self, dc: int) -> dict | None:
-        rows = self.database.query(
-            "patterns_10min", where=lambda r: r["dc"] == dc, order_by="t", desc=True
-        )
-        return rows[0] if rows else None
 
     def latest_heatmap(self, dc: int, t: float) -> LatencyHeatmap:
         """Rebuild the newest heatmap of one DC on demand."""

@@ -103,9 +103,6 @@ class LatencyHeatmap:
             heatmap.p99_us[src_pod, dst_pod] = float(np.percentile(rtts, 99))
         return heatmap
 
-    def podset_of(self, pod: int) -> int:
-        return pod // self.pods_per_podset
-
     @property
     def n_podsets(self) -> int:
         return self.n_pods // self.pods_per_podset

@@ -5,7 +5,7 @@ system, and analyzes it with SCOPE, a declarative SQL-like language (§2.3).
 This package provides both:
 
 * :mod:`repro.cosmos.store` — append-only streams split into replicated
-  extents, with ingestion accounting and retention,
+  extents, with ingestion accounting,
 * :mod:`repro.cosmos.scope` — a rowset query engine with SCOPE's verbs
   (``extract``, ``where``, ``select``, ``group_by``/``aggregate``,
   ``order_by``, ``output``), one vectorized engine over columns,

@@ -49,7 +49,6 @@ class ScopeJob:
     name: str
     period_s: float
     callback: Callable[[float], Any]
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.period_s <= 0:
@@ -79,35 +78,16 @@ class JobManager:
     def jobs(self) -> list[str]:
         return sorted(self._jobs)
 
-    def disable(self, name: str) -> None:
-        self._job(name).enabled = False
-
-    def enable(self, name: str) -> None:
-        self._job(name).enabled = True
-
-    def _job(self, name: str) -> ScopeJob:
-        try:
-            return self._jobs[name]
-        except KeyError:
-            raise KeyError(f"no such job: {name}") from None
-
     def _run(self, job: ScopeJob) -> None:
         t = self.queue.clock.now
-        if job.enabled:
-            try:
-                result = job.callback(t)
-                rows = len(result) if result is not None else 0
-                self.runs.append(
-                    JobRun(job.name, t, JobStatus.SUCCEEDED, rows_out=rows)
-                )
-            except Exception as exc:  # noqa: BLE001 - jobs must not kill the pipeline
-                self.runs.append(
-                    JobRun(job.name, t, JobStatus.FAILED, error=repr(exc))
-                )
+        try:
+            result = job.callback(t)
+            rows = len(result) if result is not None else 0
+            self.runs.append(
+                JobRun(job.name, t, JobStatus.SUCCEEDED, rows_out=rows)
+            )
+        except Exception as exc:  # noqa: BLE001 - jobs must not kill the pipeline
+            self.runs.append(
+                JobRun(job.name, t, JobStatus.FAILED, error=repr(exc))
+            )
         self.queue.schedule_after(job.period_s, lambda: self._run(job), name=job.name)
-
-    def runs_of(self, name: str) -> list[JobRun]:
-        return [run for run in self.runs if run.job_name == name]
-
-    def failure_count(self) -> int:
-        return sum(1 for run in self.runs if run.status == JobStatus.FAILED)

@@ -28,7 +28,7 @@ equal-length numpy arrays.  :func:`extract` masks each of a stream's
 extents and concatenates what they keep, one copy; rows handed in as dicts
 (``RowSet(rows)``) are packed once, on entry.  ``where`` turns a column
 :class:`Expr` into a boolean mask, ``group_by(...).aggregate(...)`` is a
-stable lexsort plus segmented reductions, ``select``/``order_by``/``take``
+stable lexsort plus segmented reductions, ``select`` and ``order_by``
 are array operations.  Predicates and computed columns are ``col``/``lit``
 expressions: a verb handed a Python callable, or asked to sort or reduce a
 column whose values are not of one scalar type, raises :class:`TypeError`.
@@ -129,10 +129,6 @@ class agg:
     @staticmethod
     def sum(column: str) -> Aggregator:
         return Aggregator(lambda ctx: ctx.segment_sum(column))
-
-    @staticmethod
-    def avg(column: str) -> Aggregator:
-        return Aggregator(lambda ctx: ctx.segment_sum(column) / ctx.group_counts())
 
     @staticmethod
     def min(column: str) -> Aggregator:
@@ -386,11 +382,6 @@ class RowSet:
         else:
             order = np.lexsort(tuple(key_arrays[::-1]))
         return RowSet.from_columns({k: a[order] for k, a in columns.items()}, vocab)
-
-    def take(self, n: int) -> "RowSet":
-        if n < 0:
-            raise ValueError(f"take needs n >= 0: {n}")
-        return RowSet.from_columns(self._block[:n].columns, self._block.vocab)
 
     def column(self, name: str) -> list[Any]:
         return self._block.decoded(name).tolist() if self._block.columns else []

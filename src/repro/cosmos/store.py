@@ -4,12 +4,11 @@
 and an extent is stored in multiple servers to provide high reliability."
 
 We model *streams* (named append-only files) whose appended records are
-packed into immutable extents; each extent is replicated on ``replication``
-distinct storage nodes.  A stream remains fully readable while every extent
-keeps at least one live replica.  The store tracks ingestion volume — the
-paper's headline "24 terabytes ... more than 2 Gb/s upload rate" is a store
-statistic here — and supports time-based retention ("we keep Pingmesh
-historical data for 2 months").
+packed into immutable extents; each extent is placed on ``replication``
+distinct storage nodes.  Storage-node failures are not modelled.  The store
+tracks ingestion volume — the paper's headline "24 terabytes ... more than
+2 Gb/s upload rate" is a store statistic here.  Retention ("we keep Pingmesh
+historical data for 2 months") is not modelled: no run lasts that long.
 """
 
 from __future__ import annotations
@@ -20,13 +19,9 @@ from typing import Any, Callable, Iterator
 
 from repro.cosmos.columnar import ColumnBlock
 
-__all__ = ["CosmosStore", "Extent", "Stream", "ExtentUnavailableError"]
+__all__ = ["CosmosStore", "Extent", "Stream"]
 
 Record = dict[str, Any]
-
-
-class ExtentUnavailableError(Exception):
-    """All replicas of an extent are on failed storage nodes."""
 
 
 @dataclass(frozen=True)
@@ -106,11 +101,10 @@ class CosmosStore:
         self._streams: dict[str, Stream] = {}
         self._extent_ids = itertools.count()
         self._placement = itertools.count()  # round-robin replica placement
-        self._down_nodes: set[int] = set()
         self.bytes_ingested = 0
         self.records_ingested = 0
         # Monotone data-version counter: bumped by any mutation that can
-        # change what a read returns (append, expiry, node state).  Cache
+        # change what a read returns (an append).  Cache
         # keys built on (window, version) stay correct across mutations.
         self.version = 0
         # Stream scans started (read/read_where/extents each count one);
@@ -135,9 +129,6 @@ class CosmosStore:
 
     def has_stream(self, name: str) -> bool:
         return name in self._streams
-
-    def list_streams(self) -> list[str]:
-        return sorted(self._streams)
 
     # -- append / read ---------------------------------------------------------
 
@@ -200,12 +191,9 @@ class CosmosStore:
         read-only consumers — the SCOPE layer never mutates rows it
         extracts — may pass ``copy=False`` to skip the copies; they must
         then treat every yielded dict as frozen.
-
-        Raises :class:`ExtentUnavailableError` if any extent has lost all
-        replicas to node failures.
         """
         self.read_count += 1
-        for extent in self._live_extents(name):
+        for extent in self._extents_since(name):
             if copy and not extent.adopted:
                 yield from (dict(record) for record in extent.records)
             else:
@@ -229,7 +217,7 @@ class CosmosStore:
         defensive copies for read-only consumers.
         """
         self.read_count += 1
-        for extent in self._live_extents(name, appended_since):
+        for extent in self._extents_since(name, appended_since):
             protect = copy and not extent.adopted
             for record in extent.records:
                 if predicate(record):
@@ -238,67 +226,24 @@ class CosmosStore:
     def extents(
         self, name: str, appended_since: float | None = None
     ) -> Iterator[Extent]:
-        """Iterate a stream's live extents, oldest first (one scan).
+        """Iterate a stream's extents, oldest first (one scan).
 
         The SCOPE engine reads whole extents (their
         :class:`~repro.cosmos.columnar.ColumnBlock` columns) instead of
-        per-record streams.  Pruning and availability checks match
-        :meth:`read_where`.
+        per-record streams.  Pruning matches :meth:`read_where`.
         """
         self.read_count += 1
-        yield from self._live_extents(name, appended_since)
+        yield from self._extents_since(name, appended_since)
 
-    def _live_extents(
+    def _extents_since(
         self, name: str, appended_since: float | None = None
     ) -> Iterator[Extent]:
         for extent in self.stream(name).extents:
             if appended_since is not None and extent.appended_at < appended_since:
                 continue
-            if all(node in self._down_nodes for node in extent.replicas):
-                raise ExtentUnavailableError(
-                    f"extent {extent.extent_id} of {name!r} has no live replica"
-                )
             yield extent
-
-    # -- failures and retention --------------------------------------------------
-
-    def fail_node(self, node: int) -> None:
-        if not 0 <= node < self.n_storage_nodes:
-            raise ValueError(f"no such storage node: {node}")
-        self._down_nodes.add(node)
-        self.version += 1
-
-    def recover_node(self, node: int) -> None:
-        self._down_nodes.discard(node)
-        self.version += 1
-
-    def expire_before(self, name: str, cutoff_t: float) -> int:
-        """Drop extents appended before ``cutoff_t`` (retention policy).
-
-        Returns the number of extents removed.  Whole extents only —
-        append-only stores expire at extent granularity.
-        """
-        stream = self.stream(name)
-        before = len(stream.extents)
-        stream.extents = [
-            extent for extent in stream.extents if extent.appended_at >= cutoff_t
-        ]
-        removed = before - len(stream.extents)
-        if removed:
-            self.version += 1
-        return removed
 
     # -- accounting ----------------------------------------------------------------
 
-    def stream_bytes(self, name: str) -> int:
-        return self.stream(name).size_bytes
-
     def total_bytes(self) -> int:
         return sum(stream.size_bytes for stream in self._streams.values())
-
-    def ingest_rate_bps(self, window_s: float) -> float:
-        """Average ingest bit rate assuming ``bytes_ingested`` arrived over
-        ``window_s`` seconds (the paper quotes >2 Gb/s for 24 TB/day)."""
-        if window_s <= 0:
-            raise ValueError(f"window must be positive: {window_s}")
-        return self.bytes_ingested * 8.0 / window_s

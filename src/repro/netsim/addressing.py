@@ -53,29 +53,6 @@ class IPv4Address:
         if not 0 <= self.value <= 0xFFFFFFFF:
             raise ValueError(f"IPv4 address out of range: {self.value:#x}")
 
-    @classmethod
-    def from_octets(cls, a: int, b: int, c: int, d: int) -> "IPv4Address":
-        for octet in (a, b, c, d):
-            if not 0 <= octet <= 255:
-                raise ValueError(f"octet out of range: {octet}")
-        return cls((a << 24) | (b << 16) | (c << 8) | d)
-
-    @classmethod
-    def parse(cls, text: str) -> "IPv4Address":
-        parts = text.strip().split(".")
-        if len(parts) != 4:
-            raise ValueError(f"malformed IPv4 address: {text!r}")
-        try:
-            octets = [int(part) for part in parts]
-        except ValueError as exc:
-            raise ValueError(f"malformed IPv4 address: {text!r}") from exc
-        return cls.from_octets(*octets)
-
-    @property
-    def octets(self) -> tuple[int, int, int, int]:
-        v = self.value
-        return ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
-
     def __str__(self) -> str:
         # Memoized: pinglist generation stringifies every peer IP of every
         # server (millions of calls at 64k servers), always for the same

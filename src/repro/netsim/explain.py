@@ -47,34 +47,6 @@ class ProbeExplanation:
     attempts: list[list[HopDecision]] = field(default_factory=list)
     culprits: dict[str, int] = field(default_factory=dict)  # device -> drop count
 
-    def render(self) -> str:
-        """A human-readable narration."""
-        lines = [f"probe {self.src} -> {self.dst}: {self.outcome}"]
-        if self.flow is not None:
-            lines.append(f"  flow: {self.flow}")
-        if self.forward_hops:
-            lines.append(f"  forward path: {' -> '.join(self.forward_hops)}")
-        if self.reverse_hops:
-            lines.append(f"  reverse path: {' -> '.join(self.reverse_hops)}")
-        for index, attempt in enumerate(self.attempts):
-            drops = [d for d in attempt if d.action != "forwarded"]
-            if drops:
-                drop = drops[0]
-                cause = drop.fault_kind or "baseline loss"
-                lines.append(
-                    f"  SYN attempt {index + 1}: dropped at {drop.device_id} "
-                    f"({drop.direction}, {cause})"
-                )
-            else:
-                lines.append(f"  SYN attempt {index + 1}: delivered")
-        if self.culprits:
-            ranked = sorted(self.culprits.items(), key=lambda kv: -kv[1])
-            lines.append(
-                "  culprits: "
-                + ", ".join(f"{dev} x{n}" for dev, n in ranked)
-            )
-        return "\n".join(lines)
-
 
 def explain_probe(
     fabric: Fabric,

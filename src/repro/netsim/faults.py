@@ -413,13 +413,6 @@ class FaultInjector:
             self._by_switch[key] = [f for f in faults if f.fault_id != fault_id]
         self._bump()
 
-    def clear_all(self) -> None:
-        had_faults = bool(self._by_id)
-        self._by_switch.clear()
-        self._by_id.clear()
-        if had_faults:
-            self._bump()
-
     def faults_on(self, switch_id: str) -> list[Fault]:
         return list(self._by_switch.get(switch_id, []))
 
@@ -430,12 +423,6 @@ class FaultInjector:
     def faulted_switch_ids(self) -> frozenset[str]:
         """Ids of every switch (or WAN direction) carrying at least one fault."""
         return self._faulted
-
-    def active_faults(self) -> list[Fault]:
-        return list(self._by_id.values())
-
-    def has_faults(self) -> bool:
-        return bool(self._by_id)
 
     def on_reload(self, switch: Switch) -> list[Fault]:
         """Apply a switch reload: clear reload-fixable faults; return them."""

@@ -84,16 +84,13 @@ class LatencyModel:
         base += _row_sums(burst_delay)
         return base
 
-    def stall(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Rare, huge host-side stalls — the P99.9+ tail.
+    def _add_stall(self, rng: np.random.Generator, rtt: np.ndarray) -> np.ndarray:
+        """Rare, huge host-side stalls — the P99.9+ tail — added into ``rtt``
+        where they hit.
 
         Durations are capped at ``stall_cap_s`` (< 3 s) so that a stall can
         never be mistaken for a SYN-retransmission drop signature.
         """
-        return self._add_stall(rng, np.zeros(n))
-
-    def _add_stall(self, rng: np.random.Generator, rtt: np.ndarray) -> np.ndarray:
-        """:meth:`stall`'s draws, added into ``rtt`` where they hit."""
         p = self.profile
         hit = rng.random(rtt.size) < p.stall_prob
         if hit.any():

@@ -219,17 +219,6 @@ class Router:
                 self._live_cache.clear()
                 self._routing_version = version.routing
 
-    def invalidate(self) -> None:
-        """Drop every cached path and route (normally automatic)."""
-        self._path_cache.clear()
-        self._routes.clear()
-        self._live_cache.clear()
-        self._cache_version = self._routing_version = -1
-
-    @property
-    def cached_paths(self) -> int:
-        return len(self._path_cache)
-
     def _live(self, candidates: list[Switch]) -> tuple[Switch, ...]:
         """Live members of a stable candidate list, per routing generation.
 

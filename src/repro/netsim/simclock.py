@@ -26,7 +26,7 @@ SECONDS_PER_DAY = 86_400.0
 class SimClock:
     """A monotonically advancing simulated clock.
 
-    The clock only moves forward via :meth:`advance_to` or :meth:`advance_by`;
+    The clock only moves forward via :meth:`advance_to`;
     attempting to move it backwards raises ``ValueError``.
     """
 
@@ -48,12 +48,6 @@ class SimClock:
             )
         self._now = float(deadline)
 
-    def advance_by(self, delta: float) -> None:
-        """Move the clock forward by ``delta`` seconds."""
-        if delta < 0:
-            raise ValueError(f"cannot advance by negative delta: {delta}")
-        self._now += float(delta)
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.6f})"
 
@@ -66,11 +60,6 @@ class ScheduledEvent:
     seq: int
     callback: Callable[[], None] = field(compare=False)
     name: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the queue skips it when popped."""
-        self.cancelled = True
 
 
 class EventQueue:
@@ -87,7 +76,7 @@ class EventQueue:
         self._events_run = 0
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return len(self._heap)
 
     @property
     def events_run(self) -> int:
@@ -115,22 +104,18 @@ class EventQueue:
         return self.schedule_at(self.clock.now + delay, callback, name)
 
     def peek_deadline(self) -> float | None:
-        """Deadline of the next live event, or ``None`` if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        """Deadline of the next event, or ``None`` if the queue is empty."""
         return self._heap[0].deadline if self._heap else None
 
     def run_next(self) -> bool:
         """Run the earliest pending event.  Returns ``False`` if none remain."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(event.deadline)
-            event.callback()
-            self._events_run += 1
-            return True
-        return False
+        if not self._heap:
+            return False
+        event = heapq.heappop(self._heap)
+        self.clock.advance_to(event.deadline)
+        event.callback()
+        self._events_run += 1
+        return True
 
     def run_until(self, horizon: float, max_events: int | None = None) -> int:
         """Run events with deadlines ``<= horizon``; advance the clock to it.

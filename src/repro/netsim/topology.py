@@ -116,7 +116,6 @@ class ClosTopology:
         self.spines: list[Switch] = []
         self.borders: list[Switch] = []
         self._by_id: dict[str, Device] = {}
-        self._server_by_ip: dict[IPv4Address, Server] = {}
 
         for podset in range(spec.n_podsets):
             podset_leaves = []
@@ -155,7 +154,6 @@ class ClosTopology:
                     )
                     self.servers.append(server)
                     self._register(server)
-                    self._server_by_ip[server.ip] = server
 
         for spine in range(spec.n_spines):
             switch = Switch(
@@ -231,7 +229,6 @@ class ClosTopology:
                 )
                 self.servers.append(server)
                 self._register(server)
-                self._server_by_ip[server.ip] = server
                 new_servers.append(server)
 
         # The spec is frozen; re-derive it with the new podset count so
@@ -252,12 +249,6 @@ class ClosTopology:
         except KeyError:
             raise KeyError(f"no such device in {self.spec.name}: {device_id}") from None
 
-    def server_by_ip(self, ip: IPv4Address) -> Server:
-        try:
-            return self._server_by_ip[ip]
-        except KeyError:
-            raise KeyError(f"no server with ip {ip} in {self.spec.name}") from None
-
     def tor_of(self, server: Server) -> Switch:
         return self.tors[server.pod_index]
 
@@ -274,9 +265,6 @@ class ClosTopology:
         for pod in range(first_pod, first_pod + self.spec.pods_per_podset):
             result.extend(self.servers_in_pod(pod))
         return result
-
-    def podset_of_pod(self, pod_index: int) -> int:
-        return pod_index // self.spec.pods_per_podset
 
     def all_switches(self) -> list[Switch]:
         switches: list[Switch] = list(self.tors)
@@ -373,21 +361,6 @@ class MultiDCTopology:
         if dc_a == dc_b:
             return 0.0
         return self.wan_rtt[(dc_a, dc_b)] + self.wan_rtt[(dc_b, dc_a)]
-
-    def set_wan_latency(self, src_dc: int, dst_dc: int, one_way_s: float) -> None:
-        """Reconfigure one *direction's* WAN propagation (a reroute).
-
-        Bumps the state version: every cached path, pair envelope and
-        class-fact memo embeds the old latency and must be rebuilt.
-        """
-        if src_dc == dst_dc:
-            raise ValueError(f"no WAN link from dc{src_dc} to itself")
-        if (src_dc, dst_dc) not in self.wan_rtt:
-            raise KeyError(f"no WAN link dc{src_dc} -> dc{dst_dc}")
-        if one_way_s <= 0:
-            raise ValueError(f"one-way latency must be positive: {one_way_s}")
-        self.wan_rtt[(src_dc, dst_dc)] = one_way_s
-        self.state_version.bump()
 
     def dc(self, name_or_index: str | int) -> ClosTopology:
         if isinstance(name_or_index, int):

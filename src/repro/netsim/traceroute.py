@@ -49,9 +49,6 @@ class TracerouteResult:
     flow: FiveTuple
     hops: list[HopReport]
 
-    def loss_profile(self) -> list[float]:
-        return [hop.loss_rate for hop in self.hops]
-
 
 def tcp_traceroute(
     fabric: Fabric,

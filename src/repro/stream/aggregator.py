@@ -156,10 +156,6 @@ class StreamAggregator:
         return self.probes_folded - self.probes_emitted
 
     @property
-    def open_windows(self) -> int:
-        return len(self._open)
-
-    @property
     def memory_buckets(self) -> int:
         """Total occupied sketch buckets across open windows (bounded:
         open windows are bounded by the flush cadence, buckets per sketch

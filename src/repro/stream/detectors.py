@@ -257,8 +257,8 @@ class StreamBlackholeFeed:
     every probe it sourced failed (``>= min_failed`` of them) while its DC
     overall still succeeded somewhere — the §5 "part of the podset"
     asymmetry, observed in seconds.  Candidates are episodic (one per
-    darkness spell) and are only ever *suggestions*: :meth:`confirm`
-    reconciles them against the authoritative batch report.
+    darkness spell) and are only ever *suggestions*: the batch black-hole
+    report stays authoritative.
     """
 
     def __init__(self, min_failed: int = 5, eval_windows: int = 3) -> None:
@@ -298,21 +298,6 @@ class StreamBlackholeFeed:
             else:
                 self._active.discard(key)
         return new
-
-    def confirm(self, report) -> dict:
-        """Reconcile candidates against a batch ``BlackholeReport``.
-
-        Returns the confirmation ledger: candidates the batch verifier
-        agreed on, candidates it dismissed, and batch findings streaming
-        never surfaced (e.g. faults predating the stream plane).
-        """
-        batch_keys = {c.tor_key for c in report.tors_to_reload}
-        candidate_keys = {c.tor_key for c in self.candidates}
-        return {
-            "confirmed": sorted(candidate_keys & batch_keys),
-            "dismissed": sorted(candidate_keys - batch_keys),
-            "missed": sorted(batch_keys - candidate_keys),
-        }
 
 
 class PinglistStalenessGauge:

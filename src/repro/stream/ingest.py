@@ -28,11 +28,8 @@ from repro.stream.sketch import ClassStats
 
 __all__ = ["StreamIngestService"]
 
-# What a rollup groups the tree's (dc, podset, pod, cls) keys by; _ALL maps
-# every key to ``()``.
-_DC, _POD, _CLASS, _ALL = (
-    itemgetter(0), itemgetter(0, 1, 2), itemgetter(3), itemgetter(slice(0))
-)
+# What a rollup groups the tree's (dc, podset, pod, cls) keys by.
+_DC, _POD, _CLASS = itemgetter(0), itemgetter(0, 1, 2), itemgetter(3)
 # Distinct rollups memoised between two tree changes; tenants choose the
 # windows and classes of a stream read, so past this the memo starts over.
 _ROLLUP_MEMO_CAP = 64
@@ -45,14 +42,12 @@ class StreamIngestService:
         self,
         window_s: float = 10.0,
         retention_windows: int = 360,
-        relative_accuracy: float = 0.01,
         max_buckets: int = 2048,
     ) -> None:
         if retention_windows < 2:
             raise ValueError(f"retention too small: {retention_windows}")
         self.window_s = window_s
         self.retention_windows = retention_windows
-        self.relative_accuracy = relative_accuracy
         self.max_buckets = max_buckets
         # window_start -> {(dc, podset, pod, cls) -> ClassStats}
         self._windows: "OrderedDict[float, dict]" = OrderedDict()
@@ -122,29 +117,24 @@ class StreamIngestService:
         starts = list(self._windows)
         return starts[-k:] if k > 0 else []
 
-    def _rollup(
-        self, window_starts, key_of, dc=None, podset=None, pod=None, cls=None,
-        exclude_cls=None,
-    ):
+    def _rollup(self, window_starts, key_of, cls=None, exclude_cls=None):
         """The one fold every rollup is: merge the given windows' stats into
         one :class:`ClassStats` per ``key_of((dc, podset, pod, cls))``.
 
-        The filters keep a tree key only where each one given equals it;
-        ``exclude_cls`` drops one class.  The result is memoised until the
-        tree next changes and handed to every caller as the same
-        **read-only** objects: detectors, the broker and the CLI only read
-        them, and nothing may merge into or observe through one.
+        ``cls`` keeps only one class; ``exclude_cls`` drops one.  The result
+        is memoised until the tree next changes and handed to every caller
+        as the same **read-only** objects: detectors, the broker and the CLI
+        only read them, and nothing may merge into or observe through one.
         """
-        starts, filters = tuple(window_starts), (dc, podset, pod, cls)
-        memo_key = (starts, key_of, filters, exclude_cls)
+        starts = tuple(window_starts)
+        memo_key = (starts, key_of, cls, exclude_cls)
         rolled = self._rollups.get(memo_key)
         if rolled is not None:
             return rolled
-        wanted = [(i, v) for i, v in enumerate(filters) if v is not None]
         merged: dict = {}
         for start in starts:
             for key, stats in self._windows.get(start, {}).items():
-                if key[3] == exclude_cls or any(key[i] != v for i, v in wanted):
+                if key[3] == exclude_cls or (cls is not None and key[3] != cls):
                     continue
                 group = key_of(key)
                 into = merged.get(group)
@@ -175,11 +165,6 @@ class StreamIngestService:
     def merged_by_class(self, window_starts):
         """Roll the given windows up to per-peer-class stats."""
         return self._rollup(window_starts, _CLASS)
-
-    def merged_key(self, window_starts, dc, podset=None, pod=None, cls=None) -> ClassStats:
-        """Merge every retained stats object matching the key filters."""
-        merged = self._rollup(window_starts, _ALL, dc, podset, pod, cls)
-        return merged.get(()) or ClassStats(self.relative_accuracy, self.max_buckets)
 
     @property
     def memory_buckets(self) -> int:

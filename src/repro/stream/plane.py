@@ -98,7 +98,6 @@ class StreamPlane:
         self.ingest = StreamIngestService(
             window_s=config.window_s,
             retention_windows=config.retention_windows,
-            relative_accuracy=config.relative_accuracy,
         )
         self.sla_detector = StreamSlaDetector(
             alert_engine,

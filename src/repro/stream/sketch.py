@@ -362,11 +362,6 @@ class ClassStats:
         """Retransmission-signature count (§4.2 numerator)."""
         return self.one_drop + self.two_drops
 
-    @property
-    def dropped_events(self) -> int:
-        """Dropped-connection evidence count (the detector's noise guard)."""
-        return self.one_drop + self.two_drops + self.failed
-
     def quantile_us(self, q: float) -> float | None:
         return self.sketch.quantile(q)
 

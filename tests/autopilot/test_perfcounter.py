@@ -3,7 +3,6 @@
 import gc
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from repro.autopilot.perfcounter import PerfcounterAggregator
@@ -59,16 +58,6 @@ class TestCollection:
         assert len(pa.series("good", "x")) == 2
         assert pa.series("bad", "x") == []
 
-    def test_unregister_stops_future_samples(self, queue):
-        pa = PerfcounterAggregator(queue, collection_period_s=100.0)
-        pa.register_producer("srv0", _static_producer({"x": 1.0}))
-        pa.start()
-        queue.run_for(100.0)
-        pa.unregister_producer("srv0")
-        queue.run_for(200.0)
-        assert len(pa.series("srv0", "x")) == 1
-        assert pa.producer_count == 0
-
     def test_double_start_rejected(self, queue):
         pa = PerfcounterAggregator(queue)
         pa.start()
@@ -79,44 +68,6 @@ class TestCollection:
         with pytest.raises(ValueError):
             PerfcounterAggregator(queue, collection_period_s=0)
 
-    def test_counters_of(self, queue):
-        pa = PerfcounterAggregator(queue, collection_period_s=100.0)
-        pa.register_producer("srv0", _static_producer({"b": 1.0, "a": 2.0}))
-        pa.start()
-        queue.run_for(100.0)
-        assert pa.counters_of("srv0") == ["a", "b"]
-
-
-class TestAggregation:
-    @pytest.fixture()
-    def populated(self, queue):
-        pa = PerfcounterAggregator(queue, collection_period_s=100.0)
-        for i, value in enumerate([1.0, 2.0, 3.0, 10.0]):
-            pa.register_producer(f"srv{i}", _static_producer({"drop_rate": value}))
-        pa.start()
-        queue.run_for(100.0)
-        return pa
-
-    def test_mean(self, populated):
-        assert populated.aggregate_latest("drop_rate", "mean") == 4.0
-
-    def test_max_min(self, populated):
-        assert populated.aggregate_latest("drop_rate", "max") == 10.0
-        assert populated.aggregate_latest("drop_rate", "min") == 1.0
-
-    def test_percentile(self, populated):
-        assert populated.aggregate_latest("drop_rate", "percentile", q=50) == 2.5
-
-    def test_percentile_requires_q(self, populated):
-        with pytest.raises(ValueError):
-            populated.aggregate_latest("drop_rate", "percentile")
-
-    def test_unknown_aggregation_rejected(self, populated):
-        with pytest.raises(ValueError):
-            populated.aggregate_latest("drop_rate", "median-ish")
-
-    def test_missing_counter_returns_none(self, populated):
-        assert populated.aggregate_latest("nothing") is None
 
 
 class TestCollectionErrorAccounting:
@@ -154,7 +105,7 @@ class TestPackedRingParity:
 
     def _run_script(self, queue):
         """Seven sweeps over four producers that do everything awkward:
-        change layout between sweeps, raise, and get unregistered."""
+        change layout between sweeps and raise."""
         pa = PerfcounterAggregator(
             queue, collection_period_s=100.0, retention_sweeps=self.RETENTION
         )
@@ -173,13 +124,11 @@ class TestPackedRingParity:
 
             return produce
 
-        servers = ["srv0", "flaky", "srv2", "leaver"]
+        servers = ["srv0", "flaky", "srv2", "srv3"]
         for index, server_id in enumerate(servers):
             pa.register_producer(server_id, producer(server_id, index))
         pa.start()
-        queue.run_for(500.0)
-        pa.unregister_producer("leaver")
-        queue.run_for(200.0)
+        queue.run_for(700.0)
         assert pa.collections_run == 7
         return pa, servers, reported
 
@@ -192,12 +141,10 @@ class TestPackedRingParity:
                     series.setdefault((server_id, counter), []).append((t, value))
         return series
 
-    def test_series_latest_and_counters_of_match_oracle(self, queue):
+    def test_series_and_latest_match_oracle(self, queue):
         pa, servers, reported = self._run_script(queue)
         oracle = self._oracle(reported)
         for server_id in servers + ["never-registered"]:
-            names = sorted(c for sid, c in oracle if sid == server_id)
-            assert pa.counters_of(server_id) == names
             for counter in ("probes", "drop_rate", "p99_us", "missing"):
                 expected = oracle.get((server_id, counter), [])
                 got = pa.series(server_id, counter)
@@ -209,25 +156,6 @@ class TestPackedRingParity:
                 assert (latest and (latest.t, latest.value)) == (
                     expected[-1] if expected else None
                 )
-
-    def test_aggregate_latest_matches_oracle_over_live_producers(self, queue):
-        pa, servers, reported = self._run_script(queue)
-        oracle = self._oracle(reported)
-        live = [sid for sid in servers if sid != "leaver"]
-        for counter in ("probes", "drop_rate", "p99_us"):
-            values = [
-                oracle[sid, counter][-1][1] for sid in live if (sid, counter) in oracle
-            ]
-            assert pa.aggregate_latest(counter, "mean") == float(np.mean(values))
-            assert pa.aggregate_latest(counter, "max") == max(values)
-            assert pa.aggregate_latest(counter, "percentile", q=50) == float(
-                np.percentile(values, 50)
-            )
-        # The unregistered server's retained history stays readable, but its
-        # last value (the fleet's lowest) no longer leaks into aggregates.
-        leaver = pa.latest("leaver", "probes")
-        assert leaver is not None
-        assert leaver.value < pa.aggregate_latest("probes", "min")
 
     def test_ring_evicts_oldest_sweep(self, queue):
         pa, _servers, _reported = self._run_script(queue)

@@ -74,7 +74,7 @@ class TestCrashLoopBudget:
                 service.terminate("crashed again")
         assert len(sm.restarts) == 3  # max_restarts_per_day
         assert not service.running
-        assert sm.crash_looping(queue.clock.now) == [service]
+        assert sm.exhausted(service, queue.clock.now)
 
     def test_budget_replenishes_next_day(self, queue, sm):
         service = _crashed_service()
@@ -112,7 +112,3 @@ class TestValidation:
         manager.start()
         with pytest.raises(RuntimeError):
             manager.start()
-
-    def test_supervised_count(self, queue, sm):
-        sm.supervise_all([SharedService("a", "s0"), SharedService("b", "s0")])
-        assert sm.supervised_count == 2

@@ -44,19 +44,6 @@ class TestWatchdogService:
         assert report.status == HealthStatus.ERROR
         assert "check bug" in report.detail
 
-    def test_overall_status_is_worst(self, queue):
-        service = WatchdogService(queue)
-        service.register("a", _always(HealthStatus.OK))
-        service.register("b", _always(HealthStatus.WARNING))
-        service.run_once()
-        assert service.overall_status() == HealthStatus.WARNING
-        service.register("c", _always(HealthStatus.ERROR))
-        service.run_once()
-        assert service.overall_status() == HealthStatus.ERROR
-
-    def test_overall_ok_when_nothing_ran(self, queue):
-        assert WatchdogService(queue).overall_status() == HealthStatus.OK
-
     def test_duplicate_registration_rejected(self, queue):
         service = WatchdogService(queue)
         service.register("x", _always(HealthStatus.OK))
@@ -72,9 +59,3 @@ class TestWatchdogService:
     def test_invalid_period_rejected(self, queue):
         with pytest.raises(ValueError):
             WatchdogService(queue, check_period_s=-1)
-
-    def test_watchdog_names_sorted(self, queue):
-        service = WatchdogService(queue)
-        service.register("z", _always(HealthStatus.OK))
-        service.register("a", _always(HealthStatus.OK))
-        assert service.watchdog_names() == ["a", "z"]

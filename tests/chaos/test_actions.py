@@ -119,9 +119,9 @@ def test_scenario_action_applies_and_reverts(system):
     assert action.ground_truth_devices(system) == set()
     action.start(system, t=10.0)
     assert action.ground_truth_devices(system)
-    assert system.fabric.faults.has_faults()
+    assert system.fabric.faults.faulted_switch_ids()
     action.end(system, t=20.0)
-    assert not system.fabric.faults.has_faults()
+    assert not system.fabric.faults.faulted_switch_ids()
 
 
 def test_scenario_action_passes_its_kwargs_to_the_scenario(system):

@@ -39,7 +39,8 @@ class TestPinglistHandling:
 
     def test_probe_interval_clamped(self, world):
         fabric, controller, store = world
-        controller.reconfigure(GeneratorConfig(probe_interval_s=1.0))
+        controller.generator.config = GeneratorConfig(probe_interval_s=1.0)
+        controller.regenerate()
         agent = _agent(world)
         agent.refresh_pinglist(t=0.0)
         assert agent.probe_interval_s == 10.0  # hard floor
@@ -119,7 +120,8 @@ class TestProbing:
 
     def test_vip_entries_skipped_without_resolver(self, world):
         fabric, controller, store = world
-        controller.reconfigure(GeneratorConfig(vip_targets=("search.vip",)))
+        controller.generator.config = GeneratorConfig(vip_targets=("search.vip",))
+        controller.regenerate()
         agent = _agent(world)
         agent.refresh_pinglist(t=0.0)
         launched = agent.run_probe_round(t=10.0)
@@ -127,7 +129,8 @@ class TestProbing:
 
     def test_vip_entries_probed_with_resolver(self, world):
         fabric, controller, store = world
-        controller.reconfigure(GeneratorConfig(vip_targets=("search.vip",)))
+        controller.generator.config = GeneratorConfig(vip_targets=("search.vip",))
+        controller.regenerate()
         dip = fabric.topology.dc(0).servers[10].device_id
         server_id = fabric.topology.dc(0).servers[0].device_id
         uploader = ResultUploader(store, server_id)
@@ -168,7 +171,7 @@ class TestUploadCycle:
         agent.refresh_pinglist(t=0.0)
         agent.run_probe_round(t=10.0)
         agent.maybe_upload(t=700.0)
-        assert agent.counters.probes_total == 0
+        assert agent.counters.probes == 0
 
 
 class TestResourceEnvelope:
@@ -287,5 +290,5 @@ class TestUploadFailurePath:
         # The counters window rolled over even though the flush failed:
         # the next window's snapshot starts clean rather than replaying
         # the lost window into a later (recovered) upload.
-        assert agent.counters.probes_total == 0
+        assert agent.counters.probes == 0
         assert agent.last_upload_t == 700.0

@@ -70,7 +70,7 @@ class TestEwmaDetector:
         for value in values:
             verdict = detector.observe(value)
             assert verdict.std >= 0
-        assert detector.observations == len(values)
+        assert detector._count == len(values)
 
 
 class TestSeriesAnomalyTracker:

@@ -116,7 +116,8 @@ class TestKillSwitch:
 class TestReconfigure:
     def test_reconfigure_changes_pinglists(self, service):
         before = service.get_pinglist("dc0/ps0/pod0/srv0")
-        service.reconfigure(GeneratorConfig(enable_qos_low=True))
+        service.generator.config = GeneratorConfig(enable_qos_low=True)
+        service.regenerate()
         after = service.get_pinglist("dc0/ps0/pod0/srv0")
         assert len(after) > len(before)
         assert after.generation == before.generation + 1

@@ -19,7 +19,7 @@ class TestIngestion:
         counters.add(True, 250e-6)
         counters.add(True, 300e-6)
         counters.add(False, 21.0)
-        assert counters.probes_total == 3
+        assert counters.probes == 3
         assert counters.success == 2
         assert counters.probes_failed == 1
 
@@ -108,7 +108,7 @@ class TestIngestion:
 
         assert _counts(counters) == _counts(reference)
         assert counters.sketch.buckets == reference.sketch.buckets
-        assert counters.probes_total == len(self.OUTCOMES)
+        assert counters.probes == len(self.OUTCOMES)
 
     @pytest.mark.parametrize("n", [0, 1, 30, 63, 64, 65, 1_000])
     def test_a_round_is_its_probes_one_by_one(self, n):
@@ -135,15 +135,15 @@ class TestPercentiles:
         counters = LatencyCounters()
         for rtt_us in range(100, 200):
             counters.add(True, rtt_us * 1e-6)
-        assert counters.percentile_us(50) == pytest.approx(149.5, rel=0.02)
-        assert counters.percentile_us(99) == pytest.approx(198, rel=0.02)
+        assert counters.quantile_us(50) == pytest.approx(149.5, rel=0.02)
+        assert counters.quantile_us(99) == pytest.approx(198, rel=0.02)
 
     def test_percentile_none_when_empty(self):
-        assert LatencyCounters().percentile_us(99) is None
+        assert LatencyCounters().quantile_us(99) is None
 
     def test_percentile_validation(self):
         with pytest.raises(ValueError):
-            LatencyCounters().percentile_us(101)
+            LatencyCounters().quantile_us(101)
 
     def test_percentiles_within_sketch_envelope(self):
         """The PA percentiles sit inside the sketch's documented envelope
@@ -160,7 +160,7 @@ class TestPercentiles:
         for q in (50, 99, 99.9):
             lower = float(np.percentile(rtts_s, q, method="lower")) * 1e6
             upper = float(np.percentile(rtts_s, q, method="higher")) * 1e6
-            assert lower * (1 - a) <= counters.percentile_us(q) <= upper * (1 + a)
+            assert lower * (1 - a) <= counters.quantile_us(q) <= upper * (1 + a)
 
     @pytest.mark.parametrize("max_buckets", [2048, 64])
     def test_memory_is_bounded(self, max_buckets):
@@ -171,7 +171,7 @@ class TestPercentiles:
         for _ in range(100):
             counters.add_class_round(3, 10 ** rng.uniform(-6, 1.3, 10_000))
             assert counters.sketch.memory_buckets <= max_buckets
-        assert counters.probes_total == 100 * 10_003
+        assert counters.probes == 100 * 10_003
 
     def test_merging_two_windows_is_exact(self):
         """Two windows merged are the one window fed both — counts, every
@@ -198,11 +198,11 @@ class TestWindows:
         counters.add(True, 3.2)
         counters.add(False, 21.0)
         counters.reset_window()
-        assert counters.probes_total == 0
+        assert counters.probes == 0
         assert _counts(counters) == (0, 0, 0, 0)
         assert counters.sketch.memory_buckets == 0
         assert counters.drop_rate() == 0.0
-        assert counters.percentile_us(50) is None
+        assert counters.quantile_us(50) is None
 
     def test_snapshot_shape(self):
         counters = LatencyCounters()

@@ -63,11 +63,3 @@ class TestLatestAndRetention:
 
     def test_latest_of_empty_table(self, db):
         assert db.latest("missing") is None
-
-    def test_expire_before(self, db):
-        removed = db.expire_before("sla", 1000.0)
-        assert removed == 1
-        assert db.row_count("sla") == 2
-
-    def test_expire_unknown_table(self, db):
-        assert db.expire_before("missing", 1000.0) == 0

@@ -352,7 +352,9 @@ def _apply_event(fabric, event):
             SilentRandomDrop(switch_id=dc.spines[0].device_id, drop_prob=0.1)
         )
     elif event == "clear_faults":
-        fabric.faults.clear_all()
+        for switch_id in sorted(fabric.faults.faulted_switch_ids()):
+            for fault in fabric.faults.faults_on(switch_id):
+                fabric.faults.clear(fault)
     elif event == "server_down":
         dc.servers_in_podset(1)[0].bring_down()
     elif event == "server_up":

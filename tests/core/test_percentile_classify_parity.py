@@ -134,7 +134,7 @@ def _reference_classify(heatmap, green_fraction_normal=0.75, cross_fraction=0.7)
         for dst in range(n_pods):
             if src == dst:
                 continue
-            if heatmap.podset_of(src) == heatmap.podset_of(dst):
+            if src // heatmap.pods_per_podset == dst // heatmap.pods_per_podset:
                 intra_green.append(colors[src, dst] == CellColor.GREEN)
             else:
                 cross_red.append(colors[src, dst] in (CellColor.RED, CellColor.YELLOW))

@@ -128,11 +128,8 @@ class TestPatternsAndQueries:
         clock, queue, store, db, pipeline = world
         _seed_records(store, 600.0)
         queue.run_for(600.0)
-        pattern = pipeline.latest_pattern(0)
+        pattern = db.latest("patterns_10min")
         assert pattern["pattern"] == "normal"
-
-    def test_latest_pattern_none_before_first_job(self, world):
-        assert world[4].latest_pattern(0) is None
 
     def test_latest_heatmap_on_demand(self, world):
         clock, queue, store, db, pipeline = world
@@ -140,23 +137,6 @@ class TestPatternsAndQueries:
         clock.advance_to(600.0)
         heatmap = pipeline.latest_heatmap(0, t=600.0)
         assert heatmap.n_pods == 8
-
-    def test_retention_expires_old_data(self):
-        clock = SimClock()
-        queue = EventQueue(clock)
-        store = CosmosStore(extent_max_records=10)
-        db = ResultsDatabase()
-        pipeline = DsaPipeline(
-            store=store,
-            database=db,
-            job_manager=JobManager(queue),
-            topology=MultiDCTopology.single(TopologySpec()),
-            config=DsaConfig(ingestion_delay_s=0.0, retention_s=3600.0),
-        )
-        pipeline.register_jobs()
-        store.append(LATENCY_STREAM, [_record(1.0)] * 10, t=1.0)
-        queue.run_for(2 * 86_400.0)
-        assert store.stream(LATENCY_STREAM).record_count == 0
 
 
 class TestSingleExtraction:

@@ -104,7 +104,7 @@ class TestPatternClassification:
         heatmap = LatencyHeatmap(N_PODS, PODS_PER_PODSET)
         for src in range(N_PODS):
             for dst in range(N_PODS):
-                same = heatmap.podset_of(src) == heatmap.podset_of(dst)
+                same = src // PODS_PER_PODSET == dst // PODS_PER_PODSET
                 heatmap.p99_us[src, dst] = 500.0 if same else 9000.0
         result = heatmap.classify()
         assert result.pattern == LatencyPattern.SPINE_FAILURE
@@ -126,9 +126,3 @@ class TestPatternClassification:
         assert result.pattern == LatencyPattern.UNCLASSIFIED
         assert result.affected_podsets == []
         assert result.detail == "no per-pair data"
-
-    def test_podset_of(self):
-        heatmap = _heatmap()
-        assert heatmap.podset_of(0) == 0
-        assert heatmap.podset_of(PODS_PER_PODSET) == 1
-        assert heatmap.n_podsets == 2

@@ -64,7 +64,7 @@ class TestNoiseRobustness:
         heatmap = LatencyHeatmap(N_PODS, PODS_PER_PODSET)
         for src in range(N_PODS):
             for dst in range(N_PODS):
-                same = heatmap.podset_of(src) == heatmap.podset_of(dst)
+                same = src // PODS_PER_PODSET == dst // PODS_PER_PODSET
                 heatmap.p99_us[src, dst] = 500.0 if same else 9000.0
         rng = np.random.default_rng(seed)
         for _ in range(n_noise):

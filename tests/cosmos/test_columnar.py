@@ -125,9 +125,6 @@ class TestStorePacksBlocks:
         v0 = store.version
         store.append("s", _records(1), t=1.0)
         assert store.version > v0
-        v1 = store.version
-        store.expire_before("s", 2.0)
-        assert store.version > v1
 
     def test_read_count_counts_scans(self):
         store = CosmosStore()

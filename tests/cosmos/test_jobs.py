@@ -56,12 +56,16 @@ class TestScheduling:
             ScopeJob("j", 0.0, lambda t: None)
 
 
+def _runs_of(manager, name):
+    return [run for run in manager.runs if run.job_name == name]
+
+
 class TestRunRecords:
     def test_success_records_row_count(self, queue):
         manager = JobManager(queue)
         manager.register(ScopeJob("j", 100.0, lambda t: [{"a": 1}, {"a": 2}]))
         queue.run_for(100.0)
-        runs = manager.runs_of("j")
+        runs = _runs_of(manager, "j")
         assert len(runs) == 1
         assert runs[0].status == JobStatus.SUCCEEDED
         assert runs[0].rows_out == 2
@@ -70,7 +74,7 @@ class TestRunRecords:
         manager = JobManager(queue)
         manager.register(ScopeJob("j", 100.0, lambda t: None))
         queue.run_for(100.0)
-        assert manager.runs_of("j")[0].rows_out == 0
+        assert _runs_of(manager, "j")[0].rows_out == 0
 
     def test_failing_job_is_contained_and_rescheduled(self, queue):
         manager = JobManager(queue)
@@ -81,27 +85,11 @@ class TestRunRecords:
         manager.register(ScopeJob("bad", 100.0, explode))
         manager.register(ScopeJob("good", 100.0, lambda t: []))
         queue.run_for(300.0)
-        assert manager.failure_count() == 3
+        assert [run.job_name for run in manager.runs if run.error] == ["bad"] * 3
         assert all(
-            run.status == JobStatus.SUCCEEDED for run in manager.runs_of("good")
+            run.status == JobStatus.SUCCEEDED for run in _runs_of(manager, "good")
         )
-        assert "boom" in manager.runs_of("bad")[0].error
-
-    def test_disable_pauses_but_keeps_schedule(self, queue):
-        manager = JobManager(queue)
-        ticks = []
-        manager.register(ScopeJob("j", 100.0, lambda t: ticks.append(t)))
-        manager.disable("j")
-        queue.run_for(300.0)
-        assert ticks == []
-        manager.enable("j")
-        queue.run_for(200.0)
-        assert len(ticks) == 2
-
-    def test_unknown_job_lookup_raises(self, queue):
-        manager = JobManager(queue)
-        with pytest.raises(KeyError):
-            manager.disable("ghost")
+        assert "boom" in _runs_of(manager, "bad")[0].error
 
     def test_jobs_listing(self, queue):
         manager = JobManager(queue)

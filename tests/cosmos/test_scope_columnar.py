@@ -101,7 +101,6 @@ ALL_AGGREGATES = dict(
     n=(agg.count, len),
     ok=(lambda: agg.count_if(col("success")), lambda g: sum(r["success"] for r in g)),
     total=(lambda: agg.sum("rtt_us"), lambda g: sum(r["rtt_us"] for r in g)),
-    mean=(lambda: agg.avg("rtt_us"), lambda g: sum(r["rtt_us"] for r in g) / len(g)),
     low=(lambda: agg.min("rtt_us"), lambda g: min(r["rtt_us"] for r in g)),
     high=(lambda: agg.max("rtt_us"), lambda g: max(r["rtt_us"] for r in g)),
     p0=(lambda: agg.percentile("rtt_us", 0), _pct(0)),
@@ -164,10 +163,6 @@ class TestVerbParity:
     def test_order_by_string_key(self):
         expected = sorted(RECORDS, key=lambda r: (r["src"], r["t"]))
         assert_same_output(expected, extracted().order_by("src", "t").output())
-
-    def test_take(self):
-        assert_same_output(RECORDS[:7], extracted().take(7).output())
-        assert extracted().take(0).output() == []
 
     def test_column(self):
         assert extracted().column("rtt_us") == [r["rtt_us"] for r in RECORDS]
@@ -384,7 +379,6 @@ class TestRandomizedParity:
                 ),
             )
             .order_by("src_pod", "dst_pod")
-            .take(50)
             .output()
         )
         expected = reference_aggregate(
@@ -397,7 +391,7 @@ class TestRandomizedParity:
             rate=lambda g: _ratio(g, _is_drop, lambda r: r["success"]),
         )
         expected.sort(key=lambda r: (r["src_pod"], r["dst_pod"]))
-        assert_same_output(expected[:50], out)
+        assert_same_output(expected, out)
 
 
 class TestExtractColumnar:

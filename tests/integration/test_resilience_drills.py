@@ -4,7 +4,7 @@ Four campaigns exercise the layer end to end: a controller brownout
 (slow, not dead), a replica flap storm (breakers vs health sweeps), a
 recovery stampede (jitter vs thundering herd) and a Cosmos
 blackout-and-heal (spool-and-replay).  Each drill asserts both the
-invariant catalogue (``report.assert_clean()`` — which now includes the
+invariant catalogue (``report.clean`` — which now includes the
 replay ledger, the staleness machine and the herd bound) and the
 campaign-specific degraded behaviour.
 """
@@ -25,7 +25,7 @@ def _run(name: str, seed: int = 0):
 class TestControllerBrownout:
     def test_slow_replicas_degrade_to_stale_never_closed(self):
         system, report = _run("controller-brownout")
-        report.assert_clean()
+        assert report.clean, report.summary()
         # Slow is not dead: nobody may fall closed during the window...
         assert all(phase.fail_closed_agents == 0 for phase in report.phases)
         # ...but the fleet visibly rode through STALE on cached pinglists.
@@ -45,7 +45,7 @@ class TestControllerBrownout:
 
     def test_breakers_eject_what_health_checks_cannot_see(self):
         system, report = _run("controller-brownout")
-        report.assert_clean()
+        assert report.clean, report.summary()
         slb = system.controller.slb
         # The up/down health check passed throughout (replicas never died)
         # so only request-path breakers could have ejected them.
@@ -71,7 +71,7 @@ class TestControllerBrownout:
 class TestReplicaFlapStorm:
     def test_breakers_absorb_the_flaps_without_staleness(self):
         system, report = _run("replica-flap-storm")
-        report.assert_clean()
+        assert report.clean, report.summary()
         # Failover within one VIP call hides every flap: no agent ever
         # missed a refresh, let alone fell closed.
         assert all(phase.fail_closed_agents == 0 for phase in report.phases)
@@ -89,7 +89,7 @@ class TestReplicaFlapStorm:
 
     def test_recovered_replica_serves_byte_identical_files(self):
         system, report = _run("replica-flap-storm")
-        report.assert_clean()
+        assert report.clean, report.summary()
         flapped = system.controller.replicas["controller0"]
         survivor = system.controller.replicas["controller1"]
         assert flapped.up
@@ -108,9 +108,9 @@ class TestReplicaFlapStorm:
 class TestRecoveryStampede:
     def test_fleet_fails_closed_then_recovers_without_a_herd(self):
         system, report = _run("recovery-stampede")
-        # assert_clean() covers refresh-herd-factor: the recovery wave
+        # report.clean covers refresh-herd-factor: the recovery wave
         # stayed under half the fleet per second.
-        report.assert_clean()
+        assert report.clean, report.summary()
         n = len(system.agents)
         # The 300s blackout (2.5 refresh periods) closed the whole fleet...
         assert max(phase.fail_closed_agents for phase in report.phases) == n
@@ -123,7 +123,7 @@ class TestRecoveryStampede:
 
     def test_recovery_requests_are_spread_not_synchronized(self):
         system, report = _run("recovery-stampede")
-        report.assert_clean()
+        assert report.clean, report.summary()
         buckets = system.controller.requests_by_second
         recovery = {
             second: count for second, count in buckets.items() if second >= 420
@@ -137,9 +137,9 @@ class TestRecoveryStampede:
 class TestCosmosBlackoutHeal:
     def test_spool_replays_once_and_discards_are_bounded(self):
         system, report = _run("cosmos-blackout-heal")
-        # assert_clean() covers upload-replay-no-duplication at every
+        # report.clean covers upload-replay-no-duplication at every
         # phase boundary, including mid-blackout and right after the heal.
-        report.assert_clean()
+        assert report.clean, report.summary()
         for agent in system.agents.values():
             stats = agent.uploader.stats
             # Early batches exhausted their three spaced attempts...
@@ -156,7 +156,7 @@ class TestCosmosBlackoutHeal:
 
     def test_store_totals_match_uploader_ledgers_exactly(self):
         system, report = _run("cosmos-blackout-heal")
-        report.assert_clean()
+        assert report.clean, report.summary()
         landed = system.store.stream("pingmesh/latency").record_count
         uploaded = sum(
             agent.uploader.stats.records_uploaded

@@ -49,7 +49,7 @@ class TestHealthyOperation:
         assert {"podpair_10min", "patterns_10min", "sla_hourly"} <= tables
 
     def test_pattern_is_normal(self, ran_system):
-        assert ran_system.dsa.latest_pattern(0)["pattern"] == "normal"
+        assert ran_system.database.latest("patterns_10min")["pattern"] == "normal"
 
     def test_no_alerts_on_healthy_network(self, ran_system):
         assert ran_system.alerts() == []

@@ -121,7 +121,7 @@ class TestFigure8Patterns:
         system.run_for(350.0)  # one normal window first
         podset_down(system.topology, 0, 1)
         system.run_for(600.0)
-        pattern = system.dsa.latest_pattern(0)
+        pattern = system.database.latest("patterns_10min")
         assert pattern["pattern"] == "podset-down"
         assert pattern["affected_podsets"] == [1]
 
@@ -134,7 +134,7 @@ class TestFigure8Patterns:
                 )
             )
         system.run_for(650.0)
-        pattern = system.dsa.latest_pattern(0)
+        pattern = system.database.latest("patterns_10min")
         assert pattern["pattern"] == "podset-failure"
         assert pattern["affected_podsets"] == [0]
 
@@ -147,7 +147,7 @@ class TestFigure8Patterns:
                 )
             )
         system.run_for(650.0)
-        pattern = system.dsa.latest_pattern(0)
+        pattern = system.database.latest("patterns_10min")
         assert pattern["pattern"] == "spine-failure"
 
     def test_latency_alerts_fire_during_spine_congestion(self):

@@ -153,14 +153,14 @@ class TestPlanPartition:
         same_pod = dc.servers_in_podset(0)[1]
         cross = dc.servers_in_podset(1)[0]
         entries = _entries_for(fabric, src, [same_pod, cross])
-        fabric.faults.inject(
+        fault = fabric.faults.inject(
             SilentRandomDrop(switch_id=dc.spines[0].device_id, drop_prob=0.2)
         )
         plan = fabric.build_class_plan(src, entries)
         # The spine is on the cross-podset envelope only.
         assert plan.passthrough == [1]
         assert plan.n_class_probes == 1
-        fabric.faults.clear_all()
+        fabric.faults.clear(fault)
         plan = fabric.build_class_plan(src, entries)
         assert plan.passthrough == []
 

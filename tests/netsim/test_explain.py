@@ -27,13 +27,6 @@ class TestHealthyExplanations:
         assert len(explanation.reverse_hops) == 5
         assert explanation.culprits == {}
 
-    def test_render_is_readable(self, fabric):
-        a, b = _cross_pair(fabric)
-        text = explain_probe(fabric, a, b).render()
-        assert "delivered" in text
-        assert "forward path:" in text
-        assert "SYN attempt 1: delivered" in text
-
     def test_accepts_server_objects_and_ids(self, fabric):
         a, b = _cross_pair(fabric)
         by_object = explain_probe(fabric, a, b)
@@ -50,7 +43,9 @@ class TestFailureExplanations:
         assert explanation.outcome == "timeout"
         assert tor.device_id in explanation.culprits
         assert explanation.culprits[tor.device_id] == 3  # every attempt
-        assert "BlackholeType1" in explanation.render()
+        assert {hop.fault_kind for attempt in explanation.attempts for hop in attempt} >= {
+            "BlackholeType1"
+        }
 
     def test_silent_dropper_accumulates_statistical_blame(self, fabric):
         a, b = _cross_pair(fabric)

@@ -48,21 +48,21 @@ class TestHopShare:
 
 class TestStall:
     def test_rare_but_huge(self, model):
-        samples = model.stall(_rng(3), 1_000_000)
+        samples = model._add_stall(_rng(3), np.zeros(1_000_000))
         hit_rate = (samples > 0).mean()
         assert hit_rate == pytest.approx(model.profile.stall_prob, rel=0.15)
         assert samples.max() > 0.05  # at least tens of ms
 
     def test_capped_below_syn_signature(self, model):
         """No stall may impersonate a 3 s retransmission (Table 1 purity)."""
-        samples = model.stall(_rng(4), 2_000_000)
+        samples = model._add_stall(_rng(4), np.zeros(2_000_000))
         assert samples.max() <= model.profile.stall_cap_s
         assert model.profile.stall_cap_s < 3.0
 
     def test_no_hits_returns_zeros(self):
         profile = profile_for("throughput")
         model = LatencyModel(profile)
-        samples = model.stall(_rng(5), 10)  # 10 draws at p≈2e-3: ~never
+        samples = model._add_stall(_rng(5), np.zeros(10))  # 10 draws at p≈2e-3: ~never
         assert samples.shape == (10,)
 
 

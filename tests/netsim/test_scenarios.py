@@ -19,7 +19,7 @@ class TestScenarioRegistry:
             assert scenario.name == name
             assert scenario.description
             scenario.revert()
-        assert not fabric.faults.has_faults()
+        assert not fabric.faults.faulted_switch_ids()
         assert all(server.is_up for server in fabric.topology.all_servers())
 
     def test_unknown_scenario_raises(self, fabric):

@@ -21,19 +21,10 @@ class TestSimClock:
         clock.advance_to(5.0)
         assert clock.now == 5.0
 
-    def test_advance_by(self):
-        clock = SimClock(start=2.0)
-        clock.advance_by(3.0)
-        assert clock.now == 5.0
-
     def test_cannot_move_backwards(self):
         clock = SimClock(start=10.0)
         with pytest.raises(ValueError):
             clock.advance_to(5.0)
-
-    def test_cannot_advance_by_negative(self):
-        with pytest.raises(ValueError):
-            SimClock().advance_by(-0.1)
 
     def test_advance_to_same_time_is_fine(self):
         clock = SimClock(start=7.0)
@@ -87,22 +78,6 @@ class TestEventQueue:
         queue = EventQueue(SimClock())
         with pytest.raises(ValueError):
             queue.schedule_after(-1.0, lambda: None)
-
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue(SimClock())
-        ran = []
-        event = queue.schedule_at(1.0, lambda: ran.append(1))
-        event.cancel()
-        assert queue.run_next() is False
-        assert ran == []
-
-    def test_len_excludes_cancelled(self):
-        queue = EventQueue(SimClock())
-        keep = queue.schedule_at(1.0, lambda: None)
-        drop = queue.schedule_at(2.0, lambda: None)
-        drop.cancel()
-        assert len(queue) == 1
-        assert keep.deadline == 1.0
 
     def test_run_until_stops_at_horizon(self):
         clock = SimClock()

@@ -46,10 +46,6 @@ class TestClosTopology:
         ips = {server.ip for server in topo.servers}
         assert len(ips) == len(topo.servers)
 
-    def test_server_ip_lookup(self, topo):
-        server = topo.servers[17]
-        assert topo.server_by_ip(server.ip) is server
-
     def test_device_lookup_by_id(self, topo):
         server = topo.servers[0]
         assert topo.device(server.device_id) is server
@@ -78,10 +74,6 @@ class TestClosTopology:
     def test_host_index_within_pod(self, topo):
         for server in topo.servers_in_pod(0):
             assert 0 <= server.host_index < topo.spec.servers_per_pod
-
-    def test_podset_of_pod(self, topo):
-        assert topo.podset_of_pod(0) == 0
-        assert topo.podset_of_pod(topo.spec.pods_per_podset) == 1
 
     def test_all_switches_cover_every_tier(self, topo):
         kinds = {switch.kind for switch in topo.all_switches()}

@@ -61,7 +61,7 @@ class TestTraceroute:
         leaf_id = path.hops[1].device_id
         fabric.faults.inject(SilentRandomDrop(switch_id=leaf_id, drop_prob=0.10))
         result = tcp_traceroute(fabric, a, b, probes_per_hop=1500)
-        losses = result.loss_profile()
+        losses = [hop.loss_rate for hop in result.hops]
         assert losses[0] < 0.02  # ToR before the dropper is clean
         assert all(loss > 0.05 for loss in losses[1:])
 

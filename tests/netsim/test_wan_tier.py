@@ -3,16 +3,16 @@
 Four layers:
 
 * **Topology** — the ``wan_rtt`` matrix is per *direction*; a probe's RTT
-  composes forward + reverse entries (never twice either one), and
-  ``set_wan_latency`` bumps the state version so every generation-stamped
-  cache rebuilds.
+  composes forward + reverse entries (never twice either one), and a
+  WAN fault bumps the state version so every generation-stamped cache
+  rebuilds.
 * **Shared drop constant** — ``drops.WAN_DIRECTION_DROP`` is the single
   binding the scalar engine, the analytic fast path, and the class rounds
   all read; monkeypatching it must move all three rungs together.
 * **WAN faults** — fiber cut, DCI congestion, partial partition, and
   asymmetric reroute behave per their contracts, register under direction
   markers, and degrade the vectorized rungs to scalar.
-* **Property** — across random cut/heal/retime sequences, cached WAN paths
+* **Property** — across random cut/heal/congest sequences, cached WAN paths
   always equal fresh computation.
 """
 
@@ -36,6 +36,13 @@ from repro.netsim.faults import (
 )
 from repro.netsim.routing import PathScope, Router
 from repro.netsim.topology import MultiDCTopology, TopologySpec
+
+
+def _skew(topo: MultiDCTopology, src_dc: int, dst_dc: int, one_way_s: float) -> None:
+    """Retime one WAN direction, as a long-lived asymmetric route does."""
+    topo.wan_rtt[(src_dc, dst_dc)] = one_way_s
+    topo.state_version.bump()
+
 
 _SPECS = [
     TopologySpec(
@@ -97,29 +104,11 @@ class TestDirectionalWanMatrix:
         with pytest.raises(ValueError):
             _topology(wan_asymmetry=-0.1)
 
-    def test_set_wan_latency_updates_one_direction_and_bumps(self):
-        topo = _topology()
-        before_rev = topo.wan_rtt[(1, 0)]
-        version = topo.state_version.value
-        topo.set_wan_latency(0, 1, 0.050)
-        assert topo.wan_rtt[(0, 1)] == 0.050
-        assert topo.wan_rtt[(1, 0)] == before_rev
-        assert topo.state_version.value == version + 1
-
-    def test_set_wan_latency_validates(self):
-        topo = _topology()
-        with pytest.raises(ValueError):
-            topo.set_wan_latency(0, 0, 0.01)
-        with pytest.raises(KeyError):
-            topo.set_wan_latency(0, 9, 0.01)
-        with pytest.raises(ValueError):
-            topo.set_wan_latency(0, 1, 0.0)
-
     def test_path_carries_its_directions_entry(self):
         fabric = _fabric()
         src, dst = _pair(fabric)
-        fabric.topology.set_wan_latency(0, 1, 0.040)
-        fabric.topology.set_wan_latency(1, 0, 0.010)
+        _skew(fabric.topology, 0, 1, 0.040)
+        _skew(fabric.topology, 1, 0, 0.010)
         flow = FiveTuple(src.ip, 50_000, dst.ip, 81)
         forward = fabric.router.path(src, dst, flow)
         reverse = fabric.router.path(dst, src, flow.reversed())
@@ -130,8 +119,8 @@ class TestDirectionalWanMatrix:
         """An asymmetric pair's RTT floors at fwd + rev, not 2x either."""
         fabric = _fabric(seed=3)
         src, dst = _pair(fabric)
-        fabric.topology.set_wan_latency(0, 1, 0.200)
-        fabric.topology.set_wan_latency(1, 0, 0.001)
+        _skew(fabric.topology, 0, 1, 0.200)
+        _skew(fabric.topology, 1, 0, 0.001)
         pair = fabric.topology.wan_pair_rtt(0, 1)
         results = [fabric.probe(src, dst, t=float(i) * 15) for i in range(20)]
         ok = [r for r in results if r.success]
@@ -345,7 +334,7 @@ class TestThreeRungParityUnderWanFaults:
 
     def test_class_groups_split_on_destination_and_direction(self):
         fabric = _fabric()
-        fabric.topology.set_wan_latency(0, 1, 0.040)
+        _skew(fabric.topology, 0, 1, 0.040)
         src, _ = _pair(fabric)
         remote_e = fabric.topology.dc(1).servers[:2]
         remote_eu = fabric.topology.dc(2).servers[:2]
@@ -362,8 +351,8 @@ class TestThreeRungParityUnderWanFaults:
     def test_class_round_rtt_includes_pair_wan_rtt(self):
         fabric = _fabric(seed=41)
         src, _ = _pair(fabric)
-        fabric.topology.set_wan_latency(0, 1, 0.200)
-        fabric.topology.set_wan_latency(1, 0, 0.001)
+        _skew(fabric.topology, 0, 1, 0.200)
+        _skew(fabric.topology, 1, 0, 0.001)
         entries = [(s.device_id, 81, 0) for s in fabric.topology.dc(1).servers]
         plan = fabric.build_class_plan(src, entries)
         outcomes = fabric.run_class_plan(plan)
@@ -380,7 +369,7 @@ class TestThreeRungParityUnderWanFaults:
         assert facts.p_attempt == fabric.expected_attempt_drop(src, dst)
 
 
-_WAN_OPS = ("cut", "heal", "retime", "congest", "noop")
+_WAN_OPS = ("cut", "heal", "congest", "noop")
 
 
 class TestWanCacheInvalidationProperty:
@@ -393,7 +382,7 @@ class TestWanCacheInvalidationProperty:
     )
     @settings(max_examples=40, deadline=None)
     def test_cached_wan_path_equals_fresh_across_cut_heal(self, ops):
-        """Fiber cuts, heals, and latency retimes never leave a stale WAN
+        """Fiber cuts, heals and DCI congestion never leave a stale WAN
         path (or stale wan_rtt) in the generation-stamped cache."""
         topo = MultiDCTopology(
             [
@@ -430,9 +419,6 @@ class TestWanCacheInvalidationProperty:
                 active.append(injector.inject(WanFiberCut(src_dc=0, dst_dc=1)))
             elif op == "heal" and active:
                 injector.clear(active.pop(pick % len(active)))
-            elif op == "retime":
-                one_way = 0.001 + (pick % 100) / 1000.0
-                topo.set_wan_latency(pick % 2, (pick + 1) % 2, one_way)
             elif op == "congest":
                 active.append(
                     injector.inject(DciCongestion(src_dc=pick % 2, dst_dc=(pick + 1) % 2))

@@ -20,7 +20,7 @@ class TestWindowing:
         agg = _aggregator()
         for t in (0.0, 5.0, 9.99):
             agg.observe(t, "tor-level", True, 250.0)
-        assert agg.open_windows == 1
+        assert len(agg._open) == 1
         assert agg.flush_closed(9.99) == []  # the window hasn't elapsed
         deltas = agg.flush_closed(10.0)
         assert len(deltas) == 1
@@ -39,7 +39,7 @@ class TestWindowing:
         agg.observe(5.0, "tor-level", True, 250.0)
         deltas = agg.flush_closed(25.0)
         assert [d.window_start for d in deltas] == [0.0, 10.0]
-        assert agg.open_windows == 0
+        assert len(agg._open) == 0
 
     def test_flush_all_includes_open_windows(self):
         agg = _aggregator()
@@ -113,7 +113,7 @@ class TestObserveRound:
         agg = _aggregator()
         agg.observe_round(0.0, *_columns([]))
         assert agg.probes_folded == 0
-        assert agg.open_windows == 0
+        assert len(agg._open) == 0
 
 
 class TestConservation:

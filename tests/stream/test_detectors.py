@@ -1,6 +1,5 @@
 """Tests for the online detectors on the streaming merge tree."""
 
-from types import SimpleNamespace
 
 import pytest
 
@@ -309,21 +308,3 @@ class TestStreamBlackholeFeed:
         self._ingest_dark_pod(ingest, windows=(6, 7, 8))
         assert len(feed.evaluate(90.0, ingest)) == 1
         assert len(feed.candidates) == 2
-
-    def test_confirm_against_batch_report(self):
-        ingest = StreamIngestService(window_s=WINDOW_S)
-        feed = StreamBlackholeFeed(min_failed=5, eval_windows=3)
-        self._ingest_dark_pod(ingest)
-        feed.evaluate(30.0, ingest)
-        report = SimpleNamespace(
-            tors_to_reload=[
-                SimpleNamespace(tor_key="dc0/pod1"),
-                SimpleNamespace(tor_key="dc0/pod7"),
-            ]
-        )
-        ledger = feed.confirm(report)
-        assert ledger == {
-            "confirmed": ["dc0/pod1"],
-            "dismissed": [],
-            "missed": ["dc0/pod7"],
-        }

@@ -79,9 +79,7 @@ class TestMergeTree:
         by_pod = ingest.merged_by_pod(starts)
         assert by_pod[(0, 0, 0)].success == 4
         assert by_pod[(0, 0, 1)].success == 2
-        assert ingest.merged_key(starts, 0, cls="intra-pod").success == 2
-        assert ingest.merged_key(starts, 0, pod=0).success == 4
-        assert ingest.merged_key(starts, 9).success == 0
+        assert ingest.merged_by_dc(starts, cls="intra-pod")[0].success == 2
 
     def test_rollup_is_delta_order_invariant(self):
         """Associativity end to end: shuffled arrival, identical rollup."""
@@ -178,7 +176,7 @@ _ingests = st.tuples(
     st.sampled_from((80.0, 250.0, 3_000_400.0)),
 )
 _queries = st.tuples(
-    st.sampled_from(("by_dc", "by_pod", "by_class", "key")),
+    st.sampled_from(("by_dc", "by_pod", "by_class")),
     st.integers(1, 5),  # newest k windows
     st.sampled_from((None,) + _CLASSES),
     st.sampled_from((None, "inter-dc")),
@@ -216,15 +214,9 @@ def test_memoised_rollups_equal_uncached_recomputation(ops):
         elif kind == "by_pod":
             got = ingest.merged_by_pod(starts)
             want = _reference_rollup(ingest, starts, lambda key: key[:3], lambda key: True)
-        elif kind == "by_class":
+        else:
             got = ingest.merged_by_class(starts)
             want = _reference_rollup(ingest, starts, lambda key: key[3], lambda key: True)
-        else:
-            got = {(): ingest.merged_key(starts, 0, pod=1, cls=cls)}
-            want = _reference_rollup(
-                ingest, starts, lambda key: (),
-                lambda key: key[0] == 0 and key[2] == 1 and (cls is None or key[3] == cls),
-            ) or {(): ClassStats()}
         assert _payloads(got) == _payloads(want)
         assert len(ingest._rollups) <= _ROLLUP_MEMO_CAP
 

@@ -256,7 +256,6 @@ class TestClassStats:
         assert (stats.success, stats.failed) == (3, 1)
         assert (stats.one_drop, stats.two_drops) == (1, 1)
         assert stats.signature_events == 2
-        assert stats.dropped_events == 3
         assert stats.probes == 4
 
     def test_rate_definitions(self):

@@ -77,6 +77,22 @@ class TestSimulateCommand:
         assert "unknown profile" in capsys.readouterr().out
 
 
+
+class TestStreamCommand:
+    def test_fault_run_summarises_conservation(self, capsys):
+        assert main(["stream", "--minutes", "2", "--scenario-at", "60"]) == 0
+        out = capsys.readouterr().out
+        assert "injected: tor-blackhole" in out
+        assert "conservation: folded=" in out
+
+
+class TestBrokerCommand:
+    def test_tenant_run_summarises_admission(self, capsys):
+        assert main(["broker", "--minutes", "2", "--tenants", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "broker: " in out and " submitted; " in out
+        assert "credit ledgers conserved: True" in out
+
 class TestProbeCommand:
     def test_probe_against_local_responder(self, capsys):
         from repro.liveprobe.server import ProbeServer

@@ -58,7 +58,7 @@ ALLOWLIST = {
 
 # Summed over CONFIGS.  A change that removes fields lowers it to the new
 # count; one that has to add a field raises it and says why.
-CONFIG_FIELD_CEILING = 54
+CONFIG_FIELD_CEILING = 53
 
 
 def _callee_name(func: ast.expr) -> str | None:
