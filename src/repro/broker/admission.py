@@ -19,8 +19,7 @@ Reject reasons (terminal, no credits debited):
   a read query's ``windows`` / ``since_s`` is not a number (or
   ``since_s`` is negative or not finite), or ``cls`` / ``exclude_cls`` is
   not a class name.  Out-of-range ``windows`` are clamped to
-  ``[1, retention_windows]``, not rejected.
-* ``stream-unavailable`` — a stream read with no stream plane attached.
+  ``[1, RETENTION_WINDOWS]`` (:mod:`repro.stream.ingest`), not rejected.
 
 Oversized bursts are *truncated, never silently rejected*: a burst asking
 for more pairs or probes-per-pair than the caps allow is clamped, the

@@ -362,8 +362,6 @@ class MeasurementBroker:
         """SCOPE / stream-plane reads: synchronous, zero fabric draws.
         ``params`` are the tenant's: validated before the debit, so a bad
         one is a rejection, not an exception with the credit gone."""
-        if kind == "stream" and self.system.stream is None:
-            return self._reject(channel, now, "stream-unavailable", account)
         try:
             if kind == "scope":
                 since_s = float(params.get("since_s", 600.0))
@@ -457,8 +455,7 @@ class MeasurementBroker:
         """Is the fleet in shape to carry injected traffic?"""
         if self.system.controller.healthy_replica_count() == 0:
             return False
-        stream = self.system.stream
-        return stream is None or stream.stale_fraction <= MAX_STALE_FRACTION
+        return self.system.stream.stale_fraction <= MAX_STALE_FRACTION
 
     def _src_allowed(self, src_id: str) -> bool:
         """May injected probes originate from this server right now?

@@ -542,9 +542,7 @@ class InvariantChecker:
 
     def _check_stream_plane(self, now: float) -> None:
         """Streaming-plane conservation and freshness (see the catalogue)."""
-        stream = getattr(self.system, "stream", None)
-        if stream is None:
-            return
+        stream = self.system.stream
         ledger = stream.conservation()
         folded = ledger["probes_folded"]
         emitted = ledger["probes_emitted"]
@@ -674,7 +672,7 @@ class InvariantChecker:
                 and row["scope"] in ("datacenter", "podset", "service")
             ]
             # A fresh engine fires every violation, open episodes or not.
-            fresh = AlertEngine(self.system.alert_engine.thresholds)
+            fresh = AlertEngine()
             for alert in fresh.evaluate(slas):
                 if alert.metric == "drop_rate":
                     self._violate(

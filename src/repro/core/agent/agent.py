@@ -48,6 +48,8 @@ REFRESH_JITTER_FRACTION = 0.1
 CPU_PER_PROBE_S = 10e-6  # CPU charged per probe
 MEMORY_PER_RECORD_KB = 0.25  # buffered upload record
 MEMORY_PER_SKETCH_BUCKET_BYTES = 16.0  # counters / stream sketch bucket
+BASE_MEMORY_MB = 24.0  # code + runtime footprint
+MEMORY_CAP_MB = 80.0  # the OS kills the agent past this (§3.4.2)
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,13 @@ class AgentConfig:
     """Agent tunables."""
 
     pinglist_refresh_s: float = 1800.0  # periodic pull from the controller
-    upload_period_s: float = 600.0  # the upload timer
+    upload_period_s: float = 600.0  # the upload timer, or the uploader's FLUSH_THRESHOLD_RECORDS
     # "fast" | "class": who runs the fleet's probe rounds.  "fast"
     # is each agent's own staggered round through Fabric.probe_many;
     # "class" is repro.core.sharded.ShardedFleet's closed-form class rounds,
     # shard by shard, degrading per pair to the fast path whenever fidelity
     # cannot be traded.  VIP probes take the scalar engine under either.
     round_mode: str = "fast"
-    upload_threshold_records: int = 2000  # ... or the size threshold
     # Degraded-mode resilience: jittered refresh scheduling + backoff on
     # refresh failure (the STALE / FAIL_CLOSED recovery paths) and the
     # uploader's spool-and-replay retry policy.  resilient_refresh=False
@@ -72,8 +73,6 @@ class AgentConfig:
     refresh_retry_cap_s: float = 600.0
     upload_retry_base_s: float = 60.0
     upload_retry_cap_s: float = 600.0
-    memory_cap_mb: float = 80.0
-    base_memory_mb: float = 24.0  # code + runtime footprint
 
     def __post_init__(self) -> None:
         if self.pinglist_refresh_s <= 0:
@@ -107,7 +106,7 @@ class PingmeshAgent(SharedService):
         super().__init__(
             name="pingmesh-agent",
             server_id=server_id,
-            memory_cap_mb=self.config.memory_cap_mb,
+            memory_cap_mb=MEMORY_CAP_MB,
         )
         self.fabric = fabric
         self.controller = controller
@@ -405,7 +404,7 @@ class PingmeshAgent(SharedService):
         fail-closed behaviour of §3.4.2.
         """
         memory_mb = (
-            self.config.base_memory_mb
+            BASE_MEMORY_MB
             + self.uploader.buffered_records * MEMORY_PER_RECORD_KB / 1024.0
             + self.counters.sketch.memory_buckets
             * MEMORY_PER_SKETCH_BUCKET_BYTES

@@ -56,6 +56,9 @@ from repro.resilience import RetryPolicy, SpooledBatch, UploadSpool, derive_seed
 
 __all__ = ["ResultUploader", "UploadStats"]
 
+# An agent uploads on its timer or once this many records are buffered.
+FLUSH_THRESHOLD_RECORDS = 2000
+
 Record = dict[str, Any]
 # What a flush ships, spools and replays.
 Payload = ColumnBlock | list[Record]
@@ -195,7 +198,7 @@ class ResultUploader:
         store,
         server_id: str,
         stream: str = LATENCY_STREAM,
-        flush_threshold_records: int = 2000,
+        flush_threshold_records: int = FLUSH_THRESHOLD_RECORDS,
         max_buffer_records: int = 10_000,
         max_retries: int = MAX_UPLOAD_RETRIES,
         log_cap_bytes: int = 256 * 1024,

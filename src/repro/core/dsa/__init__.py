@@ -6,7 +6,7 @@ alerting, black-hole detection, silent-drop detection and visualization are
 driven.
 """
 
-from repro.core.dsa.alerts import Alert, AlertEngine, SlaThresholds
+from repro.core.dsa.alerts import Alert, AlertEngine
 from repro.core.dsa.anomaly import EwmaDetector, SeriesAnomalyTracker
 from repro.core.dsa.blackhole import BlackholeDetector
 from repro.core.dsa.database import ResultsDatabase
@@ -34,7 +34,6 @@ __all__ = [
     "ResultsDatabase",
     "SilentDropDetector",
     "SlaScope",
-    "SlaThresholds",
     "SlaTracker",
     "classify_probe",
     "estimate_drop_rate",

@@ -23,42 +23,31 @@ from dataclasses import dataclass
 
 from repro.core.dsa.sla import NetworkSla
 
-__all__ = ["SlaThresholds", "Alert", "AlertEngine"]
+__all__ = ["Alert", "AlertEngine", "drop_limit_for", "p99_limit_for"]
 
 
-@dataclass(frozen=True)
-class SlaThresholds:
-    """The paper's defaults: drop rate 1e-3, P99 latency 5 ms.
+# The paper's limits, hard-coded as §4.3 states them: drop rate 1e-3, P99
+# latency 5 ms.  Inter-DC (``dc-pair`` scope) series get their own pair:
+# the long-haul segment legitimately adds hundreds of milliseconds of
+# propagation and crosses provider boundaries with a slightly higher
+# baseline loss, so the intra-DC limits would always read as breached.
+# ``MAX_INTERDC_P99_US`` must exceed the worst healthy pair RTT in the
+# fleet (~205 ms us-west<->asia at defaults).
+MAX_DROP_RATE = 1e-3
+MAX_P99_US = 5000.0
+MAX_INTERDC_DROP_RATE = 2e-3
+MAX_INTERDC_P99_US = 400_000.0
+MIN_PROBE_COUNT = 20  # don't alert on statistically-empty windows
 
-    Inter-DC (``dc-pair`` scope) series get their own pair of limits: the
-    long-haul segment legitimately adds hundreds of milliseconds of
-    propagation and crosses provider boundaries with a slightly higher
-    baseline loss, so the intra-DC limits would always read as breached.
-    ``max_interdc_p99_us`` must exceed the worst healthy pair RTT in the
-    fleet (~205 ms us-west<->asia at defaults).
-    """
 
-    max_drop_rate: float = 1e-3
-    max_p99_us: float = 5000.0
-    max_interdc_drop_rate: float = 2e-3
-    max_interdc_p99_us: float = 400_000.0
-    min_probe_count: int = 20  # don't alert on statistically-empty windows
+def drop_limit_for(scope: str) -> float:
+    """The drop-rate limit that applies to a scope tag."""
+    return MAX_INTERDC_DROP_RATE if scope == "dc-pair" else MAX_DROP_RATE
 
-    def __post_init__(self) -> None:
-        if self.max_drop_rate <= 0 or self.max_p99_us <= 0:
-            raise ValueError("thresholds must be positive")
-        if self.max_interdc_drop_rate <= 0 or self.max_interdc_p99_us <= 0:
-            raise ValueError("inter-DC thresholds must be positive")
-        if self.min_probe_count < 1:
-            raise ValueError(f"min_probe_count must be >= 1: {self.min_probe_count}")
 
-    def drop_limit_for(self, scope: str) -> float:
-        """The drop-rate limit that applies to a scope tag."""
-        return self.max_interdc_drop_rate if scope == "dc-pair" else self.max_drop_rate
-
-    def p99_limit_for(self, scope: str) -> float:
-        """The P99-latency limit that applies to a scope tag."""
-        return self.max_interdc_p99_us if scope == "dc-pair" else self.max_p99_us
+def p99_limit_for(scope: str) -> float:
+    """The P99-latency limit that applies to a scope tag."""
+    return MAX_INTERDC_P99_US if scope == "dc-pair" else MAX_P99_US
 
 
 @dataclass(frozen=True)
@@ -91,8 +80,7 @@ class Alert:
 class AlertEngine:
     """Evaluates SLAs against thresholds and keeps the episode history."""
 
-    def __init__(self, thresholds: SlaThresholds | None = None) -> None:
-        self.thresholds = thresholds or SlaThresholds()
+    def __init__(self) -> None:
         self.history: list[Alert] = []
         # (scope, key, metric) -> the breach Alert that opened the episode.
         self.active_episodes: dict[tuple[str, str, str], Alert] = {}
@@ -165,15 +153,14 @@ class AlertEngine:
         Limits are scope-aware — ``dc-pair`` SLAs are judged against the
         inter-DC thresholds, everything else against the paper's defaults.
         """
-        thresholds = self.thresholds
         fired: list[Alert] = []
         for sla in slas:
-            if sla.probe_count < thresholds.min_probe_count:
+            if sla.probe_count < MIN_PROBE_COUNT:
                 continue
             scope = sla.scope.value
-            series = [("drop_rate", sla.drop_rate, thresholds.drop_limit_for(scope))]
+            series = [("drop_rate", sla.drop_rate, drop_limit_for(scope))]
             if sla.p99_us is not None:
-                series.append(("p99_us", sla.p99_us, thresholds.p99_limit_for(scope)))
+                series.append(("p99_us", sla.p99_us, p99_limit_for(scope)))
             for metric, value, limit in series:
                 alert = self.judge(
                     sla.window_end, scope, sla.key, metric, value, limit, plane=plane
@@ -197,4 +184,4 @@ class AlertEngine:
         episode, so every violation fires there, and this engine's
         deduplication cannot make a still-burning one read as "no issue".
         """
-        return bool(AlertEngine(self.thresholds).evaluate(slas))
+        return bool(AlertEngine().evaluate(slas))

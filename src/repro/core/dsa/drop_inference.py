@@ -23,7 +23,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from repro.cosmos.scope import Aggregator, agg, col
-from repro.netsim.tcp import FAILED_RTT_S, ONE_DROP_RTT_S, TWO_DROPS_RTT_S
+from repro.netsim.tcp import ONE_DROP_RTT_S, TWO_DROPS_RTT_S
 
 __all__ = [
     "classify_probe",
@@ -107,5 +107,5 @@ def estimate_drop_rate_from_arrays(
     ok = success.astype(bool)
     ok_rtts = rtt_s[ok]
     one = int(((ok_rtts >= ONE_DROP_RTT_S) & (ok_rtts < TWO_DROPS_RTT_S)).sum())
-    two = int(((ok_rtts >= TWO_DROPS_RTT_S) & (ok_rtts < FAILED_RTT_S)).sum())
+    two = int((ok_rtts >= TWO_DROPS_RTT_S).sum())
     return DropRateEstimate(int(ok.sum()), one, two)

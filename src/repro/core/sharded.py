@@ -82,7 +82,6 @@ class FleetShard:
         self.probe_uploader = ResultUploader(
             system.store,
             self.shard_id,
-            flush_threshold_records=config.upload_threshold_records,
             retry_base_s=config.upload_retry_base_s,
             retry_cap_s=config.upload_retry_cap_s,
         )
@@ -90,15 +89,10 @@ class FleetShard:
             system.store,
             self.shard_id,
             stream=CLASS_STREAM,
-            flush_threshold_records=config.upload_threshold_records,
             retry_base_s=config.upload_retry_base_s,
             retry_cap_s=config.upload_retry_cap_s,
         )
-        self.aggregator = (
-            system.stream.shard_aggregator(dc, podset)
-            if system.stream is not None
-            else None
-        )
+        self.aggregator = system.stream.shard_aggregator(dc, podset)
         self._record_server_cache: dict = {}
         self.active: list[PingmeshAgent] = []  # probing agents on live hosts
         self._versions: tuple | None = None  # fleet version at last filter
@@ -231,10 +225,9 @@ class FleetShard:
                 tags,
                 self._record_server_cache,
             )
-            if agent.stream_aggregator is not None:
-                agent.stream_aggregator.observe_round(
-                    t, batch.static.classes, batch.success, batch.rtt_us
-                )
+            agent.stream_aggregator.observe_round(
+                t, batch.static.classes, batch.success, batch.rtt_us
+            )
             self.probe_uploader.add_many(agent._tag_stale_many(batch))
             if self.probe_uploader.should_flush:
                 # Mid-round: an incident's record flood (one silent-spine
@@ -255,10 +248,9 @@ class FleetShard:
         """Fold class outcomes into the shard's planes (main thread)."""
         launched = 0
         for outcome in outcomes:
-            if self.aggregator is not None:
-                self.aggregator.observe_class_round(
-                    t, outcome.purpose, outcome.failed, outcome.rtt_s * 1e6
-                )
+            self.aggregator.observe_class_round(
+                t, outcome.purpose, outcome.failed, outcome.rtt_s * 1e6
+            )
             self.class_uploader.add(
                 make_class_record(outcome, t, self.shard_id, self.dc, self.podset, -1)
             )

@@ -100,11 +100,7 @@ class PingmeshSystem:
         # The streaming plane shares the batch plane's AlertEngine so both
         # report into one episode table (whichever plane detects first owns
         # the breach event).
-        self.stream: StreamPlane | None = (
-            StreamPlane(self.config.stream, self.alert_engine, self.topology)
-            if self.config.stream.enabled
-            else None
-        )
+        self.stream = StreamPlane(self.config.stream, self.alert_engine, self.topology)
         self.job_manager = JobManager(self.queue)
         self.dsa = DsaPipeline(
             store=self.store,
@@ -164,7 +160,6 @@ class PingmeshSystem:
             uploader = ResultUploader(
                 self.store,
                 server_id,
-                flush_threshold_records=self.config.agent.upload_threshold_records,
                 retry_base_s=self.config.agent.upload_retry_base_s,
                 retry_cap_s=self.config.agent.upload_retry_cap_s,
             )
@@ -181,11 +176,7 @@ class PingmeshSystem:
                 # traffic detectors may need to localize per pod.  The
                 # class-granular shard aggregators are fed only by
                 # FleetShard's closed-form outcomes.
-                stream_aggregator=(
-                    self.stream.pair_aggregator_for(server_id)
-                    if self.stream is not None
-                    else None
-                ),
+                stream_aggregator=self.stream.pair_aggregator_for(server_id),
                 roster_version=self.roster_version,
             )
 
@@ -240,10 +231,9 @@ class PingmeshSystem:
         self.queue.schedule_after(
             REPAIR_POLL_PERIOD_S, self._repair_tick, name="repair-tick"
         )
-        if self.stream is not None:
-            self.queue.schedule_after(
-                self.config.stream.window_s, self._stream_tick, name="stream-tick"
-            )
+        self.queue.schedule_after(
+            self.config.stream.window_s, self._stream_tick, name="stream-tick"
+        )
 
         self._schedule_agents(list(self.agents.values()))
 
@@ -394,8 +384,7 @@ class PingmeshSystem:
         watchdogs.register("agents-within-budget", agents_within_budget)
         watchdogs.register("data-reported", data_reported)
         watchdogs.register("sla-timely", sla_timely)
-        if self.stream is not None:
-            watchdogs.register("stream-ingesting", stream_ingesting)
+        watchdogs.register("stream-ingesting", stream_ingesting)
 
     # -- operation -------------------------------------------------------------
 

@@ -562,7 +562,7 @@ def execute_class_groups(groups, latency_models, t, draw) -> list[ClassOutcome]:
     observers) are :meth:`Fabric.account_class_round`'s; this function
     touches only ``draw``.
     """
-    sig1, sig2, sig3 = tcp.ONE_DROP_RTT_S, tcp.TWO_DROPS_RTT_S, tcp.FAILED_RTT_S
+    sig1, sig2 = tcp.ONE_DROP_RTT_S, tcp.TWO_DROPS_RTT_S
     outcomes: list[ClassOutcome] = []
     for group in groups:
         m = group.n
@@ -582,7 +582,7 @@ def execute_class_groups(groups, latency_models, t, draw) -> list[ClassOutcome]:
             if n2:
                 rtt[n0 + n1:] += sig2
             one_drop = int(np.count_nonzero((rtt >= sig1) & (rtt < sig2)))
-            two_drops = int(np.count_nonzero((rtt >= sig2) & (rtt < sig3)))
+            two_drops = int(np.count_nonzero(rtt >= sig2))
         else:
             rtt = np.empty(0)
             one_drop = two_drops = 0

@@ -27,15 +27,12 @@ class CircuitBreakerConfig:
 
     failure_threshold: int = 3
     open_duration_s: float = 30.0
-    half_open_successes: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if self.open_duration_s < 0:
             raise ValueError("open_duration_s must be >= 0")
-        if self.half_open_successes < 1:
-            raise ValueError("half_open_successes must be >= 1")
 
 
 class CircuitBreaker:
@@ -46,7 +43,6 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_t = 0.0
-        self._half_open_successes = 0
         self._probe_outstanding = False
         self.opened_count = 0
         self.transitions: list[tuple[float, BreakerState]] = []
@@ -66,7 +62,6 @@ class CircuitBreaker:
         if self.state is BreakerState.OPEN:
             if t - self._opened_t >= self.config.open_duration_s:
                 self._transition(t, BreakerState.HALF_OPEN)
-                self._half_open_successes = 0
                 self._probe_outstanding = False
             else:
                 return False
@@ -79,10 +74,9 @@ class CircuitBreaker:
     def record_success(self, t: float) -> None:
         self._consecutive_failures = 0
         if self.state is BreakerState.HALF_OPEN:
+            # One successful half-open probe re-closes the breaker.
             self._probe_outstanding = False
-            self._half_open_successes += 1
-            if self._half_open_successes >= self.config.half_open_successes:
-                self._transition(t, BreakerState.CLOSED)
+            self._transition(t, BreakerState.CLOSED)
 
     def record_failure(self, t: float) -> None:
         self._consecutive_failures += 1

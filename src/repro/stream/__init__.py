@@ -17,8 +17,8 @@ SLA alerts with seconds of detection latency instead of minutes.
   deltas into a windowed merge tree keyed ``(dc, podset, pod, class)`` with
   ring-buffer retention.
 * :mod:`repro.stream.detectors` — online detectors: SLA thresholds (the
-  same :class:`~repro.core.dsa.alerts.SlaThresholds` as batch), EWMA drift,
-  and the streaming black-hole candidate feed.
+  same ``MAX_*`` limits of :mod:`repro.core.dsa.alerts` as batch), EWMA
+  drift, and the streaming black-hole candidate feed.
 * :mod:`repro.stream.plane` — :class:`StreamPlane`, the assembly the
   :class:`~repro.core.system.PingmeshSystem` drives.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.stream.sketch import ClassStats
+from repro.stream.sketch import RELATIVE_ACCURACY, ClassStats
 
 __all__ = ["StreamDelta", "StreamAggregator", "PEER_CLASSES"]
 
@@ -60,7 +60,7 @@ class StreamAggregator:
         podset: int,
         pod: int,
         window_s: float = 10.0,
-        relative_accuracy: float = 0.01,
+        relative_accuracy: float = RELATIVE_ACCURACY,
         max_buckets: int = 2048,
         granularity: str = "pair",
     ) -> None:

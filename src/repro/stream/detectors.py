@@ -6,7 +6,7 @@ shared :class:`~repro.core.dsa.alerts.AlertEngine` episode machinery with
 ``plane="stream"``:
 
 * :class:`StreamSlaDetector` — the §4.3 thresholds (the *same*
-  :class:`~repro.core.dsa.alerts.SlaThresholds` object the batch plane
+  ``MAX_*`` constants of :mod:`repro.core.dsa.alerts` the batch plane
   uses), evaluated per DC over the last few sub-windows instead of a
   10-minute batch window.  The shared metrics (``drop_rate``, ``p99_us``)
   use the *same definitions* as the batch SLA — ``drop_rate`` is the §4.2
@@ -32,7 +32,7 @@ Tiny sub-windows are noisy — a single TCP retransmission in a ~200-probe
 window is already past the paper's 1e-3 drop threshold.  The SLA detector
 therefore (a) merges the last ``eval_windows`` sub-windows before judging,
 (b) demands ``min_drop_events`` independent dropped-connection events for
-a drop-rate breach, and (c) applies the same ``min_probe_count`` floor as
+a drop-rate breach, and (c) applies the same ``MIN_PROBE_COUNT`` floor as
 batch.  The drift detector requires a warm-up period, a k-sigma *and*
 relative excursion, and two consecutive drifted windows.
 """
@@ -42,7 +42,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.dsa.alerts import Alert, AlertEngine, SlaThresholds
+from repro.core.dsa.alerts import (
+    MIN_PROBE_COUNT,
+    Alert,
+    AlertEngine,
+    drop_limit_for,
+    p99_limit_for,
+)
 from repro.core.dsa.anomaly import EwmaBaseline
 from repro.core.dsa.sla import SlaScope
 
@@ -54,6 +60,11 @@ __all__ = [
     "StreamBlackholeFeed",
     "PinglistStalenessGauge",
 ]
+
+# The SLA detectors' noise guards (see above), fixed like the limits they guard.
+EVAL_WINDOWS = 3
+MIN_DROP_EVENTS = 3
+MIN_P99_SAMPLES = 200
 
 
 class StreamSlaDetector:
@@ -75,15 +86,13 @@ class StreamSlaDetector:
     def __init__(
         self,
         alert_engine: AlertEngine,
-        thresholds: SlaThresholds | None = None,
-        eval_windows: int = 3,
-        min_drop_events: int = 3,
-        min_p99_samples: int = 200,
+        eval_windows: int = EVAL_WINDOWS,
+        min_drop_events: int = MIN_DROP_EVENTS,
+        min_p99_samples: int = MIN_P99_SAMPLES,
     ) -> None:
         if eval_windows < 1:
             raise ValueError(f"eval_windows must be >= 1: {eval_windows}")
         self.alert_engine = alert_engine
-        self.thresholds = thresholds or alert_engine.thresholds
         self.eval_windows = eval_windows
         self.min_drop_events = min_drop_events
         self.min_p99_samples = min_p99_samples
@@ -100,15 +109,14 @@ class StreamSlaDetector:
         ``min_p99_samples`` is just the max of a small sample, so it is not
         judged until the merged windows carry enough signal.
         """
-        thresholds = self.thresholds
         scope = self.scope
-        drop_limit = thresholds.drop_limit_for(scope)
+        drop_limit = drop_limit_for(scope)
         judge = self.alert_engine.judge
         starts = ingest.latest_windows(self.eval_windows)
         merged = ingest.merged_by_dc(starts, self.peer_class, self.excluded_class)
         fired: list[Alert | None] = []
         for dc, stats in sorted(merged.items()):
-            if stats.probes < thresholds.min_probe_count:
+            if stats.probes < MIN_PROBE_COUNT:
                 continue
             key = self.key_format.format(dc)
             # (metric, value, independent events behind it)
@@ -123,7 +131,7 @@ class StreamSlaDetector:
                 )
             if stats.sketch.count >= self.min_p99_samples:
                 p99 = stats.quantile_us(99.0)
-                p99_limit = thresholds.p99_limit_for(scope)
+                p99_limit = p99_limit_for(scope)
                 fired.append(judge(t, scope, key, "p99_us", p99, p99_limit, plane="stream"))
         return [alert for alert in fired if alert]
 
@@ -133,8 +141,8 @@ class StreamInterDcSlaDetector(StreamSlaDetector):
 
     Stream deltas carry no destination DC (an agent summarizes its whole
     sub-window), so the streaming rollup is one series per *source* DC —
-    key ``dc{n}->*`` — judged against the inter-DC limits of the shared
-    :class:`~repro.core.dsa.alerts.SlaThresholds`.  The batch plane keeps
+    key ``dc{n}->*`` — judged against the shared inter-DC limits
+    (``MAX_INTERDC_*`` in :mod:`repro.core.dsa.alerts`).  The batch plane keeps
     per-pair resolution (``dc0->dc1``); the stream series is the coarse
     early-warning sum of that DC's WAN directions.  Inter-DC probe volume
     is a sliver of the fleet's (a few pivots per podset), so the sample
@@ -149,14 +157,11 @@ class StreamInterDcSlaDetector(StreamSlaDetector):
     def __init__(
         self,
         alert_engine: AlertEngine,
-        thresholds: SlaThresholds | None = None,
-        eval_windows: int = 3,
-        min_drop_events: int = 3,
+        eval_windows: int = EVAL_WINDOWS,
+        min_drop_events: int = MIN_DROP_EVENTS,
         min_p99_samples: int = 50,
     ) -> None:
-        super().__init__(
-            alert_engine, thresholds, eval_windows, min_drop_events, min_p99_samples
-        )
+        super().__init__(alert_engine, eval_windows, min_drop_events, min_p99_samples)
 
     def evaluate(self, t: float, ingest) -> list[Alert]:
         """Judge each source DC's WAN class over the newest windows."""
@@ -261,7 +266,7 @@ class StreamBlackholeFeed:
     report stays authoritative.
     """
 
-    def __init__(self, min_failed: int = 5, eval_windows: int = 3) -> None:
+    def __init__(self, min_failed: int = 5, eval_windows: int = EVAL_WINDOWS) -> None:
         self.min_failed = min_failed
         self.eval_windows = eval_windows
         self.candidates: list[StreamBlackholeCandidate] = []

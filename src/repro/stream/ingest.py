@@ -33,6 +33,7 @@ _DC, _POD, _CLASS = itemgetter(0), itemgetter(0, 1, 2), itemgetter(3)
 # Distinct rollups memoised between two tree changes; tenants choose the
 # windows and classes of a stream read, so past this the memo starts over.
 _ROLLUP_MEMO_CAP = 64
+RETENTION_WINDOWS = 360  # the ring: 1 h of the default 10 s windows
 
 
 class StreamIngestService:
@@ -41,7 +42,7 @@ class StreamIngestService:
     def __init__(
         self,
         window_s: float = 10.0,
-        retention_windows: int = 360,
+        retention_windows: int = RETENTION_WINDOWS,
         max_buckets: int = 2048,
     ) -> None:
         if retention_windows < 2:

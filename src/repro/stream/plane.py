@@ -41,18 +41,11 @@ __all__ = ["StreamConfig", "StreamPlane"]
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Everything configurable about the streaming plane."""
+    """What a deployment chooses about the streaming plane."""
 
-    enabled: bool = True
     window_s: float = 10.0  # aggregation sub-window (sim seconds)
-    relative_accuracy: float = 0.01  # sketch error bound (1 %)
-    retention_windows: int = 360  # ingest ring: 1 h at the default window
     ingest_vip: str = "stream-ingest.vip"
     n_ingest_replicas: int = 2
-    # SLA detector guards (see repro.stream.detectors).
-    eval_windows: int = 3
-    min_drop_events: int = 3
-    min_p99_samples: int = 200
     # Read by nothing: the system always feeds agents pair aggregators and
     # the sharded fleet always feeds shard aggregators.  It stays only
     # because benchmarks/e2e/workloads.py constructs it, and goes with the
@@ -62,12 +55,6 @@ class StreamConfig:
     def __post_init__(self) -> None:
         if self.window_s <= 0:
             raise ValueError(f"window must be positive: {self.window_s}")
-        if not 0 < self.relative_accuracy < 1:
-            raise ValueError(
-                f"relative_accuracy must be in (0,1): {self.relative_accuracy}"
-            )
-        if self.retention_windows < 2:
-            raise ValueError(f"retention too small: {self.retention_windows}")
         if self.n_ingest_replicas < 1:
             raise ValueError(
                 f"need at least one ingest replica: {self.n_ingest_replicas}"
@@ -95,23 +82,11 @@ class StreamPlane:
             list(self._replica_health),
             health_check=lambda dip: self._replica_health[dip],
         )
-        self.ingest = StreamIngestService(
-            window_s=config.window_s,
-            retention_windows=config.retention_windows,
-        )
-        self.sla_detector = StreamSlaDetector(
-            alert_engine,
-            eval_windows=config.eval_windows,
-            min_drop_events=config.min_drop_events,
-            min_p99_samples=config.min_p99_samples,
-        )
-        self.interdc_sla_detector = StreamInterDcSlaDetector(
-            alert_engine,
-            eval_windows=config.eval_windows,
-            min_drop_events=config.min_drop_events,
-        )
+        self.ingest = StreamIngestService(window_s=config.window_s)
+        self.sla_detector = StreamSlaDetector(alert_engine)
+        self.interdc_sla_detector = StreamInterDcSlaDetector(alert_engine)
         self.drift_detector = EwmaDriftDetector(alert_engine)
-        self.blackhole_feed = StreamBlackholeFeed(eval_windows=config.eval_windows)
+        self.blackhole_feed = StreamBlackholeFeed()
         self.staleness_gauge = PinglistStalenessGauge(alert_engine)
         self._aggregators: dict[str, StreamAggregator] = {}
         self.ticks = 0
@@ -182,7 +157,6 @@ class StreamPlane:
                 podset=server.podset_index,
                 pod=server.pod_index,
                 window_s=self.config.window_s,
-                relative_accuracy=self.config.relative_accuracy,
                 granularity="pair",
             )
         return aggregator
@@ -205,7 +179,6 @@ class StreamPlane:
                 podset=podset,
                 pod=-1,
                 window_s=self.config.window_s,
-                relative_accuracy=self.config.relative_accuracy,
                 granularity="class",
             )
         return aggregator

@@ -35,10 +35,12 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.netsim.tcp import FAILED_RTT_US, ONE_DROP_RTT_US, TWO_DROPS_RTT_US
+from repro.netsim.tcp import ONE_DROP_RTT_US, TWO_DROPS_RTT_US
 
 __all__ = ["LatencySketch", "ClassStats"]
 
+# The sketches' relative-error bound (1 %).
+RELATIVE_ACCURACY = 0.01
 # Up to this many values (a pinglist round) ``LatencySketch.add_many`` and
 # ``ClassStats.observe_many`` count buckets one value at a time.
 _SMALL_BATCH = 64
@@ -61,7 +63,7 @@ class LatencySketch:
 
     def __init__(
         self,
-        relative_accuracy: float = 0.01,
+        relative_accuracy: float = RELATIVE_ACCURACY,
         max_buckets: int = 2048,
         min_value: float = 1e-3,
     ) -> None:
@@ -243,7 +245,7 @@ class ClassStats:
 
     def __init__(
         self,
-        relative_accuracy: float = 0.01,
+        relative_accuracy: float = RELATIVE_ACCURACY,
         max_buckets: int = 2048,
     ) -> None:
         self.sketch = LatencySketch(relative_accuracy, max_buckets)
@@ -262,7 +264,7 @@ class ClassStats:
         self.success += 1
         if ONE_DROP_RTT_US <= rtt_us < TWO_DROPS_RTT_US:
             self.one_drop += 1
-        elif TWO_DROPS_RTT_US <= rtt_us < FAILED_RTT_US:
+        elif rtt_us >= TWO_DROPS_RTT_US:
             self.two_drops += 1
         self.sketch.add(rtt_us)
 
@@ -295,7 +297,7 @@ class ClassStats:
                 if rtt >= ONE_DROP_RTT_US:  # one compare for a clean RTT
                     if rtt < TWO_DROPS_RTT_US:
                         one_drop += 1
-                    elif rtt < FAILED_RTT_US:
+                    else:
                         two_drops += 1
         self.failed += ok.size - n_ok
         self.success += n_ok
@@ -319,9 +321,7 @@ class ClassStats:
         self.one_drop += int(
             ((rtts >= ONE_DROP_RTT_US) & (rtts < TWO_DROPS_RTT_US)).sum()
         )
-        self.two_drops += int(
-            ((rtts >= TWO_DROPS_RTT_US) & (rtts < FAILED_RTT_US)).sum()
-        )
+        self.two_drops += int((rtts >= TWO_DROPS_RTT_US).sum())
         self.sketch.add_many(rtts)
 
     # -- derived metrics ---------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.autopilot.shared_service import ResourceBudgetExceeded
-from repro.core.agent.agent import AgentConfig, PingmeshAgent
+from repro.core.agent.agent import BASE_MEMORY_MB, AgentConfig, PingmeshAgent
 from repro.core.agent.uploader import ResultUploader
 from repro.core.controller.generator import GeneratorConfig
 from repro.core.controller.service import PingmeshControllerService
@@ -159,7 +159,7 @@ class TestUploadCycle:
     def test_threshold_triggers_upload_early(self, world):
         agent = _agent(
             world,
-            config=AgentConfig(upload_period_s=1e9, upload_threshold_records=5),
+            config=AgentConfig(upload_period_s=1e9),
             flush_threshold_records=5,
         )
         agent.refresh_pinglist(t=0.0)
@@ -180,11 +180,11 @@ class TestResourceEnvelope:
         agent.refresh_pinglist(t=0.0)
         agent.run_probe_round(t=10.0)
         assert agent.usage.cpu_seconds > 0
-        assert agent.usage.memory_mb >= agent.config.base_memory_mb
+        assert agent.usage.memory_mb >= BASE_MEMORY_MB
 
     def test_memory_cap_kills_agent(self, world):
-        config = AgentConfig(memory_cap_mb=24.01, base_memory_mb=24.0)
-        agent = _agent(world, config=config, log_cap_bytes=50_000_000)
+        agent = _agent(world, log_cap_bytes=50_000_000)
+        agent.memory_cap_mb = BASE_MEMORY_MB + 0.01
         agent.refresh_pinglist(t=0.0)
         with pytest.raises(ResourceBudgetExceeded):
             for round_index in range(100):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.dsa.alerts import AlertEngine, SlaThresholds
+from repro.core.dsa import alerts
+from repro.core.dsa.alerts import AlertEngine
 from repro.core.dsa.sla import NetworkSla, SlaScope
 
 
@@ -27,30 +28,16 @@ def _sla(
 
 class TestThresholds:
     def test_paper_defaults(self):
-        thresholds = SlaThresholds()
-        assert thresholds.max_drop_rate == 1e-3
-        assert thresholds.max_p99_us == 5000.0
-        assert thresholds.max_interdc_drop_rate == 2e-3
-        assert thresholds.max_interdc_p99_us == 400_000.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SlaThresholds(max_drop_rate=0)
-        with pytest.raises(ValueError):
-            SlaThresholds(max_p99_us=-1)
-        with pytest.raises(ValueError):
-            SlaThresholds(min_probe_count=0)
-        with pytest.raises(ValueError):
-            SlaThresholds(max_interdc_drop_rate=0)
-        with pytest.raises(ValueError):
-            SlaThresholds(max_interdc_p99_us=-1)
+        assert alerts.MAX_DROP_RATE == 1e-3
+        assert alerts.MAX_P99_US == 5000.0
+        assert alerts.MAX_INTERDC_DROP_RATE == 2e-3
+        assert alerts.MAX_INTERDC_P99_US == 400_000.0
 
     def test_scope_aware_limits(self):
-        thresholds = SlaThresholds()
-        assert thresholds.drop_limit_for("dc-pair") == 2e-3
-        assert thresholds.p99_limit_for("dc-pair") == 400_000.0
-        assert thresholds.drop_limit_for("datacenter") == 1e-3
-        assert thresholds.p99_limit_for("pod") == 5000.0
+        assert alerts.drop_limit_for("dc-pair") == 2e-3
+        assert alerts.p99_limit_for("dc-pair") == 400_000.0
+        assert alerts.drop_limit_for("datacenter") == 1e-3
+        assert alerts.p99_limit_for("pod") == 5000.0
 
 
 class TestAlerting:
@@ -78,8 +65,8 @@ class TestAlerting:
         assert {alert.metric for alert in alerts} == {"drop_rate", "p99_us"}
 
     def test_small_windows_are_skipped(self):
-        engine = AlertEngine(SlaThresholds(min_probe_count=100))
-        assert engine.evaluate([_sla(drop_rate=1.0, probe_count=10)]) == []
+        engine = AlertEngine()
+        assert engine.evaluate([_sla(drop_rate=1.0, probe_count=alerts.MIN_PROBE_COUNT - 1)]) == []
 
     def test_none_p99_tolerated(self):
         sla = NetworkSla(

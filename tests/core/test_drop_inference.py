@@ -1,15 +1,21 @@
 """Tests for the §4.2 drop-rate heuristic."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core.dsa.drop_inference import (
     classify_probe,
+    drop_rate_aggregate,
     estimate_drop_rate,
     estimate_drop_rate_from_arrays,
 )
-from repro.netsim.fabric import Fabric
+from repro.cosmos.scope import RowSet
+from repro.netsim.fabric import Fabric, execute_class_groups
+from repro.netsim.routing import PathScope
 from repro.netsim.topology import TopologySpec
+from repro.stream.sketch import ClassStats
 from tests.conftest import probe_rounds
 
 
@@ -62,21 +68,6 @@ class TestEstimateFromRows:
 
 
 class TestEstimateFromArrays:
-    def test_matches_row_version(self):
-        rtts = np.array([250e-6, 3.1, 9.2, 0.0005, 21.0])
-        success = np.array([True, True, True, True, False])
-        rows = [
-            {"success": bool(s), "rtt_us": r * 1e6} for r, s in zip(rtts, success)
-        ]
-        a = estimate_drop_rate_from_arrays(rtts, success)
-        b = estimate_drop_rate(rows)
-        assert a.rate == b.rate
-        assert (a.successful, a.one_drop, a.two_drop) == (
-            b.successful,
-            b.one_drop,
-            b.two_drop,
-        )
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             estimate_drop_rate_from_arrays(np.zeros(3), np.zeros(4, dtype=bool))
@@ -94,3 +85,40 @@ class TestAccuracyAgainstGroundTruth:
         success, rtt_s, _drops = probe_rounds(fabric, a, b, 3_000_000)
         estimate = estimate_drop_rate_from_arrays(rtt_s, success)
         assert estimate.rate == pytest.approx(truth, rel=0.2)
+
+
+class TestOneRuleForEveryForm:
+    """A success's drops are read off its RTT alone, however long it took:
+    every form agrees at and past each signature, 21 s included."""
+
+    OK_RTT_S = np.array([0.0, 3.0, 9.0, 21.0, 22.0])
+    RTT_S, SUCCESS = np.append(OK_RTT_S, 21.0), np.array([True] * 5 + [False])
+
+    def test_every_form_reads_four_drops_in_five_successes(self):
+        rows = [
+            {"k": 0, "success": bool(ok), "rtt_us": rtt * 1e6}
+            for ok, rtt in zip(self.SUCCESS, self.RTT_S)
+        ]
+        drops = [classify_probe(row["success"], row["rtt_us"] / 1e6) for row in rows]
+        assert drops == [0, 1, 2, 2, 2, None]
+        (aggregate,) = RowSet(rows).group_by("k").aggregate(rate=drop_rate_aggregate()).output()
+        stats = [ClassStats() for _ in range(4)]
+        for row in rows:
+            stats[0].observe(row["success"], row["rtt_us"])
+        stats[1].observe_many(self.SUCCESS, self.RTT_S * 1e6)
+        stats[2].observe_many(np.tile(self.SUCCESS, 20), np.tile(self.RTT_S, 20) * 1e6)
+        stats[3].observe_aggregate(1, self.OK_RTT_S * 1e6)
+        from_arrays = estimate_drop_rate_from_arrays(self.RTT_S, self.SUCCESS)
+        from_rows = estimate_drop_rate(rows)
+        assert (from_arrays.one_drop, from_arrays.two_drop) == (from_rows.one_drop, from_rows.two_drop)
+        rates = [from_rows.rate, aggregate["rate"], from_arrays.rate]
+        assert rates + [each.syn_drop_rate() for each in stats] == [4 / 5] * 7
+
+    def test_class_draw_counts_the_same_signatures(self):
+        group = SimpleNamespace(purpose="intra-dc", qos="", scope=PathScope.INTRA_POD, n=6,
+                                p_attempt=0.0, dc_index=0, n_hops=1, wan_rtt=0.0, dst_dc=-1)
+        # Five clean successes and one failure, the successes at the RTTs under test.
+        draw = SimpleNamespace(multinomial=lambda n, p: np.array([5, 0, 0, 1]))
+        model = SimpleNamespace(sample=lambda rng, n_hops, t, n: self.OK_RTT_S.copy())
+        (outcome,) = execute_class_groups([group], {0: model}, 0.0, draw)
+        assert (outcome.one_drop, outcome.two_drops, outcome.failed) == (1, 3, 1)

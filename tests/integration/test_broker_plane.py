@@ -322,7 +322,6 @@ class TestDownloadTelemetry:
         )
         system.start()
         system.run_for(600.0)
-        assert system.stream is not None
         snapshot = system.stream.download_snapshot
         assert snapshot is not None and snapshot["requests"] > 0
         rates = system.stream.download_rates

@@ -105,4 +105,4 @@ class TestFaultCombinations:
         system.run_for(900.0)
         for agent in system.agents.values():
             assert agent.terminated_reason is None
-            assert agent.usage.peak_memory_mb < agent.config.memory_cap_mb
+            assert agent.usage.peak_memory_mb < agent.memory_cap_mb

@@ -26,7 +26,8 @@ from repro.core.dsa.records import LATENCY_STREAM
 from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.netsim.scenarios import apply_scenario
 from repro.netsim.topology import TopologySpec
-from repro.stream.plane import StreamConfig
+from repro.stream.detectors import EVAL_WINDOWS
+from repro.stream.sketch import RELATIVE_ACCURACY
 
 FAST_DSA = DsaConfig(
     ingestion_delay_s=0.0,
@@ -36,13 +37,12 @@ FAST_DSA = DsaConfig(
 )
 
 
-def _build(seed=1, stream=None):
+def _build(seed=1):
     config = PingmeshSystemConfig(
         specs=(TopologySpec(),),
         seed=seed,
         dsa=FAST_DSA,
         agent=AgentConfig(upload_period_s=120.0),
-        stream=stream or StreamConfig(),
     )
     return PingmeshSystem(config)
 
@@ -55,7 +55,7 @@ def _assert_parity(system):
     plane = system.stream
     ingest = plane.ingest
     window_s = plane.config.window_s
-    accuracy = plane.config.relative_accuracy
+    accuracy = RELATIVE_ACCURACY
     starts = ingest.window_starts()
     assert len(starts) >= 3
     start_set = set(starts)
@@ -167,10 +167,9 @@ class TestFaultedParity:
         first = min(stream_breaches, key=lambda a: a.t)
         latency = first.t - self.INJECT_T
         window_s = faulted_system.stream.config.window_s
-        eval_windows = faulted_system.stream.config.eval_windows
         # Bounded detection latency: the fault is visible within the
         # evaluation horizon plus one tick of slack.
-        assert 0.0 < latency <= (eval_windows + 1) * window_s
+        assert 0.0 < latency <= (EVAL_WINDOWS + 1) * window_s
         # ... which beats the batch plane's cadence floor outright.
         assert latency < FAST_DSA.near_real_time_period_s
 
@@ -233,14 +232,6 @@ class TestVipDarkParity:
 
 
 class TestWiring:
-    def test_stream_can_be_disabled(self):
-        system = _build(stream=StreamConfig(enabled=False))
-        assert system.stream is None
-        system.run_for(100.0)  # the system runs fine without the plane
-        assert system.total_probes_sent() > 0
-        reports = system.env.watchdogs.run_once()
-        assert "stream-ingesting" not in reports
-
     def test_agents_share_the_plane_aggregators(self):
         system = _build()
         for server_id, agent in system.agents.items():
@@ -254,4 +245,4 @@ class TestWiring:
         agent = next(iter(system.agents.values()))
         with_sketch = agent.usage.peak_memory_mb
         assert agent.stream_aggregator.memory_buckets > 0
-        assert with_sketch < agent.config.memory_cap_mb
+        assert with_sketch < agent.memory_cap_mb

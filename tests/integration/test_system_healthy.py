@@ -73,7 +73,7 @@ class TestHealthyOperation:
         now = ran_system.clock.now
         for agent in ran_system.agents.values():
             assert agent.usage.cpu_utilization(now) < 0.01  # << 1 % CPU
-            assert agent.usage.peak_memory_mb < agent.config.memory_cap_mb
+            assert agent.usage.peak_memory_mb < agent.memory_cap_mb
 
     def test_dc_sla_in_expected_band(self, ran_system):
         rows = ran_system.database.query(

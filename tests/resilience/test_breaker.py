@@ -20,8 +20,6 @@ class TestConfigValidation:
             CircuitBreakerConfig(failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreakerConfig(open_duration_s=-1.0)
-        with pytest.raises(ValueError):
-            CircuitBreakerConfig(half_open_successes=0)
 
 
 class TestTripping:

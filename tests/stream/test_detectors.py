@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.core.dsa.alerts import AlertEngine
+from repro.core.dsa.alerts import MAX_INTERDC_DROP_RATE, AlertEngine
 from repro.netsim import tcp
 from repro.stream.aggregator import StreamDelta
 from repro.stream.detectors import (
@@ -151,7 +151,7 @@ class TestStreamInterDcSlaDetector:
         assert alert.scope == "dc-pair"
         assert alert.key == "dc0->*"
         assert alert.plane == "stream"
-        assert alert.threshold == engine.thresholds.max_interdc_drop_rate
+        assert alert.threshold == MAX_INTERDC_DROP_RATE
         # Three healthy windows push the failures out of the horizon.
         for w in range(3, 6):
             ingest.ingest(_delta(w, _stats(n_ok=30), cls="inter-dc"))
