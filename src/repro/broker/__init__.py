@@ -8,7 +8,6 @@ from repro.broker.broker import BrokerConfig, MeasurementBroker
 from repro.broker.quota import TenantAccount, TenantQuota
 from repro.broker.requests import (
     DETAIL_CAP,
-    MeasurementRequest,
     RequestState,
     ResultChannel,
     TERMINAL_STATES,
@@ -19,7 +18,6 @@ __all__ = [
     "BrokerConfig",
     "DETAIL_CAP",
     "MeasurementBroker",
-    "MeasurementRequest",
     "RequestState",
     "ResultChannel",
     "TERMINAL_STATES",

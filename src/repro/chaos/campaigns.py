@@ -369,7 +369,7 @@ def _broker_storm(seed: int, check_mode: str):
         (40.0, "freeloader", dict(src="podset:0/0", dst="podset:0/1")),
         (45.0, "gatecrasher", dict(src="podset:0/0", dst="podset:0/1")),
         # One source, many probes, a tight deadline: the broker may only
-        # serve one probe per work item per round, so this must end
+        # serve one probe per work row per round, so this must end
         # TRUNCATED at a housekeeping tick, with the remainder refunded.
         (
             60.0,

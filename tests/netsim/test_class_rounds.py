@@ -26,6 +26,7 @@ from repro.netsim.faults import CongestionFault, SilentRandomDrop
 from repro.netsim.routing import SCOPE_HOP_KINDS, PathScope, classify_scope
 from repro.netsim.topology import MultiDCTopology, TopologySpec
 from tests.conftest import probe_rounds, record_probe_calls
+from tests.netsim.test_compile_class_plan import compile_plan
 
 _SPEC = TopologySpec(n_podsets=2, pods_per_podset=2, servers_per_pod=4, n_spines=4)
 
@@ -294,7 +295,8 @@ class TestLedgerAndMerge:
         # Interleave the two sources' rounds, entry by entry.
         entries = [e for src in sources for e in _entries_for(fabric, src, peers)]
         order = [0, 4, 1, 5, 2, 6, 3, 7]
-        whole = fabric.compile_class_plan(
+        whole = compile_plan(
+            fabric,
             [sources[i // 4] for i in order],
             [entries[i] for i in order],
             [tags[i % 4] for i in order],
