@@ -91,6 +91,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.broker.requests import ADMITTED, LAUNCHED
 from repro.core.agent.safety import (
     MAX_CONTROLLER_FAILURES,
     MAX_PAYLOAD_BYTES,
@@ -515,15 +516,14 @@ class InvariantChecker:
                 f"{broker.probes_launched} probes launched but "
                 f"{broker.probes_delivered} delivered to result channels",
             )
-        for channel in broker.channels.values():
-            if channel.probes_launched > channel.probes_admitted:
-                self._violate(
-                    now,
-                    "injected-probe-ledger",
-                    f"request {channel.request_id} launched "
-                    f"{channel.probes_launched} probes past its grant of "
-                    f"{channel.probes_admitted}",
-                )
+        ledger = broker.ledger.table[: broker._next_request_id]
+        for rid in (ledger[:, LAUNCHED] > ledger[:, ADMITTED]).nonzero()[0].tolist():
+            launched, admitted = ledger[rid, [LAUNCHED, ADMITTED]].tolist()
+            self._violate(
+                now,
+                "injected-probe-ledger",
+                f"request {rid} launched {launched} probes past its grant of {admitted}",
+            )
         for t, injected, cap in broker.round_log:
             if injected > cap:
                 self._violate(

@@ -13,6 +13,7 @@ import pytest
 
 from repro.broker import MeasurementBroker, RequestState, TenantQuota
 from repro.broker.admission import MAX_INJECTED_PER_FLEET_ROUND
+from repro.broker.requests import LAUNCHED
 from repro.chaos import build_campaign
 from repro.chaos.invariants import InvariantChecker
 from repro.core.agent.agent import AgentConfig
@@ -121,6 +122,22 @@ class TestFleetIntegration:
         assert broker.probes_delivered < broker.probes_launched
         assert channel.probes_completed < channel.probes_launched
         assert "injected-probe-ledger" in {v.invariant for v in checker.check_phase()}
+
+    def test_a_ledger_row_past_its_grant_breaks_the_ledger(self):
+        system, fleet, broker = _fleet()
+        broker.register_tenant("acme", TenantQuota(credits_per_window=5000))
+        broker.submit("acme", src="podset:0/0", dst="podset:0/1")
+        channel = broker.submit("acme", src="podset:0/0", dst="podset:1/0")
+        fleet.run_for(60.0)
+        checker = InvariantChecker(system)
+        assert checker.check_phase() == []
+        broker.ledger.table[channel.request_id, LAUNCHED] = channel.probes_admitted + 1
+        (violation,) = checker.check_phase()
+        assert violation.invariant == "injected-probe-ledger"
+        assert violation.detail == (
+            f"request {channel.request_id} launched {channel.probes_admitted + 1} "
+            f"probes past its grant of {channel.probes_admitted}"
+        )
 
     def test_round_injection_respects_fleet_cap(self):
         system, fleet, broker = _fleet()
