@@ -62,11 +62,13 @@ COLD_START_BUDGET_S = {
 }
 
 # Peak-RSS budget (MB) for the same cold start: the measured high-water mark
-# plus 10% (174 / 552 MB on the reference machine; 192 / 624 MB while class
-# plans held a (src, dst, port) tuple per probe).
+# plus 20% (120 / 334 MB on the reference machine; 156 / 478 MB while the
+# controller replicas kept every pinglist's XML text and each agent an
+# unused upload-retry generator, 192 / 624 MB while class plans held a
+# (src, dst, port) tuple per probe).
 COLD_START_RSS_BUDGET_MB = {
-    "4k-servers": 191,
-    "16k-servers": 607,
+    "4k-servers": 144,
+    "16k-servers": 401,
 }
 
 # Wall-clock budget (seconds) for one simulated 10-minute window, per size.

@@ -191,6 +191,10 @@ _INTERNED: "weakref.WeakValueDictionary[tuple, PinglistEntry]" = (
 )
 # The entry each ``<Peer .../>`` fragment parsed to, by its text up to "/>".
 _FRAGMENTS: "weakref.WeakValueDictionary[str, PinglistEntry]" = weakref.WeakValueDictionary()
+# Its lookup at C level: the backing dict's weak reference, or a stand-in
+# that, called like a dead reference, gives None.
+_ref = _FRAGMENTS.data.get
+_DEAD = type(None)
 _PEERS_START = re.compile(r"<Peers(?:[ \t\r\n][^<>]*)?>")
 _PEER_START = re.compile(r"[ \t\r\n]*<Peer[ \t\r\n]")
 
@@ -280,7 +284,7 @@ class Pinglist:
                 generation=int(root.attrib["generation"]),
                 generated_at=float(root.attrib["generatedAt"]),
                 parameters=parameters,
-                entries=tuple([_FRAGMENTS.get(piece) or _parse_peer(piece) for piece in pieces]),
+                entries=tuple([_ref(piece, _DEAD)() or _parse_peer(piece) for piece in pieces]),
             )
         except (ET.ParseError, KeyError, TypeError, ValueError) as exc:
             raise PinglistParseError(f"invalid pinglist content: {exc}") from exc

@@ -66,19 +66,22 @@ class PinglistNotFoundError(Exception):
 
 @dataclass
 class ControllerReplica:
-    """One controller server: an SSD-backed cache of pinglist XML files.
+    """One controller server: an SSD-backed cache of pinglist files.
 
     The cache is *lazy*: ``files`` starts empty after every (re)generation
-    and each pinglist is rendered on its first GET through ``loader`` —
-    regeneration and recovery are O(1), and the rendering work a replica
+    and each pinglist is generated on its first GET through ``loader`` —
+    regeneration and recovery are O(1), and the generating work a replica
     does is exactly the set of pinglists agents actually fetched from it.
+    A file is kept as its :class:`Pinglist` (whose entry tuple is the
+    generator memo's own) and rendered to XML on each 200: the XML text is
+    ~6 KB a server and is needed only for the one response that carries it.
     ``killed`` marks the kill switch (§3.4.2): a killed replica must 404
     every GET, and laziness must never mask that — an empty cache and a
     deliberately emptied one are different states.
     """
 
     dip: str
-    files: dict[str, str] = field(default_factory=dict)  # server_id -> XML
+    files: dict[str, Pinglist] = field(default_factory=dict)  # by server_id
     generation: int = 0
     up: bool = True
     requests_served: int = 0
@@ -93,8 +96,8 @@ class ControllerReplica:
     # compares it against the agent-side request timeout.
     response_delay_s: float = 0.0
     killed: bool = False
-    stamp_t: float = 0.0  # generatedAt for lazily rendered files
-    # (server_id, generation, stamp_t) -> XML | None; None means 404.
+    stamp_t: float = 0.0  # generatedAt for lazily generated files
+    # (server_id, generation, stamp_t) -> Pinglist | None; None means 404.
     loader: object = None
 
     def serve(self, server_id: str) -> str:
@@ -102,16 +105,14 @@ class ControllerReplica:
             raise ControllerUnavailableError(f"controller {self.dip} is down")
         self.requests_served += 1
         self.serve_time_s += self.response_delay_s
-        xml = self.files.get(server_id)
-        if xml is not None:
+        pinglist = self.files.get(server_id)
+        if pinglist is None and not self.killed and self.loader is not None:
+            pinglist = self.loader(server_id, self.generation, self.stamp_t)
+            if pinglist is not None:
+                self.files[server_id] = pinglist
+        if pinglist is not None:
             self.responses_200 += 1
-            return xml
-        if not self.killed and self.loader is not None:
-            xml = self.loader(server_id, self.generation, self.stamp_t)
-            if xml is not None:
-                self.files[server_id] = xml
-                self.responses_200 += 1
-                return xml
+            return pinglist.to_xml()
         self.responses_404 += 1
         raise PinglistNotFoundError(
             f"no pinglist for {server_id} on {self.dip}"
@@ -141,7 +142,7 @@ class PingmeshControllerService:
         self.generator = PingmeshGenerator(topology, config)
         self.replicas: dict[str, ControllerReplica] = {
             f"controller{i}": ControllerReplica(
-                dip=f"controller{i}", loader=self._render_pinglist
+                dip=f"controller{i}", loader=self._load_pinglist
             )
             for i in range(n_replicas)
         }
@@ -162,23 +163,19 @@ class PingmeshControllerService:
 
     # -- generation ------------------------------------------------------------
 
-    def _render_pinglist(
+    def _load_pinglist(
         self, server_id: str, generation: int, t: float
-    ) -> str | None:
-        """Render one server's pinglist XML, or None for an unknown server.
+    ) -> Pinglist | None:
+        """Generate one server's pinglist, or None for an unknown server.
 
         The replicas' lazy loader.  Determinism keeps the replicas
-        stateless: every replica rendering (generation, stamp, server)
-        gets byte-identical XML, because the generator's entry memo and
+        stateless: every replica loading (generation, stamp, server)
+        serves byte-identical XML, because the generator's entry memo and
         frozen inter-DC selection are shared and liveness-independent.
         """
-        try:
-            self.topology.server(server_id)
-        except (KeyError, TypeError):
+        if not self._server_known(server_id):
             return None
-        return self.generator.generate_for(
-            server_id, generation=generation, t=t
-        ).to_xml()
+        return self.generator.generate_for(server_id, generation=generation, t=t)
 
     def _server_known(self, server_id: str) -> bool:
         try:
@@ -190,11 +187,11 @@ class PingmeshControllerService:
     def regenerate(self, t: float = 0.0, changed_dcs=None) -> int:
         """Start a new generation on every replica — O(changed), not O(N).
 
-        No pinglist is rendered here: each replica's cache is cleared and
+        No pinglist is generated here: each replica's cache is cleared and
         repopulated lazily on GET, and the generator's entry memo is
         invalidated only for the servers ``changed_dcs`` (plus any moved
         inter-DC participants) actually dirty.  ``changed_dcs=None`` means
-        "unknown delta" and invalidates everything — still O(1) rendering
+        "unknown delta" and invalidates everything — still O(1)
         work now, just no memo reuse later.  Returns the new generation.
         """
         self.generation += 1
@@ -322,10 +319,10 @@ class PingmeshControllerService:
     def recover_replica(self, dip: str, t: float | None = None) -> None:
         """Bring a replica back at the current generation — O(1).
 
-        No eager rebuild: the recovered replica renders each pinglist on
+        No eager rebuild: the recovered replica generates each pinglist on
         first GET through the shared (memoized) generator, so recovery
         cost no longer scales with fleet size.  ``t`` stamps the lazily
-        rendered files; it defaults to the time of the fleet's last
+        generated files; it defaults to the time of the fleet's last
         generation so a recovered replica serves byte-identical files —
         it must never re-stamp the current generation with a stale t=0.0
         (agents would see "new" files that are actually old).

@@ -13,6 +13,12 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections import deque
+from functools import cached_property
+
+# The draws :attr:`RetryPolicy.draws` keeps: a sim-day of half-hourly
+# refreshes, so an agent's audit log is bounded in a run of any length.
+DRAW_HISTORY = 48
 
 
 def derive_seed(*parts: object) -> int:
@@ -36,8 +42,12 @@ class RetryPolicy:
     degrades to plain truncated exponential backoff (``base * mult^n``),
     which the stampede bench uses as its no-jitter control.
 
-    Every draw is recorded in :attr:`draws` so the determinism audit can
-    assert two policies with the same seed produced identical schedules.
+    The last :data:`DRAW_HISTORY` draws are kept in :attr:`draws` so the
+    determinism audit can assert two policies with the same seed produced
+    identical schedules.  A fleet holds thousands of policies that may
+    never draw (an uploader's retries run only when Cosmos fails), so the
+    generator and the log are both built at the first draw; the generator
+    is seeded then from ``seed``, which draws the same sequence.
     """
 
     def __init__(
@@ -60,10 +70,17 @@ class RetryPolicy:
         self.multiplier = float(multiplier)
         self.jitter = jitter
         self.seed = seed
-        self._rng = random.Random(seed)
         self._prev_delay = self.base_s
         self.attempts = 0
-        self.draws: list[float] = []
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        return random.Random(self.seed)
+
+    @cached_property
+    def draws(self) -> deque[float]:
+        """The latest draws, oldest first."""
+        return deque(maxlen=DRAW_HISTORY)
 
     def next_delay(self, *, cap_s: float | None = None) -> float:
         """Delay before the next attempt; grows until reset.

@@ -17,7 +17,7 @@ caller to count.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -35,10 +35,14 @@ class SpooledBatch:
 
 @dataclass
 class UploadSpool:
-    """FIFO of failed batches with a record-count bound."""
+    """FIFO of failed batches with a record-count bound.
+
+    Every agent owns one and most never spool anything, so the FIFO exists
+    only while it holds a batch: an empty spool keeps no deque.
+    """
 
     cap_records: int = 20_000
-    _batches: deque[SpooledBatch] = field(default_factory=deque)
+    _batches: deque[SpooledBatch] | None = None
     _records: int = 0
     records_evicted: int = 0
 
@@ -53,7 +57,7 @@ class UploadSpool:
 
     @property
     def batches(self) -> int:
-        return len(self._batches)
+        return len(self._batches) if self._batches else 0
 
     def __bool__(self) -> bool:
         return bool(self._batches)
@@ -71,6 +75,7 @@ class UploadSpool:
             keep_from = len(batch.records) - self.cap_records
             evicted.extend(batch.records[:keep_from])
             batch.records = batch.records[keep_from:]
+        self._batches = self._batches or deque()
         while self._batches and self._records + len(batch.records) > self.cap_records:
             oldest = self._batches.popleft()
             self._records -= len(oldest.records)
@@ -86,4 +91,6 @@ class UploadSpool:
     def pop_oldest(self) -> SpooledBatch:
         batch = self._batches.popleft()
         self._records -= len(batch.records)
+        if not self._batches:
+            self._batches = None
         return batch

@@ -10,6 +10,7 @@ from repro.core.controller.service import (
     PinglistNotFoundError,
     PingmeshControllerService,
 )
+from repro.core.system import PingmeshSystem, PingmeshSystemConfig
 from repro.netsim.topology import MultiDCTopology, TopologySpec
 
 
@@ -51,6 +52,23 @@ class TestGeneration:
         for server in topology.all_servers():
             assert first.serve(server.device_id) == second.serve(server.device_id)
         assert first.files == second.files
+
+    def test_a_started_fleet_leaves_pinglists_not_text(self):
+        system = PingmeshSystem(
+            PingmeshSystemConfig(
+                specs=(TopologySpec(n_podsets=2, pods_per_podset=2, servers_per_pod=2),)
+            )
+        )
+        system.start()
+        files = [f for r in system.controller.replicas.values() for f in r.files.values()]
+        assert len(files) == len(system.agents)
+        assert not any(isinstance(f, str) for f in files)
+
+    def test_serve_renders_the_held_pinglist(self, service):
+        replica = service.replicas["controller0"]
+        first = replica.serve("dc0/ps0/pod0/srv0")
+        assert replica.serve("dc0/ps0/pod0/srv0") == first
+        assert first == replica.files["dc0/ps0/pod0/srv0"].to_xml()
 
     def test_needs_at_least_one_replica(self, topology):
         with pytest.raises(ValueError):

@@ -65,6 +65,15 @@ class TestBuffering:
         with pytest.raises(ValueError):
             ResultUploader(store, "srv0", log_cap_bytes=10)
 
+    def test_an_uploader_that_never_failed_holds_no_retry_state(self, store):
+        uploader = ResultUploader(store, "srv0")
+        for t in (100.0, 200.0):
+            uploader.add(_record())
+            assert uploader.flush(t=t)
+        assert "_rng" not in vars(uploader.retry)
+        assert "draws" not in vars(uploader.retry)
+        assert uploader.spool._batches is None
+
 
 class TestRetryAndDiscard:
     def test_one_failed_attempt_per_flush_tick(self, store):

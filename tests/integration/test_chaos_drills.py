@@ -186,8 +186,8 @@ def test_controller_blackout_recovery_serves_fresh_stamps():
     generations = set()
     for replica in system.controller.replicas.values():
         assert replica.up
-        for xml in replica.files.values():
-            pinglist = Pinglist.from_xml(xml)
+        for held in replica.files.values():
+            pinglist = Pinglist.from_xml(held.to_xml())
             stamps.add(pinglist.generated_at)
             generations.add(pinglist.generation)
     assert len(stamps) == 1

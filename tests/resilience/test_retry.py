@@ -1,8 +1,11 @@
 """Tests for the seeded decorrelated-jitter retry policy."""
 
+import random
+
 import pytest
 
 from repro.resilience import RetryPolicy, derive_seed
+from repro.resilience.retry import DRAW_HISTORY
 
 
 class TestDeriveSeed:
@@ -69,7 +72,27 @@ class TestJitteredBackoff:
         policy = RetryPolicy(1.0, 10.0, seed=9)
         produced = [policy.next_delay() for _ in range(4)]
         produced.append(policy.jitter_period(100.0, 0.1))
-        assert policy.draws == produced
+        assert list(policy.draws) == produced
+
+    def test_draw_log_keeps_only_the_latest(self):
+        policy = RetryPolicy(1.0, 10.0, seed=9)
+        produced = [policy.jitter_period(100.0, 0.1) for _ in range(DRAW_HISTORY + 5)]
+        assert list(policy.draws) == produced[-DRAW_HISTORY:]
+
+    def test_lazy_generator_draws_the_eager_sequence(self):
+        lazy = RetryPolicy(2.0, 600.0, seed=derive_seed("srv0", "upload-retry"))
+        assert "_rng" not in vars(lazy) and "draws" not in vars(lazy)
+        eager = RetryPolicy(2.0, 600.0, seed=lazy.seed)
+        eager._rng = random.Random(lazy.seed)
+        for step in range(30):
+            if step % 3 == 2:
+                lazy.reset()
+                eager.reset()
+            if step % 2:
+                assert lazy.jitter_period(200.0, 0.1) == eager.jitter_period(200.0, 0.1)
+            else:
+                assert lazy.next_delay(cap_s=300.0) == eager.next_delay(cap_s=300.0)
+        assert lazy._rng.getstate() == eager._rng.getstate()
 
 
 class TestNoJitterControl:
@@ -101,7 +124,7 @@ class TestJitterPeriod:
     def test_zero_fraction_is_exact_and_undrawn(self):
         policy = RetryPolicy(1.0, 10.0, seed=42)
         assert policy.jitter_period(200.0, 0.0) == 200.0
-        assert policy.draws == []  # no RNG consumed: schedules stay aligned
+        assert list(policy.draws) == []  # no RNG consumed: schedules stay aligned
 
     def test_fleet_decorrelates(self):
         # Sixteen "agents" starting in lockstep must not share a period.

@@ -34,6 +34,13 @@ class TestBasics:
         assert len(oldest.records) == 3
         assert spool.records == 2
 
+    def test_holds_no_deque_while_empty(self):
+        spool = UploadSpool(cap_records=100)
+        assert spool._batches is None and spool.batches == 0
+        spool.push(_batch(3))
+        spool.pop_oldest()
+        assert spool._batches is None and not spool
+
 
 class TestEviction:
     def test_oldest_batches_evicted_first(self):
