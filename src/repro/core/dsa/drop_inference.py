@@ -22,7 +22,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.cosmos.scope import Aggregator, agg, col
+from repro.cosmos.scope import Aggregator, RowSet, agg, col
 from repro.netsim.tcp import ONE_DROP_RTT_S, TWO_DROPS_RTT_S
 
 __all__ = [
@@ -70,30 +70,22 @@ class DropRateEstimate:
         )
 
 
-def estimate_drop_rate(rows: Iterable[dict[str, Any]]) -> DropRateEstimate:
-    """Apply the heuristic to latency records (``success`` + ``rtt_us``)."""
-    successful = one = two = 0
-    for row in rows:
-        drops = classify_probe(bool(row["success"]), row["rtt_us"] / 1e6)
-        if drops is None:
-            continue
-        successful += 1
-        if drops == 1:
-            one += 1
-        elif drops == 2:
-            two += 1
-    return DropRateEstimate(successful, one, two)
+def estimate_drop_rate(rows: RowSet | Iterable[dict[str, Any]]) -> DropRateEstimate:
+    """Apply the heuristic to latency records (``success`` + ``rtt_us``):
+    a rowset's columns, or dicts packed once."""
+    window = RowSet.of(rows)
+    rtt_us, success = (np.asarray(window.column(name)) for name in ("rtt_us", "success"))
+    return estimate_drop_rate_from_arrays(rtt_us / 1e6, success)
+
+
+# The heuristic's numerator, in classify_probe's arithmetic: a success at or past 3 s.
+RETRANSMITTED = col("success") & (col("rtt_us") / 1e6 >= ONE_DROP_RTT_S)
 
 
 def drop_rate_aggregate() -> Aggregator:
-    """The heuristic as a SCOPE aggregate over ``success`` / ``rtt_us`` —
-    every successful probe at or above the one-retransmission signature
-    counts once, in :func:`classify_probe`'s own arithmetic, so a group's
-    value equals ``estimate_drop_rate(group).rate`` to the bit."""
-    return agg.ratio(
-        numerator=col("success") & (col("rtt_us") / 1e6 >= ONE_DROP_RTT_S),
-        denominator=col("success"),
-    )
+    """The heuristic as a SCOPE aggregate over ``success`` / ``rtt_us``: a
+    group's value equals ``estimate_drop_rate(group).rate`` to the bit."""
+    return agg.ratio(numerator=RETRANSMITTED, denominator=col("success"))
 
 
 def estimate_drop_rate_from_arrays(

@@ -14,14 +14,12 @@ engine, builds the per-DC heatmaps + pattern classifications, runs the
 silent-drop detector near-real-time and the black-hole detector daily.
 The two-month retention policy is not modelled: no run lasts that long.
 
-Each job tick EXTRACTs its time window from the store exactly once: a small
-window cache (keyed on window bounds and the store's data version) shares
-the rowset between the SCOPE jobs, the SLA tracker, the detectors and the
-heatmaps of a tick, and across coinciding ticks of different cadences.  The
-window is column-backed and the hourly and daily jobs read it in place —
-what they turn into Python objects is their results.  Only the 10-minute
-job materializes its (much shorter) window as rows, for the heatmap and the
-silent-drop watch, and it keeps none of them.
+Each job tick EXTRACTs its time window from the store exactly once: a
+window cache (of the newest tick only, keyed on window start, end and the
+store's data version) shares the rowset between the SCOPE jobs, the SLA
+tracker, the detectors and the heatmaps of a tick, and across coinciding
+ticks of different cadences.  The window is column-backed and every job
+reads it in place — what they turn into Python objects is their results.
 """
 
 from __future__ import annotations
@@ -98,9 +96,10 @@ class DsaPipeline:
         # Baseline-relative anomaly detection on the hourly SLA series —
         # the "data mining" layer on top of the fixed thresholds (§4.3).
         self.anomaly_tracker = SeriesAnomalyTracker()
-        # (start, end, store.version) -> extracted RowSet.  Bounded: ticks
-        # at different cadences overlap within a burst, not across history.
-        self._window_cache: dict[tuple[float, float, int], object] = {}
+        # The newest tick's (end, store.version), and its windows by start:
+        # ticks at different cadences coincide, an older tick is not read again.
+        self._window_tick: tuple[float, int] | None = None
+        self._window_cache: dict[float, object] = {}
 
     # -- registration -----------------------------------------------------------
 
@@ -126,15 +125,15 @@ class DsaPipeline:
         """EXTRACT one window, at most once per (window, store version).
 
         Every consumer of a tick — and coinciding ticks of other cadences —
-        shares the same rowset; the cache key includes the store's data
-        version, so any append/expiry invalidates naturally.
+        shares the same rowset; a new window end or store data version
+        (any append/expiry) drops every window cached before it.
         """
-        key = (start, end, getattr(self.store, "version", 0))
-        rows = self._window_cache.get(key)
+        tick = (end, getattr(self.store, "version", 0))
+        if tick != self._window_tick:
+            self._window_tick, self._window_cache = tick, {}
+        rows = self._window_cache.get(start)
         if rows is None:
-            if len(self._window_cache) >= 8:
-                self._window_cache.clear()
-            rows = self._window_cache[key] = window_rows(self.store, start, end)
+            rows = self._window_cache[start] = window_rows(self.store, start, end)
         return rows
 
     # -- the jobs -----------------------------------------------------------------
@@ -153,11 +152,10 @@ class DsaPipeline:
                 job_interdc_latency(self.store, start, end, rows=window),
             )
 
-        rows = window.output()
         pattern_rows = []
         for dc in self.topology.dcs:
             heatmap = LatencyHeatmap.from_records(
-                rows, dc.spec.n_pods, dc.spec.pods_per_podset, dc=dc.dc_index
+                window, dc.spec.n_pods, dc.spec.pods_per_podset, dc=dc.dc_index
             )
             classification = heatmap.classify()
             pattern_rows.append(
@@ -175,11 +173,11 @@ class DsaPipeline:
         slas = self.sla_tracker.track_scope(window, SlaScope.DATACENTER, start, end)
         self.alert_engine.evaluate(slas)
 
-        self._silent_drop_watch(rows, end)
+        self._silent_drop_watch(window, end)
         return podpair
 
-    def _silent_drop_watch(self, rows: list[dict], t: float) -> None:
-        incidents = self.silentdrop_detector.detect(rows, t=t)
+    def _silent_drop_watch(self, window, t: float) -> None:
+        incidents = self.silentdrop_detector.detect(window, t=t)
         for incident in incidents:
             if self.fabric is not None:
                 self.silentdrop_detector.localize(incident, self.fabric)
@@ -260,8 +258,8 @@ class DsaPipeline:
     def latest_heatmap(self, dc: int, t: float) -> LatencyHeatmap:
         """Rebuild the newest heatmap of one DC on demand."""
         start, end = self._window(t, self.config.near_real_time_period_s)
-        rows = self._window_rowset(start, end).output()
+        window = self._window_rowset(start, end)
         dc_topo = self.topology.dc(dc)
         return LatencyHeatmap.from_records(
-            rows, dc_topo.spec.n_pods, dc_topo.spec.pods_per_podset, dc=dc
+            window, dc_topo.spec.n_pods, dc_topo.spec.pods_per_podset, dc=dc
         )

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.dsa.drop_inference import estimate_drop_rate
+from repro.core.dsa.drop_inference import RETRANSMITTED, drop_rate_aggregate
+from repro.cosmos.scope import RowSet, agg, col
 from repro.netsim.tcp import ONE_DROP_RTT_US
 from repro.netsim.traceroute import localize_drop, tcp_traceroute
 
@@ -81,49 +82,53 @@ class SilentDropDetector:
     # -- step 1+2: detect and scope -----------------------------------------------
 
     def detect(
-        self, rows: list[Row], baseline_drop_rate: float = 1e-4, t: float = 0.0
+        self, rows: RowSet | list[Row], baseline_drop_rate: float = 1e-4, t: float = 0.0
     ) -> list[SilentDropIncident]:
         """One incident per data center whose drop rate is excessive."""
-        by_dc: dict[int, list[Row]] = {}
-        for row in rows:
-            if row["src_dc"] == row["dst_dc"]:  # intra-DC view per DC
-                by_dc.setdefault(row["src_dc"], []).append(row)
-        incidents = []
-        for dc, dc_rows in sorted(by_dc.items()):
-            estimate = estimate_drop_rate(dc_rows)
-            if estimate.successful == 0 or estimate.rate < self.incident_drop_rate:
-                continue
-            incidents.append(
-                SilentDropIncident(
-                    t=t,
-                    dc=dc,
-                    measured_drop_rate=estimate.rate,
-                    baseline_drop_rate=baseline_drop_rate,
-                    suspected_tier=self._suspect_tier(dc_rows),
-                    affected_pairs=self._affected_pairs(dc_rows),
-                )
+        window = RowSet.of(rows)
+        ok, intra = col("success"), col("src_podset") == col("dst_podset")
+        per_dc = (
+            window.select("src_dc", "dst_dc", "src_podset", "dst_podset", "success", "rtt_us")
+            .where(col("src_dc") == col("dst_dc"))
+            .group_by("src_dc")
+            .aggregate(
+                successful=agg.count_if(ok),
+                rate=drop_rate_aggregate(),
+                intra_rate=agg.ratio(RETRANSMITTED & intra, ok & intra),
+                cross_rate=agg.ratio(RETRANSMITTED & ~intra, ok & ~intra),
             )
-        return incidents
+            .order_by("src_dc")
+            .output()
+        )
+        return [
+            SilentDropIncident(
+                t=t,
+                dc=dc["src_dc"],
+                measured_drop_rate=dc["rate"],
+                baseline_drop_rate=baseline_drop_rate,
+                suspected_tier=self._suspect_tier(dc["intra_rate"], dc["cross_rate"]),
+                affected_pairs=self._affected_pairs(window, dc["src_dc"]),
+            )
+            for dc in per_dc
+            if dc["successful"] and dc["rate"] >= self.incident_drop_rate
+        ]
 
-    def _suspect_tier(self, rows: list[Row]) -> str:
+    def _suspect_tier(self, intra_rate: float, cross_rate: float) -> str:
         """Compare intra-podset vs cross-podset drop rates.
 
         "Packet drops at ToR and Leaf layers cannot cause the latency
         increase for all our customers ... the latency increase pattern
         pointed the problem to the Spine switch layer."
         """
-        intra = [row for row in rows if row["src_podset"] == row["dst_podset"]]
-        cross = [row for row in rows if row["src_podset"] != row["dst_podset"]]
-        intra_rate = estimate_drop_rate(intra).rate
-        cross_rate = estimate_drop_rate(cross).rate
         if cross_rate >= self.incident_drop_rate and intra_rate < cross_rate / 3:
             return "spine"
         if intra_rate >= self.incident_drop_rate:
             return "leaf-or-tor"
         return "unknown"
 
-    def _affected_pairs(self, rows: list[Row]) -> list[tuple[str, str]]:
-        """Pairs with the most retransmission/drop evidence, worst first.
+    def _affected_pairs(self, window: RowSet, dc: int) -> list[tuple[str, str]]:
+        """Pairs of ``dc`` with the most retransmission/drop evidence, worst
+        first: a failed probe scores 1, a retransmit signature 2.
 
         Only *partially* lossy pairs qualify — the paper's operators traced
         pairs "that experienced around 1%-2% random packet drops", i.e.
@@ -131,29 +136,29 @@ class SilentDropDetector:
         carries a retransmit signature is deterministic loss: that is the
         §5.1 black-hole detector's jurisdiction (reload, not RMA), and
         tracerouting it here would let the silent-drop watch RMA-isolate a
-        reload-fixable switch.
+        reload-fixable switch.  Pairs group on the stored endpoint ids; only
+        the ones that qualify are spelled out, to rank ties by name.
         """
-        evidence: dict[tuple[str, str], tuple[int, int, int]] = {}
-        for row in rows:
-            if row.get("purpose") == "vip":
-                continue  # VIP targets are logical; traceroute needs hosts
-            weight = 0
-            if not row["success"]:
-                weight = 1
-            elif row["syn_drops"] > 0 or row["rtt_us"] >= ONE_DROP_RTT_US:
-                weight = 2  # a measured retransmit signature is strong signal
-            pair = (row["src"], row["dst"])
-            score, bad, probes = evidence.get(pair, (0, 0, 0))
-            evidence[pair] = (score + weight, bad + (1 if weight else 0), probes + 1)
-        ranked = sorted(
-            (
-                (pair, score)
-                for pair, (score, bad, probes) in evidence.items()
-                if score and bad <= self.max_pair_loss_ratio * probes
-            ),
-            key=lambda item: (-item[1], item[0]),
+        ok = col("success")
+        keep = (col("src_dc") == dc) & (col("dst_dc") == dc)
+        keep &= col("purpose", default="") != "vip"  # VIP targets are logical
+        bad = col("failed") + col("retransmits")
+        pairs = (
+            window.select("src", "dst", "success", "syn_drops", "rtt_us", keep=keep)
+            .where(col("keep"))
+            .group_by("src", "dst")
+            .aggregate(
+                probes=agg.count(),
+                failed=agg.count_if(~ok),
+                retransmits=agg.count_if(
+                    ok & ((col("syn_drops") > 0) | (col("rtt_us") >= ONE_DROP_RTT_US))
+                ),
+            )
+            .where((bad > 0) & (bad <= col("probes") * self.max_pair_loss_ratio))
         )
-        return [pair for pair, _score in ranked[: self.max_traceroute_pairs]]
+        scored = zip(*map(pairs.column, ("failed", "retransmits", "src", "dst")))
+        ranked = sorted((-failed - 2 * retries, src, dst) for failed, retries, src, dst in scored)
+        return [(src, dst) for _score, src, dst in ranked[: self.max_traceroute_pairs]]
 
     # -- step 3: localize via traceroute ----------------------------------------------
 

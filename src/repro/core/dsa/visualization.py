@@ -24,6 +24,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.cosmos.scope import RowSet, agg, col
+
 __all__ = [
     "CellColor",
     "LatencyPattern",
@@ -78,9 +80,9 @@ class LatencyHeatmap:
 
     @classmethod
     def from_records(
-        cls, rows: list[Row], n_pods: int, pods_per_podset: int, dc: int = 0
+        cls, rows: RowSet | list[Row], n_pods: int, pods_per_podset: int, dc: int = 0
     ) -> "LatencyHeatmap":
-        """Build the matrix from latency records of one DC.
+        """Build the matrix from latency records of one DC (a window, or dicts).
 
         Only successful probes carry a latency; a failed probe never
         completed a connection, so it contributes *no data* — "a white block
@@ -89,18 +91,18 @@ class LatencyHeatmap:
         that is merely slow paints red (Fig. 8(c)/(d)).
         """
         heatmap = cls(n_pods, pods_per_podset)
-        cells: dict[tuple[int, int], list[float]] = {}
-        for row in rows:
-            if row["src_dc"] != dc or row["dst_dc"] != dc:
-                continue
-            if not row.get("success", True):
-                continue
-            src_pod, dst_pod = row["src_pod"], row["dst_pod"]
-            if not (0 <= src_pod < n_pods and 0 <= dst_pod < n_pods):
-                continue  # VIP probes and the like carry no pod coordinates
-            cells.setdefault((src_pod, dst_pod), []).append(row["rtt_us"])
-        for (src_pod, dst_pod), rtts in cells.items():
-            heatmap.p99_us[src_pod, dst_pod] = float(np.percentile(rtts, 99))
+        measured = (col("src_dc") == dc) & (col("dst_dc") == dc) & col("success", default=True)
+        for pod in (col("src_pod"), col("dst_pod")):  # VIP probes and the like have none
+            measured &= (pod >= 0) & (pod < n_pods)
+        cells = (
+            RowSet.of(rows)
+            .select("src_pod", "dst_pod", "rtt_us", measured=measured)
+            .where(col("measured"))
+            .group_by("src_pod", "dst_pod")
+            .aggregate(p99_us=agg.percentile("rtt_us", 99))
+        )
+        src, dst, p99 = map(cells.column, ("src_pod", "dst_pod", "p99_us"))
+        heatmap.p99_us[src, dst] = p99
         return heatmap
 
     @property

@@ -204,7 +204,6 @@ class _SegmentedColumns:
             self.group_order = np.argsort(self.order[self.starts], kind="stable")
         self._sorted_cache: dict[str, np.ndarray] = {}
         self._value_sorted_cache: dict[str, np.ndarray] = {}
-        self._view = LazyColumns(self.sorted_column)
 
     # -- data access -------------------------------------------------------
 
@@ -247,8 +246,11 @@ class _SegmentedColumns:
     def segment_count_if(self, predicate: Expr) -> np.ndarray:
         if self.n_groups == 0:
             return np.empty(0, dtype=np.int64)
+        # A view per read: one kept on self would be a cycle through its bound
+        # method, holding the order and sorted copies until a full collection.
+        view = LazyColumns(self.sorted_column)
         mask = np.broadcast_to(
-            np.asarray(predicate.eval_columns(self._view), dtype=bool), (self.n,)
+            np.asarray(predicate.eval_columns(view), dtype=bool), (self.n,)
         ).astype(np.int64)
         return np.add.reduceat(mask, self.starts)[self.group_order]
 

@@ -175,6 +175,15 @@ class TestSingleExtraction:
         pipeline.run_10min_job(3600.0)
         assert store.read_count == before + 2
 
+    def test_cache_keeps_the_newest_tick_only(self, world):
+        clock, queue, store, db, pipeline = world
+        _seed_records(store, 1200.0)
+        before = store.read_count
+        pipeline.run_10min_job(600.0)
+        pipeline.run_10min_job(1200.0)
+        pipeline.run_10min_job(600.0)  # its window went with the newer tick
+        assert store.read_count == before + 3
+
     def test_append_invalidates_window_cache(self, world):
         clock, queue, store, db, pipeline = world
         _seed_records(store, 600.0)

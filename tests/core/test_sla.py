@@ -1,5 +1,7 @@
 """Tests for network SLA tracking at macro and micro scopes."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from repro.core.dsa.sla import (
     compute_sla,
 )
 from repro.cosmos.columnar import ColumnBlock
-from repro.cosmos.scope import RowSet
+from repro.cosmos.scope import RowSet, agg, col
 
 
 def _row(
@@ -370,3 +372,24 @@ class TestEngineEqualsRowLoops:
             assert tracker.track_scope(_columnar(rows), scope, 5.0, 65.0) == [
                 sla for sla in expected if sla.scope == scope
             ], scope
+
+
+def test_group_bys_leave_no_cyclic_garbage():
+    """A scope's sort order and sorted copies die when it returns, not at the
+    next full collection: no group-by context may hold a view of itself."""
+    rows = _columnar([
+        _row(src=f"dc0/s{pod}-{i % 2}", pod=pod, podset=pod // 2, rtt_us=200.0 + i,
+             success=i % 7 > 0, dst_dc=int(i % 5 == 0))
+        for pod in range(3)
+        for i in range(40)
+    ])
+    gc.collect()
+    gc.disable()
+    try:
+        assert SlaTracker(_SERVICES).track_all(rows, 0.0, 600.0)
+        assert rows.group_by("src", "dst").aggregate(
+            ok=agg.count_if(col("success")), p99_us=agg.percentile("rtt_us", 99)
+        )
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

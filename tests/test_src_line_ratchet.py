@@ -11,8 +11,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # ``wc -l`` summed over <dir>/**/*.py.
-SRC_LINE_CEILING = 18_429
-TESTS_LINE_CEILING = 20_394
+SRC_LINE_CEILING = 18_428
+TESTS_LINE_CEILING = 20_614
 
 
 def _check(name: str, ceiling: int, constant: str) -> None:
